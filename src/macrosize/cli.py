@@ -27,26 +27,13 @@ from .mapping import (
     verify_disentangling_identity,
     verify_operator_map,
 )
-from .measures import (
-    Homodyne,
-    PhotonCount,
-    SuperpositionPair,
-    c_delta,
-    d_bar,
-    index_q,
-    m_squared,
-    max_variance_collective,
-    n_eff,
-    relative_fisher,
-    size_pg,
-    wigner_I_photonic,
-    wigner_I_spin,
-)
+from .measures import MEASURES, Homodyne, PhotonCount, SuperpositionPair
 from .scaling import (
     DEFAULT_LADDER,
     DEFAULT_M_LADDER,
     FamilyId,
     StateFamily,
+    absorb_pair,
     branch_pair,
     sweep,
     sweep_fixed_excitation,
@@ -62,11 +49,6 @@ from .symcore import (
     TruncationError,
 )
 
-PAIR_MEASURES = frozenset({"m2", "rel-fisher", "c-delta", "d-bar", "size-pg"})
-SINGLE_MEASURES = frozenset(
-    {"max-variance", "index-p", "n-eff", "index-q", "i-wigner", "i-wigner-spin"}
-)
-
 
 class UndefinedForInput(Exception):
     """Measure has no value for this input; maps to exit code 3."""
@@ -80,21 +62,15 @@ class ToleranceFailure(Exception):
 class Config:
     """Run configuration recorded (hashed) in every output header."""
 
-    eig_residual: float = 1e-9
-    truncation_tail: float = 1e-10
     bisection_rtol: float = 1e-4
     spin_factor: int = 200
-    output_format: str = "json"
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("eig_residual", "truncation_tail", "bisection_rtol"):
-            if getattr(self, name) <= 0:
-                raise ContractViolation(f"{name} must be > 0")
+        if self.bisection_rtol <= 0:
+            raise ContractViolation("bisection_rtol must be > 0")
         if self.spin_factor < 4:
             raise ContractViolation("spin factor must be >= 4 to hold the excitations")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ContractViolation(f"unknown output format {self.output_format!r}")
 
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -242,66 +218,29 @@ def cmd_state(args, cfg: Config) -> int:
     return 0
 
 
-def _absorb_inputs(single, pair, M: int):
-    """Map photonic inputs onto the spin sector when -M is given."""
-    if single is not None and isinstance(single, PhotonicState):
-        return approx_absorb(single, M), None
-    if pair is not None and not pair.is_spin:
-        mean = max(pair.psi0.mean_photon, pair.psi1.mean_photon)
-        from .symcore import default_spin_truncation
-
-        K = min(M, max(pair.psi0.cutoff, default_spin_truncation(M, mean)))
-        return None, SuperpositionPair(
-            approx_absorb(pair.psi0, M, K), approx_absorb(pair.psi1, M, K)
-        )
-    return single, pair
-
-
 def cmd_measure(args, cfg: Config) -> int:
     mid = args.measure
-    single, pair = _load_states(args.files)
-    needs_spin = mid in (
-        "max-variance", "index-p", "n-eff", "index-q", "i-wigner-spin",
-        "m2", "rel-fisher", "c-delta", "d-bar",
-    )
-    if needs_spin and args.M is not None:
-        single, pair = _absorb_inputs(single, pair, args.M)
-    if mid in PAIR_MEASURES:
-        if pair is None:
-            raise UndefinedForInput(f"{mid} needs a branch pair, got a single state")
-    elif mid in SINGLE_MEASURES:
-        if single is None:
-            raise ContractViolation(f"{mid} takes a single state, got a pair")
-    else:
+    spec = MEASURES.get(mid)
+    if spec is None:
         raise ContractViolation(f"unknown measure {mid!r}")
-
-    if mid == "max-variance":
-        result = max_variance_collective(single)
-    elif mid == "index-p":
-        mv = max_variance_collective(single)
-        from .measures import MeasureResult
-
-        result = MeasureResult("index-p", mv.value / single.basis.M, witness=dict(mv.witness))
-    elif mid == "n-eff":
-        result = n_eff(single)
-    elif mid == "index-q":
-        result = index_q(single)
-    elif mid == "i-wigner":
-        result = wigner_I_photonic(single)
-    elif mid == "i-wigner-spin":
-        result = wigner_I_spin(single)
-    elif mid == "m2":
-        result = m_squared(pair)
-    elif mid == "rel-fisher":
-        result = relative_fisher(pair)
-    elif mid == "c-delta":
-        result = c_delta(pair, args.delta)
-    elif mid == "d-bar":
-        result = d_bar(pair)
-    else:  # size-pg
-        channel = Homodyne(args.angle) if args.channel == "homodyne" else PhotonCount()
-        result = size_pg(pair, args.pg, channel, bisection_rtol=cfg.bisection_rtol)
-
+    single, pair = _load_states(args.files)
+    if spec.domain == "spin" and args.M is not None:
+        if isinstance(single, PhotonicState):
+            single = approx_absorb(single, args.M)
+        if pair is not None and not pair.is_spin:
+            pair, _ = absorb_pair(pair, args.M)
+    if spec.pair and pair is None:
+        raise UndefinedForInput(f"{mid} needs a branch pair, got a single state")
+    if not spec.pair and single is None:
+        raise ContractViolation(f"{mid} takes a single state, got a pair")
+    channel = Homodyne(args.angle) if args.channel == "homodyne" else PhotonCount()
+    result = spec.evaluate(
+        pair if spec.pair else single,
+        delta=args.delta,
+        p_g=args.pg,
+        channel=channel,
+        bisection_rtol=cfg.bisection_rtol,
+    )
     _emit({"header": cfg.header(), **result.to_dict()})
     return 0 if result.defined else 3
 
@@ -343,7 +282,7 @@ def cmd_table1(args, cfg: Config) -> int:
         p_g=args.pg,
         m_ladder=m_ladder,
     )
-    fmt = args.format or cfg.output_format
+    fmt = args.format
     if fmt == "text":
         body = _header_comment(cfg) + rep.to_text()
     elif fmt == "csv":
@@ -457,10 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Effective-size measures for macroscopic photonic/spin superpositions.",
     )
     p.add_argument("--seed", type=int, default=7, help="recorded in output headers")
-    p.add_argument("--output-format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--spin-factor", type=int, default=200, help="default M(N) = factor*N")
-    p.add_argument("--eig-residual", type=float, default=1e-9)
-    p.add_argument("--truncation-tail", type=float, default=1e-10)
     p.add_argument("--bisection-rtol", type=float, default=1e-4)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -501,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--m-ladder", help="comma-separated M values for the M-sweep cell")
     pt.add_argument("--delta", type=float, default=0.25)
     pt.add_argument("--pg", type=float, default=2.0 / 3.0)
-    pt.add_argument("--format", choices=["json", "csv", "text"])
+    pt.add_argument("--format", choices=["json", "csv", "text"], default="json")
     pt.add_argument("--out")
     pt.set_defaults(func=cmd_table1)
 
@@ -533,11 +469,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = Config(
-            eig_residual=args.eig_residual,
-            truncation_tail=args.truncation_tail,
             bisection_rtol=args.bisection_rtol,
             spin_factor=args.spin_factor,
-            output_format=args.output_format,
             seed=args.seed,
         )
         return args.func(args, cfg)

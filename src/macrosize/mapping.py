@@ -102,25 +102,6 @@ def exact_propagate(joint: JointState, g: float) -> JointState:
     return JointState(joint.M, joint.K, joint.photon_cutoff, out)
 
 
-def spin_marginal(joint: JointState) -> DensityOp:
-    """Trace out the photon mode."""
-    K = joint.K
-    rho = np.zeros((K + 1, K + 1), dtype=np.complex128)
-    max_e = max(joint.blocks) if joint.blocks else 0
-    for n in range(max_e + 1):
-        v = np.zeros(K + 1, dtype=np.complex128)
-        hit = False
-        for k in range(K + 1):
-            E = n + k
-            blk = joint.blocks.get(E)
-            if blk is not None and k < blk.shape[0]:
-                v[k] = blk[k]
-                hit = True
-        if hit:
-            rho += np.outer(v, v.conj())
-    return DensityOp(DickeBasis(joint.M, K), rho)
-
-
 def vacuum_projected_spin(joint: JointState) -> tuple[SymState, float]:
     """Spin state conditioned on finding the photon mode empty.
 

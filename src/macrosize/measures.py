@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import erfinv
 
 from .entanglement import helstrom_ps, reduced_group_state
@@ -36,21 +36,6 @@ DEGENERATE_PAIR_TOL = 1e-12
 SMEAR_L1_ATOL = 1e-8
 PS_TIE_TOL = 1e-12
 
-MEASURE_IDS = (
-    "max-variance",
-    "index-p",
-    "n-eff",
-    "rel-fisher",
-    "m2",
-    "c-delta",
-    "d-bar",
-    "index-q",
-    "i-wigner",
-    "i-wigner-spin",
-    "size-pg",
-)
-
-
 class DegeneratePairError(ContractViolation):
     """Raised when a pair measure's denominator is singular for this input."""
 
@@ -70,7 +55,7 @@ class MeasureResult:
     defined: bool = True
 
     def __post_init__(self):
-        if self.measure_id not in MEASURE_IDS:
+        if self.measure_id not in MEASURES:
             raise ContractViolation(f"unknown measure id {self.measure_id!r}")
         if self.defined and not (np.isfinite(self.value) and self.value >= 0):
             raise ContractViolation(
@@ -209,6 +194,12 @@ def n_eff(state: SymState | DensityOp) -> MeasureResult:
         float(max(w[-1], 0.0)) / (4.0 * basis.M),
         witness={"direction": [float(c) for c in v[:, -1].real]},
     )
+
+
+def index_p(state: SymState) -> MeasureResult:
+    """Modified index p: largest collective variance over the spin count M."""
+    mv = max_variance_collective(state)
+    return MeasureResult("index-p", mv.value / state.basis.M, witness=dict(mv.witness))
 
 
 def relative_fisher(pair: SuperpositionPair) -> MeasureResult:
@@ -424,6 +415,8 @@ def index_q(state: SymState | DensityOp) -> MeasureResult:
     with Nelder-Mead on spherical angles; the objective is direction-even
     and smooth at the optimum.
     """
+    from scipy.optimize import minimize  # deferred: keeps it out of the CLI's import
+
     basis = _require_spin(state, "state")
     rho = DensityOp.from_pure(state) if isinstance(state, SymState) else state
     jx, jy, jz = collective_xyz(basis)
@@ -622,7 +615,12 @@ def _homodyne_l1(
         half = int(np.ceil(8.0 * sigma / h))
         t = np.arange(-half, half + 1) * h
         kernel = np.exp(-0.5 * (t / sigma) ** 2)
-        diff = fftconvolve(diff, kernel / kernel.sum(), mode="same")
+        # fftconvolve(..., mode="same") by zero-padded real FFTs; scipy.fft
+        # imports in a fraction of the time scipy.signal takes.
+        n = len(diff)
+        size = next_fast_len(n + 2 * half, real=True)
+        full = irfft(rfft(diff, size) * rfft(kernel / kernel.sum(), size), size)
+        diff = full[half : half + n]
     return float(np.abs(diff).sum() * h)
 
 
@@ -706,8 +704,39 @@ def size_pg(
     )
 
 
-def index_p_modified(family) -> "ScalingFit":
-    """Exponent of max_variance/M in the family's excitation number."""
-    from .scaling import sweep  # deferred: scaling builds on this module
+@dataclass(frozen=True)
+class MeasureSpec:
+    """What a caller needs to know to run one measure.
 
-    return sweep(family, "index-p").fit
+    `pair`: the measure takes a branch pair, else one state. `domain`:
+    "spin" (symmetric-sector input; photonic input is absorbed first) or
+    "photonic" (Fock-basis input). `evaluate(x, delta=, p_g=, channel=,
+    bisection_rtol=)` runs it, ignoring the parameters it has no use for.
+    """
+
+    pair: bool
+    domain: str
+    evaluate: Callable[..., MeasureResult]
+
+
+# Entries look kernels up by module-global name at call time, so a kernel
+# rebound in this namespace (e.g. wrapped for tracing) is the one that runs.
+MEASURES: dict[str, MeasureSpec] = {
+    "max-variance": MeasureSpec(False, "spin", lambda x, **_: max_variance_collective(x)),
+    "index-p": MeasureSpec(False, "spin", lambda x, **_: index_p(x)),
+    "n-eff": MeasureSpec(False, "spin", lambda x, **_: n_eff(x)),
+    "rel-fisher": MeasureSpec(True, "spin", lambda x, **_: relative_fisher(x)),
+    "m2": MeasureSpec(True, "spin", lambda x, **_: m_squared(x)),
+    "c-delta": MeasureSpec(True, "spin", lambda x, delta, **_: c_delta(x, delta)),
+    "d-bar": MeasureSpec(True, "spin", lambda x, **_: d_bar(x)),
+    "index-q": MeasureSpec(False, "spin", lambda x, **_: index_q(x)),
+    "i-wigner": MeasureSpec(False, "photonic", lambda x, **_: wigner_I_photonic(x)),
+    "i-wigner-spin": MeasureSpec(False, "spin", lambda x, **_: wigner_I_spin(x)),
+    "size-pg": MeasureSpec(
+        True,
+        "photonic",
+        lambda x, p_g, channel, bisection_rtol, **_: size_pg(
+            x, p_g, channel, bisection_rtol=bisection_rtol
+        ),
+    ),
+}

@@ -19,23 +19,16 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtrit
 
 from .mapping import approx_absorb
 from .measures import (
+    MEASURES,
     Homodyne,
     MeasureResult,
     PhotonCount,
     SuperpositionPair,
-    c_delta,
-    d_bar,
-    m_squared,
-    max_variance_collective,
-    n_eff,
     normalized_sum,
-    relative_fisher,
-    size_pg,
-    wigner_I_photonic,
 )
 from .states import (
     displace,
@@ -81,7 +74,6 @@ TABLE_ROWS = (
     "n-eff",
     "i-wigner",
 )
-PAIR_ROWS = frozenset({"m2", "rel-fisher", "c-delta", "d-bar", "size-pg"})
 
 FAMILY_ORDER = (
     FamilyId.EVEN_CAT,
@@ -143,7 +135,8 @@ class FamilyBundle:
     channel: PhotonCount | Homodyne
 
 
-def _absorb_pair(pair: SuperpositionPair, M: int) -> tuple[SuperpositionPair, int]:
+def absorb_pair(pair: SuperpositionPair, M: int) -> tuple[SuperpositionPair, int]:
+    """Absorb both photonic branches into M spins at one shared truncation K."""
     mean = max(pair.psi0.mean_photon, pair.psi1.mean_photon)
     K = min(M, max(pair.psi0.cutoff, default_spin_truncation(M, mean)))
     return (
@@ -218,7 +211,7 @@ def family_state(
     if fid is FamilyId.FOCK_SUPERPOSITION:
         ph = make_fock_superposition(N)
         pair = branch_pair("fock-superposition", N=N, cutoff=ph.cutoff)
-        spin_pair, K = _absorb_pair(pair, M)
+        spin_pair, K = absorb_pair(pair, M)
         return FamilyBundle(
             fid, N, M, ph, pair, approx_absorb(ph, M, K), spin_pair, PhotonCount()
         )
@@ -244,7 +237,7 @@ def family_state(
     # D(|0>+|1>)/sqrt2, -D(|0>-|1>)/sqrt2, whose sum is D|1>.
     ph2 = make_displaced_single_photon(alpha)
     pair = branch_pair("displaced-single-photon", alpha=alpha, cutoff=ph2.cutoff)
-    spin_pair, K = _absorb_pair(pair, M)
+    spin_pair, K = absorb_pair(pair, M)
     spin_state = approx_absorb(normalized_sum(pair), M, K)
     return FamilyBundle(fid, N, M, ph2, pair, spin_state, spin_pair, PhotonCount())
 
@@ -293,7 +286,7 @@ def fit_exponent(points: list[tuple[float, float]]) -> ScalingFit:
     ssr = float(np.sum((y - intercept - slope * x) ** 2))
     dof = n - 2
     s2 = ssr / dof
-    ci95 = float(t_dist.ppf(0.975, dof) * np.sqrt(s2 / sxx))
+    ci95 = float(stdtrit(dof, 0.975) * np.sqrt(s2 / sxx))
     return ScalingFit(slope, intercept, ci95, float(np.sqrt(s2)))
 
 
@@ -318,26 +311,17 @@ def evaluate_cell(
 ) -> MeasureResult:
     """One table cell at one ladder point; raises when the family lacks the
     input the measure needs (no branch pair for single Fock states)."""
-    if measure_id in PAIR_ROWS and bundle.spin_pair is None:
-        raise ContractViolation(f"{bundle.family_id.value} has no branch pair")
-    if measure_id == "m2":
-        return m_squared(bundle.spin_pair)
-    if measure_id == "rel-fisher":
-        return relative_fisher(bundle.spin_pair)
-    if measure_id == "c-delta":
-        return c_delta(bundle.spin_pair, delta)
-    if measure_id == "d-bar":
-        return d_bar(bundle.spin_pair)
-    if measure_id == "size-pg":
-        return size_pg(bundle.photonic_pair, p_g, bundle.channel)
-    if measure_id == "index-p":
-        mv = max_variance_collective(bundle.spin_state)
-        return MeasureResult("index-p", mv.value / bundle.M, witness=dict(mv.witness))
-    if measure_id == "n-eff":
-        return n_eff(bundle.spin_state)
-    if measure_id == "i-wigner":
-        return wigner_I_photonic(bundle.photonic)
-    raise ContractViolation(f"no table row for measure {measure_id!r}")
+    spec = MEASURES.get(measure_id)
+    if spec is None:
+        raise ContractViolation(f"no table row for measure {measure_id!r}")
+    spin = spec.domain == "spin"
+    if spec.pair:
+        x = bundle.spin_pair if spin else bundle.photonic_pair
+        if x is None:
+            raise ContractViolation(f"{bundle.family_id.value} has no branch pair")
+    else:
+        x = bundle.spin_state if spin else bundle.photonic
+    return spec.evaluate(x, delta=delta, p_g=p_g, channel=bundle.channel, bisection_rtol=1e-4)
 
 
 @dataclass(frozen=True)
@@ -534,7 +518,7 @@ def table1(
         for fam in FAMILY_ORDER:
             target = BENCHMARK_TARGETS[(row, fam)]
             flag = "paper-discrepancy" if (row, fam) in DISCREPANCY_CELLS else ""
-            if row in PAIR_ROWS and fam is FamilyId.FOCK:
+            if MEASURES[row].pair and fam is FamilyId.FOCK:
                 cells.append(
                     Table1Cell(row, fam, target, "n.d.", np.nan, 0.0, "", ()))
                 continue

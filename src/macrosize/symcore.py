@@ -14,7 +14,7 @@ i.e. collective operators carry no 1/2 factors, [J+, J-] = Jz,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -22,7 +22,6 @@ from scipy.special import gammaln
 NORM_TOL = 1e-10
 HERM_TOL = 1e-10
 MIN_EIG_TOL = -1e-8
-EIG_RESIDUAL_TOL = 1e-9
 
 
 class ContractViolation(ValueError):

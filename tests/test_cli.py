@@ -11,6 +11,7 @@ import pytest
 
 import macrosize
 from macrosize.cli import main
+from macrosize.measures import MEASURES
 
 
 def run(capsys, *argv):
@@ -178,6 +179,33 @@ def test_unknown_measure_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.fixture(scope="module")
+def photonic_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    single, pair = d / "coherent.json", d / "fock_pair.json"
+    assert main(["state", "--name", "coherent", "--alpha", "1", "--out", str(single)]) == 0
+    assert main(["state", "--name", "fock-superposition", "--N", "2", "--pair",
+                 "--out", str(pair)]) == 0
+    return {False: single, True: pair}
+
+
+@pytest.mark.parametrize("mid", list(MEASURES))
+def test_every_registered_measure_runs(mid, photonic_inputs, capsys):
+    # Photonic input with --M: spin-domain measures must absorb it first and
+    # photonic ones must read it as given, or the measure rejects its input.
+    f = photonic_inputs[MEASURES[mid].pair]
+    code, out, err = run(capsys, "measure", mid, str(f), "--M", "80")
+    assert code == 0, err
+    assert load(out)["measure"] == mid
+
+
+@pytest.mark.parametrize("flag", ["--eig-residual", "--truncation-tail", "--output-format"])
+def test_removed_global_flags_are_rejected(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "1", "measure", "n-eff", str(tmp_path / "ghz.json")])
+    assert exc.value.code == 2
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "measure", "n-eff", "/nonexistent/state.json")
     assert code == 2
@@ -203,13 +231,29 @@ def _console_script(bindir, name):
     script.chmod(0o755)
 
 
-def test_console_script_entry_point(tmp_path):
-    # Run the package this test imported, whatever the cwd or PYTHONPATH of pytest.
+def _package_env() -> dict:
+    """The environment with the package this test imported first on PYTHONPATH,
+    whatever the cwd or PYTHONPATH of pytest."""
     pkg_root = str(Path(macrosize.__file__).resolve().parents[1])
-    bindir = tmp_path / "bin"
-    _console_script(bindir, "macrosize")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    heavy = ("scipy.optimize", "scipy.signal", "scipy.stats")
+    code = f"import sys, macrosize.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_console_script_entry_point(tmp_path):
+    bindir = tmp_path / "bin"
+    _console_script(bindir, "macrosize")
+    env = _package_env()
     env["PATH"] = os.pathsep.join(filter(None, [str(bindir), env.get("PATH")]))
 
     f = tmp_path / "fock3.json"

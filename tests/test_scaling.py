@@ -13,7 +13,6 @@ from macrosize import (
     displace,
     family_state,
     fit_exponent,
-    index_p_modified,
     make_even_cat,
     make_fock,
     make_fock_superposition,
@@ -22,7 +21,14 @@ from macrosize import (
     sweep,
     sweep_fixed_excitation,
 )
-from macrosize.scaling import default_spin_rule, evaluate_cell, table1
+from macrosize.measures import MEASURES
+from macrosize.scaling import (
+    BENCHMARK_TARGETS,
+    TABLE_ROWS,
+    default_spin_rule,
+    evaluate_cell,
+    table1,
+)
 
 
 @pytest.fixture(scope="module")
@@ -136,9 +142,9 @@ def test_sweep_fock_neff():
 
 def test_index_p_modified_distinguishes_families():
     fock = StateFamily(FamilyId.FOCK, (4, 8, 16, 32), default_spin_rule)
-    assert index_p_modified(fock).exponent == pytest.approx(1.0, abs=0.1)
+    assert sweep(fock, "index-p").fit.exponent == pytest.approx(1.0, abs=0.1)
     dsp = StateFamily(FamilyId.DISPLACED_SINGLE_PHOTON, (4, 8, 16, 32), default_spin_rule)
-    assert index_p_modified(dsp).exponent == pytest.approx(0.0, abs=0.1)
+    assert sweep(dsp, "index-p").fit.exponent == pytest.approx(0.0, abs=0.1)
 
 
 def test_m_sweep_fock_superposition_m2():
@@ -146,6 +152,11 @@ def test_m_sweep_fock_superposition_m2():
     assert res.sweep_variable == "M"
     assert res.fit.exponent == pytest.approx(-1.0, abs=0.1)
     assert classify(res.fit, m_sweep=True) == "O(1/M)"
+
+
+def test_not_defined_targets_are_the_pair_rows():
+    nd_rows = {row for row in TABLE_ROWS if BENCHMARK_TARGETS[(row, FamilyId.FOCK)] == "n.d."}
+    assert nd_rows == {row for row in TABLE_ROWS if MEASURES[row].pair}
 
 
 def test_table1_grid_structure(small_report):
