@@ -62,13 +62,10 @@ class ToleranceFailure(Exception):
 class Config:
     """Run configuration recorded (hashed) in every output header."""
 
-    bisection_rtol: float = 1e-4
     spin_factor: int = 200
     seed: int = 7
 
     def __post_init__(self):
-        if self.bisection_rtol <= 0:
-            raise ContractViolation("bisection_rtol must be > 0")
         if self.spin_factor < 4:
             raise ContractViolation("spin factor must be >= 4 to hold the excitations")
 
@@ -239,7 +236,6 @@ def cmd_measure(args, cfg: Config) -> int:
         delta=args.delta,
         p_g=args.pg,
         channel=channel,
-        bisection_rtol=cfg.bisection_rtol,
     )
     _emit({"header": cfg.header(), **result.to_dict()})
     return 0 if result.defined else 3
@@ -397,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=7, help="recorded in output headers")
     p.add_argument("--spin-factor", type=int, default=200, help="default M(N) = factor*N")
-    p.add_argument("--bisection-rtol", type=float, default=1e-4)
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("state", help="build a named state (or its branch pair)")
@@ -468,11 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config(
-            bisection_rtol=args.bisection_rtol,
-            spin_factor=args.spin_factor,
-            seed=args.seed,
-        )
+        cfg = Config(spin_factor=args.spin_factor, seed=args.seed)
         return args.func(args, cfg)
     except UndefinedForInput as exc:
         print(f"undefined: {exc}", file=sys.stderr)

@@ -604,56 +604,88 @@ def _quad_density(amps: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
     return np.abs(acc) ** 2
 
 
-def _homodyne_l1(
-    a0: np.ndarray, a1: np.ndarray, theta: float, sigma: float, h: float
-) -> float:
+def _quad_difference(a0: np.ndarray, a1: np.ndarray, theta: float, h: float) -> np.ndarray:
+    """Unsmeared quadrature-density difference on the grid x = h * (-n..n).
+
+    The grid reaches sqrt(2K + 1) + 10 on each side, past the classical
+    turning point of the highest Fock level, and depends on the step h only,
+    so one difference serves every smearing width probed at that step.
+    """
     K = len(a0) - 1
-    reach = np.sqrt(2.0 * K + 1.0) + 10.0 + 8.0 * sigma
-    x = np.arange(-reach, reach + h, h)
-    diff = _quad_density(a0, theta, x) - _quad_density(a1, theta, x)
+    n = int(np.ceil((np.sqrt(2.0 * K + 1.0) + 10.0) / h))
+    x = h * np.arange(-n, n + 1)
+    return _quad_density(a0, theta, x) - _quad_density(a1, theta, x)
+
+
+def _smeared_l1(diff: np.ndarray, sigma: float, h: float) -> float:
+    """L1 norm of `diff` convolved with a unit-mass Gaussian of width sigma.
+
+    The convolution is the full one, so the output reaches 8 sigma past the
+    grid on each side and keeps the smeared tails.
+    """
     if sigma > 0.0:
         half = int(np.ceil(8.0 * sigma / h))
         t = np.arange(-half, half + 1) * h
         kernel = np.exp(-0.5 * (t / sigma) ** 2)
-        # fftconvolve(..., mode="same") by zero-padded real FFTs; scipy.fft
-        # imports in a fraction of the time scipy.signal takes.
-        n = len(diff)
-        size = next_fast_len(n + 2 * half, real=True)
-        full = irfft(rfft(diff, size) * rfft(kernel / kernel.sum(), size), size)
-        diff = full[half : half + n]
+        # Zero-padded real FFTs: scipy.fft imports in a fraction of the time
+        # scipy.signal takes.
+        n = len(diff) + 2 * half
+        size = next_fast_len(n, real=True)
+        diff = irfft(rfft(diff, size) * rfft(kernel / kernel.sum(), size), size)[:n]
     return float(np.abs(diff).sum() * h)
 
 
-def _refined_l1(eval_at, h0: float) -> float:
+def _refined_l1(eval_at, h0: float) -> tuple[float, float]:
+    """L1 at steps h0, h0/2, ... h0/16 until two levels agree to SMEAR_L1_ATOL.
+
+    Returns the finest value computed and its change from the level before,
+    which exceeds SMEAR_L1_ATOL when the refinement ran out of levels.
+    """
     prev = eval_at(h0)
     h = h0
     for _ in range(4):
         h *= 0.5
         cur = eval_at(h)
-        if abs(cur - prev) <= SMEAR_L1_ATOL:
-            return cur
+        residual = abs(cur - prev)
+        if residual <= SMEAR_L1_ATOL:
+            break
         prev = cur
-    return prev
+    return cur, residual
 
 
-def _channel_ps(pair: SuperpositionPair, channel, sigma: float) -> float:
+def _channel_ps(
+    pair: SuperpositionPair, channel, sigma: float, diffs: dict[float, np.ndarray]
+) -> tuple[float, float]:
+    """Success probability at smearing sigma and the L1 refinement residual.
+
+    `diffs` holds the homodyne density differences by grid step; the caller
+    shares it across the widths it probes on one pair.
+    """
     if isinstance(channel, PhotonCount):
         p0 = np.abs(pair.psi0.amps) ** 2
         p1 = np.abs(pair.psi1.amps) ** 2
         if sigma == 0.0:
-            return 0.5 + 0.25 * float(np.abs(p0 - p1).sum())
-        l1 = _refined_l1(lambda h: _photon_l1(p0, p1, sigma, h), sigma / 16.0)
+            return 0.5 + 0.25 * float(np.abs(p0 - p1).sum()), 0.0
+        l1, residual = _refined_l1(lambda h: _photon_l1(p0, p1, sigma, h), sigma / 16.0)
     elif isinstance(channel, Homodyne):
         K = pair.psi0.basis.cutoff
         h0 = 1.0 / (8.0 * np.sqrt(2.0 * K + 1.0))
-        if sigma > 0.0:
-            h0 = min(h0, sigma / 16.0)
-        l1 = _refined_l1(
-            lambda h: _homodyne_l1(pair.psi0.amps, pair.psi1.amps, channel.angle, sigma, h), h0
-        )
+        if sigma > 0.0 and sigma / 16.0 < h0:
+            # A step set by sigma is met at no other width: keep it out of `diffs`.
+            h0, diffs = sigma / 16.0, {}
+
+        def eval_at(h: float) -> float:
+            d = diffs.get(h)
+            if d is None:
+                d = diffs[h] = _quad_difference(
+                    pair.psi0.amps, pair.psi1.amps, channel.angle, h
+                )
+            return _smeared_l1(d, sigma, h)
+
+        l1, residual = _refined_l1(eval_at, h0)
     else:
         raise ContractViolation(f"unknown readout channel {channel!r}")
-    return 0.5 + 0.25 * l1
+    return 0.5 + 0.25 * l1, residual
 
 
 def size_pg(
@@ -668,8 +700,11 @@ def size_pg(
 
     The smeared success probability P_S(sigma) is nonincreasing, so the
     critical width sigma* is bracketed by doubling and located by bisection.
-    Branches indistinguishable already at sigma = 0 yield value 0 with a
-    diagnostic witness.
+    Each P_S(sigma) is an L1 norm refined over halved grid steps; the witness
+    reports the largest change between the last two levels (`l1ResidualMax`),
+    which exceeds SMEAR_L1_ATOL where a refinement ran out of levels. It is
+    not an error bound. Branches indistinguishable already at sigma = 0
+    yield value 0 with a diagnostic witness.
     """
     if pair.is_spin or pair.psi0.basis.modes != 1:
         raise ContractViolation("size_pg needs a single-mode photonic pair")
@@ -679,28 +714,39 @@ def size_pg(
         if isinstance(channel, PhotonCount)
         else {"channel": "homodyne", "angle": channel.angle}
     )
-    ps0 = _channel_ps(pair, channel, 0.0)
+    diffs: dict[float, np.ndarray] = {}
+    residual_max = 0.0
+
+    def ps(sigma: float) -> float:
+        nonlocal residual_max
+        value, residual = _channel_ps(pair, channel, sigma, diffs)
+        residual_max = max(residual_max, residual)
+        return value
+
+    ps0 = ps(0.0)
     if ps0 < p_g:
         return MeasureResult(
             "size-pg",
             0.0,
-            witness={**chan_tag, "pG": p_g, "pSRaw": ps0, "reason": "branches indistinguishable"},
+            witness={**chan_tag, "pG": p_g, "pSRaw": ps0,
+                     "reason": "branches indistinguishable", "l1ResidualMax": residual_max},
         )
     lo, hi = 0.0, 1.0
-    while _channel_ps(pair, channel, hi) >= p_g:
+    while ps(hi) >= p_g:
         lo, hi = hi, 2.0 * hi
         if hi > 1e9:
             raise ContractViolation("no finite critical smearing found")
     while hi - lo > bisection_rtol * hi + 1e-12:
         mid = 0.5 * (lo + hi)
-        if _channel_ps(pair, channel, mid) >= p_g:
+        if ps(mid) >= p_g:
             lo = mid
         else:
             hi = mid
     return MeasureResult(
         "size-pg",
         pref * lo,
-        witness={**chan_tag, "pG": p_g, "sigmaStar": lo, "prefactor": pref, "pSRaw": ps0},
+        witness={**chan_tag, "pG": p_g, "sigmaStar": lo, "prefactor": pref, "pSRaw": ps0,
+                 "l1ResidualMax": residual_max},
     )
 
 
@@ -710,8 +756,8 @@ class MeasureSpec:
 
     `pair`: the measure takes a branch pair, else one state. `domain`:
     "spin" (symmetric-sector input; photonic input is absorbed first) or
-    "photonic" (Fock-basis input). `evaluate(x, delta=, p_g=, channel=,
-    bisection_rtol=)` runs it, ignoring the parameters it has no use for.
+    "photonic" (Fock-basis input). `evaluate(x, delta=, p_g=, channel=)` runs
+    it, ignoring the parameters it has no use for.
     """
 
     pair: bool
@@ -733,10 +779,6 @@ MEASURES: dict[str, MeasureSpec] = {
     "i-wigner": MeasureSpec(False, "photonic", lambda x, **_: wigner_I_photonic(x)),
     "i-wigner-spin": MeasureSpec(False, "spin", lambda x, **_: wigner_I_spin(x)),
     "size-pg": MeasureSpec(
-        True,
-        "photonic",
-        lambda x, p_g, channel, bisection_rtol, **_: size_pg(
-            x, p_g, channel, bisection_rtol=bisection_rtol
-        ),
+        True, "photonic", lambda x, p_g, channel, **_: size_pg(x, p_g, channel)
     ),
 }

@@ -321,7 +321,7 @@ def evaluate_cell(
             raise ContractViolation(f"{bundle.family_id.value} has no branch pair")
     else:
         x = bundle.spin_state if spin else bundle.photonic
-    return spec.evaluate(x, delta=delta, p_g=p_g, channel=bundle.channel, bisection_rtol=1e-4)
+    return spec.evaluate(x, delta=delta, p_g=p_g, channel=bundle.channel)
 
 
 @dataclass(frozen=True)

@@ -199,7 +199,9 @@ def test_every_registered_measure_runs(mid, photonic_inputs, capsys):
     assert load(out)["measure"] == mid
 
 
-@pytest.mark.parametrize("flag", ["--eig-residual", "--truncation-tail", "--output-format"])
+@pytest.mark.parametrize(
+    "flag", ["--eig-residual", "--truncation-tail", "--output-format", "--bisection-rtol"]
+)
 def test_removed_global_flags_are_rejected(flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([flag, "1", "measure", "n-eff", str(tmp_path / "ghz.json")])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import erfinv
 
 from macrosize import (
@@ -9,6 +10,7 @@ from macrosize import (
     DensityOp,
     FamilyId,
     Homodyne,
+    PhotonCount,
     SuperpositionPair,
     branch_pair,
     c_delta,
@@ -36,7 +38,13 @@ from macrosize import (
     wigner_I_spin,
 )
 from macrosize.mapping import absorb_density
-from macrosize.measures import DegeneratePairError
+from macrosize.measures import (
+    DegeneratePairError,
+    _quad_density,
+    _quad_difference,
+    _refined_l1,
+    _smeared_l1,
+)
 
 
 def test_ghz_closed_forms():
@@ -154,6 +162,74 @@ def test_size_homodyne_cat_matches_gaussian_quadrature_form():
     want = size_prefactor(2 / 3) * sig
     assert r.value == pytest.approx(want, rel=1e-3)
     assert r.witness["sigmaStar"] == pytest.approx(sig, rel=1e-3)
+
+
+def _homodyne_l1_per_sigma(a0, a1, theta, sigma, h):
+    """Reference: the density difference recomputed for each sigma on a grid
+    padded by 8 sigma, smeared by a same-size convolution. The grid is
+    anchored at 0, as the shared one is, so both sample the same points."""
+    K = len(a0) - 1
+    reach = np.sqrt(2.0 * K + 1.0) + 10.0 + 8.0 * sigma
+    m = int(np.ceil(reach / h))
+    x = h * np.arange(-m, m + 1)
+    diff = _quad_density(a0, theta, x) - _quad_density(a1, theta, x)
+    if sigma > 0.0:
+        half = int(np.ceil(8.0 * sigma / h))
+        kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * h / sigma) ** 2)
+        n = len(diff)
+        size = next_fast_len(n + 2 * half, real=True)
+        full = irfft(rfft(diff, size) * rfft(kernel / kernel.sum(), size), size)
+        diff = full[half : half + n]
+    return float(np.abs(diff).sum() * h)
+
+
+def test_shared_density_difference_matches_per_sigma_form():
+    pair = branch_pair("even-cat", alpha=2.0)
+    a0, a1 = pair.psi0.amps, pair.psi1.amps
+    h0 = 1.0 / (8.0 * np.sqrt(2.0 * pair.psi0.basis.cutoff + 1.0))
+    for h in (h0, h0 / 2):
+        diff = _quad_difference(a0, a1, 0.0, h)
+        for sigma in (0.0, 0.5, 3.0, 10.0):
+            want = _homodyne_l1_per_sigma(a0, a1, 0.0, sigma, h)
+            assert _smeared_l1(diff, sigma, h) == pytest.approx(want, abs=1e-12)
+
+
+def test_size_homodyne_even_cat_pinned():
+    # values of the per-sigma kernel, which the shared differences must keep
+    for N, want in ((8, 7.976447047402109), (16, 11.296496435428521)):
+        r = size_pg(family_state(FamilyId.EVEN_CAT, N).photonic_pair, 2 / 3, Homodyne(0.0))
+        assert r.value == pytest.approx(want, rel=1e-9)
+
+
+def test_refined_l1_returns_last_level_change():
+    # each halving changes the value by the new step, so no two levels agree
+    assert _refined_l1(lambda h: h, 1.0) == (0.0625, 0.0625)
+    assert _refined_l1(lambda h: 2.0, 1.0) == (2.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "family, channel",
+    [(FamilyId.DISPLACED_SINGLE_PHOTON, PhotonCount()), (FamilyId.EVEN_CAT, Homodyne(0.0))],
+)
+def test_size_witness_reports_refinement_residual(family, channel):
+    r = size_pg(family_state(family, 8).photonic_pair, 2 / 3, channel)
+    assert r.witness["l1ResidualMax"] >= 0.0
+
+
+_SWAP_PAIRS = [
+    pytest.param("even-cat", {"alpha": a}, id=f"even-cat-{a}") for a in (0.5, 1.7, 3.0)
+] + [
+    pytest.param("fock-superposition", {"N": n}, id=f"fock-superposition-{n}")
+    for n in (1, 5, 12)
+]
+
+
+@pytest.mark.parametrize("channel", [PhotonCount(), Homodyne(0.0)], ids=["photon-count", "homodyne"])
+@pytest.mark.parametrize("name, params", _SWAP_PAIRS)
+def test_size_symmetric_under_branch_swap(name, params, channel):
+    pair = branch_pair(name, **params)
+    swapped = SuperpositionPair(pair.psi1, pair.psi0)
+    assert size_pg(swapped, 2 / 3, channel).to_dict() == size_pg(pair, 2 / 3, channel).to_dict()
 
 
 def test_degenerate_superposition_raises():
