@@ -50,7 +50,9 @@ def split(phi: SymState, m_a: int) -> SplitState:
 
     |M,k> = sum_l sqrt(C(m_a,l) C(m_b,k-l) / C(M,k)) |m_a,l> |m_b,k-l>;
     the weights are hypergeometric, evaluated in log space so splits of
-    ensembles up to M ~ 1e5 stay finite.
+    ensembles up to M ~ 1e5 stay finite. Only the anti-diagonals l + j = k of
+    nonzero labels k are evaluated, all in one pass, so the work follows the
+    state's support rather than the truncation K.
     """
     M, K = phi.basis.M, phi.basis.K
     if not 1 <= m_a <= M - 1:
@@ -63,18 +65,14 @@ def split(phi: SymState, m_a: int) -> SplitState:
     def logc(n, r):  # ln C(n, r) for vector r
         return gl[n + 1] - gl[r + 1] - gl[n - r + 1]
 
+    ks = np.flatnonzero(phi.amps)
+    lo = np.maximum(0, ks - m_b)
+    counts = np.minimum(ks, m_a) - lo + 1  # >= 1, since k <= K <= M
+    k = np.repeat(ks, counts)
+    l = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    w = 0.5 * (logc(m_a, l) + logc(m_b, k - l) - logc(M, k))
     coeffs = np.zeros((la_max + 1, lb_max + 1), dtype=np.complex128)
-    for k in range(K + 1):
-        a = phi.amps[k]
-        if a == 0:
-            continue
-        lo = max(0, k - m_b)
-        hi = min(k, m_a)
-        if lo > hi:
-            continue
-        l = np.arange(lo, hi + 1)
-        w = 0.5 * (logc(m_a, l) + logc(m_b, k - l) - logc(M, np.full_like(l, k)))
-        coeffs[l, k - l] += a * np.exp(w)
+    coeffs[l, k - l] += phi.amps[k] * np.exp(w)
     return SplitState(m_a, m_b, coeffs)
 
 

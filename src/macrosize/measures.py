@@ -248,19 +248,25 @@ def c_delta(pair: SuperpositionPair, delta: float = 0.25) -> MeasureResult:
     at least 1 - delta. P_S is nondecreasing in n (larger groups carry more
     information), so n_min is located by doubling plus binary search. When
     even the full ensemble stays below threshold the measure is undefined.
+
+    The group states are built on the labels 0..top, top being the last label
+    either branch occupies: every row and column above it is exactly zero, so
+    the trim changes no value, and sharing it keeps both branches on one basis.
     """
     basis = _require_spin_pair(pair)
     if not 0.0 < delta <= 0.5:
         raise ContractViolation(f"delta must lie in (0, 1/2], got {delta}")
     M = basis.M
+    top = int(np.flatnonzero((pair.psi0.amps != 0) | (pair.psi1.amps != 0))[-1])
+    trimmed = DickeBasis(M, top)
+    phi0 = SymState(trimmed, pair.psi0.amps[: top + 1])
+    phi1 = SymState(trimmed, pair.psi1.amps[: top + 1])
     target = 1.0 - delta
     cache: dict[int, float] = {}
 
     def ps(n: int) -> float:
         if n not in cache:
-            cache[n] = helstrom_ps(
-                reduced_group_state(pair.psi0, n), reduced_group_state(pair.psi1, n)
-            )
+            cache[n] = helstrom_ps(reduced_group_state(phi0, n), reduced_group_state(phi1, n))
         return cache[n]
 
     def hits(n: int) -> bool:
@@ -276,7 +282,12 @@ def c_delta(pair: SuperpositionPair, delta: float = 0.25) -> MeasureResult:
             return MeasureResult(
                 "c-delta",
                 0.0,
-                witness={"delta": delta, "pSFull": ps(M), "reason": "threshold unreachable"},
+                witness={
+                    "delta": delta,
+                    "pSFull": ps(M),
+                    "supportK": top,
+                    "reason": "threshold unreachable",
+                },
                 defined=False,
             )
         while hi - lo > 1:
@@ -289,7 +300,7 @@ def c_delta(pair: SuperpositionPair, delta: float = 0.25) -> MeasureResult:
     return MeasureResult(
         "c-delta",
         M / n_min,
-        witness={"nMin": n_min, "delta": delta, "pS": ps(n_min)},
+        witness={"nMin": n_min, "delta": delta, "pS": ps(n_min), "supportK": top},
     )
 
 

@@ -1,13 +1,16 @@
 """Half-split structure, Schmidt laws, distinguishability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.special import comb
+from scipy.special import comb, gammaln
 
 from macrosize import (
     ContractViolation,
     DensityOp,
     entanglement_entropy,
+    family_state,
     helstrom_ps,
     make_dicke,
     make_fock,
@@ -24,6 +27,70 @@ def test_split_shapes_and_norm():
     assert s.m_a == 4 and s.m_b == 6
     assert s.coeffs.shape == (5, 7)
     assert np.linalg.norm(s.coeffs) == pytest.approx(1.0, abs=1e-12)
+
+
+def _split_by_label(phi, m_a):
+    """Reference split: one pass per nonzero label k over its anti-diagonal."""
+    M, K = phi.basis.M, phi.basis.K
+    m_b = M - m_a
+    gl = gammaln(np.arange(M + 2))
+
+    def logc(n, r):
+        return gl[n + 1] - gl[r + 1] - gl[n - r + 1]
+
+    coeffs = np.zeros((min(K, m_a) + 1, min(K, m_b) + 1), dtype=np.complex128)
+    for k in range(K + 1):
+        a = phi.amps[k]
+        if a == 0:
+            continue
+        lo = max(0, k - m_b)
+        hi = min(k, m_a)
+        if lo > hi:
+            continue
+        l = np.arange(lo, hi + 1)
+        w = 0.5 * (logc(m_a, l) + logc(m_b, k - l) - logc(M, np.full_like(l, k)))
+        coeffs[l, k - l] += a * np.exp(w)
+    return coeffs
+
+
+def _absorbed_dsp_branch():
+    return family_state("displaced-single-photon", 8, lambda n: 200 * n).spin_pair.psi1
+
+
+@pytest.mark.parametrize(
+    "make_phi",
+    [
+        lambda: make_dicke(30, 7, K=12),
+        lambda: make_spin_coherent(1.3, 40),
+        _absorbed_dsp_branch,
+    ],
+    ids=["dicke", "spin-coherent", "absorbed-dsp"],
+)
+@pytest.mark.parametrize("cut", ["one", "below-K", "above-K", "M-1"])
+def test_split_matches_per_label_loop(make_phi, cut):
+    phi = make_phi()
+    M, K = phi.basis.M, phi.basis.K
+    assert K + 1 < M - 1
+    m_a = {"one": 1, "below-K": K // 2, "above-K": K + 1, "M-1": M - 1}[cut]
+    got = split(phi, m_a).coeffs
+    want = _split_by_label(phi, m_a)
+    assert got.shape == want.shape == (min(K, m_a) + 1, min(K, M - m_a) + 1)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_split_work_follows_support_not_truncation():
+    # K = 4000 but only label 2 is occupied: the loop ran once, and a dense
+    # (K+1)^2 grid of weights (128 MB of float64) must not replace it.
+    phi = make_dicke(4000, 2, K=4000)
+    tracemalloc.start()
+    try:
+        s = split(phi, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.coeffs.shape == (2001, 2001)
+    assert np.array_equal(s.coeffs, _split_by_label(phi, 2000))
+    assert peak - s.coeffs.nbytes < 1 << 20
 
 
 def test_dicke_split_is_hypergeometric():

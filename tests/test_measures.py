@@ -8,10 +8,12 @@ from scipy.special import erfinv
 from macrosize import (
     ContractViolation,
     DensityOp,
+    DickeBasis,
     FamilyId,
     Homodyne,
     PhotonCount,
     SuperpositionPair,
+    SymState,
     branch_pair,
     c_delta,
     covariance_matrix,
@@ -108,11 +110,44 @@ def test_c_delta_bracket_property():
     assert ps(n_min - 1) < 0.75
 
 
+def _zero_padded(pair, K):
+    def pad(phi):
+        amps = np.zeros(K + 1, dtype=np.complex128)
+        amps[: phi.basis.dim] = phi.amps
+        return SymState(DickeBasis(phi.basis.M, K), amps)
+
+    return SuperpositionPair(pad(pair.psi0), pad(pair.psi1))
+
+
+@pytest.mark.parametrize(
+    "family, N, support",
+    [("displaced-single-photon", 16, 62), ("fock-superposition", 8, 16), ("even-cat", 8, 58)],
+)
+def test_c_delta_unchanged_by_zero_padding(family, N, support):
+    # fock-superposition's branches end at labels 0 and 2N: the trim must be
+    # common to the pair, or the two group states land on different bases
+    pair = family_state(family, N, lambda n: 200 * n).spin_pair
+    K = pair.psi0.basis.K
+    own = c_delta(pair)
+    padded = c_delta(_zero_padded(pair, min(2 * K, pair.psi0.basis.M)))
+    assert own.witness["supportK"] == padded.witness["supportK"] == support <= K
+    assert padded.witness["nMin"] == own.witness["nMin"]
+    assert padded.value == own.value
+    assert padded.witness["pS"] == pytest.approx(own.witness["pS"], abs=1e-12)
+
+
+def test_c_delta_displaced_single_photon_pinned():
+    r = c_delta(family_state("displaced-single-photon", 16, lambda n: 200 * n).spin_pair)
+    assert r.witness["nMin"] == 797
+    assert r.value == 4.015056461731493
+
+
 def test_c_delta_degenerate_pair_undefined():
     d = make_dicke(10, 2)
     r = c_delta(SuperpositionPair(d, d))
     assert not r.defined
     assert r.witness["pSFull"] == pytest.approx(0.5, abs=1e-12)
+    assert r.witness["supportK"] == 2
 
 
 def test_relative_fisher_examples():
