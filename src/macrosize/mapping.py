@@ -8,7 +8,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from .symcore import (
     ContractViolation,
@@ -20,7 +20,6 @@ from .symcore import (
     default_spin_truncation,
     hermitian_exp,
     raising_coefficients,
-    self_adjoint_eig,
 )
 
 
@@ -73,15 +72,35 @@ def joint_from_photonic(psi: PhotonicState, M: int, K: int | None = None) -> Joi
     return JointState(M, K, psi.cutoff, blocks)
 
 
-def block_hamiltonian(E: int, M: int, K: int) -> np.ndarray:
-    """Tridiagonal coupling within the E block (chi = 1): <k+1|H|k> = sqrt(E-k) C+(k)."""
+def _block_offdiag(E: int, M: int, K: int) -> np.ndarray:
+    """Off-diagonal of the E block's coupling (chi = 1): <k+1|H|k> = sqrt(E-k) C+(k)."""
     dim = min(E, K) + 1
     k = np.arange(dim - 1, dtype=float)
-    off = np.sqrt(E - k) * raising_coefficients(M, dim - 1)
+    return np.sqrt(E - k) * raising_coefficients(M, dim - 1)
+
+
+def block_hamiltonian(E: int, M: int, K: int) -> np.ndarray:
+    """Dense tridiagonal coupling within the E block, zero on the diagonal."""
+    off = _block_offdiag(E, M, K)
+    dim = len(off) + 1
     H = np.zeros((dim, dim))
     H[np.arange(1, dim), np.arange(dim - 1)] = off
     H[np.arange(dim - 1), np.arange(1, dim)] = off
     return H
+
+
+def _block_eigs(energies, M: int, K: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues and real eigenvector columns of each listed block's coupling.
+
+    The eigensolves all run before the caller's products: scipy and numpy
+    link separate OpenBLAS builds, and alternating between the two leaves the
+    threads of one spinning against the work of the other.
+    """
+    eigs = {}
+    for E in energies:
+        off = _block_offdiag(E, M, K)
+        eigs[E] = eigh_tridiagonal(np.zeros(len(off) + 1), off)
+    return eigs
 
 
 def exact_propagate(joint: JointState, g: float) -> JointState:
@@ -91,14 +110,14 @@ def exact_propagate(joint: JointState, g: float) -> JointState:
     exponentiated by its spectral decomposition; block norms are conserved.
     """
     t = g / np.sqrt(joint.M)
+    eigs = _block_eigs([E for E in joint.blocks if E > 0], joint.M, joint.K)
     out = {}
     for E, vec in joint.blocks.items():
         if E == 0:
             out[E] = vec.copy()
             continue
-        H = block_hamiltonian(E, joint.M, joint.K)
-        w, V = self_adjoint_eig(H)
-        out[E] = (V * np.exp(-1j * w * t)) @ (V.conj().T @ vec)
+        w, V = eigs[E]
+        out[E] = V @ (np.exp(-1j * w * t) * (V.T @ vec))
     return JointState(joint.M, joint.K, joint.photon_cutoff, out)
 
 
@@ -206,22 +225,18 @@ def verify_operator_map(M: int, K: int, g: float = np.pi / 2) -> float:
     if K == 0:
         return 0.0
     t = g / np.sqrt(M)
-    unitaries = {}
-    for E in range(K + 1):
-        H = block_hamiltonian(E, M, K)
-        w, V = self_adjoint_eig(H)
-        unitaries[E] = (V * np.exp(-1j * w * t)) @ V.conj().T
+    eigs = _block_eigs(range(K + 1), M, K)
+    unitaries = {E: (V * np.exp(-1j * w * t)) @ V.T for E, (w, V) in eigs.items()}
     cp = raising_coefficients(M, K)  # C+(k) = C-(k+1)
     worst = 0.0
     for E in range(1, K + 1):
-        da, db = E, E + 1  # dims of blocks E-1 and E (E <= K)
-        a = np.zeros((da, db), dtype=np.complex128)
-        k = np.arange(da)
-        a[k, k] = np.sqrt(E - k)
-        jm = np.zeros((da, db), dtype=np.complex128)
-        jm[k, k + 1] = cp[:da]
-        X = unitaries[E - 1].conj().T @ a @ unitaries[E] - (-1j / np.sqrt(M)) * jm
-        worst = max(worst, float(np.linalg.svd(X, compute_uv=False)[0]))
+        k = np.arange(E)  # labels of block E - 1, one fewer than block E (E <= K)
+        # <k| a |k> = sqrt(E - k) and <k| J- |k+1> = C+(k) map block E to block E - 1
+        X = unitaries[E - 1].conj().T @ (np.sqrt(E - k)[:, None] * unitaries[E][:E])
+        X[k, k + 1] -= (-1j / np.sqrt(M)) * cp[:E]
+        # ||X||_2 from the largest eigenvalue of X X^dag, cheaper than an SVD
+        top = float(np.linalg.eigvalsh(X @ X.conj().T)[-1])
+        worst = max(worst, float(np.sqrt(max(top, 0.0))))
     return worst
 
 

@@ -26,6 +26,7 @@ from .symcore import (
     PhotonicState,
     RegimeWarning,
     SymState,
+    collective_apply,
     collective_xyz,
     self_adjoint_eig,
     trace_norm,
@@ -35,6 +36,7 @@ QFI_SPECTRAL_CUTOFF = 1e-12
 DEGENERATE_PAIR_TOL = 1e-12
 SMEAR_L1_ATOL = 1e-8
 PS_TIE_TOL = 1e-12
+LAYER_TAIL_TOL = 1e-12
 
 class DegeneratePairError(ContractViolation):
     """Raised when a pair measure's denominator is singular for this input."""
@@ -126,12 +128,12 @@ def mean_and_covariance(state: SymState | DensityOp) -> tuple[np.ndarray, np.nda
     second moments (1/2)<{J_a, J_b}> - <J_a><J_b>.
     """
     basis = _require_spin(state, "state")
-    ops = collective_xyz(basis)
     if isinstance(state, SymState):
-        vs = [J @ state.amps for J in ops]
+        vs = collective_apply(basis, state.amps)
         mu = np.array([np.vdot(state.amps, v).real for v in vs])
         sec = np.array([[np.vdot(va, vb).real for vb in vs] for va in vs])
     else:
+        ops = collective_xyz(basis)
         rj = [state.matrix @ J for J in ops]
         mu = np.array([np.trace(r).real for r in rj])
         sec = np.array([[np.sum(ra * Jb.T).real for Jb in ops] for ra in rj])
@@ -339,24 +341,30 @@ def _extremal_ladder_weights(
     return float(np.dot(np.arange(len(w)), w)), len(w) - 1, float(np.sum(w))
 
 
-def _layer_weights(phi0: SymState, phi1: SymState) -> tuple[float, int, float]:
+def _layer_weights(phi0: SymState, phi1: SymState) -> tuple[float, int, float, float]:
     """Mean layer index of phi1 in the collective-operator layering around phi0.
 
     Layer d is the span of d-fold products of {Jx, Jy, Jz} applied to phi0,
     orthogonalized against layers < d. Built iteratively with repeated
     Gram-Schmidt and an SVD rank cut; the sector is irreducible, so the
-    layers exhaust it.
+    layers exhaust it. Layers stop once the weight of phi1 they leave
+    uncovered, times the deepest index dim - 1 it could sit at, is at most
+    LAYER_TAIL_TOL: that product bounds what the omitted layers could add to
+    the mean. Returns (mean, layers built, covered weight, that bound).
     """
     basis = phi0.basis
-    ops = collective_xyz(basis)
     dim = basis.dim
     acc = phi0.amps[:, None].copy()
     cur = acc
     mean = 0.0
     covered = float(abs(np.vdot(phi0.amps, phi1.amps)) ** 2)
     d = 0
-    while acc.shape[1] < dim:
-        cand = np.hstack([J @ cur for J in ops])
+
+    def tail_bound() -> float:
+        return max(1.0 - covered, 0.0) * (dim - 1)
+
+    while acc.shape[1] < dim and tail_bound() > LAYER_TAIL_TOL:
+        cand = np.hstack(collective_apply(basis, cur))
         norms = np.linalg.norm(cand, axis=0)
         cand = cand[:, norms > 1e-12 * basis.M] / np.maximum(
             norms[norms > 1e-12 * basis.M], 1e-300
@@ -379,7 +387,7 @@ def _layer_weights(phi0: SymState, phi1: SymState) -> tuple[float, int, float]:
         raise ContractViolation(
             f"layering covered only {covered:.12f} of the target state's weight"
         )
-    return mean, d, covered
+    return mean, d, covered, tail_bound()
 
 
 def d_bar(pair: SuperpositionPair) -> MeasureResult:
@@ -405,9 +413,11 @@ def d_bar(pair: SuperpositionPair) -> MeasureResult:
             value,
             witness={"layers": layers, "covered": covered, "method": "extremal-ladder"},
         )
-    value, layers, covered = _layer_weights(pair.psi0, pair.psi1)
+    value, layers, covered, tail = _layer_weights(pair.psi0, pair.psi1)
     return MeasureResult(
-        "d-bar", value, witness={"layers": layers, "covered": covered, "method": "layering"}
+        "d-bar",
+        value,
+        witness={"layers": layers, "covered": covered, "tailBound": tail, "method": "layering"},
     )
 
 
@@ -558,13 +568,12 @@ def wigner_I_spin(state: SymState | DensityOp) -> MeasureResult:
     plays the photonic role), so not rotation invariant by construction.
     """
     basis = _require_spin(state, "state")
-    jx, jy, _ = collective_xyz(basis)
     if isinstance(state, SymState):
         acc = 0.0
-        for J in (jx, jy):
-            v = J @ state.amps
+        for v in collective_apply(basis, state.amps)[:2]:
             acc += float(np.vdot(v, v).real) - float(np.vdot(state.amps, v).real) ** 2
         return MeasureResult("i-wigner-spin", acc / (4.0 * basis.M), witness={})
+    jx, jy, _ = collective_xyz(basis)
     rho = state.matrix
     rho2 = rho @ rho
     acc = 0.0

@@ -306,6 +306,21 @@ def classify(fit: ScalingFit, m_sweep: bool = False) -> str:
     return "unclassified"
 
 
+def cell_flag(
+    row: str, fam: FamilyId, target: str, classification: str, fit: ScalingFit
+) -> str:
+    """Flag of a computed table cell, "" when it has none.
+
+    A known discrepancy keeps its annotation; otherwise an undefined fit
+    carries its note, and a class that contradicts the target is flagged.
+    """
+    if (row, fam) in DISCREPANCY_CELLS:
+        return "paper-discrepancy"
+    if not fit.defined:
+        return fit.note
+    return "class-mismatch" if classification != target else ""
+
+
 def evaluate_cell(
     measure_id: str, bundle: FamilyBundle, delta: float = 0.25, p_g: float = 2.0 / 3.0
 ) -> MeasureResult:
@@ -473,25 +488,36 @@ class Table1Report:
         return buf.getvalue()
 
     def to_text(self) -> str:
-        width = 30
-        lines = []
-        header = f"{'measure':<12}" + "".join(f"{fam.value:>{width}}" for fam in FAMILY_ORDER)
-        lines.append(header)
-        lines.append("-" * len(header))
+        """Aligned table, columns sized to their content and two spaces apart
+        (no cell holds two spaces in a row), then one note per flagged cell."""
+        rows = [["measure", *(fam.value for fam in FAMILY_ORDER)]]
         notes = []
         for row in TABLE_ROWS:
-            out = f"{row:<12}"
+            out = [row]
             for fam in FAMILY_ORDER:
                 c = self.cell(row, fam)
                 if np.isfinite(c.exponent):
                     mark = "*" if c.flag else ""
-                    text = f"{c.classification}{mark} ({c.exponent:+.3f}+-{c.ci95:.3f}) [{c.target}]"
+                    # Rounded first, so an exponent that rounds to zero prints +0.000.
+                    exponent = round(c.exponent, 3) + 0.0
+                    out.append(
+                        f"{c.classification}{mark} ({exponent:+.3f}+-{c.ci95:.3f}) [{c.target}]"
+                    )
                 else:
-                    text = f"{c.classification} [{c.target}]"
-                out += f"{text:>{width}}"
+                    out.append(f"{c.classification} [{c.target}]")
                 if c.flag:
                     notes.append(f"  * {row} x {fam.value}: {c.flag}")
-            lines.append(out)
+            rows.append(out)
+        widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
+
+        def render(cells: list[str]) -> str:
+            first, *rest = cells
+            return "  ".join(
+                [first.ljust(widths[0])] + [t.rjust(w) for t, w in zip(rest, widths[1:])]
+            )
+
+        header = render(rows[0])
+        lines = [header, "-" * len(header)] + [render(r) for r in rows[1:]]
         if notes:
             lines.append("")
             lines.extend(sorted(set(notes)))
@@ -517,7 +543,6 @@ def table1(
     for row in TABLE_ROWS:
         for fam in FAMILY_ORDER:
             target = BENCHMARK_TARGETS[(row, fam)]
-            flag = "paper-discrepancy" if (row, fam) in DISCREPANCY_CELLS else ""
             if MEASURES[row].pair and fam is FamilyId.FOCK:
                 cells.append(
                     Table1Cell(row, fam, target, "n.d.", np.nan, 0.0, "", ()))
@@ -537,7 +562,7 @@ def table1(
                         row, fam, target, cls,
                         fit.exponent if fit.defined else np.nan,
                         fit.ci95 if fit.defined else 0.0,
-                        flag or ("" if fit.defined else fit.note),
+                        cell_flag(row, fam, target, cls, fit),
                         res.points,
                     )
                 )

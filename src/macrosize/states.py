@@ -1,9 +1,8 @@
 """Factories for the named photonic and spin states, the displacement
-operator, and JSON (de)serialization of states and state specs."""
+operator, state specs, and the dict form of states used for JSON files."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,16 +259,6 @@ class StateSpec:
             "spin-coherent": lambda: make_spin_coherent(p["alpha"], int(p["M"]), p.get("K")),
         }
         return builders[self.name]()
-
-    def to_json(self) -> str:
-        return json.dumps({"name": self.name, "params": self.params}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StateSpec":
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or "name" not in doc:
-            raise ContractViolation("state spec JSON needs a 'name' field")
-        return cls(doc["name"], doc.get("params", {}))
 
 
 def _basis_tag(basis: DickeBasis | FockBasis) -> dict:

@@ -101,11 +101,6 @@ class SymState:
         k = np.arange(self.basis.dim)
         return float(np.dot(k, np.abs(self.amps) ** 2))
 
-    @property
-    def in_low_excitation_regime(self) -> bool:
-        """True when the truncation leaves headroom (K < M/4)."""
-        return self.basis.K < self.basis.M / 4
-
 
 @dataclass(frozen=True)
 class PhotonicState:
@@ -267,8 +262,29 @@ def collective_matrix(basis: DickeBasis, obs: CollectiveObservable) -> np.ndarra
     return nx * jx + ny * jy + nz * jz
 
 
+def collective_apply(
+    basis: DickeBasis, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Jx v, Jy v, Jz v) from the J+ band and the Jz diagonal, in O(K) a column.
+
+    `v` is one vector of length K+1 or a block of such columns. The results
+    equal the products with `collective_matrix`, clipping at k = K included.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    cp = raising_coefficients(basis.M, basis.K)
+    jz = -basis.M + 2.0 * np.arange(basis.K + 1)
+    if v.ndim == 2:
+        cp, jz = cp[:, None], jz[:, None]
+    up = np.zeros_like(v)
+    up[1:] = cp * v[:-1]  # J+ v
+    down = np.zeros_like(v)
+    down[:-1] = cp * v[1:]  # J- v
+    return up + down, -1j * (up - down), jz * v
+
+
 def collective_xyz(basis: DickeBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jx, Jy, Jz) matrices on the truncated basis."""
+    """(Jx, Jy, Jz) matrices on the truncated basis, for the kernels that need
+    them dense; `collective_apply` applies them to vectors."""
     return (
         collective_matrix(basis, CollectiveObservable(tag="x")),
         collective_matrix(basis, CollectiveObservable(tag="y")),

@@ -24,6 +24,7 @@ from macrosize.mapping import (
     joint_from_photonic,
     vacuum_projected_spin,
 )
+from macrosize.symcore import raising_coefficients
 
 
 def test_approx_absorb_embeds_with_phases():
@@ -101,6 +102,44 @@ def test_operator_map_deviation_halves_with_M():
     d400 = verify_operator_map(400, 4)
     assert d200 == pytest.approx(0.022346, abs=2e-4)
     assert 1.6 < d200 / d400 < 2.4
+
+
+def _dense_block_unitary(E, M, K, t):
+    w, V = np.linalg.eigh(block_hamiltonian(E, M, K))
+    return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+def _dense_operator_map(M, K, g=np.pi / 2):
+    """verify_operator_map on dense eigh unitaries and a full SVD."""
+    t = g / np.sqrt(M)
+    U = {E: _dense_block_unitary(E, M, K, t) for E in range(K + 1)}
+    cp = raising_coefficients(M, K)
+    worst = 0.0
+    for E in range(1, K + 1):
+        k = np.arange(E)
+        a = np.zeros((E, E + 1), dtype=complex)
+        a[k, k] = np.sqrt(E - k)
+        jm = np.zeros((E, E + 1), dtype=complex)
+        jm[k, k + 1] = cp[:E]
+        X = U[E - 1].conj().T @ a @ U[E] - (-1j / np.sqrt(M)) * jm
+        worst = max(worst, float(np.linalg.svd(X, compute_uv=False)[0]))
+    return worst
+
+
+@pytest.mark.parametrize("M, K", [(200, 4), (900, 60)])
+def test_operator_map_matches_dense_form(M, K):
+    assert verify_operator_map(M, K) == pytest.approx(_dense_operator_map(M, K), rel=1e-12)
+
+
+def test_exact_propagate_matches_dense_form():
+    joint = joint_from_photonic(make_coherent(1.5), 300)
+    g = 0.8
+    out = exact_propagate(joint, g)
+    t = g / np.sqrt(joint.M)
+    assert set(out.blocks) == set(joint.blocks)
+    for E, vec in joint.blocks.items():
+        want = _dense_block_unitary(E, joint.M, joint.K, t) @ vec
+        assert np.abs(out.blocks[E] - want).max() <= 1e-12
 
 
 def test_disentangling_identity_exact():

@@ -31,6 +31,7 @@ from macrosize import (
     make_mixed_cat,
     make_spin_coherent,
     max_variance_collective,
+    mean_and_covariance,
     n_eff,
     normalized_sum,
     relative_fisher,
@@ -39,8 +40,11 @@ from macrosize import (
     wigner_I_photonic,
     wigner_I_spin,
 )
+from macrosize.scaling import absorb_pair
+from macrosize.symcore import CollectiveObservable, FockBasis, PhotonicState, collective_matrix
 from macrosize.mapping import absorb_density
 from macrosize.measures import (
+    LAYER_TAIL_TOL,
     DegeneratePairError,
     _quad_density,
     _quad_difference,
@@ -80,6 +84,22 @@ def test_pure_state_consistency_neff_maxvar():
 def test_fisher_is_four_covariance_for_pure():
     phi = make_spin_coherent(1.1, 24)
     assert np.allclose(fisher_matrix(phi), 4 * covariance_matrix(phi), atol=1e-9)
+
+
+def test_pure_moments_match_density_moments_and_axes():
+    # pure states take the banded path, density operators the dense one
+    rng = np.random.default_rng(17)
+    for M, K in ((9, 9), (30, 6)):
+        v = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+        phi = SymState(DickeBasis(M, K), v / np.linalg.norm(v))
+        mu, cov = mean_and_covariance(phi)
+        mu_rho, cov_rho = mean_and_covariance(DensityOp.from_pure(phi))
+        assert np.allclose(mu, mu_rho, atol=1e-12 * M)
+        assert np.allclose(cov, cov_rho, atol=1e-12 * M * M)
+    # |M,0> points down z: mean (0, 0, -M), transverse variances M, none along z
+    mu, cov = mean_and_covariance(make_dicke(20, 0, K=5))
+    assert np.allclose(mu, [0.0, 0.0, -20.0], atol=1e-12)
+    assert np.allclose(cov, np.diag([20.0, 20.0, 0.0]), atol=1e-12)
 
 
 def test_c_delta_matches_product_branch_law():
@@ -170,6 +190,65 @@ def test_d_bar_dispatch_paths():
     lay = d_bar(dsp.spin_pair)
     assert lay.witness["method"] == "layering"
     assert lay.value == pytest.approx(1.0, abs=0.01)
+
+
+def _exhaustive_layer_mean(phi0, phi1):
+    """Mean layer index over every layer of the sector, on dense J matrices:
+    the layering as it ran before it stopped at its tail bound."""
+    basis = phi0.basis
+    ops = [collective_matrix(basis, CollectiveObservable(tag=t)) for t in "xyz"]
+    acc = phi0.amps[:, None].copy()
+    cur = acc
+    mean, d = 0.0, 0
+    while acc.shape[1] < basis.dim:
+        cand = np.hstack([J @ cur for J in ops])
+        norms = np.linalg.norm(cand, axis=0)
+        keep = norms > 1e-12 * basis.M
+        cand = cand[:, keep] / norms[keep]
+        if cand.shape[1] == 0:
+            break
+        for _ in range(2):
+            cand = cand - acc @ (acc.conj().T @ cand)
+        u, s, _ = np.linalg.svd(cand, full_matrices=False)
+        new = u[:, s > 1e-7]
+        if new.shape[1] == 0:
+            break
+        d += 1
+        mean += d * float(np.sum(np.abs(new.conj().T @ phi1.amps) ** 2))
+        acc = np.hstack([acc, new])
+        cur = new
+    return mean, d
+
+
+def _absorbed_non_extremal_pair():
+    # (|0> + |1>)/sqrt2 against a coherent state: psi0 is neither a Dicke
+    # state nor a product state, so d-bar takes the layering path
+    amps = np.zeros(13, dtype=complex)
+    amps[:2] = 1 / np.sqrt(2)
+    pair = SuperpositionPair(
+        PhotonicState(FockBasis(12), amps, tail_tol=None), make_coherent(0.7, cutoff=12)
+    )
+    return absorb_pair(pair, 60)[0]
+
+
+@pytest.mark.parametrize("N", [4, 16, 64, "absorbed"])
+def test_d_bar_layering_stops_within_its_tail_bound(N):
+    if N == "absorbed":
+        pair = _absorbed_non_extremal_pair()
+    else:
+        pair = family_state(FamilyId.DISPLACED_SINGLE_PHOTON, N).spin_pair
+    r = d_bar(pair)
+    ref, ref_layers = _exhaustive_layer_mean(pair.psi0, pair.psi1)
+    assert r.witness["method"] == "layering"
+    assert r.witness["tailBound"] <= LAYER_TAIL_TOL
+    assert r.witness["layers"] <= ref_layers
+    assert abs(r.value - ref) <= r.witness["tailBound"] + 1e-14
+
+
+def test_d_bar_displaced_single_photon_stops_after_two_layers():
+    r = d_bar(family_state(FamilyId.DISPLACED_SINGLE_PHOTON, 64).spin_pair)
+    assert r.witness["layers"] == 2  # of 174 the whole sector would take
+    assert r.witness["covered"] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_size_prefactor_closed_form():

@@ -1,5 +1,7 @@
 """Size ladders, exponent fits, and the classification grid."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,12 @@ from macrosize import (
 from macrosize.measures import MEASURES
 from macrosize.scaling import (
     BENCHMARK_TARGETS,
+    FAMILY_ORDER,
     TABLE_ROWS,
+    ScalingFit,
+    Table1Cell,
+    Table1Report,
+    cell_flag,
     default_spin_rule,
     evaluate_cell,
     table1,
@@ -188,3 +195,57 @@ def test_table1_report_serializations(small_report):
     # stable across repeated rendering of the same report
     assert csv == small_report.to_csv()
     assert text == small_report.to_text()
+
+
+def test_cell_flag_derives_class_mismatch():
+    fit = ScalingFit(1.01, 0.0, 0.02, 0.0)
+    even_cat = FamilyId.EVEN_CAT
+    assert cell_flag("m2", even_cat, "O(N)", "O(N)", fit) == ""
+    # the same cell against a perturbed target
+    assert cell_flag("m2", even_cat, "O(1)", "O(N)", fit) == "class-mismatch"
+    # a known discrepancy keeps its annotation, whatever the class
+    assert cell_flag("size-pg", even_cat, "O(N)", "O(sqrt(N))", fit) == "paper-discrepancy"
+    undefined = ScalingFit(np.nan, np.nan, 0.0, 0.0, defined=False, note="values ~ 0")
+    assert cell_flag("m2", even_cat, "O(N)", "undefined-for-input", undefined) == "values ~ 0"
+
+
+def test_table1_text_columns_split_back_into_cells():
+    # (class, exponent, ci95, flag) and the text each special cell renders to
+    special = {
+        ("m2", FamilyId.DISPLACED_SINGLE_PHOTON): (
+            ("O(1)", -0.0004, 0.0002, ""), "O(1) (+0.000+-0.000) [O(1)]"),
+        ("size-pg", FamilyId.EVEN_CAT): (
+            ("O(sqrt(N))", 0.501, 0.001, "paper-discrepancy"),
+            "O(sqrt(N))* (+0.501+-0.001) [O(N)]"),
+        ("c-delta", FamilyId.FOCK_SUPERPOSITION): (
+            ("undefined-for-input", np.nan, 0.0, "values ~ 0"), "undefined-for-input [O(N)]"),
+        ("n-eff", FamilyId.FOCK): (
+            ("unclassified", 0.7, 0.05, "class-mismatch"), "unclassified* (+0.700+-0.050) [O(N)]"),
+    }
+    cells, want = [], {}
+    for row in TABLE_ROWS:
+        for fam in FAMILY_ORDER:
+            target = BENCHMARK_TARGETS[(row, fam)]
+            if (row, fam) in special:
+                fields, want[(row, fam)] = special[(row, fam)]
+            elif target == "n.d.":
+                fields, want[(row, fam)] = ("n.d.", np.nan, 0.0, ""), "n.d. [n.d.]"
+            else:
+                fields = (target, 1.0, 0.01, "")
+                want[(row, fam)] = f"{target} (+1.000+-0.010) [{target}]"
+            cells.append(Table1Cell(row, fam, target, *fields, ()))
+    report = Table1Report((8, 16, 32, 64), (1600, 3200, 6400, 12800), 0.25, 2 / 3, tuple(cells))
+    text = report.to_text()
+    lines = text.splitlines()
+    table = lines[: 2 + len(TABLE_ROWS)]
+    assert set(table[1]) == {"-"}
+    assert len({len(line) for line in table}) == 1  # every column lines up
+    assert re.split(r" {2,}", table[0]) == ["measure", *(f.value for f in FAMILY_ORDER)]
+    for row, line in zip(TABLE_ROWS, table[2:]):
+        assert re.split(r" {2,}", line) == [row, *(want[(row, fam)] for fam in FAMILY_ORDER)]
+    assert "(-0.000" not in text
+    assert lines[-3:] == [
+        "  * c-delta x fock-superposition: values ~ 0",
+        "  * n-eff x fock: class-mismatch",
+        "  * size-pg x even-cat: paper-discrepancy",
+    ]

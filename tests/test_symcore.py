@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from macrosize.measures import max_variance_collective, n_eff
 from macrosize.symcore import (
     CollectiveObservable,
     ContractViolation,
@@ -12,6 +15,7 @@ from macrosize.symcore import (
     PhotonicState,
     SymState,
     TruncationError,
+    collective_apply,
     collective_matrix,
     collective_xyz,
     default_spin_truncation,
@@ -143,3 +147,55 @@ def test_default_spin_truncation_behaviour():
     assert default_spin_truncation(10_000, 50.0) < 10_000
     a, b = default_spin_truncation(4000, 4.0), default_spin_truncation(4000, 40.0)
     assert b > a
+
+
+@st.composite
+def _sector_vectors(draw):
+    """(M, K, v): a truncated sector and a complex vector or column block on it."""
+    M = draw(st.integers(1, 12))
+    K = draw(st.integers(0, M))
+    cols = draw(st.sampled_from([None, 1, 4]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    shape = (K + 1,) if cols is None else (K + 1, cols)
+    return M, K, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sector_vectors())
+@example((5, 5, np.arange(6) + 1j))  # K = M: the full sector
+@example((7, 3, np.ones((4, 2), dtype=complex)))  # clipped at k = K < M
+def test_collective_apply_matches_dense_matrices(case):
+    M, K, v = case
+    basis = DickeBasis(M, K)
+    got = collective_apply(basis, v)
+    scale = M * max(1.0, float(np.abs(v).max()))
+    for tag, gv in zip("xyz", got):
+        J = collective_matrix(basis, CollectiveObservable(tag=tag))
+        assert gv.shape == v.shape
+        assert np.abs(gv - J @ v).max() <= 1e-13 * scale
+    if K >= 1:
+        # row k = K keeps only the J+ term from k = K - 1; J- would need k = K + 1
+        cp = raising_coefficients(M, K)
+        assert np.allclose(got[0][K], cp[K - 1] * v[K - 1], rtol=1e-14, atol=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    M=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    axis=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1),
+    angle=st.floats(-np.pi, np.pi),
+)
+def test_collective_sizes_invariant_under_rotation(M, seed, axis, angle):
+    # n-eff and max-variance maximize over all directions, so a collective
+    # rotation of the state (exact on K = M) leaves them unchanged
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
+    phi = SymState(DickeBasis(M, M), v / np.linalg.norm(v))
+    rot = rotate_state(phi, axis, angle)
+    tol = 1e-9 * M * M
+    assert max_variance_collective(rot).value == pytest.approx(
+        max_variance_collective(phi).value, abs=tol
+    )
+    assert n_eff(rot).value == pytest.approx(n_eff(phi).value, abs=tol / M)
