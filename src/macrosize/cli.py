@@ -4,7 +4,7 @@ mapping, and produce scaling sweeps and the classification table.
 Exit codes: 0 success, 2 input error, 3 measure undefined for the input,
 4 numerical-tolerance failure. Outputs are deterministic: floats carry 12
 significant digits and every document embeds {tool, version, configHash,
-seed}. MACROSIZE_THREADS caps sweep workers (see scaling).
+seed}.
 """
 
 from __future__ import annotations
@@ -320,6 +320,8 @@ def _report_doc(rep, cfg: Config) -> dict:
 
 def cmd_sweep(args, cfg: Config) -> int:
     fid = FamilyId(args.family)
+    if args.m_ladder is not None and args.fixed_N is None:
+        raise ContractViolation("--m-ladder needs --fixed-N")
     if args.fixed_N is not None:
         m_ladder = _parse_ladder(args.m_ladder) if args.m_ladder else DEFAULT_M_LADDER
         res = sweep_fixed_excitation(
@@ -439,8 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("sweep", help="sweep one measure along a family ladder")
     pw.add_argument("family", choices=[f.value for f in FamilyId])
     pw.add_argument("measure")
-    pw.add_argument("--ladder", help="comma-separated N values")
-    pw.add_argument("--fixed-N", type=int, help="sweep M at this fixed N instead")
+    along = pw.add_mutually_exclusive_group()
+    along.add_argument("--ladder", help="comma-separated N values")
+    along.add_argument("--fixed-N", type=int, help="sweep M at this fixed N instead")
     pw.add_argument("--m-ladder", help="comma-separated M values (with --fixed-N)")
     pw.add_argument("--delta", type=float, default=0.25)
     pw.add_argument("--pg", type=float, default=2.0 / 3.0)

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import stdtrit
@@ -364,29 +362,6 @@ class SweepResult:
         return buf.getvalue()
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("MACROSIZE_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ContractViolation(f"MACROSIZE_THREADS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ContractViolation(f"MACROSIZE_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
-def _map_ordered(fn, args: list):
-    """Apply fn over args with the configured worker cap, results in order."""
-    workers = _worker_count(len(args))
-    if workers == 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
-
-
 def sweep(
     family: StateFamily,
     measure_id: str,
@@ -394,14 +369,7 @@ def sweep(
     p_g: float = 2.0 / 3.0,
 ) -> SweepResult:
     """Evaluate one measure along the family's N ladder and fit the exponent."""
-
-    def job(n: int) -> SweepPoint:
-        bundle = family_state(family.family_id, n, family.spin_rule)
-        r = evaluate_cell(measure_id, bundle, delta, p_g)
-        return SweepPoint(n, bundle.M, r.value, r.defined)
-
-    points = tuple(_map_ordered(job, list(family.size_ladder)))
-    return SweepResult(family.family_id, measure_id, "N", points, _fit_points(points))
+    return _sweep_bundles(family.family_id, _ladder_bundles(family), measure_id, "N", delta, p_g)
 
 
 def sweep_fixed_excitation(
@@ -414,25 +382,38 @@ def sweep_fixed_excitation(
 ) -> SweepResult:
     """Sweep the spin count M at fixed N (the O(1/M) benchmark cell)."""
     fid = FamilyId(family_id)
+    return _sweep_bundles(fid, _m_ladder_bundles(fid, N, m_ladder), measure_id, "M", delta, p_g)
+
+
+def _ladder_bundles(family: StateFamily) -> Iterable[FamilyBundle]:
+    """The family's bundles along its N ladder, built as they are consumed."""
+    return (family_state(family.family_id, n, family.spin_rule) for n in family.size_ladder)
+
+
+def _m_ladder_bundles(fid: FamilyId, N: int, m_ladder: tuple[int, ...]) -> Iterable[FamilyBundle]:
+    """The bundles at fixed N along an M ladder; the ladder is checked at once."""
     lad = tuple(int(m) for m in m_ladder)
     if len(lad) < 4 or any(b <= a for a, b in zip(lad, lad[1:])):
         raise ContractViolation("M ladder must be >= 4 strictly increasing values")
-
-    def job(m: int) -> SweepPoint:
-        bundle = family_state(fid, N, lambda _n: m)
-        r = evaluate_cell(measure_id, bundle, delta, p_g)
-        return SweepPoint(m, m, r.value, r.defined)
-
-    points = tuple(_map_ordered(job, list(lad)))
-    return SweepResult(fid, measure_id, "M", points, _fit_points(points))
+    return (family_state(fid, N, lambda _n, m=m: m) for m in lad)
 
 
-def _fit_points(points: tuple[SweepPoint, ...]) -> ScalingFit:
-    if any(not p.defined for p in points):
-        return ScalingFit(
-            np.nan, np.nan, 0.0, 0.0, defined=False, note="measure undefined at some sizes"
-        )
-    return fit_exponent([(p.size, p.value) for p in points])
+def _sweep_bundles(
+    fid: FamilyId, bundles: Iterable[FamilyBundle], measure_id: str, sweep_variable: str,
+    delta: float, p_g: float,
+) -> SweepResult:
+    """Evaluate one measure at each bundle and fit it against the bundle's N or
+    M; a measure undefined at any size leaves the fit undefined."""
+    points = []
+    for b in bundles:
+        r = evaluate_cell(measure_id, b, delta, p_g)
+        points.append(SweepPoint(getattr(b, sweep_variable), b.M, r.value, r.defined))
+    if all(p.defined for p in points):
+        fit = fit_exponent([(p.size, p.value) for p in points])
+    else:
+        fit = ScalingFit(np.nan, np.nan, 0.0, 0.0, defined=False,
+                         note="measure undefined at some sizes")
+    return SweepResult(fid, measure_id, sweep_variable, tuple(points), fit)
 
 
 @dataclass(frozen=True)
@@ -535,10 +516,22 @@ def table1(
 
     Each cell sweeps the N ladder with M = spin_rule(N), except the
     m2 x fock-superposition cell, which sweeps M at fixed N = min(ladder)
-    (its benchmark entry is an M-scaling). Per-cell failures are recorded
-    as error cells; they never abort the report.
+    (its benchmark entry is an M-scaling). Each family's ladder states and
+    the M-sweep states are built once and shared by every row. Failures,
+    in a build or in a cell, are recorded as error cells of the cells they
+    touch; they never abort the report.
     """
     family = {fid: StateFamily(fid, tuple(ladder), spin_rule) for fid in FAMILY_ORDER}
+    m_sweep_cell = ("m2", FamilyId.FOCK_SUPERPOSITION)
+
+    def build(make) -> list[FamilyBundle] | Exception:
+        try:
+            return list(make())
+        except Exception as exc:  # recorded on the cells that need these states
+            return exc
+
+    bundles = {fam: build(lambda: _ladder_bundles(family[fam])) for fam in FAMILY_ORDER}
+    m_bundles = build(lambda: _m_ladder_bundles(m_sweep_cell[1], min(ladder), m_ladder))
     cells = []
     for row in TABLE_ROWS:
         for fam in FAMILY_ORDER:
@@ -547,14 +540,12 @@ def table1(
                 cells.append(
                     Table1Cell(row, fam, target, "n.d.", np.nan, 0.0, "", ()))
                 continue
-            m_sweep = row == "m2" and fam is FamilyId.FOCK_SUPERPOSITION
+            m_sweep = (row, fam) == m_sweep_cell
+            states = m_bundles if m_sweep else bundles[fam]
             try:
-                if m_sweep:
-                    res = sweep_fixed_excitation(
-                        fam, row, N=min(ladder), m_ladder=m_ladder, delta=delta, p_g=p_g
-                    )
-                else:
-                    res = sweep(family[fam], row, delta=delta, p_g=p_g)
+                if isinstance(states, Exception):
+                    raise states
+                res = _sweep_bundles(fam, states, row, "M" if m_sweep else "N", delta, p_g)
                 fit = res.fit
                 cls = classify(fit, m_sweep=m_sweep)
                 cells.append(

@@ -147,6 +147,30 @@ def test_sweep_constant_family_fits_zero(capsys):
     assert load(out)["fit"]["exponent"] == pytest.approx(0.0, abs=0.1)
 
 
+def test_sweep_fixed_excitation_runs(capsys):
+    code, out, _ = run(capsys, "sweep", "fock-superposition", "m2", "--fixed-N", "2",
+                       "--m-ladder", "100,200,400,800")
+    assert code == 0
+    doc = load(out)
+    assert doc["sweepVariable"] == "M"
+    assert [p["size"] for p in doc["points"]] == [100, 200, 400, 800]
+    assert doc["fit"]["exponent"] == pytest.approx(-1.0, abs=0.1)
+
+
+def test_sweep_m_ladder_without_fixed_n_exits_2(capsys):
+    code, _, err = run(capsys, "sweep", "fock-superposition", "n-eff", "--ladder", "2,4,8,16",
+                       "--m-ladder", "1,2")
+    assert code == 2
+    assert "--m-ladder needs --fixed-N" in err
+
+
+def test_sweep_fixed_n_excludes_ladder(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "fock-superposition", "m2", "--fixed-N", "2", "--ladder", "2,4,8,16"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_table1_formats(tmp_path, capsys):
     code, out, _ = run(capsys, "table1", "--ladder", "2,4,8,16", "--format", "csv")
     assert code == 0

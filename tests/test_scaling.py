@@ -1,6 +1,7 @@
 """Size ladders, exponent fits, and the classification grid."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from macrosize import (
     make_fock_superposition,
     mean_and_covariance,
     normalized_sum,
+    scaling,
     sweep,
     sweep_fixed_excitation,
 )
-from macrosize.measures import MEASURES
+from macrosize.measures import MEASURES, MeasureResult
 from macrosize.scaling import (
     BENCHMARK_TARGETS,
     FAMILY_ORDER,
@@ -39,8 +41,25 @@ from macrosize.scaling import (
 
 
 @pytest.fixture(scope="module")
-def small_report():
-    return table1(ladder=(2, 4, 8, 16))
+def small_run():
+    """table1 on a short ladder, with a count of each (family, N, M) state built."""
+    builds = Counter()
+    real = scaling.family_state
+
+    def counted(*args, **kwargs):
+        b = real(*args, **kwargs)
+        builds[(b.family_id, b.N, b.M)] += 1
+        return b
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scaling, "family_state", counted)
+        report = table1(ladder=(2, 4, 8, 16))
+    return report, builds
+
+
+@pytest.fixture(scope="module")
+def small_report(small_run):
+    return small_run[0]
 
 
 def test_fit_exponent_recovers_power_law():
@@ -183,6 +202,57 @@ def test_table1_grid_structure(small_report):
     flagged = small_report.cell("size-pg", "even-cat")
     assert flagged.flag == "paper-discrepancy"
     assert flagged.exponent is not None
+
+
+def test_table1_builds_each_family_state_once(small_run):
+    # 4 families x 4 ladder points, plus the 4-point M sweep of one cell
+    _, builds = small_run
+    assert sum(builds.values()) <= 20
+    assert max(builds.values()) <= 2
+
+
+@pytest.fixture
+def stub_cells(monkeypatch):
+    """Every cell evaluates to a constant, so a table costs only its builds."""
+    monkeypatch.setattr(
+        scaling, "evaluate_cell",
+        lambda measure_id, bundle, delta, p_g: MeasureResult(measure_id, 1.0),
+    )
+
+
+def test_table1_failed_family_build_is_recorded_per_cell(stub_cells, monkeypatch):
+    real = scaling.family_state
+
+    def failing(family_id, N, spin_rule=default_spin_rule):
+        if FamilyId(family_id) is FamilyId.EVEN_CAT and N == 8:
+            raise ContractViolation("no even cat at N=8")
+        return real(family_id, N, spin_rule)
+
+    monkeypatch.setattr(scaling, "family_state", failing)
+    report = table1(ladder=(2, 4, 8, 16))
+    for c in report.cells:
+        if c.classification == "n.d.":
+            continue
+        if c.family_id is FamilyId.EVEN_CAT:
+            assert (c.classification, c.flag) == ("error", "ContractViolation: no even cat at N=8")
+        else:
+            assert c.classification == "O(1)", (c.measure_id, c.family_id)
+
+
+def test_table1_bad_m_ladder_fails_only_the_m_sweep_cell(stub_cells):
+    report = table1(ladder=(2, 4, 8, 16), m_ladder=(1600, 3200, 6400))
+    errors = {(c.measure_id, c.family_id) for c in report.cells if c.classification == "error"}
+    assert errors == {("m2", FamilyId.FOCK_SUPERPOSITION)}
+    assert report.cell("m2", "fock-superposition").flag == (
+        "ContractViolation: M ladder must be >= 4 strictly increasing values")
+
+
+def test_table1_bad_ladder_raises_before_any_build(stub_cells, monkeypatch):
+    calls = []
+    monkeypatch.setattr(scaling, "family_state", lambda *a, **k: calls.append(a))
+    with pytest.raises(ContractViolation):
+        table1(ladder=(2, 4, 8))
+    assert calls == []
 
 
 def test_table1_report_serializations(small_report):
