@@ -278,21 +278,18 @@ def cmd_table1(args, cfg: Config) -> int:
         p_g=args.pg,
         m_ladder=m_ladder,
     )
-    fmt = args.format
-    if fmt == "text":
+    # The JSON report is the json body and what stdout gets beside --out.
+    doc = json.dumps(_jsonable(_report_doc(rep, cfg)), indent=2, sort_keys=True) + "\n"
+    if args.format == "text":
         body = _header_comment(cfg) + rep.to_text()
-    elif fmt == "csv":
+    elif args.format == "csv":
         body = _header_comment(cfg) + rep.to_csv()
     else:
-        body = json.dumps(_jsonable(_report_doc(rep, cfg)), indent=2, sort_keys=True) + "\n"
+        body = doc
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(body)
-        _emit(_report_doc(rep, cfg))
-    elif fmt == "json":
-        _emit(_report_doc(rep, cfg))
-    else:
-        sys.stdout.write(body if body.endswith("\n") else body + "\n")
+    sys.stdout.write(doc if args.out else body)
     return 0
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import erfinv
+from scipy.special import erfinv, ndtr
 
 from .entanglement import helstrom_ps, reduced_group_state
 from .symcore import (
@@ -37,6 +36,12 @@ DEGENERATE_PAIR_TOL = 1e-12
 SMEAR_L1_ATOL = 1e-8
 PS_TIE_TOL = 1e-12
 LAYER_TAIL_TOL = 1e-12
+ROUNDING_FLOOR = 1e-13  # smeared values below this fraction of the largest carry no sign
+ROOT_BISECTIONS = 24  # halvings of a sigma/4 root bracket: L1 errs by its square, below rounding
+_BLOCK = 1 << 18  # entries per row block of a Gaussian sum
+_REACH = 10.0  # in sigma: masses farther from a point add below exp(-50) of their weight
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT3 = np.sqrt(3.0)
 
 class DegeneratePairError(ContractViolation):
     """Raised when a pair measure's denominator is singular for this input."""
@@ -601,12 +606,191 @@ def size_prefactor(p_g: float) -> float:
     return float(2.0 * np.sqrt(2.0) * erfinv(2.0 * p_g - 1.0))
 
 
-def _photon_l1(p0: np.ndarray, p1: np.ndarray, sigma: float, h: float) -> float:
-    keep = np.nonzero((p0 > 1e-300) | (p1 > 1e-300))[0]
-    diff = (p0 - p1)[keep]
-    x = np.arange(-8.0 * sigma, keep[-1] + 8.0 * sigma + h, h)
-    g = np.exp(-0.5 * ((x[:, None] - keep[None, :]) / sigma) ** 2) / (np.sqrt(2 * np.pi) * sigma)
-    return float(np.abs(g @ diff).sum() * h)
+def _gauss(t: np.ndarray) -> np.ndarray:
+    """exp(-t^2/2), computed in place: t is overwritten."""
+    np.square(t, out=t)
+    t *= -0.5
+    return np.exp(t, out=t)
+
+
+def _curvature_sup(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """Largest |t^2 - 1| exp(-t^2/2), i.e. sqrt(2 pi) |phi''(t)|, over each
+    range [ta, tb].
+
+    In |t| it falls from 0 to 1, rises to sqrt(3) and falls beyond, so the
+    largest value sits at an end of the range of |t| or at sqrt(3).
+    """
+
+    def g(t):
+        return np.abs(t * t - 1.0) * np.exp(-0.5 * t * t)
+
+    p = np.where(ta * tb <= 0.0, 0.0, np.minimum(np.abs(ta), np.abs(tb)))
+    q = np.maximum(np.abs(ta), np.abs(tb))
+    sup = np.maximum(g(p), g(q))
+    return np.where((p <= _SQRT3) & (q >= _SQRT3), np.maximum(sup, g(_SQRT3)), sup)
+
+
+def _mass_between(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """ndtr(tb) - ndtr(ta), taken in the lower tail so that it does not cancel."""
+    right = ta > 0.0
+    return ndtr(np.where(right, -ta, tb)) - ndtr(np.where(right, -tb, ta))
+
+
+def _kernel_sums(
+    kernel, w: np.ndarray, sigma: float, *ends, reach: float = np.inf
+) -> np.ndarray:
+    """sum_j w_j kernel((p - y_j)/sigma, ...) at each point, in row blocks.
+
+    `ends` are (points, y) pairs, one per kernel argument: equal-length
+    point arrays, each with the sorted mass positions it is measured from.
+    A block sums only the masses whose first position lies at most `reach`
+    below its first points and whose last position at most `reach` above
+    its last points. The kernel owns its argument arrays and may overwrite
+    them. A block holds about _BLOCK entries, so temporaries stay small.
+    """
+    out = np.empty(len(ends[0][0]))
+    rows = max(1, _BLOCK // len(w))
+    for i in range(0, len(out), rows):
+        j = slice(
+            np.searchsorted(ends[0][1], ends[0][0][i : i + rows].min() - reach),
+            np.searchsorted(ends[-1][1], ends[-1][0][i : i + rows].max() + reach, "right"),
+        )
+        ts = [np.subtract(p[i : i + rows, None], y[j]) for p, y in ends]
+        for t in ts:
+            t /= sigma
+        out[i : i + rows] = kernel(*ts) @ w[j]
+    return out
+
+
+def _smeared(y: np.ndarray, w: np.ndarray, sigma: float, x: np.ndarray) -> np.ndarray:
+    """f(x) = sum_j w_j phi_sigma(x - y_j), the smeared difference at x, over
+    the masses within _REACH sigma of x: the others add at most
+    exp(-_REACH^2/2) phi(0)/sigma of their weight."""
+    return _kernel_sums(_gauss, w, sigma, (x, y), reach=_REACH * sigma) * (_INV_SQRT_2PI / sigma)
+
+
+def _sign_grid(y: np.ndarray, sigma: float) -> np.ndarray:
+    """Points at step sigma/4 from 8 sigma below the masses to 8 sigma above."""
+    step = 0.25 * sigma
+    return y[0] - 8.0 * sigma + step * np.arange(int(np.ceil((y[-1] - y[0]) / step)) + 65)
+
+
+def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float):
+    """Sign changes of f on the sign grid, each bisected to a narrow bracket.
+
+    Returns the grid x, f on it, its signs s and the brackets (lo, hi) with
+    sign s_lo kept at lo. Grid values below ROUNDING_FLOOR times the largest
+    carry no sign: one bracket spans each run of them between opposite
+    signs, none between equal ones, so crossings at rounding level neither
+    add roots nor drop the one such a run stands for (the even cat's root at
+    x = 0 lies in one).
+    """
+    x = _sign_grid(y, sigma)
+    fx = _smeared(y, w, sigma, x)
+    s = np.sign(fx)
+    s[np.abs(fx) < ROUNDING_FLOOR * np.abs(fx).max()] = 0.0
+    nz = np.flatnonzero(s)
+    flip = np.flatnonzero(s[nz[1:]] != s[nz[:-1]])
+    lo, hi, s_lo = x[nz[flip]], x[nz[flip + 1]], s[nz[flip]]
+    for _ in range(ROOT_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        right = np.sign(_smeared(y, w, sigma, mid)) == s_lo
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return x, fx, s, lo, hi
+
+
+def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> float:
+    """L1 norm of f(x) = sum_j w_j phi_sigma(x - y_j), masses w_j at sorted y_j.
+
+    Between consecutive roots r_i f keeps one sign, so the norm is
+    sum_i |F(r_{i+1}) - F(r_i)| with the antiderivative
+    F(x) = sum_j w_j ndtr((x - y_j)/sigma), F(-inf) = 0, F(+inf) = sum_j w_j.
+    Each root is the low end of its bisected bracket. At sigma = 0 the
+    masses do not overlap and the norm is sum_j |w_j|.
+    """
+    if sigma == 0.0 or len(y) == 0:
+        return float(np.abs(w).sum())
+    roots = _root_brackets(y, w, sigma)[3]
+    F = np.concatenate(([0.0], _kernel_sums(ndtr, w, sigma, (roots, y)), [w.sum()]))
+    return float(np.abs(np.diff(F)).sum())
+
+
+def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
+    """Bound on the mass of f of sign opposite to `sign` over each cell [a, b].
+
+    f differs from its chord by at most B h^2/8 on a cell of width h, B a
+    bound on |f''| there, so that mass is at most
+    h max(0, B h^2/8 - min(sign f(a), sign f(b))); it is also at most the
+    Gaussians' whole weight over the cell. B and that weight sum each mass
+    over its own range of t, with masses pooled in blocks at most sigma/8
+    wide (a block's weight over the union of its ranges bounds their sum).
+    Masses beyond _REACH sigma of a cell enter through a bound on all they
+    could add, to B, to the weight and to f, which _smeared leaves them out
+    of.
+    """
+    aw = np.abs(w)
+    start = np.flatnonzero(np.diff(np.floor((y - y[0]) / (0.125 * sigma)), prepend=-1.0))
+    pooled = np.add.reduceat(aw, start)
+    ends = ((a, y[np.append(start[1:], len(y)) - 1]), (b, y[start]))
+    far = aw.sum() * np.exp(-0.5 * _REACH**2) * _INV_SQRT_2PI
+    curv = _kernel_sums(_curvature_sup, pooled, sigma, *ends, reach=_REACH * sigma)
+    curv = (curv * _INV_SQRT_2PI + far * (_REACH**2 - 1.0)) / sigma**3
+    low = np.minimum(sign * fa, sign * fb) - far / sigma
+    width = b - a
+    wrong = width * np.maximum(0.0, curv * width**2 / 8.0 - low)
+    mass = _kernel_sums(_mass_between, pooled, sigma, *ends, reach=_REACH * sigma)
+    return np.minimum(wrong, mass + aw.sum() * ndtr(-_REACH))
+
+
+def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float) -> float:
+    """Bound on how far _interval_l1(y, w, sigma) falls below the true norm.
+
+    Split at the roots it places, the interval form loses twice the mass of
+    f whose sign is opposite to its interval's. This is twice a bound on
+    that mass: the Gaussians' weight beyond the sign grid, plus
+    _wrong_sign_mass over the grid's cells, split at each root bracket. A
+    cell whose bound exceeds both 10 ROUNDING_FLOOR max|f| per unit length
+    and 1e-15 sum_j |w_j| is halved, up to 40 times and while no more than
+    four cells per grid point fail; what is left counts as it stands. That
+    covers the width of each root bracket, runs at the rounding floor, and
+    close root pairs missed inside one grid cell. Rounding in the sums
+    themselves is not covered.
+    """
+    if sigma == 0.0 or len(y) == 0:
+        return 0.0
+    x, fx, s, lo, hi = _root_brackets(y, w, sigma)
+    pts = np.concatenate((x, lo, hi))
+    order = np.argsort(pts, kind="stable")
+    pts = pts[order]
+    fpts = np.concatenate((fx, _smeared(y, w, sigma, np.concatenate((lo, hi)))))[order]
+    a, b, fa, fb = pts[:-1], pts[1:], fpts[:-1], fpts[1:]
+    # The sign each cell keeps: the first signed grid value's, flipped past each root.
+    sign = s[np.flatnonzero(s)[0]] * (-1.0) ** np.searchsorted(lo, a, side="right")
+    density = 10.0 * ROUNDING_FLOOR * np.abs(fx).max()
+    tiny = 1e-15 * np.abs(w).sum()
+    total = float(np.abs(w) @ (ndtr((x[0] - y) / sigma) + ndtr((y - x[-1]) / sigma)))
+    for depth in range(41):
+        bound = _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign)
+        done = (bound <= np.maximum(density * (b - a), tiny)) | (depth == 40)
+        if np.count_nonzero(~done) > 4 * len(x):
+            done[:] = True
+        total += float(bound[done].sum())
+        if done.all():
+            break
+        a, b, fa, fb, sign = (v[~done] for v in (a, b, fa, fb, sign))
+        m = 0.5 * (a + b)
+        fm = _smeared(y, w, sigma, m)
+        a, b = np.concatenate((a, m)), np.concatenate((m, b))
+        fa, fb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
+        sign = np.concatenate((sign, sign))
+    return 2.0 * total
+
+
+def _pmf_masses(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of p0 - p1 as masses, placed by their offset from the first."""
+    d = p0 - p1
+    n = np.flatnonzero(d)
+    return (n - n[:1]).astype(float), d[n]
 
 
 def _quad_density(amps: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
@@ -637,75 +821,31 @@ def _quad_difference(a0: np.ndarray, a1: np.ndarray, theta: float, h: float) -> 
     return _quad_density(a0, theta, x) - _quad_density(a1, theta, x)
 
 
-def _smeared_l1(diff: np.ndarray, sigma: float, h: float) -> float:
-    """L1 norm of `diff` convolved with a unit-mass Gaussian of width sigma.
-
-    The convolution is the full one, so the output reaches 8 sigma past the
-    grid on each side and keeps the smeared tails.
-    """
-    if sigma > 0.0:
-        half = int(np.ceil(8.0 * sigma / h))
-        t = np.arange(-half, half + 1) * h
-        kernel = np.exp(-0.5 * (t / sigma) ** 2)
-        # Zero-padded real FFTs: scipy.fft imports in a fraction of the time
-        # scipy.signal takes.
-        n = len(diff) + 2 * half
-        size = next_fast_len(n, real=True)
-        diff = irfft(rfft(diff, size) * rfft(kernel / kernel.sum(), size), size)[:n]
-    return float(np.abs(diff).sum() * h)
-
-
-def _refined_l1(eval_at, h0: float) -> tuple[float, float]:
-    """L1 at steps h0, h0/2, ... h0/16 until two levels agree to SMEAR_L1_ATOL.
-
-    Returns the finest value computed and its change from the level before,
-    which exceeds SMEAR_L1_ATOL when the refinement ran out of levels.
-    """
-    prev = eval_at(h0)
-    h = h0
-    for _ in range(4):
-        h *= 0.5
-        cur = eval_at(h)
-        residual = abs(cur - prev)
-        if residual <= SMEAR_L1_ATOL:
-            break
-        prev = cur
-    return cur, residual
-
-
-def _channel_ps(
+def _channel_masses(
     pair: SuperpositionPair, channel, sigma: float, diffs: dict[float, np.ndarray]
-) -> tuple[float, float]:
-    """Success probability at smearing sigma and the L1 refinement residual.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Point masses whose smearing at width sigma is the channel's outcome
+    difference between the branches.
 
-    `diffs` holds the homodyne density differences by grid step; the caller
-    shares it across the widths it probes on one pair.
+    Photon counting: the pmf difference itself. Homodyne: the density
+    difference on a grid of step h, weighted by h, so the smeared sum is a
+    trapezoid rule for the smeared density; h halves from
+    1/(8 sqrt(2K + 1)) until it is at most sigma/2. `diffs` holds the
+    density differences by step; the caller shares it across the widths it
+    probes on one pair.
     """
     if isinstance(channel, PhotonCount):
-        p0 = np.abs(pair.psi0.amps) ** 2
-        p1 = np.abs(pair.psi1.amps) ** 2
-        if sigma == 0.0:
-            return 0.5 + 0.25 * float(np.abs(p0 - p1).sum()), 0.0
-        l1, residual = _refined_l1(lambda h: _photon_l1(p0, p1, sigma, h), sigma / 16.0)
-    elif isinstance(channel, Homodyne):
-        K = pair.psi0.basis.cutoff
-        h0 = 1.0 / (8.0 * np.sqrt(2.0 * K + 1.0))
-        if sigma > 0.0 and sigma / 16.0 < h0:
-            # A step set by sigma is met at no other width: keep it out of `diffs`.
-            h0, diffs = sigma / 16.0, {}
-
-        def eval_at(h: float) -> float:
-            d = diffs.get(h)
-            if d is None:
-                d = diffs[h] = _quad_difference(
-                    pair.psi0.amps, pair.psi1.amps, channel.angle, h
-                )
-            return _smeared_l1(d, sigma, h)
-
-        l1, residual = _refined_l1(eval_at, h0)
-    else:
-        raise ContractViolation(f"unknown readout channel {channel!r}")
-    return 0.5 + 0.25 * l1, residual
+        return _pmf_masses(np.abs(pair.psi0.amps) ** 2, np.abs(pair.psi1.amps) ** 2)
+    if isinstance(channel, Homodyne):
+        h = 1.0 / (8.0 * np.sqrt(2.0 * pair.psi0.basis.cutoff + 1.0))
+        while sigma > 0.0 and h > 0.5 * sigma:
+            h *= 0.5
+        d = diffs.get(h)
+        if d is None:
+            d = diffs[h] = _quad_difference(pair.psi0.amps, pair.psi1.amps, channel.angle, h)
+        n = len(d) // 2
+        return h * np.arange(-n, n + 1), h * d
+    raise ContractViolation(f"unknown readout channel {channel!r}")
 
 
 def size_pg(
@@ -718,13 +858,17 @@ def size_pg(
     discriminates the branches at success probability P_g, rescaled by
     2 sqrt(2) erfinv(2 P_g - 1).
 
-    The smeared success probability P_S(sigma) is nonincreasing, so the
-    critical width sigma* is bracketed by doubling and located by bisection.
-    Each P_S(sigma) is an L1 norm refined over halved grid steps; the witness
-    reports the largest change between the last two levels (`l1ResidualMax`),
-    which exceeds SMEAR_L1_ATOL where a refinement ran out of levels. It is
-    not an error bound. Branches indistinguishable already at sigma = 0
-    yield value 0 with a diagnostic witness.
+    The smeared success probability P_S(sigma) = 1/2 + L1(sigma)/4 is
+    nonincreasing, so the critical width sigma* is bracketed by doubling
+    and located by bisection. Each L1(sigma) is one evaluation of the
+    interval form: the smeared difference's roots are bracketed on a grid
+    of step sigma/4 and bisected, and the norm is summed from its erf
+    antiderivative between them (`_interval_l1`). The witness reports
+    `l1ErrorBound`, a bound on what that evaluation misses at sigma*
+    (`_l1_error_bound`); it should stay within SMEAR_L1_ATOL. For homodyne
+    readout the bound is on the trapezoid-rule density, whose own error
+    falls off spectrally in the grid step. Branches indistinguishable
+    already at sigma = 0 yield value 0 with a diagnostic witness.
     """
     if pair.is_spin or pair.psi0.basis.modes != 1:
         raise ContractViolation("size_pg needs a single-mode photonic pair")
@@ -735,21 +879,16 @@ def size_pg(
         else {"channel": "homodyne", "angle": channel.angle}
     )
     diffs: dict[float, np.ndarray] = {}
-    residual_max = 0.0
 
     def ps(sigma: float) -> float:
-        nonlocal residual_max
-        value, residual = _channel_ps(pair, channel, sigma, diffs)
-        residual_max = max(residual_max, residual)
-        return value
+        return 0.5 + 0.25 * _interval_l1(*_channel_masses(pair, channel, sigma, diffs), sigma)
 
     ps0 = ps(0.0)
     if ps0 < p_g:
         return MeasureResult(
             "size-pg",
             0.0,
-            witness={**chan_tag, "pG": p_g, "pSRaw": ps0,
-                     "reason": "branches indistinguishable", "l1ResidualMax": residual_max},
+            witness={**chan_tag, "pG": p_g, "pSRaw": ps0, "reason": "branches indistinguishable"},
         )
     lo, hi = 0.0, 1.0
     while ps(hi) >= p_g:
@@ -762,11 +901,12 @@ def size_pg(
             lo = mid
         else:
             hi = mid
+    bound = _l1_error_bound(*_channel_masses(pair, channel, lo, diffs), lo)
     return MeasureResult(
         "size-pg",
         pref * lo,
         witness={**chan_tag, "pG": p_g, "sigmaStar": lo, "prefactor": pref, "pSRaw": ps0,
-                 "l1ResidualMax": residual_max},
+                 "l1ErrorBound": bound},
     )
 
 

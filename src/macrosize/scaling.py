@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -21,7 +21,9 @@ from scipy.special import stdtrit
 
 from .mapping import approx_absorb
 from .measures import (
+    LAYER_TAIL_TOL,
     MEASURES,
+    SMEAR_L1_ATOL,
     Homodyne,
     MeasureResult,
     PhotonCount,
@@ -305,17 +307,30 @@ def classify(fit: ScalingFit, m_sweep: bool = False) -> str:
 
 
 def cell_flag(
-    row: str, fam: FamilyId, target: str, classification: str, fit: ScalingFit
+    row: str,
+    fam: FamilyId,
+    target: str,
+    classification: str,
+    fit: ScalingFit,
+    witnesses: Iterable[dict] = (),
 ) -> str:
     """Flag of a computed table cell, "" when it has none.
 
     A known discrepancy keeps its annotation; otherwise an undefined fit
-    carries its note, and a class that contradicts the target is flagged.
+    carries its note. Then a ladder point whose witness reports a missed
+    tolerance (size-pg's `l1ErrorBound` above SMEAR_L1_ATOL, d-bar's
+    `tailBound` above LAYER_TAIL_TOL) flags the cell, and last a class that
+    contradicts the target.
     """
     if (row, fam) in DISCREPANCY_CELLS:
         return "paper-discrepancy"
     if not fit.defined:
         return fit.note
+    if any(
+        w.get("l1ErrorBound", 0.0) > SMEAR_L1_ATOL or w.get("tailBound", 0.0) > LAYER_TAIL_TOL
+        for w in witnesses
+    ):
+        return "tolerance-miss"
     return "class-mismatch" if classification != target else ""
 
 
@@ -343,6 +358,7 @@ class SweepPoint:
     M: int
     value: float
     defined: bool
+    witness: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -407,7 +423,7 @@ def _sweep_bundles(
     points = []
     for b in bundles:
         r = evaluate_cell(measure_id, b, delta, p_g)
-        points.append(SweepPoint(getattr(b, sweep_variable), b.M, r.value, r.defined))
+        points.append(SweepPoint(getattr(b, sweep_variable), b.M, r.value, r.defined, r.witness))
     if all(p.defined for p in points):
         fit = fit_exponent([(p.size, p.value) for p in points])
     else:
@@ -553,7 +569,7 @@ def table1(
                         row, fam, target, cls,
                         fit.exponent if fit.defined else np.nan,
                         fit.ci95 if fit.defined else 0.0,
-                        cell_flag(row, fam, target, cls, fit),
+                        cell_flag(row, fam, target, cls, fit, (p.witness for p in res.points)),
                         res.points,
                     )
                 )

@@ -183,6 +183,14 @@ def test_table1_formats(tmp_path, capsys):
     assert "n.d." in out and "paper-discrepancy" in out
 
 
+def test_table1_json_out_matches_stdout(tmp_path, capsys):
+    f = tmp_path / "table1.json"
+    code, out, _ = run(capsys, "table1", "--ladder", "2,4,8,16", "--out", str(f))
+    assert code == 0
+    assert f.read_text() == out
+    assert {c["flag"] for c in load(out)["cells"]} >= {"paper-discrepancy"}
+
+
 def test_verify_mapping_reports_and_gates(capsys):
     code, out, _ = run(capsys, "verify-mapping", "--M", "200", "--K", "4", "--jmax", "3", "--alpha", "1")
     assert code == 0
@@ -274,6 +282,25 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("channel", ["photon-count", "homodyne"])
+def test_size_pg_run_leaves_heavy_scipy_unloaded(tmp_path, channel):
+    f = tmp_path / "fockpair.json"
+    main(["state", "--name", "fock-superposition", "--N", "3", "--pair", "--out", str(f)])
+    heavy = ("scipy.optimize", "scipy.signal", "scipy.stats")
+    argv = ["measure", "size-pg", str(f), "--channel", channel]
+    code = (
+        "import sys; from macrosize.cli import main; code = main(%r); "
+        "print([m for m in %r if m in sys.modules]); sys.exit(code)" % (argv, heavy)
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    *doc, loaded = proc.stdout.strip().splitlines()
+    assert json.loads("\n".join(doc))["witness"]["channel"] == channel
+    assert loaded == "[]"
 
 
 def test_console_script_entry_point(tmp_path):

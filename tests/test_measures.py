@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import erfinv
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import erfinv, ndtr
 
 from macrosize import (
     ContractViolation,
@@ -45,11 +47,15 @@ from macrosize.symcore import CollectiveObservable, FockBasis, PhotonicState, co
 from macrosize.mapping import absorb_density
 from macrosize.measures import (
     LAYER_TAIL_TOL,
+    ROUNDING_FLOOR,
+    SMEAR_L1_ATOL,
     DegeneratePairError,
-    _quad_density,
+    _channel_masses,
+    _interval_l1,
+    _l1_error_bound,
+    _pmf_masses,
     _quad_difference,
-    _refined_l1,
-    _smeared_l1,
+    _smeared,
 )
 
 
@@ -278,47 +284,101 @@ def test_size_homodyne_cat_matches_gaussian_quadrature_form():
     assert r.witness["sigmaStar"] == pytest.approx(sig, rel=1e-3)
 
 
-def _homodyne_l1_per_sigma(a0, a1, theta, sigma, h):
-    """Reference: the density difference recomputed for each sigma on a grid
-    padded by 8 sigma, smeared by a same-size convolution. The grid is
-    anchored at 0, as the shared one is, so both sample the same points."""
-    K = len(a0) - 1
-    reach = np.sqrt(2.0 * K + 1.0) + 10.0 + 8.0 * sigma
-    m = int(np.ceil(reach / h))
-    x = h * np.arange(-m, m + 1)
-    diff = _quad_density(a0, theta, x) - _quad_density(a1, theta, x)
-    if sigma > 0.0:
-        half = int(np.ceil(8.0 * sigma / h))
-        kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * h / sigma) ** 2)
-        n = len(diff)
-        size = next_fast_len(n + 2 * half, real=True)
-        full = irfft(rfft(diff, size) * rfft(kernel / kernel.sum(), size), size)
-        diff = full[half : half + n]
-    return float(np.abs(diff).sum() * h)
+def _brute_l1(y, w, sigma):
+    """Adaptive quadrature of |f| over sigma-wide pieces out to 12 sigma past
+    the masses, blind to where f changes sign."""
+    def absf(x):
+        return abs(float(_smeared(y, w, sigma, np.array([x]))[0]))
+
+    edges = np.arange(y[0] - 12 * sigma, y[-1] + 13 * sigma, sigma)
+    return sum(
+        quad(absf, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
 
 
-def test_shared_density_difference_matches_per_sigma_form():
+@pytest.mark.parametrize(
+    "family, N",
+    [
+        (FamilyId.DISPLACED_SINGLE_PHOTON, 8),
+        (FamilyId.DISPLACED_SINGLE_PHOTON, 64),
+        (FamilyId.FOCK_SUPERPOSITION, 64),
+    ],
+)
+def test_photon_interval_l1_matches_brute_force_quadrature(family, N):
+    pair = family_state(family, N).photonic_pair
+    star = size_pg(pair, 2 / 3).witness["sigmaStar"]
+    y, w = _channel_masses(pair, PhotonCount(), star, {})
+    for sigma in (star / 2, star, 2 * star):
+        assert _interval_l1(y, w, sigma) == pytest.approx(_brute_l1(y, w, sigma), abs=1e-8)
+        assert 0.0 <= _l1_error_bound(y, w, sigma) <= SMEAR_L1_ATOL
+
+
+@pytest.mark.parametrize("sigma", [0.5, 3.0, 10.0])
+def test_homodyne_interval_l1_matches_brute_force_quadrature(sigma):
     pair = branch_pair("even-cat", alpha=2.0)
-    a0, a1 = pair.psi0.amps, pair.psi1.amps
-    h0 = 1.0 / (8.0 * np.sqrt(2.0 * pair.psi0.basis.cutoff + 1.0))
-    for h in (h0, h0 / 2):
-        diff = _quad_difference(a0, a1, 0.0, h)
-        for sigma in (0.0, 0.5, 3.0, 10.0):
-            want = _homodyne_l1_per_sigma(a0, a1, 0.0, sigma, h)
-            assert _smeared_l1(diff, sigma, h) == pytest.approx(want, abs=1e-12)
+    y, w = _channel_masses(pair, Homodyne(0.0), sigma, {})
+    # the reference samples the density four times as finely
+    h = (y[1] - y[0]) / 4
+    d = _quad_difference(pair.psi0.amps, pair.psi1.amps, 0.0, h)
+    n = len(d) // 2
+    want = _brute_l1(h * np.arange(-n, n + 1), h * d, sigma)
+    assert _interval_l1(y, w, sigma) == pytest.approx(want, abs=1e-8)
+    assert 0.0 <= _l1_error_bound(y, w, sigma) <= SMEAR_L1_ATOL
 
 
-def test_size_homodyne_even_cat_pinned():
-    # values of the per-sigma kernel, which the shared differences must keep
-    for N, want in ((8, 7.976447047402109), (16, 11.296496435428521)):
-        r = size_pg(family_state(FamilyId.EVEN_CAT, N).photonic_pair, 2 / 3, Homodyne(0.0))
+def test_homodyne_l1_keeps_the_cat_root_in_a_rounding_floor_run():
+    # At alpha = 8 the branch quadratures barely overlap: around x = 0 the
+    # smeared difference sits below the rounding floor, and its one root lies there.
+    pair = branch_pair("even-cat", alpha=8.0)
+    y, w = _channel_masses(pair, Homodyne(0.0), 1.0, {})
+    centre = _smeared(y, w, 1.0, np.linspace(-1.0, 1.0, 9))
+    assert np.abs(centre).max() < ROUNDING_FLOOR * np.abs(w).sum()
+    want = 2.0 * (2.0 * ndtr(np.sqrt(2.0) * 8.0 / np.sqrt(1.5)) - 1.0)
+    assert _interval_l1(y, w, 1.0) == pytest.approx(want, abs=1e-8)
+
+
+def test_error_bound_covers_a_root_pair_the_grid_misses():
+    # two Gaussians with a slightly heavier negative one between them: f dips
+    # below zero over about 0.1 sigma, between two points of the sign grid
+    y = np.array([0.0, 1.6, 3.2])
+    w = np.array([1.0, -2.002 * np.exp(-0.5 * 1.6**2), 1.0])
+    assert _smeared(y, w, 1.0, y[1:2])[0] < 0.0
+    missed = _brute_l1(y, w, 1.0) - _interval_l1(y, w, 1.0)
+    assert missed > 1e-6
+    assert missed <= _l1_error_bound(y, w, 1.0) <= 1.01 * missed + 1e-12
+
+
+_PMF = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10).filter(lambda v: sum(v) > 0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PMF, _PMF, st.integers(0, 6), st.floats(0.05, 20.0), st.floats(1.0, 3.0))
+def test_photon_l1_invariances(a, b, shift, sigma, stretch):
+    K = max(len(a), len(b))
+    p0 = np.pad(np.array(a), (0, K - len(a))) / sum(a)
+    p1 = np.pad(np.array(b), (0, K - len(b))) / sum(b)
+    l1 = _interval_l1(*_pmf_masses(p0, p1), sigma)
+    assert _interval_l1(*_pmf_masses(p1, p0), sigma) == l1
+    moved = [np.concatenate((np.zeros(shift), p)) for p in (p0, p1)]
+    assert _interval_l1(*_pmf_masses(*moved), sigma) == pytest.approx(l1, rel=1e-12, abs=1e-15)
+    assert _interval_l1(*_pmf_masses(p0, p1), stretch * sigma) <= l1 + 1e-12
+    assert l1 <= np.abs(p0 - p1).sum() + 1e-12
+
+
+def test_size_photon_count_pinned():
+    for family, want in (
+        (FamilyId.DISPLACED_SINGLE_PHOTON, 14.986281464158749),
+        (FamilyId.FOCK_SUPERPOSITION, 127.99330903126578),
+    ):
+        r = size_pg(family_state(family, 64).photonic_pair, 2 / 3)
         assert r.value == pytest.approx(want, rel=1e-9)
 
 
-def test_refined_l1_returns_last_level_change():
-    # each halving changes the value by the new step, so no two levels agree
-    assert _refined_l1(lambda h: h, 1.0) == (0.0625, 0.0625)
-    assert _refined_l1(lambda h: 2.0, 1.0) == (2.0, 0.0)
+def test_size_homodyne_even_cat_pinned():
+    for N, want in ((8, 7.976447047402109), (16, 11.296496435428521)):
+        r = size_pg(family_state(FamilyId.EVEN_CAT, N).photonic_pair, 2 / 3, Homodyne(0.0))
+        assert r.value == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -327,7 +387,7 @@ def test_refined_l1_returns_last_level_change():
 )
 def test_size_witness_reports_refinement_residual(family, channel):
     r = size_pg(family_state(family, 8).photonic_pair, 2 / 3, channel)
-    assert r.witness["l1ResidualMax"] >= 0.0
+    assert 0.0 <= r.witness["l1ErrorBound"] <= SMEAR_L1_ATOL
 
 
 _SWAP_PAIRS = [

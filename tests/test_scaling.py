@@ -25,7 +25,13 @@ from macrosize import (
     sweep,
     sweep_fixed_excitation,
 )
-from macrosize.measures import MEASURES, MeasureResult
+from macrosize.measures import (
+    LAYER_TAIL_TOL,
+    MEASURES,
+    SMEAR_L1_ATOL,
+    MeasureResult,
+    MeasureSpec,
+)
 from macrosize.scaling import (
     BENCHMARK_TARGETS,
     FAMILY_ORDER,
@@ -277,6 +283,38 @@ def test_cell_flag_derives_class_mismatch():
     assert cell_flag("size-pg", even_cat, "O(N)", "O(sqrt(N))", fit) == "paper-discrepancy"
     undefined = ScalingFit(np.nan, np.nan, 0.0, 0.0, defined=False, note="values ~ 0")
     assert cell_flag("m2", even_cat, "O(N)", "undefined-for-input", undefined) == "values ~ 0"
+
+
+def test_cell_flag_reports_tolerance_misses():
+    fit = ScalingFit(1.01, 0.0, 0.02, 0.0)
+    dsp = FamilyId.DISPLACED_SINGLE_PHOTON
+    met = [{"l1ErrorBound": SMEAR_L1_ATOL}, {"tailBound": LAYER_TAIL_TOL}, {"method": "ladder"}]
+    assert cell_flag("size-pg", dsp, "O(N)", "O(N)", fit, met) == ""
+    for missed in ({"l1ErrorBound": 2 * SMEAR_L1_ATOL}, {"tailBound": 2 * LAYER_TAIL_TOL}):
+        assert cell_flag("d-bar", dsp, "O(N)", "O(N)", fit, [*met, missed]) == "tolerance-miss"
+        # ahead of a class mismatch, behind a known discrepancy and an undefined fit's note
+        assert cell_flag("d-bar", dsp, "O(1)", "O(N)", fit, [missed]) == "tolerance-miss"
+        assert cell_flag("size-pg", FamilyId.EVEN_CAT, "O(N)", "O(N)", fit, [missed]) == (
+            "paper-discrepancy")
+        undefined = ScalingFit(np.nan, np.nan, 0.0, 0.0, defined=False, note="values ~ 0")
+        assert cell_flag("d-bar", dsp, "O(N)", "undefined-for-input", undefined, [missed]) == (
+            "values ~ 0")
+
+
+def test_table1_flags_a_stubbed_tolerance_miss():
+    real = scaling.MEASURES["size-pg"]
+
+    def missing(x, **kw):
+        r = real.evaluate(x, **kw)
+        return MeasureResult(r.measure_id, r.value, {**r.witness, "l1ErrorBound": 1.0})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(scaling.MEASURES, "size-pg", MeasureSpec(real.pair, real.domain, missing))
+        report = table1(ladder=(2, 4, 8, 16))
+    flags = {(c.measure_id, c.family_id): c.flag for c in report.cells}
+    assert flags[("size-pg", FamilyId.DISPLACED_SINGLE_PHOTON)] == "tolerance-miss"
+    assert flags[("size-pg", FamilyId.FOCK_SUPERPOSITION)] == "tolerance-miss"
+    assert flags[("size-pg", FamilyId.EVEN_CAT)] == "paper-discrepancy"
 
 
 def test_table1_text_columns_split_back_into_cells():
