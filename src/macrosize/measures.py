@@ -247,28 +247,102 @@ def m_squared(pair: SuperpositionPair) -> MeasureResult:
     )
 
 
+def check_delta(delta: float) -> None:
+    """c-delta's error probability must lie in (0, 1/2]."""
+    if not 0.0 < delta <= 0.5:
+        raise ContractViolation(f"delta must lie in (0, 1/2], got {delta}")
+
+
+def _log_crossing(n0: int, p0: float, n1: int, p1: float, goal: float) -> float | None:
+    """log n where the line through (log n, log(P_S - 1/2)) at n0 < n1 meets goal.
+
+    None when that line is undefined or not rising: P_S - 1/2 vanishes at n0
+    (identical group states), or P_S does not grow from n0 to n1. Callers pass
+    a p0 below goal, so goal - 1/2 is positive whenever the line is defined.
+    """
+    if not 0.5 < p0 < p1:
+        return None
+    y0 = np.log(p0 - 0.5)
+    rise = np.log(p1 - 0.5) - y0
+    if rise <= 0.0:
+        return None
+    return float(np.log(n0) + (np.log(goal - 0.5) - y0) * np.log(n1 / n0) / rise)
+
+
+def _ceil_exp(x: float, cap: int) -> int:
+    """ceil(e^x), capped at cap (e^x may overflow where x is far above log cap)."""
+    return min(cap, int(np.ceil(np.exp(min(x, np.log(cap))))))
+
+
+def _first_hit(ps: Callable[[int], float], M: int, goal: float) -> int | None:
+    """Smallest n in 1..M with ps(n) >= goal, or None when ps(M) < goal.
+
+    ps must be nondecreasing; each n is evaluated at most once. P_S - 1/2 of
+    group discrimination grows like a power of n, so both phases aim at the
+    crossing of the secant in (log n, log(P_S - 1/2)). Expansion probes the
+    larger of twice the last miss and the extrapolated crossing, capped at M.
+    Refinement probes the interpolated crossing, rounded up and kept strictly
+    inside the bracket; a step that fails to halve the bracket is followed by
+    a plain bisection, so at most about 3 log2(M) evaluations are made.
+    Without a secant (first step, flat or vanishing P_S - 1/2) the phases
+    double and bisect.
+    """
+    prev = None
+    n, p = 1, ps(1)
+    while p < goal:
+        if n == M:
+            return None
+        step = 2 * n
+        if prev is not None:
+            x = _log_crossing(*prev, n, p, goal)
+            if x is not None:
+                step = max(step, _ceil_exp(x, M))
+        prev = (n, p)
+        n = min(step, M)
+        p = ps(n)
+    if prev is None:
+        return 1
+    (lo, p_lo), hi, p_hi = prev, n, p
+    bisect = False
+    while hi - lo > 1:
+        width = hi - lo
+        x = None if bisect else _log_crossing(lo, p_lo, hi, p_hi, goal)
+        n = (lo + hi) // 2 if x is None else min(max(_ceil_exp(x, hi), lo + 1), hi - 1)
+        p = ps(n)
+        if p >= goal:
+            hi, p_hi = n, p
+        else:
+            lo, p_lo = n, p
+        bisect = x is not None and 2 * (hi - lo) > width
+    return hi
+
+
 def c_delta(pair: SuperpositionPair, delta: float = 0.25) -> MeasureResult:
     """Relative size M/n_min from group-wise branch discrimination.
 
     n_min is the smallest group size n whose reduced branch states can be
     told apart with success probability P_S(n) = 1/2 + ||rho0 - rho1||_1/4
-    at least 1 - delta. P_S is nondecreasing in n (larger groups carry more
-    information), so n_min is located by doubling plus binary search. When
+    at least 1 - delta (ties within PS_TIE_TOL count as reached). P_S is
+    nondecreasing in n (a larger group's states map onto a smaller group's by
+    a partial trace, which cannot increase the trace distance), so n_min is
+    the end of a monotone search: `_first_hit` brackets it by a secant in
+    (log n, log(P_S - 1/2)), along which P_S - 1/2 follows a near power law,
+    and falls back to doubling and bisection where the secant fails. Any
+    nondecreasing P_S gives the n_min of plain doubling and bisection. When
     even the full ensemble stays below threshold the measure is undefined.
+    The witness's `psEvals` counts the group sizes whose P_S was computed.
 
     The group states are built on the labels 0..top, top being the last label
     either branch occupies: every row and column above it is exactly zero, so
     the trim changes no value, and sharing it keeps both branches on one basis.
     """
     basis = _require_spin_pair(pair)
-    if not 0.0 < delta <= 0.5:
-        raise ContractViolation(f"delta must lie in (0, 1/2], got {delta}")
+    check_delta(delta)
     M = basis.M
     top = int(np.flatnonzero((pair.psi0.amps != 0) | (pair.psi1.amps != 0))[-1])
     trimmed = DickeBasis(M, top)
     phi0 = SymState(trimmed, pair.psi0.amps[: top + 1])
     phi1 = SymState(trimmed, pair.psi1.amps[: top + 1])
-    target = 1.0 - delta
     cache: dict[int, float] = {}
 
     def ps(n: int) -> float:
@@ -276,38 +350,30 @@ def c_delta(pair: SuperpositionPair, delta: float = 0.25) -> MeasureResult:
             cache[n] = helstrom_ps(reduced_group_state(phi0, n), reduced_group_state(phi1, n))
         return cache[n]
 
-    def hits(n: int) -> bool:
-        return ps(n) >= target - PS_TIE_TOL
-
-    if hits(1):
-        n_min = 1
-    else:
-        lo, hi = 1, 2
-        while hi < M and not hits(hi):
-            lo, hi = hi, min(2 * hi, M)
-        if not hits(hi):
-            return MeasureResult(
-                "c-delta",
-                0.0,
-                witness={
-                    "delta": delta,
-                    "pSFull": ps(M),
-                    "supportK": top,
-                    "reason": "threshold unreachable",
-                },
-                defined=False,
-            )
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if hits(mid):
-                hi = mid
-            else:
-                lo = mid
-        n_min = hi
+    n_min = _first_hit(ps, M, 1.0 - delta - PS_TIE_TOL)
+    if n_min is None:
+        return MeasureResult(
+            "c-delta",
+            0.0,
+            witness={
+                "delta": delta,
+                "pSFull": ps(M),
+                "supportK": top,
+                "psEvals": len(cache),
+                "reason": "threshold unreachable",
+            },
+            defined=False,
+        )
     return MeasureResult(
         "c-delta",
         M / n_min,
-        witness={"nMin": n_min, "delta": delta, "pS": ps(n_min), "supportK": top},
+        witness={
+            "nMin": n_min,
+            "delta": delta,
+            "pS": ps(n_min),
+            "supportK": top,
+            "psEvals": len(cache),
+        },
     )
 
 
@@ -599,10 +665,15 @@ class Homodyne:
     angle: float = 0.0
 
 
-def size_prefactor(p_g: float) -> float:
-    """2 sqrt(2) erfinv(2 P_g - 1): rescales the critical width to a size."""
+def check_p_g(p_g: float) -> None:
+    """size-pg's success probability must lie in (1/2, 1)."""
     if not 0.5 < p_g < 1.0:
         raise ContractViolation(f"P_g must lie in (1/2, 1), got {p_g}")
+
+
+def size_prefactor(p_g: float) -> float:
+    """2 sqrt(2) erfinv(2 P_g - 1): rescales the critical width to a size."""
+    check_p_g(p_g)
     return float(2.0 * np.sqrt(2.0) * erfinv(2.0 * p_g - 1.0))
 
 

@@ -28,6 +28,8 @@ from .measures import (
     MeasureResult,
     PhotonCount,
     SuperpositionPair,
+    check_delta,
+    check_p_g,
     normalized_sum,
 )
 from .states import (
@@ -535,8 +537,11 @@ def table1(
     (its benchmark entry is an M-scaling). Each family's ladder states and
     the M-sweep states are built once and shared by every row. Failures,
     in a build or in a cell, are recorded as error cells of the cells they
-    touch; they never abort the report.
+    touch; they never abort the report. Out-of-range delta or p_g raise
+    before any state is built, as a bad ladder does.
     """
+    check_delta(delta)
+    check_p_g(p_g)
     family = {fid: StateFamily(fid, tuple(ladder), spin_rule) for fid in FAMILY_ORDER}
     m_sweep_cell = ("m2", FamilyId.FOCK_SUPERPOSITION)
 

@@ -17,7 +17,6 @@ from .symcore import (
     SymState,
     TruncationError,
     default_spin_truncation,
-    log_binomial,
     unitary_from_generator,
 )
 
@@ -207,15 +206,16 @@ def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> SymState
         raise ContractViolation(f"need |alpha|^2 < M, got |alpha|^2={abs(alpha) ** 2}, M={M}")
     if K is None:
         K = default_spin_truncation(M, abs(alpha) ** 2)
-    k = np.arange(K + 1)
     if alpha == 0:
         return make_dicke(M, 0, K)
-    logmag = np.array([0.5 * log_binomial(M, int(kk)) for kk in k])
+    basis = DickeBasis(M, K)  # checks 0 <= K <= M before the log-binomials
+    k = np.arange(K + 1)
+    logmag = 0.5 * (gammaln(M + 1) - gammaln(k + 1) - gammaln(M - k + 1))
     logmag += 0.5 * (M - k) * np.log1p(-p) + k * np.log(abs(alpha) / np.sqrt(M))
     phase = np.exp(1j * k * (np.angle(alpha) - np.pi / 2.0))
     amps = np.exp(logmag) * phase
     amps = amps / np.linalg.norm(amps)
-    return SymState(DickeBasis(M, K), amps)
+    return SymState(basis, amps)
 
 
 @dataclass(frozen=True)

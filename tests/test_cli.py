@@ -183,6 +183,19 @@ def test_table1_formats(tmp_path, capsys):
     assert "n.d." in out and "paper-discrepancy" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--delta", "0.7", "delta must lie in (0, 1/2]"), ("--pg", "1.5", "P_g must lie in (1/2, 1)")],
+    ids=["delta", "pg"],
+)
+def test_table1_rejects_out_of_range_parameters(capsys, flag, value, message):
+    # checked before any state is built, with the kernels' own messages
+    code, out, err = run(capsys, "table1", "--ladder", "2,4,8,16", flag, value)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_table1_json_out_matches_stdout(tmp_path, capsys):
     f = tmp_path / "table1.json"
     code, out, _ = run(capsys, "table1", "--ladder", "2,4,8,16", "--out", str(f))

@@ -1,8 +1,10 @@
 """Size measures: closed forms, brackets, and frozen numeric oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfinv, ndtr
@@ -51,6 +53,7 @@ from macrosize.measures import (
     SMEAR_L1_ATOL,
     DegeneratePairError,
     _channel_masses,
+    _first_hit,
     _interval_l1,
     _l1_error_bound,
     _pmf_masses,
@@ -169,11 +172,132 @@ def test_c_delta_displaced_single_photon_pinned():
 
 
 def test_c_delta_degenerate_pair_undefined():
+    # P_S - 1/2 is 0 at every n: the search doubles without a secant and warns nothing
     d = make_dicke(10, 2)
-    r = c_delta(SuperpositionPair(d, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = c_delta(SuperpositionPair(d, d))
     assert not r.defined
     assert r.witness["pSFull"] == pytest.approx(0.5, abs=1e-12)
     assert r.witness["supportK"] == 2
+    assert r.witness["psEvals"] == 5  # n = 1, 2, 4, 8, 10
+
+
+def test_c_delta_displaced_single_photon_probe_count():
+    # P_S - 1/2 grows about as sqrt(n) here; doubling and bisection took 24 probes
+    r = c_delta(family_state("displaced-single-photon", 64, lambda n: 200 * n).spin_pair)
+    assert r.witness["nMin"] == 3188
+    assert r.witness["psEvals"] <= 8
+
+
+def _doubling_bisection(ps, M, goal):
+    """The plain search c-delta used before the secant: the reference n_min."""
+    if ps(1) >= goal:
+        return 1
+    lo, hi = 1, 2
+    while hi < M and ps(hi) < goal:
+        lo, hi = hi, min(2 * hi, M)
+    if ps(hi) < goal:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ps(mid) >= goal:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@st.composite
+def _monotone_ps(draw):
+    """(M, P_S, goal): a nondecreasing P_S on 1..M in [1/2, 1] and a threshold.
+
+    P_S is 1/2 plus a power law c (n/M)^a and up to five steps, clipped at 1:
+    with c = 0 and no steps it is the constant 1/2; a = 0 gives a plateau.
+    The threshold is drawn freely or set to P_S at a drawn n, so it falls on
+    n = 1, on n = M, just above P_S(M) (never reached) or anywhere between.
+    """
+    M = draw(st.integers(2, 5000))
+    c = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
+    a = draw(st.floats(0.0, 2.0))
+    steps = draw(st.lists(st.tuples(st.integers(1, M), st.floats(0.0, 0.3)), max_size=5))
+
+    def ps(n):
+        return min(1.0, 0.5 + c * (n / M) ** a + sum(h for at, h in steps if at <= n))
+
+    n = draw(st.sampled_from([1, M, draw(st.integers(1, M))]))
+    goal = draw(st.one_of(st.floats(0.5, 1.0), st.just(ps(n)), st.just(ps(M) + 1e-9)))
+    return M, ps, goal
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monotone_ps())
+@example((4096, lambda n: 0.5, 0.75))  # identical branches
+@example((4096, lambda n: 0.5 + 0.0031 * n**0.5, 0.75 - 1e-12))  # displaced single photon
+@example((3000, lambda n: 0.5 if n < 3000 else 1.0, 1.0))  # threshold at M after a plateau
+@example((3000, lambda n: 1.0, 1.0))  # threshold at n = 1
+def test_first_hit_matches_doubling_bisection(case):
+    M, ps, goal = case
+    calls = []
+
+    def counted(n):
+        assert 1 <= n <= M
+        calls.append(n)
+        return ps(n)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _first_hit(counted, M, goal)
+    assert got == _doubling_bisection(ps, M, goal)
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= 3 * int(np.ceil(np.log2(M))) + 2
+
+
+def test_c_delta_single_spin_pair():
+    # M = 1 leaves no group larger than the whole: undefined, not a split at n = 2
+    assert _first_hit(lambda n: 0.5, 1, 0.75) is None
+    assert _first_hit(lambda n: 0.9, 1, 0.75) == 1
+    d = make_dicke(1, 0)
+    r = c_delta(SuperpositionPair(d, d))
+    assert not r.defined and r.witness["psEvals"] == 1
+    assert c_delta(SuperpositionPair(d, make_dicke(1, 1))).witness["nMin"] == 1
+
+
+@st.composite
+def _random_spin_pairs(draw):
+    M = draw(st.integers(1, 40))
+    K = draw(st.integers(1, M))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def state():
+        v = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+        return SymState(DickeBasis(M, K), v / np.linalg.norm(v))
+
+    return SuperpositionPair(state(), state())
+
+
+def _assert_swap_symmetric(pair):
+    swapped = SuperpositionPair(pair.psi1, pair.psi0)
+    assert m_squared(swapped).value == m_squared(pair).value
+    assert relative_fisher(swapped).value == relative_fisher(pair).value
+    own, other = c_delta(pair), c_delta(swapped)
+    assert own.defined == other.defined
+    if own.defined:
+        assert other.witness["nMin"] == own.witness["nMin"]
+        assert other.value == own.value
+        assert other.witness["pS"] == pytest.approx(own.witness["pS"], abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_spin_pairs())
+def test_pair_measures_symmetric_under_branch_swap(pair):
+    # d-bar is left out: it measures from psi0 (Dur, Simon & Cirac)
+    _assert_swap_symmetric(pair)
+
+
+@pytest.mark.parametrize("family", ["even-cat", "displaced-single-photon", "fock-superposition"])
+def test_family_pair_measures_symmetric_under_branch_swap(family):
+    _assert_swap_symmetric(family_state(family, 8, lambda n: 200 * n).spin_pair)
 
 
 def test_relative_fisher_examples():

@@ -261,6 +261,19 @@ def test_table1_bad_ladder_raises_before_any_build(stub_cells, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"delta": 0.7}, {"delta": 0.0}, {"p_g": 1.5}, {"p_g": 0.5}],
+    ids=["delta-0.7", "delta-0", "pg-1.5", "pg-0.5"],
+)
+def test_table1_bad_delta_or_pg_raises_before_any_build(stub_cells, monkeypatch, kwargs):
+    calls = []
+    monkeypatch.setattr(scaling, "family_state", lambda *a, **k: calls.append(a))
+    with pytest.raises(ContractViolation, match="must lie in"):
+        table1(ladder=(2, 4, 8, 16), **kwargs)
+    assert calls == []
+
+
 def test_table1_report_serializations(small_report):
     csv = small_report.to_csv()
     head = csv.splitlines()[0]

@@ -24,6 +24,7 @@ from macrosize import (
     state_from_dict,
     state_to_dict,
 )
+from macrosize.symcore import log_binomial
 
 
 def poisson_amps(alpha, cutoff):
@@ -107,6 +108,22 @@ def test_spin_coherent_binomial_law():
     assert np.allclose(phases, (-1j) ** k, atol=1e-10)
     with pytest.raises(ContractViolation):
         make_spin_coherent(6.0, 30)  # needs |alpha|^2 < M
+
+
+@pytest.mark.parametrize("M, K", [(1600, 60), (12800, 300), (25600, 540)])
+@pytest.mark.parametrize("alpha", [2.0, 1.5 - 0.7j])
+def test_spin_coherent_matches_scalar_log_binomials(M, K, alpha):
+    # reference: the per-label log_binomial loop the vectorised form replaced
+    k = np.arange(K + 1)
+    logmag = np.array([0.5 * log_binomial(M, int(kk)) for kk in k])
+    logmag += 0.5 * (M - k) * np.log1p(-abs(alpha) ** 2 / M) + k * np.log(abs(alpha) / np.sqrt(M))
+    amps = np.exp(logmag) * np.exp(1j * k * (np.angle(alpha) - np.pi / 2.0))
+    assert np.array_equal(make_spin_coherent(alpha, M, K).amps, amps / np.linalg.norm(amps))
+
+
+def test_spin_coherent_rejects_cutoff_above_m():
+    with pytest.raises(ContractViolation, match="outside 0..M"):
+        make_spin_coherent(1.0, 10, K=11)
 
 
 def test_displace_vacuum_gives_coherent():
