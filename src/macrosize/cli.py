@@ -19,15 +19,21 @@ import numpy as np
 
 from . import __version__
 from .mapping import (
+    ABSORPTION_PHASE,
     approx_absorb,
-    exact_propagate,
-    joint_from_photonic,
+    exact_absorb,
     mapping_fidelity,
-    vacuum_projected_spin,
     verify_disentangling_identity,
     verify_operator_map,
 )
-from .measures import MEASURES, Homodyne, PhotonCount, SuperpositionPair
+from .measures import (
+    DEFAULT_DELTA,
+    DEFAULT_P_G,
+    MEASURES,
+    Homodyne,
+    PhotonCount,
+    SuperpositionPair,
+)
 from .scaling import (
     DEFAULT_LADDER,
     DEFAULT_M_LADDER,
@@ -40,14 +46,7 @@ from .scaling import (
     table1,
 )
 from .states import StateSpec, state_from_dict, state_to_dict
-from .symcore import (
-    ContractViolation,
-    DensityOp,
-    DickeBasis,
-    PhotonicState,
-    SymState,
-    TruncationError,
-)
+from .symcore import ContractViolation, DensityOp, PhotonicState, TruncationError
 
 
 class UndefinedForInput(Exception):
@@ -101,14 +100,14 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _emit(doc: dict):
-    print(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+def _json_text(doc: dict) -> str:
+    """The JSON text of every document, on stdout and in files."""
+    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: str, doc: dict):
+def _write(path: str, text: str):
     with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _header_comment(cfg: Config) -> str:
@@ -151,42 +150,24 @@ def _parse_ladder(text: str) -> tuple[int, ...]:
 
 def _state_summary(s) -> dict:
     if isinstance(s, DensityOp):
-        mat = s.matrix
-        if isinstance(s.basis, DickeBasis):
-            labels = np.arange(s.basis.dim, dtype=float)
-        else:
-            n = np.arange(s.basis.cutoff + 1, dtype=float)
-            labels = n if s.basis.modes == 1 else (n[:, None] + n[None, :]).ravel()
-        mean = float(np.real(np.diag(mat)) @ labels)
-        return {
-            "basisTag": state_to_dict(s)["basisTag"],
-            "trace": float(np.trace(mat).real),
-            "meanExcitation": mean,
-        }
-    mean = s.mean_excitation if isinstance(s, SymState) else s.mean_photon
+        size = {"trace": float(np.trace(s.matrix).real)}
+    else:
+        size = {"norm": float(np.linalg.norm(s.amps))}
     return {
         "basisTag": state_to_dict(s)["basisTag"],
-        "norm": float(np.linalg.norm(s.amps)),
-        "meanExcitation": float(mean),
+        **size,
+        "meanExcitation": s.mean_excitation,
     }
 
 
 def cmd_state(args, cfg: Config) -> int:
-    params = {}
-    if args.N is not None:
-        params["N"] = args.N
-    if args.alpha is not None:
-        params["alpha"] = _parse_alpha(args.alpha)
-    if args.d is not None:
-        params["d"] = args.d
-    if args.M is not None:
-        params["M"] = args.M
-    if args.k is not None:
-        params["k"] = args.k
-    if args.K is not None:
-        params["K"] = args.K
-    if args.cutoff is not None:
-        params["cutoff"] = args.cutoff
+    params = {
+        key: getattr(args, key)
+        for key in ("N", "alpha", "d", "M", "k", "K", "cutoff")
+        if getattr(args, key) is not None
+    }
+    if "alpha" in params:
+        params["alpha"] = _parse_alpha(params["alpha"])
     if args.pair:
         pair = branch_pair(
             args.name,
@@ -209,9 +190,9 @@ def cmd_state(args, cfg: Config) -> int:
         doc = {"header": cfg.header(), "state": state_to_dict(state)}
         summary = {"header": cfg.header(), **_state_summary(state)}
     if args.out:
-        _write_json(args.out, doc)
+        _write(args.out, _json_text(doc))
         summary["out"] = args.out
-    _emit(summary)
+    sys.stdout.write(_json_text(summary))
     return 0
 
 
@@ -237,7 +218,7 @@ def cmd_measure(args, cfg: Config) -> int:
         p_g=args.pg,
         channel=channel,
     )
-    _emit({"header": cfg.header(), **result.to_dict()})
+    sys.stdout.write(_json_text({"header": cfg.header(), **result.to_dict()}))
     return 0 if result.defined else 3
 
 
@@ -249,22 +230,21 @@ def cmd_absorb(args, cfg: Config) -> int:
         spin = approx_absorb(single, args.M, args.K)
         info = {"mode": "approx", "M": args.M, "K": spin.basis.K}
     else:
-        report = mapping_fidelity(single, args.M, g=args.g)
-        joint = exact_propagate(joint_from_photonic(single, args.M, args.K), args.g)
-        spin, residual = vacuum_projected_spin(joint)
+        spin, report = exact_absorb(single, args.M, args.K, args.g)
         info = {
             "mode": "exact",
             "M": args.M,
             "K": spin.basis.K,
             "g": args.g,
             "fidelityVsApprox": report.fidelity,
-            "residualPhotonPopulation": residual,
+            "residualPhotonPopulation": report.residual_photon_population,
         }
     doc = {"header": cfg.header(), "state": state_to_dict(spin), "absorb": info}
+    summary = {"header": cfg.header(), **info, **_state_summary(spin)}
     if args.out:
-        _write_json(args.out, doc)
-    _emit({"header": cfg.header(), **info, **_state_summary(spin),
-           **({"out": args.out} if args.out else {})})
+        _write(args.out, _json_text(doc))
+        summary["out"] = args.out
+    sys.stdout.write(_json_text(summary))
     return 0
 
 
@@ -279,7 +259,7 @@ def cmd_table1(args, cfg: Config) -> int:
         m_ladder=m_ladder,
     )
     # The JSON report is the json body and what stdout gets beside --out.
-    doc = json.dumps(_jsonable(_report_doc(rep, cfg)), indent=2, sort_keys=True) + "\n"
+    doc = _json_text(_report_doc(rep, cfg))
     if args.format == "text":
         body = _header_comment(cfg) + rep.to_text()
     elif args.format == "csv":
@@ -287,8 +267,7 @@ def cmd_table1(args, cfg: Config) -> int:
     else:
         body = doc
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
+        _write(args.out, body)
     sys.stdout.write(doc if args.out else body)
     return 0
 
@@ -330,31 +309,28 @@ def cmd_sweep(args, cfg: Config) -> int:
         family = StateFamily(fid, ladder, lambda n: cfg.spin_factor * n)
         res = sweep(family, args.measure, delta=args.delta, p_g=args.pg)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_header_comment(cfg))
-            fh.write(res.points_csv())
+        _write(args.out, _header_comment(cfg) + res.points_csv())
     fit = res.fit
-    _emit(
-        {
-            "header": cfg.header(),
-            "family": fid.value,
-            "measure": args.measure,
-            "sweepVariable": res.sweep_variable,
-            "points": [
-                {"size": p.size, "M": p.M, "value": p.value, "defined": p.defined}
-                for p in res.points
-            ],
-            "fit": {
-                "exponent": fit.exponent,
-                "intercept": fit.intercept,
-                "ci95": fit.ci95,
-                "residual": fit.residual,
-                "defined": fit.defined,
-                "note": fit.note,
-            },
-            **({"out": args.out} if args.out else {}),
-        }
-    )
+    doc = {
+        "header": cfg.header(),
+        "family": fid.value,
+        "measure": args.measure,
+        "sweepVariable": res.sweep_variable,
+        "points": [
+            {"size": p.size, "M": p.M, "value": p.value, "defined": p.defined}
+            for p in res.points
+        ],
+        "fit": {
+            "exponent": fit.exponent,
+            "intercept": fit.intercept,
+            "ci95": fit.ci95,
+            "residual": fit.residual,
+            "defined": fit.defined,
+            "note": fit.note,
+        },
+        **({"out": args.out} if args.out else {}),
+    }
+    sys.stdout.write(_json_text(doc))
     return 0 if fit.defined else 3
 
 
@@ -377,7 +353,7 @@ def cmd_verify_mapping(args, cfg: Config) -> int:
             j += 0.5
         doc["disentanglingWorstDeviation"] = worst
         doc["disentanglingLambda"] = args.lam
-    _emit(doc)
+    sys.stdout.write(_json_text(doc))
     if args.max_deviation is not None and dev > args.max_deviation:
         raise ToleranceFailure(
             f"operator-map deviation {dev:.3e} exceeds {args.max_deviation:.3e}"
@@ -410,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("measure", help="evaluate one measure on a state or pair")
     pm.add_argument("measure")
     pm.add_argument("files", nargs="+")
-    pm.add_argument("--delta", type=float, default=0.25)
-    pm.add_argument("--pg", type=float, default=2.0 / 3.0)
+    pm.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    pm.add_argument("--pg", type=float, default=DEFAULT_P_G)
     pm.add_argument("--channel", choices=["photon-count", "homodyne"], default="photon-count")
     pm.add_argument("--angle", type=float, default=0.0)
     pm.add_argument("--M", type=int, help="absorb photonic input into M spins first")
@@ -421,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("file")
     pa.add_argument("--M", type=int, required=True)
     pa.add_argument("--mode", choices=["approx", "exact"], default="approx")
-    pa.add_argument("--g", type=float, default=float(np.pi / 2))
+    pa.add_argument("--g", type=float, default=ABSORPTION_PHASE)
     pa.add_argument("--K", type=int)
     pa.add_argument("--out")
     pa.set_defaults(func=cmd_absorb)
@@ -429,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("table1", help="run the 8x4 classification table")
     pt.add_argument("--ladder", help="comma-separated N values (default 8,16,32,64)")
     pt.add_argument("--m-ladder", help="comma-separated M values for the M-sweep cell")
-    pt.add_argument("--delta", type=float, default=0.25)
-    pt.add_argument("--pg", type=float, default=2.0 / 3.0)
+    pt.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    pt.add_argument("--pg", type=float, default=DEFAULT_P_G)
     pt.add_argument("--format", choices=["json", "csv", "text"], default="json")
     pt.add_argument("--out")
     pt.set_defaults(func=cmd_table1)
@@ -442,15 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     along.add_argument("--ladder", help="comma-separated N values")
     along.add_argument("--fixed-N", type=int, help="sweep M at this fixed N instead")
     pw.add_argument("--m-ladder", help="comma-separated M values (with --fixed-N)")
-    pw.add_argument("--delta", type=float, default=0.25)
-    pw.add_argument("--pg", type=float, default=2.0 / 3.0)
+    pw.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    pw.add_argument("--pg", type=float, default=DEFAULT_P_G)
     pw.add_argument("--out")
     pw.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify-mapping", help="absorption-map diagnostics")
     pv.add_argument("--M", type=int, required=True)
     pv.add_argument("--K", type=int, required=True)
-    pv.add_argument("--g", type=float, default=float(np.pi / 2))
+    pv.add_argument("--g", type=float, default=ABSORPTION_PHASE)
     pv.add_argument("--alpha", help="also report exact-vs-approx fidelity for this coherent state")
     pv.add_argument("--jmax", type=float, help="also verify the disentangling identity up to this j")
     pv.add_argument("--lam", type=float, default=1.2)

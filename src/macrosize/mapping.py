@@ -22,6 +22,8 @@ from .symcore import (
     raising_coefficients,
 )
 
+ABSORPTION_PHASE = np.pi / 2  # interaction phase g = chi sqrt(M) t of a full absorption
+
 
 @dataclass(frozen=True)
 class JointState:
@@ -45,10 +47,6 @@ class JointState:
             total += float(np.vdot(vec, vec).real)
         if abs(total - 1.0) > 1e-10:
             raise ContractViolation(f"joint state norm^2 = {total}, expected 1")
-
-    @property
-    def block_dims(self) -> list[int]:
-        return [min(E, self.K) + 1 for E in sorted(self.blocks)]
 
 
 def joint_from_photonic(psi: PhotonicState, M: int, K: int | None = None) -> JointState:
@@ -137,6 +135,13 @@ def vacuum_projected_spin(joint: JointState) -> tuple[SymState, float]:
     return SymState(DickeBasis(joint.M, K), v / np.sqrt(pop)), 1.0 - pop
 
 
+def absorption_cutoff(M: int, photon_cutoff: int, nbar: float) -> int:
+    """Default Dicke-label cutoff K for an absorbed state of mean excitation
+    nbar: the default spin truncation, raised to hold the photon cutoff, at
+    most M."""
+    return min(M, max(photon_cutoff, default_spin_truncation(M, nbar)))
+
+
 def approx_absorb(psi: PhotonicState, M: int, K: int | None = None) -> SymState:
     """First-order absorption map: c_k |k> -> (-i)^k c_k |M,k>.
 
@@ -154,7 +159,7 @@ def approx_absorb(psi: PhotonicState, M: int, K: int | None = None) -> SymState:
             stacklevel=2,
         )
     if K is None:
-        K = min(M, max(psi.cutoff, default_spin_truncation(M, psi.mean_photon)))
+        K = absorption_cutoff(M, psi.cutoff, psi.mean_excitation)
     if K < psi.cutoff:
         raise ContractViolation(f"spin truncation K={K} below photon cutoff {psi.cutoff}")
     amps = np.zeros(K + 1, dtype=np.complex128)
@@ -172,8 +177,7 @@ def absorb_density(rho: DensityOp, M: int, K: int | None = None) -> DensityOp:
     if cutoff > M:
         raise ContractViolation(f"cannot absorb up to {cutoff} photons into M={M} spins")
     if K is None:
-        nbar = float(np.real(np.trace(rho.matrix @ np.diag(np.arange(cutoff + 1.0)))))
-        K = min(M, max(cutoff, default_spin_truncation(M, nbar)))
+        K = absorption_cutoff(M, cutoff, rho.mean_excitation)
     if K < cutoff:
         raise ContractViolation(f"spin truncation K={K} below photon cutoff {cutoff}")
     phases = (-1j) ** np.arange(cutoff + 1)
@@ -190,29 +194,29 @@ class MappingReport:
     g: float
     fidelity: float
     residual_photon_population: float
-    block_dims: list[int]
 
 
-def mapping_fidelity(psi: PhotonicState, M: int, g: float = np.pi / 2) -> MappingReport:
-    """|<approx| exact(g) |psi x ground>|^2 plus leftover photon population."""
-    joint = exact_propagate(joint_from_photonic(psi, M), g)
-    target = approx_absorb(psi, M, K=joint.K)
-    overlap = 0.0 + 0.0j
-    vac = 0.0
-    for E, blk in joint.blocks.items():
-        amp = blk[E] if E <= joint.K else 0.0
-        overlap += np.conj(target.amps[E]) * amp
-        vac += abs(amp) ** 2
-    return MappingReport(
-        M=M,
-        g=g,
-        fidelity=float(abs(overlap) ** 2),
-        residual_photon_population=float(1.0 - vac),
-        block_dims=joint.block_dims,
-    )
+def exact_absorb(
+    psi: PhotonicState, M: int, K: int | None = None, g: float = ABSORPTION_PHASE
+) -> tuple[SymState, MappingReport]:
+    """Exact absorption at phase g, conditioned on an empty photon mode, and
+    its comparison with approx_absorb.
+
+    The fidelity |<approx| exact(g) |psi x ground>|^2 does not depend on K:
+    every block E <= cutoff <= K has dimension E + 1.
+    """
+    spin, residual = vacuum_projected_spin(exact_propagate(joint_from_photonic(psi, M, K), g))
+    target = approx_absorb(psi, M, K=spin.basis.K)
+    fidelity = (1.0 - residual) * abs(np.vdot(target.amps, spin.amps)) ** 2
+    return spin, MappingReport(M, g, float(fidelity), residual)
 
 
-def verify_operator_map(M: int, K: int, g: float = np.pi / 2) -> float:
+def mapping_fidelity(psi: PhotonicState, M: int, g: float = ABSORPTION_PHASE) -> MappingReport:
+    """exact_absorb's comparison at the default spin truncation."""
+    return exact_absorb(psi, M, g=g)[1]
+
+
+def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     """Operator norm of U^dag a U - (-i/sqrt(M)) J- on the E <= K sector.
 
     U is the exact propagator at interaction phase g, so U^dag a U is the
@@ -240,33 +244,30 @@ def verify_operator_map(M: int, K: int, g: float = np.pi / 2) -> float:
     return worst
 
 
-def _spin_j_ladder(j: float) -> tuple[np.ndarray, np.ndarray]:
+def _spin_j_raising(j: float) -> np.ndarray:
+    """S+ on the spin-j representation, labels m = -j..j ascending."""
     dim = int(round(2 * j)) + 1
     if abs(2 * j - round(2 * j)) > 1e-12 or dim < 1:
         raise ContractViolation(f"j must be a half-integer >= 0, got {j}")
     m = -j + np.arange(dim - 1, dtype=float)
     sp = np.zeros((dim, dim))
     sp[np.arange(1, dim), np.arange(dim - 1)] = np.sqrt(j * (j + 1) - m * (m + 1))
-    return sp, np.diag(-j + np.arange(dim, dtype=float))
+    return sp
 
 
-def verify_disentangling_identity(j: float, lam: float, scale: float = 1.0) -> float:
+def verify_disentangling_identity(j: float, lam: float) -> float:
     """Relative Frobenius deviation of the su(2) factorization
 
-        exp(lam (X+ + X-)) = exp(tanh(c lam)/c X-) cosh(c lam)^{X3/c^2}
-                             exp(tanh(c lam)/c X+)
+        exp(lam (S+ + S-)) = exp(tanh(lam) S-) cosh(lam)^{S3} exp(tanh(lam) S+)
 
-    on the spin-j representation, where X+- = scale * S+- and
-    X3 = [X+, X-] obeys [X3, X+-] = +-2 c^2 X+- with c = scale.
+    on the spin-j representation, where S3 = [S+, S-] obeys [S3, S+-] = +-2 S+-.
     Returned relative to ||LHS||_F because the matrices grow like e^{2 j lam}.
     """
-    sp, _ = _spin_j_ladder(j)
-    xp = scale * sp
-    xm = xp.conj().T
-    x3 = xp @ xm - xm @ xp
-    c = scale
-    lhs = hermitian_exp(xp + xm, lam)
-    th = np.tanh(c * lam) / c if c * lam != 0 else lam
-    middle = hermitian_exp(x3 / (c * c), np.log(np.cosh(c * lam)))
-    rhs = expm(th * xm) @ middle @ expm(th * xp)
+    sp = _spin_j_raising(j)
+    sm = sp.conj().T
+    s3 = sp @ sm - sm @ sp
+    lhs = hermitian_exp(sp + sm, lam)
+    th = np.tanh(lam)
+    middle = hermitian_exp(s3, np.log(np.cosh(lam)))
+    rhs = expm(th * sm) @ middle @ expm(th * sp)
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))

@@ -31,6 +31,8 @@ from .symcore import (
     trace_norm,
 )
 
+DEFAULT_DELTA = 0.25  # c-delta's error probability
+DEFAULT_P_G = 2.0 / 3.0  # size-pg's success probability
 QFI_SPECTRAL_CUTOFF = 1e-12
 DEGENERATE_PAIR_TOL = 1e-12
 SMEAR_L1_ATOL = 1e-8
@@ -38,6 +40,7 @@ PS_TIE_TOL = 1e-12
 LAYER_TAIL_TOL = 1e-12
 ROUNDING_FLOOR = 1e-13  # smeared values below this fraction of the largest carry no sign
 ROOT_BISECTIONS = 24  # halvings of a sigma/4 root bracket: L1 errs by its square, below rounding
+SIGMA_RTOL = 1e-4  # size-pg bisects the critical width to this relative bracket
 _BLOCK = 1 << 18  # entries per row block of a Gaussian sum
 _REACH = 10.0  # in sigma: masses farther from a point add below exp(-50) of their weight
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -144,10 +147,6 @@ def mean_and_covariance(state: SymState | DensityOp) -> tuple[np.ndarray, np.nda
         sec = np.array([[np.sum(ra * Jb.T).real for Jb in ops] for ra in rj])
         sec = 0.5 * (sec + sec.T)
     return mu, sec - np.outer(mu, mu)
-
-
-def covariance_matrix(state: SymState | DensityOp) -> np.ndarray:
-    return mean_and_covariance(state)[1]
 
 
 def max_variance_collective(phi: SymState) -> MeasureResult:
@@ -317,7 +316,7 @@ def _first_hit(ps: Callable[[int], float], M: int, goal: float) -> int | None:
     return hi
 
 
-def c_delta(pair: SuperpositionPair, delta: float = 0.25) -> MeasureResult:
+def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureResult:
     """Relative size M/n_min from group-wise branch discrimination.
 
     n_min is the smallest group size n whose reduced branch states can be
@@ -560,23 +559,7 @@ def index_q(state: SymState | DensityOp) -> MeasureResult:
 
 
 def _photonic_tail_check(state: PhotonicState | DensityOp):
-    if isinstance(state, PhotonicState):
-        tail = state.tail_mass
-    else:
-        c = state.basis.cutoff
-        diag = np.abs(np.diag(state.matrix).real)
-        lo = max(c - 1, 0)
-        if state.basis.modes == 1:
-            tail = float(diag[lo:].sum())
-        else:
-            # boundary mass = any mode occupying the top two levels
-            grid = diag.reshape((c + 1,) * state.basis.modes)
-            mask = np.zeros_like(grid, dtype=bool)
-            for axis in range(grid.ndim):
-                sl: list[slice] = [slice(None)] * grid.ndim
-                sl[axis] = slice(lo, None)
-                mask[tuple(sl)] = True
-            tail = float(grid[mask].sum())
+    tail = state.tail_mass
     if tail > 1e-8:
         warnings.warn(
             f"population {tail:.2e} on the truncation boundary; enlarge the cutoff",
@@ -599,11 +582,11 @@ def wigner_I_photonic(state: PhotonicState | DensityOp) -> MeasureResult:
     n = np.arange(c + 1, dtype=float)
     if isinstance(state, PhotonicState):
         if state.modes == 1:
-            p = np.abs(state.amps) ** 2
-            mean_n = float(np.dot(n, p))
             a = complex(np.sum(np.conj(state.amps[:-1]) * np.sqrt(n[1:]) * state.amps[1:]))
-            value = mean_n - abs(a) ** 2 + 0.5
+            value = state.mean_excitation - abs(a) ** 2 + 0.5
         else:
+            # mode by mode: regrouping these sums moves the last bits, which the
+            # near-zero table exponent of i-wigner x displaced-single-photon prints
             g = state.amps.reshape(c + 1, c + 1)
             p = np.abs(g) ** 2
             value = 0.5
@@ -923,7 +906,6 @@ def size_pg(
     pair: SuperpositionPair,
     p_g: float,
     channel: PhotonCount | Homodyne = PhotonCount(),
-    bisection_rtol: float = 1e-4,
 ) -> MeasureResult:
     """Coarse-grained detector size: widest Gaussian smearing that still
     discriminates the branches at success probability P_g, rescaled by
@@ -966,7 +948,7 @@ def size_pg(
         lo, hi = hi, 2.0 * hi
         if hi > 1e9:
             raise ContractViolation("no finite critical smearing found")
-    while hi - lo > bisection_rtol * hi + 1e-12:
+    while hi - lo > SIGMA_RTOL * hi + 1e-12:
         mid = 0.5 * (lo + hi)
         if ps(mid) >= p_g:
             lo = mid

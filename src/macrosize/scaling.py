@@ -19,8 +19,10 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.special import stdtrit
 
-from .mapping import approx_absorb
+from .mapping import absorption_cutoff, approx_absorb
 from .measures import (
+    DEFAULT_DELTA,
+    DEFAULT_P_G,
     LAYER_TAIL_TOL,
     MEASURES,
     SMEAR_L1_ATOL,
@@ -47,7 +49,6 @@ from .symcore import (
     FockBasis,
     PhotonicState,
     SymState,
-    default_spin_truncation,
 )
 
 
@@ -139,8 +140,8 @@ class FamilyBundle:
 
 def absorb_pair(pair: SuperpositionPair, M: int) -> tuple[SuperpositionPair, int]:
     """Absorb both photonic branches into M spins at one shared truncation K."""
-    mean = max(pair.psi0.mean_photon, pair.psi1.mean_photon)
-    K = min(M, max(pair.psi0.cutoff, default_spin_truncation(M, mean)))
+    mean = max(pair.psi0.mean_excitation, pair.psi1.mean_excitation)
+    K = absorption_cutoff(M, pair.psi0.cutoff, mean)
     return (
         SuperpositionPair(approx_absorb(pair.psi0, M, K), approx_absorb(pair.psi1, M, K)),
         K,
@@ -337,7 +338,7 @@ def cell_flag(
 
 
 def evaluate_cell(
-    measure_id: str, bundle: FamilyBundle, delta: float = 0.25, p_g: float = 2.0 / 3.0
+    measure_id: str, bundle: FamilyBundle, delta: float = DEFAULT_DELTA, p_g: float = DEFAULT_P_G
 ) -> MeasureResult:
     """One table cell at one ladder point; raises when the family lacks the
     input the measure needs (no branch pair for single Fock states)."""
@@ -383,8 +384,8 @@ class SweepResult:
 def sweep(
     family: StateFamily,
     measure_id: str,
-    delta: float = 0.25,
-    p_g: float = 2.0 / 3.0,
+    delta: float = DEFAULT_DELTA,
+    p_g: float = DEFAULT_P_G,
 ) -> SweepResult:
     """Evaluate one measure along the family's N ladder and fit the exponent."""
     return _sweep_bundles(family.family_id, _ladder_bundles(family), measure_id, "N", delta, p_g)
@@ -395,8 +396,8 @@ def sweep_fixed_excitation(
     measure_id: str,
     N: int = 8,
     m_ladder: tuple[int, ...] = DEFAULT_M_LADDER,
-    delta: float = 0.25,
-    p_g: float = 2.0 / 3.0,
+    delta: float = DEFAULT_DELTA,
+    p_g: float = DEFAULT_P_G,
 ) -> SweepResult:
     """Sweep the spin count M at fixed N (the O(1/M) benchmark cell)."""
     fid = FamilyId(family_id)
@@ -526,8 +527,8 @@ class Table1Report:
 def table1(
     ladder: tuple[int, ...] = DEFAULT_LADDER,
     spin_rule: Callable[[int], int] = default_spin_rule,
-    delta: float = 0.25,
-    p_g: float = 2.0 / 3.0,
+    delta: float = DEFAULT_DELTA,
+    p_g: float = DEFAULT_P_G,
     m_ladder: tuple[int, ...] = DEFAULT_M_LADDER,
 ) -> Table1Report:
     """The full 8-measure x 4-family classification grid.

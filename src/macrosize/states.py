@@ -126,34 +126,28 @@ def make_fock_superposition(N: int, cutoff: int | None = None) -> PhotonicState:
     return PhotonicState(FockBasis(cutoff), amps, tail_tol=None)
 
 
-def mode_operator(cutoff: int, modes: int = 1, mode: int = 0) -> np.ndarray:
-    """Annihilation matrix a for the given mode on the truncated Fock space."""
-    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1).astype(np.complex128)
-    if modes == 1:
-        return a
-    eye = np.eye(cutoff + 1, dtype=np.complex128)
-    return np.kron(a, eye) if mode == 0 else np.kron(eye, a)
+def mode_operator(cutoff: int) -> np.ndarray:
+    """Single-mode annihilation matrix a on the truncated Fock space."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1).astype(np.complex128)
 
 
-def displace(state: PhotonicState, alpha: complex, mode: int = 0) -> PhotonicState:
-    """Apply the displacement exp(alpha a^dag - alpha* a) to one mode.
+def displace(state: PhotonicState, alpha: complex) -> PhotonicState:
+    """Apply the displacement exp(alpha a^dag - alpha* a) to the first mode.
 
     The truncated generator is Hermitian, so the map is exactly unitary on the
     truncated space; amplitudes near the cutoff differ from the untruncated
     displacement, which the factory cutoffs keep below the tail tolerance.
-    Two-mode states get the single-mode unitary applied on the chosen tensor
+    Two-mode states get the single-mode unitary applied on the first tensor
     factor (never the kronecker product, whose size is quartic in the cutoff).
     """
-    a = mode_operator(state.cutoff, modes=1)
+    a = mode_operator(state.cutoff)
     gen = 1j * (alpha * a.conj().T - np.conj(alpha) * a)  # Hermitian
     U = unitary_from_generator(gen, 1.0)
     if state.modes == 1:
         amps = U @ state.amps
     else:
         dim = state.cutoff + 1
-        grid = state.amps.reshape(dim, dim)
-        grid = U @ grid if mode == 0 else grid @ U.T
-        amps = grid.reshape(-1)
+        amps = (U @ state.amps.reshape(dim, dim)).reshape(-1)
     amps = amps / np.linalg.norm(amps)
     return PhotonicState(state.basis, amps, tail_tol=state.tail_tol)
 
@@ -170,7 +164,7 @@ def make_displaced_single_photon(alpha: complex, cutoff: int | None = None) -> P
     amps[0 * dim + 1] = 1.0 / np.sqrt(2.0)   # |0,1>
     amps[1 * dim + 0] = -1.0 / np.sqrt(2.0)  # -|1,0>
     bare = PhotonicState(FockBasis(cutoff, modes=2), amps, tail_tol=None)
-    out = displace(bare, alpha, mode=0)
+    out = displace(bare, alpha)
     return PhotonicState(out.basis, out.amps, tail_tol=1e-10)
 
 

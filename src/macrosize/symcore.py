@@ -77,33 +77,69 @@ class FockBasis:
         return (self.cutoff + 1) ** self.modes
 
 
+def _checked_amps(basis: DickeBasis | FockBasis, amps) -> np.ndarray:
+    """Complex amplitude vector of the basis dimension with unit norm."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    if amps.shape != (basis.dim,):
+        raise ContractViolation(
+            f"amplitude vector has shape {amps.shape}, basis needs ({basis.dim},)"
+        )
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ContractViolation(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+    return amps
+
+
+class _Populations:
+    """Boundary mass and mean excitation, read off the label populations.
+
+    Pure containers take the populations from |amps|^2, DensityOp from its
+    diagonal. Labels count photons per mode on a FockBasis and excited spins
+    on a DickeBasis, which the absorption map identifies.
+    """
+
+    @property
+    def populations(self) -> np.ndarray:
+        return np.abs(self.amps) ** 2
+
+    def _population_grid(self) -> np.ndarray:
+        """Populations with one axis per mode."""
+        if isinstance(self.basis, DickeBasis):
+            return self.populations
+        return self.populations.reshape((self.basis.cutoff + 1,) * self.basis.modes)
+
+    @property
+    def tail_mass(self) -> float:
+        """Probability weight on any per-mode label above cutoff - 2."""
+        p = self._population_grid()
+        edge = max(p.shape[0] - 2, 0)
+        if p.ndim == 1:
+            return float(p[edge:].sum())
+        return float(p[edge:, :].sum() + p[:edge, edge:].sum())
+
+    @property
+    def mean_excitation(self) -> float:
+        """Mean total label: photons summed over modes, or excited spins."""
+        p = self._population_grid()
+        n = np.arange(p.shape[0])
+        if p.ndim == 1:
+            return float(np.dot(n, p))
+        return float(np.dot(n, p.sum(axis=1)) + np.dot(n, p.sum(axis=0)))
+
+
 @dataclass(frozen=True)
-class SymState:
+class SymState(_Populations):
     """Pure symmetric spin state: complex amplitudes over |M,k>, k = 0..K."""
 
     basis: DickeBasis
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=np.complex128)
-        object.__setattr__(self, "amps", amps)
-        if amps.shape != (self.basis.dim,):
-            raise ContractViolation(
-                f"amplitude vector has shape {amps.shape}, basis needs ({self.basis.dim},)"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ContractViolation(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-
-    @property
-    def mean_excitation(self) -> float:
-        """<k> = sum_k k |c_k|^2, the mean number of excited spins."""
-        k = np.arange(self.basis.dim)
-        return float(np.dot(k, np.abs(self.amps) ** 2))
+        object.__setattr__(self, "amps", _checked_amps(self.basis, self.amps))
 
 
 @dataclass(frozen=True)
-class PhotonicState:
+class PhotonicState(_Populations):
     """Pure state of one or two bosonic modes on a shared per-mode cutoff.
 
     Two-mode amplitudes are stored row-major: index = n1*(cutoff+1) + n2.
@@ -117,15 +153,7 @@ class PhotonicState:
     tail_tol: float | None = 1e-10
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=np.complex128)
-        object.__setattr__(self, "amps", amps)
-        if amps.shape != (self.basis.dim,):
-            raise ContractViolation(
-                f"amplitude vector has shape {amps.shape}, basis needs ({self.basis.dim},)"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ContractViolation(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        object.__setattr__(self, "amps", _checked_amps(self.basis, self.amps))
         if self.tail_tol is not None and self.tail_mass > self.tail_tol:
             raise TruncationError(
                 f"tail mass {self.tail_mass:.3e} above declared tolerance {self.tail_tol:.1e}"
@@ -139,30 +167,9 @@ class PhotonicState:
     def modes(self) -> int:
         return self.basis.modes
 
-    @property
-    def tail_mass(self) -> float:
-        """Probability weight on per-mode labels n > cutoff - 2."""
-        c = self.basis.cutoff
-        p = np.abs(self.amps) ** 2
-        if self.basis.modes == 1:
-            return float(p[max(c - 1, 0):].sum())
-        p = p.reshape(c + 1, c + 1)
-        edge = max(c - 1, 0)
-        return float(p[edge:, :].sum() + p[:edge, edge:].sum())
-
-    @property
-    def mean_photon(self) -> float:
-        """Total mean photon number across modes."""
-        p = np.abs(self.amps) ** 2
-        n = np.arange(self.basis.cutoff + 1)
-        if self.basis.modes == 1:
-            return float(np.dot(n, p))
-        p = p.reshape(self.basis.cutoff + 1, self.basis.cutoff + 1)
-        return float(np.dot(n, p.sum(axis=1)) + np.dot(n, p.sum(axis=0)))
-
 
 @dataclass(frozen=True)
-class DensityOp:
+class DensityOp(_Populations):
     """Density matrix over a DickeBasis or FockBasis, validated at construction."""
 
     basis: DickeBasis | FockBasis
@@ -188,37 +195,9 @@ class DensityOp:
         v = state.amps
         return cls(state.basis, np.outer(v, v.conj()))
 
-
-_TAGS = ("x", "y", "z", "plus", "minus")
-
-
-@dataclass(frozen=True)
-class CollectiveObservable:
-    """A collective spin operator: either J along a unit direction n, or a ladder tag."""
-
-    direction: tuple[float, float, float] | None = None
-    tag: str | None = None
-
-    def __post_init__(self):
-        if (self.direction is None) == (self.tag is None):
-            raise ContractViolation("give exactly one of direction or tag")
-        if self.tag is not None and self.tag not in _TAGS:
-            raise ContractViolation(f"unknown tag {self.tag!r}, expected one of {_TAGS}")
-        if self.direction is not None:
-            n = tuple(float(x) for x in self.direction)
-            object.__setattr__(self, "direction", n)
-            if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-                raise ContractViolation("direction must be a unit vector within 1e-12")
-
-    @classmethod
-    def along(cls, n) -> "CollectiveObservable":
-        """Normalize n and wrap it; rejects the zero vector."""
-        n = np.asarray(n, dtype=float)
-        norm = np.linalg.norm(n)
-        if norm == 0:
-            raise ContractViolation("cannot normalize the zero direction")
-        n = n / norm
-        return cls(direction=(float(n[0]), float(n[1]), float(n[2])))
+    @property
+    def populations(self) -> np.ndarray:
+        return np.diag(self.matrix).real
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -234,41 +213,13 @@ def raising_coefficients(M: int, K: int) -> np.ndarray:
     return np.sqrt((k + 1.0) * (M - k))
 
 
-def collective_matrix(basis: DickeBasis, obs: CollectiveObservable) -> np.ndarray:
-    """Dense complex matrix of the observable on the truncated Dicke basis.
-
-    Commutators and the J^2 identity hold exactly on interior labels; the
-    row/column at k = K is clipped by the truncation.
-    """
-    M, K = basis.M, basis.K
-    cp = raising_coefficients(M, K)
-    jp = np.zeros((K + 1, K + 1), dtype=np.complex128)
-    jp[np.arange(1, K + 1), np.arange(K)] = cp  # <k+1| J+ |k>
-    if obs.tag == "plus":
-        return jp
-    jm = jp.conj().T
-    if obs.tag == "minus":
-        return jm
-    jz = np.diag((-M + 2.0 * np.arange(K + 1)).astype(np.complex128))
-    if obs.tag == "z":
-        return jz
-    jx = jp + jm
-    if obs.tag == "x":
-        return jx
-    jy = -1j * (jp - jm)
-    if obs.tag == "y":
-        return jy
-    nx, ny, nz = obs.direction
-    return nx * jx + ny * jy + nz * jz
-
-
 def collective_apply(
     basis: DickeBasis, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Jx v, Jy v, Jz v) from the J+ band and the Jz diagonal, in O(K) a column.
 
     `v` is one vector of length K+1 or a block of such columns. The results
-    equal the products with `collective_matrix`, clipping at k = K included.
+    equal the products with `collective_xyz`, clipping at k = K included.
     """
     v = np.asarray(v, dtype=np.complex128)
     cp = raising_coefficients(basis.M, basis.K)
@@ -283,13 +234,18 @@ def collective_apply(
 
 
 def collective_xyz(basis: DickeBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jx, Jy, Jz) matrices on the truncated basis, for the kernels that need
-    them dense; `collective_apply` applies them to vectors."""
-    return (
-        collective_matrix(basis, CollectiveObservable(tag="x")),
-        collective_matrix(basis, CollectiveObservable(tag="y")),
-        collective_matrix(basis, CollectiveObservable(tag="z")),
-    )
+    """Dense (Jx, Jy, Jz) on the truncated basis, for the kernels that need
+    matrices; `collective_apply` applies them to vectors.
+
+    Commutators and the J^2 identity hold exactly on interior labels; the
+    row/column at k = K is clipped by the truncation.
+    """
+    M, K = basis.M, basis.K
+    jp = np.zeros((K + 1, K + 1), dtype=np.complex128)
+    jp[np.arange(1, K + 1), np.arange(K)] = raising_coefficients(M, K)  # <k+1| J+ |k>
+    jm = jp.conj().T
+    jz = np.diag((-M + 2.0 * np.arange(K + 1)).astype(np.complex128))
+    return jp + jm, -1j * (jp - jm), jz
 
 
 def self_adjoint_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,20 +287,19 @@ def hermitian_exp(H: np.ndarray, s: float) -> np.ndarray:
     return (v * np.exp(s * w)) @ v.conj().T
 
 
-def expectation(A: np.ndarray, vec: np.ndarray) -> complex:
-    """<vec| A |vec> without assuming A Hermitian."""
-    return complex(np.vdot(vec, A @ vec))
-
-
 def rotate_state(state: SymState, axis, angle: float) -> SymState:
     """Collective Bloch rotation exp(-i (angle/2) J_n) applied to a SymState.
 
     Exact only when the basis is untruncated (K = M); rotations spread the
     excitation label, so callers on truncated bases must keep angles small.
     """
-    obs = CollectiveObservable.along(axis)
-    J = collective_matrix(state.basis, obs)
-    U = unitary_from_generator(J, angle / 2.0)
+    n = np.asarray(axis, dtype=float)
+    norm = np.linalg.norm(n)
+    if norm == 0:
+        raise ContractViolation("cannot normalize the zero direction")
+    nx, ny, nz = (float(c) for c in n / norm)
+    jx, jy, jz = collective_xyz(state.basis)
+    U = unitary_from_generator(nx * jx + ny * jy + nz * jz, angle / 2.0)
     amps = U @ state.amps
     amps = amps / np.linalg.norm(amps)
     return SymState(state.basis, amps)

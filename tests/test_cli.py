@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import macrosize
-from macrosize.cli import main
+import macrosize.mapping
+from macrosize.cli import _jsonable, _load_states, main
 from macrosize.measures import MEASURES
+from macrosize.scaling import absorb_pair, branch_pair
+from macrosize.states import state_to_dict
 
 
 def run(capsys, *argv):
@@ -91,6 +94,34 @@ def test_pair_file_flow(tmp_path, capsys):
     assert load(out)["value"] == pytest.approx(32.0, rel=0.02)
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("even-cat", {"alpha": 2}),
+        ("displaced-single-photon", {"alpha": 1.2}),
+        ("fock-superposition", {"N": 3}),
+        ("ghz", {"M": 12}),
+    ],
+)
+def test_pair_file_reads_back_as_written(name, params, tmp_path, capsys):
+    # the file holds each branch at the documents' 12 significant digits, and
+    # reading it back reproduces exactly those values
+    f = tmp_path / "pair.json"
+    flags = [tok for key, value in params.items() for tok in (f"--{key}", str(value))]
+    code, _, _ = run(capsys, "state", "--name", name, *flags, "--pair", "--out", str(f))
+    assert code == 0
+    assert set(json.loads(f.read_text())) == {"header", "pair"}
+    mem = branch_pair(name, **{k: complex(v) if k == "alpha" else v for k, v in params.items()})
+    _, back = _load_states([str(f)])
+    for got, want in ((back.psi0, mem.psi0), (back.psi1, mem.psi1)):
+        assert type(got) is type(want) and got.basis == want.basis
+        assert state_to_dict(got) == _jsonable(state_to_dict(want))
+    code, out, _ = run(capsys, "measure", "m2", str(f), "--M", "200")
+    assert code == 0
+    spin = mem if mem.is_spin else absorb_pair(mem, 200)[0]
+    assert load(out)["value"] == pytest.approx(MEASURES["m2"].evaluate(spin).value, rel=1e-9)
+
+
 def test_absorb_approx_structure(tmp_path, capsys):
     src = tmp_path / "coh.json"
     run(capsys, "state", "--name", "coherent", "--alpha", "1", "--out", str(src))
@@ -110,6 +141,34 @@ def test_absorb_exact_reports_fidelity(tmp_path, capsys):
     doc = load(out)
     assert doc["fidelityVsApprox"] >= 0.99
     assert doc["residualPhotonPopulation"] < 0.01
+
+
+def test_absorb_exact_propagates_once(tmp_path, capsys, monkeypatch):
+    # one propagation gives both the output state and its fidelity, pinned at
+    # the printed 12 significant digits
+    calls = []
+    propagate = macrosize.mapping.exact_propagate
+
+    def counted(*args):
+        calls.append(args)
+        return propagate(*args)
+
+    monkeypatch.setattr(macrosize.mapping, "exact_propagate", counted)
+    src = tmp_path / "coh.json"
+    run(capsys, "state", "--name", "coherent", "--alpha", "1.5", "--out", str(src))
+    argv = ["absorb", str(src), "--M", "200", "--mode", "exact", "--g", "1.2"]
+    code, out, _ = run(capsys, *argv, "--K", "40")
+    assert code == 0 and len(calls) == 1
+    doc = load(out)
+    assert doc["K"] == 40
+    assert doc["fidelityVsApprox"] == 0.732710822171
+    assert doc["residualPhotonPopulation"] == 0.259120584843
+    assert doc["meanExcitation"] == 1.94558733669
+    # every block E <= cutoff <= K has dimension E + 1, so K leaves the fidelity
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == 2
+    assert load(out)["K"] < 40
+    assert load(out)["fidelityVsApprox"] == pytest.approx(doc["fidelityVsApprox"], rel=1e-12)
 
 
 def test_absorb_zero_coupling_leaves_photons(tmp_path, capsys):

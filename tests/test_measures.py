@@ -20,7 +20,6 @@ from macrosize import (
     SymState,
     branch_pair,
     c_delta,
-    covariance_matrix,
     d_bar,
     displace,
     family_state,
@@ -45,7 +44,7 @@ from macrosize import (
     wigner_I_spin,
 )
 from macrosize.scaling import absorb_pair
-from macrosize.symcore import CollectiveObservable, FockBasis, PhotonicState, collective_matrix
+from macrosize.symcore import FockBasis, PhotonicState, RegimeWarning, collective_xyz
 from macrosize.mapping import absorb_density
 from macrosize.measures import (
     LAYER_TAIL_TOL,
@@ -92,7 +91,7 @@ def test_pure_state_consistency_neff_maxvar():
 
 def test_fisher_is_four_covariance_for_pure():
     phi = make_spin_coherent(1.1, 24)
-    assert np.allclose(fisher_matrix(phi), 4 * covariance_matrix(phi), atol=1e-9)
+    assert np.allclose(fisher_matrix(phi), 4 * mean_and_covariance(phi)[1], atol=1e-9)
 
 
 def test_pure_moments_match_density_moments_and_axes():
@@ -326,7 +325,7 @@ def _exhaustive_layer_mean(phi0, phi1):
     """Mean layer index over every layer of the sector, on dense J matrices:
     the layering as it ran before it stopped at its tail bound."""
     basis = phi0.basis
-    ops = [collective_matrix(basis, CollectiveObservable(tag=t)) for t in "xyz"]
+    ops = collective_xyz(basis)
     acc = phi0.amps[:, None].copy()
     cur = acc
     mean, d = 0.0, 0
@@ -575,6 +574,28 @@ def test_wigner_I_two_mode_pure_only():
     rho = DensityOp(dsp.basis, m)
     with pytest.raises(ContractViolation):
         wigner_I_photonic(rho)
+
+
+def test_wigner_I_warns_on_truncation_boundary_weight():
+    # weight on a mode's top two levels means the cutoff may clip the state
+    c = 8
+    one = np.zeros(c + 1)
+    one[[0, c - 1]] = np.sqrt([0.9, 0.1])
+    edge_one = PhotonicState(FockBasis(c), one, tail_tol=None)
+    two = np.zeros((c + 1) ** 2)
+    two[[0, c - 1]] = np.sqrt([0.9, 0.1])  # |0,0> and |0,c-1>: the second mode's edge
+    edge_two = PhotonicState(FockBasis(c, modes=2), two, tail_tol=None)
+    for state in (edge_one, DensityOp.from_pure(edge_one), edge_two):
+        with pytest.warns(RegimeWarning, match="truncation boundary"):
+            wigner_I_photonic(state)
+    inner = np.zeros((c + 1) ** 2)
+    inner[1 * (c + 1) + 2] = 1.0  # |1,2>
+    inside = make_fock(3, cutoff=c)
+    for state in (inside, DensityOp.from_pure(inside), make_mixed_cat(1.5, 0.4),
+                  PhotonicState(FockBasis(c, modes=2), inner, tail_tol=None)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            wigner_I_photonic(state)
 
 
 def test_measure_result_dict_shape():

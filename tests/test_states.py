@@ -1,7 +1,11 @@
 """State factories: amplitude laws, parity structure, truncation discipline."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from macrosize import (
@@ -24,7 +28,7 @@ from macrosize import (
     state_from_dict,
     state_to_dict,
 )
-from macrosize.symcore import log_binomial
+from macrosize.symcore import DickeBasis, FockBasis, PhotonicState, SymState, log_binomial
 
 
 def poisson_amps(alpha, cutoff):
@@ -146,7 +150,7 @@ def test_displace_two_mode_acts_per_mode():
     dsp = make_displaced_single_photon(1.0)
     assert dsp.basis.modes == 2
     # displacing back on mode 0 recovers the bare two-mode singlet-like state
-    undone = displace(dsp, -1.0, mode=0)
+    undone = displace(dsp, -1.0)
     dim = dsp.basis.cutoff + 1
     g = undone.amps.reshape(dim, dim)
     ref = np.zeros_like(g)
@@ -158,7 +162,7 @@ def test_displace_two_mode_acts_per_mode():
 def test_displaced_single_photon_mean():
     for alpha in (1.0, 2.0):
         dsp = make_displaced_single_photon(alpha)
-        assert dsp.mean_photon == pytest.approx(alpha**2 + 1.0, rel=1e-9)
+        assert dsp.mean_excitation == pytest.approx(alpha**2 + 1.0, rel=1e-9)
 
 
 def test_state_spec_round_trip_all_names():
@@ -191,4 +195,61 @@ def test_state_spec_rejects_unknown():
 
 def test_complex_alpha_as_pair():
     s = StateSpec("coherent", {"alpha": [1.0, 1.0]}).build()
-    assert s.mean_photon == pytest.approx(2.0, rel=1e-9)
+    assert s.mean_excitation == pytest.approx(2.0, rel=1e-9)
+
+
+@st.composite
+def _pure_states(draw):
+    """A random SymState or one- or two-mode PhotonicState on a small basis,
+    with some labels left empty."""
+    kind = draw(st.sampled_from(["dicke", "one-mode", "two-mode"]))
+    size = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dicke":
+        basis = DickeBasis(draw(st.integers(size, 3 * size)), size)
+    else:
+        basis = FockBasis(size, modes=1 if kind == "one-mode" else 2)
+    v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    v[rng.random(basis.dim) < draw(st.floats(0.0, 0.8))] = 0.0
+    v[rng.integers(basis.dim)] += 1.0
+    return _pure_on(basis, v)
+
+
+def _pure_on(basis, v):
+    v = v / np.linalg.norm(v)
+    if isinstance(basis, DickeBasis):
+        return SymState(basis, v)
+    return PhotonicState(basis, v, tail_tol=None)
+
+
+@st.composite
+def _json_states(draw):
+    """A random pure state, or a two-component mixture of two on one basis."""
+    a = draw(_pure_states())
+    if not draw(st.booleans()):
+        return a
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=a.basis.dim) + 1j * rng.normal(size=a.basis.dim)
+    b = _pure_on(a.basis, v)
+    w = draw(st.floats(0.0, 1.0))
+    return DensityOp(a.basis, w * DensityOp.from_pure(a).matrix
+                     + (1.0 - w) * DensityOp.from_pure(b).matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pure_states())
+def test_density_op_reports_the_pure_state_quantities(state):
+    rho = DensityOp.from_pure(state)
+    assert rho.tail_mass == pytest.approx(state.tail_mass, rel=1e-12, abs=1e-15)
+    assert rho.mean_excitation == pytest.approx(state.mean_excitation, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_json_states())
+def test_state_json_round_trip_is_byte_identical(state):
+    text = json.dumps(state_to_dict(state))
+    back = state_from_dict(json.loads(text))
+    assert type(back) is type(state) and back.basis == state.basis
+    assert json.dumps(state_to_dict(back)) == text
+    values = (lambda s: s.matrix) if isinstance(state, DensityOp) else (lambda s: s.amps)
+    assert np.array_equal(values(back), values(state))

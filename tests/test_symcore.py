@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from macrosize.measures import max_variance_collective, n_eff
+from macrosize.measures import max_variance_collective, mean_and_covariance, n_eff
 from macrosize.symcore import (
-    CollectiveObservable,
     ContractViolation,
     DensityOp,
     DickeBasis,
@@ -16,10 +15,8 @@ from macrosize.symcore import (
     SymState,
     TruncationError,
     collective_apply,
-    collective_matrix,
     collective_xyz,
     default_spin_truncation,
-    expectation,
     raising_coefficients,
     rotate_state,
     self_adjoint_eig,
@@ -90,14 +87,6 @@ def test_jz_spectrum_and_commutator():
     assert np.allclose(comm[:-1, :-1], jz[:-1, :-1], atol=1e-9)
 
 
-def test_collective_matrix_direction_combination():
-    b = DickeBasis(6, 4)
-    jx, jy, jz = collective_xyz(b)
-    n = np.array([0.6, 0.0, 0.8])
-    jn = collective_matrix(b, CollectiveObservable(direction=tuple(n)))
-    assert np.allclose(jn, 0.6 * jx + 0.8 * jz)
-
-
 def test_dicke_transverse_variance_closed_form():
     # V(Jx) on |M,k> = M(2k+1) - 2k^2, for k strictly inside the truncation
     M, K = 20, 14
@@ -105,8 +94,8 @@ def test_dicke_transverse_variance_closed_form():
     for k in (0, 1, 5, 12):
         amps = np.zeros(K + 1)
         amps[k] = 1.0
-        mean = expectation(jx, amps).real
-        var = expectation(jx @ jx, amps).real - mean**2
+        mean = np.vdot(amps, jx @ amps).real
+        var = np.vdot(amps, jx @ jx @ amps).real - mean**2
         assert var == pytest.approx(M * (2 * k + 1) - 2 * k**2, rel=1e-12)
 
 
@@ -140,6 +129,25 @@ def test_rotate_state_unitary_and_axis_action():
     assert np.allclose(np.abs(rz.amps) ** 2, np.abs(phi.amps) ** 2, atol=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    axis=st.tuples(*[st.floats(-2, 2)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1),
+    angle=st.floats(-np.pi, np.pi),
+)
+def test_rotate_state_turns_the_mean_spin_about_its_axis(axis, angle):
+    # exp(-i (angle/2) J_n) turns <J> by `angle` about the normalized axis n
+    # (Rodrigues' formula); here from the all-ground <J> = (0, 0, -M)
+    M = 6
+    ground = SymState(DickeBasis(M, M), np.eye(M + 1)[0])
+    n = np.asarray(axis) / np.linalg.norm(axis)
+    v = np.array([0.0, 0.0, -M])
+    want = v * np.cos(angle) + np.cross(n, v) * np.sin(angle) + n * n.dot(v) * (1 - np.cos(angle))
+    got, _ = mean_and_covariance(rotate_state(ground, axis, angle))
+    assert np.allclose(got, want, atol=1e-9 * M)
+    with pytest.raises(ContractViolation):
+        rotate_state(ground, (0.0, 0.0, 0.0), angle)
+
+
 def test_default_spin_truncation_behaviour():
     # grows with the mean, never exceeds M, holds enough tail room
     assert default_spin_truncation(100, 2.0) <= 100
@@ -170,8 +178,7 @@ def test_collective_apply_matches_dense_matrices(case):
     basis = DickeBasis(M, K)
     got = collective_apply(basis, v)
     scale = M * max(1.0, float(np.abs(v).max()))
-    for tag, gv in zip("xyz", got):
-        J = collective_matrix(basis, CollectiveObservable(tag=tag))
+    for J, gv in zip(collective_xyz(basis), got):
         assert gv.shape == v.shape
         assert np.abs(gv - J @ v).max() <= 1e-13 * scale
     if K >= 1:
