@@ -46,7 +46,7 @@ from .scaling import (
     table1,
 )
 from .states import StateSpec, state_from_dict, state_to_dict
-from .symcore import ContractViolation, DensityOp, PhotonicState, TruncationError
+from .symcore import ContractViolation, DensityOp, FockBasis, PhotonicState, TruncationError
 
 
 class UndefinedForInput(Exception):
@@ -203,7 +203,7 @@ def cmd_measure(args, cfg: Config) -> int:
         raise ContractViolation(f"unknown measure {mid!r}")
     single, pair = _load_states(args.files)
     if spec.domain == "spin" and args.M is not None:
-        if isinstance(single, PhotonicState):
+        if single is not None and isinstance(single.basis, FockBasis):
             single = approx_absorb(single, args.M)
         if pair is not None and not pair.is_spin:
             pair, _ = absorb_pair(pair, args.M)

@@ -6,13 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .symcore import (
     ContractViolation,
     DensityOp,
     DickeBasis,
     SymState,
+    log_binomials,
     trace_norm,
 )
 
@@ -48,11 +48,11 @@ class SplitState:
 def split(phi: SymState, m_a: int) -> SplitState:
     """Expand phi over an (m_a, M - m_a) split of the spin ensemble.
 
-    |M,k> = sum_l sqrt(C(m_a,l) C(m_b,k-l) / C(M,k)) |m_a,l> |m_b,k-l>;
-    the weights are hypergeometric, evaluated in log space so splits of
-    ensembles up to M ~ 1e5 stay finite. Only the anti-diagonals l + j = k of
-    nonzero labels k are evaluated, all in one pass, so the work follows the
-    state's support rather than the truncation K.
+    |M,k> = sum_l sqrt(C(m_a,l) C(m_b,k-l) / C(M,k)) |m_a,l> |m_b,k-l>.
+    By Vandermonde's identity the squared weights of each anti-diagonal
+    l + j = k sum to one, so they are normalised directly and no ln C(M,k) of
+    size ~M enters. Only the anti-diagonals of nonzero labels k are evaluated,
+    all in one pass, so the work follows the state's support, not K.
     """
     M, K = phi.basis.M, phi.basis.K
     if not 1 <= m_a <= M - 1:
@@ -60,19 +60,17 @@ def split(phi: SymState, m_a: int) -> SplitState:
     m_b = M - m_a
     la_max = min(K, m_a)
     lb_max = min(K, m_b)
-    gl = gammaln(np.arange(M + 2))
-
-    def logc(n, r):  # ln C(n, r) for vector r
-        return gl[n + 1] - gl[r + 1] - gl[n - r + 1]
-
     ks = np.flatnonzero(phi.amps)
     lo = np.maximum(0, ks - m_b)
     counts = np.minimum(ks, m_a) - lo + 1  # >= 1, since k <= K <= M
+    starts = np.cumsum(counts) - counts
     k = np.repeat(ks, counts)
-    l = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-    w = 0.5 * (logc(m_a, l) + logc(m_b, k - l) - logc(M, k))
+    l = np.arange(k.size) - np.repeat(starts - lo, counts)
+    x = log_binomials(m_a, la_max)[l] + log_binomials(m_b, lb_max)[k - l]
+    h = np.exp(0.5 * (x - np.repeat(np.maximum.reduceat(x, starts), counts)))
+    w = h / np.repeat(np.sqrt(np.add.reduceat(h * h, starts)), counts)
     coeffs = np.zeros((la_max + 1, lb_max + 1), dtype=np.complex128)
-    coeffs[l, k - l] += phi.amps[k] * np.exp(w)
+    coeffs[l, k - l] = phi.amps[k] * w
     return SplitState(m_a, m_b, coeffs)
 
 

@@ -14,6 +14,7 @@ from .symcore import (
     ContractViolation,
     DensityOp,
     DickeBasis,
+    FockBasis,
     PhotonicState,
     RegimeWarning,
     SymState,
@@ -142,48 +143,38 @@ def absorption_cutoff(M: int, photon_cutoff: int, nbar: float) -> int:
     return min(M, max(photon_cutoff, default_spin_truncation(M, nbar)))
 
 
-def approx_absorb(psi: PhotonicState, M: int, K: int | None = None) -> SymState:
+def approx_absorb(
+    psi: PhotonicState | DensityOp, M: int, K: int | None = None
+) -> SymState | DensityOp:
     """First-order absorption map: c_k |k> -> (-i)^k c_k |M,k>.
 
-    Valid in the low-excitation regime; warns (RegimeWarning) when the photon
-    cutoff exceeds M/4.
+    With p = diag((-i)^k), a pure state's amplitudes map to p psi and a
+    single-mode density operator to p rho p*. Valid in the low-excitation
+    regime; warns (RegimeWarning) when the photon cutoff exceeds M/4.
     """
-    if psi.modes != 1:
-        raise ContractViolation("absorption acts on single-mode states")
-    if psi.cutoff > M:
-        raise ContractViolation(f"cannot absorb up to {psi.cutoff} photons into M={M} spins")
-    if psi.cutoff > M / 4:
+    if not isinstance(psi.basis, FockBasis) or psi.basis.modes != 1:
+        raise ContractViolation("absorption acts on single-mode Fock states")
+    cutoff = psi.basis.cutoff
+    if cutoff > M:
+        raise ContractViolation(f"cannot absorb up to {cutoff} photons into M={M} spins")
+    if cutoff > M / 4:
         warnings.warn(
-            f"photon cutoff {psi.cutoff} above M/4 = {M / 4:.0f}; first-order map degrades",
+            f"photon cutoff {cutoff} above M/4 = {M / 4:.0f}; first-order map degrades",
             RegimeWarning,
             stacklevel=2,
         )
     if K is None:
-        K = absorption_cutoff(M, psi.cutoff, psi.mean_excitation)
-    if K < psi.cutoff:
-        raise ContractViolation(f"spin truncation K={K} below photon cutoff {psi.cutoff}")
-    amps = np.zeros(K + 1, dtype=np.complex128)
-    k = np.arange(psi.cutoff + 1)
-    amps[: psi.cutoff + 1] = (-1j) ** k * psi.amps
-    return SymState(DickeBasis(M, K), amps)
-
-
-def absorb_density(rho: DensityOp, M: int, K: int | None = None) -> DensityOp:
-    """approx_absorb conjugation for single-mode density operators."""
-    basis = rho.basis
-    if not hasattr(basis, "cutoff") or basis.modes != 1:
-        raise ContractViolation("absorption acts on single-mode Fock density operators")
-    cutoff = basis.cutoff
-    if cutoff > M:
-        raise ContractViolation(f"cannot absorb up to {cutoff} photons into M={M} spins")
-    if K is None:
-        K = absorption_cutoff(M, cutoff, rho.mean_excitation)
+        K = absorption_cutoff(M, cutoff, psi.mean_excitation)
     if K < cutoff:
         raise ContractViolation(f"spin truncation K={K} below photon cutoff {cutoff}")
-    phases = (-1j) ** np.arange(cutoff + 1)
-    m = np.zeros((K + 1, K + 1), dtype=np.complex128)
-    m[: cutoff + 1, : cutoff + 1] = (phases[:, None] * rho.matrix) * phases.conj()[None, :]
-    return DensityOp(DickeBasis(M, K), m)
+    p = (-1j) ** np.arange(cutoff + 1)
+    if isinstance(psi, DensityOp):
+        m = np.zeros((K + 1, K + 1), dtype=np.complex128)
+        m[: cutoff + 1, : cutoff + 1] = (p[:, None] * psi.matrix) * p.conj()[None, :]
+        return DensityOp(DickeBasis(M, K), m)
+    amps = np.zeros(K + 1, dtype=np.complex128)
+    amps[: cutoff + 1] = p * psi.amps
+    return SymState(DickeBasis(M, K), amps)
 
 
 @dataclass(frozen=True)

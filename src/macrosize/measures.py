@@ -204,6 +204,9 @@ def n_eff(state: SymState | DensityOp) -> MeasureResult:
 
 def index_p(state: SymState) -> MeasureResult:
     """Modified index p: largest collective variance over the spin count M."""
+    if isinstance(state, DensityOp):  # a mixture's variance counts the mixing itself
+        reason = {"reason": "index-p needs a pure state; index-q reads mixed ones"}
+        return MeasureResult("index-p", 0.0, witness=reason, defined=False)
     mv = max_variance_collective(state)
     return MeasureResult("index-p", mv.value / state.basis.M, witness=dict(mv.witness))
 

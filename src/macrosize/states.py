@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .symcore import (
     ContractViolation,
@@ -17,7 +16,9 @@ from .symcore import (
     SymState,
     TruncationError,
     default_spin_truncation,
-    unitary_from_generator,
+    hermitian_exp,
+    log_binomials,
+    log_factorial,
 )
 
 
@@ -31,7 +32,7 @@ def _coherent_cutoff(alpha: complex, pmf_tol: float = 1e-11) -> int:
     if lam == 0:
         return 4
     n = np.arange(int(np.ceil(lam)), int(np.ceil(lam + 40.0 * np.sqrt(lam + 1.0) + 80.0)))
-    logpmf = -lam + n * np.log(lam) - gammaln(n + 1.0)
+    logpmf = -lam + n * np.log(lam) - log_factorial(n)
     idx = np.nonzero(logpmf < np.log(pmf_tol))[0]
     return int(n[idx[0]]) + 2
 
@@ -43,7 +44,7 @@ def _coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
         amps = np.zeros(cutoff + 1, dtype=np.complex128)
         amps[0] = 1.0
         return amps
-    mag = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1))
+    mag = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - 0.5 * log_factorial(n))
     phase = np.exp(1j * n * np.angle(alpha))
     return mag * phase
 
@@ -142,7 +143,7 @@ def displace(state: PhotonicState, alpha: complex) -> PhotonicState:
     """
     a = mode_operator(state.cutoff)
     gen = 1j * (alpha * a.conj().T - np.conj(alpha) * a)  # Hermitian
-    U = unitary_from_generator(gen, 1.0)
+    U = hermitian_exp(gen, -1j)
     if state.modes == 1:
         amps = U @ state.amps
     else:
@@ -204,7 +205,7 @@ def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> SymState
         return make_dicke(M, 0, K)
     basis = DickeBasis(M, K)  # checks 0 <= K <= M before the log-binomials
     k = np.arange(K + 1)
-    logmag = 0.5 * (gammaln(M + 1) - gammaln(k + 1) - gammaln(M - k + 1))
+    logmag = 0.5 * log_binomials(M, K)
     logmag += 0.5 * (M - k) * np.log1p(-p) + k * np.log(abs(alpha) / np.sqrt(M))
     phase = np.exp(1j * k * (np.angle(alpha) - np.pi / 2.0))
     amps = np.exp(logmag) * phase

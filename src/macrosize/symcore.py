@@ -200,11 +200,24 @@ class DensityOp(_Populations):
         return np.diag(self.matrix).real
 
 
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) via log-gamma; exact to <= 1e-10 relative for n up to ~1e6."""
-    if k < 0 or n < 0 or k > n:
-        raise ContractViolation(f"log_binomial needs 0 <= k <= n, got n={n}, k={k}")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+def log_factorial(n) -> np.ndarray:
+    """ln n!, elementwise, as log-gamma."""
+    return gammaln(n + 1.0)
+
+
+def log_binomials(n: int, K: int) -> np.ndarray:
+    """ln C(n, k) for k = 0..K, as cumulative sums of ln((n - k + 1)/k).
+
+    Every term is positive up to k = n/2, and the upper half mirrors the
+    lower, so no large log-gamma values cancel: entries stay within a few
+    ulp per term of exact for n up to ~1e5, and ln C(n, n) is exactly 0.
+    """
+    if not 0 <= K <= n:
+        raise ContractViolation(f"log_binomials needs 0 <= K <= n, got n={n}, K={K}")
+    j = np.arange(1, min(K, n // 2) + 1)
+    row = np.concatenate(([0.0], np.cumsum(np.log1p((n + 1 - 2 * j) / j))))
+    k = np.arange(K + 1)
+    return row[np.minimum(k, n - k)]
 
 
 def raising_coefficients(M: int, K: int) -> np.ndarray:
@@ -275,16 +288,11 @@ def trace_norm(X: np.ndarray) -> float:
     return float(np.linalg.svd(X, compute_uv=False).sum())
 
 
-def unitary_from_generator(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via the spectral decomposition."""
+def hermitian_exp(H: np.ndarray, c: complex) -> np.ndarray:
+    """exp(c H) for Hermitian H, via the spectral decomposition; c = -i t
+    gives the unitary exp(-i H t)."""
     w, v = self_adjoint_eig(H)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def hermitian_exp(H: np.ndarray, s: float) -> np.ndarray:
-    """exp(s H) for Hermitian H and real s (not unitary; used by identities)."""
-    w, v = self_adjoint_eig(H)
-    return (v * np.exp(s * w)) @ v.conj().T
+    return (v * np.exp(c * w)) @ v.conj().T
 
 
 def rotate_state(state: SymState, axis, angle: float) -> SymState:
@@ -299,7 +307,7 @@ def rotate_state(state: SymState, axis, angle: float) -> SymState:
         raise ContractViolation("cannot normalize the zero direction")
     nx, ny, nz = (float(c) for c in n / norm)
     jx, jy, jz = collective_xyz(state.basis)
-    U = unitary_from_generator(nx * jx + ny * jy + nz * jz, angle / 2.0)
+    U = hermitian_exp(nx * jx + ny * jy + nz * jz, -0.5j * angle)
     amps = U @ state.amps
     amps = amps / np.linalg.norm(amps)
     return SymState(state.basis, amps)

@@ -56,7 +56,7 @@ from macrosize import (
     wigner_I_spin,
 )
 from macrosize.mapping import (
-    absorb_density,
+    approx_absorb,
     exact_propagate,
     joint_from_photonic,
     vacuum_projected_spin,
@@ -274,7 +274,7 @@ def test_criterion_9_mixed_cat_ratios():
         a2, M = 9.0, 1800
         vals = {}
         for d in (0.25, 0.5, 1.0):
-            rho = absorb_density(make_mixed_cat(np.sqrt(a2), d), M)
+            rho = approx_absorb(make_mixed_cat(np.sqrt(a2), d), M)
             ne = n_eff(rho).value
             iw = wigner_I_spin(rho).value
             vals[d] = (ne, iw)

@@ -12,7 +12,8 @@ import pytest
 import macrosize
 import macrosize.mapping
 from macrosize.cli import _jsonable, _load_states, main
-from macrosize.measures import MEASURES
+from macrosize.mapping import approx_absorb
+from macrosize.measures import MEASURES, n_eff
 from macrosize.scaling import absorb_pair, branch_pair
 from macrosize.states import state_to_dict
 
@@ -64,6 +65,17 @@ def test_measure_n_eff_on_ghz(tmp_path, capsys):
     doc = load(out)
     assert doc["value"] == pytest.approx(100.0, rel=1e-9)
     assert doc["defined"] is True
+
+
+def test_measure_absorbs_mixed_photonic_input(tmp_path, capsys):
+    f = tmp_path / "mixed.json"
+    run(capsys, "state", "--name", "mixed-cat", "--alpha", "1.5", "--d", "0.5", "--out", str(f))
+    code, out, _ = run(capsys, "measure", "n-eff", str(f), "--M", "200")
+    assert code == 0
+    rho, _ = _load_states([str(f)])
+    assert load(out)["value"] == _jsonable(n_eff(approx_absorb(rho, 200)).value)
+    code, out, _ = run(capsys, "measure", "index-p", str(f), "--M", "200")
+    assert code == 3 and load(out)["defined"] is False
 
 
 def test_measure_wigner_on_fock3(tmp_path, capsys):

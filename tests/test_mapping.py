@@ -14,11 +14,12 @@ from macrosize import (
     make_mixed_cat,
     make_spin_coherent,
     mapping_fidelity,
+    mean_and_covariance,
+    n_eff,
     verify_disentangling_identity,
     verify_operator_map,
 )
 from macrosize.mapping import (
-    absorb_density,
     block_hamiltonian,
     exact_propagate,
     joint_from_photonic,
@@ -150,9 +151,24 @@ def test_disentangling_identity_exact():
 
 def test_absorb_density_keeps_trace():
     rho = make_mixed_cat(1.5, 0.5)
-    out = absorb_density(rho, 120)
+    out = approx_absorb(rho, 120)
     assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-10)
     assert out.basis.M == 120
+
+
+@pytest.mark.parametrize("N, M", [(1, 4), (3, 40), (8, 1600), (64, 12800)])
+def test_absorbed_fock_n_eff_closed_form(N, M):
+    # Var Jx on |M,N> is C+(N)^2 + C+(N-1)^2 = (N+1)(M-N) + N(M-N+1)
+    got = n_eff(approx_absorb(make_fock(N, cutoff=N), M)).value
+    assert got == pytest.approx(2 * N + 1 - 2 * N**2 / M, rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha, M", [(1.3, 400), (2.0 + 1.0j, 4000)])
+def test_absorbed_coherent_jz_moments(alpha, M):
+    # Jz = -M + 2k reads the Poisson photon number: mean |alpha|^2, variance |alpha|^2
+    mu, cov = mean_and_covariance(approx_absorb(make_coherent(alpha), M))
+    assert mu[2] == pytest.approx(-M + 2 * abs(alpha) ** 2, abs=1e-9)
+    assert cov[2, 2] == pytest.approx(4 * abs(alpha) ** 2, rel=1e-8)  # cutoff tail ~1e-11
 
 
 def test_embedded_coherent_approaches_spin_coherent():

@@ -45,7 +45,7 @@ from macrosize import (
 )
 from macrosize.scaling import absorb_pair
 from macrosize.symcore import FockBasis, PhotonicState, RegimeWarning, collective_xyz
-from macrosize.mapping import absorb_density
+from macrosize.mapping import approx_absorb
 from macrosize.measures import (
     LAYER_TAIL_TOL,
     ROUNDING_FLOOR,
@@ -538,7 +538,7 @@ def test_degenerate_superposition_raises():
 def test_mixed_cat_closed_forms():
     a2, M = 4.0, 1600  # embedding defect is O(alpha^4/M), keep it ~1%
     for d in (0.25, 0.5, 1.0):
-        rho = absorb_density(make_mixed_cat(np.sqrt(a2), d), M)
+        rho = approx_absorb(make_mixed_cat(np.sqrt(a2), d), M)
         assert n_eff(rho).value == pytest.approx(4 * d**2 * a2 + 1, rel=0.02)
         want_i = a2 * d**2 + (1 + d**2) / 4
         assert wigner_I_spin(rho).value == pytest.approx(want_i, rel=0.02)

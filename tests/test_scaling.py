@@ -210,6 +210,14 @@ def test_table1_grid_structure(small_report):
     assert flagged.exponent is not None
 
 
+def test_c_delta_fock_superposition_holds_to_n_256():
+    # the group states at M = 51200 kept their unit trace only once the split
+    # stopped differencing log-gamma values of size ~5e5
+    res = sweep(StateFamily(FamilyId.FOCK_SUPERPOSITION, (32, 64, 128, 256)), "c-delta")
+    assert all(p.defined for p in res.points)
+    assert classify(res.fit) == "O(N)"
+
+
 def test_table1_builds_each_family_state_once(small_run):
     # 4 families x 4 ladder points, plus the 4-point M sweep of one cell
     _, builds = small_run

@@ -1,6 +1,7 @@
 """State factories: amplitude laws, parity structure, truncation discipline."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from macrosize import (
     state_from_dict,
     state_to_dict,
 )
-from macrosize.symcore import DickeBasis, FockBasis, PhotonicState, SymState, log_binomial
+from macrosize.symcore import DickeBasis, FockBasis, PhotonicState, SymState
 
 
 def poisson_amps(alpha, cutoff):
@@ -117,12 +118,16 @@ def test_spin_coherent_binomial_law():
 @pytest.mark.parametrize("M, K", [(1600, 60), (12800, 300), (25600, 540)])
 @pytest.mark.parametrize("alpha", [2.0, 1.5 - 0.7j])
 def test_spin_coherent_matches_scalar_log_binomials(M, K, alpha):
-    # reference: the per-label log_binomial loop the vectorised form replaced
+    # reference from exact integers: with p = a/b = |alpha|^2/M, the weight of
+    # label k is C(M,k) a^k (b-a)^(K-k), each rounded once to float
+    a, b = (abs(alpha) ** 2 / M).as_integer_ratio()
+    weights = [math.comb(M, k) * a**k * (b - a) ** (K - k) for k in range(K + 1)]
+    total = sum(weights)
     k = np.arange(K + 1)
-    logmag = np.array([0.5 * log_binomial(M, int(kk)) for kk in k])
-    logmag += 0.5 * (M - k) * np.log1p(-abs(alpha) ** 2 / M) + k * np.log(abs(alpha) / np.sqrt(M))
-    amps = np.exp(logmag) * np.exp(1j * k * (np.angle(alpha) - np.pi / 2.0))
-    assert np.array_equal(make_spin_coherent(alpha, M, K).amps, amps / np.linalg.norm(amps))
+    mags = np.sqrt([w / total for w in weights])
+    want = mags * np.exp(1j * k * (np.angle(alpha) - np.pi / 2.0))
+    got = make_spin_coherent(alpha, M, K).amps
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_spin_coherent_rejects_cutoff_above_m():

@@ -1,5 +1,7 @@
 """Basis objects, collective operators, and the dense linear algebra helpers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from macrosize.symcore import (
     collective_apply,
     collective_xyz,
     default_spin_truncation,
+    log_binomials,
     raising_coefficients,
     rotate_state,
     self_adjoint_eig,
@@ -64,6 +67,26 @@ def test_density_op_guards():
     m[0, 0] = 1.0
     with pytest.raises(ContractViolation):
         DensityOp(b, m)  # not Hermitian
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 100_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example((100_000, 50_000))
+@example((7, 7))
+def test_log_binomials_match_exact_integers(nK):
+    n, K = nK
+    row = log_binomials(n, K)
+    assert row.shape == (K + 1,)
+    for k in (K // 2, K):
+        want = math.log(math.comb(n, k))
+        assert abs(row[k] - want) <= 1e-12 * want
+
+
+def test_log_binomials_contract():
+    assert np.array_equal(log_binomials(0, 0), [0.0])
+    for n, K in ((5, 6), (5, -1)):
+        with pytest.raises(ContractViolation, match="0 <= K <= n"):
+            log_binomials(n, K)
 
 
 def test_raising_coefficients_law():
