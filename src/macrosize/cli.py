@@ -2,9 +2,10 @@
 mapping, and produce scaling sweeps and the classification table.
 
 Exit codes: 0 success, 2 input error, 3 measure undefined for the input,
-4 numerical-tolerance failure. Outputs are deterministic: floats carry 12
-significant digits and every document embeds {tool, version, configHash,
-seed}.
+4 numerical-tolerance failure. Outputs are deterministic: reports carry
+floats to 12 significant digits, state and pair files to every digit (so a
+file reads back as the state that was written), and every document embeds
+{tool, version, configHash, seed}.
 """
 
 from __future__ import annotations
@@ -81,28 +82,32 @@ class Config:
         }
 
 
-def _jsonable(obj):
-    """Round floats to 12 significant digits; map non-finite to null."""
+def _jsonable(obj, exact: bool = False):
+    """Round floats to 12 significant digits, or keep them whole if `exact`;
+    map non-finite to null."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.12g}") if np.isfinite(obj) else None
+        if not np.isfinite(obj):
+            return None
+        return float(obj) if exact else float(f"{obj:.12g}")
     if isinstance(obj, (int, str)) or obj is None:
         return obj
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, exact) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, exact) for v in obj]
     if isinstance(obj, complex):
-        return [_jsonable(obj.real), _jsonable(obj.imag)]
+        return [_jsonable(obj.real, exact), _jsonable(obj.imag, exact)]
     if isinstance(obj, np.generic):
-        return _jsonable(obj.item())
+        return _jsonable(obj.item(), exact)
     return str(obj)
 
 
-def _json_text(doc: dict) -> str:
-    """The JSON text of every document, on stdout and in files."""
-    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+def _json_text(doc: dict, exact: bool = False) -> str:
+    """The JSON text of every document: reports on stdout and in files at 12
+    significant digits, state and pair files (`exact`) at every digit."""
+    return json.dumps(_jsonable(doc, exact), indent=2, sort_keys=True) + "\n"
 
 
 def _write(path: str, text: str):
@@ -190,7 +195,7 @@ def cmd_state(args, cfg: Config) -> int:
         doc = {"header": cfg.header(), "state": state_to_dict(state)}
         summary = {"header": cfg.header(), **_state_summary(state)}
     if args.out:
-        _write(args.out, _json_text(doc))
+        _write(args.out, _json_text(doc, exact=True))
         summary["out"] = args.out
     sys.stdout.write(_json_text(summary))
     return 0
@@ -224,12 +229,14 @@ def cmd_measure(args, cfg: Config) -> int:
 
 def cmd_absorb(args, cfg: Config) -> int:
     single, pair = _load_states([args.file])
-    if pair is not None or not isinstance(single, PhotonicState):
-        raise ContractViolation("absorb takes one single-mode photonic state file")
+    if pair is not None:
+        raise ContractViolation("absorb takes one single-mode photonic state file, got a pair")
     if args.mode == "approx":
         spin = approx_absorb(single, args.M, args.K)
         info = {"mode": "approx", "M": args.M, "K": spin.basis.K}
     else:
+        if not isinstance(single, PhotonicState):
+            raise ContractViolation("exact absorption takes a pure photonic state")
         spin, report = exact_absorb(single, args.M, args.K, args.g)
         info = {
             "mode": "exact",
@@ -242,7 +249,7 @@ def cmd_absorb(args, cfg: Config) -> int:
     doc = {"header": cfg.header(), "state": state_to_dict(spin), "absorb": info}
     summary = {"header": cfg.header(), **info, **_state_summary(spin)}
     if args.out:
-        _write(args.out, _json_text(doc))
+        _write(args.out, _json_text(doc, exact=True))
         summary["out"] = args.out
     sys.stdout.write(_json_text(summary))
     return 0

@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
 
 from .symcore import (
     ContractViolation,
@@ -95,6 +94,8 @@ def _block_eigs(energies, M: int, K: int) -> dict[int, tuple[np.ndarray, np.ndar
     link separate OpenBLAS builds, and alternating between the two leaves the
     threads of one spinning against the work of the other.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     eigs = {}
     for E in energies:
         off = _block_offdiag(E, M, K)
@@ -254,6 +255,8 @@ def verify_disentangling_identity(j: float, lam: float) -> float:
     on the spin-j representation, where S3 = [S+, S-] obeys [S3, S+-] = +-2 S+-.
     Returned relative to ||LHS||_F because the matrices grow like e^{2 j lam}.
     """
+    from scipy.linalg import expm
+
     sp = _spin_j_raising(j)
     sm = sp.conj().T
     s3 = sp @ sm - sm @ sp

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfinv, ndtr
 
 from .entanglement import helstrom_ps, reduced_group_state
 from .symcore import (
@@ -659,6 +658,8 @@ def check_p_g(p_g: float) -> None:
 
 def size_prefactor(p_g: float) -> float:
     """2 sqrt(2) erfinv(2 P_g - 1): rescales the critical width to a size."""
+    from scipy.special import erfinv
+
     check_p_g(p_g)
     return float(2.0 * np.sqrt(2.0) * erfinv(2.0 * p_g - 1.0))
 
@@ -689,6 +690,8 @@ def _curvature_sup(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
 
 def _mass_between(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """ndtr(tb) - ndtr(ta), taken in the lower tail so that it does not cancel."""
+    from scipy.special import ndtr
+
     right = ta > 0.0
     return ndtr(np.where(right, -ta, tb)) - ndtr(np.where(right, -tb, ta))
 
@@ -765,6 +768,8 @@ def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> float:
     Each root is the low end of its bisected bracket. At sigma = 0 the
     masses do not overlap and the norm is sum_j |w_j|.
     """
+    from scipy.special import ndtr
+
     if sigma == 0.0 or len(y) == 0:
         return float(np.abs(w).sum())
     roots = _root_brackets(y, w, sigma)[3]
@@ -785,6 +790,8 @@ def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
     could add, to B, to the weight and to f, which _smeared leaves them out
     of.
     """
+    from scipy.special import ndtr
+
     aw = np.abs(w)
     start = np.flatnonzero(np.diff(np.floor((y - y[0]) / (0.125 * sigma)), prepend=-1.0))
     pooled = np.add.reduceat(aw, start)
@@ -813,6 +820,8 @@ def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float) -> float:
     close root pairs missed inside one grid cell. Rounding in the sums
     themselves is not covered.
     """
+    from scipy.special import ndtr
+
     if sigma == 0.0 or len(y) == 0:
         return 0.0
     x, fx, s, lo, hi = _root_brackets(y, w, sigma)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .mapping import absorption_cutoff, approx_absorb
 from .measures import (
@@ -261,6 +261,44 @@ class ScalingFit:
             raise ContractViolation("fit needs finite exponent and ci95 >= 0")
 
 
+def _t975(dof: int) -> float:
+    """The 0.975 quantile of Student's t with an integer number of degrees of freedom.
+
+    Newton's method on the two-sided tail P(|T| > t) = 0.05, with
+    theta = atan(t / sqrt(dof)) and the finite cosine series of Abramowitz &
+    Stegun 26.7.3 (odd dof) and 26.7.4 (even dof) for P(|T| < t). The tail is
+    summed as such, so at dof = 1 and 2 it is the closed form with no 1 - 0.95
+    cancellation. It is convex and decreasing in t, so the steps climb from
+    the normal quantile to the root; the first that does not climb by more
+    than rounding ends the search.
+    """
+    root = math.sqrt(dof)
+    # ln of the density's constant Gamma((dof + 1)/2) / (Gamma(dof/2) sqrt(dof pi))
+    log_norm = math.lgamma(0.5 * (dof + 1)) - math.lgamma(0.5 * dof) - 0.5 * math.log(dof * math.pi)
+    t = 1.959963984540054
+    for _ in range(100):
+        r = math.hypot(root, t)
+        sin, cos = t / r, root / r
+        if dof % 2:
+            term, series = sin * cos, 0.0
+            for k in range(1, (dof - 1) // 2 + 1):
+                series += term
+                term *= cos * cos * (2 * k) / (2 * k + 1)
+            tail = 2.0 / math.pi * (math.atan2(root, t) - series)
+        else:
+            term, series = sin, 0.0
+            for k in range(1, dof // 2):
+                term *= cos * cos * (2 * k - 1) / (2 * k)
+                series += term
+            tail = cos * cos / (1.0 + sin) - series
+        density = math.exp(log_norm - 0.5 * (dof + 1) * math.log1p(t * t / dof))
+        step = (tail - 0.05) / (2.0 * density)
+        t += step
+        if step < 1e-15 * t:
+            break
+    return t
+
+
 def fit_exponent(points: list[tuple[float, float]]) -> ScalingFit:
     """OLS slope of ln(value) against ln(size), ci95 from the t-quantile.
 
@@ -289,7 +327,7 @@ def fit_exponent(points: list[tuple[float, float]]) -> ScalingFit:
     ssr = float(np.sum((y - intercept - slope * x) ** 2))
     dof = n - 2
     s2 = ssr / dof
-    ci95 = float(stdtrit(dof, 0.975) * np.sqrt(s2 / sxx))
+    ci95 = float(_t975(dof) * np.sqrt(s2 / sxx))
     return ScalingFit(slope, intercept, ci95, float(np.sqrt(s2)))
 
 

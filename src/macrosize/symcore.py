@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 NORM_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -202,6 +201,8 @@ class DensityOp(_Populations):
 
 def log_factorial(n) -> np.ndarray:
     """ln n!, elementwise, as log-gamma."""
+    from scipy.special import gammaln
+
     return gammaln(n + 1.0)
 
 

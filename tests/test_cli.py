@@ -1,5 +1,6 @@
 """Command-line interface: documented examples, exit codes, file formats."""
 
+import ast
 import json
 import os
 import subprocess
@@ -15,7 +16,8 @@ from macrosize.cli import _jsonable, _load_states, main
 from macrosize.mapping import approx_absorb
 from macrosize.measures import MEASURES, n_eff
 from macrosize.scaling import absorb_pair, branch_pair
-from macrosize.states import state_to_dict
+from macrosize.states import make_coherent, make_even_cat, make_odd_cat
+from macrosize.symcore import DensityOp
 
 
 def run(capsys, *argv):
@@ -116,8 +118,8 @@ def test_pair_file_flow(tmp_path, capsys):
     ],
 )
 def test_pair_file_reads_back_as_written(name, params, tmp_path, capsys):
-    # the file holds each branch at the documents' 12 significant digits, and
-    # reading it back reproduces exactly those values
+    # the file holds each branch to every digit, and reading it back
+    # reproduces the branches built in memory bit for bit
     f = tmp_path / "pair.json"
     flags = [tok for key, value in params.items() for tok in (f"--{key}", str(value))]
     code, _, _ = run(capsys, "state", "--name", name, *flags, "--pair", "--out", str(f))
@@ -127,11 +129,57 @@ def test_pair_file_reads_back_as_written(name, params, tmp_path, capsys):
     _, back = _load_states([str(f)])
     for got, want in ((back.psi0, mem.psi0), (back.psi1, mem.psi1)):
         assert type(got) is type(want) and got.basis == want.basis
-        assert state_to_dict(got) == _jsonable(state_to_dict(want))
+        assert got.amps.tobytes() == want.amps.tobytes()
     code, out, _ = run(capsys, "measure", "m2", str(f), "--M", "200")
     assert code == 0
     spin = mem if mem.is_spin else absorb_pair(mem, 200)[0]
-    assert load(out)["value"] == pytest.approx(MEASURES["m2"].evaluate(spin).value, rel=1e-9)
+    assert load(out)["value"] == _jsonable(MEASURES["m2"].evaluate(spin).value)
+
+
+@pytest.mark.parametrize(
+    "name, factory",
+    [("coherent", make_coherent), ("even-cat", make_even_cat), ("odd-cat", make_odd_cat)],
+)
+def test_state_file_reads_back_bit_identical(name, factory, tmp_path, capsys):
+    f = tmp_path / "state.json"
+    code, _, _ = run(capsys, "state", "--name", name, "--alpha", "1.5", "--out", str(f))
+    assert code == 0
+    back, _ = _load_states([str(f)])
+    # --alpha is parsed as a complex amplitude
+    assert back.amps.tobytes() == factory(1.5 + 0j).amps.tobytes()
+
+
+def test_absorb_exact_from_file_matches_verify_mapping(tmp_path, capsys):
+    # the file carries the coherent state whole, so the exact map sees the
+    # same amplitudes as verify-mapping's in-memory state
+    f = tmp_path / "coh.json"
+    run(capsys, "state", "--name", "coherent", "--alpha", "1.5", "--out", str(f))
+    code, out, _ = run(capsys, "absorb", str(f), "--M", "200", "--mode", "exact")
+    assert code == 0
+    from_file = load(out)["residualPhotonPopulation"]
+    code, out, _ = run(capsys, "verify-mapping", "--alpha", "1.5", "--M", "200", "--K", "8")
+    assert code == 0
+    assert from_file == load(out)["residualPhotonPopulation"]
+
+
+def test_absorb_approx_maps_mixed_input(tmp_path, capsys):
+    src, dst = tmp_path / "mixed.json", tmp_path / "spin.json"
+    run(capsys, "state", "--name", "mixed-cat", "--alpha", "1.5", "--d", "0.5", "--out", str(src))
+    code, out, _ = run(capsys, "absorb", str(src), "--M", "200", "--out", str(dst))
+    assert code == 0
+    assert load(out)["trace"] == pytest.approx(1.0, abs=1e-12)
+    rho, _ = _load_states([str(src)])
+    spin, _ = _load_states([str(dst)])
+    assert isinstance(spin, DensityOp)
+    assert spin.matrix.tobytes() == approx_absorb(rho, 200).matrix.tobytes()
+
+
+def test_absorb_exact_rejects_mixed_input(tmp_path, capsys):
+    f = tmp_path / "mixed.json"
+    run(capsys, "state", "--name", "mixed-cat", "--alpha", "1.5", "--d", "0.5", "--out", str(f))
+    code, out, err = run(capsys, "absorb", str(f), "--M", "200", "--mode", "exact")
+    assert code == 2 and out == ""
+    assert "exact absorption takes a pure" in err
 
 
 def test_absorb_approx_structure(tmp_path, capsys):
@@ -157,7 +205,7 @@ def test_absorb_exact_reports_fidelity(tmp_path, capsys):
 
 def test_absorb_exact_propagates_once(tmp_path, capsys, monkeypatch):
     # one propagation gives both the output state and its fidelity, pinned at
-    # the printed 12 significant digits
+    # the printed 12 significant digits of the in-memory coherent state
     calls = []
     propagate = macrosize.mapping.exact_propagate
 
@@ -173,7 +221,7 @@ def test_absorb_exact_propagates_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     doc = load(out)
     assert doc["K"] == 40
-    assert doc["fidelityVsApprox"] == 0.732710822171
+    assert doc["fidelityVsApprox"] == 0.73271082217
     assert doc["residualPhotonPopulation"] == 0.259120584843
     assert doc["meanExcitation"] == 1.94558733669
     # every block E <= cutoff <= K has dimension E + 1, so K leaves the fidelity
@@ -358,14 +406,71 @@ def _package_env() -> dict:
     return env
 
 
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_cli_import_leaves_heavy_scipy_unloaded():
-    heavy = ("scipy.optimize", "scipy.signal", "scipy.stats")
-    code = f"import sys, macrosize.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # no scipy module at all: each kernel imports the submodule it calls
+    code = (
+        f"import sys; import macrosize; package = {_SCIPY_LOADED}; "
+        f"import macrosize.cli; print(package, {_SCIPY_LOADED})"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--name", "fock-superposition", "--N", "4", "--pair"],
+        ["measure", "c-delta", "PAIR", "--M", "300"],
+        ["sweep", "fock-superposition", "n-eff", "--ladder", "2,4,8,16"],
+    ],
+    ids=["state-pair", "c-delta", "sweep-n-eff"],
+)
+def test_scipy_free_commands_load_no_scipy(argv, tmp_path):
+    f = tmp_path / "cat_pair.json"
+    main(["state", "--name", "even-cat", "--alpha", "1.5", "--pair", "--out", str(f)])
+    argv = [str(f) if tok == "PAIR" else tok for tok in argv]
+    code = (
+        "import sys; from macrosize.cli import main; code = main(%r); "
+        "print(%s); sys.exit(code)" % (argv, _SCIPY_LOADED)
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def _import_time_imports(tree: ast.Module):
+    """Import statements run when the module is imported: all but those in
+    function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_import():
+    sources = sorted(Path(macrosize.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    found = [
+        f"{src.name}: {name}"
+        for src in sources
+        for name in _import_time_imports(ast.parse(src.read_text()))
+        if name.split(".")[0] == "scipy"
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("channel", ["photon-count", "homodyne"])

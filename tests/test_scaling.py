@@ -1,5 +1,6 @@
 """Size ladders, exponent fits, and the classification grid."""
 
+import math
 import re
 from collections import Counter
 
@@ -99,6 +100,22 @@ def test_fit_exponent_input_guards():
     fit = fit_exponent([(1, 0.0), (2, 0.0), (4, 0.0), (8, 0.0)])
     assert not fit.defined
     assert fit.note == "exponent undefined, values ~ 0"
+
+
+def test_t_quantile_matches_scipy():
+    from scipy.special import stdtrit
+
+    dofs = np.arange(1, 401)
+    ours = np.array([scaling._t975(int(dof)) for dof in dofs])
+    np.testing.assert_allclose(ours, stdtrit(dofs, 0.975), rtol=1e-13, atol=0.0)
+
+
+def test_t_quantile_closed_forms():
+    # dof = 1 is Cauchy, tan(0.475 pi); dof = 2 solves t / sqrt(2 + t^2) = 0.95
+    assert scaling._t975(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-15, abs=0.0)
+    assert scaling._t975(2) == pytest.approx(
+        0.95 / math.sqrt(2 * 0.975 * 0.025), rel=1e-15, abs=0.0
+    )
 
 
 def test_state_family_ladder_guards():
@@ -216,6 +233,14 @@ def test_c_delta_fock_superposition_holds_to_n_256():
     res = sweep(StateFamily(FamilyId.FOCK_SUPERPOSITION, (32, 64, 128, 256)), "c-delta")
     assert all(p.defined for p in res.points)
     assert classify(res.fit) == "O(N)"
+
+
+def test_table1_long_ladder_has_no_error_cell():
+    # the whole table to N = 256, M = 51200; its one flag is the paper's
+    report = table1((8, 16, 32, 64, 128, 256))
+    assert [c for c in report.cells if c.classification == "error"] == []
+    flags = {(c.measure_id, c.family_id.value): c.flag for c in report.cells if c.flag}
+    assert flags == {("size-pg", "even-cat"): "paper-discrepancy"}
 
 
 def test_table1_builds_each_family_state_once(small_run):
