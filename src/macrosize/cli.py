@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -46,8 +47,19 @@ from .scaling import (
     sweep_fixed_excitation,
     table1,
 )
-from .states import StateSpec, state_from_dict, state_to_dict
+from .states import (
+    STATE_PARAMS,
+    STATES,
+    _as_complex,
+    build_state,
+    make_coherent,
+    state_from_dict,
+    state_to_dict,
+)
 from .symcore import ContractViolation, DensityOp, FockBasis, PhotonicState, TruncationError
+
+
+DISENTANGLING_LAMBDA = 1.2  # verify-mapping --jmax without --lam
 
 
 class UndefinedForInput(Exception):
@@ -139,13 +151,6 @@ def _load_states(paths: list[str]):
     raise ContractViolation("give one state file, one pair file, or two state files")
 
 
-def _parse_alpha(text: str) -> complex:
-    try:
-        return complex(text)
-    except ValueError as exc:
-        raise ContractViolation(f"cannot parse amplitude {text!r}") from exc
-
-
 def _parse_ladder(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -166,32 +171,15 @@ def _state_summary(s) -> dict:
 
 
 def cmd_state(args, cfg: Config) -> int:
-    params = {
-        key: getattr(args, key)
-        for key in ("N", "alpha", "d", "M", "k", "K", "cutoff")
-        if getattr(args, key) is not None
-    }
-    if "alpha" in params:
-        params["alpha"] = _parse_alpha(params["alpha"])
+    params = {key: getattr(args, key) for key in STATE_PARAMS if getattr(args, key) is not None}
     if args.pair:
-        pair = branch_pair(
-            args.name,
-            alpha=params.get("alpha"),
-            N=params.get("N"),
-            M=params.get("M"),
-            cutoff=params.get("cutoff"),
-        )
-        doc = {
-            "header": cfg.header(),
-            "pair": [state_to_dict(pair.psi0), state_to_dict(pair.psi1)],
-        }
-        summary = {
-            "header": cfg.header(),
-            "pair": [_state_summary(pair.psi0), _state_summary(pair.psi1)],
-            "overlap": pair.overlap,
-        }
+        pair = branch_pair(args.name, **params)
+        branches = (pair.psi0, pair.psi1)
+        doc = {"header": cfg.header(), "pair": [state_to_dict(b) for b in branches]}
+        summary = {"header": cfg.header(), "pair": [_state_summary(b) for b in branches]}
+        summary["overlap"] = pair.overlap
     else:
-        state = StateSpec(args.name, params).build()
+        state = build_state(args.name, **params)
         doc = {"header": cfg.header(), "state": state_to_dict(state)}
         summary = {"header": cfg.header(), **_state_summary(state)}
     if args.out:
@@ -201,11 +189,27 @@ def cmd_state(args, cfg: Config) -> int:
     return 0
 
 
+def _measure_params(args):
+    """The MEASURES entry of args.measure and its delta and p_g, defaults where unset;
+    a flag that is set (not None) must name a parameter of the entry's evaluate."""
+    spec = MEASURES.get(args.measure)
+    if spec is None:
+        raise ContractViolation(f"unknown measure {args.measure!r}")
+    reads = inspect.signature(spec.evaluate).parameters
+    for flag, key in (("--delta", "delta"), ("--pg", "p_g"), ("--channel", "channel")):
+        if getattr(args, key, None) is not None and key not in reads:
+            raise ContractViolation(f"{args.measure} does not read {flag}")
+    return spec, {
+        "delta": DEFAULT_DELTA if args.delta is None else args.delta,
+        "p_g": DEFAULT_P_G if args.p_g is None else args.p_g,
+    }
+
+
 def cmd_measure(args, cfg: Config) -> int:
     mid = args.measure
-    spec = MEASURES.get(mid)
-    if spec is None:
-        raise ContractViolation(f"unknown measure {mid!r}")
+    spec, params = _measure_params(args)
+    if args.angle is not None and args.channel != "homodyne":
+        raise ContractViolation("--angle needs --channel homodyne")
     single, pair = _load_states(args.files)
     if spec.domain == "spin" and args.M is not None:
         if single is not None and isinstance(single.basis, FockBasis):
@@ -216,13 +220,9 @@ def cmd_measure(args, cfg: Config) -> int:
         raise UndefinedForInput(f"{mid} needs a branch pair, got a single state")
     if not spec.pair and single is None:
         raise ContractViolation(f"{mid} takes a single state, got a pair")
-    channel = Homodyne(args.angle) if args.channel == "homodyne" else PhotonCount()
-    result = spec.evaluate(
-        pair if spec.pair else single,
-        delta=args.delta,
-        p_g=args.pg,
-        channel=channel,
-    )
+    angle = 0.0 if args.angle is None else args.angle
+    params["channel"] = Homodyne(angle) if args.channel == "homodyne" else PhotonCount()
+    result = spec.evaluate(pair if spec.pair else single, **params)
     sys.stdout.write(_json_text({"header": cfg.header(), **result.to_dict()}))
     return 0 if result.defined else 3
 
@@ -232,17 +232,20 @@ def cmd_absorb(args, cfg: Config) -> int:
     if pair is not None:
         raise ContractViolation("absorb takes one single-mode photonic state file, got a pair")
     if args.mode == "approx":
+        if args.g is not None:
+            raise ContractViolation("--g sets the exact dynamics; it needs --mode exact")
         spin = approx_absorb(single, args.M, args.K)
         info = {"mode": "approx", "M": args.M, "K": spin.basis.K}
     else:
         if not isinstance(single, PhotonicState):
             raise ContractViolation("exact absorption takes a pure photonic state")
-        spin, report = exact_absorb(single, args.M, args.K, args.g)
+        g = ABSORPTION_PHASE if args.g is None else args.g
+        spin, report = exact_absorb(single, args.M, args.K, g)
         info = {
             "mode": "exact",
             "M": args.M,
             "K": spin.basis.K,
-            "g": args.g,
+            "g": g,
             "fidelityVsApprox": report.fidelity,
             "residualPhotonPopulation": report.residual_photon_population,
         }
@@ -305,16 +308,14 @@ def cmd_sweep(args, cfg: Config) -> int:
     fid = FamilyId(args.family)
     if args.m_ladder is not None and args.fixed_N is None:
         raise ContractViolation("--m-ladder needs --fixed-N")
+    _, params = _measure_params(args)
     if args.fixed_N is not None:
         m_ladder = _parse_ladder(args.m_ladder) if args.m_ladder else DEFAULT_M_LADDER
-        res = sweep_fixed_excitation(
-            fid, args.measure, N=args.fixed_N, m_ladder=m_ladder,
-            delta=args.delta, p_g=args.pg,
-        )
+        res = sweep_fixed_excitation(fid, args.measure, N=args.fixed_N, m_ladder=m_ladder, **params)
     else:
         ladder = _parse_ladder(args.ladder) if args.ladder else DEFAULT_LADDER
         family = StateFamily(fid, ladder, lambda n: cfg.spin_factor * n)
-        res = sweep(family, args.measure, delta=args.delta, p_g=args.pg)
+        res = sweep(family, args.measure, **params)
     if args.out:
         _write(args.out, _header_comment(cfg) + res.points_csv())
     fit = res.fit
@@ -347,19 +348,20 @@ def cmd_verify_mapping(args, cfg: Config) -> int:
     doc["operatorMapDeviation"] = dev
     doc["deviationTimesM"] = dev * args.M
     if args.alpha is not None:
-        rep = mapping_fidelity(
-            StateSpec("coherent", {"alpha": _parse_alpha(args.alpha)}).build(), args.M, g=args.g
-        )
+        rep = mapping_fidelity(make_coherent(_as_complex(args.alpha)), args.M, g=args.g)
         doc["fidelityVsApprox"] = rep.fidelity
         doc["residualPhotonPopulation"] = rep.residual_photon_population
+    if args.lam is not None and args.jmax is None:
+        raise ContractViolation("--lam sets the disentangling check; it needs --jmax")
     if args.jmax is not None:
+        lam = DISENTANGLING_LAMBDA if args.lam is None else args.lam
         worst = 0.0
         j = 0.5
         while j <= args.jmax + 1e-9:
-            worst = max(worst, verify_disentangling_identity(j, args.lam))
+            worst = max(worst, verify_disentangling_identity(j, lam))
             j += 0.5
         doc["disentanglingWorstDeviation"] = worst
-        doc["disentanglingLambda"] = args.lam
+        doc["disentanglingLambda"] = lam
     sys.stdout.write(_json_text(doc))
     if args.max_deviation is not None and dev > args.max_deviation:
         raise ToleranceFailure(
@@ -374,18 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Effective-size measures for macroscopic photonic/spin superpositions.",
     )
     p.add_argument("--seed", type=int, default=7, help="recorded in output headers")
-    p.add_argument("--spin-factor", type=int, default=200, help="default M(N) = factor*N")
+    p.add_argument("--spin-factor", type=int, help="M = factor*N (table1, sweep --ladder; default 200)")
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("state", help="build a named state (or its branch pair)")
-    ps.add_argument("--name", required=True, choices=StateSpec._NAMES)
-    ps.add_argument("--N", type=int)
-    ps.add_argument("--alpha")
-    ps.add_argument("--d", type=float)
-    ps.add_argument("--M", type=int)
-    ps.add_argument("--k", type=int)
-    ps.add_argument("--K", type=int)
-    ps.add_argument("--cutoff", type=int)
+    ps.add_argument("--name", required=True, choices=STATES)
+    for key in STATE_PARAMS:
+        ps.add_argument(f"--{key}")
     ps.add_argument("--pair", action="store_true", help="emit the branch pair file")
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_state)
@@ -393,10 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("measure", help="evaluate one measure on a state or pair")
     pm.add_argument("measure")
     pm.add_argument("files", nargs="+")
-    pm.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    pm.add_argument("--pg", type=float, default=DEFAULT_P_G)
-    pm.add_argument("--channel", choices=["photon-count", "homodyne"], default="photon-count")
-    pm.add_argument("--angle", type=float, default=0.0)
+    pm.add_argument("--delta", type=float, help="c-delta only")
+    pm.add_argument("--pg", dest="p_g", type=float, help="size-pg only")
+    pm.add_argument("--channel", choices=["photon-count", "homodyne"], help="size-pg only")
+    pm.add_argument("--angle", type=float, help="with --channel homodyne")
     pm.add_argument("--M", type=int, help="absorb photonic input into M spins first")
     pm.set_defaults(func=cmd_measure)
 
@@ -404,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("file")
     pa.add_argument("--M", type=int, required=True)
     pa.add_argument("--mode", choices=["approx", "exact"], default="approx")
-    pa.add_argument("--g", type=float, default=ABSORPTION_PHASE)
+    pa.add_argument("--g", type=float, help="with --mode exact (default pi/2)")
     pa.add_argument("--K", type=int)
     pa.add_argument("--out")
     pa.set_defaults(func=cmd_absorb)
@@ -425,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     along.add_argument("--ladder", help="comma-separated N values")
     along.add_argument("--fixed-N", type=int, help="sweep M at this fixed N instead")
     pw.add_argument("--m-ladder", help="comma-separated M values (with --fixed-N)")
-    pw.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    pw.add_argument("--pg", type=float, default=DEFAULT_P_G)
+    pw.add_argument("--delta", type=float, help="c-delta only")
+    pw.add_argument("--pg", dest="p_g", type=float, help="size-pg only")
     pw.add_argument("--out")
     pw.set_defaults(func=cmd_sweep)
 
@@ -436,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--g", type=float, default=ABSORPTION_PHASE)
     pv.add_argument("--alpha", help="also report exact-vs-approx fidelity for this coherent state")
     pv.add_argument("--jmax", type=float, help="also verify the disentangling identity up to this j")
-    pv.add_argument("--lam", type=float, default=1.2)
+    pv.add_argument("--lam", type=float, help=f"with --jmax (default {DISENTANGLING_LAMBDA})")
     pv.add_argument("--max-deviation", type=float, help="exit 4 if the operator-map deviation exceeds this")
     pv.set_defaults(func=cmd_verify_mapping)
     return p
@@ -446,7 +443,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config(spin_factor=args.spin_factor, seed=args.seed)
+        reads_factor = args.func is cmd_table1 or (args.func is cmd_sweep and args.fixed_N is None)
+        if args.spin_factor is not None and not reads_factor:
+            raise ContractViolation("--spin-factor is read only by table1 and sweep along --ladder")
+        cfg = Config(seed=args.seed) if args.spin_factor is None else Config(args.spin_factor, args.seed)
         return args.func(args, cfg)
     except UndefinedForInput as exc:
         print(f"undefined: {exc}", file=sys.stderr)

@@ -35,6 +35,7 @@ from .measures import (
     normalized_sum,
 )
 from .states import (
+    _build_named,
     displace,
     make_coherent,
     make_dicke,
@@ -67,27 +68,8 @@ def default_spin_rule(n: int) -> int:
 DEFAULT_LADDER = (8, 16, 32, 64)
 DEFAULT_M_LADDER = (1600, 3200, 6400, 12800)
 
-TABLE_ROWS = (
-    "m2",
-    "rel-fisher",
-    "c-delta",
-    "d-bar",
-    "size-pg",
-    "index-p",
-    "n-eff",
-    "i-wigner",
-)
-
-FAMILY_ORDER = (
-    FamilyId.EVEN_CAT,
-    FamilyId.DISPLACED_SINGLE_PHOTON,
-    FamilyId.FOCK_SUPERPOSITION,
-    FamilyId.FOCK,
-)
-
-# Published benchmark grid: rows in TABLE_ROWS order, columns in FAMILY_ORDER.
-BENCHMARK_TARGETS: dict[tuple[str, FamilyId], str] = {}
-for _row, _targets in {
+# Published benchmark grid: one row per table measure, columns in FAMILY_ORDER.
+_TARGETS = {
     "m2": ("O(N)", "O(1)", "O(1/M)", "n.d."),
     "rel-fisher": ("O(N)", "O(1)", "O(1)", "n.d."),
     "c-delta": ("O(N)", "O(1)", "O(N)", "n.d."),
@@ -96,9 +78,12 @@ for _row, _targets in {
     "index-p": ("O(N)", "O(1)", "O(N)", "O(N)"),
     "n-eff": ("O(N)", "O(1)", "O(N)", "O(N)"),
     "i-wigner": ("O(N)", "O(1)", "O(N)", "O(N)"),
-}.items():
-    for _fam, _t in zip(FAMILY_ORDER, _targets):
-        BENCHMARK_TARGETS[(_row, _fam)] = _t
+}
+TABLE_ROWS = tuple(_TARGETS)
+FAMILY_ORDER = tuple(FamilyId)
+BENCHMARK_TARGETS: dict[tuple[str, FamilyId], str] = {
+    (row, fam): t for row, targets in _TARGETS.items() for fam, t in zip(FAMILY_ORDER, targets)
+}
 
 # The homodyne-read cat size comes out ~sqrt(N) numerically although the
 # published grid lists O(N); the cell is emitted with this flag, never forced.
@@ -148,45 +133,48 @@ def absorb_pair(pair: SuperpositionPair, M: int) -> tuple[SuperpositionPair, int
     )
 
 
-def branch_pair(
-    name: str,
-    alpha: complex | None = None,
-    N: int | None = None,
-    M: int | None = None,
-    cutoff: int | None = None,
-) -> SuperpositionPair:
-    """Standard branch decomposition of a named superposition state.
+def _even_cat_pair(alpha: complex, cutoff: int | None = None) -> SuperpositionPair:
+    c = cutoff if cutoff is not None else make_even_cat(alpha).cutoff
+    return SuperpositionPair(make_coherent(alpha, cutoff=c), make_coherent(-alpha, cutoff=c))
 
-    The second branch carries the superposition's relative phase, so
-    normalized_sum(pair) reproduces the state itself.
-    """
-    if name == "even-cat":
-        if alpha is None:
-            raise ContractViolation("even-cat pair needs alpha")
-        c = cutoff if cutoff is not None else make_even_cat(alpha).cutoff
-        return SuperpositionPair(make_coherent(alpha, cutoff=c), make_coherent(-alpha, cutoff=c))
-    if name == "fock-superposition":
-        if N is None or N < 1:
-            raise ContractViolation("fock-superposition pair needs N >= 1")
-        c = cutoff if cutoff is not None else 2 * N + 2
-        return SuperpositionPair(make_fock(0, cutoff=c), make_fock(2 * N, cutoff=c))
-    if name == "displaced-single-photon":
-        if alpha is None:
-            raise ContractViolation("displaced-single-photon pair needs alpha")
-        c = cutoff if cutoff is not None else make_displaced_single_photon(alpha).cutoff
-        e01 = np.zeros(c + 1, dtype=np.complex128)
-        e01[0] = e01[1] = 1.0 / np.sqrt(2.0)
-        e0m1 = e01.copy()
-        e0m1[1] = -e0m1[1]
-        psi0 = displace(PhotonicState(FockBasis(c), e01, tail_tol=None), alpha)
-        dminus = displace(PhotonicState(FockBasis(c), e0m1, tail_tol=None), alpha)
-        psi1 = PhotonicState(dminus.basis, -dminus.amps, tail_tol=None)
-        return SuperpositionPair(psi0, psi1)
-    if name == "ghz":
-        if M is None or M < 1:
-            raise ContractViolation("ghz pair needs M >= 1")
-        return SuperpositionPair(make_dicke(M, 0, K=M), make_dicke(M, M, K=M))
-    raise ContractViolation(f"no standard branch pair for {name!r}")
+
+def _fock_superposition_pair(N: int, cutoff: int | None = None) -> SuperpositionPair:
+    if N < 1:
+        raise ContractViolation(f"fock-superposition pair needs N >= 1, got {N}")
+    c = cutoff if cutoff is not None else 2 * N + 2
+    return SuperpositionPair(make_fock(0, cutoff=c), make_fock(2 * N, cutoff=c))
+
+
+def _displaced_single_photon_pair(alpha: complex, cutoff: int | None = None) -> SuperpositionPair:
+    c = cutoff if cutoff is not None else make_displaced_single_photon(alpha).cutoff
+    e01 = np.zeros(c + 1, dtype=np.complex128)
+    e01[0] = e01[1] = 1.0 / np.sqrt(2.0)
+    e0m1 = e01.copy()
+    e0m1[1] = -e0m1[1]
+    psi0 = displace(PhotonicState(FockBasis(c), e01, tail_tol=None), alpha)
+    dminus = displace(PhotonicState(FockBasis(c), e0m1, tail_tol=None), alpha)
+    psi1 = PhotonicState(dminus.basis, -dminus.amps, tail_tol=None)
+    return SuperpositionPair(psi0, psi1)
+
+
+def _ghz_pair(M: int) -> SuperpositionPair:
+    if M < 1:
+        raise ContractViolation(f"ghz pair needs M >= 1, got {M}")
+    return SuperpositionPair(make_dicke(M, 0, K=M), make_dicke(M, M, K=M))
+
+
+PAIRS = {
+    "even-cat": _even_cat_pair,
+    "fock-superposition": _fock_superposition_pair,
+    "displaced-single-photon": _displaced_single_photon_pair,
+    "ghz": _ghz_pair,
+}
+
+
+def branch_pair(name: str, **params) -> SuperpositionPair:
+    """Standard branch decomposition of a named superposition state, from the
+    parameters its PAIRS builder takes; normalized_sum(pair) is the state itself."""
+    return _build_named("pair", PAIRS, name, params)
 
 
 def family_state(

@@ -1,9 +1,11 @@
 """Factories for the named photonic and spin states, the displacement
-operator, state specs, and the dict form of states used for JSON files."""
+operator, the table of named states, and the dict form of states used for
+JSON files."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+import numbers
 
 import numpy as np
 
@@ -213,47 +215,54 @@ def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> SymState
     return SymState(basis, amps)
 
 
-@dataclass(frozen=True)
-class StateSpec:
-    """Portable recipe {name, params} for the named factories."""
+def _as_complex(value) -> complex:
+    """An amplitude given as "1+1j", [re, im] or a number. A number is kept as
+    given, so a real alpha stays real: -(a + 0j) has a -0.0 imaginary part,
+    which moves the odd Fock amplitudes of |-alpha> at rounding level."""
+    if isinstance(value, numbers.Number):
+        return value
+    try:
+        return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"cannot parse amplitude {value!r}") from exc
 
-    name: str
-    params: dict = field(default_factory=dict)
 
-    _NAMES = (
-        "fock",
-        "coherent",
-        "even-cat",
-        "odd-cat",
-        "mixed-cat",
-        "fock-superposition",
-        "displaced-single-photon",
-        "ghz",
-        "dicke",
-        "spin-coherent",
-    )
+# Every parameter a named state or pair is built from, with its converter.
+STATE_PARAMS = {
+    "N": int, "alpha": _as_complex, "d": float, "M": int, "k": int, "K": int, "cutoff": int,
+}
 
-    def __post_init__(self):
-        if self.name not in self._NAMES:
-            raise ContractViolation(f"unknown state name {self.name!r}; known: {self._NAMES}")
+STATES = {
+    "fock": make_fock,
+    "coherent": make_coherent,
+    "even-cat": make_even_cat,
+    "odd-cat": make_odd_cat,
+    "mixed-cat": make_mixed_cat,
+    "fock-superposition": make_fock_superposition,
+    "displaced-single-photon": make_displaced_single_photon,
+    "ghz": make_ghz,
+    "dicke": make_dicke,
+    "spin-coherent": make_spin_coherent,
+}
 
-    def build(self):
-        p = dict(self.params)
-        if "alpha" in p:
-            p["alpha"] = complex(p["alpha"]) if not isinstance(p["alpha"], list) else complex(*p["alpha"])
-        builders = {
-            "fock": lambda: make_fock(int(p["N"]), p.get("cutoff")),
-            "coherent": lambda: make_coherent(p["alpha"], p.get("cutoff")),
-            "even-cat": lambda: make_even_cat(p["alpha"], p.get("cutoff")),
-            "odd-cat": lambda: make_odd_cat(p["alpha"], p.get("cutoff")),
-            "mixed-cat": lambda: make_mixed_cat(p["alpha"], float(p["d"]), p.get("cutoff")),
-            "fock-superposition": lambda: make_fock_superposition(int(p["N"]), p.get("cutoff")),
-            "displaced-single-photon": lambda: make_displaced_single_photon(p["alpha"], p.get("cutoff")),
-            "ghz": lambda: make_ghz(int(p["M"])),
-            "dicke": lambda: make_dicke(int(p["M"]), int(p["k"]), p.get("K")),
-            "spin-coherent": lambda: make_spin_coherent(p["alpha"], int(p["M"]), p.get("K")),
-        }
-        return builders[self.name]()
+
+def _build_named(kind: str, table: dict, name: str, params: dict):
+    """`table[name]` called with the parameters its signature takes, converted by STATE_PARAMS."""
+    build = table.get(name)
+    if build is None:
+        raise ContractViolation(f"unknown {kind} {name!r}; known: {', '.join(table)}")
+    signature = inspect.signature(build)
+    try:
+        bound = signature.bind(**params)
+    except TypeError:
+        takes, got = ", ".join(signature.parameters), ", ".join(params) or "nothing"
+        raise ContractViolation(f"{kind} {name!r} takes {takes}; got {got}") from None
+    return build(**{key: STATE_PARAMS[key](value) for key, value in bound.arguments.items()})
+
+
+def build_state(name: str, **params):
+    """The named state of STATES, built from the parameters its factory takes."""
+    return _build_named("state", STATES, name, params)
 
 
 def _basis_tag(basis: DickeBasis | FockBasis) -> dict:

@@ -1,6 +1,8 @@
 """Command-line interface: documented examples, exit codes, file formats."""
 
+import argparse
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -12,11 +14,11 @@ import pytest
 
 import macrosize
 import macrosize.mapping
-from macrosize.cli import _jsonable, _load_states, main
+from macrosize.cli import _jsonable, _load_states, build_parser, main
 from macrosize.mapping import approx_absorb
 from macrosize.measures import MEASURES, n_eff
-from macrosize.scaling import absorb_pair, branch_pair
-from macrosize.states import make_coherent, make_even_cat, make_odd_cat
+from macrosize.scaling import PAIRS, absorb_pair, branch_pair
+from macrosize.states import STATE_PARAMS, STATES, make_coherent, make_even_cat, make_odd_cat
 from macrosize.symcore import DensityOp
 
 
@@ -57,6 +59,46 @@ def test_malformed_request_exits_2(capsys):
     code, _, err = run(capsys, "state", "--name", "fock")  # missing --N
     assert code == 2
     assert "error" in err
+    assert "fock" in err and "N" in err
+
+
+# A value for each state flag that every factory taking it accepts.
+_STATE_FLAG_VALUES = {"N": "2", "alpha": "1.5", "d": "0.5", "M": "12", "k": "2", "K": "6", "cutoff": "30"}
+
+
+@pytest.mark.parametrize(
+    "table, name",
+    [("state", name) for name in STATES] + [("pair", name) for name in PAIRS],
+    ids=[f"state-{name}" for name in STATES] + [f"pair-{name}" for name in PAIRS],
+)
+def test_state_flags_are_the_factory_parameters(table, name, capsys):
+    # the factory's required parameters build it; a flag it does not take,
+    # or a required one left out, is an input error naming what it takes
+    build = STATES[name] if table == "state" else PAIRS[name]
+    takes = inspect.signature(build).parameters
+    required = [key for key, p in takes.items() if p.default is p.empty]
+    flags = [tok for key in required for tok in (f"--{key}", _STATE_FLAG_VALUES[key])]
+    argv = ["state", "--name", name, *(["--pair"] if table == "pair" else [])]
+    code, _, err = run(capsys, *argv, *flags)
+    assert code == 0, err
+    foreign = next(key for key in STATE_PARAMS if key not in takes)
+    code, out, err = run(capsys, *argv, *flags, f"--{foreign}", _STATE_FLAG_VALUES[foreign])
+    assert code == 2 and out == "" and "takes" in err
+    code, out, err = run(capsys, *argv, *flags[2:])
+    assert code == 2 and out == "" and "takes" in err
+
+
+def test_state_parser_flags_are_state_params():
+    # no state flag serves no factory, and no factory parameter lacks a flag
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in sub.choices["state"]._actions} - {"help", "name", "pair", "out"}
+    assert flags == set(STATE_PARAMS)
+    taken = {
+        key
+        for build in [*STATES.values(), *PAIRS.values()]
+        for key in inspect.signature(build).parameters
+    }
+    assert taken == set(STATE_PARAMS)
 
 
 def test_measure_n_eff_on_ghz(tmp_path, capsys):
@@ -370,6 +412,77 @@ def test_removed_global_flags_are_rejected(flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([flag, "1", "measure", "n-eff", str(tmp_path / "ghz.json")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "n-eff", "SINGLE", "--M", "80", "--delta", "0.1"], "n-eff does not read --delta"),
+        (["measure", "n-eff", "SINGLE", "--M", "80", "--pg", "0.9", "--channel", "homodyne",
+          "--angle", "2"], "n-eff does not read --pg"),
+        (["measure", "c-delta", "PAIR", "--M", "80", "--channel", "homodyne"],
+         "c-delta does not read --channel"),
+        (["measure", "size-pg", "PAIR", "--angle", "1"], "--angle needs --channel homodyne"),
+        (["sweep", "fock", "n-eff", "--ladder", "2,4,8,16", "--delta", "0.1"],
+         "n-eff does not read --delta"),
+        (["sweep", "fock-superposition", "m2", "--ladder", "2,4,8,16", "--pg", "0.9"],
+         "m2 does not read --pg"),
+        (["absorb", "SINGLE", "--M", "200", "--g", "1.2"], "--g sets the exact dynamics"),
+        (["verify-mapping", "--M", "200", "--K", "4", "--lam", "0.7"], "it needs --jmax"),
+        (["--spin-factor", "100", "state", "--name", "fock", "--N", "2"], "--spin-factor"),
+        (["--spin-factor", "100", "measure", "n-eff", "SINGLE", "--M", "80"], "--spin-factor"),
+        (["--spin-factor", "100", "absorb", "SINGLE", "--M", "200"], "--spin-factor"),
+        (["--spin-factor", "100", "verify-mapping", "--M", "200", "--K", "4"], "--spin-factor"),
+        (["--spin-factor", "100", "sweep", "fock-superposition", "m2", "--fixed-N", "2",
+          "--m-ladder", "100,200,400,800"], "--spin-factor"),
+    ],
+    ids=[
+        "measure-delta", "measure-pg", "measure-channel", "measure-angle", "sweep-delta",
+        "sweep-pg", "absorb-g-approx", "verify-lam", "spin-factor-state", "spin-factor-measure",
+        "spin-factor-absorb", "spin-factor-verify", "spin-factor-fixed-N",
+    ],
+)
+def test_unread_flag_exits_2(argv, message, photonic_inputs, capsys):
+    files = {"SINGLE": str(photonic_inputs[False]), "PAIR": str(photonic_inputs[True])}
+    code, out, err = run(capsys, *(files.get(tok, tok) for tok in argv))
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["measure", "c-delta", "PAIR", "--M", "80", "--delta", "0.1"], "delta", 0.1),
+        (["measure", "size-pg", "PAIR", "--pg", "0.9"], "pG", 0.9),
+        (["measure", "size-pg", "PAIR", "--channel", "homodyne", "--angle", "0.3"], "angle", 0.3),
+        (["measure", "size-pg", "PAIR", "--channel", "photon-count"], "channel", "photon-count"),
+        (["absorb", "SINGLE", "--M", "200", "--mode", "exact", "--g", "1.2"], "g", 1.2),
+        (["verify-mapping", "--M", "200", "--K", "4", "--jmax", "1", "--lam", "0.7"],
+         "disentanglingLambda", 0.7),
+    ],
+    ids=["c-delta-delta", "size-pg-pg", "size-pg-angle", "size-pg-channel", "absorb-g",
+         "verify-lam"],
+)
+def test_flag_is_accepted_where_read(argv, key, value, photonic_inputs, capsys):
+    files = {"SINGLE": str(photonic_inputs[False]), "PAIR": str(photonic_inputs[True])}
+    code, out, err = run(capsys, *(files.get(tok, tok) for tok in argv))
+    assert code == 0, err
+    doc = load(out)
+    assert doc.get("witness", doc)[key] == value
+
+
+def test_spin_factor_is_read_by_sweep_along_a_ladder(capsys):
+    # an unset --spin-factor keeps the default hash; a set one changes M and the hash
+    code, out, _ = run(capsys, "sweep", "fock", "n-eff", "--ladder", "2,4,8,16")
+    assert code == 0
+    doc = load(out)
+    assert doc["header"]["configHash"] == "0f0bba71602a"
+    assert [p["M"] for p in doc["points"]] == [400, 800, 1600, 3200]
+    code, out, _ = run(capsys, "--spin-factor", "100", "sweep", "fock", "n-eff", "--ladder", "2,4,8,16")
+    assert code == 0
+    doc = load(out)
+    assert doc["header"]["configHash"] == "bbc73be064b9"
+    assert [p["M"] for p in doc["points"]] == [200, 400, 800, 1600]
 
 
 def test_missing_file_exits_2(capsys):

@@ -12,8 +12,8 @@ from scipy.special import gammaln
 from macrosize import (
     ContractViolation,
     DensityOp,
-    StateSpec,
     TruncationError,
+    build_state,
     displace,
     make_coherent,
     make_dicke,
@@ -29,6 +29,7 @@ from macrosize import (
     state_from_dict,
     state_to_dict,
 )
+from macrosize.states import STATES
 from macrosize.symcore import DickeBasis, FockBasis, PhotonicState, SymState
 
 
@@ -170,7 +171,7 @@ def test_displaced_single_photon_mean():
         assert dsp.mean_excitation == pytest.approx(alpha**2 + 1.0, rel=1e-9)
 
 
-def test_state_spec_round_trip_all_names():
+def test_build_state_round_trip_all_names():
     params = {
         "fock": {"N": 2},
         "coherent": {"alpha": 1.1},
@@ -183,8 +184,8 @@ def test_state_spec_round_trip_all_names():
         "dicke": {"M": 8, "k": 2},
         "spin-coherent": {"alpha": 1.0, "M": 16},
     }
-    for name in StateSpec._NAMES:
-        built = StateSpec(name, params[name]).build()
+    for name in STATES:
+        built = build_state(name, **params[name])
         doc = state_to_dict(built)
         back = state_from_dict(doc)
         if hasattr(built, "amps"):
@@ -193,13 +194,13 @@ def test_state_spec_round_trip_all_names():
             assert np.allclose(back.matrix, built.matrix)
 
 
-def test_state_spec_rejects_unknown():
+def test_build_state_rejects_unknown():
     with pytest.raises(ContractViolation):
-        StateSpec("squeezed", {"r": 1.0}).build()
+        build_state("squeezed", r=1.0)
 
 
 def test_complex_alpha_as_pair():
-    s = StateSpec("coherent", {"alpha": [1.0, 1.0]}).build()
+    s = build_state("coherent", alpha=[1.0, 1.0])
     assert s.mean_excitation == pytest.approx(2.0, rel=1e-9)
 
 
