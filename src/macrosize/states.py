@@ -227,9 +227,19 @@ def _as_complex(value) -> complex:
         raise ContractViolation(f"cannot parse amplitude {value!r}") from exc
 
 
+def _as_int(value) -> int:
+    """An integer given as a string, which goes through int(), or as a number,
+    which must have no fractional part: 2.5 is rejected, not truncated to 2."""
+    n = int(value)
+    if isinstance(value, numbers.Number) and n != value:
+        raise ContractViolation(f"expected an integer, got {value!r}")
+    return n
+
+
 # Every parameter a named state or pair is built from, with its converter.
 STATE_PARAMS = {
-    "N": int, "alpha": _as_complex, "d": float, "M": int, "k": int, "K": int, "cutoff": int,
+    "N": _as_int, "alpha": _as_complex, "d": float, "M": _as_int, "k": _as_int, "K": _as_int,
+    "cutoff": _as_int,
 }
 
 STATES = {

@@ -55,12 +55,7 @@ from macrosize import (
     wigner_I_photonic,
     wigner_I_spin,
 )
-from macrosize.mapping import (
-    approx_absorb,
-    exact_propagate,
-    joint_from_photonic,
-    vacuum_projected_spin,
-)
+from macrosize.mapping import approx_absorb, block_hamiltonian, exact_absorb
 from macrosize.scaling import default_spin_rule, table1
 
 TARGET_EXPONENT = {"O(N)": 1.0, "O(sqrt(N))": 0.5, "O(1)": 0.0, "O(1/M)": -1.0}
@@ -151,11 +146,14 @@ def test_criterion_5_absorption_contract():
     with criterion(5, "absorption map quality", budget=60.0):
         assert mapping_fidelity(make_coherent(np.sqrt(2.0)), 200).fidelity >= 0.99
         assert mapping_fidelity(make_coherent(np.sqrt(2.0)), 2000).fidelity >= 0.999
+        ew, ev = np.linalg.eigh(block_hamiltonian(4, 1000, 6))
         for g in (np.pi / 4, np.pi / 2):
-            joint = joint_from_photonic(make_fock(4, cutoff=6), 1000)
-            w = np.abs(exact_propagate(joint, g).blocks[4]) ** 2
+            # the E = 4 block's column from |n=4> x |M,0>: binomial photon splitting
+            w = np.abs((ev * np.exp(-1j * ew * g / np.sqrt(1000))) @ ev[0]) ** 2
             ref = binom.pmf(np.arange(5), 4, np.sin(g) ** 2)
             assert 0.5 * np.sum(np.abs(w - ref)) <= 1e-3
+            residual = exact_absorb(make_fock(4, cutoff=6), 1000, g=g)[1].residual_photon_population
+            assert abs(1 - residual - np.sin(g) ** 8) <= 1e-3
         for j in np.arange(0.5, 10.5, 0.5):
             for lam in (0.3, 1.2):
                 assert verify_disentangling_identity(float(j), lam) <= 1e-8
@@ -177,8 +175,7 @@ def test_criterion_6_half_split_entanglement():
             ents.append(entanglement_entropy(split(make_dicke(200 * n, n), 100 * n)))
         slope = np.polyfit(np.log2([4, 8, 16, 32]), ents, 1)[0]
         assert slope == pytest.approx(0.5, abs=0.1)
-        joint = joint_from_photonic(make_coherent(1.0), 64)
-        phi, _ = vacuum_projected_spin(exact_propagate(joint, np.pi / 2))
+        phi, _ = exact_absorb(make_coherent(1.0), 64, g=np.pi / 2)
         neg = negativity(split(phi, 32))
         assert neg == pytest.approx(1 / 256, rel=0.15)
 

@@ -249,13 +249,13 @@ def test_absorb_exact_propagates_once(tmp_path, capsys, monkeypatch):
     # one propagation gives both the output state and its fidelity, pinned at
     # the printed 12 significant digits of the in-memory coherent state
     calls = []
-    propagate = macrosize.mapping.exact_propagate
+    block_eigs = macrosize.mapping._block_eigs
 
     def counted(*args):
         calls.append(args)
-        return propagate(*args)
+        return block_eigs(*args)
 
-    monkeypatch.setattr(macrosize.mapping, "exact_propagate", counted)
+    monkeypatch.setattr(macrosize.mapping, "_block_eigs", counted)
     src = tmp_path / "coh.json"
     run(capsys, "state", "--name", "coherent", "--alpha", "1.5", "--out", str(src))
     argv = ["absorb", str(src), "--M", "200", "--mode", "exact", "--g", "1.2"]
@@ -285,6 +285,14 @@ def test_absorb_zero_coupling_leaves_photons(tmp_path, capsys):
     amps = np.array([complex(re, im) for re, im in doc["state"]["amps"]])
     assert np.count_nonzero(np.abs(amps) > 1e-12) == 1
     assert abs(amps[0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_absorb_exact_rejects_rounding_level_vacuum(tmp_path, capsys):
+    src = tmp_path / "f2.json"
+    run(capsys, "state", "--name", "fock", "--N", "2", "--cutoff", "6", "--out", str(src))
+    code, out, err = run(capsys, "absorb", str(src), "--M", "50", "--mode", "exact", "--g", "0")
+    assert code == 2 and out == ""
+    assert "no photon-vacuum component" in err
 
 
 def test_sweep_csv_and_determinism(tmp_path, capsys):

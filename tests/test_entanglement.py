@@ -119,11 +119,34 @@ def test_product_state_has_single_schmidt_value():
     assert negativity(s) == pytest.approx(0.0, abs=1e-9)
 
 
+def _dense_negativity(s):
+    """(||rho^(T_B)||_1 - 1)/2 from the dense (da db)^2 partial transpose."""
+    da, db = s.coeffs.shape
+    vec = s.coeffs.reshape(-1)
+    rho = np.outer(vec, vec.conj()).reshape(da, db, da, db)
+    rho_tb = rho.transpose(0, 3, 2, 1).reshape(da * db, da * db)
+    return (trace_norm(rho_tb) - 1.0) / 2.0
+
+
 def test_negativity_matches_schmidt_sum_identity():
-    s = split(make_dicke(8, 2), 4)
-    lam = s.schmidt_values
-    assert negativity(s) == pytest.approx(((lam.sum()) ** 2 - 1) / 2, rel=1e-12)
-    assert negativity(s) >= 0
+    for phi, m_a in (
+        (make_dicke(8, 2), 4),
+        (make_spin_coherent(0.9 + 0.4j, 12), 5),
+        (approx_absorb(make_fock_superposition(2), 24), 10),
+    ):
+        s = split(phi, m_a)
+        assert negativity(s) == pytest.approx(_dense_negativity(s), rel=1e-12, abs=1e-12)
+    assert negativity(split(make_dicke(8, 2), 4)) > 0
+
+
+def test_negativity_of_large_dicke_split():
+    # |M,k> over (M/2, M/2) has Schmidt weights C(M/2,l) C(M/2,k-l) / C(M,k)
+    M, k = 400, 200
+    s = split(make_dicke(M, k), M // 2)
+    assert s.coeffs.shape == (201, 201)
+    l = np.arange(k + 1)
+    lam = np.sqrt(comb(M // 2, l) * comb(M // 2, k - l) / comb(M, k))
+    assert negativity(s) == pytest.approx((lam.sum() ** 2 - 1) / 2, rel=1e-10)
 
 
 def test_entropy_bounded_by_rank():

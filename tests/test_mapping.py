@@ -1,5 +1,7 @@
 """Photon-to-spin absorption: embedding, exact dynamics, operator map."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -8,7 +10,9 @@ from macrosize import (
     ContractViolation,
     RegimeWarning,
     approx_absorb,
+    exact_absorb,
     make_coherent,
+    make_even_cat,
     make_fock,
     make_fock_superposition,
     make_mixed_cat,
@@ -19,12 +23,7 @@ from macrosize import (
     verify_disentangling_identity,
     verify_operator_map,
 )
-from macrosize.mapping import (
-    block_hamiltonian,
-    exact_propagate,
-    joint_from_photonic,
-    vacuum_projected_spin,
-)
+from macrosize.mapping import block_hamiltonian
 from macrosize.symcore import raising_coefficients
 
 
@@ -50,36 +49,66 @@ def test_block_hamiltonian_hermitian():
         assert np.allclose(h, h.conj().T)
 
 
-def test_exact_propagate_conserves_blocks():
-    joint = joint_from_photonic(make_coherent(1.0), 60)
-    out = exact_propagate(joint, 0.9)
-    assert sorted(out.blocks) == sorted(joint.blocks)
-    total = sum(np.sum(np.abs(v) ** 2) for v in out.blocks.values())
-    assert total == pytest.approx(1.0, abs=1e-10)
+def _dense_block_unitary(E, M, K, t):
+    w, V = np.linalg.eigh(block_hamiltonian(E, M, K))
+    return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+def _vacuum_amps(psi, M, K=None, g=np.pi / 2):
+    """exact_absorb's photon-vacuum amplitudes before normalisation, and the residual."""
+    phi, rep = exact_absorb(psi, M, K, g)
+    residual = rep.residual_photon_population
+    return phi.amps * np.sqrt(1.0 - residual), residual
+
+
+def test_exact_absorb_conserves_blocks():
+    psi = make_coherent(1.0)
+    v, residual = _vacuum_amps(psi, 64, g=0.9)
+    # each block's vacuum amplitude is a share of the block's input
+    c2 = np.abs(psi.amps) ** 2
+    assert np.all(np.abs(v[: psi.cutoff + 1]) ** 2 <= c2 * (1 + 1e-12))
+    assert np.all(v[psi.cutoff + 1 :] == 0)
+    assert 0.0 <= residual <= 1.0
 
 
 def test_zero_coupling_is_identity():
-    joint = joint_from_photonic(make_fock(2, cutoff=6), 50)
-    out = exact_propagate(joint, 0.0)
-    for e, vec in joint.blocks.items():
-        assert np.allclose(out.blocks[e], vec, atol=1e-12)
+    psi = make_coherent(1.0)
+    phi, rep = exact_absorb(psi, 64, g=0.0)
+    assert abs(phi.amps[0]) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(phi.amps[1:]).max() <= 1e-12
+    assert rep.residual_photon_population == pytest.approx(1 - abs(psi.amps[0]) ** 2, abs=1e-12)
+    # |2> keeps its photons: the vacuum population is rounding, not a state
+    with pytest.raises(ContractViolation, match="no photon-vacuum component"):
+        exact_absorb(make_fock(2, cutoff=6), 50, g=0.0)
+
+
+def test_weak_coupling_vacuum_population_is_rounding():
+    # the true vacuum population, about g^4 = 1e-36, is below the amplitudes' rounding
+    with pytest.raises(ContractViolation, match="no photon-vacuum component"):
+        exact_absorb(make_fock(2, cutoff=6), 50, g=1e-9)
 
 
 def test_single_photon_transfer_probability():
     # within one excitation block the dynamics is a rotation by g
-    joint = joint_from_photonic(make_fock(1, cutoff=2), 1000)
-    half = np.abs(exact_propagate(joint, np.pi / 4).blocks[1]) ** 2
+    M, K = 1000, 2
+    half = np.abs(_dense_block_unitary(1, M, K, (np.pi / 4) / np.sqrt(M))[:, 0]) ** 2
     assert half == pytest.approx([0.5, 0.5], abs=2e-3)
-    full = np.abs(exact_propagate(joint, np.pi / 2).blocks[1]) ** 2
+    full = np.abs(_dense_block_unitary(1, M, K, (np.pi / 2) / np.sqrt(M))[:, 0]) ** 2
     assert full[1] == pytest.approx(1.0, abs=1e-5)
+    # the program's path: 1 - residual is the transfer probability sin(g)^2
+    psi = make_fock(1, cutoff=K)
+    assert 1 - _vacuum_amps(psi, M, g=np.pi / 4)[1] == pytest.approx(0.5, abs=2e-3)
+    assert 1 - _vacuum_amps(psi, M, g=np.pi / 2)[1] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_fock_block_follows_binomial_splitting():
     k, M, g = 3, 600, np.pi / 4
-    joint = joint_from_photonic(make_fock(k, cutoff=k + 1), M)
-    w = np.abs(exact_propagate(joint, g).blocks[k]) ** 2
+    w = np.abs(_dense_block_unitary(k, M, k + 1, g / np.sqrt(M))[:, 0]) ** 2
     ref = binom.pmf(np.arange(k + 1), k, np.sin(g) ** 2)
     assert 0.5 * np.sum(np.abs(w - ref)) < 2e-3
+    # the program's path reads the block's last entry: all k photons absorbed
+    pop = 1 - _vacuum_amps(make_fock(k, cutoff=k + 1), M, g=g)[1]
+    assert abs(pop - np.sin(g) ** (2 * k)) < 2e-3
 
 
 def test_mapping_fidelity_coherent():
@@ -91,9 +120,8 @@ def test_mapping_fidelity_coherent():
 
 
 def test_vacuum_projection_recovers_dicke():
-    joint = joint_from_photonic(make_fock(2, cutoff=4), 80)
-    phi, residual = vacuum_projected_spin(exact_propagate(joint, np.pi / 2))
-    assert residual < 1e-3
+    phi, rep = exact_absorb(make_fock(2, cutoff=4), 80, g=np.pi / 2)
+    assert rep.residual_photon_population < 1e-3
     assert np.abs(phi.amps[2]) ** 2 == pytest.approx(1.0, abs=1e-8)
     assert np.linalg.norm(phi.amps) == pytest.approx(1.0, abs=1e-10)
 
@@ -103,11 +131,6 @@ def test_operator_map_deviation_halves_with_M():
     d400 = verify_operator_map(400, 4)
     assert d200 == pytest.approx(0.022346, abs=2e-4)
     assert 1.6 < d200 / d400 < 2.4
-
-
-def _dense_block_unitary(E, M, K, t):
-    w, V = np.linalg.eigh(block_hamiltonian(E, M, K))
-    return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
 def _dense_operator_map(M, K, g=np.pi / 2):
@@ -132,15 +155,32 @@ def test_operator_map_matches_dense_form(M, K):
     assert verify_operator_map(M, K) == pytest.approx(_dense_operator_map(M, K), rel=1e-12)
 
 
-def test_exact_propagate_matches_dense_form():
-    joint = joint_from_photonic(make_coherent(1.5), 300)
-    g = 0.8
-    out = exact_propagate(joint, g)
-    t = g / np.sqrt(joint.M)
-    assert set(out.blocks) == set(joint.blocks)
-    for E, vec in joint.blocks.items():
-        want = _dense_block_unitary(E, joint.M, joint.K, t) @ vec
-        assert np.abs(out.blocks[E] - want).max() <= 1e-12
+def test_exact_absorb_matches_dense_form():
+    psi, M, g = make_coherent(1.5), 300, 0.8
+    for K in (None, psi.cutoff + 7):
+        v, _ = _vacuum_amps(psi, M, K, g)
+        labels = len(v) - 1
+        assert labels == (min(M, psi.cutoff) if K is None else K)
+        for E, c in enumerate(psi.amps):
+            want = c * _dense_block_unitary(E, M, labels, g / np.sqrt(M))[E, 0]
+            assert abs(v[E] - want) <= 1e-12
+        assert np.all(v[psi.cutoff + 1 :] == 0)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((make_coherent(1.5), 200), "31a23b00d32b9de6ad8e28e6f285329f088976a83cda4acca349a2d336bc08d0"),
+        (
+            (make_even_cat(3.0), 1000, 60, 1.2),
+            "f637974e8c64f91e92870c6c5c68dff5f1af120eb1c16fc4d65f776a6c869374",
+        ),
+    ],
+    ids=["coherent", "even-cat"],
+)
+def test_exact_absorb_amplitudes_pinned(args, digest):
+    # the bytes of the joint-state propagation this per-block read replaced
+    assert hashlib.sha256(exact_absorb(*args)[0].amps.tobytes()).hexdigest() == digest
 
 
 def test_disentangling_identity_exact():

@@ -199,6 +199,14 @@ def test_build_state_rejects_unknown():
         build_state("squeezed", r=1.0)
 
 
+@pytest.mark.parametrize(
+    "name, params", [("fock", {"N": 2.5}), ("dicke", {"M": 10.9, "k": 2})], ids=["fock", "dicke"]
+)
+def test_build_state_rejects_fractional_integers(name, params):
+    with pytest.raises(ContractViolation, match="expected an integer"):
+        build_state(name, **params)
+
+
 def test_complex_alpha_as_pair():
     s = build_state("coherent", alpha=[1.0, 1.0])
     assert s.mean_excitation == pytest.approx(2.0, rel=1e-9)
