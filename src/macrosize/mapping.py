@@ -165,23 +165,39 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     Heisenberg-evolved annihilation operator acting on pre-absorption states.
     The deviation is O(K/M) and halves when M doubles at fixed K. K = 0
     leaves nothing to map: 0.
+
+    Each block is computed in real arithmetic. H_E is real and tridiagonal
+    with a zero diagonal, so with W = diag(i^k), W^dag H_E W = i A_E for a
+    real antisymmetric A_E, and R_E = W^dag U_E W = exp(t A_E) is real
+    orthogonal. From H_E = V diag(w) V^T, cos(H_E t) is even in H_E and lives
+    on even k - j, sin(H_E t) is odd and lives on odd k - j, and the phase
+    i^(k-j) turns U_E = cos - i sin into R_E = sgn o (V diag(cos wt + sin wt) V^T),
+    with sgn = +1 where (k - j) mod 4 is 0 or 1 and -1 otherwise. a and J-
+    map block E to block E - 1 (one fewer label, E <= K), so the block
+    deviation X is unitarily equivalent to
+    X' = W^dag X W = R_{E-1}^T diag(sqrt(E - k)) R_E[:E] - J-/sqrt(M),
+    since W^dag J- W = i J-: the same singular values, all real.
     """
     if K < 0 or K > M:
         raise ContractViolation(f"need 0 <= K <= M, got K={K}")
     if K == 0:
         return 0.0
     t = g / np.sqrt(M)
-    eigs = _block_eigs(range(K + 1), M, K)
-    unitaries = {E: (V * np.exp(-1j * w * t)) @ V.T for E, (w, V) in eigs.items()}
+    labels = np.arange(K + 1)
+    sgn = np.where((labels[None, :] - labels[:, None]) % 4 < 2, 1.0, -1.0)
+    rotations = {
+        E: sgn[: len(w), : len(w)] * ((V * (np.cos(w * t) + np.sin(w * t))) @ V.T)
+        for E, (w, V) in _block_eigs(range(K + 1), M, K).items()
+    }
     cp = raising_coefficients(M, K)  # C+(k) = C-(k+1)
     worst = 0.0
     for E in range(1, K + 1):
         k = np.arange(E)  # labels of block E - 1, one fewer than block E (E <= K)
         # <k| a |k> = sqrt(E - k) and <k| J- |k+1> = C+(k) map block E to block E - 1
-        X = unitaries[E - 1].conj().T @ (np.sqrt(E - k)[:, None] * unitaries[E][:E])
-        X[k, k + 1] -= (-1j / np.sqrt(M)) * cp[:E]
-        # ||X||_2 from the largest eigenvalue of X X^dag, cheaper than an SVD
-        top = float(np.linalg.eigvalsh(X @ X.conj().T)[-1])
+        X = rotations[E - 1].T @ (np.sqrt(E - k)[:, None] * rotations[E][:E])
+        X[k, k + 1] -= cp[:E] / np.sqrt(M)
+        # ||X||_2 from the largest eigenvalue of X X^T, cheaper than an SVD
+        top = float(np.linalg.eigvalsh(X @ X.T)[-1])
         worst = max(worst, float(np.sqrt(max(top, 0.0))))
     return worst
 

@@ -36,7 +36,8 @@ from .measures import (
 )
 from .states import (
     _build_named,
-    displace,
+    _displaced_cutoff,
+    _displaced_vacuum_and_photon,
     make_coherent,
     make_dicke,
     make_displaced_single_photon,
@@ -146,14 +147,11 @@ def _fock_superposition_pair(N: int, cutoff: int | None = None) -> Superposition
 
 
 def _displaced_single_photon_pair(alpha: complex, cutoff: int | None = None) -> SuperpositionPair:
-    c = cutoff if cutoff is not None else make_displaced_single_photon(alpha).cutoff
-    e01 = np.zeros(c + 1, dtype=np.complex128)
-    e01[0] = e01[1] = 1.0 / np.sqrt(2.0)
-    e0m1 = e01.copy()
-    e0m1[1] = -e0m1[1]
-    psi0 = displace(PhotonicState(FockBasis(c), e01, tail_tol=None), alpha)
-    dminus = displace(PhotonicState(FockBasis(c), e0m1, tail_tol=None), alpha)
-    psi1 = PhotonicState(dminus.basis, -dminus.amps, tail_tol=None)
+    c = cutoff if cutoff is not None else _displaced_cutoff(alpha)
+    d0, d1 = _displaced_vacuum_and_photon(alpha, c)
+    plus, minus = d0 + d1, d0 - d1  # D(|0> +- |1>), up to the 1/sqrt2 the norms absorb
+    psi0 = PhotonicState(FockBasis(c), plus / np.linalg.norm(plus), tail_tol=None)
+    psi1 = PhotonicState(FockBasis(c), -minus / np.linalg.norm(minus), tail_tol=None)
     return SuperpositionPair(psi0, psi1)
 
 

@@ -130,7 +130,8 @@ def make_fock_superposition(N: int, cutoff: int | None = None) -> PhotonicState:
 
 
 def mode_operator(cutoff: int) -> np.ndarray:
-    """Single-mode annihilation matrix a on the truncated Fock space."""
+    """Single-mode annihilation matrix a on the truncated Fock space, for
+    `displace`, which the factories do not call."""
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1).astype(np.complex128)
 
 
@@ -142,6 +143,9 @@ def displace(state: PhotonicState, alpha: complex) -> PhotonicState:
     displacement, which the factory cutoffs keep below the tail tolerance.
     Two-mode states get the single-mode unitary applied on the first tensor
     factor (never the kronecker product, whose size is quartic in the cutoff).
+    This is the general operator, one dense eigendecomposition a call. The
+    factories do not call it: they displace only |0> and |1>, which
+    `_displaced_vacuum_and_photon` gives in closed form.
     """
     a = mode_operator(state.cutoff)
     gen = 1j * (alpha * a.conj().T - np.conj(alpha) * a)  # Hermitian
@@ -155,20 +159,43 @@ def displace(state: PhotonicState, alpha: complex) -> PhotonicState:
     return PhotonicState(state.basis, amps, tail_tol=state.tail_tol)
 
 
+def _displaced_cutoff(alpha: complex) -> int:
+    """Default cutoff of the displaced single photon and its branches: the
+    displaced number tails carry an extra ~(n-lam)^2/lam, hence pmf_tol 1e-15."""
+    return _coherent_cutoff(alpha, pmf_tol=1e-15) + 2
+
+
+def _displaced_vacuum_and_photon(alpha: complex, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Untruncated D(alpha)|0> and D(alpha)|1> on the labels 0..cutoff, unnormalized.
+
+    D|0> = |alpha> has the coherent amplitudes c_n. From D a^dag D^dag =
+    a^dag - alpha*, D|1> = D a^dag |0> = (a^dag - alpha*) D|0>, whose label-n
+    amplitude is sqrt(n) c_{n-1} - alpha* c_n: both are exact up to the
+    cutoff, with no truncated generator and no eigensolve. The same step
+    applied again, D|n+1> = (a^dag - alpha*) D|n> / sqrt(n+1), is not used for
+    general n: the forward recursion is unstable, with errors up to 1e+22 at
+    alpha = 8, so `displace` stays the operator for arbitrary states.
+    """
+    d0 = _coherent_amps(alpha, cutoff)
+    d1 = -np.conj(alpha) * d0
+    d1[1:] += np.sqrt(np.arange(1.0, cutoff + 1)) * d0[:-1]
+    return d0, d1
+
+
 def make_displaced_single_photon(alpha: complex, cutoff: int | None = None) -> PhotonicState:
-    """Two-mode state (D_alpha x id)(|0,1> - |1,0>)/sqrt(2)."""
+    """Two-mode state (D_alpha x id)(|0,1> - |1,0>)/sqrt(2): its mode-1 label-1
+    column is D|0>/sqrt(2) and its label-0 column -D|1>/sqrt(2)."""
     needed = abs(alpha) ** 2 + 6.0 * np.sqrt(abs(alpha) ** 2 + 1.0) + 2.0
     if cutoff is None:
-        cutoff = _coherent_cutoff(alpha, pmf_tol=1e-15) + 2
+        cutoff = _displaced_cutoff(alpha)
     elif cutoff < needed:
         raise TruncationError(f"cutoff {cutoff} below required {needed:.1f}")
-    dim = cutoff + 1
-    amps = np.zeros(dim * dim, dtype=np.complex128)
-    amps[0 * dim + 1] = 1.0 / np.sqrt(2.0)   # |0,1>
-    amps[1 * dim + 0] = -1.0 / np.sqrt(2.0)  # -|1,0>
-    bare = PhotonicState(FockBasis(cutoff, modes=2), amps, tail_tol=None)
-    out = displace(bare, alpha)
-    return PhotonicState(out.basis, out.amps, tail_tol=1e-10)
+    d0, d1 = _displaced_vacuum_and_photon(alpha, cutoff)
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    grid[:, 1] = d0 / np.sqrt(2.0)   # D|0> x |1>
+    grid[:, 0] = -d1 / np.sqrt(2.0)  # -D|1> x |0>
+    amps = grid.reshape(-1)
+    return PhotonicState(FockBasis(cutoff, modes=2), amps / np.linalg.norm(amps), tail_tol=1e-10)
 
 
 def make_dicke(M: int, k: int, K: int | None = None) -> SymState:

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from macrosize import (
@@ -23,7 +25,7 @@ from macrosize import (
     verify_disentangling_identity,
     verify_operator_map,
 )
-from macrosize.mapping import block_hamiltonian
+from macrosize.mapping import _block_eigs, block_hamiltonian
 from macrosize.symcore import raising_coefficients
 
 
@@ -153,6 +155,35 @@ def _dense_operator_map(M, K, g=np.pi / 2):
 @pytest.mark.parametrize("M, K", [(200, 4), (900, 60)])
 def test_operator_map_matches_dense_form(M, K):
     assert verify_operator_map(M, K) == pytest.approx(_dense_operator_map(M, K), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(lambda K: st.tuples(st.integers(K, 2000), st.just(K))),
+    st.floats(-np.pi, np.pi),
+)
+def test_operator_map_matches_dense_form_at_any_phase(MK, g):
+    M, K = MK
+    assert verify_operator_map(M, K, g) == pytest.approx(_dense_operator_map(M, K, g), rel=1e-10)
+
+
+def test_operator_map_pinned_at_k128():
+    # the value of the complex per-block form the real one replaced
+    assert verify_operator_map(3200, 128) == pytest.approx(0.3064260361399757, rel=1e-10)
+
+
+@pytest.mark.parametrize("E, M, K", [(1, 50, 1), (7, 200, 9), (60, 900, 60)])
+def test_parity_phased_block_propagator_is_real_orthogonal(E, M, K):
+    t = 0.9 / np.sqrt(M)
+    phases = 1j ** np.arange(min(E, K) + 1)  # W = diag(i^k)
+    R = phases.conj()[:, None] * _dense_block_unitary(E, M, K, t) * phases[None, :]
+    assert np.max(np.abs(R.imag)) <= 1e-13
+    assert np.max(np.abs(R.real @ R.real.T - np.eye(len(R)))) <= 1e-13
+    # the cos + sin form verify_operator_map builds it from
+    w, V = _block_eigs([E], M, K)[E]
+    k = np.arange(len(w))
+    sgn = np.where((k[None, :] - k[:, None]) % 4 < 2, 1.0, -1.0)
+    assert np.max(np.abs(sgn * ((V * (np.cos(w * t) + np.sin(w * t))) @ V.T) - R.real)) <= 1e-13
 
 
 def test_exact_absorb_matches_dense_form():

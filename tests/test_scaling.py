@@ -155,6 +155,18 @@ def test_branch_pairs_recombine_to_family_state():
         __import__("macrosize").branch_pair("thermal")
 
 
+def test_displaced_family_builds_without_dense_displacement(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense displacement on the factory path")
+
+    for target in ("symcore.hermitian_exp", "states.hermitian_exp", "states.displace"):
+        monkeypatch.setattr(f"macrosize.{target}", refuse)
+    bundle = family_state("displaced-single-photon", 128)
+    assert bundle.photonic.mean_excitation == pytest.approx(129.0, rel=1e-9)
+    pair = __import__("macrosize").branch_pair("displaced-single-photon", alpha=2.0)
+    assert normalized_sum(pair).mean_excitation == pytest.approx(5.0, rel=1e-9)
+
+
 def test_family_bundles_carry_expected_parts():
     even = family_state(FamilyId.EVEN_CAT, 4)
     assert isinstance(even.channel, Homodyne)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -29,7 +29,7 @@ from macrosize import (
     state_from_dict,
     state_to_dict,
 )
-from macrosize.states import STATES
+from macrosize.states import STATES, _displaced_cutoff, _displaced_vacuum_and_photon
 from macrosize.symcore import DickeBasis, FockBasis, PhotonicState, SymState
 
 
@@ -169,6 +169,50 @@ def test_displaced_single_photon_mean():
     for alpha in (1.0, 2.0):
         dsp = make_displaced_single_photon(alpha)
         assert dsp.mean_excitation == pytest.approx(alpha**2 + 1.0, rel=1e-9)
+
+
+# Labels of headroom past the factory cutoff for the dense reference: there
+# the truncated generator's edge sits far in the tail of every column read.
+_PAD = 60
+
+_ALPHAS = st.builds(
+    lambda r, phi: complex(r * np.cos(phi), r * np.sin(phi)),
+    st.floats(0.0, 8.0),
+    st.floats(-np.pi, np.pi),
+)
+
+
+def _padded_displacement(state, alpha, cutoff):
+    """Dense displacement with _PAD labels of headroom, sliced back to `cutoff`."""
+    out = displace(state, alpha).amps
+    if state.modes == 1:
+        return out[: cutoff + 1]
+    dim = state.cutoff + 1
+    return out.reshape(dim, dim)[: cutoff + 1, : cutoff + 1].reshape(-1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_ALPHAS)
+@example(8.0 + 0j)
+def test_displaced_vacuum_and_photon_match_padded_dense_displacement(alpha):
+    cutoff = _displaced_cutoff(alpha)
+    d0, d1 = _displaced_vacuum_and_photon(alpha, cutoff)
+    for n, closed in ((0, d0), (1, d1)):
+        ref = _padded_displacement(make_fock(n, cutoff=cutoff + _PAD), alpha, cutoff)
+        assert np.max(np.abs(closed - ref)) <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(_ALPHAS)
+@example(-8j)
+def test_displaced_single_photon_matches_padded_dense_displacement(alpha):
+    dsp = make_displaced_single_photon(alpha)
+    dim = dsp.cutoff + _PAD + 1
+    bare = np.zeros((dim, dim), dtype=np.complex128)
+    bare[0, 1], bare[1, 0] = 1 / np.sqrt(2), -1 / np.sqrt(2)  # (|0,1> - |1,0>)/sqrt2
+    state = PhotonicState(FockBasis(dim - 1, modes=2), bare.reshape(-1), tail_tol=None)
+    ref = _padded_displacement(state, alpha, dsp.cutoff)
+    assert np.max(np.abs(dsp.amps - ref)) <= 1e-12
 
 
 def test_build_state_round_trip_all_names():
