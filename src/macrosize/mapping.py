@@ -159,12 +159,14 @@ def mapping_fidelity(psi: PhotonicState, M: int, g: float = ABSORPTION_PHASE) ->
 
 
 def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
-    """Operator norm of U^dag a U - (-i/sqrt(M)) J- on the E <= K sector.
+    """Operator norm of U^dag a U - (cos g a - i sin g J-/sqrt(M)) on the
+    E <= K sector.
 
     U is the exact propagator at interaction phase g, so U^dag a U is the
-    Heisenberg-evolved annihilation operator acting on pre-absorption states.
-    The deviation is O(K/M) and halves when M doubles at fixed K. K = 0
-    leaves nothing to map: 0.
+    Heisenberg-evolved annihilation operator acting on pre-absorption states,
+    and cos g a - i sin g J-/sqrt(M) is its large-M image: (-i/sqrt(M)) J- at
+    the full absorption g = pi/2, a itself at g = 0. The deviation is O(K/M)
+    and halves when M doubles at fixed K and g. K = 0 leaves nothing to map: 0.
 
     Each block is computed in real arithmetic. H_E is real and tridiagonal
     with a zero diagonal, so with W = diag(i^k), W^dag H_E W = i A_E for a
@@ -175,8 +177,9 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     with sgn = +1 where (k - j) mod 4 is 0 or 1 and -1 otherwise. a and J-
     map block E to block E - 1 (one fewer label, E <= K), so the block
     deviation X is unitarily equivalent to
-    X' = W^dag X W = R_{E-1}^T diag(sqrt(E - k)) R_E[:E] - J-/sqrt(M),
-    since W^dag J- W = i J-: the same singular values, all real.
+    X' = W^dag X W = R_{E-1}^T diag(sqrt(E - k)) R_E[:E] - cos g diag(sqrt(E - k))
+    - sin g J-/sqrt(M), since W^dag a W = a and W^dag J- W = i J-: the same
+    singular values, all real.
     """
     if K < 0 or K > M:
         raise ContractViolation(f"need 0 <= K <= M, got K={K}")
@@ -195,7 +198,8 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
         k = np.arange(E)  # labels of block E - 1, one fewer than block E (E <= K)
         # <k| a |k> = sqrt(E - k) and <k| J- |k+1> = C+(k) map block E to block E - 1
         X = rotations[E - 1].T @ (np.sqrt(E - k)[:, None] * rotations[E][:E])
-        X[k, k + 1] -= cp[:E] / np.sqrt(M)
+        X[k, k] -= np.cos(g) * np.sqrt(E - k)
+        X[k, k + 1] -= np.sin(g) * cp[:E] / np.sqrt(M)
         # ||X||_2 from the largest eigenvalue of X X^T, cheaper than an SVD
         top = float(np.linalg.eigvalsh(X @ X.T)[-1])
         worst = max(worst, float(np.sqrt(max(top, 0.0))))

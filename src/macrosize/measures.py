@@ -38,7 +38,7 @@ SMEAR_L1_ATOL = 1e-8
 PS_TIE_TOL = 1e-12
 LAYER_TAIL_TOL = 1e-12
 ROUNDING_FLOOR = 1e-13  # smeared values below this fraction of the largest carry no sign
-ROOT_BISECTIONS = 24  # halvings of a sigma/4 root bracket: L1 errs by its square, below rounding
+ROOT_WIDTH = 2.0**-24  # root brackets end this narrow, in grid steps sigma/4: L1 errs by its square
 SIGMA_RTOL = 1e-4  # size-pg bisects the critical width to this relative bracket
 _BLOCK = 1 << 18  # entries per row block of a Gaussian sum
 _REACH = 10.0  # in sigma: masses farther from a point add below exp(-50) of their weight
@@ -736,14 +736,26 @@ def _sign_grid(y: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float):
-    """Sign changes of f on the sign grid, each bisected to a narrow bracket.
+    """Sign changes of f on the sign grid, each narrowed to a bracket at most
+    ROOT_WIDTH sigma/4 wide.
 
-    Returns the grid x, f on it, its signs s and the brackets (lo, hi) with
-    sign s_lo kept at lo. Grid values below ROUNDING_FLOOR times the largest
+    Returns the grid x, f on it, its signs s, the brackets (lo, hi) with
+    sign s_lo kept at lo and a sign other than s_lo at hi, and the number of
+    refinement steps. Grid values below ROUNDING_FLOOR times the largest
     carry no sign: one bracket spans each run of them between opposite
     signs, none between equal ones, so crossings at rounding level neither
     add roots nor drop the one such a run stands for (the even cat's root at
     x = 0 lies in one).
+
+    Each step evaluates f once per open bracket, all in one call, at the
+    Illinois point: the regula falsi crossing of the chord between the ends,
+    with the value kept at an end halved whenever the other end moves twice
+    in a row. The point is moved a quarter of the closing width toward the
+    farther end, so that a crossing already that close lands past the root
+    and closes the bracket. A step whose point is not strictly inside its
+    bracket, or that follows a step which failed to halve it, halves the
+    bracket instead. A bracket closes at the width or when it cannot be
+    split in floating point.
     """
     x = _sign_grid(y, sigma)
     fx = _smeared(y, w, sigma, x)
@@ -752,11 +764,30 @@ def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float):
     nz = np.flatnonzero(s)
     flip = np.flatnonzero(s[nz[1:]] != s[nz[:-1]])
     lo, hi, s_lo = x[nz[flip]], x[nz[flip + 1]], s[nz[flip]]
-    for _ in range(ROOT_BISECTIONS):
+    f_lo, f_hi = fx[nz[flip]], fx[nz[flip + 1]]
+    moved = np.zeros(len(lo))  # +1: the last step moved lo, -1: it moved hi
+    halve = np.zeros(len(lo), dtype=bool)
+    width = ROOT_WIDTH * 0.25 * sigma
+    steps = 0
+    while True:
         mid = 0.5 * (lo + hi)
-        right = np.sign(_smeared(y, w, sigma, mid)) == s_lo
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    return x, fx, s, lo, hi
+        k = np.flatnonzero((hi - lo > width) & (lo < mid) & (mid < hi))
+        if k.size == 0:
+            return x, fx, s, lo, hi, steps
+        a, b, fa, fb = lo[k], hi[k], f_lo[k], f_hi[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = a - fa * (b - a) / (fb - fa)
+        ok = ~halve[k] & (a < t) & (t < b)
+        t = t + np.where(t - a < b - t, 0.25 * width, -0.25 * width)
+        t = np.where(ok & (a < t) & (t < b), t, mid[k])
+        ft = _smeared(y, w, sigma, t)
+        right = np.sign(ft) == s_lo[k]
+        f_hi[k] = np.where(right, np.where(moved[k] > 0, 0.5 * fb, fb), ft)
+        f_lo[k] = np.where(right, ft, np.where(moved[k] < 0, 0.5 * fa, fa))
+        lo[k], hi[k] = np.where(right, t, a), np.where(right, b, t)
+        halve[k] = ~halve[k] & (hi[k] - lo[k] > 0.5 * (b - a))
+        moved[k] = np.where(right, 1.0, -1.0)
+        steps += 1
 
 
 def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> float:
@@ -765,16 +796,21 @@ def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> float:
     Between consecutive roots r_i f keeps one sign, so the norm is
     sum_i |F(r_{i+1}) - F(r_i)| with the antiderivative
     F(x) = sum_j w_j ndtr((x - y_j)/sigma), F(-inf) = 0, F(+inf) = sum_j w_j.
-    Each root is the low end of its bisected bracket. At sigma = 0 the
+    Each root is the low end of its refined bracket. At sigma = 0 the
     masses do not overlap and the norm is sum_j |w_j|.
     """
+    return _interval_l1_steps(y, w, sigma)[0]
+
+
+def _interval_l1_steps(y: np.ndarray, w: np.ndarray, sigma: float) -> tuple[float, int]:
+    """_interval_l1 and the refinement steps its root brackets took."""
     from scipy.special import ndtr
 
     if sigma == 0.0 or len(y) == 0:
-        return float(np.abs(w).sum())
-    roots = _root_brackets(y, w, sigma)[3]
+        return float(np.abs(w).sum()), 0
+    *_, roots, _, steps = _root_brackets(y, w, sigma)
     F = np.concatenate(([0.0], _kernel_sums(ndtr, w, sigma, (roots, y)), [w.sum()]))
-    return float(np.abs(np.diff(F)).sum())
+    return float(np.abs(np.diff(F)).sum()), steps
 
 
 def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
@@ -824,7 +860,7 @@ def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float) -> float:
 
     if sigma == 0.0 or len(y) == 0:
         return 0.0
-    x, fx, s, lo, hi = _root_brackets(y, w, sigma)
+    x, fx, s, lo, hi, _ = _root_brackets(y, w, sigma)
     pts = np.concatenate((x, lo, hi))
     order = np.argsort(pts, kind="stable")
     pts = pts[order]
@@ -914,6 +950,68 @@ def _channel_masses(
     raise ContractViolation(f"unknown readout channel {channel!r}")
 
 
+def _scout_sigma(ps: Callable[[float], float], goal: float) -> tuple[float, float]:
+    """Largest sigma seen with ps(sigma) >= goal and smallest seen below it.
+
+    ps must be nonincreasing with ps(0) >= goal, so the bracket starts as
+    (0, inf). P_S - 1/2 of smeared readout falls off like a power of sigma,
+    so the probes follow `_first_hit` on n = 1/sigma, along which P_S rises:
+    each aims at the crossing of the secant in (log 1/sigma, log(P_S - 1/2))
+    (`_log_crossing`). Expansion starts at sigma = 1 and probes the farther
+    of a doubling (a halving while probes fail) and the crossing extrapolated
+    from the last two probes, going at most 8 times up or 4 times down: the
+    homodyne grid's cost grows as 1/sigma. Refinement probes the crossing
+    interpolated between the bracket's ends, moved by SIGMA_RTOL/4 of itself
+    toward the farther end, so that a close prediction lands past the root
+    and shuts the bracket, and kept strictly inside it; after two steps in a
+    row that each fail to halve the bracket's log-width, it bisects
+    geometrically. The scout stops once the bracket is as narrow as
+    size_pg's bisection ends, or before probing outside (1e-12, 1e9], the
+    widths that search can reach.
+    """
+    passed, failed = 0.0, np.inf
+    prev = None
+    sigma, p = 1.0, ps(1.0)
+    while True:
+        up = p >= goal
+        if up:
+            passed, p_pass = sigma, p
+        else:
+            failed, p_fail = sigma, p
+        if passed > 0.0 and failed < np.inf:
+            break
+        # log of the step: a doubling up to 8 times, or a halving down to a quarter
+        low, high = (np.log(2.0), np.log(8.0)) if up else (np.log(0.25), np.log(0.5))
+        log_step = low if up else high
+        if prev is not None:
+            here = (1.0 / sigma, p)
+            x = _log_crossing(*here, *prev, goal) if up else _log_crossing(*prev, *here, goal)
+            if x is not None:
+                log_step = float(np.clip(-x - np.log(sigma), low, high))
+        prev = (1.0 / sigma, p)
+        sigma *= float(np.exp(log_step))
+        if not 1e-12 < sigma <= 1e9:  # past where size_pg's search ends
+            return passed, failed
+        p = ps(sigma)
+    slow = 0
+    while failed - passed > SIGMA_RTOL * failed:
+        width = np.log(failed / passed)
+        x = None if slow >= 2 else _log_crossing(1.0 / failed, p_fail, 1.0 / passed, p_pass, goal)
+        sigma = float(np.sqrt(passed * failed))
+        if x is not None:
+            aim = float(np.exp(-x))
+            aim *= 1.0 + (0.25 if aim < sigma else -0.25) * SIGMA_RTOL
+            if passed < aim < failed:
+                sigma = aim
+        p = ps(sigma)
+        if p >= goal:
+            passed, p_pass = sigma, p
+        else:
+            failed, p_fail = sigma, p
+        slow = slow + 1 if x is not None and np.log(failed / passed) > 0.5 * width else 0
+    return passed, failed
+
+
 def size_pg(
     pair: SuperpositionPair,
     p_g: float,
@@ -924,16 +1022,28 @@ def size_pg(
     2 sqrt(2) erfinv(2 P_g - 1).
 
     The smeared success probability P_S(sigma) = 1/2 + L1(sigma)/4 is
-    nonincreasing, so the critical width sigma* is bracketed by doubling
-    and located by bisection. Each L1(sigma) is one evaluation of the
-    interval form: the smeared difference's roots are bracketed on a grid
-    of step sigma/4 and bisected, and the norm is summed from its erf
-    antiderivative between them (`_interval_l1`). The witness reports
-    `l1ErrorBound`, a bound on what that evaluation misses at sigma*
-    (`_l1_error_bound`); it should stay within SMEAR_L1_ATOL. For homodyne
-    readout the bound is on the trapezoid-rule density, whose own error
-    falls off spectrally in the grid step. Branches indistinguishable
-    already at sigma = 0 yield value 0 with a diagnostic witness.
+    nonincreasing, so the critical width sigma* is defined by a monotone
+    search: bracketed by doubling from 1 and located by bisection to
+    SIGMA_RTOL, sigma* being the bracket's low end. The search asks a
+    monotone oracle. `_scout_sigma` first probes P_S along a secant and
+    records the largest sigma seen to pass and the smallest seen to fail;
+    the oracle answers any sigma at or outside those from them and
+    evaluates P_S only strictly between, so sigma* is the bisection's own
+    lattice point while most of its probes cost nothing. Each L1(sigma) is
+    one evaluation of the interval form: the smeared difference's roots are
+    bracketed on a grid of step sigma/4 and refined by Illinois steps, and
+    the norm is summed from its erf antiderivative between them
+    (`_interval_l1`).
+
+    The witness reports `psEvals`, the number of widths whose P_S was
+    computed (sigma = 0 included), `rootStepsMax`, the most root-refinement
+    steps any of them took, and `l1ErrorBound`, a bound on what the
+    evaluation at sigma* misses (`_l1_error_bound`); it should stay within
+    SMEAR_L1_ATOL. For homodyne readout the bound is on the trapezoid-rule
+    density, whose own error falls off spectrally in the grid step; the
+    sigma = 0 value `pSRaw` is a plain Riemann sum of that density and lies
+    outside the bound. Branches indistinguishable already at sigma = 0 yield
+    value 0 with a diagnostic witness.
     """
     if pair.is_spin or pair.psi0.basis.modes != 1:
         raise ContractViolation("size_pg needs a single-mode photonic pair")
@@ -944,25 +1054,38 @@ def size_pg(
         else {"channel": "homodyne", "angle": channel.angle}
     )
     diffs: dict[float, np.ndarray] = {}
+    cache: dict[float, float] = {}
+    root_steps = 0
 
     def ps(sigma: float) -> float:
-        return 0.5 + 0.25 * _interval_l1(*_channel_masses(pair, channel, sigma, diffs), sigma)
+        nonlocal root_steps
+        if sigma not in cache:
+            l1, steps = _interval_l1_steps(*_channel_masses(pair, channel, sigma, diffs), sigma)
+            cache[sigma] = 0.5 + 0.25 * l1
+            root_steps = max(root_steps, steps)
+        return cache[sigma]
 
     ps0 = ps(0.0)
     if ps0 < p_g:
         return MeasureResult(
             "size-pg",
             0.0,
-            witness={**chan_tag, "pG": p_g, "pSRaw": ps0, "reason": "branches indistinguishable"},
+            witness={**chan_tag, "pG": p_g, "pSRaw": ps0, "psEvals": 1,
+                     "reason": "branches indistinguishable"},
         )
+    passed, failed = _scout_sigma(ps, p_g)
+
+    def passes(sigma: float) -> bool:
+        return sigma <= passed or sigma < failed and ps(sigma) >= p_g
+
     lo, hi = 0.0, 1.0
-    while ps(hi) >= p_g:
+    while passes(hi):
         lo, hi = hi, 2.0 * hi
         if hi > 1e9:
             raise ContractViolation("no finite critical smearing found")
     while hi - lo > SIGMA_RTOL * hi + 1e-12:
         mid = 0.5 * (lo + hi)
-        if ps(mid) >= p_g:
+        if passes(mid):
             lo = mid
         else:
             hi = mid
@@ -971,7 +1094,7 @@ def size_pg(
         "size-pg",
         pref * lo,
         witness={**chan_tag, "pG": p_g, "sigmaStar": lo, "prefactor": pref, "pSRaw": ps0,
-                 "l1ErrorBound": bound},
+                 "l1ErrorBound": bound, "psEvals": len(cache), "rootStepsMax": root_steps},
     )
 
 

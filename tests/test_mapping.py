@@ -135,6 +135,14 @@ def test_operator_map_deviation_halves_with_M():
     assert 1.6 < d200 / d400 < 2.4
 
 
+@pytest.mark.parametrize("g, d200", [(0.7, 0.019305594160579503), (1.2, 0.04789947765648139)])
+def test_operator_map_at_any_phase_falls_with_M(g, d200):
+    # The phase-g image cos g a - i sin g J-/sqrt(M) is subtracted, so the
+    # deviation is O(K/M) away from pi/2 too: four times the spins, a quarter.
+    assert verify_operator_map(200, 8, g) == pytest.approx(d200, rel=1e-10)
+    assert 3.8 < d200 / verify_operator_map(800, 8, g) < 4.2
+
+
 def _dense_operator_map(M, K, g=np.pi / 2):
     """verify_operator_map on dense eigh unitaries and a full SVD."""
     t = g / np.sqrt(M)
@@ -147,7 +155,7 @@ def _dense_operator_map(M, K, g=np.pi / 2):
         a[k, k] = np.sqrt(E - k)
         jm = np.zeros((E, E + 1), dtype=complex)
         jm[k, k + 1] = cp[:E]
-        X = U[E - 1].conj().T @ a @ U[E] - (-1j / np.sqrt(M)) * jm
+        X = U[E - 1].conj().T @ a @ U[E] - (np.cos(g) * a - 1j * np.sin(g) / np.sqrt(M) * jm)
         worst = max(worst, float(np.linalg.svd(X, compute_uv=False)[0]))
     return worst
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfinv, ndtr
@@ -48,15 +48,20 @@ from macrosize.symcore import FockBasis, PhotonicState, RegimeWarning, collectiv
 from macrosize.mapping import approx_absorb
 from macrosize.measures import (
     LAYER_TAIL_TOL,
+    ROOT_WIDTH,
     ROUNDING_FLOOR,
+    SIGMA_RTOL,
     SMEAR_L1_ATOL,
     DegeneratePairError,
     _channel_masses,
     _first_hit,
     _interval_l1,
+    _kernel_sums,
     _l1_error_bound,
     _pmf_masses,
     _quad_difference,
+    _root_brackets,
+    _sign_grid,
     _smeared,
 )
 
@@ -527,6 +532,108 @@ def test_size_symmetric_under_branch_swap(name, params, channel):
     pair = branch_pair(name, **params)
     swapped = SuperpositionPair(pair.psi1, pair.psi0)
     assert size_pg(swapped, 2 / 3, channel).to_dict() == size_pg(pair, 2 / 3, channel).to_dict()
+
+
+def _bisected_sigma_star(pair, p_g, channel):
+    """sigma* of plain doubling from 1 and bisection to SIGMA_RTOL, asking
+    P_S at every probe; None where the branches are indistinguishable."""
+    diffs = {}
+
+    def ps(sigma):
+        return 0.5 + 0.25 * _interval_l1(*_channel_masses(pair, channel, sigma, diffs), sigma)
+
+    if ps(0.0) < p_g:
+        return None
+    lo, hi = 0.0, 1.0
+    while ps(hi) >= p_g:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > SIGMA_RTOL * hi + 1e-12:
+        mid = 0.5 * (lo + hi)
+        if ps(mid) >= p_g:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _amplitudes(K):
+    return st.lists(st.floats(-1.0, 1.0), min_size=2 * (K + 1), max_size=2 * (K + 1)).map(
+        lambda v: np.array(v[: K + 1]) + 1j * np.array(v[K + 1 :])
+    ).filter(lambda a: np.linalg.norm(a) > 0.1)
+
+
+@st.composite
+def _photonic_pairs(draw):
+    K = draw(st.integers(1, 6))
+    basis = FockBasis(K)
+    a0, a1 = draw(_amplitudes(K)), draw(_amplitudes(K))
+    return SuperpositionPair(
+        PhotonicState(basis, a0 / np.linalg.norm(a0), tail_tol=None),
+        PhotonicState(basis, a1 / np.linalg.norm(a1), tail_tol=None),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _photonic_pairs(),
+    st.floats(0.55, 0.9),
+    st.one_of(st.just(PhotonCount()), st.floats(0.0, np.pi).map(Homodyne)),
+)
+def test_size_sigma_star_is_the_bisection_lattice_point(pair, p_g, channel):
+    r = size_pg(pair, p_g, channel)
+    want = _bisected_sigma_star(pair, p_g, channel)
+    assert r.witness.get("sigmaStar") == want
+    assert r.value == (0.0 if want is None else size_prefactor(p_g) * want)
+
+
+def test_size_scout_halves_the_evaluations_on_the_table():
+    for family in (FamilyId.DISPLACED_SINGLE_PHOTON, FamilyId.FOCK_SUPERPOSITION, FamilyId.EVEN_CAT):
+        for N in (8, 16, 32, 64):
+            bundle = family_state(family, N)
+            w = size_pg(bundle.photonic_pair, 2 / 3, bundle.channel).witness
+            assert w["psEvals"] <= 14, (family, N)  # doubling and bisection made 18-24
+            assert 1 <= w["rootStepsMax"] <= 40, (family, N)
+
+
+def _bisected_l1(y, w, sigma):
+    """_interval_l1 with each root bracket halved 24 times, the refinement
+    the Illinois steps replaced."""
+    x = _sign_grid(y, sigma)
+    fx = _smeared(y, w, sigma, x)
+    s = np.sign(fx)
+    s[np.abs(fx) < ROUNDING_FLOOR * np.abs(fx).max()] = 0.0
+    nz = np.flatnonzero(s)
+    flip = np.flatnonzero(s[nz[1:]] != s[nz[:-1]])
+    lo, hi, s_lo = x[nz[flip]], x[nz[flip + 1]], s[nz[flip]]
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        right = np.sign(_smeared(y, w, sigma, mid)) == s_lo
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    F = np.concatenate(([0.0], _kernel_sums(ndtr, w, sigma, (lo, y)), [w.sum()]))
+    return float(np.abs(np.diff(F)).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-30.0, 30.0), st.floats(-1.0, 1.0)), min_size=1, max_size=12),
+    st.floats(0.05, 20.0),
+)
+def test_root_brackets_are_narrow_and_keep_their_signs(masses, sigma):
+    y, w = (np.array(v) for v in zip(*sorted(masses)))
+    assume(np.abs(w).sum() > 1e-3)
+    x, fx, s, lo, hi, steps = _root_brackets(y, w, sigma)
+    floor = ROUNDING_FLOOR * np.abs(fx).max()
+    s_lo = s[np.flatnonzero(s)[0]] * (-1.0) ** np.arange(len(lo))  # signs alternate
+    assert np.all(hi - lo <= ROOT_WIDTH * 0.25 * sigma)
+    assert np.all((lo < hi) & (hi - lo <= x[-1] - x[0]))
+    for a, b, sign in zip(lo, hi, s_lo):
+        fa, fb = (float(_smeared(y, w, sigma, np.array([v]))[0]) for v in (a, b))
+        assert np.sign(fa) == sign or abs(fa) < floor
+        assert np.sign(fb) != sign or abs(fb) < floor
+    assert steps >= (1 if len(lo) else 0)
+    assert _interval_l1(y, w, sigma) == pytest.approx(
+        _bisected_l1(y, w, sigma), rel=0.0, abs=1e-15 * np.abs(w).sum()
+    )
 
 
 def test_degenerate_superposition_raises():
