@@ -39,6 +39,7 @@ from .measures import (
 from .scaling import (
     DEFAULT_LADDER,
     DEFAULT_M_LADDER,
+    SPIN_FACTOR,
     FamilyId,
     StateFamily,
     absorb_pair,
@@ -74,12 +75,8 @@ class ToleranceFailure(Exception):
 class Config:
     """Run configuration recorded (hashed) in every output header."""
 
-    spin_factor: int = 200
+    spin_factor: int = SPIN_FACTOR
     seed: int = 7
-
-    def __post_init__(self):
-        if self.spin_factor < 4:
-            raise ContractViolation("spin factor must be >= 4 to hold the excitations")
 
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -261,13 +258,7 @@ def cmd_absorb(args, cfg: Config) -> int:
 def cmd_table1(args, cfg: Config) -> int:
     ladder = _parse_ladder(args.ladder) if args.ladder else DEFAULT_LADDER
     m_ladder = _parse_ladder(args.m_ladder) if args.m_ladder else DEFAULT_M_LADDER
-    rep = table1(
-        ladder,
-        spin_rule=lambda n: cfg.spin_factor * n,
-        delta=args.delta,
-        p_g=args.pg,
-        m_ladder=m_ladder,
-    )
+    rep = table1(ladder, cfg.spin_factor, delta=args.delta, p_g=args.pg, m_ladder=m_ladder)
     # The JSON report is the json body and what stdout gets beside --out.
     doc = _json_text(_report_doc(rep, cfg))
     if args.format == "text":
@@ -314,7 +305,7 @@ def cmd_sweep(args, cfg: Config) -> int:
         res = sweep_fixed_excitation(fid, args.measure, N=args.fixed_N, m_ladder=m_ladder, **params)
     else:
         ladder = _parse_ladder(args.ladder) if args.ladder else DEFAULT_LADDER
-        family = StateFamily(fid, ladder, lambda n: cfg.spin_factor * n)
+        family = StateFamily(fid, ladder, cfg.spin_factor)
         res = sweep(family, args.measure, **params)
     if args.out:
         _write(args.out, _header_comment(cfg) + res.points_csv())
@@ -343,6 +334,10 @@ def cmd_sweep(args, cfg: Config) -> int:
 
 
 def cmd_verify_mapping(args, cfg: Config) -> int:
+    if args.lam is not None and args.jmax is None:
+        raise ContractViolation("--lam sets the disentangling check; it needs --jmax")
+    if args.jmax is not None and args.jmax < 0.5:
+        raise ContractViolation(f"--jmax must be at least 1/2, got {args.jmax}")
     doc: dict = {"header": cfg.header(), "M": args.M, "K": args.K, "g": args.g}
     dev = verify_operator_map(args.M, args.K, g=args.g)
     doc["operatorMapDeviation"] = dev
@@ -351,8 +346,6 @@ def cmd_verify_mapping(args, cfg: Config) -> int:
         rep = mapping_fidelity(make_coherent(_as_complex(args.alpha)), args.M, g=args.g)
         doc["fidelityVsApprox"] = rep.fidelity
         doc["residualPhotonPopulation"] = rep.residual_photon_population
-    if args.lam is not None and args.jmax is None:
-        raise ContractViolation("--lam sets the disentangling check; it needs --jmax")
     if args.jmax is not None:
         lam = DISENTANGLING_LAMBDA if args.lam is None else args.lam
         worst = 0.0
@@ -376,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Effective-size measures for macroscopic photonic/spin superpositions.",
     )
     p.add_argument("--seed", type=int, default=7, help="recorded in output headers")
-    p.add_argument("--spin-factor", type=int, help="M = factor*N (table1, sweep --ladder; default 200)")
+    p.add_argument("--spin-factor", type=int,
+                   help=f"M = factor*N (table1, sweep --ladder; default {SPIN_FACTOR})")
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("state", help="build a named state (or its branch pair)")

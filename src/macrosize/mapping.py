@@ -181,6 +181,8 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     - sin g J-/sqrt(M), since W^dag a W = a and W^dag J- W = i J-: the same
     singular values, all real.
     """
+    if M < 1:
+        raise ContractViolation(f"need at least one spin, got M={M}")
     if K < 0 or K > M:
         raise ContractViolation(f"need 0 <= K <= M, got K={K}")
     if K == 0:
@@ -206,17 +208,6 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     return worst
 
 
-def _spin_j_raising(j: float) -> np.ndarray:
-    """S+ on the spin-j representation, labels m = -j..j ascending."""
-    dim = int(round(2 * j)) + 1
-    if abs(2 * j - round(2 * j)) > 1e-12 or dim < 1:
-        raise ContractViolation(f"j must be a half-integer >= 0, got {j}")
-    m = -j + np.arange(dim - 1, dtype=float)
-    sp = np.zeros((dim, dim))
-    sp[np.arange(1, dim), np.arange(dim - 1)] = np.sqrt(j * (j + 1) - m * (m + 1))
-    return sp
-
-
 def verify_disentangling_identity(j: float, lam: float) -> float:
     """Relative Frobenius deviation of the su(2) factorization
 
@@ -227,7 +218,12 @@ def verify_disentangling_identity(j: float, lam: float) -> float:
     """
     from scipy.linalg import expm
 
-    sp = _spin_j_raising(j)
+    two_j = round(2 * j)
+    if abs(2 * j - two_j) > 1e-12 or two_j < 0:
+        raise ContractViolation(f"j must be a half-integer >= 0, got {j}")
+    # S+ on labels m = -j..j ascending: <m+1|S+|m> = sqrt((j - m)(j + m + 1)), the
+    # J+ band of 2j spins at k = m + j
+    sp = np.diag(raising_coefficients(two_j, two_j), -1)
     sm = sp.conj().T
     s3 = sp @ sm - sm @ sp
     lhs = hermitian_exp(sp + sm, lam)

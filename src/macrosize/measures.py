@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .entanglement import helstrom_ps, reduced_group_state
+from .states import mode_operator
 from .symcore import (
     ContractViolation,
     DensityOp,
@@ -604,8 +605,7 @@ def wigner_I_photonic(state: PhotonicState | DensityOp) -> MeasureResult:
     if state.basis.modes != 1:
         raise ContractViolation("mixed two-mode states are out of scope for this measure")
     rho = state.matrix
-    am = np.zeros((c + 1, c + 1))
-    am[np.arange(c), np.arange(1, c + 1)] = np.sqrt(n[1:])  # <n| a |n+1>
+    am = mode_operator(c)
     rho2 = rho @ rho
     purity = float(np.trace(rho2).real)
     t_num = float(np.dot(np.diag(rho2).real, n))
@@ -625,10 +625,9 @@ def wigner_I_spin(state: SymState | DensityOp) -> MeasureResult:
     """
     basis = _require_spin(state, "state")
     if isinstance(state, SymState):
-        acc = 0.0
-        for v in collective_apply(basis, state.amps)[:2]:
-            acc += float(np.vdot(v, v).real) - float(np.vdot(state.amps, v).real) ** 2
-        return MeasureResult("i-wigner-spin", acc / (4.0 * basis.M), witness={})
+        _, cov = mean_and_covariance(state)
+        value = float(cov[0, 0] + cov[1, 1]) / (4.0 * basis.M)
+        return MeasureResult("i-wigner-spin", value, witness={})
     jx, jy, _ = collective_xyz(basis)
     rho = state.matrix
     rho2 = rho @ rho
@@ -790,27 +789,24 @@ def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float):
         steps += 1
 
 
-def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> float:
-    """L1 norm of f(x) = sum_j w_j phi_sigma(x - y_j), masses w_j at sorted y_j.
+def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> tuple[float, tuple | None]:
+    """L1 norm of f(x) = sum_j w_j phi_sigma(x - y_j), masses w_j at sorted
+    y_j, and the `_root_brackets` it was summed between.
 
     Between consecutive roots r_i f keeps one sign, so the norm is
     sum_i |F(r_{i+1}) - F(r_i)| with the antiderivative
     F(x) = sum_j w_j ndtr((x - y_j)/sigma), F(-inf) = 0, F(+inf) = sum_j w_j.
     Each root is the low end of its refined bracket. At sigma = 0 the
-    masses do not overlap and the norm is sum_j |w_j|.
+    masses do not overlap, the norm is sum_j |w_j| and there are no brackets
+    (None), as with no masses.
     """
-    return _interval_l1_steps(y, w, sigma)[0]
-
-
-def _interval_l1_steps(y: np.ndarray, w: np.ndarray, sigma: float) -> tuple[float, int]:
-    """_interval_l1 and the refinement steps its root brackets took."""
     from scipy.special import ndtr
 
     if sigma == 0.0 or len(y) == 0:
-        return float(np.abs(w).sum()), 0
-    *_, roots, _, steps = _root_brackets(y, w, sigma)
-    F = np.concatenate(([0.0], _kernel_sums(ndtr, w, sigma, (roots, y)), [w.sum()]))
-    return float(np.abs(np.diff(F)).sum()), steps
+        return float(np.abs(w).sum()), None
+    brackets = _root_brackets(y, w, sigma)  # brackets[3]: the low ends, the roots
+    F = np.concatenate(([0.0], _kernel_sums(ndtr, w, sigma, (brackets[3], y)), [w.sum()]))
+    return float(np.abs(np.diff(F)).sum()), brackets
 
 
 def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
@@ -842,8 +838,9 @@ def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
     return np.minimum(wrong, mass + aw.sum() * ndtr(-_REACH))
 
 
-def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float) -> float:
-    """Bound on how far _interval_l1(y, w, sigma) falls below the true norm.
+def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float, brackets: tuple | None) -> float:
+    """Bound on how far _interval_l1(y, w, sigma) falls below the true norm;
+    `brackets` is the `_root_brackets` result that norm was summed between.
 
     Split at the roots it places, the interval form loses twice the mass of
     f whose sign is opposite to its interval's. This is twice a bound on
@@ -858,9 +855,9 @@ def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float) -> float:
     """
     from scipy.special import ndtr
 
-    if sigma == 0.0 or len(y) == 0:
+    if brackets is None:  # sigma = 0 or no masses: the norm is exact
         return 0.0
-    x, fx, s, lo, hi, _ = _root_brackets(y, w, sigma)
+    x, fx, s, lo, hi, _ = brackets
     pts = np.concatenate((x, lo, hi))
     order = np.argsort(pts, kind="stable")
     pts = pts[order]
@@ -1054,16 +1051,16 @@ def size_pg(
         else {"channel": "homodyne", "angle": channel.angle}
     )
     diffs: dict[float, np.ndarray] = {}
-    cache: dict[float, float] = {}
-    root_steps = 0
+    cache: dict[float, tuple] = {}  # each evaluated width's L1, root brackets and masses
+
+    def evaluate(sigma: float) -> tuple:
+        masses = _channel_masses(pair, channel, sigma, diffs)
+        return (*_interval_l1(*masses, sigma), masses)
 
     def ps(sigma: float) -> float:
-        nonlocal root_steps
         if sigma not in cache:
-            l1, steps = _interval_l1_steps(*_channel_masses(pair, channel, sigma, diffs), sigma)
-            cache[sigma] = 0.5 + 0.25 * l1
-            root_steps = max(root_steps, steps)
-        return cache[sigma]
+            cache[sigma] = evaluate(sigma)
+        return 0.5 + 0.25 * cache[sigma][0]
 
     ps0 = ps(0.0)
     if ps0 < p_g:
@@ -1089,7 +1086,9 @@ def size_pg(
             lo = mid
         else:
             hi = mid
-    bound = _l1_error_bound(*_channel_masses(pair, channel, lo, diffs), lo)
+    _, brackets, masses = cache[lo] if lo in cache else evaluate(lo)
+    bound = _l1_error_bound(*masses, lo, brackets)
+    root_steps = max((b[-1] for _, b, _ in cache.values() if b is not None), default=0)
     return MeasureResult(
         "size-pg",
         pref * lo,

@@ -4,8 +4,8 @@ classification table for the four photonic benchmark families.
 A family assigns to each excitation number N a photonic state (coherent
 amplitude alpha = sqrt(N) where one is involved), its branch decomposition
 where the measures need a pair, and the collective-spin image obtained by
-absorbing the mode into M = spin_rule(N) spins. Exponents are fitted by
-ordinary least squares on the log-log points of a geometric ladder.
+absorbing the mode into M spins (spin_factor * N, or a fixed-N M-ladder point).
+Exponents are fitted by ordinary least squares on a ladder's log-log points.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -62,10 +62,17 @@ class FamilyId(str, Enum):
 
 
 def default_spin_rule(n: int) -> int:
-    """M = 200 N keeps the ensemble deep in the dilute-excitation regime."""
-    return 200 * n
+    """The default spin count M = SPIN_FACTOR * N."""
+    return SPIN_FACTOR * n
 
 
+def _check_spin_count(N: int, M: int) -> None:
+    """M >= 4 N spins hold N excitations in the low-excitation regime."""
+    if M < 4 * N:
+        raise ContractViolation(f"spin rule gives M={M}, too small for N={N} excitations")
+
+
+SPIN_FACTOR = 200  # M = 200 N keeps the ensemble deep in the dilute-excitation regime
 DEFAULT_LADDER = (8, 16, 32, 64)
 DEFAULT_M_LADDER = (1600, 3200, 6400, 12800)
 
@@ -93,11 +100,11 @@ DISCREPANCY_CELLS = frozenset({("size-pg", FamilyId.EVEN_CAT)})
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A benchmark family with its size ladder and spin-count rule."""
+    """A benchmark family with its size ladder and spin factor, M = spin_factor * N."""
 
     family_id: FamilyId
     size_ladder: tuple[int, ...] = DEFAULT_LADDER
-    spin_rule: Callable[[int], int] = default_spin_rule
+    spin_factor: int = SPIN_FACTOR
 
     def __post_init__(self):
         lad = tuple(int(n) for n in self.size_ladder)
@@ -107,6 +114,7 @@ class StateFamily:
             raise ContractViolation("ladder must be strictly increasing positive integers")
         if any(b < 1.5 * a for a, b in zip(lad, lad[1:])):
             raise ContractViolation("ladder must be geometric with ratio >= 1.5")
+        _check_spin_count(lad[0], self.spin_factor * lad[0])  # M/N is the same at every N
         object.__setattr__(self, "size_ladder", lad)
 
 
@@ -175,12 +183,9 @@ def branch_pair(name: str, **params) -> SuperpositionPair:
     return _build_named("pair", PAIRS, name, params)
 
 
-def family_state(
-    family_id: FamilyId | str,
-    N: int,
-    spin_rule: Callable[[int], int] = default_spin_rule,
-) -> FamilyBundle:
-    """Build the photonic state, branch pair, and spin image at size N.
+def family_state(family_id: FamilyId | str, N: int, M: int | None = None) -> FamilyBundle:
+    """Build the photonic state, branch pair, and spin image at size N in M
+    spins, M = default_spin_rule(N) when not given.
 
     Branch conventions: the second branch carries the superposition's
     relative phase, so normalized_sum(pair) is the family state itself
@@ -189,9 +194,8 @@ def family_state(
     fid = FamilyId(family_id)
     if N < 1:
         raise ContractViolation(f"need N >= 1, got {N}")
-    M = int(spin_rule(N))
-    if M < 4 * N:
-        raise ContractViolation(f"spin rule gives M={M}, too small for N={N} excitations")
+    M = default_spin_rule(N) if M is None else int(M)
+    _check_spin_count(N, M)
 
     if fid is FamilyId.FOCK:
         ph = make_fock(N)
@@ -430,7 +434,7 @@ def sweep_fixed_excitation(
 
 def _ladder_bundles(family: StateFamily) -> Iterable[FamilyBundle]:
     """The family's bundles along its N ladder, built as they are consumed."""
-    return (family_state(family.family_id, n, family.spin_rule) for n in family.size_ladder)
+    return (family_state(family.family_id, n, family.spin_factor * n) for n in family.size_ladder)
 
 
 def _m_ladder_bundles(fid: FamilyId, N: int, m_ladder: tuple[int, ...]) -> Iterable[FamilyBundle]:
@@ -438,7 +442,7 @@ def _m_ladder_bundles(fid: FamilyId, N: int, m_ladder: tuple[int, ...]) -> Itera
     lad = tuple(int(m) for m in m_ladder)
     if len(lad) < 4 or any(b <= a for a, b in zip(lad, lad[1:])):
         raise ContractViolation("M ladder must be >= 4 strictly increasing values")
-    return (family_state(fid, N, lambda _n, m=m: m) for m in lad)
+    return (family_state(fid, N, m) for m in lad)
 
 
 def _sweep_bundles(
@@ -550,24 +554,24 @@ class Table1Report:
 
 def table1(
     ladder: tuple[int, ...] = DEFAULT_LADDER,
-    spin_rule: Callable[[int], int] = default_spin_rule,
+    spin_factor: int = SPIN_FACTOR,
     delta: float = DEFAULT_DELTA,
     p_g: float = DEFAULT_P_G,
     m_ladder: tuple[int, ...] = DEFAULT_M_LADDER,
 ) -> Table1Report:
     """The full 8-measure x 4-family classification grid.
 
-    Each cell sweeps the N ladder with M = spin_rule(N), except the
+    Each cell sweeps the N ladder with M = spin_factor * N, except the
     m2 x fock-superposition cell, which sweeps M at fixed N = min(ladder)
     (its benchmark entry is an M-scaling). Each family's ladder states and
     the M-sweep states are built once and shared by every row. Failures,
     in a build or in a cell, are recorded as error cells of the cells they
     touch; they never abort the report. Out-of-range delta or p_g raise
-    before any state is built, as a bad ladder does.
+    before any state is built, as a bad ladder or spin factor does.
     """
     check_delta(delta)
     check_p_g(p_g)
-    family = {fid: StateFamily(fid, tuple(ladder), spin_rule) for fid in FAMILY_ORDER}
+    family = {fid: StateFamily(fid, tuple(ladder), spin_factor) for fid in FAMILY_ORDER}
     m_sweep_cell = ("m2", FamilyId.FOCK_SUPERPOSITION)
 
     def build(make) -> list[FamilyBundle] | Exception:

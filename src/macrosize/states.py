@@ -131,7 +131,7 @@ def make_fock_superposition(N: int, cutoff: int | None = None) -> PhotonicState:
 
 def mode_operator(cutoff: int) -> np.ndarray:
     """Single-mode annihilation matrix a on the truncated Fock space, for
-    `displace`, which the factories do not call."""
+    `displace`, which the factories do not call, and mixed-state i-wigner."""
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1).astype(np.complex128)
 
 
@@ -337,8 +337,7 @@ def state_to_dict(state: SymState | PhotonicState | DensityOp) -> dict:
 def state_from_dict(doc: dict) -> SymState | PhotonicState | DensityOp:
     basis = _basis_from_tag(doc["basisTag"])
     if "matrix" in doc:
-        m = np.array([[complex(c[0], c[1]) for c in row] for row in doc["matrix"]])
-        return DensityOp(basis, m)
+        return DensityOp(basis, np.array([_amps_from_lists(row) for row in doc["matrix"]]))
     amps = _amps_from_lists(doc["amps"])
     if isinstance(basis, DickeBasis):
         return SymState(basis, amps)

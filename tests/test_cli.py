@@ -385,6 +385,25 @@ def test_verify_mapping_reports_and_gates(capsys):
     assert "tolerance failure" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-mapping", "--M", "200", "--K", "8", "--jmax", "0.2"], "--jmax must be at least 1/2"),
+        (["verify-mapping", "--M", "200", "--K", "8", "--jmax", "-3"], "--jmax must be at least 1/2"),
+        (["verify-mapping", "--M", "0", "--K", "0"], "at least one spin"),
+        (["--spin-factor", "3", "table1"], "too small"),
+        (["--spin-factor", "3", "sweep", "fock", "n-eff", "--ladder", "2,4,8,16"], "too small"),
+    ],
+    ids=["jmax-below-half", "jmax-negative", "zero-spins", "spin-factor-table1",
+         "spin-factor-sweep"],
+)
+def test_check_that_cannot_run_exits_2(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_unknown_measure_exits_2(tmp_path, capsys):
     f = tmp_path / "ghz.json"
     run(capsys, "state", "--name", "ghz", "--M", "10", "--out", str(f))

@@ -54,7 +54,7 @@ def _assert_matches_exact(got, want):
 
 
 def _absorbed_dsp_branch():
-    return family_state("displaced-single-photon", 8, lambda n: 200 * n).spin_pair.psi1
+    return family_state("displaced-single-photon", 8, M=1600).spin_pair.psi1
 
 
 @pytest.mark.parametrize(

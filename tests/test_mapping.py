@@ -128,6 +128,13 @@ def test_vacuum_projection_recovers_dicke():
     assert np.linalg.norm(phi.amps) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_operator_map_needs_a_spin():
+    assert verify_operator_map(200, 0) == 0.0
+    for M in (0, -3):
+        with pytest.raises(ContractViolation, match="at least one spin"):
+            verify_operator_map(M, 0)
+
+
 def test_operator_map_deviation_halves_with_M():
     d200 = verify_operator_map(200, 4)
     d400 = verify_operator_map(400, 4)
@@ -226,6 +233,9 @@ def test_disentangling_identity_exact():
     for j in (0.5, 1.0, 2.5, 7.0):
         for lam in (0.3, 1.2):
             assert verify_disentangling_identity(j, lam) <= 1e-8
+    for j in (0.3, -1.0):
+        with pytest.raises(ContractViolation, match="half-integer"):
+            verify_disentangling_identity(j, 1.2)
 
 
 def test_absorb_density_keeps_trace():

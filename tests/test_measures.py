@@ -159,7 +159,7 @@ def _zero_padded(pair, K):
 def test_c_delta_unchanged_by_zero_padding(family, N, support):
     # fock-superposition's branches end at labels 0 and 2N: the trim must be
     # common to the pair, or the two group states land on different bases
-    pair = family_state(family, N, lambda n: 200 * n).spin_pair
+    pair = family_state(family, N, M=200 * N).spin_pair
     K = pair.psi0.basis.K
     own = c_delta(pair)
     padded = c_delta(_zero_padded(pair, min(2 * K, pair.psi0.basis.M)))
@@ -170,7 +170,7 @@ def test_c_delta_unchanged_by_zero_padding(family, N, support):
 
 
 def test_c_delta_displaced_single_photon_pinned():
-    r = c_delta(family_state("displaced-single-photon", 16, lambda n: 200 * n).spin_pair)
+    r = c_delta(family_state("displaced-single-photon", 16, M=3200).spin_pair)
     assert r.witness["nMin"] == 797
     assert r.value == 4.015056461731493
 
@@ -189,7 +189,7 @@ def test_c_delta_degenerate_pair_undefined():
 
 def test_c_delta_displaced_single_photon_probe_count():
     # P_S - 1/2 grows about as sqrt(n) here; doubling and bisection took 24 probes
-    r = c_delta(family_state("displaced-single-photon", 64, lambda n: 200 * n).spin_pair)
+    r = c_delta(family_state("displaced-single-photon", 64, M=12800).spin_pair)
     assert r.witness["nMin"] == 3188
     assert r.witness["psEvals"] <= 8
 
@@ -301,7 +301,7 @@ def test_pair_measures_symmetric_under_branch_swap(pair):
 
 @pytest.mark.parametrize("family", ["even-cat", "displaced-single-photon", "fock-superposition"])
 def test_family_pair_measures_symmetric_under_branch_swap(family):
-    _assert_swap_symmetric(family_state(family, 8, lambda n: 200 * n).spin_pair)
+    _assert_swap_symmetric(family_state(family, 8, M=1600).spin_pair)
 
 
 def test_relative_fisher_examples():
@@ -438,8 +438,9 @@ def test_photon_interval_l1_matches_brute_force_quadrature(family, N):
     star = size_pg(pair, 2 / 3).witness["sigmaStar"]
     y, w = _channel_masses(pair, PhotonCount(), star, {})
     for sigma in (star / 2, star, 2 * star):
-        assert _interval_l1(y, w, sigma) == pytest.approx(_brute_l1(y, w, sigma), abs=1e-8)
-        assert 0.0 <= _l1_error_bound(y, w, sigma) <= SMEAR_L1_ATOL
+        l1, brackets = _interval_l1(y, w, sigma)
+        assert l1 == pytest.approx(_brute_l1(y, w, sigma), abs=1e-8)
+        assert 0.0 <= _l1_error_bound(y, w, sigma, brackets) <= SMEAR_L1_ATOL
 
 
 @pytest.mark.parametrize("sigma", [0.5, 3.0, 10.0])
@@ -451,8 +452,9 @@ def test_homodyne_interval_l1_matches_brute_force_quadrature(sigma):
     d = _quad_difference(pair.psi0.amps, pair.psi1.amps, 0.0, h)
     n = len(d) // 2
     want = _brute_l1(h * np.arange(-n, n + 1), h * d, sigma)
-    assert _interval_l1(y, w, sigma) == pytest.approx(want, abs=1e-8)
-    assert 0.0 <= _l1_error_bound(y, w, sigma) <= SMEAR_L1_ATOL
+    l1, brackets = _interval_l1(y, w, sigma)
+    assert l1 == pytest.approx(want, abs=1e-8)
+    assert 0.0 <= _l1_error_bound(y, w, sigma, brackets) <= SMEAR_L1_ATOL
 
 
 def test_homodyne_l1_keeps_the_cat_root_in_a_rounding_floor_run():
@@ -463,7 +465,7 @@ def test_homodyne_l1_keeps_the_cat_root_in_a_rounding_floor_run():
     centre = _smeared(y, w, 1.0, np.linspace(-1.0, 1.0, 9))
     assert np.abs(centre).max() < ROUNDING_FLOOR * np.abs(w).sum()
     want = 2.0 * (2.0 * ndtr(np.sqrt(2.0) * 8.0 / np.sqrt(1.5)) - 1.0)
-    assert _interval_l1(y, w, 1.0) == pytest.approx(want, abs=1e-8)
+    assert _interval_l1(y, w, 1.0)[0] == pytest.approx(want, abs=1e-8)
 
 
 def test_error_bound_covers_a_root_pair_the_grid_misses():
@@ -472,9 +474,10 @@ def test_error_bound_covers_a_root_pair_the_grid_misses():
     y = np.array([0.0, 1.6, 3.2])
     w = np.array([1.0, -2.002 * np.exp(-0.5 * 1.6**2), 1.0])
     assert _smeared(y, w, 1.0, y[1:2])[0] < 0.0
-    missed = _brute_l1(y, w, 1.0) - _interval_l1(y, w, 1.0)
+    l1, brackets = _interval_l1(y, w, 1.0)
+    missed = _brute_l1(y, w, 1.0) - l1
     assert missed > 1e-6
-    assert missed <= _l1_error_bound(y, w, 1.0) <= 1.01 * missed + 1e-12
+    assert missed <= _l1_error_bound(y, w, 1.0, brackets) <= 1.01 * missed + 1e-12
 
 
 _PMF = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10).filter(lambda v: sum(v) > 0.1)
@@ -486,11 +489,11 @@ def test_photon_l1_invariances(a, b, shift, sigma, stretch):
     K = max(len(a), len(b))
     p0 = np.pad(np.array(a), (0, K - len(a))) / sum(a)
     p1 = np.pad(np.array(b), (0, K - len(b))) / sum(b)
-    l1 = _interval_l1(*_pmf_masses(p0, p1), sigma)
-    assert _interval_l1(*_pmf_masses(p1, p0), sigma) == l1
+    l1 = _interval_l1(*_pmf_masses(p0, p1), sigma)[0]
+    assert _interval_l1(*_pmf_masses(p1, p0), sigma)[0] == l1
     moved = [np.concatenate((np.zeros(shift), p)) for p in (p0, p1)]
-    assert _interval_l1(*_pmf_masses(*moved), sigma) == pytest.approx(l1, rel=1e-12, abs=1e-15)
-    assert _interval_l1(*_pmf_masses(p0, p1), stretch * sigma) <= l1 + 1e-12
+    assert _interval_l1(*_pmf_masses(*moved), sigma)[0] == pytest.approx(l1, rel=1e-12, abs=1e-15)
+    assert _interval_l1(*_pmf_masses(p0, p1), stretch * sigma)[0] <= l1 + 1e-12
     assert l1 <= np.abs(p0 - p1).sum() + 1e-12
 
 
@@ -540,7 +543,7 @@ def _bisected_sigma_star(pair, p_g, channel):
     diffs = {}
 
     def ps(sigma):
-        return 0.5 + 0.25 * _interval_l1(*_channel_masses(pair, channel, sigma, diffs), sigma)
+        return 0.5 + 0.25 * _interval_l1(*_channel_masses(pair, channel, sigma, diffs), sigma)[0]
 
     if ps(0.0) < p_g:
         return None
@@ -631,7 +634,7 @@ def test_root_brackets_are_narrow_and_keep_their_signs(masses, sigma):
         assert np.sign(fa) == sign or abs(fa) < floor
         assert np.sign(fb) != sign or abs(fb) < floor
     assert steps >= (1 if len(lo) else 0)
-    assert _interval_l1(y, w, sigma) == pytest.approx(
+    assert _interval_l1(y, w, sigma)[0] == pytest.approx(
         _bisected_l1(y, w, sigma), rel=0.0, abs=1e-15 * np.abs(w).sum()
     )
 

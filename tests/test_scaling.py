@@ -120,13 +120,25 @@ def test_t_quantile_closed_forms():
 
 def test_state_family_ladder_guards():
     with pytest.raises(ContractViolation, match=">= 4 points"):
-        StateFamily(FamilyId.FOCK, (2, 4, 8), default_spin_rule)
+        StateFamily(FamilyId.FOCK, (2, 4, 8))
     with pytest.raises(ContractViolation, match="strictly increasing"):
-        StateFamily(FamilyId.FOCK, (8, 4, 16, 32), default_spin_rule)
+        StateFamily(FamilyId.FOCK, (8, 4, 16, 32))
     with pytest.raises(ContractViolation, match="ratio >= 1.5"):
-        StateFamily(FamilyId.FOCK, (8, 9, 10, 11), default_spin_rule)
+        StateFamily(FamilyId.FOCK, (8, 9, 10, 11))
     with pytest.raises(ContractViolation, match="too small"):
-        family_state(FamilyId.FOCK, 8, spin_rule=lambda n: 2 * n)
+        family_state(FamilyId.FOCK, 8, M=16)
+
+
+def test_spin_factor_floor_raises_before_any_state_is_built(monkeypatch):
+    assert family_state(FamilyId.FOCK, 4).M == default_spin_rule(4) == 800
+    assert family_state(FamilyId.FOCK, 4, M=24).M == 24
+    with pytest.raises(ContractViolation, match="too small"):
+        StateFamily(FamilyId.FOCK, (8, 16, 32, 64), spin_factor=3)
+    built = []
+    monkeypatch.setattr(scaling, "family_state", lambda *a, **k: built.append(a))
+    with pytest.raises(ContractViolation, match="too small"):
+        table1(spin_factor=3)
+    assert built == []
 
 
 def test_classification_bands():
@@ -191,7 +203,7 @@ def test_evaluate_cell_dispatch():
 
 
 def test_sweep_fock_neff():
-    fam = StateFamily(FamilyId.FOCK, (4, 8, 16, 32), default_spin_rule)
+    fam = StateFamily(FamilyId.FOCK, (4, 8, 16, 32))
     res = sweep(fam, "n-eff")
     assert res.sweep_variable == "N"
     assert res.fit.exponent == pytest.approx(1.0, abs=0.1)
@@ -202,9 +214,9 @@ def test_sweep_fock_neff():
 
 
 def test_index_p_modified_distinguishes_families():
-    fock = StateFamily(FamilyId.FOCK, (4, 8, 16, 32), default_spin_rule)
+    fock = StateFamily(FamilyId.FOCK, (4, 8, 16, 32))
     assert sweep(fock, "index-p").fit.exponent == pytest.approx(1.0, abs=0.1)
-    dsp = StateFamily(FamilyId.DISPLACED_SINGLE_PHOTON, (4, 8, 16, 32), default_spin_rule)
+    dsp = StateFamily(FamilyId.DISPLACED_SINGLE_PHOTON, (4, 8, 16, 32))
     assert sweep(dsp, "index-p").fit.exponent == pytest.approx(0.0, abs=0.1)
 
 
@@ -274,10 +286,10 @@ def stub_cells(monkeypatch):
 def test_table1_failed_family_build_is_recorded_per_cell(stub_cells, monkeypatch):
     real = scaling.family_state
 
-    def failing(family_id, N, spin_rule=default_spin_rule):
+    def failing(family_id, N, M=None):
         if FamilyId(family_id) is FamilyId.EVEN_CAT and N == 8:
             raise ContractViolation("no even cat at N=8")
-        return real(family_id, N, spin_rule)
+        return real(family_id, N, M)
 
     monkeypatch.setattr(scaling, "family_state", failing)
     report = table1(ladder=(2, 4, 8, 16))
