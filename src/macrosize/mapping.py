@@ -50,9 +50,14 @@ def block_hamiltonian(E: int, M: int, K: int) -> np.ndarray:
 def _block_eigs(energies, M: int, K: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues and real eigenvector columns of each listed block's coupling.
 
-    The eigensolves all run before the caller's products: scipy and numpy
-    link separate OpenBLAS builds, and alternating between the two leaves the
-    threads of one spinning against the work of the other.
+    scipy and numpy link separate OpenBLAS builds, and alternating between
+    the two leaves the idle threads of one spinning against the work of the
+    other. The package's one-thread pin (see `macrosize`) removes those
+    threads. The eigensolves still all run before the caller's products,
+    for processes that imported numpy or scipy before macrosize, where the
+    pin does not apply: there a variant of `verify_operator_map` that called
+    scipy's eigensolver once per block between numpy's products took
+    2.6-3.9 s per perfbench `ladder-128` pass against 0.8-1.0 s with the pin.
     """
     from scipy.linalg import eigh_tridiagonal
 

@@ -186,8 +186,10 @@ class DensityOp(_Populations):
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-10:
             raise ContractViolation(f"trace {tr} deviates from 1 beyond 1e-10")
-        if float(np.linalg.eigvalsh(m).min()) < MIN_EIG_TOL:
-            raise ContractViolation("density matrix has an eigenvalue below -1e-8")
+        try:  # factors only when every eigenvalue of m is above MIN_EIG_TOL
+            np.linalg.cholesky(m - MIN_EIG_TOL * np.eye(d))
+        except np.linalg.LinAlgError:
+            raise ContractViolation("density matrix has an eigenvalue below -1e-8") from None
 
     @classmethod
     def from_pure(cls, state: SymState | PhotonicState) -> "DensityOp":

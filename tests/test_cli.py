@@ -562,6 +562,30 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
     assert proc.stdout.strip() == "[] []"
 
 
+@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "explicit"])
+def test_import_pins_openblas_unless_set(setting):
+    # both OpenBLAS builds load after the pin and run one operator-map check
+    code = (
+        "import os, macrosize, numpy, scipy.linalg; "
+        "macrosize.verify_operator_map(200, 8); "
+        "task = '/proc/self/task'; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], "
+        "len(os.listdir(task)) if os.path.isdir(task) else 'unknown')"
+    )
+    env = _package_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)  # this process carries the pin from conftest
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == (setting or "1")
+    if setting is None:
+        if threads == "unknown":
+            pytest.skip("no per-process thread listing on this platform")
+        assert threads == "1"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

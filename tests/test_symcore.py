@@ -69,6 +69,34 @@ def test_density_op_guards():
         DensityOp(b, m)  # not Hermitian
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 80),
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.floats(1e-10, 3e-8),
+    below=st.booleans(),
+)
+@example(dim=2, seed=0, gap=1e-10, below=False)
+@example(dim=40, seed=1, gap=1e-10, below=True)
+def test_density_op_psd_check_matches_spectrum(dim, seed, gap, below):
+    # a random unit-trace Hermitian matrix whose smallest eigenvalue sits
+    # `gap` below or above the -1e-8 threshold
+    rng = np.random.default_rng(seed)
+    lowest = -1e-8 - gap if below else -1e-8 + gap
+    w = rng.random(dim - 1)
+    spectrum = np.concatenate(([lowest], lowest + (1 - dim * lowest) * w / w.sum()))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    m = (q * spectrum) @ q.conj().T
+    # the reference: DensityOp's earlier check by the full spectrum
+    accepts = float(np.linalg.eigvalsh(m).min()) >= -1e-8
+    assert accepts == (not below)
+    if accepts:
+        DensityOp(DickeBasis(200, dim - 1), m)
+    else:
+        with pytest.raises(ContractViolation, match="eigenvalue below -1e-8"):
+            DensityOp(DickeBasis(200, dim - 1), m)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 100_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
 @example((100_000, 50_000))
