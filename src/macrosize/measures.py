@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .entanglement import helstrom_ps, reduced_group_state
-from .states import mode_operator
 from .symcore import (
     ContractViolation,
     DensityOp,
@@ -141,11 +140,10 @@ def mean_and_covariance(state: SymState | DensityOp) -> tuple[np.ndarray, np.nda
         mu = np.array([np.vdot(state.amps, v).real for v in vs])
         sec = np.array([[np.vdot(va, vb).real for vb in vs] for va in vs])
     else:
-        ops = collective_xyz(basis)
-        rj = [state.matrix @ J for J in ops]
-        mu = np.array([np.trace(r).real for r in rj])
-        sec = np.array([[np.sum(ra * Jb.T).real for Jb in ops] for ra in rj])
-        sec = 0.5 * (sec + sec.T)
+        jr = collective_apply(basis, state.matrix)  # J_b rho
+        mu = np.array([np.trace(r).real for r in jr])
+        sec = np.array([[np.trace(x).real for x in collective_apply(basis, r)] for r in jr])
+        sec = 0.5 * (sec + sec.T)  # Tr(J_a J_b rho) at [b, a], symmetrized
     return mu, sec - np.outer(mu, mu)
 
 
@@ -171,8 +169,7 @@ def fisher_matrix(state: SymState | DensityOp) -> np.ndarray:
     if isinstance(state, SymState):
         return 4.0 * mean_and_covariance(state)[1]
     lam, vec = self_adjoint_eig(state.matrix)
-    ops = collective_xyz(basis)
-    tilde = [vec.conj().T @ J @ vec for J in ops]
+    tilde = [vec.conj().T @ jv for jv in collective_apply(basis, vec)]
     s = lam[:, None] + lam[None, :]
     d = lam[:, None] - lam[None, :]
     w = np.where(s > QFI_SPECTRAL_CUTOFF, d * d / np.where(s > QFI_SPECTRAL_CUTOFF, s, 1.0), 0.0)
@@ -405,8 +402,7 @@ def _extremal_ladder_weights(
         return basis.M * s, basis.dim - 1, 1.0
     n = mean0 / len0
     jx, jy, jz = collective_xyz(basis)
-    jn = n[0] * jx + n[1] * jy + n[2] * jz
-    _, vecs = self_adjoint_eig(0.5 * (jn + jn.conj().T))
+    _, vecs = self_adjoint_eig(n[0] * jx + n[1] * jy + n[2] * jz)
     shells = vecs[:, ::-1]  # phi0 sits at the largest J.n eigenvalue
     if abs(np.vdot(shells[:, 0], phi0.amps)) ** 2 < 1.0 - 1e-10:
         return None
@@ -576,7 +572,8 @@ def wigner_I_photonic(state: PhotonicState | DensityOp) -> MeasureResult:
 
     Pure states: sum_m (<n_m> - |<a_m>|^2) + 1/2. Mixed single-mode states:
     Tr(rho^2 n) - Tr(rho a rho a^dag) + Tr(rho^2)/2, which reduces to the
-    pure form at rank one.
+    pure form at rank one; the middle term is <a rho, rho a>, with
+    (a rho)[n, m] = sqrt(n+1) rho[n+1, m] and (rho a)[n, m] = rho[n, m-1] sqrt(m).
     """
     if not isinstance(state.basis, FockBasis):
         raise ContractViolation("wigner_I_photonic needs a Fock-basis state")
@@ -605,11 +602,11 @@ def wigner_I_photonic(state: PhotonicState | DensityOp) -> MeasureResult:
     if state.basis.modes != 1:
         raise ContractViolation("mixed two-mode states are out of scope for this measure")
     rho = state.matrix
-    am = mode_operator(c)
     rho2 = rho @ rho
     purity = float(np.trace(rho2).real)
     t_num = float(np.dot(np.diag(rho2).real, n))
-    t_cross = float(np.sum((rho @ am) * (rho @ am.conj().T).T).real)
+    s = np.sqrt(n[1:])  # row c of a rho and column 0 of rho a are zero
+    t_cross = float(np.vdot(s[:, None] * rho[1:, 1:], rho[:-1, :-1] * s).real)
     return MeasureResult(
         "i-wigner", t_num - t_cross + 0.5 * purity, witness={"modes": 1, "purity": purity}
     )
@@ -620,20 +617,18 @@ def wigner_I_spin(state: SymState | DensityOp) -> MeasureResult:
 
     Pure states: (V(Jx) + V(Jy))/(4M). Mixed states:
     (1/4M) sum_{a in x,y} [Tr(rho^2 Ja^2) - Tr((rho Ja)^2)], matching the
-    pure reduction at rank one. Tied to the absorption frame (the x-y plane
-    plays the photonic role), so not rotation invariant by construction.
+    pure reduction at rank one; with X = Ja rho the terms are |X|_F^2 and
+    Tr(X^2). Tied to the absorption frame (the x-y plane plays the photonic
+    role), so not rotation invariant by construction.
     """
     basis = _require_spin(state, "state")
     if isinstance(state, SymState):
         _, cov = mean_and_covariance(state)
         value = float(cov[0, 0] + cov[1, 1]) / (4.0 * basis.M)
         return MeasureResult("i-wigner-spin", value, witness={})
-    jx, jy, _ = collective_xyz(basis)
-    rho = state.matrix
-    rho2 = rho @ rho
     acc = 0.0
-    for J in (jx, jy):
-        acc += float(np.sum(rho2 * (J @ J).T).real) - float(np.sum((rho @ J) * (rho @ J).T).real)
+    for X in collective_apply(basis, state.matrix)[:2]:
+        acc += float(np.vdot(X, X).real) - float(np.sum(X * X.T).real)
     return MeasureResult("i-wigner-spin", acc / (4.0 * basis.M), witness={})
 
 

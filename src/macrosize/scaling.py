@@ -148,9 +148,7 @@ def _even_cat_pair(alpha: complex, cutoff: int | None = None) -> SuperpositionPa
 
 
 def _fock_superposition_pair(N: int, cutoff: int | None = None) -> SuperpositionPair:
-    if N < 1:
-        raise ContractViolation(f"fock-superposition pair needs N >= 1, got {N}")
-    c = cutoff if cutoff is not None else 2 * N + 2
+    c = make_fock_superposition(N, cutoff).cutoff
     return SuperpositionPair(make_fock(0, cutoff=c), make_fock(2 * N, cutoff=c))
 
 
@@ -473,10 +471,6 @@ class Table1Cell:
     ci95: float
     flag: str
     points: tuple[SweepPoint, ...]
-
-    @property
-    def defined(self) -> bool:
-        return self.classification not in ("n.d.", "undefined-for-input", "error")
 
 
 @dataclass(frozen=True)

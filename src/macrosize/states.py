@@ -78,30 +78,27 @@ def make_coherent(alpha: complex, cutoff: int | None = None) -> PhotonicState:
     return PhotonicState(FockBasis(cutoff), amps / norm)
 
 
-def _cat_amps(alpha: complex, cutoff: int, parity: int) -> np.ndarray:
+def _make_cat(alpha: complex, cutoff: int | None, parity: int) -> PhotonicState:
+    """(|alpha> + (-1)^parity |-alpha>)/norm on the Fock labels of that parity."""
+    if alpha == 0:
+        raise ContractViolation(f"{('even', 'odd')[parity]} cat needs alpha != 0")
+    if cutoff is None:
+        cutoff = _coherent_cutoff(alpha)
     plus = _coherent_amps(alpha, cutoff)
     minus = _coherent_amps(-alpha, cutoff)
     amps = plus + minus if parity == 0 else plus - minus
     amps[(np.arange(cutoff + 1) % 2) != parity] = 0.0  # exact parity support
-    return amps / np.linalg.norm(amps)
+    return PhotonicState(FockBasis(cutoff), amps / np.linalg.norm(amps))
 
 
 def make_even_cat(alpha: complex, cutoff: int | None = None) -> PhotonicState:
     """(|alpha> + |-alpha>)/norm: only even Fock components are populated."""
-    if alpha == 0:
-        raise ContractViolation("even cat needs alpha != 0")
-    if cutoff is None:
-        cutoff = _coherent_cutoff(alpha)
-    return PhotonicState(FockBasis(cutoff), _cat_amps(alpha, cutoff, 0))
+    return _make_cat(alpha, cutoff, 0)
 
 
 def make_odd_cat(alpha: complex, cutoff: int | None = None) -> PhotonicState:
     """(|alpha> - |-alpha>)/norm: only odd Fock components are populated."""
-    if alpha == 0:
-        raise ContractViolation("odd cat needs alpha != 0")
-    if cutoff is None:
-        cutoff = _coherent_cutoff(alpha)
-    return PhotonicState(FockBasis(cutoff), _cat_amps(alpha, cutoff, 1))
+    return _make_cat(alpha, cutoff, 1)
 
 
 def make_mixed_cat(alpha: complex, d: float, cutoff: int | None = None) -> DensityOp:
@@ -131,7 +128,7 @@ def make_fock_superposition(N: int, cutoff: int | None = None) -> PhotonicState:
 
 def mode_operator(cutoff: int) -> np.ndarray:
     """Single-mode annihilation matrix a on the truncated Fock space, for
-    `displace`, which the factories do not call, and mixed-state i-wigner."""
+    `displace`, which the factories do not call."""
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1).astype(np.complex128)
 
 

@@ -10,6 +10,12 @@ Conventions, stated once and used everywhere:
 i.e. collective operators carry no 1/2 factors, [J+, J-] = Jz,
 [Jz, J+-] = +-2 J+-, and J_n has spectral radius M on the full sector.
 `k` counts excited spins, so k = 0 is the all-ground state.
+
+J is written once, on the J+ band: `collective_apply` multiplies by Jx, Jy
+and Jz in O(K) a column. The dense matrices of `collective_xyz` are that
+product with the identity; they exist only to feed matrix functions
+(eigendecomposition, exponential, trace norm), and every other product with
+J goes through the band.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ def _checked_amps(basis: DickeBasis | FockBasis, amps) -> np.ndarray:
             f"amplitude vector has shape {amps.shape}, basis needs ({basis.dim},)"
         )
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not np.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
         raise ContractViolation(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
     return amps
 
@@ -180,8 +186,7 @@ class DensityOp(_Populations):
         d = self.basis.dim
         if m.shape != (d, d):
             raise ContractViolation(f"matrix shape {m.shape} does not match basis dim {d}")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > HERM_TOL * scale:
+        if not _is_hermitian(m, HERM_TOL):
             raise ContractViolation("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-10:
@@ -229,13 +234,27 @@ def raising_coefficients(M: int, K: int) -> np.ndarray:
     return np.sqrt((k + 1.0) * (M - k))
 
 
+def _is_hermitian(m: np.ndarray, tol: float) -> bool:
+    """Whether |m - m^dagger|max <= tol * max(1, |m|max).
+
+    Raises ContractViolation on a non-square matrix and on any non-finite
+    entry, which the comparison alone would let through (NaN compares false).
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ContractViolation(f"need a square matrix, got shape {m.shape}")
+    top = float(np.abs(m).max())  # NaN or inf here iff some entry is
+    if not np.isfinite(top):
+        raise ContractViolation("matrix has a non-finite entry")
+    return float(np.abs(m - m.conj().T).max()) <= tol * max(1.0, top)
+
+
 def collective_apply(
     basis: DickeBasis, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Jx v, Jy v, Jz v) from the J+ band and the Jz diagonal, in O(K) a column.
 
-    `v` is one vector of length K+1 or a block of such columns. The results
-    equal the products with `collective_xyz`, clipping at k = K included.
+    `v` is one vector of length K+1 or a block of such columns. Row k = K
+    keeps only the J+ term: the truncation clips the J- term from k = K + 1.
     """
     v = np.asarray(v, dtype=np.complex128)
     cp = raising_coefficients(basis.M, basis.K)
@@ -250,18 +269,13 @@ def collective_apply(
 
 
 def collective_xyz(basis: DickeBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (Jx, Jy, Jz) on the truncated basis, for the kernels that need
-    matrices; `collective_apply` applies them to vectors.
+    """Dense (Jx, Jy, Jz) on the truncated basis, for matrix functions only:
+    `collective_apply` on the identity.
 
     Commutators and the J^2 identity hold exactly on interior labels; the
     row/column at k = K is clipped by the truncation.
     """
-    M, K = basis.M, basis.K
-    jp = np.zeros((K + 1, K + 1), dtype=np.complex128)
-    jp[np.arange(1, K + 1), np.arange(K)] = raising_coefficients(M, K)  # <k+1| J+ |k>
-    jm = jp.conj().T
-    jz = np.diag((-M + 2.0 * np.arange(K + 1)).astype(np.complex128))
-    return jp + jm, -1j * (jp - jm), jz
+    return collective_apply(basis, np.eye(basis.dim))
 
 
 def self_adjoint_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,10 +285,7 @@ def self_adjoint_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residual is covered by the LAPACK backend and checked in tests at 1e-9.
     """
     H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ContractViolation(f"need a square matrix, got shape {H.shape}")
-    scale = max(1.0, float(np.abs(H).max()))
-    if np.abs(H - H.conj().T).max() > HERM_TOL * scale:
+    if not _is_hermitian(H, HERM_TOL):
         raise ContractViolation("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(H)
     return w, v
@@ -283,10 +294,7 @@ def self_adjoint_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def trace_norm(X: np.ndarray) -> float:
     """Sum of singular values; for Hermitian X computed as sum |eigenvalues|."""
     X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ContractViolation(f"need a square matrix, got shape {X.shape}")
-    scale = max(1.0, float(np.abs(X).max()))
-    if np.abs(X - X.conj().T).max() <= 1e-12 * scale:
+    if _is_hermitian(X, 1e-12):
         return float(np.abs(np.linalg.eigvalsh(X)).sum())
     return float(np.linalg.svd(X, compute_uv=False).sum())
 

@@ -654,6 +654,62 @@ def test_mixed_cat_closed_forms():
         assert wigner_I_spin(rho).value == pytest.approx(want_i, rel=0.02)
 
 
+@st.composite
+def _mixed_states(draw):
+    """(M, rho): a random unit-trace density matrix of rank 1-4 and dimension
+    2-60, with a spin count M >= dim - 1 to read it on a Dicke basis."""
+    dim = draw(st.integers(2, 60))
+    rank = draw(st.integers(1, 4))
+    M = draw(st.integers(dim - 1, 4 * dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    return M, rho / np.trace(rho).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_states())
+@example((1, np.diag([0.25, 0.75]).astype(complex)))
+def test_mixed_state_kernels_match_dense_formulas(case):
+    # the mixed-state branches multiply by J and a on their bands; here each
+    # is the textbook trace formula on dense matrices, within 1e-12 relative
+    M, rho = case
+    dim = len(rho)
+    spin = DensityOp(DickeBasis(M, dim - 1), rho)
+    J = collective_xyz(spin.basis)
+
+    mu = np.array([np.trace(rho @ A).real for A in J])
+    sec = np.array([[0.5 * np.trace(rho @ (A @ B + B @ A)).real for B in J] for A in J])
+    cov = sec - np.outer(mu, mu)
+    got_mu, got_cov = mean_and_covariance(spin)
+    assert np.abs(got_mu - mu).max() <= 1e-12 * M
+    assert np.abs(got_cov - cov).max() <= 1e-12 * np.abs(cov).max()
+
+    lam, vec = np.linalg.eigh(rho)
+    A = [vec.conj().T @ X @ vec for X in J]
+    s, d = lam[:, None] + lam[None, :], lam[:, None] - lam[None, :]
+    w = np.where(s > 1e-12, d * d / np.where(s > 1e-12, s, 1.0), 0.0)
+    F = np.array([[2.0 * np.sum(w * (A[a] * A[b].conj()).real) for b in range(3)] for a in range(3)])
+    assert np.abs(fisher_matrix(spin) - F).max() <= 1e-12 * np.abs(F).max()
+
+    i_spin = sum(
+        np.trace(rho @ rho @ X @ X).real - np.trace(rho @ X @ rho @ X).real for X in J[:2]
+    ) / (4.0 * M)
+    assert wigner_I_spin(spin).value == pytest.approx(i_spin, rel=1e-12)
+
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+    rho2 = rho @ rho
+    i_phot = (
+        np.trace(rho2 @ np.diag(np.arange(dim, dtype=float))).real
+        - np.trace(rho @ a @ rho @ a.conj().T).real
+        + 0.5 * np.trace(rho2).real
+    )
+    with warnings.catch_warnings():  # random states load the cutoff's edge labels
+        warnings.simplefilter("ignore", RegimeWarning)
+        got = wigner_I_photonic(DensityOp(FockBasis(dim - 1), rho)).value
+    assert got == pytest.approx(i_phot, rel=1e-12)
+
+
 def test_wigner_I_photonic_closed_forms():
     for N in (0, 1, 3):
         assert wigner_I_photonic(make_fock(N, cutoff=12)).value == pytest.approx(

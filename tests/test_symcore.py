@@ -58,6 +58,37 @@ def test_photonic_tail_guard():
     PhotonicState(FockBasis(5), amps, tail_tol=None)
 
 
+def _nan_at(dim, *where):
+    m = np.eye(dim, dtype=complex) / dim
+    for i, j in where:
+        m[i, j] = np.nan
+    return m
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DensityOp(DickeBasis(4, 2), _nan_at(3, (1, 1))),
+        lambda: DensityOp(DickeBasis(4, 2), _nan_at(3, (0, 1), (1, 0))),
+        lambda: SymState(DickeBasis(4, 2), [np.nan, 0, 0]),
+        lambda: SymState(DickeBasis(4, 2), [np.inf, 0, 0]),
+        lambda: PhotonicState(FockBasis(3), [np.nan, 0, 0, 0]),
+        lambda: PhotonicState(FockBasis(3), [np.inf, 0, 0, 0]),
+        lambda: self_adjoint_eig(_nan_at(3, (2, 2))),
+        lambda: trace_norm(_nan_at(3, (2, 2))),
+        lambda: trace_norm(_nan_at(3, (0, 2))),
+    ],
+    ids=[
+        "density-nan-diagonal", "density-nan-pair", "sym-nan", "sym-inf",
+        "photonic-nan", "photonic-inf", "eig-nan", "trace-norm-nan", "trace-norm-nan-offdiag",
+    ],
+)
+def test_non_finite_input_is_rejected(build):
+    # NaN fails every tolerance comparison, so each guard checks finiteness itself
+    with pytest.raises(ContractViolation):
+        build()
+
+
 def test_density_op_guards():
     b = DickeBasis(4, 2)
     with pytest.raises(ContractViolation):
@@ -208,6 +239,17 @@ def test_default_spin_truncation_behaviour():
     assert b > a
 
 
+def _dense_collective_xyz(basis):
+    """Dense (Jx, Jy, Jz) written out from the matrix elements <k+1| J+ |k>
+    and <k| Jz |k>, independently of the band in `collective_apply`."""
+    M, K = basis.M, basis.K
+    jp = np.zeros((K + 1, K + 1), dtype=np.complex128)
+    jp[np.arange(1, K + 1), np.arange(K)] = raising_coefficients(M, K)  # <k+1| J+ |k>
+    jm = jp.conj().T
+    jz = np.diag((-M + 2.0 * np.arange(K + 1)).astype(np.complex128))
+    return jp + jm, -1j * (jp - jm), jz
+
+
 @st.composite
 def _sector_vectors(draw):
     """(M, K, v): a truncated sector and a complex vector or column block on it."""
@@ -229,9 +271,10 @@ def test_collective_apply_matches_dense_matrices(case):
     basis = DickeBasis(M, K)
     got = collective_apply(basis, v)
     scale = M * max(1.0, float(np.abs(v).max()))
-    for J, gv in zip(collective_xyz(basis), got):
+    for J, gv, dense in zip(_dense_collective_xyz(basis), got, collective_xyz(basis)):
         assert gv.shape == v.shape
         assert np.abs(gv - J @ v).max() <= 1e-13 * scale
+        assert np.array_equal(dense, J)  # the matrices are the band on the identity
     if K >= 1:
         # row k = K keeps only the J+ term from k = K - 1; J- would need k = K + 1
         cp = raising_coefficients(M, K)
