@@ -27,7 +27,6 @@ from .entanglement import (
 from .mapping import (
     MappingReport,
     approx_absorb,
-    block_hamiltonian,
     exact_absorb,
     mapping_fidelity,
     verify_disentangling_identity,
@@ -74,7 +73,6 @@ from .scaling import (
 )
 from .states import (
     build_state,
-    displace,
     make_coherent,
     make_dicke,
     make_displaced_single_photon,
@@ -85,7 +83,6 @@ from .states import (
     make_mixed_cat,
     make_odd_cat,
     make_spin_coherent,
-    mode_operator,
     state_from_dict,
     state_to_dict,
 )
@@ -99,9 +96,7 @@ from .symcore import (
     SymState,
     TruncationError,
     collective_apply,
-    collective_xyz,
     default_spin_truncation,
     raising_coefficients,
-    rotate_state,
     trace_norm,
 )

@@ -57,7 +57,7 @@ from .states import (
     state_from_dict,
     state_to_dict,
 )
-from .symcore import ContractViolation, DensityOp, FockBasis, PhotonicState, TruncationError
+from .symcore import ContractViolation, DensityOp, DickeBasis, PhotonicState, TruncationError
 
 
 DISENTANGLING_LAMBDA = 1.2  # verify-mapping --jmax without --lam
@@ -208,10 +208,17 @@ def cmd_measure(args, cfg: Config) -> int:
     if args.angle is not None and args.channel != "homodyne":
         raise ContractViolation("--angle needs --channel homodyne")
     single, pair = _load_states(args.files)
-    if spec.domain == "spin" and args.M is not None:
-        if single is not None and isinstance(single.basis, FockBasis):
+    if args.M is not None:
+        if spec.domain != "spin":
+            raise ContractViolation(f"{mid} does not read --M: it measures photonic states")
+        given = single if single is not None else pair.psi0
+        if isinstance(given.basis, DickeBasis):
+            raise ContractViolation(
+                f"--M absorbs photonic input; this input is already on M={given.basis.M} spins"
+            )
+        if single is not None:
             single = approx_absorb(single, args.M)
-        if pair is not None and not pair.is_spin:
+        else:
             pair, _ = absorb_pair(pair, args.M)
     if spec.pair and pair is None:
         raise UndefinedForInput(f"{mid} needs a branch pair, got a single state")
@@ -388,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--pg", dest="p_g", type=float, help="size-pg only")
     pm.add_argument("--channel", choices=["photon-count", "homodyne"], help="size-pg only")
     pm.add_argument("--angle", type=float, help="with --channel homodyne")
-    pm.add_argument("--M", type=int, help="absorb photonic input into M spins first")
+    pm.add_argument("--M", type=int,
+                    help="absorb photonic input into M spins first (spin measures only)")
     pm.set_defaults(func=cmd_measure)
 
     pa = sub.add_parser("absorb", help="map a photonic state onto the spin ensemble")

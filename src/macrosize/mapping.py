@@ -18,8 +18,8 @@ from .symcore import (
     RegimeWarning,
     SymState,
     default_spin_truncation,
-    hermitian_exp,
     raising_coefficients,
+    self_adjoint_eig,
 )
 
 ABSORPTION_PHASE = np.pi / 2  # interaction phase g = chi sqrt(M) t of a full absorption
@@ -35,16 +35,6 @@ def _block_offdiag(E: int, M: int, K: int) -> np.ndarray:
     dim = min(E, K) + 1
     k = np.arange(dim - 1, dtype=float)
     return np.sqrt(E - k) * raising_coefficients(M, dim - 1)
-
-
-def block_hamiltonian(E: int, M: int, K: int) -> np.ndarray:
-    """Dense tridiagonal coupling within the E block, zero on the diagonal."""
-    off = _block_offdiag(E, M, K)
-    dim = len(off) + 1
-    H = np.zeros((dim, dim))
-    H[np.arange(1, dim), np.arange(dim - 1)] = off
-    H[np.arange(dim - 1), np.arange(1, dim)] = off
-    return H
 
 
 def _block_eigs(energies, M: int, K: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -220,6 +210,9 @@ def verify_disentangling_identity(j: float, lam: float) -> float:
 
     on the spin-j representation, where S3 = [S+, S-] obeys [S3, S+-] = +-2 S+-.
     Returned relative to ||LHS||_F because the matrices grow like e^{2 j lam}.
+    The LHS comes from the eigendecomposition of the real S+ + S-, the
+    diagonal cosh(lam)^{S3} is a power of each entry, and `expm` takes only
+    the nilpotent S+-.
     """
     from scipy.linalg import expm
 
@@ -229,10 +222,10 @@ def verify_disentangling_identity(j: float, lam: float) -> float:
     # S+ on labels m = -j..j ascending: <m+1|S+|m> = sqrt((j - m)(j + m + 1)), the
     # J+ band of 2j spins at k = m + j
     sp = np.diag(raising_coefficients(two_j, two_j), -1)
-    sm = sp.conj().T
-    s3 = sp @ sm - sm @ sp
-    lhs = hermitian_exp(sp + sm, lam)
+    sm = sp.T
+    s3 = np.diag(sp @ sm - sm @ sp)  # diagonal
+    w, v = self_adjoint_eig(sp + sm)  # real symmetric
+    lhs = (v * np.exp(lam * w)) @ v.T
     th = np.tanh(lam)
-    middle = hermitian_exp(s3, np.log(np.cosh(lam)))
-    rhs = expm(th * sm) @ middle @ expm(th * sp)
+    rhs = expm(th * sm) @ (np.cosh(lam) ** s3[:, None] * expm(th * sp))
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))

@@ -25,7 +25,6 @@ from .symcore import (
     RegimeWarning,
     SymState,
     collective_apply,
-    collective_xyz,
     self_adjoint_eig,
     trace_norm,
 )
@@ -37,6 +36,7 @@ DEGENERATE_PAIR_TOL = 1e-12
 SMEAR_L1_ATOL = 1e-8
 PS_TIE_TOL = 1e-12
 LAYER_TAIL_TOL = 1e-12
+PRODUCT_REFERENCE_TOL = 1e-10  # d-bar's bound on a product reference's <D>
 ROUNDING_FLOOR = 1e-13  # smeared values below this fraction of the largest carry no sign
 ROOT_WIDTH = 2.0**-24  # root brackets end this narrow, in grid steps sigma/4: L1 errs by its square
 SIGMA_RTOL = 1e-4  # size-pg bisects the critical width to this relative bracket
@@ -376,38 +376,30 @@ def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureRes
     )
 
 
-def _extremal_ladder_weights(
-    phi0: SymState, phi1: SymState
-) -> tuple[float, int, float] | None:
-    """Layer weights when phi0 is an extremal (product) state, else None.
+def _product_reference_mean(phi0: SymState, phi1: SymState) -> tuple[float, float] | None:
+    """Mean layer index of phi1 around a product-state phi0, with <D>_0; None
+    when phi0 is not a product state.
 
-    For a product state the collective-operator layers around it are exactly
-    the eigenvectors of J.n along its Bloch direction n, ordered from the
-    extremal eigenvalue inward, so one Hermitian eigendecomposition replaces
-    the iterated Krylov construction, whose forward error grows geometrically
-    with depth and poisons deep ladders. When the other branch is a product
-    state too, the group action gives the weights in closed form: binomial
-    in the layer index with success (1 - n0.n1)/2, hence mean M(1 - n0.n1)/2,
-    which also sidesteps the basis-truncation distortion of deep shells.
+    Around the product state along n = <J>_0/|<J>_0|, the flip layers are the
+    Dicke states of J.n: layer d has eigenvalue M - 2d, so the layer index is
+    D = (M - J.n)/2 and the mean is (M - n.<J>_1)/2, the first moment of J.
+    <J> of a truncated vector equals its full-sector value, so this is exact
+    in the full sector, with no eigendecomposition.
+
+    phi0 counts as a product state when <D>_0 = (M - |<J>_0|)/2 is at most
+    PRODUCT_REFERENCE_TOL plus 16 eps M. <D>_0 bounds phi0's weight off its
+    top shell (D >= 1 there). The 16 eps M allows for the rounding of
+    |<J>_0|, which is one ulp of M on exact spin-coherent states (2.9e-11 at
+    M = 2e5).
     """
-    basis = phi0.basis
+    M = phi0.basis.M
     mean0, _ = mean_and_covariance(phi0)
     len0 = float(np.linalg.norm(mean0))
-    if len0 < (1.0 - 1e-8) * basis.M:
+    off_shell = 0.5 * (M - len0)
+    if off_shell > PRODUCT_REFERENCE_TOL + 16.0 * np.finfo(float).eps * M:
         return None
     mean1, _ = mean_and_covariance(phi1)
-    len1 = float(np.linalg.norm(mean1))
-    if len1 >= (1.0 - 1e-8) * basis.M:
-        s = 0.5 * (1.0 - float(np.dot(mean0, mean1)) / (len0 * len1))
-        return basis.M * s, basis.dim - 1, 1.0
-    n = mean0 / len0
-    jx, jy, jz = collective_xyz(basis)
-    _, vecs = self_adjoint_eig(n[0] * jx + n[1] * jy + n[2] * jz)
-    shells = vecs[:, ::-1]  # phi0 sits at the largest J.n eigenvalue
-    if abs(np.vdot(shells[:, 0], phi0.amps)) ** 2 < 1.0 - 1e-10:
-        return None
-    w = np.abs(shells.conj().T @ phi1.amps) ** 2
-    return float(np.dot(np.arange(len(w)), w)), len(w) - 1, float(np.sum(w))
+    return max(0.5 * (M - float(np.dot(mean0, mean1)) / len0), 0.0), off_shell
 
 
 def _layer_weights(phi0: SymState, phi1: SymState) -> tuple[float, int, float, float]:
@@ -463,8 +455,12 @@ def d_bar(pair: SuperpositionPair) -> MeasureResult:
     """Mean number of single-spin flips separating the branches.
 
     For a basis reference |M,k0> this is sum_k |c_k|^2 |k - k0| over the other
-    branch's amplitudes; otherwise the flip layers are constructed explicitly
-    from the reference by collective-operator products.
+    branch's amplitudes (`ladder`). For a product-state reference along n it
+    is the closed form (M - n.<J>_1)/2 (`extremal-ladder`, see
+    `_product_reference_mean`), whose witness reports the reference's own
+    mean layer index as `referenceOffShell`. Otherwise the flip layers are
+    constructed explicitly from the reference by collective-operator
+    products (`layering`).
     """
     basis = _require_spin_pair(pair)
     a0 = pair.psi0.amps
@@ -474,13 +470,18 @@ def d_bar(pair: SuperpositionPair) -> MeasureResult:
         k = np.arange(basis.dim)
         value = float(np.dot(np.abs(pair.psi1.amps) ** 2, np.abs(k - k0)))
         return MeasureResult("d-bar", value, witness={"k0": k0, "method": "ladder"})
-    extremal = _extremal_ladder_weights(pair.psi0, pair.psi1)
-    if extremal is not None:
-        value, layers, covered = extremal
+    product = _product_reference_mean(pair.psi0, pair.psi1)
+    if product is not None:
+        value, off_shell = product
         return MeasureResult(
             "d-bar",
             value,
-            witness={"layers": layers, "covered": covered, "method": "extremal-ladder"},
+            witness={
+                "layers": basis.K,
+                "covered": 1.0,
+                "referenceOffShell": off_shell,
+                "method": "extremal-ladder",
+            },
         )
     value, layers, covered, tail = _layer_weights(pair.psi0, pair.psi1)
     return MeasureResult(
@@ -509,7 +510,7 @@ def index_q(state: SymState | DensityOp) -> MeasureResult:
 
     basis = _require_spin(state, "state")
     rho = DensityOp.from_pure(state) if isinstance(state, SymState) else state
-    jx, jy, jz = collective_xyz(basis)
+    jx, jy, jz = collective_apply(basis, np.eye(basis.dim))  # dense J, for the trace norm
     m = rho.matrix
 
     def objective(n: np.ndarray) -> float:

@@ -1,6 +1,5 @@
-"""Factories for the named photonic and spin states, the displacement
-operator, the table of named states, and the dict form of states used for
-JSON files."""
+"""Factories for the named photonic and spin states, the table of named
+states, and the dict form of states used for JSON files."""
 
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from .symcore import (
     SymState,
     TruncationError,
     default_spin_truncation,
-    hermitian_exp,
     log_binomials,
     log_factorial,
 )
@@ -126,36 +124,6 @@ def make_fock_superposition(N: int, cutoff: int | None = None) -> PhotonicState:
     return PhotonicState(FockBasis(cutoff), amps, tail_tol=None)
 
 
-def mode_operator(cutoff: int) -> np.ndarray:
-    """Single-mode annihilation matrix a on the truncated Fock space, for
-    `displace`, which the factories do not call."""
-    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1).astype(np.complex128)
-
-
-def displace(state: PhotonicState, alpha: complex) -> PhotonicState:
-    """Apply the displacement exp(alpha a^dag - alpha* a) to the first mode.
-
-    The truncated generator is Hermitian, so the map is exactly unitary on the
-    truncated space; amplitudes near the cutoff differ from the untruncated
-    displacement, which the factory cutoffs keep below the tail tolerance.
-    Two-mode states get the single-mode unitary applied on the first tensor
-    factor (never the kronecker product, whose size is quartic in the cutoff).
-    This is the general operator, one dense eigendecomposition a call. The
-    factories do not call it: they displace only |0> and |1>, which
-    `_displaced_vacuum_and_photon` gives in closed form.
-    """
-    a = mode_operator(state.cutoff)
-    gen = 1j * (alpha * a.conj().T - np.conj(alpha) * a)  # Hermitian
-    U = hermitian_exp(gen, -1j)
-    if state.modes == 1:
-        amps = U @ state.amps
-    else:
-        dim = state.cutoff + 1
-        amps = (U @ state.amps.reshape(dim, dim)).reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    return PhotonicState(state.basis, amps, tail_tol=state.tail_tol)
-
-
 def _displaced_cutoff(alpha: complex) -> int:
     """Default cutoff of the displaced single photon and its branches: the
     displaced number tails carry an extra ~(n-lam)^2/lam, hence pmf_tol 1e-15."""
@@ -171,7 +139,7 @@ def _displaced_vacuum_and_photon(alpha: complex, cutoff: int) -> tuple[np.ndarra
     cutoff, with no truncated generator and no eigensolve. The same step
     applied again, D|n+1> = (a^dag - alpha*) D|n> / sqrt(n+1), is not used for
     general n: the forward recursion is unstable, with errors up to 1e+22 at
-    alpha = 8, so `displace` stays the operator for arbitrary states.
+    alpha = 8.
     """
     d0 = _coherent_amps(alpha, cutoff)
     d1 = -np.conj(alpha) * d0

@@ -1,5 +1,6 @@
 """Symmetric-sector basis machinery, collective spin operators, and the dense
-Hermitian linear-algebra kernels shared by every other module.
+Hermitian linear-algebra kernels (eigendecomposition, trace norm) shared by
+every other module.
 
 Conventions, stated once and used everywhere:
 
@@ -12,10 +13,12 @@ i.e. collective operators carry no 1/2 factors, [J+, J-] = Jz,
 `k` counts excited spins, so k = 0 is the all-ground state.
 
 J is written once, on the J+ band: `collective_apply` multiplies by Jx, Jy
-and Jz in O(K) a column. The dense matrices of `collective_xyz` are that
-product with the identity; they exist only to feed matrix functions
-(eigendecomposition, exponential, trace norm), and every other product with
-J goes through the band.
+and Jz in O(K) a column. The package builds dense J only in `index_q`,
+whose objective takes a trace norm, as that product with the identity;
+every other product with J goes through the band. Outside the su(2)
+disentangling check of `mapping`, no module exponentiates a generator: the
+factories build spin-coherent and displaced states in closed form, and the
+dense rotation and displacement are test references.
 """
 
 from __future__ import annotations
@@ -268,16 +271,6 @@ def collective_apply(
     return up + down, -1j * (up - down), jz * v
 
 
-def collective_xyz(basis: DickeBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (Jx, Jy, Jz) on the truncated basis, for matrix functions only:
-    `collective_apply` on the identity.
-
-    Commutators and the J^2 identity hold exactly on interior labels; the
-    row/column at k = K is clipped by the truncation.
-    """
-    return collective_apply(basis, np.eye(basis.dim))
-
-
 def self_adjoint_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix; rejects non-Hermitian input.
 
@@ -297,28 +290,3 @@ def trace_norm(X: np.ndarray) -> float:
     if _is_hermitian(X, 1e-12):
         return float(np.abs(np.linalg.eigvalsh(X)).sum())
     return float(np.linalg.svd(X, compute_uv=False).sum())
-
-
-def hermitian_exp(H: np.ndarray, c: complex) -> np.ndarray:
-    """exp(c H) for Hermitian H, via the spectral decomposition; c = -i t
-    gives the unitary exp(-i H t)."""
-    w, v = self_adjoint_eig(H)
-    return (v * np.exp(c * w)) @ v.conj().T
-
-
-def rotate_state(state: SymState, axis, angle: float) -> SymState:
-    """Collective Bloch rotation exp(-i (angle/2) J_n) applied to a SymState.
-
-    Exact only when the basis is untruncated (K = M); rotations spread the
-    excitation label, so callers on truncated bases must keep angles small.
-    """
-    n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise ContractViolation("cannot normalize the zero direction")
-    nx, ny, nz = (float(c) for c in n / norm)
-    jx, jy, jz = collective_xyz(state.basis)
-    U = hermitian_exp(nx * jx + ny * jy + nz * jz, -0.5j * angle)
-    amps = U @ state.amps
-    amps = amps / np.linalg.norm(amps)
-    return SymState(state.basis, amps)

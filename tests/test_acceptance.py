@@ -24,7 +24,6 @@ from macrosize import (
     branch_pair,
     c_delta,
     d_bar,
-    displace,
     entanglement_entropy,
     family_state,
     fit_exponent,
@@ -45,7 +44,6 @@ from macrosize import (
     negativity,
     normalized_sum,
     relative_fisher,
-    rotate_state,
     size_pg,
     size_prefactor,
     split,
@@ -55,8 +53,9 @@ from macrosize import (
     wigner_I_photonic,
     wigner_I_spin,
 )
-from macrosize.mapping import approx_absorb, block_hamiltonian, exact_absorb
+from macrosize.mapping import approx_absorb, exact_absorb
 from macrosize.scaling import default_spin_rule, table1
+from references import block_hamiltonian, displace, rotate_state
 
 TARGET_EXPONENT = {"O(N)": 1.0, "O(sqrt(N))": 0.5, "O(1)": 0.0, "O(1/M)": -1.0}
 

@@ -1,36 +1,97 @@
-"""Structure guard: the spin measures multiply by J on its band. In
-`measures`, the dense matrices of `collective_xyz` feed only the matrix
-functions of `index_q` and `_extremal_ladder_weights`, and nothing comes
+"""Structure guard: the package multiplies by J on its band. The one dense J
+in `src/` is `collective_apply` on the identity inside `measures.index_q`,
+whose objective takes a trace norm; no other function builds one, directly
+or through a function that does. `expm` appears only in
+`mapping.verify_disentangling_identity`, and nothing in `measures` comes
 from `states` (whose dense mode operator the mixed i-wigner used to take)."""
 
 import ast
 from pathlib import Path
 
-MEASURES = Path(__file__).resolve().parent.parent / "src" / "macrosize" / "measures.py"
-DENSE_J_USERS = {"index_q", "_extremal_ladder_weights"}
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macrosize"
+DENSE_J_HOME = {"measures.index_q"}
+EXPM_HOME = {"mapping.verify_disentangling_identity"}
 
 
-def _tree():
-    return ast.parse(MEASURES.read_text(), filename=str(MEASURES))
+def _trees():
+    return {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def _functions():
+    """{"module.name": node} for every top-level function of the package."""
+    return {
+        f"{module}.{node.name}": node
+        for module, tree in _trees().items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _called_name(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _is_identity(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and _called_name(node) in ("eye", "identity")
+
+
+def _builds_dense_j(fn: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(n, ast.Call)
+        and _called_name(n) == "collective_apply"
+        and any(_is_identity(a) for a in n.args[1:2] + [k.value for k in n.keywords])
+        for n in ast.walk(fn)
+    )
+
+
+def _names(fn: ast.FunctionDef) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(fn)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
 
 
 def test_dense_j_only_feeds_matrix_functions():
-    tree = _tree()
-    inside = set()
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in DENSE_J_USERS:
-            inside |= {id(n) for n in ast.walk(node)}
-    stray = [
-        n.lineno
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Name) and n.id == "collective_xyz" and id(n) not in inside
-    ]
-    assert stray == [], f"collective_xyz named outside {sorted(DENSE_J_USERS)} at lines {stray}"
+    functions = _functions()
+    builders = {q for q, fn in functions.items() if _builds_dense_j(fn)}
+    grew = True
+    while grew:  # a function that calls a builder builds one too; index_q returns a number
+        short = {q.split(".")[1] for q in builders - DENSE_J_HOME}
+        more = {q for q, fn in functions.items() if q not in builders and _names(fn) & short}
+        builders |= more
+        grew = bool(more)
+    assert builders <= DENSE_J_HOME, f"dense J built in {sorted(builders - DENSE_J_HOME)}"
+
+
+def test_expm_is_named_only_in_the_disentangling_check():
+    stray = []
+    for module, tree in _trees().items():
+        inside = {
+            id(n)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and f"{module}.{node.name}" in EXPM_HOME
+            for n in ast.walk(node)
+        }
+        for n in ast.walk(tree):
+            names = (
+                [n.id] if isinstance(n, ast.Name)
+                else [n.attr] if isinstance(n, ast.Attribute)
+                else [a.name for a in n.names] if isinstance(n, (ast.Import, ast.ImportFrom))
+                else []
+            )
+            if any(name.split(".")[-1] == "expm" for name in names) and id(n) not in inside:
+                stray.append(f"{module}:{n.lineno}")
+    assert stray == [], f"expm named outside {sorted(EXPM_HOME)} at {stray}"
 
 
 def test_measures_imports_nothing_from_states():
     imports = []
-    for n in ast.walk(_tree()):
+    for n in ast.walk(_trees()["measures"]):
         if isinstance(n, ast.ImportFrom):
             module = n.module or ""
             names = [a.name for a in n.names]

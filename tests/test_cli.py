@@ -172,7 +172,11 @@ def test_pair_file_reads_back_as_written(name, params, tmp_path, capsys):
     for got, want in ((back.psi0, mem.psi0), (back.psi1, mem.psi1)):
         assert type(got) is type(want) and got.basis == want.basis
         assert got.amps.tobytes() == want.amps.tobytes()
-    code, out, _ = run(capsys, "measure", "m2", str(f), "--M", "200")
+    code, out, err = run(capsys, "measure", "m2", str(f), "--M", "200")
+    if mem.is_spin:  # --M absorbs photonic input only; a spin file is rejected
+        assert code == 2 and out == ""
+        assert "--M absorbs photonic input" in err
+        code, out, _ = run(capsys, "measure", "m2", str(f))
     assert code == 0
     spin = mem if mem.is_spin else absorb_pair(mem, 200)[0]
     assert load(out)["value"] == _jsonable(MEASURES["m2"].evaluate(spin).value)
@@ -424,10 +428,15 @@ def photonic_inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("mid", list(MEASURES))
 def test_every_registered_measure_runs(mid, photonic_inputs, capsys):
-    # Photonic input with --M: spin-domain measures must absorb it first and
-    # photonic ones must read it as given, or the measure rejects its input.
+    # Photonic input with --M: spin-domain measures must absorb it first, or
+    # the measure rejects its input; photonic ones read it as given and
+    # reject --M, which they would ignore.
     f = photonic_inputs[MEASURES[mid].pair]
     code, out, err = run(capsys, "measure", mid, str(f), "--M", "80")
+    if MEASURES[mid].domain == "photonic":
+        assert code == 2 and out == ""
+        assert f"{mid} does not read --M" in err
+        code, out, err = run(capsys, "measure", mid, str(f))
     assert code == 0, err
     assert load(out)["measure"] == mid
 
@@ -450,6 +459,8 @@ def test_removed_global_flags_are_rejected(flag, tmp_path, capsys):
         (["measure", "c-delta", "PAIR", "--M", "80", "--channel", "homodyne"],
          "c-delta does not read --channel"),
         (["measure", "size-pg", "PAIR", "--angle", "1"], "--angle needs --channel homodyne"),
+        (["measure", "size-pg", "PAIR", "--M", "80"], "size-pg does not read --M"),
+        (["measure", "m2", "SPIN", "--M", "200"], "--M absorbs photonic input"),
         (["sweep", "fock", "n-eff", "--ladder", "2,4,8,16", "--delta", "0.1"],
          "n-eff does not read --delta"),
         (["sweep", "fock-superposition", "m2", "--ladder", "2,4,8,16", "--pg", "0.9"],
@@ -464,13 +475,19 @@ def test_removed_global_flags_are_rejected(flag, tmp_path, capsys):
           "--m-ladder", "100,200,400,800"], "--spin-factor"),
     ],
     ids=[
-        "measure-delta", "measure-pg", "measure-channel", "measure-angle", "sweep-delta",
+        "measure-delta", "measure-pg", "measure-channel", "measure-angle", "measure-M-photonic",
+        "measure-M-spin", "sweep-delta",
         "sweep-pg", "absorb-g-approx", "verify-lam", "spin-factor-state", "spin-factor-measure",
         "spin-factor-absorb", "spin-factor-verify", "spin-factor-fixed-N",
     ],
 )
-def test_unread_flag_exits_2(argv, message, photonic_inputs, capsys):
+def test_unread_flag_exits_2(argv, message, photonic_inputs, tmp_path, capsys):
     files = {"SINGLE": str(photonic_inputs[False]), "PAIR": str(photonic_inputs[True])}
+    if "SPIN" in argv:  # a GHZ pair file of M = 12 spins
+        files["SPIN"] = str(tmp_path / "ghz_pair.json")
+        code, _, _ = run(capsys, "state", "--name", "ghz", "--M", "12", "--pair",
+                         "--out", files["SPIN"])
+        assert code == 0
     code, out, err = run(capsys, *(files.get(tok, tok) for tok in argv))
     assert code == 2 and out == ""
     assert message in err

@@ -25,8 +25,9 @@ from macrosize import (
     verify_disentangling_identity,
     verify_operator_map,
 )
-from macrosize.mapping import _block_eigs, block_hamiltonian
+from macrosize.mapping import _block_eigs
 from macrosize.symcore import raising_coefficients
+from references import block_hamiltonian
 
 
 def test_approx_absorb_embeds_with_phases():

@@ -21,7 +21,6 @@ from macrosize import (
     branch_pair,
     c_delta,
     d_bar,
-    displace,
     family_state,
     fisher_matrix,
     index_q,
@@ -44,10 +43,11 @@ from macrosize import (
     wigner_I_spin,
 )
 from macrosize.scaling import absorb_pair
-from macrosize.symcore import FockBasis, PhotonicState, RegimeWarning, collective_xyz
+from macrosize.symcore import FockBasis, PhotonicState, RegimeWarning
 from macrosize.mapping import approx_absorb
 from macrosize.measures import (
     LAYER_TAIL_TOL,
+    PRODUCT_REFERENCE_TOL,
     ROOT_WIDTH,
     ROUNDING_FLOOR,
     SIGMA_RTOL,
@@ -64,6 +64,7 @@ from macrosize.measures import (
     _sign_grid,
     _smeared,
 )
+from references import _dense_collective_xyz, dense_mean_layer_index, displace
 
 
 def test_ghz_closed_forms():
@@ -326,11 +327,64 @@ def test_d_bar_dispatch_paths():
     assert lay.value == pytest.approx(1.0, abs=0.01)
 
 
+@st.composite
+def _product_reference_pairs(draw):
+    """A spin-coherent reference with any complex alpha on the full sector
+    K = M, and a random other branch."""
+    M = draw(st.integers(2, 40))
+    r = draw(st.floats(0.01, 0.99))
+    phase = draw(st.floats(-np.pi, np.pi))
+    alpha = r * np.sqrt(M) * complex(np.cos(phase), np.sin(phase))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
+    other = SymState(DickeBasis(M, M), v / np.linalg.norm(v))
+    return SuperpositionPair(make_spin_coherent(alpha, M, K=M), other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_product_reference_pairs())
+def test_d_bar_product_reference_matches_dense_layer_index(pair):
+    # (M - n.<J>_1)/2 against the mean index over the eigenvectors of the dense J.n
+    r = d_bar(pair)
+    assert r.witness["method"] == "extremal-ladder"
+    want = dense_mean_layer_index(pair.psi0, pair.psi1)
+    assert abs(r.value - want) <= 1e-10 * want
+
+
+def test_d_bar_product_reference_is_exact_under_truncation():
+    # K = 89 of M = 1600: the layers are Dicke states of J.n on the full
+    # sector, which the truncated basis cuts; <J> is not cut. With
+    # n = (0, 0, -(1 - 2|alpha|^2/M)) and <J>_1 = (0, 0, 6 - M) the mean is
+    # (M - 0.98 (M - 6))/2 = 18.94 (an eigendecomposition on the truncated
+    # basis gave 18.8443)
+    ref = make_spin_coherent(4.0, 1600)
+    r = d_bar(SuperpositionPair(ref, make_dicke(1600, 3, ref.basis.K)))
+    assert r.witness["method"] == "extremal-ladder"
+    assert r.value == pytest.approx(0.5 * (1600 - 0.98 * 1594), rel=1e-12)
+    # against itself: 0, where (M - |<J>_0|)/2 rounds to -3.4e-13
+    assert d_bar(SuperpositionPair(ref, ref)).value == 0.0
+
+
+@pytest.mark.parametrize("share, method", [(0.25, "extremal-ladder"), (0.75, "layering")])
+def test_d_bar_product_reference_threshold(share, method):
+    # sqrt(1 - e)|M,0> + sqrt(e)|M,2> has <J> = (0, 0, 4e - M), so <D>_0 = 2e:
+    # half the threshold takes the closed form, 1.5 times it the layering
+    M = 20
+    eps = share * PRODUCT_REFERENCE_TOL
+    amps = np.zeros(M + 1, dtype=complex)
+    amps[0], amps[2] = np.sqrt(1.0 - eps), np.sqrt(eps)
+    pair = SuperpositionPair(SymState(DickeBasis(M, M), amps), make_dicke(M, 3, K=M))
+    r = d_bar(pair)
+    assert r.witness["method"] == method
+    if method == "extremal-ladder":
+        assert r.witness["referenceOffShell"] == pytest.approx(2.0 * eps, abs=1e-13)
+
+
 def _exhaustive_layer_mean(phi0, phi1):
     """Mean layer index over every layer of the sector, on dense J matrices:
     the layering as it ran before it stopped at its tail bound."""
     basis = phi0.basis
-    ops = collective_xyz(basis)
+    ops = _dense_collective_xyz(basis)
     acc = phi0.amps[:, None].copy()
     cur = acc
     mean, d = 0.0, 0
@@ -676,7 +730,7 @@ def test_mixed_state_kernels_match_dense_formulas(case):
     M, rho = case
     dim = len(rho)
     spin = DensityOp(DickeBasis(M, dim - 1), rho)
-    J = collective_xyz(spin.basis)
+    J = _dense_collective_xyz(spin.basis)
 
     mu = np.array([np.trace(rho @ A).real for A in J])
     sec = np.array([[0.5 * np.trace(rho @ (A @ B + B @ A)).real for B in J] for A in J])

@@ -14,7 +14,6 @@ from macrosize import (
     PhotonCount,
     StateFamily,
     classify,
-    displace,
     family_state,
     fit_exponent,
     make_even_cat,
@@ -45,6 +44,9 @@ from macrosize.scaling import (
     evaluate_cell,
     table1,
 )
+
+import references
+from references import displace
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +173,8 @@ def test_displaced_family_builds_without_dense_displacement(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense displacement on the factory path")
 
-    for target in ("symcore.hermitian_exp", "states.hermitian_exp", "states.displace"):
-        monkeypatch.setattr(f"macrosize.{target}", refuse)
+    for target in ("hermitian_exp", "displace"):
+        monkeypatch.setattr(references, target, refuse)
     bundle = family_state("displaced-single-photon", 128)
     assert bundle.photonic.mean_excitation == pytest.approx(129.0, rel=1e-9)
     pair = __import__("macrosize").branch_pair("displaced-single-photon", alpha=2.0)

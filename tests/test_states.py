@@ -14,7 +14,6 @@ from macrosize import (
     DensityOp,
     TruncationError,
     build_state,
-    displace,
     make_coherent,
     make_dicke,
     make_displaced_single_photon,
@@ -25,12 +24,12 @@ from macrosize import (
     make_mixed_cat,
     make_odd_cat,
     make_spin_coherent,
-    mode_operator,
     state_from_dict,
     state_to_dict,
 )
 from macrosize.states import STATES, _displaced_cutoff, _displaced_vacuum_and_photon
 from macrosize.symcore import DickeBasis, FockBasis, PhotonicState, SymState
+from references import displace, mode_operator
 
 
 def poisson_amps(alpha, cutoff):

@@ -17,14 +17,13 @@ from macrosize.symcore import (
     SymState,
     TruncationError,
     collective_apply,
-    collective_xyz,
     default_spin_truncation,
     log_binomials,
     raising_coefficients,
-    rotate_state,
     self_adjoint_eig,
     trace_norm,
 )
+from references import _dense_collective_xyz, rotate_state
 
 
 def test_dicke_basis_validation():
@@ -158,7 +157,7 @@ def test_raising_coefficients_law():
 
 def test_jz_spectrum_and_commutator():
     M, K = 7, 7
-    jx, jy, jz = collective_xyz(DickeBasis(M, K))
+    jx, jy, jz = _dense_collective_xyz(DickeBasis(M, K))
     k = np.arange(K + 1)
     assert np.allclose(np.diag(jz), -M + 2.0 * k)
     # Jx = J+ + J-, Jy = -i(J+ - J-), so J+ = (Jx + iJy)/2; the stated
@@ -172,7 +171,7 @@ def test_jz_spectrum_and_commutator():
 def test_dicke_transverse_variance_closed_form():
     # V(Jx) on |M,k> = M(2k+1) - 2k^2, for k strictly inside the truncation
     M, K = 20, 14
-    jx, _, _ = collective_xyz(DickeBasis(M, K))
+    jx, _, _ = _dense_collective_xyz(DickeBasis(M, K))
     for k in (0, 1, 5, 12):
         amps = np.zeros(K + 1)
         amps[k] = 1.0
@@ -239,17 +238,6 @@ def test_default_spin_truncation_behaviour():
     assert b > a
 
 
-def _dense_collective_xyz(basis):
-    """Dense (Jx, Jy, Jz) written out from the matrix elements <k+1| J+ |k>
-    and <k| Jz |k>, independently of the band in `collective_apply`."""
-    M, K = basis.M, basis.K
-    jp = np.zeros((K + 1, K + 1), dtype=np.complex128)
-    jp[np.arange(1, K + 1), np.arange(K)] = raising_coefficients(M, K)  # <k+1| J+ |k>
-    jm = jp.conj().T
-    jz = np.diag((-M + 2.0 * np.arange(K + 1)).astype(np.complex128))
-    return jp + jm, -1j * (jp - jm), jz
-
-
 @st.composite
 def _sector_vectors(draw):
     """(M, K, v): a truncated sector and a complex vector or column block on it."""
@@ -271,10 +259,11 @@ def test_collective_apply_matches_dense_matrices(case):
     basis = DickeBasis(M, K)
     got = collective_apply(basis, v)
     scale = M * max(1.0, float(np.abs(v).max()))
-    for J, gv, dense in zip(_dense_collective_xyz(basis), got, collective_xyz(basis)):
+    dense = collective_apply(basis, np.eye(basis.dim))  # index_q's matrices
+    for J, gv, d in zip(_dense_collective_xyz(basis), got, dense):
         assert gv.shape == v.shape
         assert np.abs(gv - J @ v).max() <= 1e-13 * scale
-        assert np.array_equal(dense, J)  # the matrices are the band on the identity
+        assert np.array_equal(d, J)  # the band on the identity is J to the bit
     if K >= 1:
         # row k = K keeps only the J+ term from k = K - 1; J- would need k = K + 1
         cp = raising_coefficients(M, K)
