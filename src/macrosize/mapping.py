@@ -211,11 +211,9 @@ def verify_disentangling_identity(j: float, lam: float) -> float:
     on the spin-j representation, where S3 = [S+, S-] obeys [S3, S+-] = +-2 S+-.
     Returned relative to ||LHS||_F because the matrices grow like e^{2 j lam}.
     The LHS comes from the eigendecomposition of the real S+ + S-, the
-    diagonal cosh(lam)^{S3} is a power of each entry, and `expm` takes only
-    the nilpotent S+-.
+    diagonal cosh(lam)^{S3} is a power of each entry, and exp(tanh(lam) S+) is
+    the series of the nilpotent S+ to its power 2j, exp(tanh(lam) S-) its transpose.
     """
-    from scipy.linalg import expm
-
     two_j = round(2 * j)
     if abs(2 * j - two_j) > 1e-12 or two_j < 0:
         raise ContractViolation(f"j must be a half-integer >= 0, got {j}")
@@ -227,5 +225,9 @@ def verify_disentangling_identity(j: float, lam: float) -> float:
     w, v = self_adjoint_eig(sp + sm)  # real symmetric
     lhs = (v * np.exp(lam * w)) @ v.T
     th = np.tanh(lam)
-    rhs = expm(th * sm) @ (np.cosh(lam) ** s3[:, None] * expm(th * sp))
+    term = ep = np.eye(two_j + 1)
+    for k in range(1, two_j + 1):
+        term = term @ (th * sp) / k
+        ep = ep + term  # exp(th S+)
+    rhs = ep.T @ (np.cosh(lam) ** s3[:, None] * ep)
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))

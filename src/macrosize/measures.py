@@ -31,7 +31,6 @@ from .symcore import (
 
 DEFAULT_DELTA = 0.25  # c-delta's error probability
 DEFAULT_P_G = 2.0 / 3.0  # size-pg's success probability
-QFI_SPECTRAL_CUTOFF = 1e-12
 DEGENERATE_PAIR_TOL = 1e-12
 SMEAR_L1_ATOL = 1e-8
 PS_TIE_TOL = 1e-12
@@ -128,22 +127,26 @@ def _require_spin_pair(pair: SuperpositionPair) -> DickeBasis:
     return pair.psi0.basis
 
 
-def mean_and_covariance(state: SymState | DensityOp) -> tuple[np.ndarray, np.ndarray]:
-    """Collective means mu_a and covariance Cov_ab = Re<J_a J_b> - mu_a mu_b.
+def _weighted_columns(state) -> tuple[np.ndarray, np.ndarray]:
+    """Columns v_i and weights p_i > 0 with rho = sum_i p_i |v_i><v_i|: a pure
+    state is its own column with p = 1, a DensityOp its eigenpairs of positive
+    weight. The one place in `measures` that tells the two apart."""
+    if isinstance(state, DensityOp):
+        lam, vec = self_adjoint_eig(state.matrix)
+        return vec[:, lam > 0.0], lam[lam > 0.0]
+    return state.amps[:, None], np.ones(1)
 
-    The real part symmetrizes the product, so Cov is the 3x3 real matrix of
-    second moments (1/2)<{J_a, J_b}> - <J_a><J_b>.
+
+def mean_and_covariance(state: SymState | DensityOp) -> tuple[np.ndarray, np.ndarray]:
+    """Collective means mu_a and covariance Cov_ab = sec_ab - mu_a mu_b.
+
+    For rho = sum_i p_i |v_i><v_i|, mu_a = sum_i p_i <v_i|J_a v_i> and
+    sec_ab = sum_i p_i Re<J_a v_i|J_b v_i> = (1/2)<{J_a, J_b}>, on the band.
     """
-    basis = _require_spin(state, "state")
-    if isinstance(state, SymState):
-        vs = collective_apply(basis, state.amps)
-        mu = np.array([np.vdot(state.amps, v).real for v in vs])
-        sec = np.array([[np.vdot(va, vb).real for vb in vs] for va in vs])
-    else:
-        jr = collective_apply(basis, state.matrix)  # J_b rho
-        mu = np.array([np.trace(r).real for r in jr])
-        sec = np.array([[np.trace(x).real for x in collective_apply(basis, r)] for r in jr])
-        sec = 0.5 * (sec + sec.T)  # Tr(J_a J_b rho) at [b, a], symmetrized
+    v, p = _weighted_columns(state)
+    jv = np.array(collective_apply(_require_spin(state, "state"), v))
+    mu = np.array([np.vdot(v * p, x).real for x in jv])
+    sec = np.array([[np.vdot(xa, xb).real for xb in jv] for xa in jv * p])
     return mu, sec - np.outer(mu, mu)
 
 
@@ -161,40 +164,31 @@ def max_variance_collective(phi: SymState) -> MeasureResult:
 def fisher_matrix(state: SymState | DensityOp) -> np.ndarray:
     """3x3 Fisher-information matrix over collective directions.
 
-    Pure states: F = 4 Cov. Mixed states: spectral formula
-    F_ab = 2 sum_{i,j} (l_i - l_j)^2 / (l_i + l_j) Re[A_a[i,j] conj(A_b[i,j])]
-    restricted to eigenvalue pairs with l_i + l_j above a 1e-12 cutoff.
+    For rho = sum_i p_i |v_i><v_i| and G_a = V^dagger J_a V, the spectral
+    formula sums 2 (p_i - p_j)^2/(p_i + p_j) Re[G_a[i,j] conj(G_b[i,j])] over
+    all eigenvector pairs with p_i + p_j > 0. Split (p_i - p_j)^2 =
+    (p_i + p_j)^2 - 4 p_i p_j: the first part, with the pairs that reach
+    outside the support, sums in closed form to 4 sec_ab (`mean_and_covariance`),
+    so F_ab = 4 sec_ab - 8 sum_ij p_i p_j/(p_i + p_j) Re[G_a[i,j] conj(G_b[i,j])]
+    over the support, where p_i p_j/(p_i + p_j) <= min(p_i, p_j) needs no cutoff.
+    G_a's rounding is made Hermitian, so at rank one G_a = mu_a and F = 4 Cov.
     """
-    basis = _require_spin(state, "state")
-    if isinstance(state, SymState):
-        return 4.0 * mean_and_covariance(state)[1]
-    lam, vec = self_adjoint_eig(state.matrix)
-    tilde = [vec.conj().T @ jv for jv in collective_apply(basis, vec)]
-    s = lam[:, None] + lam[None, :]
-    d = lam[:, None] - lam[None, :]
-    w = np.where(s > QFI_SPECTRAL_CUTOFF, d * d / np.where(s > QFI_SPECTRAL_CUTOFF, s, 1.0), 0.0)
-    F = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            F[a, b] = F[b, a] = 2.0 * float(np.sum(w * (tilde[a] * tilde[b].conj()).real))
-    return F
+    v, p = _weighted_columns(state)
+    jv = np.array(collective_apply(_require_spin(state, "state"), v))
+    sec = np.array([[np.vdot(xa, xb).real for xb in jv] for xa in jv * p])
+    h = 0.5 * (v.conj().T @ jv)
+    g = h + h.conj().transpose(0, 2, 1)
+    w = np.outer(p, p) / np.add.outer(p, p)
+    return 4.0 * sec - 8.0 * (w * (g[:, None] * g[None].conj()).real).sum(axis=(2, 3))
 
 
 def n_eff(state: SymState | DensityOp) -> MeasureResult:
-    """Metrological effective size: largest Fisher eigenvalue over 4M.
-
-    For pure states this equals max_variance/M exactly (F = 4 Cov), and is
-    computed that way so the identity holds to rounding.
-    """
-    basis = _require_spin(state, "state")
-    if isinstance(state, SymState):
-        mv = max_variance_collective(state)
-        return MeasureResult("n-eff", mv.value / basis.M, witness=dict(mv.witness))
-    F = fisher_matrix(state)
-    w, v = self_adjoint_eig(F)
+    """Metrological effective size: largest Fisher eigenvalue over 4M; for
+    pure states F = 4 Cov, so this is max_variance/M with its direction."""
+    w, v = self_adjoint_eig(fisher_matrix(state))
     return MeasureResult(
         "n-eff",
-        float(max(w[-1], 0.0)) / (4.0 * basis.M),
+        float(max(w[-1], 0.0)) / (4.0 * state.basis.M),
         witness={"direction": [float(c) for c in v[:, -1].real]},
     )
 
@@ -571,65 +565,63 @@ def _photonic_tail_check(state: PhotonicState | DensityOp):
 def wigner_I_photonic(state: PhotonicState | DensityOp) -> MeasureResult:
     """Phase-space interference measure for one- or two-mode photonic states.
 
-    Pure states: sum_m (<n_m> - |<a_m>|^2) + 1/2. Mixed single-mode states:
-    Tr(rho^2 n) - Tr(rho a rho a^dag) + Tr(rho^2)/2, which reduces to the
-    pure form at rank one; the middle term is <a rho, rho a>, with
-    (a rho)[n, m] = sqrt(n+1) rho[n+1, m] and (rho a)[n, m] = rho[n, m-1] sqrt(m).
+    One mode: Tr(rho^2 n) - Tr(rho a rho a^dag) + Tr(rho^2)/2, which for
+    rho = sum_i p_i |v_i><v_i| is sum_i p_i^2 <v_i|n|v_i> - sum_ij p_i p_j
+    |<v_i|a|v_j>|^2 + sum_i p_i^2/2, and <n> - |<a>|^2 + 1/2 at rank one. A
+    mixture also reports its purity. Two modes (pure states only):
+    sum_m (<n_m> - |<a_m>|^2) + 1/2.
     """
     if not isinstance(state.basis, FockBasis):
         raise ContractViolation("wigner_I_photonic needs a Fock-basis state")
     _photonic_tail_check(state)
     c = state.basis.cutoff
     n = np.arange(c + 1, dtype=float)
-    if isinstance(state, PhotonicState):
-        if state.modes == 1:
-            a = complex(np.sum(np.conj(state.amps[:-1]) * np.sqrt(n[1:]) * state.amps[1:]))
-            value = state.mean_excitation - abs(a) ** 2 + 0.5
-        else:
-            # mode by mode: regrouping these sums moves the last bits, which the
-            # near-zero table exponent of i-wigner x displaced-single-photon prints
-            g = state.amps.reshape(c + 1, c + 1)
-            p = np.abs(g) ** 2
-            value = 0.5
-            for axis in (1, 0):
-                pm = p.sum(axis=axis)
-                value += float(np.dot(n, pm))
-                if axis == 1:
-                    a = complex(np.sum(np.conj(g[:-1, :]) * np.sqrt(n[1:, None]) * g[1:, :]))
-                else:
-                    a = complex(np.sum(np.conj(g[:, :-1]) * np.sqrt(n[None, 1:]) * g[:, 1:]))
-                value -= abs(a) ** 2
-        return MeasureResult("i-wigner", float(value), witness={"modes": state.modes})
-    if state.basis.modes != 1:
-        raise ContractViolation("mixed two-mode states are out of scope for this measure")
-    rho = state.matrix
-    rho2 = rho @ rho
-    purity = float(np.trace(rho2).real)
-    t_num = float(np.dot(np.diag(rho2).real, n))
-    s = np.sqrt(n[1:])  # row c of a rho and column 0 of rho a are zero
-    t_cross = float(np.vdot(s[:, None] * rho[1:, 1:], rho[:-1, :-1] * s).real)
-    return MeasureResult(
-        "i-wigner", t_num - t_cross + 0.5 * purity, witness={"modes": 1, "purity": purity}
+    if state.basis.modes == 2:
+        if isinstance(state, DensityOp):
+            raise ContractViolation("mixed two-mode states are out of scope for this measure")
+        # mode by mode: regrouping these sums moves the last bits, which the
+        # near-zero table exponent of i-wigner x displaced-single-photon prints
+        g = state.amps.reshape(c + 1, c + 1)
+        p = np.abs(g) ** 2
+        value = 0.5
+        for axis in (1, 0):
+            pm = p.sum(axis=axis)
+            value += float(np.dot(n, pm))
+            if axis == 1:
+                a = complex(np.sum(np.conj(g[:-1, :]) * np.sqrt(n[1:, None]) * g[1:, :]))
+            else:
+                a = complex(np.sum(np.conj(g[:, :-1]) * np.sqrt(n[None, 1:]) * g[:, 1:]))
+            value -= abs(a) ** 2
+        return MeasureResult("i-wigner", float(value), witness={"modes": 2})
+    v, p = _weighted_columns(state)
+    a = np.sum(np.conj(v.T[:, None, :-1]) * np.sqrt(n[1:]) * v.T[None, :, 1:], axis=-1)
+    purity = float(np.sum(p * p))
+    value = (  # |<v_i|a|v_j>| by hypot, as abs(complex) takes it: np.abs rounds otherwise
+        float(np.dot(n, np.abs(v) ** 2 @ (p * p)))
+        - float(np.sum(np.outer(p, p) * np.hypot(a.real, a.imag) ** 2))
+        + 0.5 * purity
     )
+    witness = {"modes": 1} if p.size == 1 else {"modes": 1, "purity": purity}
+    return MeasureResult("i-wigner", value, witness=witness)
 
 
 def wigner_I_spin(state: SymState | DensityOp) -> MeasureResult:
     """Spin image of the interference measure: planar variances over 4M.
 
-    Pure states: (V(Jx) + V(Jy))/(4M). Mixed states:
-    (1/4M) sum_{a in x,y} [Tr(rho^2 Ja^2) - Tr((rho Ja)^2)], matching the
-    pure reduction at rank one; with X = Ja rho the terms are |X|_F^2 and
-    Tr(X^2). Tied to the absorption frame (the x-y plane plays the photonic
-    role), so not rotation invariant by construction.
+    (1/4M) sum_{a in x,y} [Tr(rho^2 J_a^2) - Tr((rho J_a)^2)], which for
+    rho = sum_i p_i |v_i><v_i| is (1/4M) sum_a [sum_i p_i^2 ||J_a v_i||^2 -
+    sum_ij p_i p_j |G_a[i,j]|^2] with G_a = V^dagger J_a V (as in
+    `fisher_matrix`), and (V(Jx) + V(Jy))/(4M) at rank one. Tied to the
+    absorption frame (the x-y plane plays the photonic role), so not
+    rotation invariant by construction.
     """
     basis = _require_spin(state, "state")
-    if isinstance(state, SymState):
-        _, cov = mean_and_covariance(state)
-        value = float(cov[0, 0] + cov[1, 1]) / (4.0 * basis.M)
-        return MeasureResult("i-wigner-spin", value, witness={})
+    v, p = _weighted_columns(state)
     acc = 0.0
-    for X in collective_apply(basis, state.matrix)[:2]:
-        acc += float(np.vdot(X, X).real) - float(np.sum(X * X.T).real)
+    for x in collective_apply(basis, v)[:2]:
+        g = 0.5 * (v.conj().T @ x)
+        cross = np.sum(np.outer(p, p) * np.abs(g + g.conj().T) ** 2)
+        acc += float(np.vdot(x * (p * p), x).real) - float(cross)
     return MeasureResult("i-wigner-spin", acc / (4.0 * basis.M), witness={})
 
 

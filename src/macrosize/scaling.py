@@ -199,14 +199,6 @@ def family_state(family_id: FamilyId | str, N: int, M: int | None = None) -> Fam
         ph = make_fock(N)
         return FamilyBundle(fid, N, M, ph, None, approx_absorb(ph, M), None, PhotonCount())
 
-    if fid is FamilyId.FOCK_SUPERPOSITION:
-        ph = make_fock_superposition(N)
-        pair = branch_pair("fock-superposition", N=N, cutoff=ph.cutoff)
-        spin_pair, K = absorb_pair(pair, M)
-        return FamilyBundle(
-            fid, N, M, ph, pair, approx_absorb(ph, M, K), spin_pair, PhotonCount()
-        )
-
     alpha = float(np.sqrt(N))
     if fid is FamilyId.EVEN_CAT:
         ph = make_even_cat(alpha)
@@ -223,14 +215,20 @@ def family_state(family_id: FamilyId | str, N: int, M: int | None = None) -> Fam
             fid, N, M, ph, pair, normalized_sum(spin_pair), spin_pair, Homodyne(0.0)
         )
 
-    # Displaced single photon: the I-measure row uses the genuine two-mode
-    # state; the pair and spin rows use the single-mode branch decomposition
+    # Fock superposition and displaced single photon: the spin state is the
+    # absorbed sum of the branch pair, at the pair's common truncation. The
+    # displaced photon's I-measure row uses the genuine two-mode state; its
+    # pair and spin rows use the single-mode branch decomposition
     # D(|0>+|1>)/sqrt2, -D(|0>-|1>)/sqrt2, whose sum is D|1>.
-    ph2 = make_displaced_single_photon(alpha)
-    pair = branch_pair("displaced-single-photon", alpha=alpha, cutoff=ph2.cutoff)
+    if fid is FamilyId.FOCK_SUPERPOSITION:
+        ph = make_fock_superposition(N)
+        pair = branch_pair("fock-superposition", N=N, cutoff=ph.cutoff)
+    else:
+        ph = make_displaced_single_photon(alpha)
+        pair = branch_pair("displaced-single-photon", alpha=alpha, cutoff=ph.cutoff)
     spin_pair, K = absorb_pair(pair, M)
     spin_state = approx_absorb(normalized_sum(pair), M, K)
-    return FamilyBundle(fid, N, M, ph2, pair, spin_state, spin_pair, PhotonCount())
+    return FamilyBundle(fid, N, M, ph, pair, spin_state, spin_pair, PhotonCount())
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from macrosize.symcore import (
     SymState,
     raising_coefficients,
     self_adjoint_eig,
+    trace_norm,
 )
 
 
@@ -95,3 +96,35 @@ def dense_mean_layer_index(phi0: SymState, phi1: SymState) -> float:
     _, vecs = self_adjoint_eig(n[0] * jx + n[1] * jy + n[2] * jz)
     w = np.abs(vecs[:, ::-1].conj().T @ phi1.amps) ** 2
     return float(np.dot(np.arange(len(w)), w))
+
+
+def _dense_block_unitary(E, M, K, t):
+    """exp(-i t H_E) of the dense block coupling, by its eigendecomposition."""
+    w, V = np.linalg.eigh(block_hamiltonian(E, M, K))
+    return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+def _dense_operator_map(M, K, g=np.pi / 2):
+    """verify_operator_map on dense eigh unitaries and a full SVD."""
+    t = g / np.sqrt(M)
+    U = {E: _dense_block_unitary(E, M, K, t) for E in range(K + 1)}
+    cp = raising_coefficients(M, K)
+    worst = 0.0
+    for E in range(1, K + 1):
+        k = np.arange(E)
+        a = np.zeros((E, E + 1), dtype=complex)
+        a[k, k] = np.sqrt(E - k)
+        jm = np.zeros((E, E + 1), dtype=complex)
+        jm[k, k + 1] = cp[:E]
+        X = U[E - 1].conj().T @ a @ U[E] - (np.cos(g) * a - 1j * np.sin(g) / np.sqrt(M) * jm)
+        worst = max(worst, float(np.linalg.svd(X, compute_uv=False)[0]))
+    return worst
+
+
+def _dense_negativity(s):
+    """(||rho^(T_B)||_1 - 1)/2 from the dense (da db)^2 partial transpose."""
+    da, db = s.coeffs.shape
+    vec = s.coeffs.reshape(-1)
+    rho = np.outer(vec, vec.conj()).reshape(da, db, da, db)
+    rho_tb = rho.transpose(0, 3, 2, 1).reshape(da * db, da * db)
+    return (trace_norm(rho_tb) - 1.0) / 2.0

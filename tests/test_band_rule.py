@@ -1,16 +1,17 @@
 """Structure guard: the package multiplies by J on its band. The one dense J
 in `src/` is `collective_apply` on the identity inside `measures.index_q`,
 whose objective takes a trace norm; no other function builds one, directly
-or through a function that does. `expm` appears only in
-`mapping.verify_disentangling_identity`, and nothing in `measures` comes
-from `states` (whose dense mode operator the mixed i-wigner used to take)."""
+or through a function that does. No module names `expm`, nothing in
+`measures` comes from `states` (whose dense mode operator the mixed i-wigner
+used to take), and in `measures` only `_weighted_columns` and `index_q` read
+a density matrix: every other kernel takes the state as weighted columns."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macrosize"
 DENSE_J_HOME = {"measures.index_q"}
-EXPM_HOME = {"mapping.verify_disentangling_identity"}
+MATRIX_READERS = {"_weighted_columns", "index_q"}
 
 
 def _trees():
@@ -68,15 +69,9 @@ def test_dense_j_only_feeds_matrix_functions():
     assert builders <= DENSE_J_HOME, f"dense J built in {sorted(builders - DENSE_J_HOME)}"
 
 
-def test_expm_is_named_only_in_the_disentangling_check():
+def test_expm_is_named_nowhere():
     stray = []
     for module, tree in _trees().items():
-        inside = {
-            id(n)
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and f"{module}.{node.name}" in EXPM_HOME
-            for n in ast.walk(node)
-        }
         for n in ast.walk(tree):
             names = (
                 [n.id] if isinstance(n, ast.Name)
@@ -84,9 +79,18 @@ def test_expm_is_named_only_in_the_disentangling_check():
                 else [a.name for a in n.names] if isinstance(n, (ast.Import, ast.ImportFrom))
                 else []
             )
-            if any(name.split(".")[-1] == "expm" for name in names) and id(n) not in inside:
+            if any(name.split(".")[-1] == "expm" for name in names):
                 stray.append(f"{module}:{n.lineno}")
-    assert stray == [], f"expm named outside {sorted(EXPM_HOME)} at {stray}"
+    assert stray == [], f"expm named at {stray}"
+
+
+def test_density_matrix_is_read_only_by_the_weighted_columns_and_index_q():
+    readers = set()
+    for node in _trees()["measures"].body:
+        name = getattr(node, "name", f"<module line {node.lineno}>")
+        if any(isinstance(n, ast.Attribute) and n.attr == "matrix" for n in ast.walk(node)):
+            readers.add(name)
+    assert readers <= MATRIX_READERS, f".matrix read in {sorted(readers - MATRIX_READERS)}"
 
 
 def test_measures_imports_nothing_from_states():

@@ -24,6 +24,7 @@ from macrosize import (
     split,
     trace_norm,
 )
+from references import _dense_negativity
 
 
 def test_split_shapes_and_norm():
@@ -117,15 +118,6 @@ def test_product_state_has_single_schmidt_value():
     assert s.schmidt_values[0] == pytest.approx(1.0, abs=1e-10)
     assert entanglement_entropy(s) == pytest.approx(0.0, abs=1e-9)
     assert negativity(s) == pytest.approx(0.0, abs=1e-9)
-
-
-def _dense_negativity(s):
-    """(||rho^(T_B)||_1 - 1)/2 from the dense (da db)^2 partial transpose."""
-    da, db = s.coeffs.shape
-    vec = s.coeffs.reshape(-1)
-    rho = np.outer(vec, vec.conj()).reshape(da, db, da, db)
-    rho_tb = rho.transpose(0, 3, 2, 1).reshape(da * db, da * db)
-    return (trace_norm(rho_tb) - 1.0) / 2.0
 
 
 def test_negativity_matches_schmidt_sum_identity():

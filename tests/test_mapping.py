@@ -26,8 +26,7 @@ from macrosize import (
     verify_operator_map,
 )
 from macrosize.mapping import _block_eigs
-from macrosize.symcore import raising_coefficients
-from references import block_hamiltonian
+from references import _dense_block_unitary, _dense_operator_map, block_hamiltonian
 
 
 def test_approx_absorb_embeds_with_phases():
@@ -50,11 +49,6 @@ def test_block_hamiltonian_hermitian():
         h = block_hamiltonian(E, 40, K)
         assert h.shape == (min(E, K) + 1,) * 2
         assert np.allclose(h, h.conj().T)
-
-
-def _dense_block_unitary(E, M, K, t):
-    w, V = np.linalg.eigh(block_hamiltonian(E, M, K))
-    return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
 def _vacuum_amps(psi, M, K=None, g=np.pi / 2):
@@ -149,23 +143,6 @@ def test_operator_map_at_any_phase_falls_with_M(g, d200):
     # deviation is O(K/M) away from pi/2 too: four times the spins, a quarter.
     assert verify_operator_map(200, 8, g) == pytest.approx(d200, rel=1e-10)
     assert 3.8 < d200 / verify_operator_map(800, 8, g) < 4.2
-
-
-def _dense_operator_map(M, K, g=np.pi / 2):
-    """verify_operator_map on dense eigh unitaries and a full SVD."""
-    t = g / np.sqrt(M)
-    U = {E: _dense_block_unitary(E, M, K, t) for E in range(K + 1)}
-    cp = raising_coefficients(M, K)
-    worst = 0.0
-    for E in range(1, K + 1):
-        k = np.arange(E)
-        a = np.zeros((E, E + 1), dtype=complex)
-        a[k, k] = np.sqrt(E - k)
-        jm = np.zeros((E, E + 1), dtype=complex)
-        jm[k, k + 1] = cp[:E]
-        X = U[E - 1].conj().T @ a @ U[E] - (np.cos(g) * a - 1j * np.sin(g) / np.sqrt(M) * jm)
-        worst = max(worst, float(np.linalg.svd(X, compute_uv=False)[0]))
-    return worst
 
 
 @pytest.mark.parametrize("M, K", [(200, 4), (900, 60)])

@@ -96,20 +96,37 @@ def test_pure_state_consistency_neff_maxvar():
 
 
 def test_fisher_is_four_covariance_for_pure():
-    phi = make_spin_coherent(1.1, 24)
-    assert np.allclose(fisher_matrix(phi), 4 * mean_and_covariance(phi)[1], atol=1e-9)
+    # bit for bit: index_q seeds its search with the Fisher eigenvectors, and
+    # the spectral formula at rank one must round as 4 Cov does
+    rng = np.random.default_rng(3)
+    states = [make_spin_coherent(1.1, 24), make_spin_coherent(0.8 - 1.3j, 40)]
+    states += [make_dicke(30, 7, K=12), make_dicke(16, 0)]
+    for M, K in ((5, 5), (24, 9), (120, 40)):
+        v = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+        states.append(SymState(DickeBasis(M, K), v / np.linalg.norm(v)))
+    for phi in states:
+        assert np.array_equal(fisher_matrix(phi), 4 * mean_and_covariance(phi)[1])
 
 
 def test_pure_moments_match_density_moments_and_axes():
-    # pure states take the banded path, density operators the dense one
+    # a pure state is one weighted column, its DensityOp the eigenpairs of rho
     rng = np.random.default_rng(17)
     for M, K in ((9, 9), (30, 6)):
         v = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
         phi = SymState(DickeBasis(M, K), v / np.linalg.norm(v))
+        rho = DensityOp.from_pure(phi)
         mu, cov = mean_and_covariance(phi)
-        mu_rho, cov_rho = mean_and_covariance(DensityOp.from_pure(phi))
+        mu_rho, cov_rho = mean_and_covariance(rho)
         assert np.allclose(mu, mu_rho, atol=1e-12 * M)
         assert np.allclose(cov, cov_rho, atol=1e-12 * M * M)
+        assert np.allclose(fisher_matrix(phi), fisher_matrix(rho), atol=1e-12 * M * M)
+        for kernel in (n_eff, wigner_I_spin):
+            assert kernel(phi).value == pytest.approx(kernel(rho).value, abs=1e-12 * M)
+        ph = PhotonicState(FockBasis(K), phi.amps, tail_tol=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)  # random amplitudes reach the cutoff
+            i_ph, i_rho = (wigner_I_photonic(x).value for x in (ph, DensityOp.from_pure(ph)))
+        assert i_ph == pytest.approx(i_rho, abs=1e-12 * M)
     # |M,0> points down z: mean (0, 0, -M), transverse variances M, none along z
     mu, cov = mean_and_covariance(make_dicke(20, 0, K=5))
     assert np.allclose(mu, [0.0, 0.0, -20.0], atol=1e-12)
