@@ -37,7 +37,6 @@ from .measures import (
     Homodyne,
     MeasureResult,
     PhotonCount,
-    SuperpositionPair,
     c_delta,
     d_bar,
     fisher_matrix,
@@ -63,7 +62,6 @@ from .scaling import (
     StateFamily,
     SweepResult,
     Table1Report,
-    branch_pair,
     classify,
     family_state,
     fit_exponent,
@@ -72,6 +70,7 @@ from .scaling import (
     table1,
 )
 from .states import (
+    branch_pair,
     build_state,
     make_coherent,
     make_dicke,
@@ -93,6 +92,7 @@ from .symcore import (
     FockBasis,
     PhotonicState,
     RegimeWarning,
+    SuperpositionPair,
     SymState,
     TruncationError,
     collective_apply,

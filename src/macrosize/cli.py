@@ -22,42 +22,33 @@ import numpy as np
 from . import __version__
 from .mapping import (
     ABSORPTION_PHASE,
+    absorb_pair,
     approx_absorb,
     exact_absorb,
     mapping_fidelity,
     verify_disentangling_identity,
     verify_operator_map,
 )
-from .measures import (
-    DEFAULT_DELTA,
-    DEFAULT_P_G,
-    MEASURES,
-    Homodyne,
-    PhotonCount,
-    SuperpositionPair,
-)
+from .measures import DEFAULT_DELTA, DEFAULT_P_G, MEASURES, Homodyne, PhotonCount
 from .scaling import (
     DEFAULT_LADDER,
     DEFAULT_M_LADDER,
     SPIN_FACTOR,
     FamilyId,
     StateFamily,
-    absorb_pair,
-    branch_pair,
     sweep,
     sweep_fixed_excitation,
     table1,
 )
-from .states import (
-    STATE_PARAMS,
-    STATES,
-    _as_complex,
-    build_state,
-    make_coherent,
-    state_from_dict,
-    state_to_dict,
+from .states import STATE_PARAMS, STATES, branch_pair, build_state, state_from_dict, state_to_dict
+from .symcore import (
+    ContractViolation,
+    DensityOp,
+    DickeBasis,
+    PhotonicState,
+    SuperpositionPair,
+    TruncationError,
 )
-from .symcore import ContractViolation, DensityOp, DickeBasis, PhotonicState, TruncationError
 
 
 DISENTANGLING_LAMBDA = 1.2  # verify-mapping --jmax without --lam
@@ -350,7 +341,7 @@ def cmd_verify_mapping(args, cfg: Config) -> int:
     doc["operatorMapDeviation"] = dev
     doc["deviationTimesM"] = dev * args.M
     if args.alpha is not None:
-        rep = mapping_fidelity(make_coherent(_as_complex(args.alpha)), args.M, g=args.g)
+        rep = mapping_fidelity(build_state("coherent", alpha=args.alpha), args.M, g=args.g)
         doc["fidelityVsApprox"] = rep.fidelity
         doc["residualPhotonPopulation"] = rep.residual_photon_population
     if args.jmax is not None:

@@ -1,6 +1,7 @@
 """Photon-to-spin absorption: exact absorption under the exchange coupling
 H = chi (a J+ + a^dag J-), which conserves the excitation number E = n + k,
-the first-order absorption map, and the identities that justify it."""
+the first-order absorption map of a state or a branch pair, and the
+identities that justify it."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from .symcore import (
     FockBasis,
     PhotonicState,
     RegimeWarning,
+    SuperpositionPair,
     SymState,
     default_spin_truncation,
     raising_coefficients,
@@ -97,6 +99,13 @@ def approx_absorb(
     amps = np.zeros(K + 1, dtype=np.complex128)
     amps[: cutoff + 1] = p * psi.amps
     return SymState(DickeBasis(M, K), amps)
+
+
+def absorb_pair(pair: SuperpositionPair, M: int) -> tuple[SuperpositionPair, int]:
+    """Absorb both photonic branches into M spins at one shared truncation K."""
+    mean = max(pair.psi0.mean_excitation, pair.psi1.mean_excitation)
+    K = absorption_cutoff(M, pair.psi0.cutoff, mean)
+    return SuperpositionPair(approx_absorb(pair.psi0, M, K), approx_absorb(pair.psi1, M, K)), K
 
 
 @dataclass(frozen=True)

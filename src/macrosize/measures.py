@@ -23,6 +23,7 @@ from .symcore import (
     FockBasis,
     PhotonicState,
     RegimeWarning,
+    SuperpositionPair,
     SymState,
     collective_apply,
     self_adjoint_eig,
@@ -79,30 +80,6 @@ class MeasureResult:
         }
 
 
-@dataclass(frozen=True)
-class SuperpositionPair:
-    """Equal-weight branch pair; components share one basis and are normalized.
-
-    Branch global phases matter only through the normalized sum (they are part
-    of how the superposition splits into branches).
-    """
-
-    psi0: SymState | PhotonicState
-    psi1: SymState | PhotonicState
-
-    def __post_init__(self):
-        if type(self.psi0) is not type(self.psi1) or self.psi0.basis != self.psi1.basis:
-            raise ContractViolation("pair components must live in the same basis")
-
-    @property
-    def overlap(self) -> complex:
-        return complex(np.vdot(self.psi0.amps, self.psi1.amps))
-
-    @property
-    def is_spin(self) -> bool:
-        return isinstance(self.psi0, SymState)
-
-
 def normalized_sum(pair: SuperpositionPair):
     """(psi0 + psi1)/norm, in the component type of the pair."""
     s = pair.psi0.amps + pair.psi1.amps
@@ -151,7 +128,13 @@ def mean_and_covariance(state: SymState | DensityOp) -> tuple[np.ndarray, np.nda
 
 
 def max_variance_collective(phi: SymState) -> MeasureResult:
-    """Largest variance of J_n over unit directions n, with the argmax."""
+    """Largest variance of J_n over unit directions n, with the argmax.
+
+    A DensityOp's variance counts the classical mixing itself, so mixed
+    input has no value here, nor in index-p, this variance over M."""
+    if isinstance(phi, DensityOp):
+        reason = {"reason": "index-p needs a pure state; index-q reads mixed ones"}
+        return MeasureResult("max-variance", 0.0, witness=reason, defined=False)
     _, cov = mean_and_covariance(phi)
     w, v = self_adjoint_eig(cov)
     return MeasureResult(
@@ -194,12 +177,12 @@ def n_eff(state: SymState | DensityOp) -> MeasureResult:
 
 
 def index_p(state: SymState) -> MeasureResult:
-    """Modified index p: largest collective variance over the spin count M."""
-    if isinstance(state, DensityOp):  # a mixture's variance counts the mixing itself
-        reason = {"reason": "index-p needs a pure state; index-q reads mixed ones"}
-        return MeasureResult("index-p", 0.0, witness=reason, defined=False)
+    """Modified index p: largest collective variance over the spin count M,
+    undefined where max_variance_collective is."""
     mv = max_variance_collective(state)
-    return MeasureResult("index-p", mv.value / state.basis.M, witness=dict(mv.witness))
+    return MeasureResult(
+        "index-p", mv.value / state.basis.M, witness=dict(mv.witness), defined=mv.defined
+    )
 
 
 def relative_fisher(pair: SuperpositionPair) -> MeasureResult:

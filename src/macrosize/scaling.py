@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .mapping import absorption_cutoff, approx_absorb
+from .mapping import absorb_pair, approx_absorb
 from .measures import (
     DEFAULT_DELTA,
     DEFAULT_P_G,
@@ -29,29 +29,19 @@ from .measures import (
     Homodyne,
     MeasureResult,
     PhotonCount,
-    SuperpositionPair,
     check_delta,
     check_p_g,
     normalized_sum,
 )
 from .states import (
-    _build_named,
-    _displaced_cutoff,
-    _displaced_vacuum_and_photon,
-    make_coherent,
-    make_dicke,
+    branch_pair,
     make_displaced_single_photon,
     make_even_cat,
     make_fock,
     make_fock_superposition,
     make_spin_coherent,
 )
-from .symcore import (
-    ContractViolation,
-    FockBasis,
-    PhotonicState,
-    SymState,
-)
+from .symcore import ContractViolation, PhotonicState, SuperpositionPair, SymState
 
 
 class FamilyId(str, Enum):
@@ -130,55 +120,6 @@ class FamilyBundle:
     spin_state: SymState
     spin_pair: SuperpositionPair | None
     channel: PhotonCount | Homodyne
-
-
-def absorb_pair(pair: SuperpositionPair, M: int) -> tuple[SuperpositionPair, int]:
-    """Absorb both photonic branches into M spins at one shared truncation K."""
-    mean = max(pair.psi0.mean_excitation, pair.psi1.mean_excitation)
-    K = absorption_cutoff(M, pair.psi0.cutoff, mean)
-    return (
-        SuperpositionPair(approx_absorb(pair.psi0, M, K), approx_absorb(pair.psi1, M, K)),
-        K,
-    )
-
-
-def _even_cat_pair(alpha: complex, cutoff: int | None = None) -> SuperpositionPair:
-    c = cutoff if cutoff is not None else make_even_cat(alpha).cutoff
-    return SuperpositionPair(make_coherent(alpha, cutoff=c), make_coherent(-alpha, cutoff=c))
-
-
-def _fock_superposition_pair(N: int, cutoff: int | None = None) -> SuperpositionPair:
-    c = make_fock_superposition(N, cutoff).cutoff
-    return SuperpositionPair(make_fock(0, cutoff=c), make_fock(2 * N, cutoff=c))
-
-
-def _displaced_single_photon_pair(alpha: complex, cutoff: int | None = None) -> SuperpositionPair:
-    c = cutoff if cutoff is not None else _displaced_cutoff(alpha)
-    d0, d1 = _displaced_vacuum_and_photon(alpha, c)
-    plus, minus = d0 + d1, d0 - d1  # D(|0> +- |1>), up to the 1/sqrt2 the norms absorb
-    psi0 = PhotonicState(FockBasis(c), plus / np.linalg.norm(plus), tail_tol=None)
-    psi1 = PhotonicState(FockBasis(c), -minus / np.linalg.norm(minus), tail_tol=None)
-    return SuperpositionPair(psi0, psi1)
-
-
-def _ghz_pair(M: int) -> SuperpositionPair:
-    if M < 1:
-        raise ContractViolation(f"ghz pair needs M >= 1, got {M}")
-    return SuperpositionPair(make_dicke(M, 0, K=M), make_dicke(M, M, K=M))
-
-
-PAIRS = {
-    "even-cat": _even_cat_pair,
-    "fock-superposition": _fock_superposition_pair,
-    "displaced-single-photon": _displaced_single_photon_pair,
-    "ghz": _ghz_pair,
-}
-
-
-def branch_pair(name: str, **params) -> SuperpositionPair:
-    """Standard branch decomposition of a named superposition state, from the
-    parameters its PAIRS builder takes; normalized_sum(pair) is the state itself."""
-    return _build_named("pair", PAIRS, name, params)
 
 
 def family_state(family_id: FamilyId | str, N: int, M: int | None = None) -> FamilyBundle:

@@ -1,5 +1,6 @@
-"""Factories for the named photonic and spin states, the table of named
-states, and the dict form of states used for JSON files."""
+"""Factories for the named photonic and spin states, the tables of named
+states and of their branch pairs, and the dict form of states used for JSON
+files."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from .symcore import (
     DickeBasis,
     FockBasis,
     PhotonicState,
+    SuperpositionPair,
     SymState,
     TruncationError,
     default_spin_truncation,
@@ -49,6 +51,14 @@ def _coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
     return mag * phase
 
 
+def _renormalized(amps: np.ndarray) -> np.ndarray:
+    """Truncated amplitudes over their norm, which must be within 1e-10 of 1."""
+    norm = np.linalg.norm(amps)
+    if abs(1.0 - norm) > 1e-10:
+        raise TruncationError(f"renormalization correction {abs(1 - norm):.2e} exceeds 1e-10")
+    return amps / norm
+
+
 def make_fock(N: int, cutoff: int | None = None) -> PhotonicState:
     """Single-mode Fock state |N>."""
     if N < 0:
@@ -69,11 +79,7 @@ def make_coherent(alpha: complex, cutoff: int | None = None) -> PhotonicState:
         cutoff = _coherent_cutoff(alpha)
     elif cutoff < needed:
         raise TruncationError(f"cutoff {cutoff} below required {needed:.1f} for |alpha|={abs(alpha):.3g}")
-    amps = _coherent_amps(alpha, cutoff)
-    norm = np.linalg.norm(amps)
-    if abs(1.0 - norm) > 1e-10:
-        raise TruncationError(f"renormalization correction {abs(1 - norm):.2e} exceeds 1e-10")
-    return PhotonicState(FockBasis(cutoff), amps / norm)
+    return PhotonicState(FockBasis(cutoff), _renormalized(_coherent_amps(alpha, cutoff)))
 
 
 def _make_cat(alpha: complex, cutoff: int | None, parity: int) -> PhotonicState:
@@ -124,10 +130,16 @@ def make_fock_superposition(N: int, cutoff: int | None = None) -> PhotonicState:
     return PhotonicState(FockBasis(cutoff), amps, tail_tol=None)
 
 
-def _displaced_cutoff(alpha: complex) -> int:
-    """Default cutoff of the displaced single photon and its branches: the
-    displaced number tails carry an extra ~(n-lam)^2/lam, hence pmf_tol 1e-15."""
-    return _coherent_cutoff(alpha, pmf_tol=1e-15) + 2
+def _displaced_cutoff(alpha: complex, cutoff: int | None = None) -> int:
+    """Cutoff of the displaced single photon and its branches: the given one,
+    checked to hold the displaced number tails, or by default the coherent
+    rule at pmf_tol 1e-15, since those tails carry an extra ~(n-lam)^2/lam."""
+    if cutoff is None:
+        return _coherent_cutoff(alpha, pmf_tol=1e-15) + 2
+    needed = abs(alpha) ** 2 + 6.0 * np.sqrt(abs(alpha) ** 2 + 1.0) + 2.0
+    if cutoff < needed:
+        raise TruncationError(f"cutoff {cutoff} below required {needed:.1f}")
+    return cutoff
 
 
 def _displaced_vacuum_and_photon(alpha: complex, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,11 +162,7 @@ def _displaced_vacuum_and_photon(alpha: complex, cutoff: int) -> tuple[np.ndarra
 def make_displaced_single_photon(alpha: complex, cutoff: int | None = None) -> PhotonicState:
     """Two-mode state (D_alpha x id)(|0,1> - |1,0>)/sqrt(2): its mode-1 label-1
     column is D|0>/sqrt(2) and its label-0 column -D|1>/sqrt(2)."""
-    needed = abs(alpha) ** 2 + 6.0 * np.sqrt(abs(alpha) ** 2 + 1.0) + 2.0
-    if cutoff is None:
-        cutoff = _displaced_cutoff(alpha)
-    elif cutoff < needed:
-        raise TruncationError(f"cutoff {cutoff} below required {needed:.1f}")
+    cutoff = _displaced_cutoff(alpha, cutoff)
     d0, d1 = _displaced_vacuum_and_photon(alpha, cutoff)
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     grid[:, 1] = d0 / np.sqrt(2.0)   # D|0> x |1>
@@ -188,7 +196,8 @@ def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> SymState
 
     Dicke amplitudes are the binomial ones, including the (-i)^k phases the
     absorption map produces: c_k = (-i)^k sqrt(C(M,k)) q^{(M-k)/2} (alpha/sqrt(M))^k
-    with q = 1 - |alpha|^2/M, truncated at K and renormalized.
+    with q = 1 - |alpha|^2/M, truncated at K and renormalized (`_renormalized`,
+    as for make_coherent), so a K that drops more than 1e-10 of the norm raises.
     """
     p = abs(alpha) ** 2 / M
     if p >= 1.0:
@@ -202,9 +211,7 @@ def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> SymState
     logmag = 0.5 * log_binomials(M, K)
     logmag += 0.5 * (M - k) * np.log1p(-p) + k * np.log(abs(alpha) / np.sqrt(M))
     phase = np.exp(1j * k * (np.angle(alpha) - np.pi / 2.0))
-    amps = np.exp(logmag) * phase
-    amps = amps / np.linalg.norm(amps)
-    return SymState(basis, amps)
+    return SymState(basis, _renormalized(np.exp(logmag) * phase))
 
 
 def _as_complex(value) -> complex:
@@ -265,6 +272,46 @@ def _build_named(kind: str, table: dict, name: str, params: dict):
 def build_state(name: str, **params):
     """The named state of STATES, built from the parameters its factory takes."""
     return _build_named("state", STATES, name, params)
+
+
+def _even_cat_pair(alpha: complex, cutoff: int | None = None) -> SuperpositionPair:
+    c = _coherent_cutoff(alpha) if cutoff is None else cutoff
+    return SuperpositionPair(make_coherent(alpha, cutoff=c), make_coherent(-alpha, cutoff=c))
+
+
+def _fock_superposition_pair(N: int, cutoff: int | None = None) -> SuperpositionPair:
+    c = make_fock_superposition(N, cutoff).cutoff
+    return SuperpositionPair(make_fock(0, cutoff=c), make_fock(2 * N, cutoff=c))
+
+
+def _displaced_single_photon_pair(alpha: complex, cutoff: int | None = None) -> SuperpositionPair:
+    c = _displaced_cutoff(alpha, cutoff)
+    d0, d1 = _displaced_vacuum_and_photon(alpha, c)
+    plus, minus = d0 + d1, d0 - d1  # D(|0> +- |1>), up to the 1/sqrt2 the norms absorb
+    psi0 = PhotonicState(FockBasis(c), plus / np.linalg.norm(plus), tail_tol=None)
+    psi1 = PhotonicState(FockBasis(c), -minus / np.linalg.norm(minus), tail_tol=None)
+    return SuperpositionPair(psi0, psi1)
+
+
+def _ghz_pair(M: int) -> SuperpositionPair:
+    if M < 1:
+        raise ContractViolation(f"ghz pair needs M >= 1, got {M}")
+    return SuperpositionPair(make_dicke(M, 0, K=M), make_dicke(M, M, K=M))
+
+
+# The branch pairs of the superpositions, each cut off by its state's rule.
+PAIRS = {
+    "even-cat": _even_cat_pair,
+    "fock-superposition": _fock_superposition_pair,
+    "displaced-single-photon": _displaced_single_photon_pair,
+    "ghz": _ghz_pair,
+}
+
+
+def branch_pair(name: str, **params) -> SuperpositionPair:
+    """Standard branch decomposition of a named superposition state, from the
+    parameters its PAIRS builder takes; normalized_sum(pair) is the state itself."""
+    return _build_named("pair", PAIRS, name, params)
 
 
 def _basis_tag(basis: DickeBasis | FockBasis) -> dict:

@@ -209,6 +209,30 @@ class DensityOp(_Populations):
         return np.diag(self.matrix).real
 
 
+@dataclass(frozen=True)
+class SuperpositionPair:
+    """Equal-weight branch pair; components share one basis and are normalized.
+
+    Branch global phases matter only through the normalized sum (they are part
+    of how the superposition splits into branches).
+    """
+
+    psi0: SymState | PhotonicState
+    psi1: SymState | PhotonicState
+
+    def __post_init__(self):
+        if type(self.psi0) is not type(self.psi1) or self.psi0.basis != self.psi1.basis:
+            raise ContractViolation("pair components must live in the same basis")
+
+    @property
+    def overlap(self) -> complex:
+        return complex(np.vdot(self.psi0.amps, self.psi1.amps))
+
+    @property
+    def is_spin(self) -> bool:
+        return isinstance(self.psi0, SymState)
+
+
 def log_factorial(n) -> np.ndarray:
     """ln n!, elementwise, as log-gamma."""
     from scipy.special import gammaln

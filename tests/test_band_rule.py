@@ -4,7 +4,9 @@ whose objective takes a trace norm; no other function builds one, directly
 or through a function that does. No module names `expm`, nothing in
 `measures` comes from `states` (whose dense mode operator the mixed i-wigner
 used to take), and in `measures` only `_weighted_columns` and `index_q` read
-a density matrix: every other kernel takes the state as weighted columns."""
+a density matrix: every other kernel takes the state as weighted columns.
+No module imports another module's private (`_`-prefixed) name: a helper
+that two modules need is public in the module that owns it."""
 
 import ast
 from pathlib import Path
@@ -105,3 +107,16 @@ def test_measures_imports_nothing_from_states():
             if any(a.name.split(".")[-1] == "states" for a in n.names):
                 imports.append(n.lineno)
     assert imports == [], f"measures imports states at lines {imports}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    reach = []
+    for module, tree in _trees().items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").startswith("macrosize")):
+                reach += [
+                    f"{module} imports {a.name} from {n.module or '.'}"
+                    for a in n.names
+                    if a.name.startswith("_") and not a.name.startswith("__")
+                ]
+    assert reach == [], f"private names imported across modules: {reach}"

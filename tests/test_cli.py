@@ -15,10 +15,17 @@ import pytest
 import macrosize
 import macrosize.mapping
 from macrosize.cli import _jsonable, _load_states, build_parser, main
-from macrosize.mapping import approx_absorb
+from macrosize.mapping import absorb_pair, approx_absorb
 from macrosize.measures import MEASURES, n_eff
-from macrosize.scaling import PAIRS, absorb_pair, branch_pair
-from macrosize.states import STATE_PARAMS, STATES, make_coherent, make_even_cat, make_odd_cat
+from macrosize.states import (
+    PAIRS,
+    STATE_PARAMS,
+    STATES,
+    branch_pair,
+    make_coherent,
+    make_even_cat,
+    make_odd_cat,
+)
 from macrosize.symcore import DensityOp
 
 
@@ -118,8 +125,9 @@ def test_measure_absorbs_mixed_photonic_input(tmp_path, capsys):
     assert code == 0
     rho, _ = _load_states([str(f)])
     assert load(out)["value"] == _jsonable(n_eff(approx_absorb(rho, 200)).value)
-    code, out, _ = run(capsys, "measure", "index-p", str(f), "--M", "200")
-    assert code == 3 and load(out)["defined"] is False
+    for mid in ("index-p", "max-variance"):  # a mixture's variance counts the mixing
+        code, out, _ = run(capsys, "measure", mid, str(f), "--M", "200")
+        assert code == 3 and load(out)["defined"] is False
 
 
 def test_measure_wigner_on_fock3(tmp_path, capsys):
@@ -397,9 +405,13 @@ def test_verify_mapping_reports_and_gates(capsys):
         (["verify-mapping", "--M", "0", "--K", "0"], "at least one spin"),
         (["--spin-factor", "3", "table1"], "too small"),
         (["--spin-factor", "3", "sweep", "fock", "n-eff", "--ladder", "2,4,8,16"], "too small"),
+        (["state", "--name", "displaced-single-photon", "--alpha", "2", "--cutoff", "3",
+          "--pair"], "cutoff 3 below required 19.4"),
+        (["state", "--name", "spin-coherent", "--alpha", "3", "--M", "100", "--K", "2"],
+         "renormalization correction"),
     ],
     ids=["jmax-below-half", "jmax-negative", "zero-spins", "spin-factor-table1",
-         "spin-factor-sweep"],
+         "spin-factor-sweep", "pair-cutoff-too-small", "spin-coherent-lossy-K"],
 )
 def test_check_that_cannot_run_exits_2(argv, message, capsys):
     code, out, err = run(capsys, *argv)

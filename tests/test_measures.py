@@ -42,9 +42,8 @@ from macrosize import (
     wigner_I_photonic,
     wigner_I_spin,
 )
-from macrosize.scaling import absorb_pair
 from macrosize.symcore import FockBasis, PhotonicState, RegimeWarning
-from macrosize.mapping import approx_absorb
+from macrosize.mapping import absorb_pair, approx_absorb
 from macrosize.measures import (
     LAYER_TAIL_TOL,
     PRODUCT_REFERENCE_TOL,

@@ -13,6 +13,7 @@ from macrosize import (
     ContractViolation,
     DensityOp,
     TruncationError,
+    branch_pair,
     build_state,
     make_coherent,
     make_dicke,
@@ -133,6 +134,25 @@ def test_spin_coherent_matches_scalar_log_binomials(M, K, alpha):
 def test_spin_coherent_rejects_cutoff_above_m():
     with pytest.raises(ContractViolation, match="outside 0..M"):
         make_spin_coherent(1.0, 10, K=11)
+
+
+def test_spin_coherent_rejects_a_lossy_truncation():
+    # K = 2 keeps 0.48 % of the weight of alpha = 3 in M = 100 spins: norm 0.069
+    with pytest.raises(TruncationError, match="renormalization correction 9.31e-01 exceeds 1e-10"):
+        make_spin_coherent(3.0, 100, K=2)
+    assert make_spin_coherent(3.0, 100).basis.K == 61  # the default truncation holds it
+
+
+def test_displaced_pair_rejects_the_cutoff_its_state_rejects():
+    messages = []
+    for build in (
+        lambda: make_displaced_single_photon(2.0, cutoff=3),
+        lambda: branch_pair("displaced-single-photon", alpha=2.0, cutoff=3),
+    ):
+        with pytest.raises(TruncationError) as exc:
+            build()
+        messages.append(str(exc.value))
+    assert messages == ["cutoff 3 below required 19.4"] * 2
 
 
 def test_displace_vacuum_gives_coherent():
