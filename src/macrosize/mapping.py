@@ -39,25 +39,52 @@ def _block_offdiag(E: int, M: int, K: int) -> np.ndarray:
     return np.sqrt(E - k) * raising_coefficients(M, dim - 1)
 
 
-def _block_eigs(energies, M: int, K: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Eigenvalues and real eigenvector columns of each listed block's coupling.
+def _block_svd(E: int, M: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The E block's coupling folded to half size: U, s and V^T of B = U diag(s) V^T.
 
-    scipy and numpy link separate OpenBLAS builds, and alternating between
-    the two leaves the idle threads of one spinning against the work of the
-    other. The package's one-thread pin (see `macrosize`) removes those
-    threads. The eigensolves still all run before the caller's products,
-    for processes that imported numpy or scipy before macrosize, where the
-    pin does not apply: there a variant of `verify_operator_map` that called
-    scipy's eigensolver once per block between numpy's products took
-    2.6-3.9 s per perfbench `ladder-128` pass against 0.8-1.0 s with the pin.
+    H_E is real tridiagonal with a zero diagonal, so it links only even
+    labels to odd ones. Sorted into (even labels, odd labels) it is
+    [[0, B], [B^T, 0]], with B lower bidiagonal: B[i, i] = b(2i) and
+    B[i+1, i] = b(2i+1) for the off-diagonal b of `_block_offdiag`. U is
+    square, so for an odd block dimension its extra column spans the null
+    space of B^T, at singular value 0. H_E^2 is B B^T = U diag(s^2) U^T on the
+    even labels and B^T B = V diag(s^2) V^T on the odd ones, and H_E maps odd
+    labels to even ones through B, so
+
+        cos(H_E t) = U cos(st) U^T on the even labels (weight 1 on the null
+                     column) and V cos(st) V^T on the odd labels;
+        sin(H_E t) = U sin(st) V^T from the odd labels to the even ones, and
+                     its transpose back.
+
+    exp(-i H_E t) = cos(H_E t) - i sin(H_E t) is then four half-size products.
     """
-    from scipy.linalg import eigh_tridiagonal
+    b = _block_offdiag(E, M, K)
+    dim = len(b) + 1
+    B = np.zeros(((dim + 1) // 2, dim // 2))
+    np.fill_diagonal(B, b[0::2])
+    np.fill_diagonal(B[1:], b[1::2])
+    return np.linalg.svd(B)
 
-    eigs = {}
-    for E in energies:
-        off = _block_offdiag(E, M, K)
-        eigs[E] = eigh_tridiagonal(np.zeros(len(off) + 1), off)
-    return eigs
+
+def _block_rotation(E: int, M: int, K: int, t: float) -> np.ndarray:
+    """R_E = W^dag exp(-i H_E t) W for W = diag(i^k): real orthogonal.
+
+    W^dag H_E W = i A_E with A_E real antisymmetric, so R_E = exp(t A_E). On
+    (even labels, odd labels) A_E is [[0, D B D], [-(D B D)^T, 0]] for the B of
+    `_block_svd` and D = diag((-1)^i), and D B D = (D U) diag(s) (D V)^T. So
+    with U -> D U and V -> D V, R_E is [[U cos(st) U^T, U sin(st) V^T],
+    [-V sin(st) U^T, V cos(st) V^T]], the cosine padded with 1 as there.
+    """
+    U, s, Vt = _block_svd(E, M, K)
+    U[1::2] *= -1
+    Vt[:, 1::2] *= -1
+    c = np.cos(s * t)
+    R = np.empty((len(U) + len(Vt),) * 2)
+    R[::2, ::2] = (U * np.append(c, 1.0)[: len(U)]) @ U.T
+    R[1::2, 1::2] = (Vt.T * c) @ Vt
+    R[::2, 1::2] = (U[:, : len(s)] * np.sin(s * t)) @ Vt
+    R[1::2, ::2] = -R[::2, 1::2].T
+    return R
 
 
 def absorption_cutoff(M: int, photon_cutoff: int, nbar: float) -> int:
@@ -126,7 +153,7 @@ def exact_absorb(
 
     |n = E> x |M, 0> evolves inside the E block and meets the photon vacuum
     only at k = E, so the spin amplitude there is c_E <E| exp(-i H_E t) |0>,
-    read from the block's spectral decomposition. The residual is the photon
+    read from the block's folded SVD (`_block_svd`). The residual is the photon
     population 1 - P(vacuum). The fidelity |<approx| exact(g) |psi x ground>|^2
     does not depend on K: every block E <= cutoff <= K has dimension E + 1.
     """
@@ -142,8 +169,13 @@ def exact_absorb(
     energies = np.flatnonzero(psi.amps[1:]) + 1  # the E = 0 block does not evolve
     v = np.zeros(K + 1, dtype=np.complex128)
     v[0] = psi.amps[0]
-    for E, (w, V) in _block_eigs(energies, M, K).items():
-        v[E] = (V @ (np.exp(-1j * w * t) * (V[0] * psi.amps[E])))[E]
+    for E in energies:
+        U, s, Vt = _block_svd(E, M, K)
+        if E % 2:  # sin(H_E t) from the even label 0 to the odd label E
+            entry = -1j * (Vt[:, E // 2] @ (np.sin(s * t) * U[0]))
+        else:  # cos(H_E t) within the even labels; E + 1 is odd, so U has a null column
+            entry = U[E // 2] @ (np.append(np.cos(s * t), 1.0) * U[0])
+        v[E] = entry * psi.amps[E]
     pop = float(np.vdot(v, v).real)
     if pop < VACUUM_POPULATION_FLOOR:
         raise ContractViolation(
@@ -172,15 +204,10 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     the full absorption g = pi/2, a itself at g = 0. The deviation is O(K/M)
     and halves when M doubles at fixed K and g. K = 0 leaves nothing to map: 0.
 
-    Each block is computed in real arithmetic. H_E is real and tridiagonal
-    with a zero diagonal, so with W = diag(i^k), W^dag H_E W = i A_E for a
-    real antisymmetric A_E, and R_E = W^dag U_E W = exp(t A_E) is real
-    orthogonal. From H_E = V diag(w) V^T, cos(H_E t) is even in H_E and lives
-    on even k - j, sin(H_E t) is odd and lives on odd k - j, and the phase
-    i^(k-j) turns U_E = cos - i sin into R_E = sgn o (V diag(cos wt + sin wt) V^T),
-    with sgn = +1 where (k - j) mod 4 is 0 or 1 and -1 otherwise. a and J-
-    map block E to block E - 1 (one fewer label, E <= K), so the block
-    deviation X is unitarily equivalent to
+    Each block is computed in real arithmetic. With W = diag(i^k),
+    R_E = W^dag U_E W is real orthogonal (`_block_rotation`). a and J- map
+    block E to block E - 1 (one fewer label, E <= K), so the block deviation X
+    is unitarily equivalent to
     X' = W^dag X W = R_{E-1}^T diag(sqrt(E - k)) R_E[:E] - cos g diag(sqrt(E - k))
     - sin g J-/sqrt(M), since W^dag a W = a and W^dag J- W = i J-: the same
     singular values, all real.
@@ -192,23 +219,20 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     if K == 0:
         return 0.0
     t = g / np.sqrt(M)
-    labels = np.arange(K + 1)
-    sgn = np.where((labels[None, :] - labels[:, None]) % 4 < 2, 1.0, -1.0)
-    rotations = {
-        E: sgn[: len(w), : len(w)] * ((V * (np.cos(w * t) + np.sin(w * t))) @ V.T)
-        for E, (w, V) in _block_eigs(range(K + 1), M, K).items()
-    }
     cp = raising_coefficients(M, K)  # C+(k) = C-(k+1)
     worst = 0.0
+    previous = np.ones((1, 1))  # R_0: the E = 0 block does not evolve
     for E in range(1, K + 1):
+        rotation = _block_rotation(E, M, K, t)
         k = np.arange(E)  # labels of block E - 1, one fewer than block E (E <= K)
         # <k| a |k> = sqrt(E - k) and <k| J- |k+1> = C+(k) map block E to block E - 1
-        X = rotations[E - 1].T @ (np.sqrt(E - k)[:, None] * rotations[E][:E])
+        X = previous.T @ (np.sqrt(E - k)[:, None] * rotation[:E])
         X[k, k] -= np.cos(g) * np.sqrt(E - k)
         X[k, k + 1] -= np.sin(g) * cp[:E] / np.sqrt(M)
         # ||X||_2 from the largest eigenvalue of X X^T, cheaper than an SVD
         top = float(np.linalg.eigvalsh(X @ X.T)[-1])
         worst = max(worst, float(np.sqrt(max(top, 0.0))))
+        previous = rotation
     return worst
 
 

@@ -24,19 +24,27 @@ from .symcore import (
 )
 
 
+def _coherent_bound(alpha: complex) -> float:
+    """Least cutoff that holds a coherent |alpha>: |alpha|^2 + 6 sqrt(|alpha|^2 + 1)."""
+    lam = abs(alpha) ** 2
+    return lam + 6.0 * np.sqrt(lam + 1.0)
+
+
 def _coherent_cutoff(alpha: complex, pmf_tol: float = 1e-11) -> int:
     """Smallest cutoff whose top two levels each hold < pmf_tol of a Poisson
-    |alpha|^2 law; the default survives the factor ~2 renormalization of
-    parity-projected (cat) amplitudes while keeping boundary mass under the
-    1e-10 tolerance. Displaced few-photon states need a smaller pmf_tol
-    (their number tails carry an extra ~(n-lam)^2/lam enhancement)."""
+    |alpha|^2 law, and at least `_coherent_bound`; the default survives the
+    factor ~2 renormalization of parity-projected (cat) amplitudes while
+    keeping boundary mass under the 1e-10 tolerance. Displaced few-photon
+    states need a smaller pmf_tol (their number tails carry an extra
+    ~(n-lam)^2/lam enhancement)."""
     lam = abs(alpha) ** 2
+    least = int(np.ceil(_coherent_bound(alpha)))
     if lam == 0:
-        return 4
+        return least
     n = np.arange(int(np.ceil(lam)), int(np.ceil(lam + 40.0 * np.sqrt(lam + 1.0) + 80.0)))
     logpmf = -lam + n * np.log(lam) - log_factorial(n)
     idx = np.nonzero(logpmf < np.log(pmf_tol))[0]
-    return int(n[idx[0]]) + 2
+    return max(int(n[idx[0]]) + 2, least)
 
 
 def _coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
@@ -74,7 +82,7 @@ def make_fock(N: int, cutoff: int | None = None) -> PhotonicState:
 
 def make_coherent(alpha: complex, cutoff: int | None = None) -> PhotonicState:
     """Single-mode coherent state |alpha> with Poissonian number statistics."""
-    needed = abs(alpha) ** 2 + 6.0 * np.sqrt(abs(alpha) ** 2 + 1.0)
+    needed = _coherent_bound(alpha)
     if cutoff is None:
         cutoff = _coherent_cutoff(alpha)
     elif cutoff < needed:
@@ -136,7 +144,7 @@ def _displaced_cutoff(alpha: complex, cutoff: int | None = None) -> int:
     rule at pmf_tol 1e-15, since those tails carry an extra ~(n-lam)^2/lam."""
     if cutoff is None:
         return _coherent_cutoff(alpha, pmf_tol=1e-15) + 2
-    needed = abs(alpha) ** 2 + 6.0 * np.sqrt(abs(alpha) ** 2 + 1.0) + 2.0
+    needed = _coherent_bound(alpha) + 2.0
     if cutoff < needed:
         raise TruncationError(f"cutoff {cutoff} below required {needed:.1f}")
     return cutoff
@@ -275,6 +283,8 @@ def build_state(name: str, **params):
 
 
 def _even_cat_pair(alpha: complex, cutoff: int | None = None) -> SuperpositionPair:
+    if alpha == 0:  # both branches the vacuum: rejected as make_even_cat rejects it
+        raise ContractViolation("even cat needs alpha != 0")
     c = _coherent_cutoff(alpha) if cutoff is None else cutoff
     return SuperpositionPair(make_coherent(alpha, cutoff=c), make_coherent(-alpha, cutoff=c))
 

@@ -1,10 +1,11 @@
 """Structure guard: the package multiplies by J on its band. The one dense J
 in `src/` is `collective_apply` on the identity inside `measures.index_q`,
 whose objective takes a trace norm; no other function builds one, directly
-or through a function that does. No module names `expm`, nothing in
-`measures` comes from `states` (whose dense mode operator the mixed i-wigner
-used to take), and in `measures` only `_weighted_columns` and `index_q` read
-a density matrix: every other kernel takes the state as weighted columns.
+or through a function that does. No module names `expm` or `scipy.linalg`,
+nothing in `measures` comes from `states` (whose dense mode operator the
+mixed i-wigner used to take), and in `measures` only `_weighted_columns` and
+`index_q` read a density matrix: every other kernel takes the state as
+weighted columns.
 No module imports another module's private (`_`-prefixed) name: a helper
 that two modules need is public in the module that owns it."""
 
@@ -84,6 +85,25 @@ def test_expm_is_named_nowhere():
             if any(name.split(".")[-1] == "expm" for name in names):
                 stray.append(f"{module}:{n.lineno}")
     assert stray == [], f"expm named at {stray}"
+
+
+def test_scipy_linalg_is_named_nowhere():
+    # the absorption blocks are solved by numpy's SVD: scipy serves special and optimize only
+    stray = []
+    for module, tree in _trees().items():
+        lines = (PACKAGE / f"{module}.py").read_text().splitlines()
+        stray += [
+            f"{module}:{lineno}"
+            for lineno, line in enumerate(lines, 1)
+            if "scipy.linalg" in line or "eigh_tridiagonal" in line
+        ]
+        stray += [
+            f"{module}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and n.module == "scipy"
+            and any(a.name == "linalg" for a in n.names)
+        ]
+    assert stray == [], f"scipy.linalg named at {stray}"
 
 
 def test_density_matrix_is_read_only_by_the_weighted_columns_and_index_q():

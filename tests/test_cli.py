@@ -258,29 +258,32 @@ def test_absorb_exact_reports_fidelity(tmp_path, capsys):
 
 
 def test_absorb_exact_propagates_once(tmp_path, capsys, monkeypatch):
-    # one propagation gives both the output state and its fidelity, pinned at
-    # the printed 12 significant digits of the in-memory coherent state
+    # one propagation, each excitation block solved once, gives both the output
+    # state and its fidelity, pinned at the printed 12 significant digits of
+    # the in-memory coherent state
     calls = []
-    block_eigs = macrosize.mapping._block_eigs
+    block_svd = macrosize.mapping._block_svd
 
-    def counted(*args):
-        calls.append(args)
-        return block_eigs(*args)
+    def counted(E, *args):
+        calls.append(E)
+        return block_svd(E, *args)
 
-    monkeypatch.setattr(macrosize.mapping, "_block_eigs", counted)
+    monkeypatch.setattr(macrosize.mapping, "_block_svd", counted)
     src = tmp_path / "coh.json"
     run(capsys, "state", "--name", "coherent", "--alpha", "1.5", "--out", str(src))
     argv = ["absorb", str(src), "--M", "200", "--mode", "exact", "--g", "1.2"]
+    blocks = list(range(1, make_coherent(1.5).cutoff + 1))
     code, out, _ = run(capsys, *argv, "--K", "40")
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and calls == blocks
     doc = load(out)
     assert doc["K"] == 40
     assert doc["fidelityVsApprox"] == 0.73271082217
     assert doc["residualPhotonPopulation"] == 0.259120584843
     assert doc["meanExcitation"] == 1.94558733669
     # every block E <= cutoff <= K has dimension E + 1, so K leaves the fidelity
+    calls.clear()
     code, out, _ = run(capsys, *argv)
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and calls == blocks
     assert load(out)["K"] < 40
     assert load(out)["fidelityVsApprox"] == pytest.approx(doc["fidelityVsApprox"], rel=1e-12)
 
@@ -593,7 +596,7 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
 
 @pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "explicit"])
 def test_import_pins_openblas_unless_set(setting):
-    # both OpenBLAS builds load after the pin and run one operator-map check
+    # both OpenBLAS builds load after the pin, then one operator-map check runs
     code = (
         "import os, macrosize, numpy, scipy.linalg; "
         "macrosize.verify_operator_map(200, 8); "
@@ -621,13 +624,16 @@ def test_import_pins_openblas_unless_set(setting):
         ["state", "--name", "fock-superposition", "--N", "4", "--pair"],
         ["measure", "c-delta", "PAIR", "--M", "300"],
         ["sweep", "fock-superposition", "n-eff", "--ladder", "2,4,8,16"],
+        ["absorb", "COHERENT", "--M", "200", "--mode", "exact"],
+        ["verify-mapping", "--M", "200", "--K", "8", "--jmax", "3", "--lam", "0.7"],
     ],
-    ids=["state-pair", "c-delta", "sweep-n-eff"],
+    ids=["state-pair", "c-delta", "sweep-n-eff", "absorb-exact", "verify-mapping"],
 )
 def test_scipy_free_commands_load_no_scipy(argv, tmp_path):
-    f = tmp_path / "cat_pair.json"
-    main(["state", "--name", "even-cat", "--alpha", "1.5", "--pair", "--out", str(f)])
-    argv = [str(f) if tok == "PAIR" else tok for tok in argv]
+    files = {"PAIR": tmp_path / "cat_pair.json", "COHERENT": tmp_path / "coherent.json"}
+    main(["state", "--name", "even-cat", "--alpha", "1.5", "--pair", "--out", str(files["PAIR"])])
+    main(["state", "--name", "coherent", "--alpha", "1.5", "--out", str(files["COHERENT"])])
+    argv = [str(files[tok]) if tok in files else tok for tok in argv]
     code = (
         "import sys; from macrosize.cli import main; code = main(%r); "
         "print(%s); sys.exit(code)" % (argv, _SCIPY_LOADED)

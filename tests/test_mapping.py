@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -25,7 +25,8 @@ from macrosize import (
     verify_disentangling_identity,
     verify_operator_map,
 )
-from macrosize.mapping import _block_eigs
+from macrosize.mapping import _block_rotation, _block_svd
+from macrosize.symcore import FockBasis, PhotonicState
 from references import _dense_block_unitary, _dense_operator_map, block_hamiltonian
 
 
@@ -165,18 +166,66 @@ def test_operator_map_pinned_at_k128():
     assert verify_operator_map(3200, 128) == pytest.approx(0.3064260361399757, rel=1e-10)
 
 
+def _phased(U):
+    """W^dag U W for W = diag(i^k)."""
+    phases = 1j ** np.arange(len(U))
+    return phases.conj()[:, None] * U * phases[None, :]
+
+
 @pytest.mark.parametrize("E, M, K", [(1, 50, 1), (7, 200, 9), (60, 900, 60)])
 def test_parity_phased_block_propagator_is_real_orthogonal(E, M, K):
     t = 0.9 / np.sqrt(M)
-    phases = 1j ** np.arange(min(E, K) + 1)  # W = diag(i^k)
-    R = phases.conj()[:, None] * _dense_block_unitary(E, M, K, t) * phases[None, :]
+    U = _dense_block_unitary(E, M, K, t)
+    R = _phased(U)
     assert np.max(np.abs(R.imag)) <= 1e-13
     assert np.max(np.abs(R.real @ R.real.T - np.eye(len(R)))) <= 1e-13
-    # the cos + sin form verify_operator_map builds it from
-    w, V = _block_eigs([E], M, K)[E]
-    k = np.arange(len(w))
+    # the cos + sin form: i^(j-k) turns cos - i sin into +-cos on even k - j
+    # and +-sin on odd k - j, with sign +1 where (j - k) mod 4 is 0 or 1
+    k = np.arange(len(R))
     sgn = np.where((k[None, :] - k[:, None]) % 4 < 2, 1.0, -1.0)
-    assert np.max(np.abs(sgn * ((V * (np.cos(w * t) + np.sin(w * t))) @ V.T) - R.real)) <= 1e-13
+    assert np.max(np.abs(sgn * (U.real - U.imag) - R.real)) <= 1e-13
+    # the folded solve verify_operator_map builds it from
+    assert np.max(np.abs(_block_rotation(E, M, K, t) - R.real)) <= 1e-13
+
+
+def _vacuum_entry(E, M, g):
+    """exact_absorb's <E| exp(-i H_E t) |0>, read from the input (|0> + |E>)/sqrt(2),
+    whose vacuum half keeps the photon-vacuum population at 1/2 or more."""
+    amps = np.zeros(E + 1, dtype=complex)
+    amps[[0, E]] = np.sqrt(0.5)
+    v, _ = _vacuum_amps(PhotonicState(FockBasis(E), amps, tail_tol=None), M, E, g)
+    return v[E] / np.sqrt(0.5)
+
+
+@pytest.mark.filterwarnings("ignore::macrosize.RegimeWarning")  # exact_absorb's entry at cutoff E > M/4
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 32),
+    st.integers(0, 32).flatmap(lambda K: st.tuples(st.just(K), st.integers(max(K, 1), 10**4))),
+    st.floats(0, np.pi),
+)
+@example(0, (0, 1), 1.0)
+@example(1, (1, 50), np.pi / 2)
+@example(1, (0, 3), 0.4)
+@example(7, (4, 200), 2.5)
+@example(32, (11, 10**4), np.pi)
+def test_folded_block_solve_matches_dense_unitary(E, KM, g):
+    # both solves round in proportion to the phase ||H_E t||, up to about 2 g sqrt(E K):
+    # E, K <= 32 keep the worst of several thousand draws at 6e-14
+    K, M = KM
+    t = g / np.sqrt(M)
+    U = _dense_block_unitary(E, M, K, t)  # cos(H_E t) - i sin(H_E t)
+    Uf, s, Vt = _block_svd(E, M, K)
+    c = np.append(np.cos(s * t), np.ones(len(Uf) - len(s)))  # 1 on the null column
+    assert len(Uf) + len(Vt) == min(E, K) + 1
+    assert np.max(np.abs((Uf * c) @ Uf.T - U.real[::2, ::2]), initial=0) <= 1e-13
+    assert np.max(np.abs((Vt.T * c[: len(s)]) @ Vt - U.real[1::2, 1::2]), initial=0) <= 1e-13
+    sine = (Uf[:, : len(s)] * np.sin(s * t)) @ Vt
+    assert np.max(np.abs(sine + U.imag[::2, 1::2]), initial=0) <= 1e-13
+    assert np.max(np.abs(sine.T + U.imag[1::2, ::2]), initial=0) <= 1e-13
+    assert np.max(np.abs(_block_rotation(E, M, K, t) - _phased(U).real)) <= 1e-13
+    if 1 <= E <= K:  # exact_absorb's blocks: E <= cutoff <= K
+        assert abs(_vacuum_entry(E, M, g) - U[E, 0]) <= 1e-13
 
 
 def test_exact_absorb_matches_dense_form():
@@ -194,16 +243,16 @@ def test_exact_absorb_matches_dense_form():
 @pytest.mark.parametrize(
     "args, digest",
     [
-        ((make_coherent(1.5), 200), "31a23b00d32b9de6ad8e28e6f285329f088976a83cda4acca349a2d336bc08d0"),
+        ((make_coherent(1.5), 200), "de73415f1ddabb759f419c317db2eba74d7c6f55c73f85cf7a10fbc102ca0ef1"),
         (
             (make_even_cat(3.0), 1000, 60, 1.2),
-            "f637974e8c64f91e92870c6c5c68dff5f1af120eb1c16fc4d65f776a6c869374",
+            "b5813134e516cd57d00d2f71cda58822b759705622181e8f51d6ef1340ca9cdb",
         ),
     ],
     ids=["coherent", "even-cat"],
 )
 def test_exact_absorb_amplitudes_pinned(args, digest):
-    # the bytes of the joint-state propagation this per-block read replaced
+    # the bytes of the folded per-block read, pinned once test_exact_absorb_matches_dense_form held
     assert hashlib.sha256(exact_absorb(*args)[0].amps.tobytes()).hexdigest() == digest
 
 

@@ -155,6 +155,26 @@ def test_displaced_pair_rejects_the_cutoff_its_state_rejects():
     assert messages == ["cutoff 3 below required 19.4"] * 2
 
 
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+def test_coherent_default_cutoff_is_one_it_accepts(alpha):
+    # the default cutoff meets the bound an explicit cutoff must meet, also for
+    # the small alpha whose Poisson tail alone would stop at 5 or 6
+    cutoff = make_coherent(alpha).cutoff
+    assert cutoff >= abs(alpha) ** 2 + 6 * np.sqrt(abs(alpha) ** 2 + 1)
+    assert make_coherent(alpha, cutoff=cutoff).cutoff == cutoff
+    pair = branch_pair("even-cat", alpha=alpha)
+    assert pair.psi0.cutoff == pair.psi1.cutoff == make_even_cat(alpha).cutoff
+    # the displaced photon's default adds 2 to the same floor its check adds 2 to
+    cutoff = make_displaced_single_photon(alpha).cutoff
+    assert make_displaced_single_photon(alpha, cutoff=cutoff).cutoff == cutoff
+
+
+def test_even_cat_pair_rejects_what_the_even_cat_rejects():
+    for build in (lambda: make_even_cat(0), lambda: branch_pair("even-cat", alpha=0)):
+        with pytest.raises(ContractViolation, match="even cat needs alpha != 0"):
+            build()
+
+
 def test_displace_vacuum_gives_coherent():
     vac = make_fock(0, cutoff=40)
     moved = displace(vac, 1.2)
