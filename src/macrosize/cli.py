@@ -52,6 +52,7 @@ from .symcore import (
 
 
 DISENTANGLING_LAMBDA = 1.2  # verify-mapping --jmax without --lam
+SEED = 7  # recorded and hashed in every header; nothing draws a random number
 
 
 class UndefinedForInput(Exception):
@@ -67,10 +68,9 @@ class Config:
     """Run configuration recorded (hashed) in every output header."""
 
     spin_factor: int = SPIN_FACTOR
-    seed: int = 7
 
     def hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
+        blob = json.dumps({**asdict(self), "seed": SEED}, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def header(self) -> dict:
@@ -78,7 +78,7 @@ class Config:
             "tool": "macrosize",
             "version": __version__,
             "configHash": self.hash(),
-            "seed": self.seed,
+            "seed": SEED,
         }
 
 
@@ -210,7 +210,7 @@ def cmd_measure(args, cfg: Config) -> int:
         if single is not None:
             single = approx_absorb(single, args.M)
         else:
-            pair, _ = absorb_pair(pair, args.M)
+            pair = absorb_pair(pair, args.M)
     if spec.pair and pair is None:
         raise UndefinedForInput(f"{mid} needs a branch pair, got a single state")
     if not spec.pair and single is None:
@@ -366,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="macrosize",
         description="Effective-size measures for macroscopic photonic/spin superpositions.",
     )
-    p.add_argument("--seed", type=int, default=7, help="recorded in output headers")
     p.add_argument("--spin-factor", type=int,
                    help=f"M = factor*N (table1, sweep --ladder; default {SPIN_FACTOR})")
     sub = p.add_subparsers(dest="command", required=True)
@@ -439,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         reads_factor = args.func is cmd_table1 or (args.func is cmd_sweep and args.fixed_N is None)
         if args.spin_factor is not None and not reads_factor:
             raise ContractViolation("--spin-factor is read only by table1 and sweep along --ladder")
-        cfg = Config(seed=args.seed) if args.spin_factor is None else Config(args.spin_factor, args.seed)
+        cfg = Config() if args.spin_factor is None else Config(args.spin_factor)
         return args.func(args, cfg)
     except UndefinedForInput as exc:
         print(f"undefined: {exc}", file=sys.stderr)

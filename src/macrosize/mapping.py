@@ -19,6 +19,7 @@ from .symcore import (
     RegimeWarning,
     SuperpositionPair,
     SymState,
+    absorption_phases,
     default_spin_truncation,
     raising_coefficients,
     self_adjoint_eig,
@@ -118,7 +119,7 @@ def approx_absorb(
         K = absorption_cutoff(M, cutoff, psi.mean_excitation)
     if K < cutoff:
         raise ContractViolation(f"spin truncation K={K} below photon cutoff {cutoff}")
-    p = (-1j) ** np.arange(cutoff + 1)
+    p = absorption_phases(cutoff + 1)
     if isinstance(psi, DensityOp):
         m = np.zeros((K + 1, K + 1), dtype=np.complex128)
         m[: cutoff + 1, : cutoff + 1] = (p[:, None] * psi.matrix) * p.conj()[None, :]
@@ -128,11 +129,11 @@ def approx_absorb(
     return SymState(DickeBasis(M, K), amps)
 
 
-def absorb_pair(pair: SuperpositionPair, M: int) -> tuple[SuperpositionPair, int]:
+def absorb_pair(pair: SuperpositionPair, M: int) -> SuperpositionPair:
     """Absorb both photonic branches into M spins at one shared truncation K."""
     mean = max(pair.psi0.mean_excitation, pair.psi1.mean_excitation)
     K = absorption_cutoff(M, pair.psi0.cutoff, mean)
-    return SuperpositionPair(approx_absorb(pair.psi0, M, K), approx_absorb(pair.psi1, M, K)), K
+    return SuperpositionPair(approx_absorb(pair.psi0, M, K), approx_absorb(pair.psi1, M, K))
 
 
 @dataclass(frozen=True)

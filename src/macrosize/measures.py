@@ -1004,14 +1004,14 @@ def size_pg(
     (`_interval_l1`).
 
     The witness reports `psEvals`, the number of widths whose P_S was
-    computed (sigma = 0 included), `rootStepsMax`, the most root-refinement
-    steps any of them took, and `l1ErrorBound`, a bound on what the
-    evaluation at sigma* misses (`_l1_error_bound`); it should stay within
-    SMEAR_L1_ATOL. For homodyne readout the bound is on the trapezoid-rule
-    density, whose own error falls off spectrally in the grid step; the
-    sigma = 0 value `pSRaw` is a plain Riemann sum of that density and lies
-    outside the bound. Branches indistinguishable already at sigma = 0 yield
-    value 0 with a diagnostic witness.
+    computed (sigma = 0 and sigma* included), `rootStepsMax`, the most
+    root-refinement steps any of them took, and `l1ErrorBound`, a bound on
+    what the evaluation at sigma* misses (`_l1_error_bound`); it should stay
+    within SMEAR_L1_ATOL. For homodyne readout the bound is on the
+    trapezoid-rule density, whose own error falls off spectrally in the grid
+    step; the sigma = 0 value `pSRaw` is a plain Riemann sum of that density
+    and lies outside the bound. Branches indistinguishable already at
+    sigma = 0 yield value 0 with a diagnostic witness.
     """
     if pair.is_spin or pair.psi0.basis.modes != 1:
         raise ContractViolation("size_pg needs a single-mode photonic pair")
@@ -1024,13 +1024,10 @@ def size_pg(
     diffs: dict[float, np.ndarray] = {}
     cache: dict[float, tuple] = {}  # each evaluated width's L1, root brackets and masses
 
-    def evaluate(sigma: float) -> tuple:
-        masses = _channel_masses(pair, channel, sigma, diffs)
-        return (*_interval_l1(*masses, sigma), masses)
-
     def ps(sigma: float) -> float:
         if sigma not in cache:
-            cache[sigma] = evaluate(sigma)
+            masses = _channel_masses(pair, channel, sigma, diffs)
+            cache[sigma] = (*_interval_l1(*masses, sigma), masses)
         return 0.5 + 0.25 * cache[sigma][0]
 
     ps0 = ps(0.0)
@@ -1057,7 +1054,8 @@ def size_pg(
             lo = mid
         else:
             hi = mid
-    _, brackets, masses = cache[lo] if lo in cache else evaluate(lo)
+    ps(lo)  # evaluated, and counted, also where the scout answered for sigma*
+    _, brackets, masses = cache[lo]
     bound = _l1_error_bound(*masses, lo, brackets)
     root_steps = max((b[-1] for _, b, _ in cache.values() if b is not None), default=0)
     return MeasureResult(

@@ -33,14 +33,7 @@ from .measures import (
     check_p_g,
     normalized_sum,
 )
-from .states import (
-    branch_pair,
-    make_displaced_single_photon,
-    make_even_cat,
-    make_fock,
-    make_fock_superposition,
-    make_spin_coherent,
-)
+from .states import branch_pair, build_state, make_spin_coherent
 from .symcore import ContractViolation, PhotonicState, SuperpositionPair, SymState
 
 
@@ -126,50 +119,41 @@ def family_state(family_id: FamilyId | str, N: int, M: int | None = None) -> Fam
     """Build the photonic state, branch pair, and spin image at size N in M
     spins, M = default_spin_rule(N) when not given.
 
-    Branch conventions: the second branch carries the superposition's
-    relative phase, so normalized_sum(pair) is the family state itself
-    (e.g. D|+> and -D|-> recombine to the displaced single photon).
+    The state and pair are the `states.STATES` and `states.PAIRS` entries of
+    the family's name, at N photons or at coherent amplitude alpha = sqrt(N),
+    each cut off by its own rule; normalized_sum(pair) is the state (e.g. D|+>
+    and -D|-> recombine to the displaced single photon). A Fock state's spin
+    image is its absorption, a pair family's the normalized sum of its spin
+    pair: the branch pair absorbed at one truncation, or the even cat's
+    product pair.
     """
     fid = FamilyId(family_id)
     if N < 1:
         raise ContractViolation(f"need N >= 1, got {N}")
     M = default_spin_rule(N) if M is None else int(M)
     _check_spin_count(N, M)
-
+    alpha = float(np.sqrt(N))
+    params = {"N": N} if fid in (FamilyId.FOCK, FamilyId.FOCK_SUPERPOSITION) else {"alpha": alpha}
+    ph = build_state(fid.value, **params)
     if fid is FamilyId.FOCK:
-        ph = make_fock(N)
         return FamilyBundle(fid, N, M, ph, None, approx_absorb(ph, M), None, PhotonCount())
 
-    alpha = float(np.sqrt(N))
+    pair = branch_pair(fid.value, **params)
     if fid is FamilyId.EVEN_CAT:
-        ph = make_even_cat(alpha)
-        pair = branch_pair("even-cat", alpha=alpha, cutoff=ph.cutoff)
         # Spin branches are the product states the absorption produces for
         # coherent input, not the bare amplitude embedding: the flip layering
         # around a reference is rank-1 only for an exact product state, and
         # the embedding's O(alpha^4/M) defect inflates the layer ranks and
         # biases d-bar low.
-        spin_pair = SuperpositionPair(
-            make_spin_coherent(alpha, M), make_spin_coherent(-alpha, M)
-        )
-        return FamilyBundle(
-            fid, N, M, ph, pair, normalized_sum(spin_pair), spin_pair, Homodyne(0.0)
-        )
-
-    # Fock superposition and displaced single photon: the spin state is the
-    # absorbed sum of the branch pair, at the pair's common truncation. The
-    # displaced photon's I-measure row uses the genuine two-mode state; its
-    # pair and spin rows use the single-mode branch decomposition
-    # D(|0>+|1>)/sqrt2, -D(|0>-|1>)/sqrt2, whose sum is D|1>.
-    if fid is FamilyId.FOCK_SUPERPOSITION:
-        ph = make_fock_superposition(N)
-        pair = branch_pair("fock-superposition", N=N, cutoff=ph.cutoff)
+        spin_pair = SuperpositionPair(make_spin_coherent(alpha, M), make_spin_coherent(-alpha, M))
+        channel = Homodyne(0.0)
     else:
-        ph = make_displaced_single_photon(alpha)
-        pair = branch_pair("displaced-single-photon", alpha=alpha, cutoff=ph.cutoff)
-    spin_pair, K = absorb_pair(pair, M)
-    spin_state = approx_absorb(normalized_sum(pair), M, K)
-    return FamilyBundle(fid, N, M, ph, pair, spin_state, spin_pair, PhotonCount())
+        # The displaced photon's I-measure row uses the genuine two-mode
+        # state; its pair and spin rows use the single-mode branches
+        # D(|0>+|1>)/sqrt2, -D(|0>-|1>)/sqrt2, whose sum is D|1>.
+        spin_pair = absorb_pair(pair, M)
+        channel = PhotonCount()
+    return FamilyBundle(fid, N, M, ph, pair, normalized_sum(spin_pair), spin_pair, channel)
 
 
 @dataclass(frozen=True)

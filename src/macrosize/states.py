@@ -18,6 +18,7 @@ from .symcore import (
     SuperpositionPair,
     SymState,
     TruncationError,
+    absorption_phases,
     default_spin_truncation,
     log_binomials,
     log_factorial,
@@ -218,7 +219,7 @@ def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> SymState
     k = np.arange(K + 1)
     logmag = 0.5 * log_binomials(M, K)
     logmag += 0.5 * (M - k) * np.log1p(-p) + k * np.log(abs(alpha) / np.sqrt(M))
-    phase = np.exp(1j * k * (np.angle(alpha) - np.pi / 2.0))
+    phase = absorption_phases(K + 1) * np.exp(1j * k * np.angle(alpha))
     return SymState(basis, _renormalized(np.exp(logmag) * phase))
 
 

@@ -12,6 +12,11 @@ i.e. collective operators carry no 1/2 factors, [J+, J-] = Jz,
 [Jz, J+-] = +-2 J+-, and J_n has spectral radius M on the full sector.
 `k` counts excited spins, so k = 0 is the all-ground state.
 
+A photon label k is absorbed onto the Dicke label k with the phase (-i)^k:
+c_k |k> -> (-i)^k c_k |M,k>. `absorption_phases` writes that phase once,
+read from its cycle of four, so it is exact at every k; the absorption map
+and the spin-coherent factory both take it from there.
+
 J is written once, on the J+ band: `collective_apply` multiplies by Jx, Jy
 and Jz in O(K) a column. The package builds dense J only in `index_q`,
 whose objective takes a trace norm, as that product with the identity;
@@ -42,6 +47,11 @@ class TruncationError(ValueError):
 
 class RegimeWarning(UserWarning):
     """State or cutoff sits outside the low-excitation regime the absorption map assumes."""
+
+
+def absorption_phases(n: int) -> np.ndarray:
+    """(-i)^k for k = 0..n-1, each exactly 1, -i, -1 or i."""
+    return np.array((1, -1j, -1, 1j))[np.arange(n) % 4]
 
 
 def default_spin_truncation(M: int, nbar: float) -> int:

@@ -7,10 +7,19 @@ mixed i-wigner used to take), and in `measures` only `_weighted_columns` and
 `index_q` read a density matrix: every other kernel takes the state as
 weighted columns.
 No module imports another module's private (`_`-prefixed) name: a helper
-that two modules need is public in the module that owns it."""
+that two modules need is public in the module that owns it.
+The absorption phase (-i)^k is read from its cycle of four
+(`symcore.absorption_phases`), so no module raises 1j or -1j to a power, and
+every benchmark family is built from the state and pair tables by its name."""
 
 import ast
 from pathlib import Path
+
+import pytest
+
+from macrosize.mapping import approx_absorb
+from macrosize.scaling import FamilyId, family_state
+from macrosize.states import PAIRS, STATES, make_fock
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macrosize"
 DENSE_J_HOME = {"measures.index_q"}
@@ -140,3 +149,33 @@ def test_no_module_imports_a_private_name_of_another():
                     if a.name.startswith("_") and not a.name.startswith("__")
                 ]
     assert reach == [], f"private names imported across modules: {reach}"
+
+
+def _is_imaginary_unit(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, complex)
+
+
+def test_no_module_raises_the_imaginary_unit_to_a_power():
+    powers = [
+        f"{module}:{n.lineno}"
+        for module, tree in _trees().items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) and _is_imaginary_unit(n.left)
+    ]
+    assert powers == [], f"1j raised to a power at {powers}"
+
+
+@pytest.mark.parametrize("n", [100, 128, 257])
+def test_absorption_phase_is_exact_past_the_power_cycle(n):
+    # numpy's complex power leaves the exact cycle of (-1j)**k at k = 100
+    spin = approx_absorb(make_fock(n, cutoff=n + 2), 4 * (n + 2))
+    assert spin.amps[n] == (1, -1j, -1, 1j)[n % 4]
+
+
+def test_families_are_named_states_and_pairs():
+    for fid in FamilyId:
+        assert fid.value in STATES, fid
+        has_pair = family_state(fid, 8).photonic_pair is not None
+        assert has_pair == (fid.value in PAIRS), fid

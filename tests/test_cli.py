@@ -186,7 +186,7 @@ def test_pair_file_reads_back_as_written(name, params, tmp_path, capsys):
         assert "--M absorbs photonic input" in err
         code, out, _ = run(capsys, "measure", "m2", str(f))
     assert code == 0
-    spin = mem if mem.is_spin else absorb_pair(mem, 200)[0]
+    spin = mem if mem.is_spin else absorb_pair(mem, 200)
     assert load(out)["value"] == _jsonable(MEASURES["m2"].evaluate(spin).value)
 
 
@@ -457,7 +457,8 @@ def test_every_registered_measure_runs(mid, photonic_inputs, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--eig-residual", "--truncation-tail", "--output-format", "--bisection-rtol"]
+    "flag",
+    ["--eig-residual", "--truncation-tail", "--output-format", "--bisection-rtol", "--seed"],
 )
 def test_removed_global_flags_are_rejected(flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -42,6 +42,7 @@ from macrosize import (
     wigner_I_photonic,
     wigner_I_spin,
 )
+from macrosize import measures
 from macrosize.symcore import FockBasis, PhotonicState, RegimeWarning
 from macrosize.mapping import absorb_pair, approx_absorb
 from macrosize.measures import (
@@ -432,7 +433,7 @@ def _absorbed_non_extremal_pair():
     pair = SuperpositionPair(
         PhotonicState(FockBasis(12), amps, tail_tol=None), make_coherent(0.7, cutoff=12)
     )
-    return absorb_pair(pair, 60)[0]
+    return absorb_pair(pair, 60)
 
 
 @pytest.mark.parametrize("N", [4, 16, 64, "absorbed"])
@@ -659,11 +660,22 @@ def test_size_sigma_star_is_the_bisection_lattice_point(pair, p_g, channel):
     assert r.value == (0.0 if want is None else size_prefactor(p_g) * want)
 
 
-def test_size_scout_halves_the_evaluations_on_the_table():
+def test_size_scout_halves_the_evaluations_on_the_table(monkeypatch):
+    # psEvals counts every L1 evaluation, the one at sigma* for l1ErrorBound
+    # included, also when the scout answered sigma* without computing P_S there
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return _interval_l1(*args)
+
+    monkeypatch.setattr(measures, "_interval_l1", counted)
     for family in (FamilyId.DISPLACED_SINGLE_PHOTON, FamilyId.FOCK_SUPERPOSITION, FamilyId.EVEN_CAT):
         for N in (8, 16, 32, 64):
             bundle = family_state(family, N)
+            calls.clear()
             w = size_pg(bundle.photonic_pair, 2 / 3, bundle.channel).witness
+            assert w["psEvals"] == len(calls) and w["sigmaStar"] in calls, (family, N)
             assert w["psEvals"] <= 14, (family, N)  # doubling and bisection made 18-24
             assert 1 <= w["rootStepsMax"] <= 40, (family, N)
 

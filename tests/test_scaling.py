@@ -13,6 +13,7 @@ from macrosize import (
     Homodyne,
     PhotonCount,
     StateFamily,
+    approx_absorb,
     classify,
     family_state,
     fit_exponent,
@@ -192,6 +193,19 @@ def test_family_bundles_carry_expected_parts():
     fock = family_state(FamilyId.FOCK, 4)
     assert isinstance(fock.channel, PhotonCount)
     assert fock.photonic_pair is None and fock.spin_pair is None
+
+
+def test_pair_family_spin_state_is_its_absorbed_pair_summed():
+    # the exact phases commute with the sum, so absorbing the photonic sum
+    # gives the same state; the BLAS dot behind the norm sums real and
+    # imaginary parts apart, which the phases swap, so its last bit may move
+    for fid in (FamilyId.FOCK_SUPERPOSITION, FamilyId.DISPLACED_SINGLE_PHOTON):
+        for N in (8, 16, 64, 128):
+            b = family_state(fid, N)
+            assert np.array_equal(b.spin_state.amps, normalized_sum(b.spin_pair).amps)
+            K = b.spin_state.basis.K
+            absorbed = approx_absorb(normalized_sum(b.photonic_pair), b.M, K)
+            assert np.allclose(absorbed.amps, b.spin_state.amps, rtol=0.0, atol=1e-15), (fid, N)
 
 
 def test_evaluate_cell_dispatch():
