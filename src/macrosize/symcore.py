@@ -28,7 +28,9 @@ dense rotation and displacement are test references.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -243,11 +245,62 @@ class SuperpositionPair:
         return isinstance(self.psi0, SymState)
 
 
-def log_factorial(n) -> np.ndarray:
-    """ln n!, elementwise, as log-gamma."""
-    from scipy.special import gammaln
+# Stirling-series coefficients and ln sqrt(2 pi) of cephes' lgam (Moshier,
+# Methods and Programs for Mathematical Functions, 1989)
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178
 
-    return gammaln(n + 1.0)
+
+@lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    """ln k! for k = 0..size-1, by the steps of cephes' lgam(k + 1)."""
+    table = np.empty(size)
+    small = min(size, 12)  # 11! < 2^53: k! is exact in a double
+    table[:small] = [math.log(math.factorial(k)) for k in range(small)]
+    x = np.arange(small + 1, size + 1, dtype=float)
+    # libm's log, as cephes calls it; numpy's SIMD log may round differently
+    log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = np.full_like(x, _LGAM_A[0])
+    for a in _LGAM_A[1:]:  # Horner, one rounding per step as cephes' polevl
+        series = series * p + a
+    far = x >= 1000.0
+    series[far] = (
+        (7.9365079365079365079365e-4 * p[far] - 2.7777777777777777777778e-3) * p[far]
+        + 0.0833333333333333333333
+    )
+    # cephes returns q alone above x = 1e8, where series / x is below half an ulp of q
+    table[small:] = q + series / x
+    table.flags.writeable = False
+    return table
+
+
+def log_factorial(n) -> np.ndarray:
+    """ln n!, elementwise, for non-negative integer n of any shape.
+
+    Read from a table built once per power-of-two size, so it holds 8 bytes
+    for each k up to the next power of two above the largest n. Each entry is
+    bit-identical to scipy.special.gammaln(n + 1): below 12, the log of the
+    exact n!; from 12 up, cephes' Stirling series with libm's log. A negative
+    or non-integer n is a ContractViolation.
+    """
+    k = np.asarray(n)
+    if k.dtype.kind not in "iu":
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+            k = k.astype(np.int64)
+        if not np.array_equal(k, n):
+            raise ContractViolation(f"log_factorial needs integers, got {n}")
+    if k.size and k.min() < 0:
+        raise ContractViolation(f"log_factorial needs non-negative n, got {n}")
+    top = int(k.max()) if k.size else 0
+    return _log_factorial_table(1 << top.bit_length())[k]
 
 
 def log_binomials(n: int, K: int) -> np.ndarray:

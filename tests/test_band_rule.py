@@ -2,10 +2,11 @@
 in `src/` is `collective_apply` on the identity inside `measures.index_q`,
 whose objective takes a trace norm; no other function builds one, directly
 or through a function that does. No module names `expm` or `scipy.linalg`,
-nothing in `measures` comes from `states` (whose dense mode operator the
-mixed i-wigner used to take), and in `measures` only `_weighted_columns` and
-`index_q` read a density matrix: every other kernel takes the state as
-weighted columns.
+and `src/` imports from scipy only size-pg's `erfinv` and `ndtr` and
+index-q's `minimize`. Nothing in `measures` comes from `states` (whose dense
+mode operator the mixed i-wigner used to take), and in `measures` only
+`_weighted_columns` and `index_q` read a density matrix: every other kernel
+takes the state as weighted columns.
 No module imports another module's private (`_`-prefixed) name: a helper
 that two modules need is public in the module that owns it.
 The absorption phase (-i)^k is read from its cycle of four
@@ -24,6 +25,7 @@ from macrosize.states import PAIRS, STATES, make_fock
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macrosize"
 DENSE_J_HOME = {"measures.index_q"}
 MATRIX_READERS = {"_weighted_columns", "index_q"}
+SCIPY_NAMES = {"scipy.special.erfinv", "scipy.special.ndtr", "scipy.optimize.minimize"}
 
 
 def _trees():
@@ -113,6 +115,18 @@ def test_scipy_linalg_is_named_nowhere():
             and any(a.name == "linalg" for a in n.names)
         ]
     assert stray == [], f"scipy.linalg named at {stray}"
+
+
+def test_scipy_names_are_pinned():
+    # ln n! is a numpy table: a new scipy import on a cold path is a deliberate edit here
+    names = set()
+    for tree in _trees().values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "scipy":
+                names |= {f"{n.module}.{a.name}" for a in n.names}
+            elif isinstance(n, ast.Import):
+                names |= {a.name for a in n.names if a.name.split(".")[0] == "scipy"}
+    assert names == SCIPY_NAMES
 
 
 def test_density_matrix_is_read_only_by_the_weighted_columns_and_index_q():

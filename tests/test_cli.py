@@ -627,8 +627,17 @@ def test_import_pins_openblas_unless_set(setting):
         ["sweep", "fock-superposition", "n-eff", "--ladder", "2,4,8,16"],
         ["absorb", "COHERENT", "--M", "200", "--mode", "exact"],
         ["verify-mapping", "--M", "200", "--K", "8", "--jmax", "3", "--lam", "0.7"],
+        ["state", "--name", "even-cat", "--alpha", "2"],
+        ["state", "--name", "coherent", "--alpha", "1.5"],
+        ["state", "--name", "displaced-single-photon", "--alpha", "2", "--pair"],
+        ["state", "--name", "mixed-cat", "--alpha", "1.3", "--d", "0.3"],
+        ["verify-mapping", "--M", "200", "--K", "8", "--alpha", "1.5"],
     ],
-    ids=["state-pair", "c-delta", "sweep-n-eff", "absorb-exact", "verify-mapping"],
+    ids=[
+        "state-pair", "c-delta", "sweep-n-eff", "absorb-exact", "verify-mapping",
+        "state-even-cat", "state-coherent", "state-displaced-pair", "state-mixed-cat",
+        "verify-mapping-alpha",
+    ],
 )
 def test_scipy_free_commands_load_no_scipy(argv, tmp_path):
     files = {"PAIR": tmp_path / "cat_pair.json", "COHERENT": tmp_path / "coherent.json"}

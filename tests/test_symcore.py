@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from macrosize.measures import max_variance_collective, mean_and_covariance, n_eff
 from macrosize.symcore import (
@@ -19,6 +20,7 @@ from macrosize.symcore import (
     collective_apply,
     default_spin_truncation,
     log_binomials,
+    log_factorial,
     raising_coefficients,
     self_adjoint_eig,
     trace_norm,
@@ -145,6 +147,28 @@ def test_log_binomials_contract():
     for n, K in ((5, 6), (5, -1)):
         with pytest.raises(ContractViolation, match="0 <= K <= n"):
             log_binomials(n, K)
+
+
+def test_log_factorial_is_gammaln_bit_for_bit():
+    # the coherent amplitudes hang on ln n!: no last bit may move against scipy
+    n = np.arange(2**17)
+    assert np.array_equal(log_factorial(n), gammaln(n + 1.0))
+    grid = np.random.default_rng(5).permutation(n).reshape(256, 512)
+    assert np.array_equal(log_factorial(grid), gammaln(grid + 1.0))
+
+
+def test_log_factorial_grows_its_table():
+    assert np.array_equal(log_factorial(np.arange(3)), [0.0, 0.0, math.log(2)])
+    for top in (12, 999, 1000, 5000, 2**17 + 3):
+        n = np.array([0, 11, top // 2, top - 1, top])
+        assert np.array_equal(log_factorial(n), gammaln(n + 1.0)), top
+    assert log_factorial(12) == gammaln(13.0)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, [3, -2], float("nan")])
+def test_log_factorial_contract(bad):
+    with pytest.raises(ContractViolation, match="log_factorial needs"):
+        log_factorial(bad)
 
 
 def test_raising_coefficients_law():
