@@ -15,7 +15,6 @@ import hashlib
 import inspect
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,31 +54,15 @@ DISENTANGLING_LAMBDA = 1.2  # verify-mapping --jmax without --lam
 SEED = 7  # recorded and hashed in every header; nothing draws a random number
 
 
-class UndefinedForInput(Exception):
-    """Measure has no value for this input; maps to exit code 3."""
-
-
-class ToleranceFailure(Exception):
-    """A requested numerical tolerance was not met; maps to exit code 4."""
-
-
-@dataclass(frozen=True)
-class Config:
-    """Run configuration recorded (hashed) in every output header."""
-
-    spin_factor: int = SPIN_FACTOR
-
-    def hash(self) -> str:
-        blob = json.dumps({**asdict(self), "seed": SEED}, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
-
-    def header(self) -> dict:
-        return {
-            "tool": "macrosize",
-            "version": __version__,
-            "configHash": self.hash(),
-            "seed": SEED,
-        }
+def _header(spin_factor: int) -> dict:
+    """Every document's header; configHash hashes the run configuration."""
+    blob = json.dumps({"seed": SEED, "spin_factor": spin_factor}, sort_keys=True).encode()
+    return {
+        "tool": "macrosize",
+        "version": __version__,
+        "configHash": hashlib.sha256(blob).hexdigest()[:12],
+        "seed": SEED,
+    }
 
 
 def _jsonable(obj, exact: bool = False):
@@ -115,8 +98,8 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _header_comment(cfg: Config) -> str:
-    h = cfg.header()
+def _header_comment(spin_factor: int) -> str:
+    h = _header(spin_factor)
     return f"# tool={h['tool']} version={h['version']} configHash={h['configHash']} seed={h['seed']}\n"
 
 
@@ -158,18 +141,18 @@ def _state_summary(s) -> dict:
     }
 
 
-def cmd_state(args, cfg: Config) -> int:
+def cmd_state(args, spin_factor: int) -> int:
     params = {key: getattr(args, key) for key in STATE_PARAMS if getattr(args, key) is not None}
     if args.pair:
         pair = branch_pair(args.name, **params)
         branches = (pair.psi0, pair.psi1)
-        doc = {"header": cfg.header(), "pair": [state_to_dict(b) for b in branches]}
-        summary = {"header": cfg.header(), "pair": [_state_summary(b) for b in branches]}
+        doc = {"header": _header(spin_factor), "pair": [state_to_dict(b) for b in branches]}
+        summary = {"header": _header(spin_factor), "pair": [_state_summary(b) for b in branches]}
         summary["overlap"] = pair.overlap
     else:
         state = build_state(args.name, **params)
-        doc = {"header": cfg.header(), "state": state_to_dict(state)}
-        summary = {"header": cfg.header(), **_state_summary(state)}
+        doc = {"header": _header(spin_factor), "state": state_to_dict(state)}
+        summary = {"header": _header(spin_factor), **_state_summary(state)}
     if args.out:
         _write(args.out, _json_text(doc, exact=True))
         summary["out"] = args.out
@@ -193,7 +176,7 @@ def _measure_params(args):
     }
 
 
-def cmd_measure(args, cfg: Config) -> int:
+def cmd_measure(args, spin_factor: int) -> int:
     mid = args.measure
     spec, params = _measure_params(args)
     if args.angle is not None and args.channel != "homodyne":
@@ -212,17 +195,18 @@ def cmd_measure(args, cfg: Config) -> int:
         else:
             pair = absorb_pair(pair, args.M)
     if spec.pair and pair is None:
-        raise UndefinedForInput(f"{mid} needs a branch pair, got a single state")
+        print(f"undefined: {mid} needs a branch pair, got a single state", file=sys.stderr)
+        return 3
     if not spec.pair and single is None:
         raise ContractViolation(f"{mid} takes a single state, got a pair")
     angle = 0.0 if args.angle is None else args.angle
     params["channel"] = Homodyne(angle) if args.channel == "homodyne" else PhotonCount()
     result = spec.evaluate(pair if spec.pair else single, **params)
-    sys.stdout.write(_json_text({"header": cfg.header(), **result.to_dict()}))
+    sys.stdout.write(_json_text({"header": _header(spin_factor), **result.to_dict()}))
     return 0 if result.defined else 3
 
 
-def cmd_absorb(args, cfg: Config) -> int:
+def cmd_absorb(args, spin_factor: int) -> int:
     single, pair = _load_states([args.file])
     if pair is not None:
         raise ContractViolation("absorb takes one single-mode photonic state file, got a pair")
@@ -244,8 +228,8 @@ def cmd_absorb(args, cfg: Config) -> int:
             "fidelityVsApprox": report.fidelity,
             "residualPhotonPopulation": report.residual_photon_population,
         }
-    doc = {"header": cfg.header(), "state": state_to_dict(spin), "absorb": info}
-    summary = {"header": cfg.header(), **info, **_state_summary(spin)}
+    doc = {"header": _header(spin_factor), "state": state_to_dict(spin), "absorb": info}
+    summary = {"header": _header(spin_factor), **info, **_state_summary(spin)}
     if args.out:
         _write(args.out, _json_text(doc, exact=True))
         summary["out"] = args.out
@@ -253,16 +237,16 @@ def cmd_absorb(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_table1(args, cfg: Config) -> int:
+def cmd_table1(args, spin_factor: int) -> int:
     ladder = _parse_ladder(args.ladder) if args.ladder else DEFAULT_LADDER
     m_ladder = _parse_ladder(args.m_ladder) if args.m_ladder else DEFAULT_M_LADDER
-    rep = table1(ladder, cfg.spin_factor, delta=args.delta, p_g=args.pg, m_ladder=m_ladder)
+    rep = table1(ladder, spin_factor, delta=args.delta, p_g=args.pg, m_ladder=m_ladder)
     # The JSON report is the json body and what stdout gets beside --out.
-    doc = _json_text(_report_doc(rep, cfg))
+    doc = _json_text(_report_doc(rep, spin_factor))
     if args.format == "text":
-        body = _header_comment(cfg) + rep.to_text()
+        body = _header_comment(spin_factor) + rep.to_text()
     elif args.format == "csv":
-        body = _header_comment(cfg) + rep.to_csv()
+        body = _header_comment(spin_factor) + rep.to_csv()
     else:
         body = doc
     if args.out:
@@ -271,9 +255,9 @@ def cmd_table1(args, cfg: Config) -> int:
     return 0
 
 
-def _report_doc(rep, cfg: Config) -> dict:
+def _report_doc(rep, spin_factor: int) -> dict:
     return {
-        "header": cfg.header(),
+        "header": _header(spin_factor),
         "ladder": list(rep.ladder),
         "mLadder": list(rep.m_ladder),
         "delta": rep.delta,
@@ -293,7 +277,7 @@ def _report_doc(rep, cfg: Config) -> dict:
     }
 
 
-def cmd_sweep(args, cfg: Config) -> int:
+def cmd_sweep(args, spin_factor: int) -> int:
     fid = FamilyId(args.family)
     if args.m_ladder is not None and args.fixed_N is None:
         raise ContractViolation("--m-ladder needs --fixed-N")
@@ -303,13 +287,13 @@ def cmd_sweep(args, cfg: Config) -> int:
         res = sweep_fixed_excitation(fid, args.measure, N=args.fixed_N, m_ladder=m_ladder, **params)
     else:
         ladder = _parse_ladder(args.ladder) if args.ladder else DEFAULT_LADDER
-        family = StateFamily(fid, ladder, cfg.spin_factor)
+        family = StateFamily(fid, ladder, spin_factor)
         res = sweep(family, args.measure, **params)
     if args.out:
-        _write(args.out, _header_comment(cfg) + res.points_csv())
+        _write(args.out, _header_comment(spin_factor) + res.points_csv())
     fit = res.fit
     doc = {
-        "header": cfg.header(),
+        "header": _header(spin_factor),
         "family": fid.value,
         "measure": args.measure,
         "sweepVariable": res.sweep_variable,
@@ -331,12 +315,12 @@ def cmd_sweep(args, cfg: Config) -> int:
     return 0 if fit.defined else 3
 
 
-def cmd_verify_mapping(args, cfg: Config) -> int:
+def cmd_verify_mapping(args, spin_factor: int) -> int:
     if args.lam is not None and args.jmax is None:
         raise ContractViolation("--lam sets the disentangling check; it needs --jmax")
     if args.jmax is not None and args.jmax < 0.5:
         raise ContractViolation(f"--jmax must be at least 1/2, got {args.jmax}")
-    doc: dict = {"header": cfg.header(), "M": args.M, "K": args.K, "g": args.g}
+    doc: dict = {"header": _header(spin_factor), "M": args.M, "K": args.K, "g": args.g}
     dev = verify_operator_map(args.M, args.K, g=args.g)
     doc["operatorMapDeviation"] = dev
     doc["deviationTimesM"] = dev * args.M
@@ -355,9 +339,12 @@ def cmd_verify_mapping(args, cfg: Config) -> int:
         doc["disentanglingLambda"] = lam
     sys.stdout.write(_json_text(doc))
     if args.max_deviation is not None and dev > args.max_deviation:
-        raise ToleranceFailure(
-            f"operator-map deviation {dev:.3e} exceeds {args.max_deviation:.3e}"
+        print(
+            f"tolerance failure: operator-map deviation {dev:.3e} exceeds "
+            f"{args.max_deviation:.3e}",
+            file=sys.stderr,
         )
+        return 4
     return 0
 
 
@@ -438,14 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         reads_factor = args.func is cmd_table1 or (args.func is cmd_sweep and args.fixed_N is None)
         if args.spin_factor is not None and not reads_factor:
             raise ContractViolation("--spin-factor is read only by table1 and sweep along --ladder")
-        cfg = Config() if args.spin_factor is None else Config(args.spin_factor)
-        return args.func(args, cfg)
-    except UndefinedForInput as exc:
-        print(f"undefined: {exc}", file=sys.stderr)
-        return 3
-    except ToleranceFailure as exc:
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return 4
+        return args.func(args, SPIN_FACTOR if args.spin_factor is None else args.spin_factor)
     except (ContractViolation, TruncationError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,15 +33,16 @@ ABSORPTION_PHASE = np.pi / 2  # interaction phase g = chi sqrt(M) t of a full ab
 VACUUM_POPULATION_FLOOR = 1e-12
 
 
-def _block_offdiag(E: int, M: int, K: int) -> np.ndarray:
-    """Off-diagonal of the E block's coupling (chi = 1): <k+1|H|k> = sqrt(E-k) C+(k)."""
-    dim = min(E, K) + 1
-    k = np.arange(dim - 1, dtype=float)
-    return np.sqrt(E - k) * raising_coefficients(M, dim - 1)
+def _block_offdiag(E: int, M: int) -> np.ndarray:
+    """Off-diagonal of the E block's coupling (chi = 1, E <= M): <k+1|H|k> =
+    sqrt(E-k) C+(k) for k = 0..E-1."""
+    k = np.arange(E, dtype=float)
+    return np.sqrt(E - k) * raising_coefficients(M, E)
 
 
-def _block_svd(E: int, M: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The E block's coupling folded to half size: U, s and V^T of B = U diag(s) V^T.
+def _block_svd(E: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The E block's coupling (E <= M) folded to half size: U, s and V^T of
+    B = U diag(s) V^T.
 
     H_E is real tridiagonal with a zero diagonal, so it links only even
     labels to odd ones. Sorted into (even labels, odd labels) it is
@@ -59,16 +60,16 @@ def _block_svd(E: int, M: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     exp(-i H_E t) = cos(H_E t) - i sin(H_E t) is then four half-size products.
     """
-    b = _block_offdiag(E, M, K)
-    dim = len(b) + 1
+    b = _block_offdiag(E, M)
+    dim = E + 1
     B = np.zeros(((dim + 1) // 2, dim // 2))
     np.fill_diagonal(B, b[0::2])
     np.fill_diagonal(B[1:], b[1::2])
     return np.linalg.svd(B)
 
 
-def _block_rotation(E: int, M: int, K: int, t: float) -> np.ndarray:
-    """R_E = W^dag exp(-i H_E t) W for W = diag(i^k): real orthogonal.
+def _block_rotation(E: int, M: int, t: float) -> np.ndarray:
+    """R_E = W^dag exp(-i H_E t) W for W = diag(i^k) and E <= M: real orthogonal.
 
     W^dag H_E W = i A_E with A_E real antisymmetric, so R_E = exp(t A_E). On
     (even labels, odd labels) A_E is [[0, D B D], [-(D B D)^T, 0]] for the B of
@@ -76,7 +77,7 @@ def _block_rotation(E: int, M: int, K: int, t: float) -> np.ndarray:
     with U -> D U and V -> D V, R_E is [[U cos(st) U^T, U sin(st) V^T],
     [-V sin(st) U^T, V cos(st) V^T]], the cosine padded with 1 as there.
     """
-    U, s, Vt = _block_svd(E, M, K)
+    U, s, Vt = _block_svd(E, M)
     U[1::2] *= -1
     Vt[:, 1::2] *= -1
     c = np.cos(s * t)
@@ -171,7 +172,7 @@ def exact_absorb(
     v = np.zeros(K + 1, dtype=np.complex128)
     v[0] = psi.amps[0]
     for E in energies:
-        U, s, Vt = _block_svd(E, M, K)
+        U, s, Vt = _block_svd(E, M)
         if E % 2:  # sin(H_E t) from the even label 0 to the odd label E
             entry = -1j * (Vt[:, E // 2] @ (np.sin(s * t) * U[0]))
         else:  # cos(H_E t) within the even labels; E + 1 is odd, so U has a null column
@@ -217,14 +218,12 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
         raise ContractViolation(f"need at least one spin, got M={M}")
     if K < 0 or K > M:
         raise ContractViolation(f"need 0 <= K <= M, got K={K}")
-    if K == 0:
-        return 0.0
     t = g / np.sqrt(M)
     cp = raising_coefficients(M, K)  # C+(k) = C-(k+1)
     worst = 0.0
     previous = np.ones((1, 1))  # R_0: the E = 0 block does not evolve
     for E in range(1, K + 1):
-        rotation = _block_rotation(E, M, K, t)
+        rotation = _block_rotation(E, M, t)
         k = np.arange(E)  # labels of block E - 1, one fewer than block E (E <= K)
         # <k| a |k> = sqrt(E - k) and <k| J- |k+1> = C+(k) map block E to block E - 1
         X = previous.T @ (np.sqrt(E - k)[:, None] * rotation[:E])

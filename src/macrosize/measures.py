@@ -9,6 +9,7 @@ amplitudes. Conventions (spectral radius M, Jz = -M + 2k) follow symcore.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -83,7 +84,10 @@ class MeasureResult:
 def normalized_sum(pair: SuperpositionPair):
     """(psi0 + psi1)/norm, in the component type of the pair."""
     s = pair.psi0.amps + pair.psi1.amps
-    n2 = float(np.vdot(s, s).real)
+    # An exactly rounded sum of re^2 + im^2: zero padding and the absorption
+    # phases (-i)^k, which swap re and im, leave every bit of the norm alone,
+    # so absorbing the sum and summing the absorbed pair agree bit for bit.
+    n2 = math.fsum((s.real * s.real + s.imag * s.imag).tolist())
     if n2 < DEGENERATE_PAIR_TOL:
         raise DegeneratePairError("branches cancel, the superposition is null")
     s = s / np.sqrt(n2)
@@ -96,12 +100,6 @@ def _require_spin(x, label: str) -> DickeBasis:
     if not isinstance(x.basis, DickeBasis):
         raise ContractViolation(f"{label} must live in the symmetric spin sector")
     return x.basis
-
-
-def _require_spin_pair(pair: SuperpositionPair) -> DickeBasis:
-    if not pair.is_spin:
-        raise ContractViolation("this measure needs a spin-sector pair")
-    return pair.psi0.basis
 
 
 def _weighted_columns(state) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +185,7 @@ def index_p(state: SymState) -> MeasureResult:
 
 def relative_fisher(pair: SuperpositionPair) -> MeasureResult:
     """n_eff of the superposition over the equal-weight branch average."""
-    _require_spin_pair(pair)
+    _require_spin(pair.psi0, "pair")
     n0 = n_eff(pair.psi0).value
     n1 = n_eff(pair.psi1).value
     ns = n_eff(normalized_sum(pair)).value
@@ -206,7 +204,7 @@ def m_squared(pair: SuperpositionPair) -> MeasureResult:
     denominator vanishes (both branches are J_n eigenstates in every
     direction, which the truncated sector never realizes for M >= 1).
     """
-    _require_spin_pair(pair)
+    _require_spin(pair.psi0, "pair")
     mu0, c0 = mean_and_covariance(pair.psi0)
     mu1, c1 = mean_and_covariance(pair.psi1)
     gap = mu1 - mu0
@@ -312,7 +310,7 @@ def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureRes
     either branch occupies: every row and column above it is exactly zero, so
     the trim changes no value, and sharing it keeps both branches on one basis.
     """
-    basis = _require_spin_pair(pair)
+    basis = _require_spin(pair.psi0, "pair")
     check_delta(delta)
     M = basis.M
     top = int(np.flatnonzero((pair.psi0.amps != 0) | (pair.psi1.amps != 0))[-1])
@@ -431,22 +429,15 @@ def _layer_weights(phi0: SymState, phi1: SymState) -> tuple[float, int, float, f
 def d_bar(pair: SuperpositionPair) -> MeasureResult:
     """Mean number of single-spin flips separating the branches.
 
-    For a basis reference |M,k0> this is sum_k |c_k|^2 |k - k0| over the other
-    branch's amplitudes (`ladder`). For a product-state reference along n it
-    is the closed form (M - n.<J>_1)/2 (`extremal-ladder`, see
-    `_product_reference_mean`), whose witness reports the reference's own
-    mean layer index as `referenceOffShell`. Otherwise the flip layers are
-    constructed explicitly from the reference by collective-operator
-    products (`layering`).
+    For a product-state reference along n (|M,0>, |M,M> and every
+    spin-coherent state) it is the closed form (M - n.<J>_1)/2
+    (`extremal-ladder`, see `_product_reference_mean`), whose witness reports
+    the reference's own mean layer index as `referenceOffShell`. Otherwise the
+    flip layers are constructed explicitly from the reference by
+    collective-operator products (`layering`); around a Dicke reference
+    |M,k0> they are the labels k0 -+ d, so the mean is sum_k |c_k|^2 |k - k0|.
     """
-    basis = _require_spin_pair(pair)
-    a0 = pair.psi0.amps
-    idx = np.nonzero(np.abs(a0) > 1e-12)[0]
-    if len(idx) == 1:
-        k0 = int(idx[0])
-        k = np.arange(basis.dim)
-        value = float(np.dot(np.abs(pair.psi1.amps) ** 2, np.abs(k - k0)))
-        return MeasureResult("d-bar", value, witness={"k0": k0, "method": "ladder"})
+    basis = _require_spin(pair.psi0, "pair")
     product = _product_reference_mean(pair.psi0, pair.psi1)
     if product is not None:
         value, off_shell = product

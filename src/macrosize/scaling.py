@@ -517,9 +517,7 @@ def table1(
                 cls = classify(fit, m_sweep=m_sweep)
                 cells.append(
                     Table1Cell(
-                        row, fam, target, cls,
-                        fit.exponent if fit.defined else np.nan,
-                        fit.ci95 if fit.defined else 0.0,
+                        row, fam, target, cls, fit.exponent, fit.ci95,
                         cell_flag(row, fam, target, cls, fit, (p.witness for p in res.points)),
                         res.points,
                     )

@@ -76,10 +76,10 @@ def displace(state: PhotonicState, alpha: complex) -> PhotonicState:
     return PhotonicState(state.basis, amps, tail_tol=state.tail_tol)
 
 
-def block_hamiltonian(E: int, M: int, K: int) -> np.ndarray:
-    """Dense tridiagonal coupling within the E block, zero on the diagonal."""
-    off = _block_offdiag(E, M, K)
-    dim = len(off) + 1
+def block_hamiltonian(E: int, M: int) -> np.ndarray:
+    """Dense tridiagonal coupling within the E block (E <= M), zero on the diagonal."""
+    off = _block_offdiag(E, M)
+    dim = E + 1
     H = np.zeros((dim, dim))
     H[np.arange(1, dim), np.arange(dim - 1)] = off
     H[np.arange(dim - 1), np.arange(1, dim)] = off
@@ -98,16 +98,16 @@ def dense_mean_layer_index(phi0: SymState, phi1: SymState) -> float:
     return float(np.dot(np.arange(len(w)), w))
 
 
-def _dense_block_unitary(E, M, K, t):
+def _dense_block_unitary(E, M, t):
     """exp(-i t H_E) of the dense block coupling, by its eigendecomposition."""
-    w, V = np.linalg.eigh(block_hamiltonian(E, M, K))
+    w, V = np.linalg.eigh(block_hamiltonian(E, M))
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
 def _dense_operator_map(M, K, g=np.pi / 2):
     """verify_operator_map on dense eigh unitaries and a full SVD."""
     t = g / np.sqrt(M)
-    U = {E: _dense_block_unitary(E, M, K, t) for E in range(K + 1)}
+    U = {E: _dense_block_unitary(E, M, t) for E in range(K + 1)}
     cp = raising_coefficients(M, K)
     worst = 0.0
     for E in range(1, K + 1):

@@ -145,7 +145,7 @@ def test_criterion_5_absorption_contract():
     with criterion(5, "absorption map quality", budget=60.0):
         assert mapping_fidelity(make_coherent(np.sqrt(2.0)), 200).fidelity >= 0.99
         assert mapping_fidelity(make_coherent(np.sqrt(2.0)), 2000).fidelity >= 0.999
-        ew, ev = np.linalg.eigh(block_hamiltonian(4, 1000, 6))
+        ew, ev = np.linalg.eigh(block_hamiltonian(4, 1000))
         for g in (np.pi / 4, np.pi / 2):
             # the E = 4 block's column from |n=4> x |M,0>: binomial photon splitting
             w = np.abs((ev * np.exp(-1j * ew * g / np.sqrt(1000))) @ ev[0]) ** 2

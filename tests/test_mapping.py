@@ -46,10 +46,9 @@ def test_approx_absorb_guards():
 
 
 def test_block_hamiltonian_hermitian():
-    for E, K in ((3, 10), (12, 6)):
-        h = block_hamiltonian(E, 40, K)
-        assert h.shape == (min(E, K) + 1,) * 2
-        assert np.allclose(h, h.conj().T)
+    h = block_hamiltonian(3, 40)
+    assert h.shape == (4, 4)
+    assert np.allclose(h, h.conj().T)
 
 
 def _vacuum_amps(psi, M, K=None, g=np.pi / 2):
@@ -89,9 +88,9 @@ def test_weak_coupling_vacuum_population_is_rounding():
 def test_single_photon_transfer_probability():
     # within one excitation block the dynamics is a rotation by g
     M, K = 1000, 2
-    half = np.abs(_dense_block_unitary(1, M, K, (np.pi / 4) / np.sqrt(M))[:, 0]) ** 2
+    half = np.abs(_dense_block_unitary(1, M, (np.pi / 4) / np.sqrt(M))[:, 0]) ** 2
     assert half == pytest.approx([0.5, 0.5], abs=2e-3)
-    full = np.abs(_dense_block_unitary(1, M, K, (np.pi / 2) / np.sqrt(M))[:, 0]) ** 2
+    full = np.abs(_dense_block_unitary(1, M, (np.pi / 2) / np.sqrt(M))[:, 0]) ** 2
     assert full[1] == pytest.approx(1.0, abs=1e-5)
     # the program's path: 1 - residual is the transfer probability sin(g)^2
     psi = make_fock(1, cutoff=K)
@@ -101,7 +100,7 @@ def test_single_photon_transfer_probability():
 
 def test_fock_block_follows_binomial_splitting():
     k, M, g = 3, 600, np.pi / 4
-    w = np.abs(_dense_block_unitary(k, M, k + 1, g / np.sqrt(M))[:, 0]) ** 2
+    w = np.abs(_dense_block_unitary(k, M, g / np.sqrt(M))[:, 0]) ** 2
     ref = binom.pmf(np.arange(k + 1), k, np.sin(g) ** 2)
     assert 0.5 * np.sum(np.abs(w - ref)) < 2e-3
     # the program's path reads the block's last entry: all k photons absorbed
@@ -172,10 +171,10 @@ def _phased(U):
     return phases.conj()[:, None] * U * phases[None, :]
 
 
-@pytest.mark.parametrize("E, M, K", [(1, 50, 1), (7, 200, 9), (60, 900, 60)])
-def test_parity_phased_block_propagator_is_real_orthogonal(E, M, K):
+@pytest.mark.parametrize("E, M", [(1, 50), (7, 200), (60, 900)])
+def test_parity_phased_block_propagator_is_real_orthogonal(E, M):
     t = 0.9 / np.sqrt(M)
-    U = _dense_block_unitary(E, M, K, t)
+    U = _dense_block_unitary(E, M, t)
     R = _phased(U)
     assert np.max(np.abs(R.imag)) <= 1e-13
     assert np.max(np.abs(R.real @ R.real.T - np.eye(len(R)))) <= 1e-13
@@ -185,7 +184,7 @@ def test_parity_phased_block_propagator_is_real_orthogonal(E, M, K):
     sgn = np.where((k[None, :] - k[:, None]) % 4 < 2, 1.0, -1.0)
     assert np.max(np.abs(sgn * (U.real - U.imag) - R.real)) <= 1e-13
     # the folded solve verify_operator_map builds it from
-    assert np.max(np.abs(_block_rotation(E, M, K, t) - R.real)) <= 1e-13
+    assert np.max(np.abs(_block_rotation(E, M, t) - R.real)) <= 1e-13
 
 
 def _vacuum_entry(E, M, g):
@@ -200,31 +199,31 @@ def _vacuum_entry(E, M, g):
 @pytest.mark.filterwarnings("ignore::macrosize.RegimeWarning")  # exact_absorb's entry at cutoff E > M/4
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(0, 32),
-    st.integers(0, 32).flatmap(lambda K: st.tuples(st.just(K), st.integers(max(K, 1), 10**4))),
+    st.integers(0, 32).flatmap(lambda E: st.tuples(st.just(E), st.integers(max(E, 1), 10**4))),
     st.floats(0, np.pi),
 )
-@example(0, (0, 1), 1.0)
-@example(1, (1, 50), np.pi / 2)
-@example(1, (0, 3), 0.4)
-@example(7, (4, 200), 2.5)
-@example(32, (11, 10**4), np.pi)
-def test_folded_block_solve_matches_dense_unitary(E, KM, g):
-    # both solves round in proportion to the phase ||H_E t||, up to about 2 g sqrt(E K):
-    # E, K <= 32 keep the worst of several thousand draws at 6e-14
-    K, M = KM
+@example((0, 1), 1.0)
+@example((1, 50), np.pi / 2)
+@example((1, 3), 0.4)
+@example((7, 200), 2.5)
+@example((32, 32), np.pi)
+@example((32, 10**4), np.pi)
+def test_folded_block_solve_matches_dense_unitary(EM, g):
+    # both solves round in proportion to the phase ||H_E t||, up to about 2 g E:
+    # E <= 32 keeps the worst of several thousand draws at 6e-14
+    E, M = EM
     t = g / np.sqrt(M)
-    U = _dense_block_unitary(E, M, K, t)  # cos(H_E t) - i sin(H_E t)
-    Uf, s, Vt = _block_svd(E, M, K)
+    U = _dense_block_unitary(E, M, t)  # cos(H_E t) - i sin(H_E t)
+    Uf, s, Vt = _block_svd(E, M)
     c = np.append(np.cos(s * t), np.ones(len(Uf) - len(s)))  # 1 on the null column
-    assert len(Uf) + len(Vt) == min(E, K) + 1
+    assert len(Uf) + len(Vt) == E + 1
     assert np.max(np.abs((Uf * c) @ Uf.T - U.real[::2, ::2]), initial=0) <= 1e-13
     assert np.max(np.abs((Vt.T * c[: len(s)]) @ Vt - U.real[1::2, 1::2]), initial=0) <= 1e-13
     sine = (Uf[:, : len(s)] * np.sin(s * t)) @ Vt
     assert np.max(np.abs(sine + U.imag[::2, 1::2]), initial=0) <= 1e-13
     assert np.max(np.abs(sine.T + U.imag[1::2, ::2]), initial=0) <= 1e-13
-    assert np.max(np.abs(_block_rotation(E, M, K, t) - _phased(U).real)) <= 1e-13
-    if 1 <= E <= K:  # exact_absorb's blocks: E <= cutoff <= K
+    assert np.max(np.abs(_block_rotation(E, M, t) - _phased(U).real)) <= 1e-13
+    if E >= 1:  # exact_absorb's blocks: the E = 0 block does not evolve
         assert abs(_vacuum_entry(E, M, g) - U[E, 0]) <= 1e-13
 
 
@@ -235,7 +234,7 @@ def test_exact_absorb_matches_dense_form():
         labels = len(v) - 1
         assert labels == (min(M, psi.cutoff) if K is None else K)
         for E, c in enumerate(psi.amps):
-            want = c * _dense_block_unitary(E, M, labels, g / np.sqrt(M))[E, 0]
+            want = c * _dense_block_unitary(E, M, g / np.sqrt(M))[E, 0]
             assert abs(v[E] - want) <= 1e-12
         assert np.all(v[psi.cutoff + 1 :] == 0)
 

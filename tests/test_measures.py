@@ -331,9 +331,10 @@ def test_relative_fisher_examples():
 
 
 def test_d_bar_dispatch_paths():
-    ladder = d_bar(SuperpositionPair(make_dicke(20, 0, K=8), make_dicke(20, 6, K=8)))
-    assert ladder.value == pytest.approx(6.0, abs=1e-12)
-    assert ladder.witness["method"] == "ladder"
+    # |20,0> is the product state along -z: the closed form
+    dicke = d_bar(SuperpositionPair(make_dicke(20, 0, K=8), make_dicke(20, 6, K=8)))
+    assert dicke.value == pytest.approx(6.0, abs=1e-12)
+    assert dicke.witness["method"] == "extremal-ladder"
     pm = SuperpositionPair(make_spin_coherent(1.0, 100), make_spin_coherent(-1.0, 100))
     ext = d_bar(pm)
     assert ext.witness["method"] == "extremal-ladder"
@@ -342,6 +343,31 @@ def test_d_bar_dispatch_paths():
     lay = d_bar(dsp.spin_pair)
     assert lay.witness["method"] == "layering"
     assert lay.value == pytest.approx(1.0, abs=0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 40)
+    .flatmap(lambda M: st.tuples(st.just(M), st.integers(1, M)))
+    .flatmap(lambda MK: st.tuples(*map(st.just, MK), st.integers(0, MK[1]))),
+    st.integers(0, 2**32 - 1),
+)
+@example((12, 12, 0), 1)
+@example((12, 12, 12), 2)
+@example((40, 40, 5), 3)
+@example((40, 20, 20), 4)
+def test_d_bar_dicke_reference_is_the_label_distance(MKk0, seed):
+    # around |M,k0> the flip layers are the labels k0 -+ d: the closed form at
+    # k0 = 0 or M (a product state), the layering in between. The closed form
+    # rounds |<J>| of order M, hence the absolute 16 eps M beside the relative 1e-12.
+    M, K, k0 = MKk0
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+    other = SymState(DickeBasis(M, K), v / np.linalg.norm(v))
+    r = d_bar(SuperpositionPair(make_dicke(M, k0, K=K), other))
+    assert r.witness["method"] == ("extremal-ladder" if k0 in (0, M) else "layering")
+    want = float(np.dot(np.abs(other.amps) ** 2, np.abs(np.arange(K + 1) - k0)))
+    assert abs(r.value - want) <= 1e-12 * want + 16 * np.finfo(float).eps * M
 
 
 @st.composite
