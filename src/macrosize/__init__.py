@@ -90,10 +90,9 @@ from .symcore import (
     DensityOp,
     DickeBasis,
     FockBasis,
-    PhotonicState,
+    PureState,
     RegimeWarning,
     SuperpositionPair,
-    SymState,
     TruncationError,
     collective_apply,
     default_spin_truncation,

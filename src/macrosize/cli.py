@@ -44,7 +44,6 @@ from .symcore import (
     ContractViolation,
     DensityOp,
     DickeBasis,
-    PhotonicState,
     SuperpositionPair,
     TruncationError,
 )
@@ -216,7 +215,7 @@ def cmd_absorb(args, spin_factor: int) -> int:
         spin = approx_absorb(single, args.M, args.K)
         info = {"mode": "approx", "M": args.M, "K": spin.basis.K}
     else:
-        if not isinstance(single, PhotonicState):
+        if isinstance(single, DensityOp):
             raise ContractViolation("exact absorption takes a pure photonic state")
         g = ABSORPTION_PHASE if args.g is None else args.g
         spin, report = exact_absorb(single, args.M, args.K, g)

@@ -11,7 +11,7 @@ from .symcore import (
     ContractViolation,
     DensityOp,
     DickeBasis,
-    SymState,
+    PureState,
     log_binomials,
     trace_norm,
 )
@@ -43,7 +43,7 @@ class SplitState:
         return np.linalg.svd(self.coeffs, compute_uv=False)
 
 
-def split(phi: SymState, m_a: int) -> SplitState:
+def split(phi: PureState, m_a: int) -> SplitState:
     """Expand phi over an (m_a, M - m_a) split of the spin ensemble.
 
     |M,k> = sum_l sqrt(C(m_a,l) C(m_b,k-l) / C(M,k)) |m_a,l> |m_b,k-l>.
@@ -88,7 +88,7 @@ def negativity(s: SplitState) -> float:
     return float((s.schmidt_values.sum() ** 2 - 1.0) / 2.0)
 
 
-def reduced_group_state(phi: SymState, n: int) -> DensityOp:
+def reduced_group_state(phi: PureState, n: int) -> DensityOp:
     """State of a group of n spins traced out of the symmetric state phi.
 
     For phi = |M,k> the result is diagonal with hypergeometric weights

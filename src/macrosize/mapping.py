@@ -15,10 +15,9 @@ from .symcore import (
     DensityOp,
     DickeBasis,
     FockBasis,
-    PhotonicState,
+    PureState,
     RegimeWarning,
     SuperpositionPair,
-    SymState,
     absorption_phases,
     default_spin_truncation,
     raising_coefficients,
@@ -97,8 +96,8 @@ def absorption_cutoff(M: int, photon_cutoff: int, nbar: float) -> int:
 
 
 def approx_absorb(
-    psi: PhotonicState | DensityOp, M: int, K: int | None = None
-) -> SymState | DensityOp:
+    psi: PureState | DensityOp, M: int, K: int | None = None
+) -> PureState | DensityOp:
     """First-order absorption map: c_k |k> -> (-i)^k c_k |M,k>.
 
     With p = diag((-i)^k), a pure state's amplitudes map to p psi and a
@@ -127,13 +126,13 @@ def approx_absorb(
         return DensityOp(DickeBasis(M, K), m)
     amps = np.zeros(K + 1, dtype=np.complex128)
     amps[: cutoff + 1] = p * psi.amps
-    return SymState(DickeBasis(M, K), amps)
+    return PureState(DickeBasis(M, K), amps)
 
 
 def absorb_pair(pair: SuperpositionPair, M: int) -> SuperpositionPair:
     """Absorb both photonic branches into M spins at one shared truncation K."""
     mean = max(pair.psi0.mean_excitation, pair.psi1.mean_excitation)
-    K = absorption_cutoff(M, pair.psi0.cutoff, mean)
+    K = absorption_cutoff(M, pair.psi0.basis.cutoff, mean)
     return SuperpositionPair(approx_absorb(pair.psi0, M, K), approx_absorb(pair.psi1, M, K))
 
 
@@ -148,8 +147,8 @@ class MappingReport:
 
 
 def exact_absorb(
-    psi: PhotonicState, M: int, K: int | None = None, g: float = ABSORPTION_PHASE
-) -> tuple[SymState, MappingReport]:
+    psi: PureState, M: int, K: int | None = None, g: float = ABSORPTION_PHASE
+) -> tuple[PureState, MappingReport]:
     """Exact absorption at phase g, conditioned on an empty photon mode, and
     its comparison with approx_absorb.
 
@@ -159,14 +158,13 @@ def exact_absorb(
     population 1 - P(vacuum). The fidelity |<approx| exact(g) |psi x ground>|^2
     does not depend on K: every block E <= cutoff <= K has dimension E + 1.
     """
-    if psi.modes != 1:
-        raise ContractViolation("absorption acts on single-mode states")
+    if not isinstance(psi.basis, FockBasis) or psi.basis.modes != 1:
+        raise ContractViolation("absorption acts on single-mode Fock states")
+    cutoff = psi.basis.cutoff
     if K is None:
-        K = min(M, psi.cutoff)
-    if K < psi.cutoff:
-        raise ContractViolation(
-            f"spin truncation K={K} cannot absorb photon cutoff {psi.cutoff}"
-        )
+        K = min(M, cutoff)
+    if K < cutoff:
+        raise ContractViolation(f"spin truncation K={K} cannot absorb photon cutoff {cutoff}")
     t = g / np.sqrt(M)
     energies = np.flatnonzero(psi.amps[1:]) + 1  # the E = 0 block does not evolve
     v = np.zeros(K + 1, dtype=np.complex128)
@@ -184,14 +182,14 @@ def exact_absorb(
             f"no photon-vacuum component to project on: P(vacuum) = {pop:.3g}, "
             f"below {VACUUM_POPULATION_FLOOR:g}"
         )
-    spin = SymState(DickeBasis(M, K), v / np.sqrt(pop))
+    spin = PureState(DickeBasis(M, K), v / np.sqrt(pop))
     residual = 1.0 - pop
     target = approx_absorb(psi, M, K=K)
     fidelity = (1.0 - residual) * abs(np.vdot(target.amps, spin.amps)) ** 2
     return spin, MappingReport(M, g, float(fidelity), residual)
 
 
-def mapping_fidelity(psi: PhotonicState, M: int, g: float = ABSORPTION_PHASE) -> MappingReport:
+def mapping_fidelity(psi: PureState, M: int, g: float = ABSORPTION_PHASE) -> MappingReport:
     """exact_absorb's comparison at the default spin truncation."""
     return exact_absorb(psi, M, g=g)[1]
 

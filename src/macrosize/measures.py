@@ -22,10 +22,9 @@ from .symcore import (
     DensityOp,
     DickeBasis,
     FockBasis,
-    PhotonicState,
+    PureState,
     RegimeWarning,
     SuperpositionPair,
-    SymState,
     collective_apply,
     self_adjoint_eig,
     trace_norm,
@@ -82,7 +81,7 @@ class MeasureResult:
 
 
 def normalized_sum(pair: SuperpositionPair):
-    """(psi0 + psi1)/norm, in the component type of the pair."""
+    """(psi0 + psi1)/norm, on the basis of the pair."""
     s = pair.psi0.amps + pair.psi1.amps
     # An exactly rounded sum of re^2 + im^2: zero padding and the absorption
     # phases (-i)^k, which swap re and im, leave every bit of the norm alone,
@@ -90,10 +89,7 @@ def normalized_sum(pair: SuperpositionPair):
     n2 = math.fsum((s.real * s.real + s.imag * s.imag).tolist())
     if n2 < DEGENERATE_PAIR_TOL:
         raise DegeneratePairError("branches cancel, the superposition is null")
-    s = s / np.sqrt(n2)
-    if pair.is_spin:
-        return SymState(pair.psi0.basis, s)
-    return PhotonicState(pair.psi0.basis, s, tail_tol=None)
+    return PureState(pair.psi0.basis, s / np.sqrt(n2))
 
 
 def _require_spin(x, label: str) -> DickeBasis:
@@ -112,7 +108,7 @@ def _weighted_columns(state) -> tuple[np.ndarray, np.ndarray]:
     return state.amps[:, None], np.ones(1)
 
 
-def mean_and_covariance(state: SymState | DensityOp) -> tuple[np.ndarray, np.ndarray]:
+def mean_and_covariance(state: PureState | DensityOp) -> tuple[np.ndarray, np.ndarray]:
     """Collective means mu_a and covariance Cov_ab = sec_ab - mu_a mu_b.
 
     For rho = sum_i p_i |v_i><v_i|, mu_a = sum_i p_i <v_i|J_a v_i> and
@@ -125,7 +121,7 @@ def mean_and_covariance(state: SymState | DensityOp) -> tuple[np.ndarray, np.nda
     return mu, sec - np.outer(mu, mu)
 
 
-def max_variance_collective(phi: SymState) -> MeasureResult:
+def max_variance_collective(phi: PureState) -> MeasureResult:
     """Largest variance of J_n over unit directions n, with the argmax.
 
     A DensityOp's variance counts the classical mixing itself, so mixed
@@ -142,7 +138,7 @@ def max_variance_collective(phi: SymState) -> MeasureResult:
     )
 
 
-def fisher_matrix(state: SymState | DensityOp) -> np.ndarray:
+def fisher_matrix(state: PureState | DensityOp) -> np.ndarray:
     """3x3 Fisher-information matrix over collective directions.
 
     For rho = sum_i p_i |v_i><v_i| and G_a = V^dagger J_a V, the spectral
@@ -163,7 +159,7 @@ def fisher_matrix(state: SymState | DensityOp) -> np.ndarray:
     return 4.0 * sec - 8.0 * (w * (g[:, None] * g[None].conj()).real).sum(axis=(2, 3))
 
 
-def n_eff(state: SymState | DensityOp) -> MeasureResult:
+def n_eff(state: PureState | DensityOp) -> MeasureResult:
     """Metrological effective size: largest Fisher eigenvalue over 4M; for
     pure states F = 4 Cov, so this is max_variance/M with its direction."""
     w, v = self_adjoint_eig(fisher_matrix(state))
@@ -174,7 +170,7 @@ def n_eff(state: SymState | DensityOp) -> MeasureResult:
     )
 
 
-def index_p(state: SymState) -> MeasureResult:
+def index_p(state: PureState) -> MeasureResult:
     """Modified index p: largest collective variance over the spin count M,
     undefined where max_variance_collective is."""
     mv = max_variance_collective(state)
@@ -315,8 +311,8 @@ def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureRes
     M = basis.M
     top = int(np.flatnonzero((pair.psi0.amps != 0) | (pair.psi1.amps != 0))[-1])
     trimmed = DickeBasis(M, top)
-    phi0 = SymState(trimmed, pair.psi0.amps[: top + 1])
-    phi1 = SymState(trimmed, pair.psi1.amps[: top + 1])
+    phi0 = PureState(trimmed, pair.psi0.amps[: top + 1])
+    phi1 = PureState(trimmed, pair.psi1.amps[: top + 1])
     cache: dict[int, float] = {}
 
     def ps(n: int) -> float:
@@ -351,7 +347,7 @@ def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureRes
     )
 
 
-def _product_reference_mean(phi0: SymState, phi1: SymState) -> tuple[float, float] | None:
+def _product_reference_mean(phi0: PureState, phi1: PureState) -> tuple[float, float] | None:
     """Mean layer index of phi1 around a product-state phi0, with <D>_0; None
     when phi0 is not a product state.
 
@@ -377,7 +373,7 @@ def _product_reference_mean(phi0: SymState, phi1: SymState) -> tuple[float, floa
     return max(0.5 * (M - float(np.dot(mean0, mean1)) / len0), 0.0), off_shell
 
 
-def _layer_weights(phi0: SymState, phi1: SymState) -> tuple[float, int, float, float]:
+def _layer_weights(phi0: PureState, phi1: PureState) -> tuple[float, int, float, float]:
     """Mean layer index of phi1 in the collective-operator layering around phi0.
 
     Layer d is the span of d-fold products of {Jx, Jy, Jz} applied to phi0,
@@ -467,7 +463,7 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(th), r * np.sin(th), z])
 
 
-def index_q(state: SymState | DensityOp) -> MeasureResult:
+def index_q(state: PureState | DensityOp) -> MeasureResult:
     """Largest trace norm of the double commutator [J_n, [J_n, rho]] over n.
 
     Grid-seeded (Fisher eigenvector, axes, Fibonacci sphere) and polished
@@ -477,7 +473,7 @@ def index_q(state: SymState | DensityOp) -> MeasureResult:
     from scipy.optimize import minimize  # deferred: keeps it out of the CLI's import
 
     basis = _require_spin(state, "state")
-    rho = DensityOp.from_pure(state) if isinstance(state, SymState) else state
+    rho = DensityOp.from_pure(state) if isinstance(state, PureState) else state
     jx, jy, jz = collective_apply(basis, np.eye(basis.dim))  # dense J, for the trace norm
     m = rho.matrix
 
@@ -526,7 +522,7 @@ def index_q(state: SymState | DensityOp) -> MeasureResult:
     )
 
 
-def _photonic_tail_check(state: PhotonicState | DensityOp):
+def _photonic_tail_check(state: PureState | DensityOp):
     tail = state.tail_mass
     if tail > 1e-8:
         warnings.warn(
@@ -536,7 +532,7 @@ def _photonic_tail_check(state: PhotonicState | DensityOp):
         )
 
 
-def wigner_I_photonic(state: PhotonicState | DensityOp) -> MeasureResult:
+def wigner_I_photonic(state: PureState | DensityOp) -> MeasureResult:
     """Phase-space interference measure for one- or two-mode photonic states.
 
     One mode: Tr(rho^2 n) - Tr(rho a rho a^dag) + Tr(rho^2)/2, which for
@@ -579,7 +575,7 @@ def wigner_I_photonic(state: PhotonicState | DensityOp) -> MeasureResult:
     return MeasureResult("i-wigner", value, witness=witness)
 
 
-def wigner_I_spin(state: SymState | DensityOp) -> MeasureResult:
+def wigner_I_spin(state: PureState | DensityOp) -> MeasureResult:
     """Spin image of the interference measure: planar variances over 4M.
 
     (1/4M) sum_{a in x,y} [Tr(rho^2 J_a^2) - Tr((rho J_a)^2)], which for

@@ -34,7 +34,7 @@ from .measures import (
     normalized_sum,
 )
 from .states import branch_pair, build_state, make_spin_coherent
-from .symcore import ContractViolation, PhotonicState, SuperpositionPair, SymState
+from .symcore import ContractViolation, PureState, SuperpositionPair
 
 
 class FamilyId(str, Enum):
@@ -108,9 +108,9 @@ class FamilyBundle:
     family_id: FamilyId
     N: int
     M: int
-    photonic: PhotonicState
+    photonic: PureState
     photonic_pair: SuperpositionPair | None
-    spin_state: SymState
+    spin_state: PureState
     spin_pair: SuperpositionPair | None
     channel: PhotonCount | Homodyne
 

@@ -14,15 +14,16 @@ from .symcore import (
     DensityOp,
     DickeBasis,
     FockBasis,
-    PhotonicState,
+    PureState,
     SuperpositionPair,
-    SymState,
     TruncationError,
     absorption_phases,
     default_spin_truncation,
     log_binomials,
     log_factorial,
 )
+
+TAIL_TOL = 1e-10  # weight a truncated infinite state may leave on each mode's top two labels
 
 
 def _coherent_bound(alpha: complex) -> float:
@@ -68,7 +69,16 @@ def _renormalized(amps: np.ndarray) -> np.ndarray:
     return amps / norm
 
 
-def make_fock(N: int, cutoff: int | None = None) -> PhotonicState:
+def _tail_checked(state: PureState) -> PureState:
+    """The state, if its top two labels of each mode hold at most TAIL_TOL."""
+    if state.tail_mass > TAIL_TOL:
+        raise TruncationError(
+            f"tail mass {state.tail_mass:.3e} above declared tolerance {TAIL_TOL:.1e}"
+        )
+    return state
+
+
+def make_fock(N: int, cutoff: int | None = None) -> PureState:
     """Single-mode Fock state |N>."""
     if N < 0:
         raise ContractViolation(f"photon number must be >= 0, got {N}")
@@ -78,20 +88,20 @@ def make_fock(N: int, cutoff: int | None = None) -> PhotonicState:
         raise TruncationError(f"cutoff {cutoff} cannot hold |{N}>")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[N] = 1.0
-    return PhotonicState(FockBasis(cutoff), amps, tail_tol=None)
+    return PureState(FockBasis(cutoff), amps)
 
 
-def make_coherent(alpha: complex, cutoff: int | None = None) -> PhotonicState:
+def make_coherent(alpha: complex, cutoff: int | None = None) -> PureState:
     """Single-mode coherent state |alpha> with Poissonian number statistics."""
     needed = _coherent_bound(alpha)
     if cutoff is None:
         cutoff = _coherent_cutoff(alpha)
     elif cutoff < needed:
         raise TruncationError(f"cutoff {cutoff} below required {needed:.1f} for |alpha|={abs(alpha):.3g}")
-    return PhotonicState(FockBasis(cutoff), _renormalized(_coherent_amps(alpha, cutoff)))
+    return _tail_checked(PureState(FockBasis(cutoff), _renormalized(_coherent_amps(alpha, cutoff))))
 
 
-def _make_cat(alpha: complex, cutoff: int | None, parity: int) -> PhotonicState:
+def _make_cat(alpha: complex, cutoff: int | None, parity: int) -> PureState:
     """(|alpha> + (-1)^parity |-alpha>)/norm on the Fock labels of that parity."""
     if alpha == 0:
         raise ContractViolation(f"{('even', 'odd')[parity]} cat needs alpha != 0")
@@ -101,15 +111,15 @@ def _make_cat(alpha: complex, cutoff: int | None, parity: int) -> PhotonicState:
     minus = _coherent_amps(-alpha, cutoff)
     amps = plus + minus if parity == 0 else plus - minus
     amps[(np.arange(cutoff + 1) % 2) != parity] = 0.0  # exact parity support
-    return PhotonicState(FockBasis(cutoff), amps / np.linalg.norm(amps))
+    return _tail_checked(PureState(FockBasis(cutoff), amps / np.linalg.norm(amps)))
 
 
-def make_even_cat(alpha: complex, cutoff: int | None = None) -> PhotonicState:
+def make_even_cat(alpha: complex, cutoff: int | None = None) -> PureState:
     """(|alpha> + |-alpha>)/norm: only even Fock components are populated."""
     return _make_cat(alpha, cutoff, 0)
 
 
-def make_odd_cat(alpha: complex, cutoff: int | None = None) -> PhotonicState:
+def make_odd_cat(alpha: complex, cutoff: int | None = None) -> PureState:
     """(|alpha> - |-alpha>)/norm: only odd Fock components are populated."""
     return _make_cat(alpha, cutoff, 1)
 
@@ -126,7 +136,7 @@ def make_mixed_cat(alpha: complex, d: float, cutoff: int | None = None) -> Densi
     return DensityOp(FockBasis(cutoff), rho)
 
 
-def make_fock_superposition(N: int, cutoff: int | None = None) -> PhotonicState:
+def make_fock_superposition(N: int, cutoff: int | None = None) -> PureState:
     """(|0> + |2N>)/sqrt(2)."""
     if N < 1:
         raise ContractViolation(f"need N >= 1, got {N}")
@@ -136,7 +146,7 @@ def make_fock_superposition(N: int, cutoff: int | None = None) -> PhotonicState:
         raise TruncationError(f"cutoff {cutoff} cannot hold |{2 * N}>")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[0] = amps[2 * N] = 1.0 / np.sqrt(2.0)
-    return PhotonicState(FockBasis(cutoff), amps, tail_tol=None)
+    return PureState(FockBasis(cutoff), amps)
 
 
 def _displaced_cutoff(alpha: complex, cutoff: int | None = None) -> int:
@@ -168,7 +178,7 @@ def _displaced_vacuum_and_photon(alpha: complex, cutoff: int) -> tuple[np.ndarra
     return d0, d1
 
 
-def make_displaced_single_photon(alpha: complex, cutoff: int | None = None) -> PhotonicState:
+def make_displaced_single_photon(alpha: complex, cutoff: int | None = None) -> PureState:
     """Two-mode state (D_alpha x id)(|0,1> - |1,0>)/sqrt(2): its mode-1 label-1
     column is D|0>/sqrt(2) and its label-0 column -D|1>/sqrt(2)."""
     cutoff = _displaced_cutoff(alpha, cutoff)
@@ -177,10 +187,10 @@ def make_displaced_single_photon(alpha: complex, cutoff: int | None = None) -> P
     grid[:, 1] = d0 / np.sqrt(2.0)   # D|0> x |1>
     grid[:, 0] = -d1 / np.sqrt(2.0)  # -D|1> x |0>
     amps = grid.reshape(-1)
-    return PhotonicState(FockBasis(cutoff, modes=2), amps / np.linalg.norm(amps), tail_tol=1e-10)
+    return _tail_checked(PureState(FockBasis(cutoff, modes=2), amps / np.linalg.norm(amps)))
 
 
-def make_dicke(M: int, k: int, K: int | None = None) -> SymState:
+def make_dicke(M: int, k: int, K: int | None = None) -> PureState:
     """Basis Dicke state |M,k> on a truncated sector."""
     if not 0 <= k <= M:
         raise ContractViolation(f"need 0 <= k <= M, got k={k}, M={M}")
@@ -190,17 +200,17 @@ def make_dicke(M: int, k: int, K: int | None = None) -> SymState:
         raise TruncationError(f"truncation K={K} cannot hold |M,{k}>")
     amps = np.zeros(K + 1, dtype=np.complex128)
     amps[k] = 1.0
-    return SymState(DickeBasis(M, K), amps)
+    return PureState(DickeBasis(M, K), amps)
 
 
-def make_ghz(M: int) -> SymState:
+def make_ghz(M: int) -> PureState:
     """(|M,0> + |M,M>)/sqrt(2); needs the untruncated sector K = M."""
     amps = np.zeros(M + 1, dtype=np.complex128)
     amps[0] = amps[M] = 1.0 / np.sqrt(2.0)
-    return SymState(DickeBasis(M, M), amps)
+    return PureState(DickeBasis(M, M), amps)
 
 
-def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> SymState:
+def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> PureState:
     """Product state with per-spin excitation amplitude -i alpha/sqrt(M).
 
     Dicke amplitudes are the binomial ones, including the (-i)^k phases the
@@ -220,7 +230,7 @@ def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> SymState
     logmag = 0.5 * log_binomials(M, K)
     logmag += 0.5 * (M - k) * np.log1p(-p) + k * np.log(abs(alpha) / np.sqrt(M))
     phase = absorption_phases(K + 1) * np.exp(1j * k * np.angle(alpha))
-    return SymState(basis, _renormalized(np.exp(logmag) * phase))
+    return PureState(basis, _renormalized(np.exp(logmag) * phase))
 
 
 def _as_complex(value) -> complex:
@@ -291,7 +301,7 @@ def _even_cat_pair(alpha: complex, cutoff: int | None = None) -> SuperpositionPa
 
 
 def _fock_superposition_pair(N: int, cutoff: int | None = None) -> SuperpositionPair:
-    c = make_fock_superposition(N, cutoff).cutoff
+    c = make_fock_superposition(N, cutoff).basis.cutoff
     return SuperpositionPair(make_fock(0, cutoff=c), make_fock(2 * N, cutoff=c))
 
 
@@ -299,8 +309,8 @@ def _displaced_single_photon_pair(alpha: complex, cutoff: int | None = None) -> 
     c = _displaced_cutoff(alpha, cutoff)
     d0, d1 = _displaced_vacuum_and_photon(alpha, c)
     plus, minus = d0 + d1, d0 - d1  # D(|0> +- |1>), up to the 1/sqrt2 the norms absorb
-    psi0 = PhotonicState(FockBasis(c), plus / np.linalg.norm(plus), tail_tol=None)
-    psi1 = PhotonicState(FockBasis(c), -minus / np.linalg.norm(minus), tail_tol=None)
+    psi0 = PureState(FockBasis(c), plus / np.linalg.norm(plus))
+    psi1 = PureState(FockBasis(c), -minus / np.linalg.norm(minus))
     return SuperpositionPair(psi0, psi1)
 
 
@@ -347,7 +357,7 @@ def _amps_from_lists(rows) -> np.ndarray:
     return np.array([complex(r[0], r[1]) for r in rows], dtype=np.complex128)
 
 
-def state_to_dict(state: SymState | PhotonicState | DensityOp) -> dict:
+def state_to_dict(state: PureState | DensityOp) -> dict:
     """JSON-safe document: {"basisTag": ..., "amps": [[re,im],...]} or "matrix"."""
     doc: dict = {"basisTag": _basis_tag(state.basis)}
     if isinstance(state, DensityOp):
@@ -357,11 +367,8 @@ def state_to_dict(state: SymState | PhotonicState | DensityOp) -> dict:
     return doc
 
 
-def state_from_dict(doc: dict) -> SymState | PhotonicState | DensityOp:
+def state_from_dict(doc: dict) -> PureState | DensityOp:
     basis = _basis_from_tag(doc["basisTag"])
     if "matrix" in doc:
         return DensityOp(basis, np.array([_amps_from_lists(row) for row in doc["matrix"]]))
-    amps = _amps_from_lists(doc["amps"])
-    if isinstance(basis, DickeBasis):
-        return SymState(basis, amps)
-    return PhotonicState(basis, amps, tail_tol=None)
+    return PureState(basis, _amps_from_lists(doc["amps"]))

@@ -113,7 +113,7 @@ def _checked_amps(basis: DickeBasis | FockBasis, amps) -> np.ndarray:
 class _Populations:
     """Boundary mass and mean excitation, read off the label populations.
 
-    Pure containers take the populations from |amps|^2, DensityOp from its
+    PureState takes the populations from |amps|^2, DensityOp from its
     diagonal. Labels count photons per mode on a FockBasis and excited spins
     on a DickeBasis, which the absorption map identifies.
     """
@@ -148,44 +148,18 @@ class _Populations:
 
 
 @dataclass(frozen=True)
-class SymState(_Populations):
-    """Pure symmetric spin state: complex amplitudes over |M,k>, k = 0..K."""
+class PureState(_Populations):
+    """Pure state: complex amplitudes over the labels of its basis, spin or photon.
 
-    basis: DickeBasis
-    amps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "amps", _checked_amps(self.basis, self.amps))
-
-
-@dataclass(frozen=True)
-class PhotonicState(_Populations):
-    """Pure state of one or two bosonic modes on a shared per-mode cutoff.
-
-    Two-mode amplitudes are stored row-major: index = n1*(cutoff+1) + n2.
-    `tail_tol` is the truncation tolerance declared at construction; None marks
-    states that are exactly supported away from nothing (finite superpositions)
-    and skips the tail check.
+    On a DickeBasis the amplitudes run over |M,k>, k = 0..K; on a two-mode
+    FockBasis they are stored row-major, index = n1*(cutoff+1) + n2.
     """
 
-    basis: FockBasis
+    basis: DickeBasis | FockBasis
     amps: np.ndarray
-    tail_tol: float | None = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "amps", _checked_amps(self.basis, self.amps))
-        if self.tail_tol is not None and self.tail_mass > self.tail_tol:
-            raise TruncationError(
-                f"tail mass {self.tail_mass:.3e} above declared tolerance {self.tail_tol:.1e}"
-            )
-
-    @property
-    def cutoff(self) -> int:
-        return self.basis.cutoff
-
-    @property
-    def modes(self) -> int:
-        return self.basis.modes
 
 
 @dataclass(frozen=True)
@@ -212,7 +186,7 @@ class DensityOp(_Populations):
             raise ContractViolation("density matrix has an eigenvalue below -1e-8") from None
 
     @classmethod
-    def from_pure(cls, state: SymState | PhotonicState) -> "DensityOp":
+    def from_pure(cls, state: PureState) -> "DensityOp":
         v = state.amps
         return cls(state.basis, np.outer(v, v.conj()))
 
@@ -223,17 +197,19 @@ class DensityOp(_Populations):
 
 @dataclass(frozen=True)
 class SuperpositionPair:
-    """Equal-weight branch pair; components share one basis and are normalized.
+    """Equal-weight branch pair: two pure states on one basis.
 
     Branch global phases matter only through the normalized sum (they are part
     of how the superposition splits into branches).
     """
 
-    psi0: SymState | PhotonicState
-    psi1: SymState | PhotonicState
+    psi0: PureState
+    psi1: PureState
 
     def __post_init__(self):
-        if type(self.psi0) is not type(self.psi1) or self.psi0.basis != self.psi1.basis:
+        if not (isinstance(self.psi0, PureState) and isinstance(self.psi1, PureState)):
+            raise ContractViolation("pair components must be pure states")
+        if self.psi0.basis != self.psi1.basis:
             raise ContractViolation("pair components must live in the same basis")
 
     @property
@@ -242,7 +218,7 @@ class SuperpositionPair:
 
     @property
     def is_spin(self) -> bool:
-        return isinstance(self.psi0, SymState)
+        return isinstance(self.psi0.basis, DickeBasis)
 
 
 # Stirling-series coefficients and ln sqrt(2 pi) of cephes' lgam (Moshier,

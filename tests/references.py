@@ -5,10 +5,10 @@ bands and closed forms; these are what the tests compare it against."""
 import numpy as np
 
 from macrosize.mapping import _block_offdiag
+from macrosize.states import _tail_checked
 from macrosize.symcore import (
     ContractViolation,
-    PhotonicState,
-    SymState,
+    PureState,
     raising_coefficients,
     self_adjoint_eig,
     trace_norm,
@@ -33,8 +33,8 @@ def hermitian_exp(H: np.ndarray, c: complex) -> np.ndarray:
     return (v * np.exp(c * w)) @ v.conj().T
 
 
-def rotate_state(state: SymState, axis, angle: float) -> SymState:
-    """Collective Bloch rotation exp(-i (angle/2) J_n) applied to a SymState.
+def rotate_state(state: PureState, axis, angle: float) -> PureState:
+    """Collective Bloch rotation exp(-i (angle/2) J_n) applied to a PureState.
 
     Exact only when the basis is untruncated (K = M); rotations spread the
     excitation label, so callers on truncated bases must keep angles small.
@@ -47,7 +47,7 @@ def rotate_state(state: SymState, axis, angle: float) -> SymState:
     jx, jy, jz = _dense_collective_xyz(state.basis)
     U = hermitian_exp(nx * jx + ny * jy + nz * jz, -0.5j * angle)
     amps = U @ state.amps
-    return SymState(state.basis, amps / np.linalg.norm(amps))
+    return PureState(state.basis, amps / np.linalg.norm(amps))
 
 
 def mode_operator(cutoff: int) -> np.ndarray:
@@ -55,25 +55,25 @@ def mode_operator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1).astype(np.complex128)
 
 
-def displace(state: PhotonicState, alpha: complex) -> PhotonicState:
+def displace(state: PureState, alpha: complex) -> PureState:
     """Apply the displacement exp(alpha a^dag - alpha* a) to the first mode.
 
     The truncated generator is Hermitian, so the map is exactly unitary on the
     truncated space; amplitudes near the cutoff differ from the untruncated
     displacement, so callers leave headroom above the state's support.
     Two-mode states get the single-mode unitary applied on the first tensor
-    factor.
+    factor. A result with more than states.TAIL_TOL on the top two labels of
+    a mode raises TruncationError, as the truncating factories do.
     """
-    a = mode_operator(state.cutoff)
+    a = mode_operator(state.basis.cutoff)
     gen = 1j * (alpha * a.conj().T - np.conj(alpha) * a)  # Hermitian
     U = hermitian_exp(gen, -1j)
-    if state.modes == 1:
+    if state.basis.modes == 1:
         amps = U @ state.amps
     else:
-        dim = state.cutoff + 1
+        dim = state.basis.cutoff + 1
         amps = (U @ state.amps.reshape(dim, dim)).reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    return PhotonicState(state.basis, amps, tail_tol=state.tail_tol)
+    return _tail_checked(PureState(state.basis, amps / np.linalg.norm(amps)))
 
 
 def block_hamiltonian(E: int, M: int) -> np.ndarray:
@@ -86,7 +86,7 @@ def block_hamiltonian(E: int, M: int) -> np.ndarray:
     return H
 
 
-def dense_mean_layer_index(phi0: SymState, phi1: SymState) -> float:
+def dense_mean_layer_index(phi0: PureState, phi1: PureState) -> float:
     """Mean layer index of phi1 around a product-state phi0 on K = M: the
     eigenvectors of the dense J.n along phi0's Bloch direction n, ordered from
     the top eigenvalue M down, are the flip layers d = 0..M."""

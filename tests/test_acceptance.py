@@ -18,9 +18,9 @@ from macrosize import (
     DickeBasis,
     FamilyId,
     PhotonCount,
+    PureState,
     StateFamily,
     SuperpositionPair,
-    SymState,
     branch_pair,
     c_delta,
     d_bar,
@@ -203,7 +203,7 @@ def test_criterion_7_classification_table():
 def _random_sym_state(rng, M, K=None):
     K = M if K is None else K
     amps = rng.standard_normal(K + 1) + 1j * rng.standard_normal(K + 1)
-    return SymState(DickeBasis(M, K), amps / np.linalg.norm(amps))
+    return PureState(DickeBasis(M, K), amps / np.linalg.norm(amps))
 
 
 def test_criterion_8_property_suites():

@@ -158,6 +158,46 @@ def test_pair_file_flow(tmp_path, capsys):
     assert load(out)["value"] == pytest.approx(32.0, rel=0.02)
 
 
+def test_two_state_files_measure_as_their_pair_file(tmp_path, capsys):
+    # the even cat's branches |alpha> and |-alpha>, each in its own file; the
+    # pair negates alpha = 2 + 0j, so its second branch is at -2 - 0j
+    pair, a, b = tmp_path / "pair.json", tmp_path / "a.json", tmp_path / "b.json"
+    run(capsys, "state", "--name", "even-cat", "--alpha", "2", "--pair", "--out", str(pair))
+    run(capsys, "state", "--name", "coherent", "--alpha", "2", "--out", str(a))
+    run(capsys, "state", "--name", "coherent", "--alpha=-2-0j", "--out", str(b))
+    code, out, _ = run(capsys, "measure", "m2", str(pair), "--M", "200")
+    assert code == 0
+    assert run(capsys, "measure", "m2", str(a), str(b), "--M", "200") == (0, out, "")
+
+
+@pytest.fixture(scope="module")
+def mixed_files(tmp_path_factory):
+    """Two mixed-cat files, and the two spin files they absorb to."""
+    d = tmp_path_factory.mktemp("mixed")
+    files = {"photonic": [], "spin": []}
+    for mixing in ("0.5", "0.2"):
+        photonic, spin = d / f"mixed-{mixing}.json", d / f"spin-{mixing}.json"
+        assert main(["state", "--name", "mixed-cat", "--alpha", "1.5", "--d", mixing,
+                     "--out", str(photonic)]) == 0
+        assert main(["absorb", str(photonic), "--M", "200", "--out", str(spin)]) == 0
+        files["photonic"].append(str(photonic))
+        files["spin"].append(str(spin))
+    return files
+
+
+@pytest.mark.parametrize(
+    "mid, kind, flags",
+    [(mid, "photonic", ["--M", "200"]) for mid in ("c-delta", "d-bar", "rel-fisher", "m2")]
+    + [("size-pg", "photonic", []), ("c-delta", "spin", []), ("m2", "spin", [])],
+)
+def test_pair_of_density_matrices_exits_2(mid, kind, flags, mixed_files, capsys):
+    # a branch pair is two pure states: two mixtures are an input error, not a
+    # traceback from a measure reading .amps, nor a value from one that can
+    code, out, err = run(capsys, "measure", mid, *mixed_files[kind], *flags)
+    assert code == 2 and out == ""
+    assert "pair components must be pure states" in err
+
+
 @pytest.mark.parametrize(
     "name, params",
     [
@@ -272,7 +312,7 @@ def test_absorb_exact_propagates_once(tmp_path, capsys, monkeypatch):
     src = tmp_path / "coh.json"
     run(capsys, "state", "--name", "coherent", "--alpha", "1.5", "--out", str(src))
     argv = ["absorb", str(src), "--M", "200", "--mode", "exact", "--g", "1.2"]
-    blocks = list(range(1, make_coherent(1.5).cutoff + 1))
+    blocks = list(range(1, make_coherent(1.5).basis.cutoff + 1))
     code, out, _ = run(capsys, *argv, "--K", "40")
     assert code == 0 and calls == blocks
     doc = load(out)
@@ -323,6 +363,18 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
     assert text.startswith("# tool=macrosize version=")
     assert "configHash=" in text and "seed=7" in text
     assert text.splitlines()[1] == "size,value,M"
+
+
+def test_sweep_undefined_at_some_sizes_exits_3(capsys):
+    # at delta = 1e-6 the whole ensemble cannot tell the N = 1 and 2 cats'
+    # branches apart, so those points and the fit are undefined
+    argv = ["sweep", "even-cat", "c-delta", "--ladder", "1,2,4,8", "--delta", "1e-6"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    doc = load(out)
+    assert [p["defined"] for p in doc["points"]] == [False, False, True, True]
+    assert doc["fit"]["defined"] is False and doc["fit"]["exponent"] is None
+    assert doc["fit"]["note"] == "measure undefined at some sizes"
 
 
 def test_sweep_constant_family_fits_zero(capsys):

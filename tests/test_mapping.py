@@ -26,7 +26,7 @@ from macrosize import (
     verify_operator_map,
 )
 from macrosize.mapping import _block_rotation, _block_svd
-from macrosize.symcore import FockBasis, PhotonicState
+from macrosize.symcore import FockBasis, PureState
 from references import _dense_block_unitary, _dense_operator_map, block_hamiltonian
 
 
@@ -63,8 +63,8 @@ def test_exact_absorb_conserves_blocks():
     v, residual = _vacuum_amps(psi, 64, g=0.9)
     # each block's vacuum amplitude is a share of the block's input
     c2 = np.abs(psi.amps) ** 2
-    assert np.all(np.abs(v[: psi.cutoff + 1]) ** 2 <= c2 * (1 + 1e-12))
-    assert np.all(v[psi.cutoff + 1 :] == 0)
+    assert np.all(np.abs(v[: psi.basis.cutoff + 1]) ** 2 <= c2 * (1 + 1e-12))
+    assert np.all(v[psi.basis.cutoff + 1 :] == 0)
     assert 0.0 <= residual <= 1.0
 
 
@@ -192,7 +192,7 @@ def _vacuum_entry(E, M, g):
     whose vacuum half keeps the photon-vacuum population at 1/2 or more."""
     amps = np.zeros(E + 1, dtype=complex)
     amps[[0, E]] = np.sqrt(0.5)
-    v, _ = _vacuum_amps(PhotonicState(FockBasis(E), amps, tail_tol=None), M, E, g)
+    v, _ = _vacuum_amps(PureState(FockBasis(E), amps), M, E, g)
     return v[E] / np.sqrt(0.5)
 
 
@@ -229,14 +229,14 @@ def test_folded_block_solve_matches_dense_unitary(EM, g):
 
 def test_exact_absorb_matches_dense_form():
     psi, M, g = make_coherent(1.5), 300, 0.8
-    for K in (None, psi.cutoff + 7):
+    for K in (None, psi.basis.cutoff + 7):
         v, _ = _vacuum_amps(psi, M, K, g)
         labels = len(v) - 1
-        assert labels == (min(M, psi.cutoff) if K is None else K)
+        assert labels == (min(M, psi.basis.cutoff) if K is None else K)
         for E, c in enumerate(psi.amps):
             want = c * _dense_block_unitary(E, M, g / np.sqrt(M))[E, 0]
             assert abs(v[E] - want) <= 1e-12
-        assert np.all(v[psi.cutoff + 1 :] == 0)
+        assert np.all(v[psi.basis.cutoff + 1 :] == 0)
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,8 @@ from macrosize import (
     FamilyId,
     Homodyne,
     PhotonCount,
+    PureState,
     SuperpositionPair,
-    SymState,
     branch_pair,
     c_delta,
     d_bar,
@@ -43,7 +43,7 @@ from macrosize import (
     wigner_I_spin,
 )
 from macrosize import measures
-from macrosize.symcore import FockBasis, PhotonicState, RegimeWarning
+from macrosize.symcore import FockBasis, RegimeWarning
 from macrosize.mapping import absorb_pair, approx_absorb
 from macrosize.measures import (
     LAYER_TAIL_TOL,
@@ -103,7 +103,7 @@ def test_fisher_is_four_covariance_for_pure():
     states += [make_dicke(30, 7, K=12), make_dicke(16, 0)]
     for M, K in ((5, 5), (24, 9), (120, 40)):
         v = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
-        states.append(SymState(DickeBasis(M, K), v / np.linalg.norm(v)))
+        states.append(PureState(DickeBasis(M, K), v / np.linalg.norm(v)))
     for phi in states:
         assert np.array_equal(fisher_matrix(phi), 4 * mean_and_covariance(phi)[1])
 
@@ -113,7 +113,7 @@ def test_pure_moments_match_density_moments_and_axes():
     rng = np.random.default_rng(17)
     for M, K in ((9, 9), (30, 6)):
         v = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
-        phi = SymState(DickeBasis(M, K), v / np.linalg.norm(v))
+        phi = PureState(DickeBasis(M, K), v / np.linalg.norm(v))
         rho = DensityOp.from_pure(phi)
         mu, cov = mean_and_covariance(phi)
         mu_rho, cov_rho = mean_and_covariance(rho)
@@ -122,7 +122,7 @@ def test_pure_moments_match_density_moments_and_axes():
         assert np.allclose(fisher_matrix(phi), fisher_matrix(rho), atol=1e-12 * M * M)
         for kernel in (n_eff, wigner_I_spin):
             assert kernel(phi).value == pytest.approx(kernel(rho).value, abs=1e-12 * M)
-        ph = PhotonicState(FockBasis(K), phi.amps, tail_tol=None)
+        ph = PureState(FockBasis(K), phi.amps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)  # random amplitudes reach the cutoff
             i_ph, i_rho = (wigner_I_photonic(x).value for x in (ph, DensityOp.from_pure(ph)))
@@ -165,7 +165,7 @@ def _zero_padded(pair, K):
     def pad(phi):
         amps = np.zeros(K + 1, dtype=np.complex128)
         amps[: phi.basis.dim] = phi.amps
-        return SymState(DickeBasis(phi.basis.M, K), amps)
+        return PureState(DickeBasis(phi.basis.M, K), amps)
 
     return SuperpositionPair(pad(pair.psi0), pad(pair.psi1))
 
@@ -293,7 +293,7 @@ def _random_spin_pairs(draw):
 
     def state():
         v = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
-        return SymState(DickeBasis(M, K), v / np.linalg.norm(v))
+        return PureState(DickeBasis(M, K), v / np.linalg.norm(v))
 
     return SuperpositionPair(state(), state())
 
@@ -363,7 +363,7 @@ def test_d_bar_dicke_reference_is_the_label_distance(MKk0, seed):
     M, K, k0 = MKk0
     rng = np.random.default_rng(seed)
     v = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
-    other = SymState(DickeBasis(M, K), v / np.linalg.norm(v))
+    other = PureState(DickeBasis(M, K), v / np.linalg.norm(v))
     r = d_bar(SuperpositionPair(make_dicke(M, k0, K=K), other))
     assert r.witness["method"] == ("extremal-ladder" if k0 in (0, M) else "layering")
     want = float(np.dot(np.abs(other.amps) ** 2, np.abs(np.arange(K + 1) - k0)))
@@ -380,7 +380,7 @@ def _product_reference_pairs(draw):
     alpha = r * np.sqrt(M) * complex(np.cos(phase), np.sin(phase))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
-    other = SymState(DickeBasis(M, M), v / np.linalg.norm(v))
+    other = PureState(DickeBasis(M, M), v / np.linalg.norm(v))
     return SuperpositionPair(make_spin_coherent(alpha, M, K=M), other)
 
 
@@ -416,7 +416,7 @@ def test_d_bar_product_reference_threshold(share, method):
     eps = share * PRODUCT_REFERENCE_TOL
     amps = np.zeros(M + 1, dtype=complex)
     amps[0], amps[2] = np.sqrt(1.0 - eps), np.sqrt(eps)
-    pair = SuperpositionPair(SymState(DickeBasis(M, M), amps), make_dicke(M, 3, K=M))
+    pair = SuperpositionPair(PureState(DickeBasis(M, M), amps), make_dicke(M, 3, K=M))
     r = d_bar(pair)
     assert r.witness["method"] == method
     if method == "extremal-ladder":
@@ -457,7 +457,7 @@ def _absorbed_non_extremal_pair():
     amps = np.zeros(13, dtype=complex)
     amps[:2] = 1 / np.sqrt(2)
     pair = SuperpositionPair(
-        PhotonicState(FockBasis(12), amps, tail_tol=None), make_coherent(0.7, cutoff=12)
+        PureState(FockBasis(12), amps), make_coherent(0.7, cutoff=12)
     )
     return absorb_pair(pair, 60)
 
@@ -552,6 +552,25 @@ def test_homodyne_interval_l1_matches_brute_force_quadrature(sigma):
     l1, brackets = _interval_l1(y, w, sigma)
     assert l1 == pytest.approx(want, abs=1e-8)
     assert 0.0 <= _l1_error_bound(y, w, sigma, brackets) <= SMEAR_L1_ATOL
+
+
+def test_homodyne_grid_halves_below_the_smearing_width():
+    # the base step 1/(8 sqrt(2K + 1)) serves sigma = 1; at sigma = h0 it
+    # halves once, to h0/2 <= sigma/2, and the shared dict keeps both grids
+    pair = branch_pair("even-cat", alpha=2.0)
+    h0 = 1.0 / (8.0 * np.sqrt(2.0 * pair.psi0.basis.cutoff + 1.0))
+    assert h0 == 1.0 / (8.0 * np.sqrt(53.0))
+    diffs = {}
+    _channel_masses(pair, Homodyne(0.0), 1.0, diffs)
+    y, w = _channel_masses(pair, Homodyne(0.0), h0, diffs)
+    assert sorted(diffs) == [h0 / 2, h0]
+    assert np.allclose(np.diff(y), h0 / 2, rtol=0, atol=1e-12)  # sigma/2 at sigma = h0
+    # summed again from masses on the next finer step, the norm agrees
+    finer = _channel_masses(pair, Homodyne(0.0), h0 / 2, {})
+    assert np.allclose(np.diff(finer[0]), h0 / 4, rtol=0, atol=1e-12)
+    l1, brackets = _interval_l1(y, w, h0)
+    assert l1 == pytest.approx(_interval_l1(*finer, h0)[0], abs=1e-8)
+    assert 0.0 <= _l1_error_bound(y, w, h0, brackets) <= SMEAR_L1_ATOL
 
 
 def test_homodyne_l1_keeps_the_cat_root_in_a_rounding_floor_run():
@@ -668,8 +687,8 @@ def _photonic_pairs(draw):
     basis = FockBasis(K)
     a0, a1 = draw(_amplitudes(K)), draw(_amplitudes(K))
     return SuperpositionPair(
-        PhotonicState(basis, a0 / np.linalg.norm(a0), tail_tol=None),
-        PhotonicState(basis, a1 / np.linalg.norm(a1), tail_tol=None),
+        PureState(basis, a0 / np.linalg.norm(a0)),
+        PureState(basis, a1 / np.linalg.norm(a1)),
     )
 
 
@@ -855,10 +874,10 @@ def test_wigner_I_warns_on_truncation_boundary_weight():
     c = 8
     one = np.zeros(c + 1)
     one[[0, c - 1]] = np.sqrt([0.9, 0.1])
-    edge_one = PhotonicState(FockBasis(c), one, tail_tol=None)
+    edge_one = PureState(FockBasis(c), one)
     two = np.zeros((c + 1) ** 2)
     two[[0, c - 1]] = np.sqrt([0.9, 0.1])  # |0,0> and |0,c-1>: the second mode's edge
-    edge_two = PhotonicState(FockBasis(c, modes=2), two, tail_tol=None)
+    edge_two = PureState(FockBasis(c, modes=2), two)
     for state in (edge_one, DensityOp.from_pure(edge_one), edge_two):
         with pytest.warns(RegimeWarning, match="truncation boundary"):
             wigner_I_photonic(state)
@@ -866,7 +885,7 @@ def test_wigner_I_warns_on_truncation_boundary_weight():
     inner[1 * (c + 1) + 2] = 1.0  # |1,2>
     inside = make_fock(3, cutoff=c)
     for state in (inside, DensityOp.from_pure(inside), make_mixed_cat(1.5, 0.4),
-                  PhotonicState(FockBasis(c, modes=2), inner, tail_tol=None)):
+                  PureState(FockBasis(c, modes=2), inner)):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RegimeWarning)
             wigner_I_photonic(state)

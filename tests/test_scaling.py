@@ -283,6 +283,16 @@ def test_table1_long_ladder_has_no_error_cell():
     assert flags == {("size-pg", "even-cat"): "paper-discrepancy"}
 
 
+def test_table1_cell_undefined_at_some_sizes():
+    # c-delta at delta = 1e-6 has no value for the N = 1 and 2 even cats: the
+    # cell says so, carrying the sweep's note, instead of fitting the rest
+    cell = table1(ladder=(1, 2, 4, 8), delta=1e-6).cell("c-delta", FamilyId.EVEN_CAT)
+    assert [p.defined for p in cell.points] == [False, False, True, True]
+    assert cell.classification == "undefined-for-input"
+    assert cell.flag == "measure undefined at some sizes"
+    assert math.isnan(cell.exponent)
+
+
 def test_table1_builds_each_family_state_once(small_run):
     # 4 families x 4 ladder points, plus the 4-point M sweep of one cell
     _, builds = small_run

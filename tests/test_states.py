@@ -29,7 +29,7 @@ from macrosize import (
     state_to_dict,
 )
 from macrosize.states import STATES, _displaced_cutoff, _displaced_vacuum_and_photon
-from macrosize.symcore import DickeBasis, FockBasis, PhotonicState, SymState
+from macrosize.symcore import DickeBasis, FockBasis, PureState
 from references import displace, mode_operator
 
 
@@ -159,14 +159,14 @@ def test_displaced_pair_rejects_the_cutoff_its_state_rejects():
 def test_coherent_default_cutoff_is_one_it_accepts(alpha):
     # the default cutoff meets the bound an explicit cutoff must meet, also for
     # the small alpha whose Poisson tail alone would stop at 5 or 6
-    cutoff = make_coherent(alpha).cutoff
+    cutoff = make_coherent(alpha).basis.cutoff
     assert cutoff >= abs(alpha) ** 2 + 6 * np.sqrt(abs(alpha) ** 2 + 1)
-    assert make_coherent(alpha, cutoff=cutoff).cutoff == cutoff
+    assert make_coherent(alpha, cutoff=cutoff).basis.cutoff == cutoff
     pair = branch_pair("even-cat", alpha=alpha)
-    assert pair.psi0.cutoff == pair.psi1.cutoff == make_even_cat(alpha).cutoff
+    assert pair.psi0.basis.cutoff == pair.psi1.basis.cutoff == make_even_cat(alpha).basis.cutoff
     # the displaced photon's default adds 2 to the same floor its check adds 2 to
-    cutoff = make_displaced_single_photon(alpha).cutoff
-    assert make_displaced_single_photon(alpha, cutoff=cutoff).cutoff == cutoff
+    cutoff = make_displaced_single_photon(alpha).basis.cutoff
+    assert make_displaced_single_photon(alpha, cutoff=cutoff).basis.cutoff == cutoff
 
 
 def test_even_cat_pair_rejects_what_the_even_cat_rejects():
@@ -224,9 +224,9 @@ _ALPHAS = st.builds(
 def _padded_displacement(state, alpha, cutoff):
     """Dense displacement with _PAD labels of headroom, sliced back to `cutoff`."""
     out = displace(state, alpha).amps
-    if state.modes == 1:
+    if state.basis.modes == 1:
         return out[: cutoff + 1]
-    dim = state.cutoff + 1
+    dim = state.basis.cutoff + 1
     return out.reshape(dim, dim)[: cutoff + 1, : cutoff + 1].reshape(-1)
 
 
@@ -246,11 +246,11 @@ def test_displaced_vacuum_and_photon_match_padded_dense_displacement(alpha):
 @example(-8j)
 def test_displaced_single_photon_matches_padded_dense_displacement(alpha):
     dsp = make_displaced_single_photon(alpha)
-    dim = dsp.cutoff + _PAD + 1
+    dim = dsp.basis.cutoff + _PAD + 1
     bare = np.zeros((dim, dim), dtype=np.complex128)
     bare[0, 1], bare[1, 0] = 1 / np.sqrt(2), -1 / np.sqrt(2)  # (|0,1> - |1,0>)/sqrt2
-    state = PhotonicState(FockBasis(dim - 1, modes=2), bare.reshape(-1), tail_tol=None)
-    ref = _padded_displacement(state, alpha, dsp.cutoff)
+    state = PureState(FockBasis(dim - 1, modes=2), bare.reshape(-1))
+    ref = _padded_displacement(state, alpha, dsp.basis.cutoff)
     assert np.max(np.abs(dsp.amps - ref)) <= 1e-12
 
 
@@ -297,7 +297,7 @@ def test_complex_alpha_as_pair():
 
 @st.composite
 def _pure_states(draw):
-    """A random SymState or one- or two-mode PhotonicState on a small basis,
+    """A random pure state on a Dicke or one- or two-mode Fock basis,
     with some labels left empty."""
     kind = draw(st.sampled_from(["dicke", "one-mode", "two-mode"]))
     size = draw(st.integers(1, 6))
@@ -313,10 +313,7 @@ def _pure_states(draw):
 
 
 def _pure_on(basis, v):
-    v = v / np.linalg.norm(v)
-    if isinstance(basis, DickeBasis):
-        return SymState(basis, v)
-    return PhotonicState(basis, v, tail_tol=None)
+    return PureState(basis, v / np.linalg.norm(v))
 
 
 @st.composite

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from macrosize.measures import max_variance_collective, mean_and_covariance, n_eff
+from macrosize.states import make_even_cat
 from macrosize.symcore import (
     ContractViolation,
     DensityOp,
     DickeBasis,
     FockBasis,
-    PhotonicState,
-    SymState,
+    PureState,
+    SuperpositionPair,
     TruncationError,
     collective_apply,
     default_spin_truncation,
@@ -44,19 +45,34 @@ def test_fock_basis_two_mode_dim():
 
 def test_state_norm_guard():
     with pytest.raises(ContractViolation):
-        SymState(DickeBasis(4, 4), np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
+        PureState(DickeBasis(4, 4), np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ContractViolation):
-        PhotonicState(FockBasis(3), np.array([0.5, 0.0, 0.0, 0.0]))
+        PureState(FockBasis(3), np.array([0.5, 0.0, 0.0, 0.0]))
+
+
+def test_pair_components_are_pure_states_on_one_basis():
+    photon = PureState(FockBasis(3), np.eye(4)[0])
+    spin = PureState(DickeBasis(3, 3), np.eye(4)[0])  # same dimension, other basis
+    rho = DensityOp.from_pure(photon)
+    for mixed in ((rho, rho), (photon, rho), (rho, photon)):
+        with pytest.raises(ContractViolation, match="pair components must be pure states"):
+            SuperpositionPair(*mixed)
+    for apart in ((photon, spin), (photon, PureState(FockBasis(4), np.eye(5)[0]))):
+        with pytest.raises(ContractViolation, match="same basis"):
+            SuperpositionPair(*apart)
+    assert SuperpositionPair(spin, spin).is_spin
+    assert not SuperpositionPair(photon, photon).is_spin
 
 
 def test_photonic_tail_guard():
-    # top two levels loaded: truncation is not believable
+    # the container holds any normalized vector, even one on the top label alone
     amps = np.zeros(6)
     amps[-1] = 1.0
-    with pytest.raises(TruncationError):
-        PhotonicState(FockBasis(5), amps)
-    # tail_tol=None disables the check
-    PhotonicState(FockBasis(5), amps, tail_tol=None)
+    assert PureState(FockBasis(5), amps).tail_mass == 1.0
+    # a factory that truncates an infinite state refuses a cutoff that loads
+    # the top two levels: its truncation is not believable
+    with pytest.raises(TruncationError, match="tail mass"):
+        make_even_cat(2.0, cutoff=6)
 
 
 def _nan_at(dim, *where):
@@ -71,10 +87,10 @@ def _nan_at(dim, *where):
     [
         lambda: DensityOp(DickeBasis(4, 2), _nan_at(3, (1, 1))),
         lambda: DensityOp(DickeBasis(4, 2), _nan_at(3, (0, 1), (1, 0))),
-        lambda: SymState(DickeBasis(4, 2), [np.nan, 0, 0]),
-        lambda: SymState(DickeBasis(4, 2), [np.inf, 0, 0]),
-        lambda: PhotonicState(FockBasis(3), [np.nan, 0, 0, 0]),
-        lambda: PhotonicState(FockBasis(3), [np.inf, 0, 0, 0]),
+        lambda: PureState(DickeBasis(4, 2), [np.nan, 0, 0]),
+        lambda: PureState(DickeBasis(4, 2), [np.inf, 0, 0]),
+        lambda: PureState(FockBasis(3), [np.nan, 0, 0, 0]),
+        lambda: PureState(FockBasis(3), [np.inf, 0, 0, 0]),
         lambda: self_adjoint_eig(_nan_at(3, (2, 2))),
         lambda: trace_norm(_nan_at(3, (2, 2))),
         lambda: trace_norm(_nan_at(3, (0, 2))),
@@ -226,7 +242,7 @@ def test_rotate_state_unitary_and_axis_action():
     M = 12
     v = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
     v /= np.linalg.norm(v)
-    phi = SymState(DickeBasis(M, M), v)
+    phi = PureState(DickeBasis(M, M), v)
     rot = rotate_state(phi, (0.3, -1.2, 0.5), 0.7)
     assert np.linalg.norm(rot.amps) == pytest.approx(1.0, abs=1e-12)
     # rotation about z only rephases the ladder, populations fixed
@@ -243,7 +259,7 @@ def test_rotate_state_turns_the_mean_spin_about_its_axis(axis, angle):
     # exp(-i (angle/2) J_n) turns <J> by `angle` about the normalized axis n
     # (Rodrigues' formula); here from the all-ground <J> = (0, 0, -M)
     M = 6
-    ground = SymState(DickeBasis(M, M), np.eye(M + 1)[0])
+    ground = PureState(DickeBasis(M, M), np.eye(M + 1)[0])
     n = np.asarray(axis) / np.linalg.norm(axis)
     v = np.array([0.0, 0.0, -M])
     want = v * np.cos(angle) + np.cross(n, v) * np.sin(angle) + n * n.dot(v) * (1 - np.cos(angle))
@@ -306,7 +322,7 @@ def test_collective_sizes_invariant_under_rotation(M, seed, axis, angle):
     # rotation of the state (exact on K = M) leaves them unchanged
     rng = np.random.default_rng(seed)
     v = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
-    phi = SymState(DickeBasis(M, M), v / np.linalg.norm(v))
+    phi = PureState(DickeBasis(M, M), v / np.linalg.norm(v))
     rot = rotate_state(phi, axis, angle)
     tol = 1e-9 * M * M
     assert max_variance_collective(rot).value == pytest.approx(
