@@ -17,11 +17,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 __version__ = "0.1.0"
 
 from .entanglement import (
-    SplitState,
     entanglement_entropy,
     helstrom_ps,
     negativity,
     reduced_group_state,
+    schmidt_values,
     split,
 )
 from .mapping import (
@@ -96,6 +96,8 @@ from .symcore import (
     TruncationError,
     collective_apply,
     default_spin_truncation,
+    mode_basis,
     raising_coefficients,
+    spin_basis,
     trace_norm,
 )

@@ -184,7 +184,7 @@ def cmd_measure(args, spin_factor: int) -> int:
     if args.M is not None:
         if spec.domain != "spin":
             raise ContractViolation(f"{mid} does not read --M: it measures photonic states")
-        given = single if single is not None else pair.psi0
+        given = single if single is not None else pair
         if isinstance(given.basis, DickeBasis):
             raise ContractViolation(
                 f"--M absorbs photonic input; this input is already on M={given.basis.M} spins"
@@ -215,8 +215,6 @@ def cmd_absorb(args, spin_factor: int) -> int:
         spin = approx_absorb(single, args.M, args.K)
         info = {"mode": "approx", "M": args.M, "K": spin.basis.K}
     else:
-        if isinstance(single, DensityOp):
-            raise ContractViolation("exact absorption takes a pure photonic state")
         g = ABSORPTION_PHASE if args.g is None else args.g
         spin, report = exact_absorb(single, args.M, args.K, g)
         info = {

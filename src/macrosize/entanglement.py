@@ -3,8 +3,6 @@ entropy, negativity, reduced group states, and the Helstrom bound."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .symcore import (
@@ -13,46 +11,24 @@ from .symcore import (
     DickeBasis,
     PureState,
     log_binomials,
+    spin_basis,
     trace_norm,
 )
 
 
-@dataclass(frozen=True)
-class SplitState:
-    """A symmetric state expanded over a (m_a, m_b) bipartition.
+def split(phi: PureState, m_a: int) -> np.ndarray:
+    """Coefficients c[l, j] of phi on |m_a, l> x |m_b, j>, the split of its
+    M spins into m_a and m_b = M - m_a.
 
-    coeffs[l, j] is the amplitude on |m_a, l> x |m_b, j>; labels above the
-    parent truncation are dropped because their weight is exactly zero.
-    """
-
-    m_a: int
-    m_b: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        object.__setattr__(self, "coeffs", c)
-        if self.m_a < 1 or self.m_b < 1:
-            raise ContractViolation("both parts must hold at least one spin")
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > 1e-9:
-            raise ContractViolation(f"split coefficients have norm {norm}, expected 1")
-
-    @property
-    def schmidt_values(self) -> np.ndarray:
-        return np.linalg.svd(self.coeffs, compute_uv=False)
-
-
-def split(phi: PureState, m_a: int) -> SplitState:
-    """Expand phi over an (m_a, M - m_a) split of the spin ensemble.
-
-    |M,k> = sum_l sqrt(C(m_a,l) C(m_b,k-l) / C(M,k)) |m_a,l> |m_b,k-l>.
+    Labels above the parent truncation are dropped: their weight is exactly
+    zero. |M,k> = sum_l sqrt(C(m_a,l) C(m_b,k-l) / C(M,k)) |m_a,l> |m_b,k-l>.
     By Vandermonde's identity the squared weights of each anti-diagonal
     l + j = k sum to one, so they are normalised directly and no ln C(M,k) of
     size ~M enters. Only the anti-diagonals of nonzero labels k are evaluated,
     all in one pass, so the work follows the state's support, not K.
     """
-    M, K = phi.basis.M, phi.basis.K
+    basis = spin_basis(phi)
+    M, K = basis.M, basis.K
     if not 1 <= m_a <= M - 1:
         raise ContractViolation(f"need 1 <= m_a <= M-1, got m_a={m_a}, M={M}")
     m_b = M - m_a
@@ -69,23 +45,28 @@ def split(phi: PureState, m_a: int) -> SplitState:
     w = h / np.repeat(np.sqrt(np.add.reduceat(h * h, starts)), counts)
     coeffs = np.zeros((la_max + 1, lb_max + 1), dtype=np.complex128)
     coeffs[l, k - l] = phi.amps[k] * w
-    return SplitState(m_a, m_b, coeffs)
+    return coeffs
 
 
-def entanglement_entropy(s: SplitState) -> float:
-    """Base-2 entropy of the Schmidt weights; 0 for product states."""
-    p = s.schmidt_values**2
+def schmidt_values(c: np.ndarray) -> np.ndarray:
+    """Schmidt values of the split coefficients c, descending."""
+    return np.linalg.svd(c, compute_uv=False)
+
+
+def entanglement_entropy(c: np.ndarray) -> float:
+    """Base-2 entropy of the Schmidt weights of c; 0 for product states."""
+    p = schmidt_values(c) ** 2
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
 
 
-def negativity(s: SplitState) -> float:
-    """(||rho^(T_B)||_1 - 1)/2 for the pure split state.
+def negativity(c: np.ndarray) -> float:
+    """(||rho^(T_B)||_1 - 1)/2 for the pure split state of coefficients c.
 
     A pure state with Schmidt values lambda_i has ||rho^(T_B)||_1 =
     (sum_i lambda_i)^2, so no partial transpose is formed.
     """
-    return float((s.schmidt_values.sum() ** 2 - 1.0) / 2.0)
+    return float((schmidt_values(c).sum() ** 2 - 1.0) / 2.0)
 
 
 def reduced_group_state(phi: PureState, n: int) -> DensityOp:
@@ -94,11 +75,10 @@ def reduced_group_state(phi: PureState, n: int) -> DensityOp:
     For phi = |M,k> the result is diagonal with hypergeometric weights
     C(k,l) C(M-k, n-l) / C(M,n).
     """
-    if n == phi.basis.M:  # whole ensemble, nothing traced out
+    if n == spin_basis(phi).M:  # whole ensemble, nothing traced out
         return DensityOp.from_pure(phi)
-    s = split(phi, n)
-    rho = s.coeffs @ s.coeffs.conj().T
-    return DensityOp(DickeBasis(n, s.coeffs.shape[0] - 1), rho)
+    c = split(phi, n)
+    return DensityOp(DickeBasis(n, c.shape[0] - 1), c @ c.conj().T)
 
 
 def helstrom_ps(rho0: DensityOp, rho1: DensityOp) -> float:

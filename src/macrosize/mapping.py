@@ -14,12 +14,12 @@ from .symcore import (
     ContractViolation,
     DensityOp,
     DickeBasis,
-    FockBasis,
     PureState,
     RegimeWarning,
     SuperpositionPair,
     absorption_phases,
     default_spin_truncation,
+    mode_basis,
     raising_coefficients,
     self_adjoint_eig,
 )
@@ -104,9 +104,7 @@ def approx_absorb(
     single-mode density operator to p rho p*. Valid in the low-excitation
     regime; warns (RegimeWarning) when the photon cutoff exceeds M/4.
     """
-    if not isinstance(psi.basis, FockBasis) or psi.basis.modes != 1:
-        raise ContractViolation("absorption acts on single-mode Fock states")
-    cutoff = psi.basis.cutoff
+    cutoff = mode_basis(psi).cutoff
     if cutoff > M:
         raise ContractViolation(f"cannot absorb up to {cutoff} photons into M={M} spins")
     if cutoff > M / 4:
@@ -132,7 +130,7 @@ def approx_absorb(
 def absorb_pair(pair: SuperpositionPair, M: int) -> SuperpositionPair:
     """Absorb both photonic branches into M spins at one shared truncation K."""
     mean = max(pair.psi0.mean_excitation, pair.psi1.mean_excitation)
-    K = absorption_cutoff(M, pair.psi0.basis.cutoff, mean)
+    K = absorption_cutoff(M, mode_basis(pair).cutoff, mean)
     return SuperpositionPair(approx_absorb(pair.psi0, M, K), approx_absorb(pair.psi1, M, K))
 
 
@@ -158,9 +156,9 @@ def exact_absorb(
     population 1 - P(vacuum). The fidelity |<approx| exact(g) |psi x ground>|^2
     does not depend on K: every block E <= cutoff <= K has dimension E + 1.
     """
-    if not isinstance(psi.basis, FockBasis) or psi.basis.modes != 1:
-        raise ContractViolation("absorption acts on single-mode Fock states")
-    cutoff = psi.basis.cutoff
+    if not isinstance(psi, PureState):
+        raise ContractViolation("exact absorption takes a pure photonic state")
+    cutoff = mode_basis(psi).cutoff
     if K is None:
         K = min(M, cutoff)
     if K < cutoff:

@@ -26,7 +26,9 @@ from .symcore import (
     RegimeWarning,
     SuperpositionPair,
     collective_apply,
+    mode_basis,
     self_adjoint_eig,
+    spin_basis,
     trace_norm,
 )
 
@@ -89,13 +91,7 @@ def normalized_sum(pair: SuperpositionPair):
     n2 = math.fsum((s.real * s.real + s.imag * s.imag).tolist())
     if n2 < DEGENERATE_PAIR_TOL:
         raise DegeneratePairError("branches cancel, the superposition is null")
-    return PureState(pair.psi0.basis, s / np.sqrt(n2))
-
-
-def _require_spin(x, label: str) -> DickeBasis:
-    if not isinstance(x.basis, DickeBasis):
-        raise ContractViolation(f"{label} must live in the symmetric spin sector")
-    return x.basis
+    return PureState(pair.basis, s / np.sqrt(n2))
 
 
 def _weighted_columns(state) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +111,7 @@ def mean_and_covariance(state: PureState | DensityOp) -> tuple[np.ndarray, np.nd
     sec_ab = sum_i p_i Re<J_a v_i|J_b v_i> = (1/2)<{J_a, J_b}>, on the band.
     """
     v, p = _weighted_columns(state)
-    jv = np.array(collective_apply(_require_spin(state, "state"), v))
+    jv = np.array(collective_apply(spin_basis(state), v))
     mu = np.array([np.vdot(v * p, x).real for x in jv])
     sec = np.array([[np.vdot(xa, xb).real for xb in jv] for xa in jv * p])
     return mu, sec - np.outer(mu, mu)
@@ -126,6 +122,7 @@ def max_variance_collective(phi: PureState) -> MeasureResult:
 
     A DensityOp's variance counts the classical mixing itself, so mixed
     input has no value here, nor in index-p, this variance over M."""
+    spin_basis(phi)
     if isinstance(phi, DensityOp):
         reason = {"reason": "index-p needs a pure state; index-q reads mixed ones"}
         return MeasureResult("max-variance", 0.0, witness=reason, defined=False)
@@ -151,7 +148,7 @@ def fisher_matrix(state: PureState | DensityOp) -> np.ndarray:
     G_a's rounding is made Hermitian, so at rank one G_a = mu_a and F = 4 Cov.
     """
     v, p = _weighted_columns(state)
-    jv = np.array(collective_apply(_require_spin(state, "state"), v))
+    jv = np.array(collective_apply(spin_basis(state), v))
     sec = np.array([[np.vdot(xa, xb).real for xb in jv] for xa in jv * p])
     h = 0.5 * (v.conj().T @ jv)
     g = h + h.conj().transpose(0, 2, 1)
@@ -181,7 +178,7 @@ def index_p(state: PureState) -> MeasureResult:
 
 def relative_fisher(pair: SuperpositionPair) -> MeasureResult:
     """n_eff of the superposition over the equal-weight branch average."""
-    _require_spin(pair.psi0, "pair")
+    spin_basis(pair)
     n0 = n_eff(pair.psi0).value
     n1 = n_eff(pair.psi1).value
     ns = n_eff(normalized_sum(pair)).value
@@ -200,7 +197,7 @@ def m_squared(pair: SuperpositionPair) -> MeasureResult:
     denominator vanishes (both branches are J_n eigenstates in every
     direction, which the truncated sector never realizes for M >= 1).
     """
-    _require_spin(pair.psi0, "pair")
+    spin_basis(pair)
     mu0, c0 = mean_and_covariance(pair.psi0)
     mu1, c1 = mean_and_covariance(pair.psi1)
     gap = mu1 - mu0
@@ -306,7 +303,7 @@ def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureRes
     either branch occupies: every row and column above it is exactly zero, so
     the trim changes no value, and sharing it keeps both branches on one basis.
     """
-    basis = _require_spin(pair.psi0, "pair")
+    basis = spin_basis(pair)
     check_delta(delta)
     M = basis.M
     top = int(np.flatnonzero((pair.psi0.amps != 0) | (pair.psi1.amps != 0))[-1])
@@ -433,7 +430,7 @@ def d_bar(pair: SuperpositionPair) -> MeasureResult:
     collective-operator products (`layering`); around a Dicke reference
     |M,k0> they are the labels k0 -+ d, so the mean is sum_k |c_k|^2 |k - k0|.
     """
-    basis = _require_spin(pair.psi0, "pair")
+    basis = spin_basis(pair)
     product = _product_reference_mean(pair.psi0, pair.psi1)
     if product is not None:
         value, off_shell = product
@@ -472,7 +469,7 @@ def index_q(state: PureState | DensityOp) -> MeasureResult:
     """
     from scipy.optimize import minimize  # deferred: keeps it out of the CLI's import
 
-    basis = _require_spin(state, "state")
+    basis = spin_basis(state)
     rho = DensityOp.from_pure(state) if isinstance(state, PureState) else state
     jx, jy, jz = collective_apply(basis, np.eye(basis.dim))  # dense J, for the trace norm
     m = rho.matrix
@@ -585,7 +582,7 @@ def wigner_I_spin(state: PureState | DensityOp) -> MeasureResult:
     absorption frame (the x-y plane plays the photonic role), so not
     rotation invariant by construction.
     """
-    basis = _require_spin(state, "state")
+    basis = spin_basis(state)
     v, p = _weighted_columns(state)
     acc = 0.0
     for x in collective_apply(basis, v)[:2]:
@@ -894,7 +891,7 @@ def _channel_masses(
     if isinstance(channel, PhotonCount):
         return _pmf_masses(np.abs(pair.psi0.amps) ** 2, np.abs(pair.psi1.amps) ** 2)
     if isinstance(channel, Homodyne):
-        h = 1.0 / (8.0 * np.sqrt(2.0 * pair.psi0.basis.cutoff + 1.0))
+        h = 1.0 / (8.0 * np.sqrt(2.0 * pair.basis.cutoff + 1.0))
         while sigma > 0.0 and h > 0.5 * sigma:
             h *= 0.5
         d = diffs.get(h)
@@ -998,10 +995,9 @@ def size_pg(
     trapezoid-rule density, whose own error falls off spectrally in the grid
     step; the sigma = 0 value `pSRaw` is a plain Riemann sum of that density
     and lies outside the bound. Branches indistinguishable already at
-    sigma = 0 yield value 0 with a diagnostic witness.
+    sigma = 0 leave the threshold unreachable: the measure is undefined.
     """
-    if pair.is_spin or pair.psi0.basis.modes != 1:
-        raise ContractViolation("size_pg needs a single-mode photonic pair")
+    mode_basis(pair)
     pref = size_prefactor(p_g)
     chan_tag = (
         {"channel": "photon-count"}
@@ -1024,6 +1020,7 @@ def size_pg(
             0.0,
             witness={**chan_tag, "pG": p_g, "pSRaw": ps0, "psEvals": 1,
                      "reason": "branches indistinguishable"},
+            defined=False,
         )
     passed, failed = _scout_sigma(ps, p_g)
 

@@ -24,6 +24,9 @@ every other product with J goes through the band. Outside the su(2)
 disentangling check of `mapping`, no module exponentiates a generator: the
 factories build spin-coherent and displaced states in closed form, and the
 dense rotation and displacement are test references.
+
+An input's domain is decided here: `spin_basis` and `mode_basis` return the
+basis of a spin or a single-mode photonic state or pair, or refuse the input.
 """
 
 from __future__ import annotations
@@ -217,8 +220,28 @@ class SuperpositionPair:
         return complex(np.vdot(self.psi0.amps, self.psi1.amps))
 
     @property
-    def is_spin(self) -> bool:
-        return isinstance(self.psi0.basis, DickeBasis)
+    def basis(self) -> DickeBasis | FockBasis:
+        return self.psi0.basis
+
+
+def _kind(x) -> str:
+    return "pair" if isinstance(x, SuperpositionPair) else "state"
+
+
+def spin_basis(x) -> DickeBasis:
+    """The DickeBasis of a spin state or pair; any other input is a ContractViolation."""
+    basis = getattr(x, "basis", None)
+    if not isinstance(basis, DickeBasis):
+        raise ContractViolation(f"{_kind(x)} must live in the symmetric spin sector")
+    return basis
+
+
+def mode_basis(x) -> FockBasis:
+    """The FockBasis of a one-mode photonic state or pair; other input is a ContractViolation."""
+    basis = getattr(x, "basis", None)
+    if not isinstance(basis, FockBasis) or basis.modes != 1:
+        raise ContractViolation(f"{_kind(x)} must live on a single photon mode")
+    return basis
 
 
 # Stirling-series coefficients and ln sqrt(2 pi) of cephes' lgam (Moshier,

@@ -121,10 +121,10 @@ def _dense_operator_map(M, K, g=np.pi / 2):
     return worst
 
 
-def _dense_negativity(s):
+def _dense_negativity(c):
     """(||rho^(T_B)||_1 - 1)/2 from the dense (da db)^2 partial transpose."""
-    da, db = s.coeffs.shape
-    vec = s.coeffs.reshape(-1)
+    da, db = c.shape
+    vec = c.reshape(-1)
     rho = np.outer(vec, vec.conj()).reshape(da, db, da, db)
     rho_tb = rho.transpose(0, 3, 2, 1).reshape(da * db, da * db)
     return (trace_norm(rho_tb) - 1.0) / 2.0

@@ -44,6 +44,7 @@ from macrosize import (
     negativity,
     normalized_sum,
     relative_fisher,
+    schmidt_values,
     size_pg,
     size_prefactor,
     split,
@@ -165,7 +166,7 @@ def test_criterion_6_half_split_entanglement():
     with criterion(6, "half-split structure of absorbed states", budget=120.0):
         N, M = 8, 1600
         s = split(make_dicke(M, N), M // 2)
-        w = np.sort(s.schmidt_values**2)[::-1]
+        w = np.sort(schmidt_values(s) ** 2)[::-1]
         ref = np.sort(binom.pmf(np.arange(N + 1), N, 0.5))[::-1]
         tv = 0.5 * np.sum(np.abs(w[: N + 1] - ref)) + 0.5 * np.sum(w[N + 1:])
         assert tv <= 0.01

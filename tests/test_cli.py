@@ -26,7 +26,7 @@ from macrosize.states import (
     make_even_cat,
     make_odd_cat,
 )
-from macrosize.symcore import DensityOp
+from macrosize.symcore import DensityOp, DickeBasis
 
 
 def run(capsys, *argv):
@@ -221,12 +221,13 @@ def test_pair_file_reads_back_as_written(name, params, tmp_path, capsys):
         assert type(got) is type(want) and got.basis == want.basis
         assert got.amps.tobytes() == want.amps.tobytes()
     code, out, err = run(capsys, "measure", "m2", str(f), "--M", "200")
-    if mem.is_spin:  # --M absorbs photonic input only; a spin file is rejected
+    spin_input = isinstance(mem.basis, DickeBasis)
+    if spin_input:  # --M absorbs photonic input only; a spin file is rejected
         assert code == 2 and out == ""
         assert "--M absorbs photonic input" in err
         code, out, _ = run(capsys, "measure", "m2", str(f))
     assert code == 0
-    spin = mem if mem.is_spin else absorb_pair(mem, 200)
+    spin = mem if spin_input else absorb_pair(mem, 200)
     assert load(out)["value"] == _jsonable(MEASURES["m2"].evaluate(spin).value)
 
 
@@ -377,6 +378,17 @@ def test_sweep_undefined_at_some_sizes_exits_3(capsys):
     assert doc["fit"]["note"] == "measure undefined at some sizes"
 
 
+def test_sweep_size_pg_unreachable_threshold_exits_3(capsys):
+    # at P_g = 0.99 homodyne readout cannot tell the N = 1 cat's branches
+    # apart even unsmeared, so that point and the fit are undefined
+    argv = ["sweep", "even-cat", "size-pg", "--ladder", "1,2,4,8", "--pg", "0.99"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    doc = load(out)
+    assert [p["defined"] for p in doc["points"]] == [False, True, True, True]
+    assert doc["fit"]["note"] == "measure undefined at some sizes"
+
+
 def test_sweep_constant_family_fits_zero(capsys):
     code, out, _ = run(capsys, "sweep", "displaced-single-photon", "m2", "--ladder", "4,8,16,32")
     assert code == 0
@@ -464,11 +476,33 @@ def test_verify_mapping_reports_and_gates(capsys):
           "--pair"], "cutoff 3 below required 19.4"),
         (["state", "--name", "spin-coherent", "--alpha", "3", "--M", "100", "--K", "2"],
          "renormalization correction"),
+        (["table1", "--ladder", "8,x,32,64"], "ladder must be comma-separated integers"),
     ],
     ids=["jmax-below-half", "jmax-negative", "zero-spins", "spin-factor-table1",
-         "spin-factor-sweep", "pair-cutoff-too-small", "spin-coherent-lossy-K"],
+         "spin-factor-sweep", "pair-cutoff-too-small", "spin-coherent-lossy-K",
+         "ladder-not-integers"],
 )
 def test_check_that_cannot_run_exits_2(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "n-eff", "coh.json", "coh.json", "coh.json", "--M", "200"],
+         "give one state file, one pair file, or two state files"),
+        (["measure", "n-eff", "cat_pair.json", "--M", "200"], "n-eff takes a single state, got a pair"),
+        (["absorb", "cat_pair.json", "--M", "200"], "absorb takes one single-mode photonic state file"),
+    ],
+    ids=["three-files", "single-measure-on-pair", "absorb-pair"],
+)
+def test_file_input_the_command_cannot_take_exits_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "state", "--name", "coherent", "--alpha", "1", "--out", "coh.json")
+    run(capsys, "state", "--name", "even-cat", "--alpha", "1.5", "--pair", "--out", "cat_pair.json")
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -509,6 +509,15 @@ def test_size_homodyne_cat_matches_gaussian_quadrature_form():
     assert r.witness["sigmaStar"] == pytest.approx(sig, rel=1e-3)
 
 
+def test_size_indistinguishable_pair_is_undefined():
+    # photon counting cannot tell |alpha> from |-alpha>: P_S(0) = 1/2 < P_g, so
+    # no smearing reaches the threshold, as where c-delta's is unreachable
+    r = size_pg(branch_pair("even-cat", alpha=2.0), 2 / 3)
+    assert not r.defined and r.value == 0.0
+    assert r.witness["reason"] == "branches indistinguishable"
+    assert r.witness["psEvals"] == 1
+
+
 def _brute_l1(y, w, sigma):
     """Adaptive quadrature of |f| over sigma-wide pieces out to 12 sigma past
     the masses, blind to where f changes sign."""
@@ -703,6 +712,7 @@ def test_size_sigma_star_is_the_bisection_lattice_point(pair, p_g, channel):
     want = _bisected_sigma_star(pair, p_g, channel)
     assert r.witness.get("sigmaStar") == want
     assert r.value == (0.0 if want is None else size_prefactor(p_g) * want)
+    assert r.defined == (want is not None)
 
 
 def test_size_scout_halves_the_evaluations_on_the_table(monkeypatch):

@@ -8,8 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from macrosize.measures import max_variance_collective, mean_and_covariance, n_eff
-from macrosize.states import make_even_cat
+from macrosize.entanglement import reduced_group_state, split
+from macrosize.mapping import absorb_pair, approx_absorb, exact_absorb, mapping_fidelity
+from macrosize.measures import (
+    DEFAULT_DELTA,
+    DEFAULT_P_G,
+    MEASURES,
+    PhotonCount,
+    max_variance_collective,
+    mean_and_covariance,
+    n_eff,
+)
+from macrosize.states import branch_pair, make_even_cat, make_fock, make_ghz, make_mixed_cat
 from macrosize.symcore import (
     ContractViolation,
     DensityOp,
@@ -22,8 +32,10 @@ from macrosize.symcore import (
     default_spin_truncation,
     log_binomials,
     log_factorial,
+    mode_basis,
     raising_coefficients,
     self_adjoint_eig,
+    spin_basis,
     trace_norm,
 )
 from references import _dense_collective_xyz, rotate_state
@@ -60,8 +72,59 @@ def test_pair_components_are_pure_states_on_one_basis():
     for apart in ((photon, spin), (photon, PureState(FockBasis(4), np.eye(5)[0]))):
         with pytest.raises(ContractViolation, match="same basis"):
             SuperpositionPair(*apart)
-    assert SuperpositionPair(spin, spin).is_spin
-    assert not SuperpositionPair(photon, photon).is_spin
+    assert SuperpositionPair(spin, spin).basis == spin.basis
+    assert SuperpositionPair(photon, photon).basis == photon.basis
+
+
+def test_domain_guards_return_the_basis_or_refuse():
+    spin, photon = make_ghz(12), make_even_cat(1.5)
+    assert spin_basis(spin) is spin.basis
+    assert spin_basis(branch_pair("ghz", M=12)) == spin.basis
+    assert mode_basis(photon) is photon.basis
+    assert mode_basis(DensityOp.from_pure(photon)) is photon.basis
+    two_mode = PureState(FockBasis(2, modes=2), np.eye(9)[0])
+    for guard, x, message in (
+        (spin_basis, photon, "state must live in the symmetric spin sector"),
+        (spin_basis, branch_pair("even-cat", alpha=1.5), "pair must live in the symmetric"),
+        (mode_basis, spin, "state must live on a single photon mode"),
+        (mode_basis, two_mode, "state must live on a single photon mode"),
+        (mode_basis, branch_pair("ghz", M=12), "pair must live on a single photon mode"),
+        (spin_basis, np.eye(3), "state must live in the symmetric spin sector"),
+    ):
+        with pytest.raises(ContractViolation, match=message):
+            guard(x)
+
+
+def _other_domain(spec):
+    """A pure state or a pair, as spec takes, from the domain spec does not read."""
+    if spec.domain == "spin":
+        return branch_pair("even-cat", alpha=1.5) if spec.pair else make_even_cat(1.5)
+    return branch_pair("ghz", M=12) if spec.pair else make_ghz(12)
+
+
+_WRONG_DOMAIN = {
+    **{
+        mid: lambda spec=spec: spec.evaluate(
+            _other_domain(spec), delta=DEFAULT_DELTA, p_g=DEFAULT_P_G, channel=PhotonCount()
+        )
+        for mid, spec in MEASURES.items()
+    },
+    "approx_absorb-spin": lambda: approx_absorb(make_ghz(12), 200),
+    "exact_absorb-spin": lambda: exact_absorb(make_ghz(12), 200),
+    "absorb_pair-spin": lambda: absorb_pair(branch_pair("ghz", M=12), 200),
+    "exact_absorb-mixed": lambda: exact_absorb(make_mixed_cat(1.3, 0.3), 200),
+    "mapping_fidelity-mixed": lambda: mapping_fidelity(make_mixed_cat(1.3, 0.3), 200),
+    "split-photonic": lambda: split(make_fock(3), 1),
+    "reduced_group_state-photonic": lambda: reduced_group_state(make_fock(3), 1),
+}
+
+
+@pytest.mark.parametrize("call", _WRONG_DOMAIN.values(), ids=_WRONG_DOMAIN.keys())
+def test_entry_points_refuse_the_other_domain(call):
+    # every public entry point refuses input it cannot read with a
+    # ContractViolation, never an AttributeError from inside a kernel
+    with pytest.raises(ContractViolation):
+        call()
 
 
 def test_photonic_tail_guard():
