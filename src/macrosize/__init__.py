@@ -3,11 +3,12 @@ of photonic modes and collective-spin ensembles, with the photon-absorption
 mapping connecting the two pictures.
 
 Importing the package sets OPENBLAS_NUM_THREADS to 1 unless it is already
-set. numpy and scipy each load their own OpenBLAS, and each build's worker
+set. numpy's OpenBLAS is the only one the package loads, and its worker
 threads busy-wait between calls; on matrices of a few hundred rows, the
 largest the package builds, they cost more than they save. OpenBLAS reads
 the variable when it loads, so the pin has no effect in a process that
-imported numpy or scipy before macrosize. An explicit setting wins.
+imported numpy (or scipy, which brings its own) before macrosize. An
+explicit setting wins.
 """
 
 import os

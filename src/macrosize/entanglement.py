@@ -28,6 +28,8 @@ def split(phi: PureState, m_a: int) -> np.ndarray:
     all in one pass, so the work follows the state's support, not K.
     """
     basis = spin_basis(phi)
+    if not isinstance(phi, PureState):
+        raise ContractViolation("split and reduced_group_state take a pure spin state")
     M, K = basis.M, basis.K
     if not 1 <= m_a <= M - 1:
         raise ContractViolation(f"need 1 <= m_a <= M-1, got m_a={m_a}, M={M}")
@@ -75,7 +77,8 @@ def reduced_group_state(phi: PureState, n: int) -> DensityOp:
     For phi = |M,k> the result is diagonal with hypergeometric weights
     C(k,l) C(M-k, n-l) / C(M,n).
     """
-    if n == spin_basis(phi).M:  # whole ensemble, nothing traced out
+    # n = M traces nothing out; split refuses a DensityOp at any n
+    if n == spin_basis(phi).M and isinstance(phi, PureState):
         return DensityOp.from_pure(phi)
     c = split(phi, n)
     return DensityOp(DickeBasis(n, c.shape[0] - 1), c @ c.conj().T)

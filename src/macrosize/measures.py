@@ -46,6 +46,37 @@ _BLOCK = 1 << 18  # entries per row block of a Gaussian sum
 _REACH = 10.0  # in sigma: masses farther from a point add below exp(-50) of their weight
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _SQRT3 = np.sqrt(3.0)
+_NDTR_MINUS_REACH = 7.61985302416047e-24  # _ndtr(-_REACH)
+# cephes' ndtr (scipy.special.ndtr's code): erf's T/U rational, erfc's P/Q and
+# R/S, highest degree first; U, Q and S are monic, their leading 1 left out
+_SQRTH = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
 
 class DegeneratePairError(ContractViolation):
     """Raised when a pair measure's denominator is singular for this input."""
@@ -460,15 +491,77 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(th), r * np.sin(th), z])
 
 
+def _nelder_mead(
+    f: Callable[[np.ndarray], float], x0: np.ndarray, xatol: float, fatol: float, maxiter: int
+) -> tuple[np.ndarray, float, int]:
+    """Minimum of f from x0 by the Nelder-Mead simplex: (x, f(x), evaluations).
+
+    scipy.optimize.minimize(f, x0, method="Nelder-Mead", options={"xatol":
+    xatol, "fatol": fatol, "maxiter": maxiter}) step for step (scipy 1.17's
+    _minimize_neldermead without bounds, adaptive parameters or an
+    evaluation limit): the same start simplex, reflection 1, expansion 2,
+    contraction and shrink 1/2, the same stopping test and the same sorts,
+    so x, f(x) and the evaluation count equal scipy's bit for bit.
+    """
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(v) for v in sim])
+    nfev = n + 1
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            nfev += 1
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+                nfev += n
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim)), nfev
+
+
 def index_q(state: PureState | DensityOp) -> MeasureResult:
     """Largest trace norm of the double commutator [J_n, [J_n, rho]] over n.
 
     Grid-seeded (Fisher eigenvector, axes, Fibonacci sphere) and polished
-    with Nelder-Mead on spherical angles; the objective is direction-even
-    and smooth at the optimum.
+    with Nelder-Mead on spherical angles (`_nelder_mead`); the objective is
+    direction-even and smooth at the optimum.
     """
-    from scipy.optimize import minimize  # deferred: keeps it out of the CLI's import
-
     basis = spin_basis(state)
     rho = DensityOp.from_pure(state) if isinstance(state, PureState) else state
     jx, jy, jz = collective_apply(basis, np.eye(basis.dim))  # dense J, for the trace norm
@@ -502,15 +595,12 @@ def index_q(state: PureState | DensityOp) -> MeasureResult:
     for i in order:
         n = grid[i]
         x0 = np.array([np.arccos(np.clip(n[2], -1.0, 1.0)), np.arctan2(n[1], n[0])])
-        res = minimize(
-            neg_by_angles,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-12 * max(1.0, scores[order[0]]), "maxiter": 600},
+        x, fun, _ = _nelder_mead(
+            neg_by_angles, x0, xatol=1e-7, fatol=1e-12 * max(1.0, scores[order[0]]), maxiter=600
         )
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            th, ph = res.x
+        if -fun > best_val:
+            best_val = -fun
+            th, ph = x
             best_dir = np.array(
                 [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]
             )
@@ -610,12 +700,25 @@ def check_p_g(p_g: float) -> None:
         raise ContractViolation(f"P_g must lie in (1/2, 1), got {p_g}")
 
 
+def _erfinv(y: float) -> float:
+    """x with erf(x) = y, for 0 <= y < 1: Newton's method from 0, on
+    math.erf, or on math.erfc from y = 1/2, where 1 - y is exact. erf is
+    concave there (erfc convex), so the steps rise to the root without
+    passing it."""
+    x = 0.0
+    for _ in range(100):
+        r = math.erf(x) - y if y < 0.5 else (1.0 - y) - math.erfc(x)
+        step = r * (0.5 * math.sqrt(math.pi)) * math.exp(x * x)
+        if x - step == x:
+            break
+        x -= step
+    return x
+
+
 def size_prefactor(p_g: float) -> float:
     """2 sqrt(2) erfinv(2 P_g - 1): rescales the critical width to a size."""
-    from scipy.special import erfinv
-
     check_p_g(p_g)
-    return float(2.0 * np.sqrt(2.0) * erfinv(2.0 * p_g - 1.0))
+    return float(2.0 * np.sqrt(2.0) * _erfinv(2.0 * p_g - 1.0))
 
 
 def _gauss(t: np.ndarray) -> np.ndarray:
@@ -623,6 +726,56 @@ def _gauss(t: np.ndarray) -> np.ndarray:
     np.square(t, out=t)
     t *= -0.5
     return np.exp(t, out=t)
+
+
+def _polevl(v: np.ndarray, coeffs: tuple, monic: bool = False) -> np.ndarray:
+    """Horner's sum of coeffs (highest degree first) at v, in cephes' order;
+    monic: with a leading 1 before coeffs (cephes' p1evl)."""
+    y = v + coeffs[0] if monic else v * coeffs[0] + coeffs[1]
+    for c in coeffs[1 if monic else 2 :]:
+        y *= v
+        y += c
+    return y
+
+
+def _ndtr(t: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of an array: cephes' ndtr, which scipy.special.ndtr is.
+
+    With x = t/sqrt(2): 1/2 + erf(x)/2 below |x| = 1, erf(x) = x T(x^2)/U(x^2);
+    above, erfc(|x|)/2, or 1 - erfc(|x|)/2 for x > 0, with erfc(z) =
+    exp(-z^2) P(z)/Q(z) below z = 8, exp(-z^2) R(z)/S(z) from there, and 0
+    once z^2 > MAXLOG. Between |x| = sqrt(1/2) and 1 cephes takes
+    (1 - erf|x|)/2 instead; by Sterbenz's lemma both round to the same
+    double. Only numpy's exp differs from cephes', so results equal scipy's
+    bit for bit or lie a few ulp from them.
+    """
+    x = np.multiply(t, _SQRTH)
+    v = x * x
+    near = v < 1.0
+    if near.all():
+        c = None
+    else:
+        z = np.minimum(np.abs(x), 27.0)  # erfc is 0 from z = 26.7; keeps P and Q finite
+        tail = z >= 8.0
+        c = np.exp(-v)
+        if tail.any():
+            c *= np.where(tail, _polevl(z, _ERFC_R), _polevl(z, _ERFC_P))
+            c /= np.where(tail, _polevl(z, _ERFC_S, True), _polevl(z, _ERFC_Q, True))
+        else:
+            c *= _polevl(z, _ERFC_P)
+            c /= _polevl(z, _ERFC_Q, True)
+        c *= 0.5
+        c[v > _MAXLOG] = 0.0
+        np.copysign(c, -x, out=c)
+        c += x > 0.0  # 1 - c above the mean, c below
+        if not near.any():
+            return c
+        v = np.minimum(v, 1.0)  # keeps T and U finite where c is taken
+    x *= _polevl(v, _ERF_T)
+    x /= _polevl(v, _ERF_U, True)
+    x *= 0.5
+    x += 0.5
+    return x if c is None else np.where(near, x, c)
 
 
 def _curvature_sup(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -644,10 +797,9 @@ def _curvature_sup(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
 
 def _mass_between(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """ndtr(tb) - ndtr(ta), taken in the lower tail so that it does not cancel."""
-    from scipy.special import ndtr
-
     right = ta > 0.0
-    return ndtr(np.where(right, -ta, tb)) - ndtr(np.where(right, -tb, ta))
+    hi, lo = _ndtr(np.stack((np.where(right, -ta, tb), np.where(right, -tb, ta))))
+    return hi - lo
 
 
 def _kernel_sums(
@@ -755,12 +907,10 @@ def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> tuple[float, tup
     masses do not overlap, the norm is sum_j |w_j| and there are no brackets
     (None), as with no masses.
     """
-    from scipy.special import ndtr
-
     if sigma == 0.0 or len(y) == 0:
         return float(np.abs(w).sum()), None
     brackets = _root_brackets(y, w, sigma)  # brackets[3]: the low ends, the roots
-    F = np.concatenate(([0.0], _kernel_sums(ndtr, w, sigma, (brackets[3], y)), [w.sum()]))
+    F = np.concatenate(([0.0], _kernel_sums(_ndtr, w, sigma, (brackets[3], y)), [w.sum()]))
     return float(np.abs(np.diff(F)).sum()), brackets
 
 
@@ -777,8 +927,6 @@ def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
     could add, to B, to the weight and to f, which _smeared leaves them out
     of.
     """
-    from scipy.special import ndtr
-
     aw = np.abs(w)
     start = np.flatnonzero(np.diff(np.floor((y - y[0]) / (0.125 * sigma)), prepend=-1.0))
     pooled = np.add.reduceat(aw, start)
@@ -790,7 +938,7 @@ def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
     width = b - a
     wrong = width * np.maximum(0.0, curv * width**2 / 8.0 - low)
     mass = _kernel_sums(_mass_between, pooled, sigma, *ends, reach=_REACH * sigma)
-    return np.minimum(wrong, mass + aw.sum() * ndtr(-_REACH))
+    return np.minimum(wrong, mass + aw.sum() * _NDTR_MINUS_REACH)
 
 
 def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float, brackets: tuple | None) -> float:
@@ -808,8 +956,6 @@ def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float, brackets: tuple 
     close root pairs missed inside one grid cell. Rounding in the sums
     themselves is not covered.
     """
-    from scipy.special import ndtr
-
     if brackets is None:  # sigma = 0 or no masses: the norm is exact
         return 0.0
     x, fx, s, lo, hi, _ = brackets
@@ -822,7 +968,8 @@ def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float, brackets: tuple 
     sign = s[np.flatnonzero(s)[0]] * (-1.0) ** np.searchsorted(lo, a, side="right")
     density = 10.0 * ROUNDING_FLOOR * np.abs(fx).max()
     tiny = 1e-15 * np.abs(w).sum()
-    total = float(np.abs(w) @ (ndtr((x[0] - y) / sigma) + ndtr((y - x[-1]) / sigma)))
+    below, above = _ndtr(np.stack(((x[0] - y) / sigma, (y - x[-1]) / sigma)))
+    total = float(np.abs(w) @ (below + above))
     for depth in range(41):
         bound = _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign)
         done = (bound <= np.maximum(density * (b - a), tiny)) | (depth == 40)

@@ -669,7 +669,7 @@ _SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_cli_import_leaves_heavy_scipy_unloaded():
-    # no scipy module at all: each kernel imports the submodule it calls
+    # no scipy module at all: no kernel imports scipy either
     code = (
         f"import sys; import macrosize; package = {_SCIPY_LOADED}; "
         f"import macrosize.cli; print(package, {_SCIPY_LOADED})"
@@ -718,17 +718,26 @@ def test_import_pins_openblas_unless_set(setting):
         ["state", "--name", "displaced-single-photon", "--alpha", "2", "--pair"],
         ["state", "--name", "mixed-cat", "--alpha", "1.3", "--d", "0.3"],
         ["verify-mapping", "--M", "200", "--K", "8", "--alpha", "1.5"],
+        ["measure", "index-q", "COHERENT", "--M", "400"],
+        ["measure", "size-pg", "FOCK_PAIR", "--channel", "photon-count"],
+        ["measure", "size-pg", "FOCK_PAIR", "--channel", "homodyne"],
     ],
     ids=[
         "state-pair", "c-delta", "sweep-n-eff", "absorb-exact", "verify-mapping",
         "state-even-cat", "state-coherent", "state-displaced-pair", "state-mixed-cat",
-        "verify-mapping-alpha",
+        "verify-mapping-alpha", "index-q", "size-pg-photon-count", "size-pg-homodyne",
     ],
 )
 def test_scipy_free_commands_load_no_scipy(argv, tmp_path):
-    files = {"PAIR": tmp_path / "cat_pair.json", "COHERENT": tmp_path / "coherent.json"}
+    files = {
+        "PAIR": tmp_path / "cat_pair.json",
+        "COHERENT": tmp_path / "coherent.json",
+        "FOCK_PAIR": tmp_path / "fock_pair.json",
+    }
     main(["state", "--name", "even-cat", "--alpha", "1.5", "--pair", "--out", str(files["PAIR"])])
     main(["state", "--name", "coherent", "--alpha", "1.5", "--out", str(files["COHERENT"])])
+    main(["state", "--name", "fock-superposition", "--N", "3", "--pair",
+          "--out", str(files["FOCK_PAIR"])])
     argv = [str(files[tok]) if tok in files else tok for tok in argv]
     code = (
         "import sys; from macrosize.cli import main; code = main(%r); "

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize
 from scipy.special import erfinv, ndtr
 
 from macrosize import (
@@ -53,11 +54,16 @@ from macrosize.measures import (
     SIGMA_RTOL,
     SMEAR_L1_ATOL,
     DegeneratePairError,
+    _NDTR_MINUS_REACH,
+    _REACH,
     _channel_masses,
+    _erfinv,
     _first_hit,
     _interval_l1,
     _kernel_sums,
     _l1_error_bound,
+    _ndtr,
+    _nelder_mead,
     _pmf_masses,
     _quad_difference,
     _root_brackets,
@@ -489,6 +495,95 @@ def test_size_prefactor_closed_form():
         size_prefactor(0.5)  # no advantage over guessing
     with pytest.raises(ContractViolation):
         size_prefactor(1.0)
+
+
+def test_ndtr_at_the_reach_is_a_literal():
+    # _wrong_sign_mass adds the weight beyond _REACH at this constant, once per call
+    assert _NDTR_MINUS_REACH == ndtr(-_REACH) == 7.61985302416047e-24
+    assert _ndtr(np.array([-_REACH]))[0] == _NDTR_MINUS_REACH
+
+
+def _ndtr_checked(t):
+    """_ndtr(t) against scipy's, 1e-15 relative, counted from the smallest
+    normal number: below it (t < -37.5) a subnormal's spacing is coarser."""
+    got, want = _ndtr(t), ndtr(t)
+    assert got.shape == want.shape
+    scale = np.maximum(np.abs(want), np.finfo(float).tiny)
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
+    return got, want
+
+
+def test_ndtr_is_cephes_on_its_branches():
+    # |t|/sqrt(2) = sqrt(1/2), 1 and 8 are cephes' branch edges; each is probed
+    # at its double and its neighbours, on both signs
+    edges = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0)])
+    near = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+    t = np.concatenate([near, -near, np.linspace(-38.0, 38.0, 400_000)])
+    got, want = _ndtr_checked(t.reshape(2, -1, 1))
+    inner = np.abs(t) < np.sqrt(2.0)  # the T/U rational: no exp, so scipy's own bits
+    assert np.array_equal(got.ravel()[inner], want.ravel()[inner])
+    ends = _ndtr(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -38.0, 38.0]))
+    assert np.array_equal(ends, [0.5, 0.5, 1.0, 0.0, np.nan, 0.0, 1.0], equal_nan=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-38.0, 38.0), min_size=1, max_size=40))
+def test_ndtr_is_scipys(ts):
+    _ndtr_checked(np.array(ts))
+
+
+def test_erfinv_is_within_an_ulp_of_the_exact_inverse():
+    # scipy's erfinv is itself up to 3 ulp from the exact value on this grid,
+    # so the reference is mpmath's at 120 bits, and scipy's within its own error
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 120
+    y = 2.0 * np.linspace(0.5, 1.0, 2001)[1:-1] - 1.0  # P_g in (1/2, 1)
+    got = np.array([_erfinv(v) for v in y])
+    exact = np.array([float(mpmath.erfinv(mpmath.mpf(v))) for v in y])
+    assert np.all(np.abs(got - exact) <= np.spacing(exact))
+    ref = erfinv(y)
+    assert np.all(np.abs(got - ref) <= np.spacing(exact) + np.abs(ref - exact))
+
+
+def _nelder_mead_matches_scipy(f, x0, **options):
+    x, fun, nfev = _nelder_mead(f, x0, **options)
+    ref = minimize(f, x0, method="Nelder-Mead", options=options)
+    assert np.array_equal(x, ref.x) and fun == ref.fun and nfev == ref.nfev
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    st.floats(0.05, 2.0),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    st.sampled_from([1e-7, 1e-4]),
+    st.integers(1, 600),
+    st.booleans(),
+)
+@example([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, (0.0, 0.0), 1e-7, 600, False)  # x0 on zeros
+def test_nelder_mead_is_scipys_step_for_step(c, quartic, x0, xatol, maxiter, coarse):
+    a = np.array(c[:4]).reshape(2, 2)
+
+    def f(v):
+        val = float(np.sin(v @ a @ v) + c[4] * v[0] + c[5] * v[1] + quartic * (v @ v) ** 2)
+        return round(val, 2) if coarse else val  # coarse: plateaus, so ties in the sorts
+
+    _nelder_mead_matches_scipy(f, np.array(x0), xatol=xatol, fatol=1e-12, maxiter=maxiter)
+
+
+def test_nelder_mead_is_scipys_on_index_q(monkeypatch):
+    calls = []
+
+    def spy(f, x0, **options):
+        calls.append((f, x0.copy(), options))
+        return _nelder_mead(f, x0, **options)
+
+    monkeypatch.setattr(measures, "_nelder_mead", spy)
+    index_q(approx_absorb(make_coherent(2.0), 400))  # the cold-start benchmark's input
+    index_q(approx_absorb(make_mixed_cat(1.3, 0.3), 200))
+    assert len(calls) == 6
+    for f, x0, options in calls:
+        _nelder_mead_matches_scipy(f, x0, **options)
 
 
 def test_size_photon_count_fock_pair():

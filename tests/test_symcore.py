@@ -116,6 +116,10 @@ _WRONG_DOMAIN = {
     "mapping_fidelity-mixed": lambda: mapping_fidelity(make_mixed_cat(1.3, 0.3), 200),
     "split-photonic": lambda: split(make_fock(3), 1),
     "reduced_group_state-photonic": lambda: reduced_group_state(make_fock(3), 1),
+    "split-mixed": lambda: split(approx_absorb(make_mixed_cat(1.3, 0.3), 200), 100),
+    "reduced_group_state-mixed": lambda: reduced_group_state(
+        approx_absorb(make_mixed_cat(1.3, 0.3), 200), 200
+    ),
 }
 
 
