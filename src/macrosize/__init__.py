@@ -95,6 +95,7 @@ from .symcore import (
     RegimeWarning,
     SuperpositionPair,
     TruncationError,
+    check_kind,
     collective_apply,
     default_spin_truncation,
     mode_basis,

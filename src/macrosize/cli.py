@@ -108,16 +108,18 @@ def _load_doc(path: str) -> dict:
 
 
 def _load_states(paths: list[str]):
-    """Returns (single_state, None) or (None, SuperpositionPair)."""
+    """One state file's state, or the SuperpositionPair of a pair file or two state files."""
     docs = [_load_doc(p) for p in paths]
-    if len(docs) == 1 and "pair" in docs[0]:
+    if any("pair" in d for d in docs):
+        if len(docs) > 1:
+            raise ContractViolation("a pair file must be given alone")
         a, b = docs[0]["pair"]
-        return None, SuperpositionPair(state_from_dict(a), state_from_dict(b))
+        return SuperpositionPair(state_from_dict(a), state_from_dict(b))
     states = [state_from_dict(d["state"] if "state" in d else d) for d in docs]
     if len(states) == 1:
-        return states[0], None
+        return states[0]
     if len(states) == 2:
-        return None, SuperpositionPair(states[0], states[1])
+        return SuperpositionPair(states[0], states[1])
     raise ContractViolation("give one state file, one pair file, or two state files")
 
 
@@ -180,43 +182,36 @@ def cmd_measure(args, spin_factor: int) -> int:
     spec, params = _measure_params(args)
     if args.angle is not None and args.channel != "homodyne":
         raise ContractViolation("--angle needs --channel homodyne")
-    single, pair = _load_states(args.files)
+    given = _load_states(args.files)
+    is_pair = isinstance(given, SuperpositionPair)
     if args.M is not None:
         if spec.domain != "spin":
             raise ContractViolation(f"{mid} does not read --M: it measures photonic states")
-        given = single if single is not None else pair
         if isinstance(given.basis, DickeBasis):
             raise ContractViolation(
                 f"--M absorbs photonic input; this input is already on M={given.basis.M} spins"
             )
-        if single is not None:
-            single = approx_absorb(single, args.M)
-        else:
-            pair = absorb_pair(pair, args.M)
-    if spec.pair and pair is None:
+        given = (absorb_pair if is_pair else approx_absorb)(given, args.M)
+    if spec.pair and not is_pair:
         print(f"undefined: {mid} needs a branch pair, got a single state", file=sys.stderr)
         return 3
-    if not spec.pair and single is None:
-        raise ContractViolation(f"{mid} takes a single state, got a pair")
     angle = 0.0 if args.angle is None else args.angle
     params["channel"] = Homodyne(angle) if args.channel == "homodyne" else PhotonCount()
-    result = spec.evaluate(pair if spec.pair else single, **params)
+    result = spec.evaluate(given, **params)
     sys.stdout.write(_json_text({"header": _header(spin_factor), **result.to_dict()}))
     return 0 if result.defined else 3
 
 
 def cmd_absorb(args, spin_factor: int) -> int:
-    single, pair = _load_states([args.file])
-    if pair is not None:
-        raise ContractViolation("absorb takes one single-mode photonic state file, got a pair")
+    given = _load_states([args.file])
     if args.mode == "approx":
         if args.g is not None:
             raise ContractViolation("--g sets the exact dynamics; it needs --mode exact")
-        spin = approx_absorb(single, args.M, args.K)
+        spin = approx_absorb(given, args.M, args.K)
         info = {"mode": "approx", "M": args.M, "K": spin.basis.K}
     else:
         g = ABSORPTION_PHASE if args.g is None else args.g
-        spin, report = exact_absorb(single, args.M, args.K, g)
+        spin, report = exact_absorb(given, args.M, args.K, g)
         info = {
             "mode": "exact",
             "M": args.M,

@@ -129,8 +129,8 @@ def approx_absorb(
 
 def absorb_pair(pair: SuperpositionPair, M: int) -> SuperpositionPair:
     """Absorb both photonic branches into M spins at one shared truncation K."""
-    mean = max(pair.psi0.mean_excitation, pair.psi1.mean_excitation)
-    K = absorption_cutoff(M, mode_basis(pair).cutoff, mean)
+    cutoff = mode_basis(pair, SuperpositionPair).cutoff
+    K = absorption_cutoff(M, cutoff, max(pair.psi0.mean_excitation, pair.psi1.mean_excitation))
     return SuperpositionPair(approx_absorb(pair.psi0, M, K), approx_absorb(pair.psi1, M, K))
 
 
@@ -156,9 +156,7 @@ def exact_absorb(
     population 1 - P(vacuum). The fidelity |<approx| exact(g) |psi x ground>|^2
     does not depend on K: every block E <= cutoff <= K has dimension E + 1.
     """
-    if not isinstance(psi, PureState):
-        raise ContractViolation("exact absorption takes a pure photonic state")
-    cutoff = mode_basis(psi).cutoff
+    cutoff = mode_basis(psi, PureState).cutoff
     if K is None:
         K = min(M, cutoff)
     if K < cutoff:
@@ -210,10 +208,7 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     - sin g J-/sqrt(M), since W^dag a W = a and W^dag J- W = i J-: the same
     singular values, all real.
     """
-    if M < 1:
-        raise ContractViolation(f"need at least one spin, got M={M}")
-    if K < 0 or K > M:
-        raise ContractViolation(f"need 0 <= K <= M, got K={K}")
+    DickeBasis(M, K)  # refuses M < 1 and K outside 0..M
     t = g / np.sqrt(M)
     cp = raising_coefficients(M, K)  # C+(k) = C-(k+1)
     worst = 0.0

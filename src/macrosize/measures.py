@@ -25,6 +25,7 @@ from .symcore import (
     PureState,
     RegimeWarning,
     SuperpositionPair,
+    check_kind,
     collective_apply,
     mode_basis,
     self_adjoint_eig,
@@ -115,6 +116,7 @@ class MeasureResult:
 
 def normalized_sum(pair: SuperpositionPair):
     """(psi0 + psi1)/norm, on the basis of the pair."""
+    check_kind(pair, SuperpositionPair)
     s = pair.psi0.amps + pair.psi1.amps
     # An exactly rounded sum of re^2 + im^2: zero padding and the absorption
     # phases (-i)^k, which swap re and im, leave every bit of the norm alone,
@@ -141,8 +143,9 @@ def mean_and_covariance(state: PureState | DensityOp) -> tuple[np.ndarray, np.nd
     For rho = sum_i p_i |v_i><v_i|, mu_a = sum_i p_i <v_i|J_a v_i> and
     sec_ab = sum_i p_i Re<J_a v_i|J_b v_i> = (1/2)<{J_a, J_b}>, on the band.
     """
+    basis = spin_basis(state)
     v, p = _weighted_columns(state)
-    jv = np.array(collective_apply(spin_basis(state), v))
+    jv = np.array(collective_apply(basis, v))
     mu = np.array([np.vdot(v * p, x).real for x in jv])
     sec = np.array([[np.vdot(xa, xb).real for xb in jv] for xa in jv * p])
     return mu, sec - np.outer(mu, mu)
@@ -178,8 +181,9 @@ def fisher_matrix(state: PureState | DensityOp) -> np.ndarray:
     over the support, where p_i p_j/(p_i + p_j) <= min(p_i, p_j) needs no cutoff.
     G_a's rounding is made Hermitian, so at rank one G_a = mu_a and F = 4 Cov.
     """
+    basis = spin_basis(state)
     v, p = _weighted_columns(state)
-    jv = np.array(collective_apply(spin_basis(state), v))
+    jv = np.array(collective_apply(basis, v))
     sec = np.array([[np.vdot(xa, xb).real for xb in jv] for xa in jv * p])
     h = 0.5 * (v.conj().T @ jv)
     g = h + h.conj().transpose(0, 2, 1)
@@ -209,7 +213,7 @@ def index_p(state: PureState) -> MeasureResult:
 
 def relative_fisher(pair: SuperpositionPair) -> MeasureResult:
     """n_eff of the superposition over the equal-weight branch average."""
-    spin_basis(pair)
+    spin_basis(pair, SuperpositionPair)
     n0 = n_eff(pair.psi0).value
     n1 = n_eff(pair.psi1).value
     ns = n_eff(normalized_sum(pair)).value
@@ -228,7 +232,7 @@ def m_squared(pair: SuperpositionPair) -> MeasureResult:
     denominator vanishes (both branches are J_n eigenstates in every
     direction, which the truncated sector never realizes for M >= 1).
     """
-    spin_basis(pair)
+    spin_basis(pair, SuperpositionPair)
     mu0, c0 = mean_and_covariance(pair.psi0)
     mu1, c1 = mean_and_covariance(pair.psi1)
     gap = mu1 - mu0
@@ -334,7 +338,7 @@ def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureRes
     either branch occupies: every row and column above it is exactly zero, so
     the trim changes no value, and sharing it keeps both branches on one basis.
     """
-    basis = spin_basis(pair)
+    basis = spin_basis(pair, SuperpositionPair)
     check_delta(delta)
     M = basis.M
     top = int(np.flatnonzero((pair.psi0.amps != 0) | (pair.psi1.amps != 0))[-1])
@@ -461,7 +465,7 @@ def d_bar(pair: SuperpositionPair) -> MeasureResult:
     collective-operator products (`layering`); around a Dicke reference
     |M,k0> they are the labels k0 -+ d, so the mean is sum_k |c_k|^2 |k - k0|.
     """
-    basis = spin_basis(pair)
+    basis = spin_basis(pair, SuperpositionPair)
     product = _product_reference_mean(pair.psi0, pair.psi1)
     if product is not None:
         value, off_shell = product
@@ -628,14 +632,14 @@ def wigner_I_photonic(state: PureState | DensityOp) -> MeasureResult:
     mixture also reports its purity. Two modes (pure states only):
     sum_m (<n_m> - |<a_m>|^2) + 1/2.
     """
+    check_kind(state)
     if not isinstance(state.basis, FockBasis):
         raise ContractViolation("wigner_I_photonic needs a Fock-basis state")
     _photonic_tail_check(state)
     c = state.basis.cutoff
     n = np.arange(c + 1, dtype=float)
     if state.basis.modes == 2:
-        if isinstance(state, DensityOp):
-            raise ContractViolation("mixed two-mode states are out of scope for this measure")
+        check_kind(state, PureState)  # mixed two-mode states are out of scope
         # mode by mode: regrouping these sums moves the last bits, which the
         # near-zero table exponent of i-wigner x displaced-single-photon prints
         g = state.amps.reshape(c + 1, c + 1)
@@ -1144,7 +1148,7 @@ def size_pg(
     and lies outside the bound. Branches indistinguishable already at
     sigma = 0 leave the threshold unreachable: the measure is undefined.
     """
-    mode_basis(pair)
+    mode_basis(pair, SuperpositionPair)
     pref = size_prefactor(p_g)
     chan_tag = (
         {"channel": "photon-count"}

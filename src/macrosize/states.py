@@ -18,6 +18,7 @@ from .symcore import (
     SuperpositionPair,
     TruncationError,
     absorption_phases,
+    check_kind,
     default_spin_truncation,
     log_binomials,
     log_factorial,
@@ -315,8 +316,6 @@ def _displaced_single_photon_pair(alpha: complex, cutoff: int | None = None) -> 
 
 
 def _ghz_pair(M: int) -> SuperpositionPair:
-    if M < 1:
-        raise ContractViolation(f"ghz pair needs M >= 1, got {M}")
     return SuperpositionPair(make_dicke(M, 0, K=M), make_dicke(M, M, K=M))
 
 
@@ -359,6 +358,7 @@ def _amps_from_lists(rows) -> np.ndarray:
 
 def state_to_dict(state: PureState | DensityOp) -> dict:
     """JSON-safe document: {"basisTag": ..., "amps": [[re,im],...]} or "matrix"."""
+    check_kind(state)
     doc: dict = {"basisTag": _basis_tag(state.basis)}
     if isinstance(state, DensityOp):
         doc["matrix"] = [_amps_to_lists(row) for row in state.matrix]

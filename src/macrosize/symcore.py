@@ -25,8 +25,8 @@ disentangling check of `mapping`, no module exponentiates a generator: the
 factories build spin-coherent and displaced states in closed form, and the
 dense rotation and displacement are test references.
 
-An input's domain is decided here: `spin_basis` and `mode_basis` return the
-basis of a spin or a single-mode photonic state or pair, or refuse the input.
+An input's kind and domain are decided here: every entry point first calls
+`check_kind`, or `spin_basis` or `mode_basis`, which also return the basis.
 """
 
 from __future__ import annotations
@@ -224,24 +224,31 @@ class SuperpositionPair:
         return self.psi0.basis
 
 
-def _kind(x) -> str:
-    return "pair" if isinstance(x, SuperpositionPair) else "state"
+_KINDS = {PureState: "pure state", DensityOp: "density matrix", SuperpositionPair: "branch pair"}
 
 
-def spin_basis(x) -> DickeBasis:
-    """The DickeBasis of a spin state or pair; any other input is a ContractViolation."""
-    basis = getattr(x, "basis", None)
-    if not isinstance(basis, DickeBasis):
-        raise ContractViolation(f"{_kind(x)} must live in the symmetric spin sector")
-    return basis
+def check_kind(x, *takes: type) -> None:
+    """Raise a ContractViolation unless x is one of `takes` (default: PureState, DensityOp)."""
+    takes = takes or (PureState, DensityOp)
+    if not isinstance(x, takes):
+        wanted, got = " or ".join(map(_KINDS.get, takes)), _KINDS.get(type(x), type(x).__name__)
+        raise ContractViolation(f"input must be a {wanted}, got a {got}")
 
 
-def mode_basis(x) -> FockBasis:
-    """The FockBasis of a one-mode photonic state or pair; other input is a ContractViolation."""
-    basis = getattr(x, "basis", None)
-    if not isinstance(basis, FockBasis) or basis.modes != 1:
-        raise ContractViolation(f"{_kind(x)} must live on a single photon mode")
-    return basis
+def spin_basis(x, *takes: type) -> DickeBasis:
+    """The DickeBasis of x, a spin container of a kind check_kind accepts."""
+    check_kind(x, *takes)
+    if not isinstance(x.basis, DickeBasis):
+        raise ContractViolation(f"{_KINDS[type(x)]} must live in the symmetric spin sector")
+    return x.basis
+
+
+def mode_basis(x, *takes: type) -> FockBasis:
+    """The FockBasis of x, a one-mode photonic container of a kind check_kind accepts."""
+    check_kind(x, *takes)
+    if not isinstance(x.basis, FockBasis) or x.basis.modes != 1:
+        raise ContractViolation(f"{_KINDS[type(x)]} must live on a single photon mode")
+    return x.basis
 
 
 # Stirling-series coefficients and ln sqrt(2 pi) of cephes' lgam (Moshier,

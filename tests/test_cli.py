@@ -123,7 +123,7 @@ def test_measure_absorbs_mixed_photonic_input(tmp_path, capsys):
     run(capsys, "state", "--name", "mixed-cat", "--alpha", "1.5", "--d", "0.5", "--out", str(f))
     code, out, _ = run(capsys, "measure", "n-eff", str(f), "--M", "200")
     assert code == 0
-    rho, _ = _load_states([str(f)])
+    rho = _load_states([str(f)])
     assert load(out)["value"] == _jsonable(n_eff(approx_absorb(rho, 200)).value)
     for mid in ("index-p", "max-variance"):  # a mixture's variance counts the mixing
         code, out, _ = run(capsys, "measure", mid, str(f), "--M", "200")
@@ -216,7 +216,7 @@ def test_pair_file_reads_back_as_written(name, params, tmp_path, capsys):
     assert code == 0
     assert set(json.loads(f.read_text())) == {"header", "pair"}
     mem = branch_pair(name, **{k: complex(v) if k == "alpha" else v for k, v in params.items()})
-    _, back = _load_states([str(f)])
+    back = _load_states([str(f)])
     for got, want in ((back.psi0, mem.psi0), (back.psi1, mem.psi1)):
         assert type(got) is type(want) and got.basis == want.basis
         assert got.amps.tobytes() == want.amps.tobytes()
@@ -239,7 +239,7 @@ def test_state_file_reads_back_bit_identical(name, factory, tmp_path, capsys):
     f = tmp_path / "state.json"
     code, _, _ = run(capsys, "state", "--name", name, "--alpha", "1.5", "--out", str(f))
     assert code == 0
-    back, _ = _load_states([str(f)])
+    back = _load_states([str(f)])
     # --alpha is parsed as a complex amplitude
     assert back.amps.tobytes() == factory(1.5 + 0j).amps.tobytes()
 
@@ -263,8 +263,8 @@ def test_absorb_approx_maps_mixed_input(tmp_path, capsys):
     code, out, _ = run(capsys, "absorb", str(src), "--M", "200", "--out", str(dst))
     assert code == 0
     assert load(out)["trace"] == pytest.approx(1.0, abs=1e-12)
-    rho, _ = _load_states([str(src)])
-    spin, _ = _load_states([str(dst)])
+    rho = _load_states([str(src)])
+    spin = _load_states([str(dst)])
     assert isinstance(spin, DensityOp)
     assert spin.matrix.tobytes() == approx_absorb(rho, 200).matrix.tobytes()
 
@@ -274,7 +274,7 @@ def test_absorb_exact_rejects_mixed_input(tmp_path, capsys):
     run(capsys, "state", "--name", "mixed-cat", "--alpha", "1.5", "--d", "0.5", "--out", str(f))
     code, out, err = run(capsys, "absorb", str(f), "--M", "200", "--mode", "exact")
     assert code == 2 and out == ""
-    assert "exact absorption takes a pure" in err
+    assert "input must be a pure state, got a density matrix" in err
 
 
 def test_absorb_approx_structure(tmp_path, capsys):
@@ -470,6 +470,7 @@ def test_verify_mapping_reports_and_gates(capsys):
         (["verify-mapping", "--M", "200", "--K", "8", "--jmax", "0.2"], "--jmax must be at least 1/2"),
         (["verify-mapping", "--M", "200", "--K", "8", "--jmax", "-3"], "--jmax must be at least 1/2"),
         (["verify-mapping", "--M", "0", "--K", "0"], "at least one spin"),
+        (["verify-mapping", "--M", "10", "--K", "11"], "label cutoff K=11 outside 0..M=10"),
         (["--spin-factor", "3", "table1"], "too small"),
         (["--spin-factor", "3", "sweep", "fock", "n-eff", "--ladder", "2,4,8,16"], "too small"),
         (["state", "--name", "displaced-single-photon", "--alpha", "2", "--cutoff", "3",
@@ -478,7 +479,7 @@ def test_verify_mapping_reports_and_gates(capsys):
          "renormalization correction"),
         (["table1", "--ladder", "8,x,32,64"], "ladder must be comma-separated integers"),
     ],
-    ids=["jmax-below-half", "jmax-negative", "zero-spins", "spin-factor-table1",
+    ids=["jmax-below-half", "jmax-negative", "zero-spins", "cutoff-above-M", "spin-factor-table1",
          "spin-factor-sweep", "pair-cutoff-too-small", "spin-coherent-lossy-K",
          "ladder-not-integers"],
 )
@@ -494,10 +495,14 @@ def test_check_that_cannot_run_exits_2(argv, message, capsys):
     [
         (["measure", "n-eff", "coh.json", "coh.json", "coh.json", "--M", "200"],
          "give one state file, one pair file, or two state files"),
-        (["measure", "n-eff", "cat_pair.json", "--M", "200"], "n-eff takes a single state, got a pair"),
-        (["absorb", "cat_pair.json", "--M", "200"], "absorb takes one single-mode photonic state file"),
+        (["measure", "n-eff", "cat_pair.json", "--M", "200"],
+         "input must be a pure state or density matrix, got a branch pair"),
+        (["absorb", "cat_pair.json", "--M", "200"],
+         "input must be a pure state or density matrix, got a branch pair"),
+        (["measure", "m2", "cat_pair.json", "coh.json", "--M", "200"],
+         "a pair file must be given alone"),
     ],
-    ids=["three-files", "single-measure-on-pair", "absorb-pair"],
+    ids=["three-files", "single-measure-on-pair", "absorb-pair", "pair-file-with-another"],
 )
 def test_file_input_the_command_cannot_take_exits_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -175,6 +175,13 @@ def test_even_cat_pair_rejects_what_the_even_cat_rejects():
             build()
 
 
+def test_ghz_pair_rejects_what_the_ghz_state_rejects():
+    # the Dicke basis refuses M < 1 for the pair's branches as for the state
+    for build in (lambda: make_ghz(0), lambda: branch_pair("ghz", M=0)):
+        with pytest.raises(ContractViolation, match="need at least one spin, got M=0"):
+            build()
+
+
 def test_displace_vacuum_gives_coherent():
     vac = make_fock(0, cutoff=40)
     moved = displace(vac, 1.2)

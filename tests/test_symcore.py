@@ -15,11 +15,20 @@ from macrosize.measures import (
     DEFAULT_P_G,
     MEASURES,
     PhotonCount,
+    fisher_matrix,
     max_variance_collective,
     mean_and_covariance,
     n_eff,
+    normalized_sum,
 )
-from macrosize.states import branch_pair, make_even_cat, make_fock, make_ghz, make_mixed_cat
+from macrosize.states import (
+    branch_pair,
+    make_even_cat,
+    make_fock,
+    make_ghz,
+    make_mixed_cat,
+    state_to_dict,
+)
 from macrosize.symcore import (
     ContractViolation,
     DensityOp,
@@ -28,6 +37,7 @@ from macrosize.symcore import (
     PureState,
     SuperpositionPair,
     TruncationError,
+    check_kind,
     collective_apply,
     default_spin_truncation,
     log_binomials,
@@ -79,17 +89,37 @@ def test_pair_components_are_pure_states_on_one_basis():
 def test_domain_guards_return_the_basis_or_refuse():
     spin, photon = make_ghz(12), make_even_cat(1.5)
     assert spin_basis(spin) is spin.basis
-    assert spin_basis(branch_pair("ghz", M=12)) == spin.basis
+    assert spin_basis(spin, PureState) is spin.basis
+    assert spin_basis(branch_pair("ghz", M=12), SuperpositionPair) == spin.basis
     assert mode_basis(photon) is photon.basis
     assert mode_basis(DensityOp.from_pure(photon)) is photon.basis
+    assert check_kind(branch_pair("even-cat", alpha=1.5), SuperpositionPair) is None
     two_mode = PureState(FockBasis(2, modes=2), np.eye(9)[0])
+    assert check_kind(two_mode) is None
     for guard, x, message in (
-        (spin_basis, photon, "state must live in the symmetric spin sector"),
-        (spin_basis, branch_pair("even-cat", alpha=1.5), "pair must live in the symmetric"),
-        (mode_basis, spin, "state must live on a single photon mode"),
-        (mode_basis, two_mode, "state must live on a single photon mode"),
-        (mode_basis, branch_pair("ghz", M=12), "pair must live on a single photon mode"),
-        (spin_basis, np.eye(3), "state must live in the symmetric spin sector"),
+        (spin_basis, photon, "pure state must live in the symmetric spin sector"),
+        (lambda x: spin_basis(x, SuperpositionPair), branch_pair("even-cat", alpha=1.5),
+         "branch pair must live in the symmetric"),
+        (mode_basis, spin, "pure state must live on a single photon mode"),
+        (mode_basis, DensityOp.from_pure(spin), "density matrix must live on a single photon"),
+        (mode_basis, two_mode, "pure state must live on a single photon mode"),
+        (lambda x: mode_basis(x, SuperpositionPair), branch_pair("ghz", M=12),
+         "branch pair must live on a single photon mode"),
+        # the kind is checked before the domain, and before any attribute is read
+        (spin_basis, branch_pair("ghz", M=12),
+         "input must be a pure state or density matrix, got a branch pair"),
+        (lambda x: spin_basis(x, PureState), DensityOp.from_pure(spin),
+         "input must be a pure state, got a density matrix"),
+        (lambda x: mode_basis(x, SuperpositionPair), photon,
+         "input must be a branch pair, got a pure state"),
+        (lambda x: mode_basis(x, PureState), branch_pair("even-cat", alpha=1.5),
+         "input must be a pure state, got a branch pair"),
+        (check_kind, branch_pair("even-cat", alpha=1.5),
+         "input must be a pure state or density matrix, got a branch pair"),
+        (lambda x: check_kind(x, SuperpositionPair), spin,
+         "input must be a branch pair, got a pure state"),
+        (spin_basis, np.eye(3), "input must be a pure state or density matrix, got a ndarray"),
+        (mode_basis, None, "input must be a pure state or density matrix, got a NoneType"),
     ):
         with pytest.raises(ContractViolation, match=message):
             guard(x)
@@ -102,13 +132,42 @@ def _other_domain(spec):
     return branch_pair("ghz", M=12) if spec.pair else make_ghz(12)
 
 
+def _evaluate(mid):
+    return lambda x: MEASURES[mid].evaluate(
+        x, delta=DEFAULT_DELTA, p_g=DEFAULT_P_G, channel=PhotonCount()
+    )
+
+
+# Every entry point that takes a state or a pair, with the input kinds it reads.
+_SPIN = {"spin", "spin-mixed"}
+_ENTRY_POINTS = {
+    **{mid: (_evaluate(mid), {"spin-pair"} if spec.pair else _SPIN)
+       for mid, spec in MEASURES.items() if spec.domain == "spin"},
+    "i-wigner": (_evaluate("i-wigner"), {"photonic", "photonic-mixed", "two-mode"}),
+    "size-pg": (_evaluate("size-pg"), {"photonic-pair"}),
+    "split": (lambda x: split(x, 6), {"spin"}),
+    "reduced_group_state": (lambda x: reduced_group_state(x, 6), {"spin"}),
+    "approx_absorb": (lambda x: approx_absorb(x, 200), {"photonic", "photonic-mixed"}),
+    "absorb_pair": (lambda x: absorb_pair(x, 200), {"photonic-pair"}),
+    "exact_absorb": (lambda x: exact_absorb(x, 200), {"photonic"}),
+    "mapping_fidelity": (lambda x: mapping_fidelity(x, 200), {"photonic"}),
+    "normalized_sum": (normalized_sum, {"spin-pair", "photonic-pair"}),
+    "mean_and_covariance": (mean_and_covariance, _SPIN),
+    "fisher_matrix": (fisher_matrix, _SPIN),
+    "state_to_dict": (state_to_dict, {"photonic", "photonic-mixed", "two-mode"} | _SPIN),
+}
+_INPUT_KINDS = {
+    "photonic": lambda: make_even_cat(1.5),
+    "photonic-mixed": lambda: make_mixed_cat(1.3, 0.3),
+    "spin": lambda: make_ghz(12),
+    "spin-mixed": lambda: DensityOp(DickeBasis(12, 12), np.diag(np.arange(13.0)) / 78.0),
+    "spin-pair": lambda: branch_pair("ghz", M=12),
+    "photonic-pair": lambda: branch_pair("even-cat", alpha=1.5),
+    "two-mode": lambda: PureState(FockBasis(2, modes=2), np.eye(9)[0]),
+}
 _WRONG_DOMAIN = {
-    **{
-        mid: lambda spec=spec: spec.evaluate(
-            _other_domain(spec), delta=DEFAULT_DELTA, p_g=DEFAULT_P_G, channel=PhotonCount()
-        )
-        for mid, spec in MEASURES.items()
-    },
+    **{mid: lambda mid=mid, spec=spec: _evaluate(mid)(_other_domain(spec))
+       for mid, spec in MEASURES.items()},
     "approx_absorb-spin": lambda: approx_absorb(make_ghz(12), 200),
     "exact_absorb-spin": lambda: exact_absorb(make_ghz(12), 200),
     "absorb_pair-spin": lambda: absorb_pair(branch_pair("ghz", M=12), 200),
@@ -120,15 +179,32 @@ _WRONG_DOMAIN = {
     "reduced_group_state-mixed": lambda: reduced_group_state(
         approx_absorb(make_mixed_cat(1.3, 0.3), 200), 200
     ),
+    # the whole matrix: each entry point given each kind it does not read
+    **{f"{entry}-given-{kind}": lambda call=call, build=build: call(build())
+       for entry, (call, reads) in _ENTRY_POINTS.items()
+       for kind, build in _INPUT_KINDS.items() if kind not in reads},
 }
 
 
 @pytest.mark.parametrize("call", _WRONG_DOMAIN.values(), ids=_WRONG_DOMAIN.keys())
 def test_entry_points_refuse_the_other_domain(call):
-    # every public entry point refuses input it cannot read with a
-    # ContractViolation, never an AttributeError from inside a kernel
+    # every public entry point refuses input it cannot read, of the other
+    # domain or the wrong kind, with a ContractViolation, never an
+    # AttributeError from inside a kernel
     with pytest.raises(ContractViolation):
         call()
+
+
+_RIGHT_KIND = {
+    f"{entry}-given-{kind}": lambda call=call, build=_INPUT_KINDS[kind]: call(build())
+    for entry, (call, reads) in _ENTRY_POINTS.items()
+    for kind in sorted(reads)
+}
+
+
+@pytest.mark.parametrize("call", _RIGHT_KIND.values(), ids=_RIGHT_KIND.keys())
+def test_entry_points_take_the_kinds_they_read(call):
+    call()  # the matrix's other half: each kind an entry point reads gives a result
 
 
 def test_photonic_tail_guard():
