@@ -113,8 +113,10 @@ def _load_states(paths: list[str]):
     if any("pair" in d for d in docs):
         if len(docs) > 1:
             raise ContractViolation("a pair file must be given alone")
-        a, b = docs[0]["pair"]
-        return SuperpositionPair(state_from_dict(a), state_from_dict(b))
+        branches = docs[0]["pair"]
+        if len(branches) != 2:
+            raise ContractViolation(f"a pair file must hold two branches, got {len(branches)}")
+        return SuperpositionPair(*map(state_from_dict, branches))
     states = [state_from_dict(d["state"] if "state" in d else d) for d in docs]
     if len(states) == 1:
         return states[0]

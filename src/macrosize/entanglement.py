@@ -10,6 +10,7 @@ from .symcore import (
     DensityOp,
     DickeBasis,
     PureState,
+    check_kind,
     log_binomials,
     spin_basis,
     trace_norm,
@@ -83,6 +84,8 @@ def reduced_group_state(phi: PureState, n: int) -> DensityOp:
 
 def helstrom_ps(rho0: DensityOp, rho1: DensityOp) -> float:
     """Optimal equal-prior discrimination probability 1/2 + ||rho0 - rho1||_1 / 4."""
+    check_kind(rho0, DensityOp)
+    check_kind(rho1, DensityOp)
     if rho0.basis != rho1.basis:
         raise ContractViolation("states must share a basis to be discriminated")
     ps = 0.5 + 0.25 * trace_norm(rho0.matrix - rho1.matrix)

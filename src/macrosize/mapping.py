@@ -197,8 +197,9 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     U is the exact propagator at interaction phase g, so U^dag a U is the
     Heisenberg-evolved annihilation operator acting on pre-absorption states,
     and cos g a - i sin g J-/sqrt(M) is its large-M image: (-i/sqrt(M)) J- at
-    the full absorption g = pi/2, a itself at g = 0. The deviation is O(K/M)
-    and halves when M doubles at fixed K and g. K = 0 leaves nothing to map: 0.
+    the full absorption g = pi/2, a itself at g = 0. The deviation is
+    O(K^{3/2}/M) and halves when M doubles at fixed K and g. K = 0 leaves
+    nothing to map: 0.
 
     Each block is computed in real arithmetic. With W = diag(i^k),
     R_E = W^dag U_E W is real orthogonal (`_block_rotation`). a and J- map
@@ -207,15 +208,56 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     X' = W^dag X W = R_{E-1}^T diag(sqrt(E - k)) R_E[:E] - cos g diag(sqrt(E - k))
     - sin g J-/sqrt(M), since W^dag a W = a and W^dag J- W = i J-: the same
     singular values, all real.
+
+    A bound on each block rules most of them out. With k the label operator,
+    [H, a] = -J- and [H, J-] = a [J+, J-] = a (2k - M) for H = a J+ + a^dag J-, so
+    A(t) = U^dag a U obeys A'' + M A = U^dag (2 a k) U with A(0) = a and
+    A'(0) = -i J-. By variation of constants, with g = sqrt(M) t,
+
+        X = A(t) - (cos g a - i sin g J-/sqrt(M))
+          = int_0^t sin(sqrt(M) (t - s))/sqrt(M) U(s)^dag (2 a k) U(s) ds.
+
+    U(s) keeps each block, and 2 a k takes |n, k> of block E to
+    2k sqrt(n) |n - 1, k>, n = E - k. So on block E
+
+        ||X_E|| <= b_E = w max_{0 <= k <= E} 2k sqrt(E - k),
+        w = int_0^|g| |sin u| du / M = (2 floor(|g|/pi) + 2 sin^2(r/2)) / M,
+
+    r = |g| mod pi, at every M, K and g. The maximum is near
+    (4/3^{3/2}) E^{3/2} = 0.770 E^{3/2}, at k = 2E/3, and each term, so b_E,
+    grows with E. As g -> 0, U(s) -> 1 and ||X_E|| -> b_E: the bound is
+    sharp. The blocks are therefore solved from E = K down, and the
+    walk stops at the first E whose b_E, widened for rounding, lies below the
+    largest deviation found: no block at or below E can reach it, and the
+    result is the maximum over every block, bit for bit.
+
+    The widening. A computed block deviation rounds mostly through its two
+    rotations. Each is exp(t A_E) for a coupling moved by the SVD's backward
+    error, a few eps ||A_E|| with t ||A_E|| up to about |g| (E + 1), plus a
+    few eps of lost orthogonality and of rounded cos, sin and products.
+    diag(sqrt(E - k)), of norm sqrt(E), multiplies both, so the deviation
+    moves by c eps E^{3/2} (1 + |g|). c reached 4.3 over 160 blocks solved
+    to 40 digits (E <= 24, M up to 1e9, |g| <= 100), and 7.7 as the gap to a second
+    float64 solve by dense eigh (E <= 256); at g = 0, where X = 0, the computed
+    deviation stays below 1.02 eps E^{3/2}. The walk takes c = 64, eight
+    times the largest seen, and widens b_E by 1e-9 relative for the rounding
+    of b_E itself and of eigvalsh's top eigenvalue, a few E eps relative.
     """
     DickeBasis(M, K)  # refuses M < 1 and K outside 0..M
     t = g / np.sqrt(M)
     cp = raising_coefficients(M, K)  # C+(k) = C-(k+1)
+    half_turns, r = divmod(abs(g), np.pi)
+    # 2 sin^2(r/2) is 1 - cos r without its cancellation at small r
+    w = (2 * half_turns + 2 * np.sin(r / 2) ** 2) / M
+    rounding = 64 * np.finfo(float).eps * (1 + abs(g))
     worst = 0.0
-    previous = np.ones((1, 1))  # R_0: the E = 0 block does not evolve
-    for E in range(1, K + 1):
-        rotation = _block_rotation(E, M, t)
+    rotation = _block_rotation(K, M, t) if K else None
+    for E in range(K, 0, -1):
         k = np.arange(E)  # labels of block E - 1, one fewer than block E (E <= K)
+        bound = w * float(np.max(2 * k * np.sqrt(E - k)))  # k = E adds 0
+        if bound * (1 + 1e-9) + rounding * E**1.5 < worst:
+            break
+        previous = _block_rotation(E - 1, M, t) if E > 1 else np.ones((1, 1))  # R_0 = 1
         # <k| a |k> = sqrt(E - k) and <k| J- |k+1> = C+(k) map block E to block E - 1
         X = previous.T @ (np.sqrt(E - k)[:, None] * rotation[:E])
         X[k, k] -= np.cos(g) * np.sqrt(E - k)
@@ -223,7 +265,7 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
         # ||X||_2 from the largest eigenvalue of X X^T, cheaper than an SVD
         top = float(np.linalg.eigvalsh(X @ X.T)[-1])
         worst = max(worst, float(np.sqrt(max(top, 0.0))))
-        previous = rotation
+        rotation = previous
     return worst
 
 

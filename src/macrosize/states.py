@@ -206,9 +206,10 @@ def make_dicke(M: int, k: int, K: int | None = None) -> PureState:
 
 def make_ghz(M: int) -> PureState:
     """(|M,0> + |M,M>)/sqrt(2); needs the untruncated sector K = M."""
+    basis = DickeBasis(M, M)  # refuses M < 1 before M sizes the amplitudes
     amps = np.zeros(M + 1, dtype=np.complex128)
     amps[0] = amps[M] = 1.0 / np.sqrt(2.0)
-    return PureState(DickeBasis(M, M), amps)
+    return PureState(basis, amps)
 
 
 def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> PureState:

@@ -4,10 +4,11 @@ bands and closed forms; these are what the tests compare it against."""
 
 import numpy as np
 
-from macrosize.mapping import _block_offdiag
+from macrosize.mapping import _block_offdiag, _block_rotation
 from macrosize.states import _tail_checked
 from macrosize.symcore import (
     ContractViolation,
+    DickeBasis,
     PureState,
     raising_coefficients,
     self_adjoint_eig,
@@ -118,6 +119,37 @@ def _dense_operator_map(M, K, g=np.pi / 2):
         jm[k, k + 1] = cp[:E]
         X = U[E - 1].conj().T @ a @ U[E] - (np.cos(g) * a - 1j * np.sin(g) / np.sqrt(M) * jm)
         worst = max(worst, float(np.linalg.svd(X, compute_uv=False)[0]))
+    return worst
+
+
+def _operator_map_block_deviations(M, K, g=np.pi / 2):
+    """Each block's deviation as verify_operator_map computes it, with every
+    block E = 1..K solved, in order."""
+    DickeBasis(M, K)  # refuses M < 1 and K outside 0..M
+    t = g / np.sqrt(M)
+    cp = raising_coefficients(M, K)  # C+(k) = C-(k+1)
+    deviations = []
+    previous = np.ones((1, 1))  # R_0: the E = 0 block does not evolve
+    for E in range(1, K + 1):
+        rotation = _block_rotation(E, M, t)
+        k = np.arange(E)  # labels of block E - 1, one fewer than block E (E <= K)
+        # <k| a |k> = sqrt(E - k) and <k| J- |k+1> = C+(k) map block E to block E - 1
+        X = previous.T @ (np.sqrt(E - k)[:, None] * rotation[:E])
+        X[k, k] -= np.cos(g) * np.sqrt(E - k)
+        X[k, k + 1] -= np.sin(g) * cp[:E] / np.sqrt(M)
+        # ||X||_2 from the largest eigenvalue of X X^T, cheaper than an SVD
+        top = float(np.linalg.eigvalsh(X @ X.T)[-1])
+        deviations.append(float(np.sqrt(max(top, 0.0))))
+        previous = rotation
+    return deviations
+
+
+def _all_blocks_operator_map(M, K, g=np.pi / 2):
+    """verify_operator_map with every block solved: the running maximum of
+    `_operator_map_block_deviations`, as its loop kept it."""
+    worst = 0.0
+    for deviation in _operator_map_block_deviations(M, K, g):
+        worst = max(worst, deviation)
     return worst
 
 

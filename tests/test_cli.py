@@ -478,10 +478,11 @@ def test_verify_mapping_reports_and_gates(capsys):
         (["state", "--name", "spin-coherent", "--alpha", "3", "--M", "100", "--K", "2"],
          "renormalization correction"),
         (["table1", "--ladder", "8,x,32,64"], "ladder must be comma-separated integers"),
+        (["state", "--name", "ghz", "--M", "-2"], "need at least one spin, got M=-2"),
     ],
     ids=["jmax-below-half", "jmax-negative", "zero-spins", "cutoff-above-M", "spin-factor-table1",
          "spin-factor-sweep", "pair-cutoff-too-small", "spin-coherent-lossy-K",
-         "ladder-not-integers"],
+         "ladder-not-integers", "ghz-negative-spins"],
 )
 def test_check_that_cannot_run_exits_2(argv, message, capsys):
     code, out, err = run(capsys, *argv)
@@ -501,13 +502,22 @@ def test_check_that_cannot_run_exits_2(argv, message, capsys):
          "input must be a pure state or density matrix, got a branch pair"),
         (["measure", "m2", "cat_pair.json", "coh.json", "--M", "200"],
          "a pair file must be given alone"),
+        (["measure", "m2", "one_branch.json", "--M", "200"],
+         "a pair file must hold two branches, got 1"),
+        (["measure", "m2", "three_branches.json", "--M", "200"],
+         "a pair file must hold two branches, got 3"),
     ],
-    ids=["three-files", "single-measure-on-pair", "absorb-pair", "pair-file-with-another"],
+    ids=["three-files", "single-measure-on-pair", "absorb-pair", "pair-file-with-another",
+         "pair-file-of-one-branch", "pair-file-of-three-branches"],
 )
 def test_file_input_the_command_cannot_take_exits_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     run(capsys, "state", "--name", "coherent", "--alpha", "1", "--out", "coh.json")
     run(capsys, "state", "--name", "even-cat", "--alpha", "1.5", "--pair", "--out", "cat_pair.json")
+    doc = json.loads((tmp_path / "cat_pair.json").read_text())
+    a, b = doc["pair"]
+    for name, branches in (("one_branch.json", [a]), ("three_branches.json", [a, b, a])):
+        (tmp_path / name).write_text(json.dumps({**doc, "pair": branches}))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -25,9 +25,16 @@ from macrosize import (
     verify_disentangling_identity,
     verify_operator_map,
 )
+from macrosize import mapping
 from macrosize.mapping import _block_rotation, _block_svd
 from macrosize.symcore import FockBasis, PureState
-from references import _dense_block_unitary, _dense_operator_map, block_hamiltonian
+from references import (
+    _all_blocks_operator_map,
+    _dense_block_unitary,
+    _dense_operator_map,
+    _operator_map_block_deviations,
+    block_hamiltonian,
+)
 
 
 def test_approx_absorb_embeds_with_phases():
@@ -140,7 +147,7 @@ def test_operator_map_deviation_halves_with_M():
 @pytest.mark.parametrize("g, d200", [(0.7, 0.019305594160579503), (1.2, 0.04789947765648139)])
 def test_operator_map_at_any_phase_falls_with_M(g, d200):
     # The phase-g image cos g a - i sin g J-/sqrt(M) is subtracted, so the
-    # deviation is O(K/M) away from pi/2 too: four times the spins, a quarter.
+    # deviation is O(K^{3/2}/M) away from pi/2 too: four times the spins, a quarter.
     assert verify_operator_map(200, 8, g) == pytest.approx(d200, rel=1e-10)
     assert 3.8 < d200 / verify_operator_map(800, 8, g) < 4.2
 
@@ -163,6 +170,65 @@ def test_operator_map_matches_dense_form_at_any_phase(MK, g):
 def test_operator_map_pinned_at_k128():
     # the value of the complex per-block form the real one replaced
     assert verify_operator_map(3200, 128) == pytest.approx(0.3064260361399757, rel=1e-10)
+
+
+# Phases where a block's bound b_E is 0 or tiny, so the computed deviations
+# are rounding noise, and whole and half turns
+_EDGE_PHASES = (0.0, 1e-300, 1e-12, np.pi, -np.pi, 2 * np.pi, 3 * np.pi / 2)
+_MAP_CASES = (
+    st.integers(0, 60).flatmap(lambda K: st.tuples(st.integers(max(K, 1), 5000), st.just(K))),
+    st.one_of(st.floats(-3 * np.pi, 3 * np.pi), st.sampled_from(_EDGE_PHASES)),
+)
+
+
+def _block_bound(E, M, g):
+    """b_E = int_0^|g| |sin u| du / M * max_k 2k sqrt(E - k), the bound of
+    verify_operator_map's docstring: each half turn of |g| adds 2."""
+    half_turns, r = divmod(abs(g), np.pi)
+    k = np.arange(E + 1)
+    return (2 * half_turns + 1 - np.cos(r)) / M * np.max(2 * k * np.sqrt(E - k))
+
+
+def _with_edge_phases(test):
+    for g in _EDGE_PHASES:
+        test = example((5000, 60), g)(example((60, 60), g)(test))
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(*_MAP_CASES)
+@_with_edge_phases
+def test_operator_map_equals_every_block_solved(MK, g):
+    # the walk stops where the bound rules the lower blocks out: the same
+    # float as solving them all
+    M, K = MK
+    assert verify_operator_map(M, K, g) == _all_blocks_operator_map(M, K, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_MAP_CASES)
+@_with_edge_phases
+def test_each_block_deviation_is_within_its_bound(MK, g):
+    M, K = MK
+    eps = np.finfo(float).eps
+    for E, deviation in enumerate(_operator_map_block_deviations(M, K, g), start=1):
+        # plus the rounding where b_E is 0 or tiny: block 1 (b_1 = 0) and
+        # phases near 0, where the computed deviation is noise of a few eps E^{3/2}
+        noise = 8 * eps * E**1.5 * (1 + abs(g))
+        assert deviation <= _block_bound(E, M, g) * (1 + 1e-12) + noise
+
+
+def test_operator_map_solves_few_blocks_at_k128(monkeypatch):
+    expected = _all_blocks_operator_map(3200, 128)
+    solved = []
+
+    def counted(E, M, t):
+        solved.append(E)
+        return _block_rotation(E, M, t)
+
+    monkeypatch.setattr(mapping, "_block_rotation", counted)
+    assert verify_operator_map(3200, 128) == expected
+    assert len(solved) <= 13  # of the 128 rotations every block needs
 
 
 def _phased(U):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from macrosize.entanglement import reduced_group_state, split
+from macrosize.entanglement import helstrom_ps, reduced_group_state, split
 from macrosize.mapping import absorb_pair, approx_absorb, exact_absorb, mapping_fidelity
 from macrosize.measures import (
     DEFAULT_DELTA,
@@ -155,6 +155,7 @@ _ENTRY_POINTS = {
     "mean_and_covariance": (mean_and_covariance, _SPIN),
     "fisher_matrix": (fisher_matrix, _SPIN),
     "state_to_dict": (state_to_dict, {"photonic", "photonic-mixed", "two-mode"} | _SPIN),
+    "helstrom_ps": (lambda x: helstrom_ps(x, x), {"photonic-mixed", "spin-mixed"}),
 }
 _INPUT_KINDS = {
     "photonic": lambda: make_even_cat(1.5),
@@ -178,6 +179,9 @@ _WRONG_DOMAIN = {
     "split-mixed": lambda: split(approx_absorb(make_mixed_cat(1.3, 0.3), 200), 100),
     "reduced_group_state-mixed": lambda: reduced_group_state(
         approx_absorb(make_mixed_cat(1.3, 0.3), 200), 200
+    ),
+    "helstrom_ps-pure-second": lambda: helstrom_ps(
+        DensityOp.from_pure(make_even_cat(1.5)), make_even_cat(1.5)
     ),
     # the whole matrix: each entry point given each kind it does not read
     **{f"{entry}-given-{kind}": lambda call=call, build=build: call(build())
