@@ -27,6 +27,9 @@ def split(phi: PureState, m_a: int) -> np.ndarray:
     l + j = k sum to one, so they are normalised directly and no ln C(M,k) of
     size ~M enters. Only the anti-diagonals of nonzero labels k are evaluated,
     all in one pass, so the work follows the state's support, not K.
+
+    The coefficients are float64 when phi's amplitudes have zero imaginary
+    part, complex128 otherwise.
     """
     basis = spin_basis(phi, PureState)
     M, K = basis.M, basis.K
@@ -44,8 +47,9 @@ def split(phi: PureState, m_a: int) -> np.ndarray:
     x = log_binomials(m_a, la_max)[l] + log_binomials(m_b, lb_max)[k - l]
     h = np.exp(0.5 * (x - np.repeat(np.maximum.reduceat(x, starts), counts)))
     w = h / np.repeat(np.sqrt(np.add.reduceat(h * h, starts)), counts)
-    coeffs = np.zeros((la_max + 1, lb_max + 1), dtype=np.complex128)
-    coeffs[l, k - l] = phi.amps[k] * w
+    amps = phi.amps if phi.amps.imag.any() else phi.amps.real
+    coeffs = np.zeros((la_max + 1, lb_max + 1), dtype=amps.dtype)
+    coeffs[l, k - l] = amps[k] * w
     return coeffs
 
 
@@ -74,7 +78,8 @@ def reduced_group_state(phi: PureState, n: int) -> DensityOp:
     """State of a group of n spins traced out of the symmetric state phi.
 
     For phi = |M,k> the result is diagonal with hypergeometric weights
-    C(k,l) C(M-k, n-l) / C(M,n).
+    C(k,l) C(M-k, n-l) / C(M,n). A real split stays real: c.conj() is then c
+    itself, and numpy forms c @ c.T as one symmetric rank-k update.
     """
     if n == spin_basis(phi, PureState).M:  # n = M traces nothing out
         return DensityOp.from_pure(phi)

@@ -144,6 +144,12 @@ class MappingReport:
     residual_photon_population: float
 
 
+def _check_phase(g: float) -> None:
+    """The interaction phase g must be finite."""
+    if not np.isfinite(g):
+        raise ContractViolation("g must be finite")
+
+
 def exact_absorb(
     psi: PureState, M: int, K: int | None = None, g: float = ABSORPTION_PHASE
 ) -> tuple[PureState, MappingReport]:
@@ -157,6 +163,7 @@ def exact_absorb(
     does not depend on K: every block E <= cutoff <= K has dimension E + 1.
     """
     cutoff = mode_basis(psi, PureState).cutoff
+    _check_phase(g)
     if K is None:
         K = min(M, cutoff)
     if K < cutoff:
@@ -244,6 +251,7 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     of b_E itself and of eigvalsh's top eigenvalue, a few E eps relative.
     """
     DickeBasis(M, K)  # refuses M < 1 and K outside 0..M
+    _check_phase(g)
     t = g / np.sqrt(M)
     cp = raising_coefficients(M, K)  # C+(k) = C-(k+1)
     half_turns, r = divmod(abs(g), np.pi)

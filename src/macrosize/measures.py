@@ -319,6 +319,23 @@ def _first_hit(ps: Callable[[int], float], M: int, goal: float) -> int | None:
     return hi
 
 
+def _real_gauge(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a0 and a1 times i^(jk), k = 0..len - 1, for the first j in 0..3 that
+    leaves both with zero imaginary part; a0 and a1 as given when no j does.
+
+    A product with 1, i, -1 or -i is exact in floating point, so the test
+    needs no tolerance.
+    """
+    quarter_turns = np.array((1, 1j, -1, -1j))  # i^m, m = 0..3
+    k = np.arange(a0.size)
+    for j in range(4):
+        phase = quarter_turns[j * k % 4]
+        g0, g1 = phase * a0, phase * a1
+        if not (g0.imag.any() or g1.imag.any()):
+            return g0, g1
+    return a0, a1
+
+
 def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureResult:
     """Relative size M/n_min from group-wise branch discrimination.
 
@@ -337,14 +354,22 @@ def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureRes
     The group states are built on the labels 0..top, top being the last label
     either branch occupies: every row and column above it is exactly zero, so
     the trim changes no value, and sharing it keeps both branches on one basis.
+
+    The trimmed branches are taken in the first quarter-turn gauge that makes
+    both real (`_real_gauge`), if one exists. The phase i^(jk) splits across
+    every bipartition as i^(jl) i^(j(k - l)), so each group state becomes
+    P rho P^dagger with P diagonal and unitary, and ||rho0 - rho1||_1 is
+    unchanged; the group states are then real and their algebra runs in
+    float64. Absorbed real photon amplitudes, (-i)^k times a real number,
+    take j = 1.
     """
     basis = spin_basis(pair, SuperpositionPair)
     check_delta(delta)
     M = basis.M
     top = int(np.flatnonzero((pair.psi0.amps != 0) | (pair.psi1.amps != 0))[-1])
     trimmed = DickeBasis(M, top)
-    phi0 = PureState(trimmed, pair.psi0.amps[: top + 1])
-    phi1 = PureState(trimmed, pair.psi1.amps[: top + 1])
+    a0, a1 = _real_gauge(pair.psi0.amps[: top + 1], pair.psi1.amps[: top + 1])
+    phi0, phi1 = PureState(trimmed, a0), PureState(trimmed, a1)
     cache: dict[int, float] = {}
 
     def ps(n: int) -> float:
@@ -1053,14 +1078,18 @@ def _channel_masses(
     raise ContractViolation(f"unknown readout channel {channel!r}")
 
 
-def _scout_sigma(ps: Callable[[float], float], goal: float) -> tuple[float, float]:
+def _scout_sigma(
+    ps: Callable[[float], float], goal: float, masses: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, float]:
     """Largest sigma seen with ps(sigma) >= goal and smallest seen below it.
 
     ps must be nonincreasing with ps(0) >= goal, so the bracket starts as
     (0, inf). P_S - 1/2 of smeared readout falls off like a power of sigma,
     so the probes follow `_first_hit` on n = 1/sigma, along which P_S rises:
     each aims at the crossing of the secant in (log 1/sigma, log(P_S - 1/2))
-    (`_log_crossing`). Expansion starts at sigma = 1 and probes the farther
+    (`_log_crossing`). Expansion starts at the masses' own scale, the
+    |w|-weighted standard deviation of the sigma = 0 masses (y, w), or at
+    sigma = 1 where that lies outside (1e-12, 1e9], and probes the farther
     of a doubling (a halving while probes fail) and the crossing extrapolated
     from the last two probes, going at most 8 times up or 4 times down: the
     homodyne grid's cost grows as 1/sigma. Refinement probes the crossing
@@ -1072,9 +1101,13 @@ def _scout_sigma(ps: Callable[[float], float], goal: float) -> tuple[float, floa
     size_pg's bisection ends, or before probing outside (1e-12, 1e9], the
     widths that search can reach.
     """
+    y, a = masses[0], np.abs(masses[1])
+    mean = a @ y / a.sum()
+    spread = float(np.sqrt(a @ (y - mean) ** 2 / a.sum()))
     passed, failed = 0.0, np.inf
     prev = None
-    sigma, p = 1.0, ps(1.0)
+    sigma = spread if 1e-12 < spread <= 1e9 else 1.0
+    p = ps(sigma)
     while True:
         up = p >= goal
         if up:
@@ -1128,15 +1161,15 @@ def size_pg(
     nonincreasing, so the critical width sigma* is defined by a monotone
     search: bracketed by doubling from 1 and located by bisection to
     SIGMA_RTOL, sigma* being the bracket's low end. The search asks a
-    monotone oracle. `_scout_sigma` first probes P_S along a secant and
-    records the largest sigma seen to pass and the smallest seen to fail;
-    the oracle answers any sigma at or outside those from them and
-    evaluates P_S only strictly between, so sigma* is the bisection's own
-    lattice point while most of its probes cost nothing. Each L1(sigma) is
-    one evaluation of the interval form: the smeared difference's roots are
-    bracketed on a grid of step sigma/4 and refined by Illinois steps, and
-    the norm is summed from its erf antiderivative between them
-    (`_interval_l1`).
+    monotone oracle. `_scout_sigma` first probes P_S along a secant, from
+    the scale of the sigma = 0 masses, and records the largest sigma seen
+    to pass and the smallest seen to fail; the oracle answers any sigma at
+    or outside those from them and evaluates P_S only strictly between, so
+    sigma* is the bisection's own lattice point while most of its probes
+    cost nothing. Each L1(sigma) is one evaluation of the interval form:
+    the smeared difference's roots are bracketed on a grid of step sigma/4
+    and refined by Illinois steps, and the norm is summed from its erf
+    antiderivative between them (`_interval_l1`).
 
     The witness reports `psEvals`, the number of widths whose P_S was
     computed (sigma = 0 and sigma* included), `rootStepsMax`, the most
@@ -1173,7 +1206,7 @@ def size_pg(
                      "reason": "branches indistinguishable"},
             defined=False,
         )
-    passed, failed = _scout_sigma(ps, p_g)
+    passed, failed = _scout_sigma(ps, p_g, cache[0.0][2])
 
     def passes(sigma: float) -> bool:
         return sigma <= passed or sigma < failed and ps(sigma) >= p_g

@@ -341,11 +341,20 @@ def _basis_tag(basis: DickeBasis | FockBasis) -> dict:
     return {"kind": "fock", "cutoff": basis.cutoff, "modes": basis.modes}
 
 
+def _tag_int(tag: dict, key: str, default: int | None = None) -> int:
+    """tag[key] read by _as_int; a missing or non-integer value names its key."""
+    value = tag.get(key, default)
+    try:
+        return _as_int(value)
+    except (TypeError, ValueError):  # ContractViolation is a ValueError
+        raise ContractViolation(f"basis tag {key!r} must be an integer, got {value!r}") from None
+
+
 def _basis_from_tag(tag: dict) -> DickeBasis | FockBasis:
     if tag.get("kind") == "dicke":
-        return DickeBasis(int(tag["M"]), int(tag["K"]))
+        return DickeBasis(_tag_int(tag, "M"), _tag_int(tag, "K"))
     if tag.get("kind") == "fock":
-        return FockBasis(int(tag["cutoff"]), int(tag.get("modes", 1)))
+        return FockBasis(_tag_int(tag, "cutoff"), _tag_int(tag, "modes", 1))
     raise ContractViolation(f"unknown basis tag {tag!r}")
 
 

@@ -167,13 +167,21 @@ class PureState(_Populations):
 
 @dataclass(frozen=True)
 class DensityOp(_Populations):
-    """Density matrix over a DickeBasis or FockBasis, validated at construction."""
+    """Density matrix over a DickeBasis or FockBasis, validated at construction.
+
+    The dtype follows the data: a real matrix (bool, integer or float) is
+    stored as float64, anything else as complex128. Every check runs on the
+    stored matrix, so a real one is checked symmetric, of unit trace and
+    positive semidefinite in real arithmetic, as are the eigensolves and trace
+    norms that later read it.
+    """
 
     basis: DickeBasis | FockBasis
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.asarray(self.matrix)
+        m = m.astype(np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=False)
         object.__setattr__(self, "matrix", m)
         d = self.basis.dim
         if m.shape != (d, d):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,41 @@ def test_file_input_the_command_cannot_take_exits_2(argv, message, tmp_path, mon
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("g", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["verify-mapping", "absorb"])
+def test_non_finite_phase_exits_2_before_any_kernel_runs(command, g, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "state", "--name", "coherent", "--alpha", "1", "--out", "coh.json")
+    argv = {
+        "verify-mapping": ["verify-mapping", "--M", "200", "--K", "8", f"--g={g}"],
+        "absorb": ["absorb", "coh.json", "--M", "200", "--mode", "exact", f"--g={g}"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no kernel warns on its way to the error
+        assert run(capsys, *argv) == (2, "", "error: g must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "name, params, key, value",
+    [
+        ("fock", ["--N", "3", "--cutoff", "16"], "cutoff", 16.7),
+        ("fock", ["--N", "3", "--cutoff", "16"], "modes", 1.5),
+        ("ghz", ["--M", "12"], "M", 12.5),
+        ("ghz", ["--M", "12"], "K", "twelve"),
+        ("ghz", ["--M", "12"], "K", None),
+    ],
+)
+def test_basis_tag_takes_integers_only(name, params, key, value, tmp_path, capsys):
+    f = tmp_path / "state.json"
+    run(capsys, "state", "--name", name, *params, "--out", str(f))
+    doc = json.loads(f.read_text())
+    doc["state"]["basisTag"][key] = value
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "measure", "n-eff", str(f), "--M", "200")
+    assert (code, out) == (2, "")
+    assert f"basis tag {key!r} must be an integer, got {value!r}" in err
 
 
 def test_unknown_measure_exits_2(tmp_path, capsys):

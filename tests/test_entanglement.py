@@ -11,6 +11,8 @@ from scipy.special import comb
 from macrosize import (
     ContractViolation,
     DensityOp,
+    DickeBasis,
+    PureState,
     approx_absorb,
     entanglement_entropy,
     family_state,
@@ -177,6 +179,19 @@ def test_reduced_group_state_is_density():
     m = rho.matrix
     assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
     assert np.min(np.linalg.eigvalsh(m)) >= -1e-12
+
+
+def test_split_of_a_real_state_is_real():
+    # zero imaginary parts give float64 coefficients and group states, which
+    # match the complex path's (taken here under a global phase) to rounding
+    amps = np.cos(np.arange(13.0))
+    real = PureState(DickeBasis(40, 12), amps / np.linalg.norm(amps))
+    turned = PureState(real.basis, np.exp(0.3j) * real.amps)
+    assert split(real, 10).dtype == np.float64
+    assert split(turned, 10).dtype == split(_absorbed_dsp_branch(), 10).dtype == np.complex128
+    rho, rho_turned = reduced_group_state(real, 10), reduced_group_state(turned, 10)
+    assert rho.matrix.dtype == np.float64
+    assert np.abs(rho.matrix - rho_turned.matrix).max() < 1e-15
 
 
 def test_split_rejects_bad_cut():

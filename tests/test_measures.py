@@ -44,7 +44,8 @@ from macrosize import (
     wigner_I_spin,
 )
 from macrosize import measures
-from macrosize.symcore import FockBasis, RegimeWarning
+from macrosize.entanglement import helstrom_ps
+from macrosize.symcore import FockBasis, RegimeWarning, absorption_phases
 from macrosize.mapping import absorb_pair, approx_absorb
 from macrosize.measures import (
     LAYER_TAIL_TOL,
@@ -67,6 +68,7 @@ from macrosize.measures import (
     _pmf_masses,
     _quad_difference,
     _root_brackets,
+    _scout_sigma,
     _sign_grid,
     _smeared,
 )
@@ -216,6 +218,52 @@ def test_c_delta_displaced_single_photon_probe_count():
     r = c_delta(family_state("displaced-single-photon", 64, M=12800).spin_pair)
     assert r.witness["nMin"] == 3188
     assert r.witness["psEvals"] <= 8
+
+
+@st.composite
+def _absorbed_real_pairs(draw):
+    """Two branches on the labels 0..K of M spins, each real amplitudes times
+    the absorption phases (-i)^k."""
+    M = draw(st.integers(2, 12))
+    K = draw(st.integers(1, M))
+    real = st.lists(st.floats(-1.0, 1.0), min_size=K + 1, max_size=K + 1).map(np.array)
+    a0, a1 = (draw(real.filter(lambda a: np.linalg.norm(a) > 0.1)) for _ in range(2))
+    basis, phases = DickeBasis(M, K), absorption_phases(K + 1)
+    return SuperpositionPair(
+        PureState(basis, phases * a0 / np.linalg.norm(a0)),
+        PureState(basis, phases * a1 / np.linalg.norm(a1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_absorbed_real_pairs())
+def test_c_delta_real_gauge_moves_no_result(pair):
+    # a global phase e^{0.3i} leaves no quarter-turn gauge that makes the pair
+    # real, so the turned pair takes the complex path; below n = M (a pure
+    # state, kept complex) the gauged pair's group states are float64
+    turn = np.exp(0.3j)
+    turned = SuperpositionPair(
+        PureState(pair.basis, turn * pair.psi0.amps), PureState(pair.basis, turn * pair.psi1.amps)
+    )
+    seen = []
+
+    def recorded(rho0, rho1):
+        seen.append((rho0.basis.M, rho0.matrix.dtype.name, rho1.matrix.dtype.name))
+        return helstrom_ps(rho0, rho1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "helstrom_ps", recorded)
+        gauged = c_delta(pair)
+        gauged_kinds = {(d0, d1) for n, d0, d1 in seen if n < pair.basis.M}
+        seen.clear()
+        plain = c_delta(turned)
+    assert gauged_kinds == {("float64", "float64")}  # n = 1 is always probed
+    assert {(d0, d1) for _, d0, d1 in seen} == {("complex128", "complex128")}
+    assert gauged.defined == plain.defined
+    assert gauged.witness.get("nMin") == plain.witness.get("nMin")
+    assert gauged.witness["psEvals"] == plain.witness["psEvals"]
+    key = "pS" if gauged.defined else "pSFull"
+    assert gauged.witness[key] == pytest.approx(plain.witness[key], rel=1e-12)
 
 
 def _doubling_bisection(ps, M, goal):
@@ -826,8 +874,28 @@ def test_size_scout_halves_the_evaluations_on_the_table(monkeypatch):
             calls.clear()
             w = size_pg(bundle.photonic_pair, 2 / 3, bundle.channel).witness
             assert w["psEvals"] == len(calls) and w["sigmaStar"] in calls, (family, N)
-            assert w["psEvals"] <= 14, (family, N)  # doubling and bisection made 18-24
+            # doubling and bisection made 18-24, a scout from sigma = 1 10-14
+            assert w["psEvals"] <= 11, (family, N)
             assert 1 <= w["rootStepsMax"] <= 40, (family, N)
+
+
+def test_size_scout_starts_at_the_masses_scale():
+    # the |w|-weighted standard deviation of the masses, else sigma = 1
+    probes = []
+
+    def ps(sigma):
+        probes.append(sigma)
+        return 0.5 + 0.5 / (1.0 + sigma)
+
+    for y, w, first in (
+        ([0.0, 4.0], [0.3, -0.3], 2.0),
+        ([-1.0, 0.0, 1.0], [0.25, -0.5, 0.25], np.sqrt(0.5)),
+        ([3.0, 3.0], [0.5, -0.5], 1.0),  # zero spread
+        ([0.0, 4e9], [0.5, -0.5], 1.0),  # past sigma = 1e9
+    ):
+        probes.clear()
+        _scout_sigma(ps, 0.6, (np.array(y), np.array(w)))
+        assert probes[0] == first, (y, w)
 
 
 def _bisected_l1(y, w, sigma):

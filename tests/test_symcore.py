@@ -264,24 +264,44 @@ def test_density_op_guards():
         DensityOp(b, m)  # not Hermitian
 
 
+def test_density_op_keeps_a_real_matrix_real():
+    b = DickeBasis(4, 2)
+    assert DensityOp(b, np.diag([0.5, 0.25, 0.25])).matrix.dtype == np.float64
+    assert DensityOp(b, np.diag([1, 0, 0])).matrix.dtype == np.float64
+    assert DensityOp(b, np.diag([0.5, 0.25, 0.25 + 0j])).matrix.dtype == np.complex128
+    with pytest.raises(ContractViolation, match="eigenvalue below -1e-8"):
+        DensityOp(b, np.diag([0.75, 0.5, -0.25]))
+    m = np.diag([0.5, 0.25, 0.25])
+    m[0, 1] = 0.1
+    with pytest.raises(ContractViolation, match="not Hermitian"):
+        DensityOp(b, m)
+    with pytest.raises(ContractViolation, match="trace"):
+        DensityOp(b, np.diag([0.5, 0.5, 0.5]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.integers(2, 80),
     seed=st.integers(0, 2**32 - 1),
     gap=st.floats(1e-10, 3e-8),
     below=st.booleans(),
+    real=st.booleans(),
 )
-@example(dim=2, seed=0, gap=1e-10, below=False)
-@example(dim=40, seed=1, gap=1e-10, below=True)
-def test_density_op_psd_check_matches_spectrum(dim, seed, gap, below):
-    # a random unit-trace Hermitian matrix whose smallest eigenvalue sits
-    # `gap` below or above the -1e-8 threshold
+@example(dim=2, seed=0, gap=1e-10, below=False, real=False)
+@example(dim=40, seed=1, gap=1e-10, below=True, real=False)
+@example(dim=40, seed=1, gap=1e-10, below=True, real=True)
+def test_density_op_psd_check_matches_spectrum(dim, seed, gap, below, real):
+    # a random unit-trace Hermitian (or real symmetric, checked in real
+    # arithmetic) matrix whose smallest eigenvalue sits `gap` below or above
+    # the -1e-8 threshold
     rng = np.random.default_rng(seed)
     lowest = -1e-8 - gap if below else -1e-8 + gap
     w = rng.random(dim - 1)
     spectrum = np.concatenate(([lowest], lowest + (1 - dim * lowest) * w / w.sum()))
-    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    z = rng.normal(size=(dim, dim)) + (0.0 if real else 1j * rng.normal(size=(dim, dim)))
+    q, _ = np.linalg.qr(z)
     m = (q * spectrum) @ q.conj().T
+    assert m.dtype == (np.float64 if real else np.complex128)
     # the reference: DensityOp's earlier check by the full spectrum
     accepts = float(np.linalg.eigvalsh(m).min()) >= -1e-8
     assert accepts == (not below)
