@@ -21,7 +21,6 @@ from .entanglement import (
     entanglement_entropy,
     helstrom_ps,
     negativity,
-    reduced_group_state,
     schmidt_values,
     split,
 )

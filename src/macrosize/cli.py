@@ -110,10 +110,15 @@ def _load_doc(path: str) -> dict:
 def _load_states(paths: list[str]):
     """One state file's state, or the SuperpositionPair of a pair file or two state files."""
     docs = [_load_doc(p) for p in paths]
+    for path, d in zip(paths, docs):
+        if not isinstance(d, dict):
+            raise ContractViolation(f"{path}: a state or pair file must hold an object")
     if any("pair" in d for d in docs):
         if len(docs) > 1:
             raise ContractViolation("a pair file must be given alone")
         branches = docs[0]["pair"]
+        if not (isinstance(branches, list) and all(isinstance(b, dict) for b in branches)):
+            raise ContractViolation("'pair' must be a list of two state documents")
         if len(branches) != 2:
             raise ContractViolation(f"a pair file must hold two branches, got {len(branches)}")
         return SuperpositionPair(*map(state_from_dict, branches))

@@ -166,6 +166,7 @@ def exact_absorb(
     _check_phase(g)
     if K is None:
         K = min(M, cutoff)
+    basis = DickeBasis(M, K)  # refuses M < 1 and K outside 0..M before any block is solved
     if K < cutoff:
         raise ContractViolation(f"spin truncation K={K} cannot absorb photon cutoff {cutoff}")
     t = g / np.sqrt(M)
@@ -185,7 +186,7 @@ def exact_absorb(
             f"no photon-vacuum component to project on: P(vacuum) = {pop:.3g}, "
             f"below {VACUUM_POPULATION_FLOOR:g}"
         )
-    spin = PureState(DickeBasis(M, K), v / np.sqrt(pop))
+    spin = PureState(basis, v / np.sqrt(pop))
     residual = 1.0 - pop
     target = approx_absorb(psi, M, K=K)
     fidelity = (1.0 - residual) * abs(np.vdot(target.amps, spin.amps)) ** 2

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .entanglement import helstrom_ps, reduced_group_state
+from .entanglement import helstrom_ps
 from .symcore import (
     ContractViolation,
     DensityOp,
@@ -349,7 +349,8 @@ def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureRes
     and falls back to doubling and bisection where the secant fails. Any
     nondecreasing P_S gives the n_min of plain doubling and bisection. When
     even the full ensemble stays below threshold the measure is undefined.
-    The witness's `psEvals` counts the group sizes whose P_S was computed.
+    The witness's `psEvals` counts the group sizes whose P_S was computed,
+    each one `helstrom_ps` call: one split of both branches.
 
     The group states are built on the labels 0..top, top being the last label
     either branch occupies: every row and column above it is exactly zero, so
@@ -369,12 +370,12 @@ def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureRes
     top = int(np.flatnonzero((pair.psi0.amps != 0) | (pair.psi1.amps != 0))[-1])
     trimmed = DickeBasis(M, top)
     a0, a1 = _real_gauge(pair.psi0.amps[: top + 1], pair.psi1.amps[: top + 1])
-    phi0, phi1 = PureState(trimmed, a0), PureState(trimmed, a1)
+    gauged = SuperpositionPair(PureState(trimmed, a0), PureState(trimmed, a1))
     cache: dict[int, float] = {}
 
     def ps(n: int) -> float:
         if n not in cache:
-            cache[n] = helstrom_ps(reduced_group_state(phi0, n), reduced_group_state(phi1, n))
+            cache[n] = helstrom_ps(gauged, n)
         return cache[n]
 
     n_min = _first_hit(ps, M, 1.0 - delta - PS_TIE_TOL)

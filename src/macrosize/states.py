@@ -351,6 +351,8 @@ def _tag_int(tag: dict, key: str, default: int | None = None) -> int:
 
 
 def _basis_from_tag(tag: dict) -> DickeBasis | FockBasis:
+    if not isinstance(tag, dict):
+        raise ContractViolation(f"'basisTag' must be an object with a 'kind', got {tag!r:.40}")
     if tag.get("kind") == "dicke":
         return DickeBasis(_tag_int(tag, "M"), _tag_int(tag, "K"))
     if tag.get("kind") == "fock":
@@ -362,8 +364,15 @@ def _amps_to_lists(amps: np.ndarray) -> list:
     return [[float(a.real), float(a.imag)] for a in amps]
 
 
-def _amps_from_lists(rows) -> np.ndarray:
-    return np.array([complex(r[0], r[1]) for r in rows], dtype=np.complex128)
+def _amps_from_lists(rows, key: str) -> np.ndarray:
+    """[[re, im], ...] as complex128; rows of any other shape name their key."""
+    rule = ContractViolation(f"{key!r} must be a list of [re, im] number pairs")
+    if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 2 for r in rows):
+        raise rule
+    try:
+        return np.array([complex(r[0], r[1]) for r in rows], dtype=np.complex128)
+    except TypeError:  # complex() refuses strings, null and containers
+        raise rule from None
 
 
 def state_to_dict(state: PureState | DensityOp) -> dict:
@@ -378,7 +387,19 @@ def state_to_dict(state: PureState | DensityOp) -> dict:
 
 
 def state_from_dict(doc: dict) -> PureState | DensityOp:
-    basis = _basis_from_tag(doc["basisTag"])
+    """The state of a state_to_dict document. A document of another shape
+    raises ContractViolation naming the key and its rule."""
+    if not isinstance(doc, dict):
+        raise ContractViolation(f"a state document must be an object, got {doc!r:.40}")
+    basis = _basis_from_tag(doc.get("basisTag"))
     if "matrix" in doc:
-        return DensityOp(basis, np.array([_amps_from_lists(row) for row in doc["matrix"]]))
-    return PureState(basis, _amps_from_lists(doc["amps"]))
+        rows = doc["matrix"]
+        if not isinstance(rows, list):
+            raise ContractViolation(f"'matrix' must be a list of rows, got {rows!r:.40}")
+        rows = [_amps_from_lists(row, "matrix") for row in rows]
+        if len({row.size for row in rows}) > 1:
+            raise ContractViolation("'matrix' rows must all have one length")
+        return DensityOp(basis, np.array(rows))
+    if "amps" not in doc:
+        raise ContractViolation("a state document needs 'amps' or 'matrix'")
+    return PureState(basis, _amps_from_lists(doc["amps"], "amps"))

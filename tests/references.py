@@ -4,10 +4,12 @@ bands and closed forms; these are what the tests compare it against."""
 
 import numpy as np
 
+from macrosize.entanglement import split
 from macrosize.mapping import _block_offdiag, _block_rotation
 from macrosize.states import _tail_checked
 from macrosize.symcore import (
     ContractViolation,
+    DensityOp,
     DickeBasis,
     PureState,
     raising_coefficients,
@@ -160,3 +162,23 @@ def _dense_negativity(c):
     rho = np.outer(vec, vec.conj()).reshape(da, db, da, db)
     rho_tb = rho.transpose(0, 3, 2, 1).reshape(da * db, da * db)
     return (trace_norm(rho_tb) - 1.0) / 2.0
+
+
+def _two_density_op_ps(pair, n):
+    """helstrom_ps(pair, n) as two validated group states: each branch split
+    on its own support, c c^dagger built as a DensityOp (the branch itself,
+    by np.outer, at n = M), and P_S from the difference of the matrices."""
+
+    def group_state(phi):
+        if n == phi.basis.M:  # n = M traces nothing out
+            return DensityOp.from_pure(phi)
+        c = split(phi, n)
+        return DensityOp(DickeBasis(n, c.shape[0] - 1), c @ c.conj().T)
+
+    rho0, rho1 = group_state(pair.psi0), group_state(pair.psi1)
+    if rho0.basis != rho1.basis:
+        raise ContractViolation("states must share a basis to be discriminated")
+    ps = 0.5 + 0.25 * trace_norm(rho0.matrix - rho1.matrix)
+    if ps > 1.0 + 1e-9:
+        raise ContractViolation(f"P_S = {ps} above 1; inputs are not states")
+    return float(min(ps, 1.0))

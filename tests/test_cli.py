@@ -560,6 +560,74 @@ def test_basis_tag_takes_integers_only(name, params, key, value, tmp_path, capsy
     assert f"basis tag {key!r} must be an integer, got {value!r}" in err
 
 
+def test_exact_absorb_refuses_k_above_m_before_any_block(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "state", "--name", "coherent", "--alpha", "1", "--out", "coh.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no block is solved on a basis that cannot exist
+        code, out, err = run(capsys, "absorb", "coh.json", "--M", "5", "--K", "40", "--mode", "exact")
+    assert (code, out, err) == (2, "", "error: label cutoff K=40 outside 0..M=5\n")
+
+
+_TAG_RULE = "'basisTag' must be an object with a 'kind'"
+_AMPS_RULE = "'amps' must be a list of [re, im] number pairs"
+_FILE_RULE = "a state or pair file must hold an object"
+_PAIR_RULE = "'pair' must be a list of two state documents"
+_SOURCES = {
+    "state": ["--name", "even-cat", "--alpha", "1.5"],
+    "mixed": ["--name", "mixed-cat", "--alpha", "1.5", "--d", "0.5"],
+    "pair": ["--name", "even-cat", "--alpha", "1.5", "--pair"],
+}
+
+
+def _set(doc, keys, value):
+    """doc with doc[keys[0]][keys[1]]... set to value, or deleted for ...;
+    keys () replaces the whole document."""
+    if not keys:
+        return value
+    *path, last = keys
+    inner = doc
+    for key in path:
+        inner = inner[key]
+    if value is ...:
+        del inner[last]
+    else:
+        inner[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "source, keys, value, message",
+    [
+        ("state", ("state", "basisTag"), None, _TAG_RULE),
+        ("state", ("state", "basisTag"), "fock", _TAG_RULE),
+        ("state", ("state", "basisTag"), ..., _TAG_RULE),
+        ("state", ("state", "amps"), None, _AMPS_RULE),
+        ("state", ("state", "amps", 0), [0.5], _AMPS_RULE),
+        ("state", ("state", "amps", 0), "0.5", _AMPS_RULE),
+        ("state", ("state", "amps", 0), 0.5, _AMPS_RULE),
+        ("state", (), [1, 2], _FILE_RULE),
+        ("state", (), 3, _FILE_RULE),
+        ("pair", ("pair",), None, _PAIR_RULE),
+        ("pair", ("pair",), "two", _PAIR_RULE),
+        ("pair", ("pair", 1), 7, _PAIR_RULE),
+        ("mixed", ("state", "matrix"), None, "'matrix' must be a list of rows"),
+        ("mixed", ("state", "matrix", 1, 0), ..., "'matrix' rows must all have one length"),
+    ],
+    ids=["tag-null", "tag-string", "tag-missing", "amps-null", "row-of-one", "row-string",
+         "row-number", "top-level-list", "top-level-number", "pair-null", "pair-string",
+         "pair-entry-number", "matrix-null", "matrix-ragged"],
+)
+def test_malformed_document_exits_2_naming_the_key(source, keys, value, message, tmp_path,
+                                                    capsys):
+    f = tmp_path / "doc.json"
+    run(capsys, "state", *_SOURCES[source], "--out", str(f))
+    f.write_text(json.dumps(_set(json.loads(f.read_text()), keys, value)))
+    code, out, err = run(capsys, "measure", "n-eff", str(f), "--M", "200")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_unknown_measure_exits_2(tmp_path, capsys):
     f = tmp_path / "ghz.json"
     run(capsys, "state", "--name", "ghz", "--M", "10", "--out", str(f))

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import comb
 
 from macrosize import (
@@ -13,21 +15,20 @@ from macrosize import (
     DensityOp,
     DickeBasis,
     PureState,
+    SuperpositionPair,
     approx_absorb,
+    branch_pair,
     entanglement_entropy,
     family_state,
     helstrom_ps,
     make_dicke,
-    make_fock,
     make_fock_superposition,
     make_spin_coherent,
     negativity,
-    reduced_group_state,
     schmidt_values,
     split,
-    trace_norm,
 )
-from references import _dense_negativity
+from references import _dense_negativity, _two_density_op_ps
 
 
 def test_split_shapes_and_norm():
@@ -150,35 +151,88 @@ def test_entropy_bounded_by_rank():
 
 
 def test_helstrom_limits():
-    r0 = DensityOp.from_pure(make_fock(0, cutoff=6))
-    r1 = DensityOp.from_pure(make_fock(1, cutoff=6))
-    assert helstrom_ps(r0, r1) == pytest.approx(1.0, abs=1e-12)
-    assert helstrom_ps(r0, r0) == pytest.approx(0.5, abs=1e-12)
+    # the GHZ branches |M,0> and |M,M> are orthogonal on every group; identical
+    # branches cannot be told apart at all
+    ghz = branch_pair("ghz", M=12)
+    assert helstrom_ps(ghz, 12) == 1.0
+    same = SuperpositionPair(ghz.psi0, ghz.psi0)
+    assert helstrom_ps(same, 12) == helstrom_ps(same, 5) == 0.5
+
+
+def _random_pair(rng, M, K, real):
+    def branch():
+        v = rng.normal(size=K + 1) + (0 if real else 1j * rng.normal(size=K + 1))
+        return PureState(DickeBasis(M, K), v / np.linalg.norm(v))
+
+    return SuperpositionPair(branch(), branch())
 
 
 def test_helstrom_closed_form_two_dim():
+    # at n = M the group states are the branches themselves: two pure states
+    # span two dimensions, where ||rho0 - rho1||_1 = 2 sqrt(1 - |<psi0|psi1>|^2)
     rng = np.random.default_rng(5)
     for _ in range(5):
-        v0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v1 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v0 /= np.linalg.norm(v0)
-        v1 /= np.linalg.norm(v1)
-        basis = make_fock(0, cutoff=6).basis
-        m0 = np.zeros((7, 7), dtype=complex)
-        m1 = np.zeros((7, 7), dtype=complex)
-        m0[:2, :2] = np.outer(v0, v0.conj())
-        m1[:2, :2] = np.outer(v1, v1.conj())
-        r0, r1 = DensityOp(basis, m0), DensityOp(basis, m1)
-        want = 0.5 + 0.25 * trace_norm(m0 - m1)
-        assert helstrom_ps(r0, r1) == pytest.approx(want, abs=1e-10)
+        pair = _random_pair(rng, 6, 6, real=False)
+        want = 0.5 + 0.5 * np.sqrt(1.0 - abs(pair.overlap) ** 2)
+        assert helstrom_ps(pair, 6) == pytest.approx(want, abs=1e-10)
 
 
 def test_reduced_group_state_is_density():
-    rho = reduced_group_state(make_dicke(8, 2), 3)
-    assert isinstance(rho, DensityOp)
-    m = rho.matrix
-    assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
-    assert np.min(np.linalg.eigvalsh(m)) >= -1e-12
+    # helstrom_ps reads the group states c c^dagger unvalidated; DensityOp's
+    # checks accept them
+    for c in (*split(branch_pair("ghz", M=8), 3), split(make_dicke(8, 2), 3)):
+        rho = DensityOp(DickeBasis(3, c.shape[0] - 1), c @ c.conj().T)
+        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+        assert np.min(np.linalg.eigvalsh(rho.matrix)) >= -1e-12
+
+
+@st.composite
+def _pairs(draw):
+    """Two branches on the labels 0..K of M <= 12 spins: both real or both
+    complex, each zero off a drawn support."""
+    M = draw(st.integers(1, 12))
+    K = draw(st.integers(0, M))
+    real = draw(st.booleans())
+    part = st.floats(-1.0, 1.0)
+    entry = part if real else st.tuples(part, part).map(lambda t: complex(*t))
+    vec = st.lists(entry, min_size=K + 1, max_size=K + 1).map(np.array)
+    a0, a1 = (draw(vec.filter(lambda a: np.linalg.norm(a) > 0.1)) for _ in range(2))
+    basis = DickeBasis(M, K)
+    return SuperpositionPair(
+        PureState(basis, a0 / np.linalg.norm(a0)), PureState(basis, a1 / np.linalg.norm(a1))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs())
+def test_helstrom_ps_equals_two_density_ops(pair):
+    # the one split of both branches over the union of their support gives
+    # each branch's coefficients bit for bit. At n = M the group state is the
+    # product of one column, where the reference takes np.outer and keeps a
+    # real branch complex: the eigensolves differ by rounding, up to 4 ulp
+    # (4.4e-16) over 3000 random pairs
+    M = pair.basis.M
+    for n in range(1, M):
+        assert helstrom_ps(pair, n) == _two_density_op_ps(pair, n)
+    assert abs(helstrom_ps(pair, M) - _two_density_op_ps(pair, M)) <= 1e-15
+
+
+@pytest.mark.parametrize("m_a", [1, 7, 20, 39])
+def test_split_of_a_pair_stacks_the_single_splits(m_a):
+    # the branches occupy different labels: the union is split once and each
+    # branch keeps its own coefficients, zero off its own anti-diagonals
+    pair = SuperpositionPair(make_dicke(40, 3, K=12), make_spin_coherent(0.4, 40, K=12))
+    got = split(pair, m_a)
+    assert got.shape == (2, *split(pair.psi0, m_a).shape)
+    assert np.array_equal(got[0], split(pair.psi0, m_a))
+    assert np.array_equal(got[1], split(pair.psi1, m_a))
+
+
+def test_split_at_M_is_the_state_as_a_column():
+    phi = make_spin_coherent(0.3 + 0.2j, 10, K=8)
+    assert np.array_equal(split(phi, 10), phi.amps[:, None])
+    pair = branch_pair("ghz", M=10)
+    assert np.array_equal(split(pair, 10), np.stack((pair.psi0.amps, pair.psi1.amps))[..., None].real)
 
 
 def test_split_of_a_real_state_is_real():
@@ -189,13 +243,14 @@ def test_split_of_a_real_state_is_real():
     turned = PureState(real.basis, np.exp(0.3j) * real.amps)
     assert split(real, 10).dtype == np.float64
     assert split(turned, 10).dtype == split(_absorbed_dsp_branch(), 10).dtype == np.complex128
-    rho, rho_turned = reduced_group_state(real, 10), reduced_group_state(turned, 10)
-    assert rho.matrix.dtype == np.float64
-    assert np.abs(rho.matrix - rho_turned.matrix).max() < 1e-15
+    c, c_turned = split(real, 10), split(turned, 10)
+    rho, rho_turned = c @ c.T, c_turned @ c_turned.conj().T
+    assert rho.dtype == np.float64
+    assert np.abs(rho - rho_turned).max() < 1e-15
 
 
 def test_split_rejects_bad_cut():
     with pytest.raises(ContractViolation):
         split(make_dicke(8, 2), 0)
     with pytest.raises(ContractViolation):
-        split(make_dicke(8, 2), 8)
+        split(make_dicke(8, 2), 9)

@@ -43,8 +43,8 @@ from macrosize import (
     wigner_I_photonic,
     wigner_I_spin,
 )
-from macrosize import measures
-from macrosize.entanglement import helstrom_ps
+from macrosize import entanglement, measures
+from macrosize.entanglement import split
 from macrosize.symcore import FockBasis, RegimeWarning, absorption_phases
 from macrosize.mapping import absorb_pair, approx_absorb
 from macrosize.measures import (
@@ -158,15 +158,8 @@ def test_c_delta_bracket_property():
     pair = SuperpositionPair(make_spin_coherent(1.0, 400), make_spin_coherent(-1.0, 400))
     r = c_delta(pair)
     n_min = r.witness["nMin"]
-    from macrosize import helstrom_ps, reduced_group_state
-
-    def ps(n):
-        return helstrom_ps(
-            reduced_group_state(pair.psi0, n), reduced_group_state(pair.psi1, n)
-        )
-
-    assert ps(n_min) >= 0.75 - 1e-9
-    assert ps(n_min - 1) < 0.75
+    assert entanglement.helstrom_ps(pair, n_min) >= 0.75 - 1e-9
+    assert entanglement.helstrom_ps(pair, n_min - 1) < 0.75
 
 
 def _zero_padded(pair, K):
@@ -239,31 +232,54 @@ def _absorbed_real_pairs(draw):
 @given(_absorbed_real_pairs())
 def test_c_delta_real_gauge_moves_no_result(pair):
     # a global phase e^{0.3i} leaves no quarter-turn gauge that makes the pair
-    # real, so the turned pair takes the complex path; below n = M (a pure
-    # state, kept complex) the gauged pair's group states are float64
+    # real, so the turned pair takes the complex path; every split of the
+    # gauged pair, n = M included, is float64
     turn = np.exp(0.3j)
     turned = SuperpositionPair(
         PureState(pair.basis, turn * pair.psi0.amps), PureState(pair.basis, turn * pair.psi1.amps)
     )
     seen = []
 
-    def recorded(rho0, rho1):
-        seen.append((rho0.basis.M, rho0.matrix.dtype.name, rho1.matrix.dtype.name))
-        return helstrom_ps(rho0, rho1)
+    def recorded(x, n):
+        c = split(x, n)
+        seen.append(c.dtype.name)
+        return c
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "helstrom_ps", recorded)
+        mp.setattr(entanglement, "split", recorded)
         gauged = c_delta(pair)
-        gauged_kinds = {(d0, d1) for n, d0, d1 in seen if n < pair.basis.M}
+        gauged_kinds = set(seen)
         seen.clear()
         plain = c_delta(turned)
-    assert gauged_kinds == {("float64", "float64")}  # n = 1 is always probed
-    assert {(d0, d1) for _, d0, d1 in seen} == {("complex128", "complex128")}
+    assert gauged_kinds == {"float64"}  # n = 1 is always probed
+    assert set(seen) == {"complex128"}
     assert gauged.defined == plain.defined
     assert gauged.witness.get("nMin") == plain.witness.get("nMin")
     assert gauged.witness["psEvals"] == plain.witness["psEvals"]
     key = "pS" if gauged.defined else "pSFull"
     assert gauged.witness[key] == pytest.approx(plain.witness[key], rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["displaced-single-photon", "fock-superposition", "even-cat"])
+def test_c_delta_splits_once_per_evaluation_and_builds_no_density_op(family):
+    # each P_S(n) is one split of both branches; the group states c c^dagger
+    # are never validated as DensityOps
+    pair = family_state(family, 8, M=1600).spin_pair
+    splits, built = [], []
+
+    def counted_split(x, n):
+        splits.append(n)
+        return split(x, n)
+
+    def counted_post_init(self):
+        built.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entanglement, "split", counted_split)
+        mp.setattr(DensityOp, "__post_init__", counted_post_init)
+        r = c_delta(pair)
+    assert built == []
+    assert len(splits) == len(set(splits)) == r.witness["psEvals"]
 
 
 def _doubling_bisection(ps, M, goal):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from macrosize.entanglement import helstrom_ps, reduced_group_state, split
+from macrosize.entanglement import helstrom_ps, split
 from macrosize.mapping import absorb_pair, approx_absorb, exact_absorb, mapping_fidelity
 from macrosize.measures import (
     DEFAULT_DELTA,
@@ -145,8 +145,7 @@ _ENTRY_POINTS = {
        for mid, spec in MEASURES.items() if spec.domain == "spin"},
     "i-wigner": (_evaluate("i-wigner"), {"photonic", "photonic-mixed", "two-mode"}),
     "size-pg": (_evaluate("size-pg"), {"photonic-pair"}),
-    "split": (lambda x: split(x, 6), {"spin"}),
-    "reduced_group_state": (lambda x: reduced_group_state(x, 6), {"spin"}),
+    "split": (lambda x: split(x, 6), {"spin", "spin-pair"}),
     "approx_absorb": (lambda x: approx_absorb(x, 200), {"photonic", "photonic-mixed"}),
     "absorb_pair": (lambda x: absorb_pair(x, 200), {"photonic-pair"}),
     "exact_absorb": (lambda x: exact_absorb(x, 200), {"photonic"}),
@@ -155,7 +154,7 @@ _ENTRY_POINTS = {
     "mean_and_covariance": (mean_and_covariance, _SPIN),
     "fisher_matrix": (fisher_matrix, _SPIN),
     "state_to_dict": (state_to_dict, {"photonic", "photonic-mixed", "two-mode"} | _SPIN),
-    "helstrom_ps": (lambda x: helstrom_ps(x, x), {"photonic-mixed", "spin-mixed"}),
+    "helstrom_ps": (lambda x: helstrom_ps(x, 6), {"spin-pair"}),
 }
 _INPUT_KINDS = {
     "photonic": lambda: make_even_cat(1.5),
@@ -175,14 +174,8 @@ _WRONG_DOMAIN = {
     "exact_absorb-mixed": lambda: exact_absorb(make_mixed_cat(1.3, 0.3), 200),
     "mapping_fidelity-mixed": lambda: mapping_fidelity(make_mixed_cat(1.3, 0.3), 200),
     "split-photonic": lambda: split(make_fock(3), 1),
-    "reduced_group_state-photonic": lambda: reduced_group_state(make_fock(3), 1),
     "split-mixed": lambda: split(approx_absorb(make_mixed_cat(1.3, 0.3), 200), 100),
-    "reduced_group_state-mixed": lambda: reduced_group_state(
-        approx_absorb(make_mixed_cat(1.3, 0.3), 200), 200
-    ),
-    "helstrom_ps-pure-second": lambda: helstrom_ps(
-        DensityOp.from_pure(make_even_cat(1.5)), make_even_cat(1.5)
-    ),
+    "helstrom_ps-photonic-pair": lambda: helstrom_ps(branch_pair("even-cat", alpha=1.5), 1),
     # the whole matrix: each entry point given each kind it does not read
     **{f"{entry}-given-{kind}": lambda call=call, build=build: call(build())
        for entry, (call, reads) in _ENTRY_POINTS.items()
