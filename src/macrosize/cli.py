@@ -425,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.spin_factor is not None and not reads_factor:
             raise ContractViolation("--spin-factor is read only by table1 and sweep along --ladder")
         return args.func(args, SPIN_FACTOR if args.spin_factor is None else args.spin_factor)
-    except (ContractViolation, TruncationError, OSError, KeyError, ValueError) as exc:
+    except (ContractViolation, TruncationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

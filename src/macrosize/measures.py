@@ -18,6 +18,7 @@ import numpy as np
 
 from .entanglement import helstrom_ps
 from .symcore import (
+    TAIL_TOL,
     ContractViolation,
     DensityOp,
     DickeBasis,
@@ -40,7 +41,7 @@ SMEAR_L1_ATOL = 1e-8
 PS_TIE_TOL = 1e-12
 LAYER_TAIL_TOL = 1e-12
 PRODUCT_REFERENCE_TOL = 1e-10  # d-bar's bound on a product reference's <D>
-ROUNDING_FLOOR = 1e-13  # smeared values below this fraction of the largest carry no sign
+ROUNDING_FLOOR = 1e-13  # values and masses below this fraction of the largest carry no sign
 ROOT_WIDTH = 2.0**-24  # root brackets end this narrow, in grid steps sigma/4: L1 errs by its square
 SIGMA_RTOL = 1e-4  # size-pg bisects the critical width to this relative bracket
 _BLOCK = 1 << 18  # entries per row block of a Gaussian sum
@@ -871,36 +872,25 @@ def _sign_grid(y: np.ndarray, sigma: float) -> np.ndarray:
     return y[0] - 8.0 * sigma + step * np.arange(int(np.ceil((y[-1] - y[0]) / step)) + 65)
 
 
-def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float):
-    """Sign changes of f on the sign grid, each narrowed to a bracket at most
-    ROOT_WIDTH sigma/4 wide.
+def _illinois(
+    y: np.ndarray, w: np.ndarray, sigma: float, lo, hi, f_lo, f_hi, s_lo, floor: float | None = None
+) -> int:
+    """Narrows each bracket (lo, hi) of f, in place, to at most ROOT_WIDTH
+    sigma/4, and returns the number of steps taken.
 
-    Returns the grid x, f on it, its signs s, the brackets (lo, hi) with
-    sign s_lo kept at lo and a sign other than s_lo at hi, and the number of
-    refinement steps. Grid values below ROUNDING_FLOOR times the largest
-    carry no sign: one bracket spans each run of them between opposite
-    signs, none between equal ones, so crossings at rounding level neither
-    add roots nor drop the one such a run stands for (the even cat's root at
-    x = 0 lies in one).
-
-    Each step evaluates f once per open bracket, all in one call, at the
-    Illinois point: the regula falsi crossing of the chord between the ends,
-    with the value kept at an end halved whenever the other end moves twice
-    in a row. The point is moved a quarter of the closing width toward the
-    farther end, so that a crossing already that close lands past the root
-    and closes the bracket. A step whose point is not strictly inside its
-    bracket, or that follows a step which failed to halve it, halves the
-    bracket instead. A bracket closes at the width or when it cannot be
-    split in floating point.
+    f_lo and f_hi hold f at the ends; sign s_lo is kept at lo, a sign other
+    than s_lo at hi. Each step evaluates f once per open bracket, all in one
+    call, at the Illinois point: the regula falsi crossing of the chord
+    between the ends, with the value kept at an end halved whenever the
+    other end moves twice in a row. The point is moved a quarter of the
+    closing width toward the farther end, so that a crossing already that
+    close lands past the root and closes the bracket. A step whose point is
+    not strictly inside its bracket, or that follows a step which failed to
+    halve it, halves the bracket instead. A bracket closes at the width or
+    when it cannot be split in floating point. Given a `floor`, a point
+    where |f| is at most floor shuts its bracket at once, to lo = hi = the
+    point.
     """
-    x = _sign_grid(y, sigma)
-    fx = _smeared(y, w, sigma, x)
-    s = np.sign(fx)
-    s[np.abs(fx) < ROUNDING_FLOOR * np.abs(fx).max()] = 0.0
-    nz = np.flatnonzero(s)
-    flip = np.flatnonzero(s[nz[1:]] != s[nz[:-1]])
-    lo, hi, s_lo = x[nz[flip]], x[nz[flip + 1]], s[nz[flip]]
-    f_lo, f_hi = fx[nz[flip]], fx[nz[flip + 1]]
     moved = np.zeros(len(lo))  # +1: the last step moved lo, -1: it moved hi
     halve = np.zeros(len(lo), dtype=bool)
     width = ROOT_WIDTH * 0.25 * sigma
@@ -909,7 +899,7 @@ def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float):
         mid = 0.5 * (lo + hi)
         k = np.flatnonzero((hi - lo > width) & (lo < mid) & (mid < hi))
         if k.size == 0:
-            return x, fx, s, lo, hi, steps
+            return steps
         a, b, fa, fb = lo[k], hi[k], f_lo[k], f_hi[k]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = a - fa * (b - a) / (fb - fa)
@@ -921,26 +911,157 @@ def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float):
         f_hi[k] = np.where(right, np.where(moved[k] > 0, 0.5 * fb, fb), ft)
         f_lo[k] = np.where(right, ft, np.where(moved[k] < 0, 0.5 * fa, fa))
         lo[k], hi[k] = np.where(right, t, a), np.where(right, b, t)
+        if floor is not None:
+            shut = np.abs(ft) <= floor
+            lo[k[shut]] = hi[k[shut]] = t[shut]
         halve[k] = ~halve[k] & (hi[k] - lo[k] > 0.5 * (b - a))
         moved[k] = np.where(right, 1.0, -1.0)
         steps += 1
 
 
-def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> tuple[float, tuple | None]:
+def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float):
+    """Sign changes of f on the sign grid, each narrowed to a bracket at most
+    ROOT_WIDTH sigma/4 wide by `_illinois`.
+
+    Returns the grid x, f on it, its signs s, the brackets (lo, hi) with
+    sign s_lo kept at lo and a sign other than s_lo at hi, and the number of
+    refinement steps. Grid values below ROUNDING_FLOOR times the largest
+    carry no sign: one bracket spans each run of them between opposite
+    signs, none between equal ones, so crossings at rounding level neither
+    add roots nor drop the one such a run stands for (the even cat's root at
+    x = 0 lies in one).
+    """
+    x = _sign_grid(y, sigma)
+    fx = _smeared(y, w, sigma, x)
+    s = np.sign(fx)
+    s[np.abs(fx) < ROUNDING_FLOOR * np.abs(fx).max()] = 0.0
+    nz = np.flatnonzero(s)
+    flip = np.flatnonzero(s[nz[1:]] != s[nz[:-1]])
+    lo, hi, s_lo = x[nz[flip]], x[nz[flip + 1]], s[nz[flip]]
+    steps = _illinois(y, w, sigma, lo, hi, fx[nz[flip]], fx[nz[flip + 1]], s_lo)
+    return x, fx, s, lo, hi, steps
+
+
+def _mass_split(w: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Which masses are large, at least ROUNDING_FLOOR of the largest |w_j|;
+    the total |w| of the others; and the indices i, among the large masses
+    in order, whose sign differs from that of mass i + 1. Their number is
+    S-(w) of the large masses."""
+    aw = np.abs(w)
+    large = aw >= ROUNDING_FLOOR * aw.max()
+    sign = np.sign(w[large])
+    return large, float(aw[~large].sum()), np.flatnonzero(sign[1:] != sign[:-1])
+
+
+@dataclass(frozen=True)
+class _OneRoot:
+    """A root set of f that variation diminishing certifies (`_one_root`):
+    the roots the norm is summed between (none or one), the closed-form
+    bound on what the sum misses, and the Illinois steps taken."""
+
+    roots: np.ndarray
+    bound: float
+    steps: int
+
+
+_ONE_ROOT_SPAN = 6  # first probes spread evenly over the large masses' range, ends included
+_ONE_ROOT_ENDS = np.array([2.0, 4.0, 8.0])  # and these, in sigma, outside it
+
+
+def _one_root(y: np.ndarray, w: np.ndarray, sigma: float) -> _OneRoot | None:
+    """f's roots and the bound on the interval-form norm, found without a
+    sign grid when the large masses change sign at most once; None when
+    they change sign more often, or when no end or probe below decides.
+
+    Split f = f_L + f_S into the large masses' sum and the small ones' (see
+    `_mass_split`), with eps the small ones' total |w|. A Gaussian is a
+    Polya frequency function, so f_L has at most S-(w_L) roots (Schoenberg
+    1951; Karlin, Total Positivity, 1968).
+
+    Where _smeared gives f~(x), it sums the masses within _REACH sigma of x,
+    so |f~(x) - f_L(x)| <= tau = (eps + far)/(sqrt(2 pi) sigma), with
+    far = exp(-_REACH^2/2) sum_j |w_j| for the masses it leaves out. Where
+    |f~| > tau, f~ has f_L's sign. Rounding in the sums is not covered.
+
+    The interval form summed at a point r~ is |F(r~)| + |F(inf) - F(r~)|.
+    For any sign s, int |f| falls short of it by at most twice the mass of
+    f of sign -s left of r~ and of sign s right of it. Where f has a sign
+    other than f_L's, |f| <= |f_S|, and int |f_S| <= eps. So with s the sign
+    of f_L far left, the norm misses at most 2 (eps + W), W the mass of f_L
+    between its root r and r~ (W = 0 with no root).
+
+    - S- = 0: f_L has no root, no point is probed and the norm is
+      |sum_j w_j|, within 2 eps.
+    - S- = 1: f_L has exactly one root r; it changes sign from s to -s.
+      With p the last large mass of sign s, pick any m in [y_p, y_{p+1}]
+      (of the large masses). Then k(x) = f_L(x) exp((x - m)^2/(2 sigma^2))
+      = sum_j w_j exp((y_j - m)(2x - y_j - m)/(2 sigma^2))/(sqrt(2 pi) sigma)
+      is monotone: the terms of sign s shrink in x, those of sign -s grow.
+      The first probes are _ONE_ROOT_SPAN points across the large masses'
+      range and _ONE_ROOT_ENDS sigma outside it. Those where |f~| > tau
+      have sign s below r and -s above it, so the last of sign s and the
+      first of sign -s bracket r. `_illinois` narrows it, a probe with
+      |f~| <= tau shutting it.
+      - Narrowed to (lo, hi) on decided signs, r lies in it and r~ = lo. As
+        |f_L'| <= sum |w_L| exp(-1/2)/(sqrt(2 pi) sigma^2),
+        W <= (hi - lo)^2/2 sum |w_L| exp(-1/2)/(sqrt(2 pi) sigma^2).
+      - Shut at a probe t in [y_p, y_{p+1}]: take m = t. |k| is at most
+        |k(t)| = |f_L(t)| <= 2 tau between r and t, so
+        W <= 2 tau int_0^inf exp(-u^2/(2 sigma^2)) du = eps + far. This
+        holds wherever r lies, so a run where f~ is 0, because no mass is
+        within _REACH sigma, ends the search at its first probe.
+      - Shut at a probe outside [y_p, y_{p+1}], or with no bracket found:
+        None, and the sign grid decides.
+    """
+    large, eps, change = _mass_split(w)
+    if len(change) > 1:
+        return None
+    if len(change) == 0:
+        return _OneRoot(np.empty(0), 2.0 * eps, 0)
+    far = float(np.abs(w).sum()) * math.exp(-0.5 * _REACH**2)
+    tau = (eps + far) * _INV_SQRT_2PI / sigma
+    yl, s = y[large], np.sign(w[large][0])
+    outside = _ONE_ROOT_ENDS * sigma
+    span = np.linspace(yl[0], yl[-1], _ONE_ROOT_SPAN)
+    x = np.concatenate((yl[0] - outside[::-1], span, yl[-1] + outside))
+    fx = _smeared(y, w, sigma, x)
+    below, above = np.flatnonzero(s * fx > tau), np.flatnonzero(s * fx < -tau)
+    if below.size == 0 or above.size == 0 or below[-1] > above[0]:
+        return None
+    i, j = below[-1], above[0]
+    lo, hi = x[i : i + 1], x[j : j + 1]
+    steps = _illinois(y, w, sigma, lo, hi, fx[i : i + 1], fx[j : j + 1], np.array([s]), tau)
+    if lo[0] == hi[0]:
+        p = change[0]
+        if not yl[p] <= lo[0] <= yl[p + 1]:
+            return None
+        wrong = eps + far
+    else:
+        slope = np.abs(w[large]).sum() * math.exp(-0.5) * _INV_SQRT_2PI / sigma**2
+        wrong = 0.5 * (hi[0] - lo[0]) ** 2 * slope
+    return _OneRoot(lo, 2.0 * (eps + float(wrong)), steps)
+
+
+def _interval_l1(
+    y: np.ndarray, w: np.ndarray, sigma: float
+) -> tuple[float, tuple | _OneRoot | None]:
     """L1 norm of f(x) = sum_j w_j phi_sigma(x - y_j), masses w_j at sorted
-    y_j, and the `_root_brackets` it was summed between.
+    y_j, and the roots it was summed between: a `_OneRoot` where
+    variation diminishing certifies them, else the `_root_brackets` of the
+    sign grid.
 
     Between consecutive roots r_i f keeps one sign, so the norm is
     sum_i |F(r_{i+1}) - F(r_i)| with the antiderivative
     F(x) = sum_j w_j ndtr((x - y_j)/sigma), F(-inf) = 0, F(+inf) = sum_j w_j.
-    Each root is the low end of its refined bracket. At sigma = 0 the
-    masses do not overlap, the norm is sum_j |w_j| and there are no brackets
+    Each grid root is the low end of its refined bracket. At sigma = 0 the
+    masses do not overlap, the norm is sum_j |w_j| and there are no roots
     (None), as with no masses.
     """
     if sigma == 0.0 or len(y) == 0:
         return float(np.abs(w).sum()), None
-    brackets = _root_brackets(y, w, sigma)  # brackets[3]: the low ends, the roots
-    F = np.concatenate(([0.0], _kernel_sums(_ndtr, w, sigma, (brackets[3], y)), [w.sum()]))
+    brackets = _one_root(y, w, sigma) or _root_brackets(y, w, sigma)
+    roots = brackets.roots if isinstance(brackets, _OneRoot) else brackets[3]
+    F = np.concatenate(([0.0], _kernel_sums(_ndtr, w, sigma, (roots, y)), [w.sum()]))
     return float(np.abs(np.diff(F)).sum()), brackets
 
 
@@ -971,13 +1092,17 @@ def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
     return np.minimum(wrong, mass + aw.sum() * _NDTR_MINUS_REACH)
 
 
-def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float, brackets: tuple | None) -> float:
+def _l1_error_bound(
+    y: np.ndarray, w: np.ndarray, sigma: float, brackets: tuple | _OneRoot | None
+) -> float:
     """Bound on how far _interval_l1(y, w, sigma) falls below the true norm;
-    `brackets` is the `_root_brackets` result that norm was summed between.
+    `brackets` is the roots that norm was summed between, as it returned them.
 
-    Split at the roots it places, the interval form loses twice the mass of
-    f whose sign is opposite to its interval's. This is twice a bound on
-    that mass: the Gaussians' weight beyond the sign grid, plus
+    Certified roots carry their closed-form bound (`_one_root`); no cell is
+    visited. Split at the roots the sign grid places, the interval form
+    loses twice the mass of f whose sign is opposite to its interval's. For
+    those this is twice a bound on that mass: the Gaussians' weight beyond
+    the sign grid, plus
     _wrong_sign_mass over the grid's cells, split at each root bracket. A
     cell whose bound exceeds both 10 ROUNDING_FLOOR max|f| per unit length
     and 1e-15 sum_j |w_j| is halved, up to 40 times and while no more than
@@ -988,6 +1113,8 @@ def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float, brackets: tuple 
     """
     if brackets is None:  # sigma = 0 or no masses: the norm is exact
         return 0.0
+    if isinstance(brackets, _OneRoot):
+        return brackets.bound
     x, fx, s, lo, hi, _ = brackets
     pts = np.concatenate((x, lo, hi))
     order = np.argsort(pts, kind="stable")
@@ -1045,11 +1172,32 @@ def _quad_difference(a0: np.ndarray, a1: np.ndarray, theta: float, h: float) -> 
     The grid reaches sqrt(2K + 1) + 10 on each side, past the classical
     turning point of the highest Fock level, and depends on the step h only,
     so one difference serves every smearing width probed at that step.
+
+    Each branch's density must hold the branch's own norm ||psi||^2. By
+    Poisson summation, h sum_k rho(x_k) differs from it by the density's
+    spectrum at multiples of 2 pi/h >= 16 pi sqrt(2K + 1), eight times past
+    the band 2 sqrt(2K + 1) that Fock levels up to K fill, and by the mass
+    beyond the grid's ends, 10 past the highest turning point; both lie far
+    below rounding. So a branch whose sum misses its norm by more than
+    TAIL_TOL of it, the weight a truncated state may already leave
+    out, has lost mass in the recurrence itself (exp(-x^2/2) underflows
+    past |x| = 38.6, where a branch near 38.6 lives on subnormals). That is
+    a ContractViolation naming the branch and its mass, never a value.
     """
     K = len(a0) - 1
     n = int(np.ceil((np.sqrt(2.0 * K + 1.0) + 10.0) / h))
     x = h * np.arange(-n, n + 1)
-    return _quad_density(a0, theta, x) - _quad_density(a1, theta, x)
+    rho = []
+    for branch, amps in enumerate((a0, a1)):
+        rho.append(_quad_density(amps, theta, x))
+        norm = float(np.vdot(amps, amps).real)
+        mass = h * float(rho[-1].sum())
+        if abs(mass - norm) > TAIL_TOL * norm:
+            raise ContractViolation(
+                f"homodyne density of branch {branch} holds {mass:.12g} of its norm {norm:.12g}, "
+                f"{abs(mass - norm):.2e} off, past TAIL_TOL: the Hermite recurrence lost mass"
+            )
+    return rho[0] - rho[1]
 
 
 def _channel_masses(
@@ -1167,20 +1315,28 @@ def size_pg(
     to pass and the smallest seen to fail; the oracle answers any sigma at
     or outside those from them and evaluates P_S only strictly between, so
     sigma* is the bisection's own lattice point while most of its probes
-    cost nothing. Each L1(sigma) is one evaluation of the interval form:
-    the smeared difference's roots are bracketed on a grid of step sigma/4
-    and refined by Illinois steps, and the norm is summed from its erf
-    antiderivative between them (`_interval_l1`).
+    cost nothing. Each L1(sigma) is one evaluation of the interval form,
+    summed from its erf antiderivative between the smeared difference's
+    roots (`_interval_l1`). Where the masses above the rounding floor
+    change sign at most once, variation diminishing certifies the one root
+    (or none), which Illinois steps locate from just outside the masses
+    (`_one_root`); elsewhere the roots are bracketed on a grid of step
+    sigma/4 and refined by the same steps.
 
     The witness reports `psEvals`, the number of widths whose P_S was
     computed (sigma = 0 and sigma* included), `rootStepsMax`, the most
-    root-refinement steps any of them took, and `l1ErrorBound`, a bound on
-    what the evaluation at sigma* misses (`_l1_error_bound`); it should stay
+    root-refinement steps any of them took, `signChanges`, the sign changes
+    of the counted masses at sigma*, `rootsCertified`, whether the norm at
+    sigma* was summed at certified roots, and `l1ErrorBound`, a bound on
+    what the evaluation at sigma* misses (`_l1_error_bound`): a closed form
+    for certified roots, refined cell by cell on the grid; it should stay
     within SMEAR_L1_ATOL. For homodyne readout the bound is on the
     trapezoid-rule density, whose own error falls off spectrally in the grid
     step; the sigma = 0 value `pSRaw` is a plain Riemann sum of that density
-    and lies outside the bound. Branches indistinguishable already at
-    sigma = 0 leave the threshold unreachable: the measure is undefined.
+    and lies outside the bound. A branch density that does not hold its
+    norm is a ContractViolation (`_quad_difference`). Branches
+    indistinguishable already at sigma = 0 leave the threshold unreachable:
+    the measure is undefined.
     """
     mode_basis(pair, SuperpositionPair)
     pref = size_prefactor(p_g)
@@ -1226,12 +1382,17 @@ def size_pg(
     ps(lo)  # evaluated, and counted, also where the scout answered for sigma*
     _, brackets, masses = cache[lo]
     bound = _l1_error_bound(*masses, lo, brackets)
-    root_steps = max((b[-1] for _, b, _ in cache.values() if b is not None), default=0)
+    root_steps = max(
+        (b.steps if isinstance(b, _OneRoot) else b[-1] for _, b, _ in cache.values() if b is not None),
+        default=0,
+    )
     return MeasureResult(
         "size-pg",
         pref * lo,
         witness={**chan_tag, "pG": p_g, "sigmaStar": lo, "prefactor": pref, "pSRaw": ps0,
-                 "l1ErrorBound": bound, "psEvals": len(cache), "rootStepsMax": root_steps},
+                 "l1ErrorBound": bound, "psEvals": len(cache), "rootStepsMax": root_steps,
+                 "signChanges": len(_mass_split(masses[1])[2]),
+                 "rootsCertified": not isinstance(brackets, tuple)},
     )
 
 

@@ -10,6 +10,7 @@ import numbers
 import numpy as np
 
 from .symcore import (
+    TAIL_TOL,
     ContractViolation,
     DensityOp,
     DickeBasis,
@@ -23,8 +24,6 @@ from .symcore import (
     log_binomials,
     log_factorial,
 )
-
-TAIL_TOL = 1e-10  # weight a truncated infinite state may leave on each mode's top two labels
 
 
 def _coherent_bound(alpha: complex) -> float:
@@ -346,7 +345,7 @@ def _tag_int(tag: dict, key: str, default: int | None = None) -> int:
     value = tag.get(key, default)
     try:
         return _as_int(value)
-    except (TypeError, ValueError):  # ContractViolation is a ValueError
+    except (TypeError, ValueError, OverflowError):  # ContractViolation is a ValueError
         raise ContractViolation(f"basis tag {key!r} must be an integer, got {value!r}") from None
 
 
@@ -371,7 +370,7 @@ def _amps_from_lists(rows, key: str) -> np.ndarray:
         raise rule
     try:
         return np.array([complex(r[0], r[1]) for r in rows], dtype=np.complex128)
-    except TypeError:  # complex() refuses strings, null and containers
+    except (TypeError, OverflowError):  # strings, null and containers; ints past 1e308
         raise rule from None
 
 

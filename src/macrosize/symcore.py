@@ -39,6 +39,7 @@ import numpy as np
 
 NORM_TOL = 1e-10
 HERM_TOL = 1e-10
+TAIL_TOL = 1e-10  # weight a truncated infinite state may leave on each mode's top two labels
 MIN_EIG_TOL = -1e-8
 
 

@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import contextlib
+import io
 import inspect
 import json
 import os
@@ -12,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import macrosize
 import macrosize.mapping
+from macrosize import measures
 from macrosize.cli import _jsonable, _load_states, build_parser, main
 from macrosize.mapping import absorb_pair, approx_absorb
 from macrosize.measures import MEASURES, n_eff
@@ -626,6 +631,76 @@ def test_malformed_document_exits_2_naming_the_key(source, keys, value, message,
     code, out, err = run(capsys, "measure", "n-eff", str(f), "--M", "200")
     assert (code, out) == (2, "")
     assert message in err
+
+
+def _key_paths(doc, prefix=()):
+    """Every key path into a JSON document, the empty path (the whole document) included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _key_paths(value, prefix + (key,))
+
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("valid")
+    docs = {}
+    for source, command in (("state", "n-eff"), ("pair", "m2")):
+        f = d / f"{source}.json"
+        assert main(["state", *_SOURCES[source], "--out", str(f)]) == 0
+        docs[source] = (json.loads(f.read_text()), command)
+    return d, docs
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(["state", "pair"]), data=st.data())
+def test_single_key_mutations_exit_0_or_2(valid_files, source, data):
+    # one key of a valid file deleted or set to any JSON value: the command
+    # runs, or names the input's fault and exits 2; nothing else escapes main
+    d, docs = valid_files
+    doc, command = docs[source]
+    keys = data.draw(st.sampled_from(list(_key_paths(doc))))
+    value = data.draw(_JUNK | st.just(...) if keys else _JUNK)
+    f = d / "mutated.json"
+    f.write_text(json.dumps(_set(json.loads(json.dumps(doc)), keys, value)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["measure", command, str(f), "--M", "200"]) in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("state", "basisTag", "cutoff"), np.inf, "basis tag 'cutoff' must be an integer, got inf"),
+        (("state", "amps", 0), [10**400, 0], _AMPS_RULE),
+    ],
+    ids=["infinite-tag", "amplitude-past-float"],
+)
+def test_overflowing_document_exits_2(keys, value, message, tmp_path, capsys):
+    # int(inf) and float(10**400) overflow rather than fail as a bad type would
+    f = tmp_path / "doc.json"
+    run(capsys, "state", *_SOURCES["state"], "--out", str(f))
+    f.write_text(json.dumps(_set(json.loads(f.read_text()), keys, value)))
+    code, out, err = run(capsys, "measure", "n-eff", str(f), "--M", "200")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_a_kernel_key_error_is_not_an_input_error(photonic_inputs, monkeypatch):
+    # main turns only input errors into exit 2: a KeyError raised inside a
+    # kernel is a bug and reaches the caller
+    def broken(*args, **kwargs):
+        raise KeyError("inside the kernel")
+
+    monkeypatch.setattr(measures, "_interval_l1", broken)
+    with pytest.raises(KeyError, match="inside the kernel"):
+        main(["measure", "size-pg", str(photonic_inputs[True])])
 
 
 def test_unknown_measure_exits_2(tmp_path, capsys):

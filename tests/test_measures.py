@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.special import erfinv, ndtr
 
 from macrosize import (
@@ -57,6 +57,7 @@ from macrosize.measures import (
     DegeneratePairError,
     _NDTR_MINUS_REACH,
     _REACH,
+    _OneRoot,
     _channel_masses,
     _erfinv,
     _first_hit,
@@ -71,6 +72,7 @@ from macrosize.measures import (
     _scout_sigma,
     _sign_grid,
     _smeared,
+    _wrong_sign_mass,
 )
 from references import _dense_collective_xyz, dense_mean_layer_index, displace
 
@@ -668,6 +670,41 @@ def test_size_homodyne_cat_matches_gaussian_quadrature_form():
     assert r.witness["sigmaStar"] == pytest.approx(sig, rel=1e-3)
 
 
+def test_size_homodyne_coherent_branches_match_the_closed_form():
+    # |alpha> and |-alpha> read out at angle 0 are Gaussians at +-sqrt(2) alpha
+    # of variance 1/2 + sigma^2: P_S(sigma) = Phi(sqrt(2) alpha / sqrt(1/2 + sigma^2))
+    alpha, p_g = 8.0, 2 / 3
+    w = size_pg(branch_pair("even-cat", alpha=alpha), p_g, Homodyne(0.0)).witness
+    z = np.sqrt(2.0) * erfinv(2.0 * p_g - 1.0)  # Phi(z) = p_g
+    want = np.sqrt(2.0 * alpha**2 / z**2 - 0.5)
+    assert w["sigmaStar"] == pytest.approx(want, rel=SIGMA_RTOL)
+    assert w["rootsCertified"] and w["signChanges"] == 1
+
+
+def test_size_homodyne_refuses_a_density_that_lost_mass():
+    # at alpha^2 = 700 the branches sit near x = 37.4, where exp(-x^2/2) in the
+    # Hermite recurrence is subnormal: the density holds 0.964 of each branch,
+    # and size-pg would read 83.375 where the closed form gives 86.865
+    pair = branch_pair("even-cat", alpha=np.sqrt(700.0))
+    with pytest.raises(ContractViolation, match="branch 0 holds 0.96"):
+        size_pg(pair, 2 / 3, Homodyne(0.0))
+
+
+def test_size_certifies_every_root_on_the_table(monkeypatch):
+    # every P_S evaluation of the table's size-pg cells sums its norm at a
+    # certified root: the sign grid never runs
+    def grid(*args):
+        raise AssertionError("the sign grid ran")
+
+    monkeypatch.setattr(measures, "_root_brackets", grid)
+    for family in (FamilyId.DISPLACED_SINGLE_PHOTON, FamilyId.FOCK_SUPERPOSITION, FamilyId.EVEN_CAT):
+        for N in (8, 16, 32, 64):
+            bundle = family_state(family, N)
+            w = size_pg(bundle.photonic_pair, 2 / 3, bundle.channel).witness
+            assert w["rootsCertified"] and w["signChanges"] == 1, (family, N)
+            assert 0.0 <= w["l1ErrorBound"] <= SMEAR_L1_ATOL
+
+
 def test_size_indistinguishable_pair_is_undefined():
     # photon counting cannot tell |alpha> from |-alpha>: P_S(0) = 1/2 < P_g, so
     # no smearing reaches the threshold, as where c-delta's is unreachable
@@ -950,9 +987,104 @@ def test_root_brackets_are_narrow_and_keep_their_signs(masses, sigma):
         assert np.sign(fa) == sign or abs(fa) < floor
         assert np.sign(fb) != sign or abs(fb) < floor
     assert steps >= (1 if len(lo) else 0)
-    assert _interval_l1(y, w, sigma)[0] == pytest.approx(
+    F = np.concatenate(([0.0], _kernel_sums(_ndtr, w, sigma, (lo, y)), [w.sum()]))
+    assert float(np.abs(np.diff(F)).sum()) == pytest.approx(
         _bisected_l1(y, w, sigma), rel=0.0, abs=1e-15 * np.abs(w).sum()
     )
+
+
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_one_root_shuts_an_exactly_zero_run_at_once(N):
+    # f is exactly 0 between the masses, farther than _REACH sigma from both:
+    # the sign grid's bracket across that run took 31-33 halvings
+    y, w = np.array([0.0, 2.0 * N]), np.array([0.5, -0.5])
+    l1, cert = _interval_l1(y, w, 1.0)
+    assert isinstance(cert, _OneRoot) and cert.steps <= 4
+    assert _root_brackets(y, w, 1.0)[-1] >= 31
+    assert 1.0 - l1 <= cert.bound <= 1e-20
+
+
+def test_one_root_declines_where_the_sum_has_fewer_roots_than_sign_changes(monkeypatch):
+    # S-(w) = 2, but the dip of the middle mass never reaches zero: the
+    # count proves nothing, so the sign grid runs and the bound refines
+    y, w = np.array([0.0, 1.0, 2.0]), np.array([1.0, -0.1, 1.0])
+    assert _smeared(y, w, 1.0, np.linspace(-10.0, 12.0, 2201)).min() > 0.0
+    l1, brackets = _interval_l1(y, w, 1.0)
+    assert not isinstance(brackets, _OneRoot) and len(brackets[3]) == 0
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _wrong_sign_mass(*args)
+
+    monkeypatch.setattr(measures, "_wrong_sign_mass", counted)
+    assert 0.0 <= _l1_error_bound(y, w, 1.0, brackets) <= SMEAR_L1_ATOL
+    assert calls
+    assert l1 == pytest.approx(w.sum(), rel=1e-15)
+
+
+def test_one_root_certifies_past_small_masses_that_add_sign_changes():
+    # Masses below ROUNDING_FLOOR of the largest flip f's sign twice near the
+    # root, where the large ones nearly cancel: they are left out of the
+    # count, and their total |w| enters the bound, which covers what they cost
+    y = np.array([0.0, 9.0, 11.0, 20.0])
+    w = np.array([1.0, -9e-14, 9e-14, -1.0])
+    assert np.abs(w[1:3]).max() < ROUNDING_FLOOR * np.abs(w).max()
+    assert _smeared(y, w, 1.0, np.array([9.0]))[0] < 0.0 < _smeared(y, w, 1.0, np.array([11.0]))[0]
+    l1, cert = _interval_l1(y, w, 1.0)
+    assert isinstance(cert, _OneRoot)
+    assert cert.bound >= 2.0 * 1.8e-13
+    missed = _brute_l1(y, w, 1.0) - l1
+    assert 1e-13 < missed <= cert.bound <= SMEAR_L1_ATOL
+
+
+@st.composite
+def _one_change_masses(draw):
+    """Sorted masses whose large ones change sign at most once; each mass may
+    be shrunk below ROUNDING_FLOOR of 1, with either sign."""
+    n = draw(st.integers(1, 40))
+    y = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    size = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    small = draw(st.lists(st.sampled_from([0.0, 5e-14, -5e-14]), min_size=n, max_size=n))
+    split = draw(st.integers(0, n))
+    w = [e if e else (v if i < split else -v) for i, (v, e) in enumerate(zip(size, small))]
+    assume(max(abs(v) for v in w) >= 1e-3)
+    return np.array(y), np.array(w)
+
+
+def _sampled_l1(y, w, sigma):
+    """Adaptive quadrature of f over sigma-wide pieces out to 12 sigma past
+    the masses, each also cut where f changes sign between samples sigma/64
+    apart (located by brentq): blind to S-(w) and to the roots _interval_l1
+    places, and with no kink of |f| inside a piece, where quad can misjudge
+    its own error (by 8e-10 on a draw that _brute_l1 met)."""
+    def f(x):
+        return float(_smeared(y, w, sigma, np.array([x]))[0])
+
+    x = np.linspace(y[0] - 12 * sigma, y[-1] + 12 * sigma, 64 * int((y[-1] - y[0]) / sigma + 24) + 1)
+    s = np.sign(_smeared(y, w, sigma, x))
+    cuts = [
+        brentq(f, x[i], x[i + 1], xtol=1e-15) if f(x[i]) * f(x[i + 1]) < 0 else x[i + 1]
+        for i in np.flatnonzero(s[1:] != s[:-1])
+    ]
+    edges = np.unique(np.concatenate((np.arange(x[0], x[-1], sigma), cuts, [x[-1]])))
+    return sum(
+        abs(quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0])
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_one_change_masses(), st.floats(0.05, 20.0))
+def test_one_root_bound_covers_the_quadrature(masses, sigma):
+    # the reference quadrature is good to about 1e-12 of the masses' weight,
+    # on either side
+    y, w = masses
+    l1, cert = _interval_l1(y, w, sigma)
+    if isinstance(cert, _OneRoot):
+        slack = 1e-12 * max(1.0, np.abs(w).sum())
+        assert -slack <= _sampled_l1(y, w, sigma) - l1 <= cert.bound + slack
+        assert cert.bound <= SMEAR_L1_ATOL
 
 
 def test_degenerate_superposition_raises():
