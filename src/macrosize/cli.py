@@ -103,8 +103,14 @@ def _header_comment(spin_factor: int) -> str:
 
 
 def _load_doc(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """A JSON file's document. Text that does not decode is the input's
+    fault: bad JSON, bytes that are not UTF-8, a number past Python's
+    integer digit limit."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ContractViolation(f"{path}: {exc}") from None
 
 
 def _load_states(paths: list[str]):
@@ -425,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.spin_factor is not None and not reads_factor:
             raise ContractViolation("--spin-factor is read only by table1 and sweep along --ladder")
         return args.func(args, SPIN_FACTOR if args.spin_factor is None else args.spin_factor)
-    except (ContractViolation, TruncationError, OSError, json.JSONDecodeError) as exc:
+    except (ContractViolation, TruncationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -954,21 +954,28 @@ def _mass_split(w: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class _OneRoot:
-    """A root set of f that variation diminishing certifies (`_one_root`):
-    the roots the norm is summed between (none or one), the closed-form
-    bound on what the sum misses, and the Illinois steps taken."""
+class _Roots:
+    """The roots an interval-form norm is summed between, the Illinois steps
+    that placed them, and what bounds the norm's miss: the closed-form
+    `bound` where variation diminishing certifies the roots (`_one_root`),
+    else the sign `grid`, the `_root_brackets` result that `_l1_error_bound`
+    refines."""
 
     roots: np.ndarray
-    bound: float
     steps: int
+    bound: float | None = None
+    grid: tuple | None = None
+
+    @property
+    def certified(self) -> bool:
+        return self.grid is None
 
 
 _ONE_ROOT_SPAN = 6  # first probes spread evenly over the large masses' range, ends included
 _ONE_ROOT_ENDS = np.array([2.0, 4.0, 8.0])  # and these, in sigma, outside it
 
 
-def _one_root(y: np.ndarray, w: np.ndarray, sigma: float) -> _OneRoot | None:
+def _one_root(y: np.ndarray, w: np.ndarray, sigma: float) -> _Roots | None:
     """f's roots and the bound on the interval-form norm, found without a
     sign grid when the large masses change sign at most once; None when
     they change sign more often, or when no end or probe below decides.
@@ -978,20 +985,31 @@ def _one_root(y: np.ndarray, w: np.ndarray, sigma: float) -> _OneRoot | None:
     Polya frequency function, so f_L has at most S-(w_L) roots (Schoenberg
     1951; Karlin, Total Positivity, 1968).
 
+    Rounding: with u = 2^-53, n masses and A = sum_j |w_j|, take
+    rho = (n + 4) u A. It bounds the rounding in sqrt(2 pi) sigma f~ (each
+    exp(-t^2/2) errs by at most 2.25 u, its argument included, and the sum
+    of n terms by n u A) and in F (cephes' ndtr errs by under 1.5 u absolute
+    over |t| <= 40, against a 40-digit reference, and its rounded argument
+    by under 0.5 u).
+
     Where _smeared gives f~(x), it sums the masses within _REACH sigma of x,
-    so |f~(x) - f_L(x)| <= tau = (eps + far)/(sqrt(2 pi) sigma), with
-    far = exp(-_REACH^2/2) sum_j |w_j| for the masses it leaves out. Where
-    |f~| > tau, f~ has f_L's sign. Rounding in the sums is not covered.
+    so |f~(x) - f_L(x)| <= tau = (eps + far + rho)/(sqrt(2 pi) sigma), with
+    far = exp(-_REACH^2/2) A for the masses it leaves out. Where |f~| > tau,
+    f~ has f_L's sign.
 
     The interval form summed at a point r~ is |F(r~)| + |F(inf) - F(r~)|.
     For any sign s, int |f| falls short of it by at most twice the mass of
     f of sign -s left of r~ and of sign s right of it. Where f has a sign
     other than f_L's, |f| <= |f_S|, and int |f_S| <= eps. So with s the sign
     of f_L far left, the norm misses at most 2 (eps + W), W the mass of f_L
-    between its root r and r~ (W = 0 with no root).
+    between its root r and r~ (W = 0 with no root). Computed, F(r~) errs by
+    at most rho and enters both terms, sum_j w_j errs by (n - 1) u A < rho,
+    and the subtraction and the final sum round by at most 2 u A each: the
+    form lies within 3 rho + 4 u A < 4 rho of the exact one, either way.
+    The bound is 2 (eps + W) + 4 rho.
 
     - S- = 0: f_L has no root, no point is probed and the norm is
-      |sum_j w_j|, within 2 eps.
+      |sum_j w_j|, with W = 0.
     - S- = 1: f_L has exactly one root r; it changes sign from s to -s.
       With p the last large mass of sign s, pick any m in [y_p, y_{p+1}]
       (of the large masses). Then k(x) = f_L(x) exp((x - m)^2/(2 sigma^2))
@@ -1007,19 +1025,21 @@ def _one_root(y: np.ndarray, w: np.ndarray, sigma: float) -> _OneRoot | None:
         W <= (hi - lo)^2/2 sum |w_L| exp(-1/2)/(sqrt(2 pi) sigma^2).
       - Shut at a probe t in [y_p, y_{p+1}]: take m = t. |k| is at most
         |k(t)| = |f_L(t)| <= 2 tau between r and t, so
-        W <= 2 tau int_0^inf exp(-u^2/(2 sigma^2)) du = eps + far. This
-        holds wherever r lies, so a run where f~ is 0, because no mass is
-        within _REACH sigma, ends the search at its first probe.
+        W <= 2 tau int_0^inf exp(-u^2/(2 sigma^2)) du = eps + far + rho.
+        This holds wherever r lies, so a run where f~ is 0, because no mass
+        is within _REACH sigma, ends the search at its first probe.
       - Shut at a probe outside [y_p, y_{p+1}], or with no bracket found:
         None, and the sign grid decides.
     """
     large, eps, change = _mass_split(w)
     if len(change) > 1:
         return None
+    total = float(np.abs(w).sum())
+    rho = (len(w) + 4) * 2.0**-53 * total
     if len(change) == 0:
-        return _OneRoot(np.empty(0), 2.0 * eps, 0)
-    far = float(np.abs(w).sum()) * math.exp(-0.5 * _REACH**2)
-    tau = (eps + far) * _INV_SQRT_2PI / sigma
+        return _Roots(np.empty(0), 0, bound=2.0 * eps + 4.0 * rho)
+    far = total * math.exp(-0.5 * _REACH**2)
+    tau = (eps + far + rho) * _INV_SQRT_2PI / sigma
     yl, s = y[large], np.sign(w[large][0])
     outside = _ONE_ROOT_ENDS * sigma
     span = np.linspace(yl[0], yl[-1], _ONE_ROOT_SPAN)
@@ -1035,34 +1055,33 @@ def _one_root(y: np.ndarray, w: np.ndarray, sigma: float) -> _OneRoot | None:
         p = change[0]
         if not yl[p] <= lo[0] <= yl[p + 1]:
             return None
-        wrong = eps + far
+        wrong = eps + far + rho
     else:
         slope = np.abs(w[large]).sum() * math.exp(-0.5) * _INV_SQRT_2PI / sigma**2
         wrong = 0.5 * (hi[0] - lo[0]) ** 2 * slope
-    return _OneRoot(lo, 2.0 * (eps + float(wrong)), steps)
+    return _Roots(lo, steps, bound=2.0 * (eps + float(wrong)) + 4.0 * rho)
 
 
-def _interval_l1(
-    y: np.ndarray, w: np.ndarray, sigma: float
-) -> tuple[float, tuple | _OneRoot | None]:
+def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> tuple[float, _Roots]:
     """L1 norm of f(x) = sum_j w_j phi_sigma(x - y_j), masses w_j at sorted
-    y_j, and the roots it was summed between: a `_OneRoot` where
-    variation diminishing certifies them, else the `_root_brackets` of the
-    sign grid.
+    y_j, and the `_Roots` it was summed between: certified by variation
+    diminishing where `_one_root` can, else the low ends of the sign grid's
+    refined brackets (`_root_brackets`).
 
     Between consecutive roots r_i f keeps one sign, so the norm is
     sum_i |F(r_{i+1}) - F(r_i)| with the antiderivative
     F(x) = sum_j w_j ndtr((x - y_j)/sigma), F(-inf) = 0, F(+inf) = sum_j w_j.
-    Each grid root is the low end of its refined bracket. At sigma = 0 the
-    masses do not overlap, the norm is sum_j |w_j| and there are no roots
-    (None), as with no masses.
+    At sigma = 0 the masses do not overlap and the norm is sum_j |w_j|, as
+    with no masses: no roots, and a bound of 0.
     """
     if sigma == 0.0 or len(y) == 0:
-        return float(np.abs(w).sum()), None
-    brackets = _one_root(y, w, sigma) or _root_brackets(y, w, sigma)
-    roots = brackets.roots if isinstance(brackets, _OneRoot) else brackets[3]
-    F = np.concatenate(([0.0], _kernel_sums(_ndtr, w, sigma, (roots, y)), [w.sum()]))
-    return float(np.abs(np.diff(F)).sum()), brackets
+        return float(np.abs(w).sum()), _Roots(np.empty(0), 0, bound=0.0)
+    found = _one_root(y, w, sigma)
+    if found is None:
+        grid = _root_brackets(y, w, sigma)
+        found = _Roots(grid[3], grid[-1], grid=grid)
+    F = np.concatenate(([0.0], _kernel_sums(_ndtr, w, sigma, (found.roots, y)), [w.sum()]))
+    return float(np.abs(np.diff(F)).sum()), found
 
 
 def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
@@ -1092,17 +1111,15 @@ def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
     return np.minimum(wrong, mass + aw.sum() * _NDTR_MINUS_REACH)
 
 
-def _l1_error_bound(
-    y: np.ndarray, w: np.ndarray, sigma: float, brackets: tuple | _OneRoot | None
-) -> float:
+def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float, roots: _Roots) -> float:
     """Bound on how far _interval_l1(y, w, sigma) falls below the true norm;
-    `brackets` is the roots that norm was summed between, as it returned them.
+    `roots` is the `_Roots` that norm was summed between.
 
-    Certified roots carry their closed-form bound (`_one_root`); no cell is
-    visited. Split at the roots the sign grid places, the interval form
-    loses twice the mass of f whose sign is opposite to its interval's. For
-    those this is twice a bound on that mass: the Gaussians' weight beyond
-    the sign grid, plus
+    Certified roots carry their closed-form bound (`_one_root`), which
+    covers the rounding in the sums; no cell is visited. Split at the roots
+    the sign grid places, the interval form loses twice the mass of f whose
+    sign is opposite to its interval's. For those this is twice a bound on
+    that mass: the Gaussians' weight beyond the sign grid, plus
     _wrong_sign_mass over the grid's cells, split at each root bracket. A
     cell whose bound exceeds both 10 ROUNDING_FLOOR max|f| per unit length
     and 1e-15 sum_j |w_j| is halved, up to 40 times and while no more than
@@ -1111,11 +1128,9 @@ def _l1_error_bound(
     close root pairs missed inside one grid cell. Rounding in the sums
     themselves is not covered.
     """
-    if brackets is None:  # sigma = 0 or no masses: the norm is exact
-        return 0.0
-    if isinstance(brackets, _OneRoot):
-        return brackets.bound
-    x, fx, s, lo, hi, _ = brackets
+    if roots.certified:
+        return roots.bound
+    x, fx, s, lo, hi, _ = roots.grid
     pts = np.concatenate((x, lo, hi))
     order = np.argsort(pts, kind="stable")
     pts = pts[order]
@@ -1329,9 +1344,9 @@ def size_pg(
     of the counted masses at sigma*, `rootsCertified`, whether the norm at
     sigma* was summed at certified roots, and `l1ErrorBound`, a bound on
     what the evaluation at sigma* misses (`_l1_error_bound`): a closed form
-    for certified roots, refined cell by cell on the grid; it should stay
-    within SMEAR_L1_ATOL. For homodyne readout the bound is on the
-    trapezoid-rule density, whose own error falls off spectrally in the grid
+    for certified roots, rounding included, refined cell by cell on the
+    grid; it should stay within SMEAR_L1_ATOL. For homodyne readout the
+    bound is on the trapezoid-rule density, whose own error falls off spectrally in the grid
     step; the sigma = 0 value `pSRaw` is a plain Riemann sum of that density
     and lies outside the bound. A branch density that does not hold its
     norm is a ContractViolation (`_quad_difference`). Branches
@@ -1346,7 +1361,7 @@ def size_pg(
         else {"channel": "homodyne", "angle": channel.angle}
     )
     diffs: dict[float, np.ndarray] = {}
-    cache: dict[float, tuple] = {}  # each evaluated width's L1, root brackets and masses
+    cache: dict[float, tuple] = {}  # each evaluated width's L1, _Roots and masses
 
     def ps(sigma: float) -> float:
         if sigma not in cache:
@@ -1380,19 +1395,15 @@ def size_pg(
         else:
             hi = mid
     ps(lo)  # evaluated, and counted, also where the scout answered for sigma*
-    _, brackets, masses = cache[lo]
-    bound = _l1_error_bound(*masses, lo, brackets)
-    root_steps = max(
-        (b.steps if isinstance(b, _OneRoot) else b[-1] for _, b, _ in cache.values() if b is not None),
-        default=0,
-    )
+    _, roots, masses = cache[lo]
+    bound = _l1_error_bound(*masses, lo, roots)
     return MeasureResult(
         "size-pg",
         pref * lo,
         witness={**chan_tag, "pG": p_g, "sigmaStar": lo, "prefactor": pref, "pSRaw": ps0,
-                 "l1ErrorBound": bound, "psEvals": len(cache), "rootStepsMax": root_steps,
-                 "signChanges": len(_mass_split(masses[1])[2]),
-                 "rootsCertified": not isinstance(brackets, tuple)},
+                 "l1ErrorBound": bound, "psEvals": len(cache),
+                 "rootStepsMax": max(r.steps for _, r, _ in cache.values()),
+                 "signChanges": len(_mass_split(masses[1])[2]), "rootsCertified": roots.certified},
     )
 
 

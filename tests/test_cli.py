@@ -692,6 +692,24 @@ def test_overflowing_document_exits_2(keys, value, message, tmp_path, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"state": "\xff"}', "can't decode byte 0xff"),
+        (b'{"state": ' + b"7" * 5000 + b"}", "digits"),
+        (b'{"state": ', "Expecting value"),
+    ],
+    ids=["not-utf-8", "past-the-digit-limit", "truncated"],
+)
+def test_undecodable_document_exits_2_naming_the_file(text, message, tmp_path, capsys):
+    # bytes json cannot read are the file's fault, however they fail to decode
+    f = tmp_path / "doc.json"
+    f.write_bytes(text)
+    code, out, err = run(capsys, "measure", "n-eff", str(f), "--M", "200")
+    assert (code, out) == (2, "")
+    assert f"error: {f}: " in err and message in err
+
+
 def test_a_kernel_key_error_is_not_an_input_error(photonic_inputs, monkeypatch):
     # main turns only input errors into exit 2: a KeyError raised inside a
     # kernel is a bug and reaches the caller

@@ -57,7 +57,7 @@ from macrosize.measures import (
     DegeneratePairError,
     _NDTR_MINUS_REACH,
     _REACH,
-    _OneRoot,
+    _Roots,
     _channel_masses,
     _erfinv,
     _first_hit,
@@ -987,10 +987,17 @@ def test_root_brackets_are_narrow_and_keep_their_signs(masses, sigma):
         assert np.sign(fa) == sign or abs(fa) < floor
         assert np.sign(fb) != sign or abs(fb) < floor
     assert steps >= (1 if len(lo) else 0)
+    want = _bisected_l1(y, w, sigma)
+    tol = 1e-15 * np.abs(w).sum()
     F = np.concatenate(([0.0], _kernel_sums(_ndtr, w, sigma, (lo, y)), [w.sum()]))
-    assert float(np.abs(np.diff(F)).sum()) == pytest.approx(
-        _bisected_l1(y, w, sigma), rel=0.0, abs=1e-15 * np.abs(w).sum()
-    )
+    assert float(np.abs(np.diff(F)).sum()) == pytest.approx(want, rel=0.0, abs=tol)
+    # Summed at certified roots, the norm may take in a lobe below the grid's
+    # rounding floor: it then lies within both paths' own bounds of the grid's.
+    l1, roots = _interval_l1(y, w, sigma)
+    if roots.certified:
+        grid = _Roots(lo, steps, grid=(x, fx, s, lo, hi, steps))
+        tol += _l1_error_bound(y, w, sigma, grid) + roots.bound
+    assert l1 == pytest.approx(want, rel=0.0, abs=tol)
 
 
 @pytest.mark.parametrize("N", [16, 32, 64])
@@ -998,10 +1005,10 @@ def test_one_root_shuts_an_exactly_zero_run_at_once(N):
     # f is exactly 0 between the masses, farther than _REACH sigma from both:
     # the sign grid's bracket across that run took 31-33 halvings
     y, w = np.array([0.0, 2.0 * N]), np.array([0.5, -0.5])
-    l1, cert = _interval_l1(y, w, 1.0)
-    assert isinstance(cert, _OneRoot) and cert.steps <= 4
+    l1, roots = _interval_l1(y, w, 1.0)
+    assert roots.certified and roots.steps <= 4
     assert _root_brackets(y, w, 1.0)[-1] >= 31
-    assert 1.0 - l1 <= cert.bound <= 1e-20
+    assert abs(1.0 - l1) <= roots.bound <= 1e-14
 
 
 def test_one_root_declines_where_the_sum_has_fewer_roots_than_sign_changes(monkeypatch):
@@ -1009,8 +1016,8 @@ def test_one_root_declines_where_the_sum_has_fewer_roots_than_sign_changes(monke
     # count proves nothing, so the sign grid runs and the bound refines
     y, w = np.array([0.0, 1.0, 2.0]), np.array([1.0, -0.1, 1.0])
     assert _smeared(y, w, 1.0, np.linspace(-10.0, 12.0, 2201)).min() > 0.0
-    l1, brackets = _interval_l1(y, w, 1.0)
-    assert not isinstance(brackets, _OneRoot) and len(brackets[3]) == 0
+    l1, roots = _interval_l1(y, w, 1.0)
+    assert not roots.certified and len(roots.roots) == 0
     calls = []
 
     def counted(*args):
@@ -1018,7 +1025,7 @@ def test_one_root_declines_where_the_sum_has_fewer_roots_than_sign_changes(monke
         return _wrong_sign_mass(*args)
 
     monkeypatch.setattr(measures, "_wrong_sign_mass", counted)
-    assert 0.0 <= _l1_error_bound(y, w, 1.0, brackets) <= SMEAR_L1_ATOL
+    assert 0.0 <= _l1_error_bound(y, w, 1.0, roots) <= SMEAR_L1_ATOL
     assert calls
     assert l1 == pytest.approx(w.sum(), rel=1e-15)
 
@@ -1031,11 +1038,11 @@ def test_one_root_certifies_past_small_masses_that_add_sign_changes():
     w = np.array([1.0, -9e-14, 9e-14, -1.0])
     assert np.abs(w[1:3]).max() < ROUNDING_FLOOR * np.abs(w).max()
     assert _smeared(y, w, 1.0, np.array([9.0]))[0] < 0.0 < _smeared(y, w, 1.0, np.array([11.0]))[0]
-    l1, cert = _interval_l1(y, w, 1.0)
-    assert isinstance(cert, _OneRoot)
-    assert cert.bound >= 2.0 * 1.8e-13
+    l1, roots = _interval_l1(y, w, 1.0)
+    assert roots.certified
+    assert roots.bound >= 2.0 * 1.8e-13
     missed = _brute_l1(y, w, 1.0) - l1
-    assert 1e-13 < missed <= cert.bound <= SMEAR_L1_ATOL
+    assert 1e-13 < missed <= roots.bound <= SMEAR_L1_ATOL
 
 
 @st.composite
@@ -1078,13 +1085,40 @@ def _sampled_l1(y, w, sigma):
 @given(_one_change_masses(), st.floats(0.05, 20.0))
 def test_one_root_bound_covers_the_quadrature(masses, sigma):
     # the reference quadrature is good to about 1e-12 of the masses' weight,
-    # on either side
+    # on either side, so this checks the bound only where small masses make
+    # it large; the two-mass test below checks it at rounding level
     y, w = masses
-    l1, cert = _interval_l1(y, w, sigma)
-    if isinstance(cert, _OneRoot):
-        slack = 1e-12 * max(1.0, np.abs(w).sum())
-        assert -slack <= _sampled_l1(y, w, sigma) - l1 <= cert.bound + slack
-        assert cert.bound <= SMEAR_L1_ATOL
+    l1, roots = _interval_l1(y, w, sigma)
+    assume(roots.certified)
+    slack = 1e-12 * max(1.0, np.abs(w).sum())
+    assert -slack <= _sampled_l1(y, w, sigma) - l1 <= roots.bound + slack
+    assert roots.bound <= SMEAR_L1_ATOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-5.0, 5.0),
+    st.floats(1e-3, 10.0),
+    st.floats(1e-3, 1.0),
+    st.floats(1e-3, 1.0),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(0.05, 20.0),
+)
+def test_one_root_bound_covers_the_exact_norm_of_two_masses(y0, gap, a, b, sign, sigma):
+    # w0 phi(x - y0) + w1 phi(x - y1) of opposite signs has the one root
+    # r = (y0 + y1)/2 + sigma^2 ln|w0/w1|/(y1 - y0), and its norm is
+    # |F(r)| + |w0 + w1 - F(r)| exactly: at 120 bits, the computed norm lies
+    # within the bound of it on either side, rounding included
+    mpmath = pytest.importorskip("mpmath")
+    y, w = np.array([y0, y0 + gap]), sign * np.array([a, -b])
+    l1, roots = _interval_l1(y, w, sigma)
+    assume(roots.certified)
+    with mpmath.workprec(120):
+        (Y0, Y1), (W0, W1), S = map(mpmath.mpf, y), map(mpmath.mpf, w), mpmath.mpf(sigma)
+        r = (Y0 + Y1) / 2 + S**2 * mpmath.log(abs(W0 / W1)) / (Y1 - Y0)
+        F = W0 * mpmath.ncdf((r - Y0) / S) + W1 * mpmath.ncdf((r - Y1) / S)
+        missed = float(abs(F) + abs(W0 + W1 - F) - l1)
+    assert abs(missed) <= roots.bound <= SMEAR_L1_ATOL
 
 
 def test_degenerate_superposition_raises():
