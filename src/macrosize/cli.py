@@ -2,7 +2,11 @@
 mapping, and produce scaling sweeps and the classification table.
 
 Exit codes: 0 success, 2 input error, 3 measure undefined for the input,
-4 numerical-tolerance failure. Outputs are deterministic: reports carry
+4 numerical-tolerance failure: a kernel that holds itself to a tolerance
+reports missing it (`measure`, any point of a `sweep`), or the operator map
+deviates past `verify-mapping --max-deviation`. Each such failure writes one
+stderr line beside the unchanged stdout; `table1` flags the cell instead and
+exits 0. Outputs are deterministic: reports carry
 floats to 12 significant digits, state and pair files to every digit (so a
 file reads back as the state that was written), and every document embeds
 {tool, version, configHash, seed}.
@@ -28,7 +32,15 @@ from .mapping import (
     verify_disentangling_identity,
     verify_operator_map,
 )
-from .measures import DEFAULT_DELTA, DEFAULT_P_G, MEASURES, Homodyne, PhotonCount
+from .measures import (
+    DEFAULT_DELTA,
+    DEFAULT_P_G,
+    MEASURES,
+    WITHIN_TOLERANCE,
+    Homodyne,
+    PhotonCount,
+    tolerance_miss,
+)
 from .scaling import (
     DEFAULT_LADDER,
     DEFAULT_M_LADDER,
@@ -212,7 +224,13 @@ def cmd_measure(args, spin_factor: int) -> int:
     params["channel"] = Homodyne(angle) if args.channel == "homodyne" else PhotonCount()
     result = spec.evaluate(given, **params)
     sys.stdout.write(_json_text({"header": _header(spin_factor), **result.to_dict()}))
-    return 0 if result.defined else 3
+    if not result.defined:
+        return 3
+    missed = tolerance_miss(result.witness)
+    if missed:
+        print(f"tolerance failure: {mid} {missed}", file=sys.stderr)
+        return 4
+    return 0
 
 
 def cmd_absorb(args, spin_factor: int) -> int:
@@ -303,7 +321,8 @@ def cmd_sweep(args, spin_factor: int) -> int:
         "measure": args.measure,
         "sweepVariable": res.sweep_variable,
         "points": [
-            {"size": p.size, "M": p.M, "value": p.value, "defined": p.defined}
+            {"size": p.size, "M": p.M, "value": p.value, "defined": p.defined,
+             **{k: v for k, v in p.witness.items() if k == WITHIN_TOLERANCE}}
             for p in res.points
         ],
         "fit": {
@@ -317,7 +336,14 @@ def cmd_sweep(args, spin_factor: int) -> int:
         **({"out": args.out} if args.out else {}),
     }
     sys.stdout.write(_json_text(doc))
-    return 0 if fit.defined else 3
+    misses = [
+        f"{args.measure} at {res.sweep_variable}={p.size} {miss}"
+        for p in res.points
+        if (miss := tolerance_miss(p.witness))
+    ]
+    for line in misses:
+        print(f"tolerance failure: {line}", file=sys.stderr)
+    return 3 if not fit.defined else 4 if misses else 0
 
 
 def cmd_verify_mapping(args, spin_factor: int) -> int:

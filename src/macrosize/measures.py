@@ -41,6 +41,9 @@ SMEAR_L1_ATOL = 1e-8
 PS_TIE_TOL = 1e-12
 LAYER_TAIL_TOL = 1e-12
 PRODUCT_REFERENCE_TOL = 1e-10  # d-bar's bound on a product reference's <D>
+WITHIN_TOLERANCE = "withinTolerance"  # witness key: whether a kernel met its own tolerance
+# The error each such kernel reports, by witness key, and the tolerance it is held to
+_TOLERANCES = {"l1ErrorBound": SMEAR_L1_ATOL, "tailBound": LAYER_TAIL_TOL}
 ROUNDING_FLOOR = 1e-13  # values and masses below this fraction of the largest carry no sign
 ROOT_WIDTH = 2.0**-24  # root brackets end this narrow, in grid steps sigma/4: L1 errs by its square
 SIGMA_RTOL = 1e-4  # size-pg bisects the critical width to this relative bracket
@@ -113,6 +116,20 @@ class MeasureResult:
             "witness": dict(self.witness),
             "defined": self.defined,
         }
+
+
+def _judged(key: str, error: float) -> dict:
+    """A kernel's error under its witness key, with the kernel's verdict on it."""
+    return {key: error, WITHIN_TOLERANCE: bool(error <= _TOLERANCES[key])}
+
+
+def tolerance_miss(witness: dict) -> str | None:
+    """The error and tolerance of a kernel that reports missing its own
+    tolerance, as one line; None where it met it or holds itself to none."""
+    if witness.get(WITHIN_TOLERANCE, True):
+        return None
+    key = next(k for k in _TOLERANCES if k in witness)
+    return f"{key} {witness[key]:.3e} exceeds {_TOLERANCES[key]:.3e}"
 
 
 def normalized_sum(pair: SuperpositionPair):
@@ -232,6 +249,17 @@ def m_squared(pair: SuperpositionPair) -> MeasureResult:
     largest eigenvalue of Cov_0 + Cov_1. Raises DegeneratePairError when the
     denominator vanishes (both branches are J_n eigenstates in every
     direction, which the truncated sector never realizes for M >= 1).
+
+    The witness's `meanGap` prints a component as 0.0 where it lies below
+    4 eps m, m = max(|mu_0|, |mu_1|): the means' rounding. A mean component
+    is a sum over the band of terms conj(v_k) (J_a v)_k, each rounded to
+    within an ulp of itself; on the three pair families' branches at
+    M = 200, 1000 and 25600, a component that is 0 by symmetry came out at
+    most 0.85 ulp of m. A gap component, the difference of two, is noise
+    below about 2 ulp of m, and 4 eps m is at least 4 ulp of m. So the sign
+    of a zero, which the two routes to one pair (a pair file, or two state
+    files) set differently, no longer shows. The value sums the unrounded
+    gap.
     """
     spin_basis(pair, SuperpositionPair)
     mu0, c0 = mean_and_covariance(pair.psi0)
@@ -240,11 +268,12 @@ def m_squared(pair: SuperpositionPair) -> MeasureResult:
     den_w, den_v = self_adjoint_eig(c0 + c1)
     if den_w[-1] < DEGENERATE_PAIR_TOL:
         raise DegeneratePairError("both branches have vanishing collective variance")
+    noise = 4.0 * np.finfo(float).eps * max(np.linalg.norm(mu0), np.linalg.norm(mu1))
     return MeasureResult(
         "m2",
         float(gap @ gap) / float(den_w[-1]),
         witness={
-            "meanGap": [float(g) for g in gap],
+            "meanGap": [float(g) if abs(g) > noise else 0.0 for g in gap],
             "varianceDirection": [float(c) for c in den_v[:, -1].real],
         },
     )
@@ -491,6 +520,9 @@ def d_bar(pair: SuperpositionPair) -> MeasureResult:
     flip layers are constructed explicitly from the reference by
     collective-operator products (`layering`); around a Dicke reference
     |M,k0> they are the labels k0 -+ d, so the mean is sum_k |c_k|^2 |k - k0|.
+    Its witness reports `tailBound`, what the layers never built could add
+    (`_layer_weights`), and `withinTolerance`, whether that is within
+    LAYER_TAIL_TOL; the layers can run out short of it.
     """
     basis = spin_basis(pair, SuperpositionPair)
     product = _product_reference_mean(pair.psi0, pair.psi1)
@@ -510,7 +542,8 @@ def d_bar(pair: SuperpositionPair) -> MeasureResult:
     return MeasureResult(
         "d-bar",
         value,
-        witness={"layers": layers, "covered": covered, "tailBound": tail, "method": "layering"},
+        witness={"layers": layers, "covered": covered, **_judged("tailBound", tail),
+                 "method": "layering"},
     )
 
 
@@ -919,17 +952,28 @@ def _illinois(
         steps += 1
 
 
-def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float):
-    """Sign changes of f on the sign grid, each narrowed to a bracket at most
-    ROOT_WIDTH sigma/4 wide by `_illinois`.
+@dataclass(frozen=True)
+class _SignGrid:
+    """The sign grid's points x, f on them, their signs s (0 at the rounding
+    floor), and the root brackets (lo, hi) narrowed from its sign changes."""
 
-    Returns the grid x, f on it, its signs s, the brackets (lo, hi) with
-    sign s_lo kept at lo and a sign other than s_lo at hi, and the number of
-    refinement steps. Grid values below ROUNDING_FLOOR times the largest
-    carry no sign: one bracket spans each run of them between opposite
-    signs, none between equal ones, so crossings at rounding level neither
-    add roots nor drop the one such a run stands for (the even cat's root at
-    x = 0 lies in one).
+    x: np.ndarray
+    fx: np.ndarray
+    s: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float) -> _Roots:
+    """Sign changes of f on the sign grid, each narrowed to a bracket at most
+    ROOT_WIDTH sigma/4 wide by `_illinois`: the roots are the brackets' low
+    ends, beside the number of refinement steps and the `_SignGrid`.
+
+    Each bracket keeps sign s_lo at lo and a sign other than s_lo at hi.
+    Grid values below ROUNDING_FLOOR times the largest carry no sign: one
+    bracket spans each run of them between opposite signs, none between
+    equal ones, so crossings at rounding level neither add roots nor drop
+    the one such a run stands for (the even cat's root at x = 0 lies in one).
     """
     x = _sign_grid(y, sigma)
     fx = _smeared(y, w, sigma, x)
@@ -939,7 +983,7 @@ def _root_brackets(y: np.ndarray, w: np.ndarray, sigma: float):
     flip = np.flatnonzero(s[nz[1:]] != s[nz[:-1]])
     lo, hi, s_lo = x[nz[flip]], x[nz[flip + 1]], s[nz[flip]]
     steps = _illinois(y, w, sigma, lo, hi, fx[nz[flip]], fx[nz[flip + 1]], s_lo)
-    return x, fx, s, lo, hi, steps
+    return _Roots(lo, steps, grid=_SignGrid(x, fx, s, lo, hi))
 
 
 def _mass_split(w: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -958,13 +1002,13 @@ class _Roots:
     """The roots an interval-form norm is summed between, the Illinois steps
     that placed them, and what bounds the norm's miss: the closed-form
     `bound` where variation diminishing certifies the roots (`_one_root`),
-    else the sign `grid`, the `_root_brackets` result that `_l1_error_bound`
-    refines."""
+    else the `_SignGrid` they were bracketed on (`_root_brackets`), which
+    `_l1_error_bound` refines."""
 
     roots: np.ndarray
     steps: int
     bound: float | None = None
-    grid: tuple | None = None
+    grid: _SignGrid | None = None
 
     @property
     def certified(self) -> bool:
@@ -1076,10 +1120,7 @@ def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> tuple[float, _Ro
     """
     if sigma == 0.0 or len(y) == 0:
         return float(np.abs(w).sum()), _Roots(np.empty(0), 0, bound=0.0)
-    found = _one_root(y, w, sigma)
-    if found is None:
-        grid = _root_brackets(y, w, sigma)
-        found = _Roots(grid[3], grid[-1], grid=grid)
+    found = _one_root(y, w, sigma) or _root_brackets(y, w, sigma)
     F = np.concatenate(([0.0], _kernel_sums(_ndtr, w, sigma, (found.roots, y)), [w.sum()]))
     return float(np.abs(np.diff(F)).sum()), found
 
@@ -1130,22 +1171,22 @@ def _l1_error_bound(y: np.ndarray, w: np.ndarray, sigma: float, roots: _Roots) -
     """
     if roots.certified:
         return roots.bound
-    x, fx, s, lo, hi, _ = roots.grid
-    pts = np.concatenate((x, lo, hi))
+    g = roots.grid
+    pts = np.concatenate((g.x, g.lo, g.hi))
     order = np.argsort(pts, kind="stable")
     pts = pts[order]
-    fpts = np.concatenate((fx, _smeared(y, w, sigma, np.concatenate((lo, hi)))))[order]
+    fpts = np.concatenate((g.fx, _smeared(y, w, sigma, np.concatenate((g.lo, g.hi)))))[order]
     a, b, fa, fb = pts[:-1], pts[1:], fpts[:-1], fpts[1:]
     # The sign each cell keeps: the first signed grid value's, flipped past each root.
-    sign = s[np.flatnonzero(s)[0]] * (-1.0) ** np.searchsorted(lo, a, side="right")
-    density = 10.0 * ROUNDING_FLOOR * np.abs(fx).max()
+    sign = g.s[np.flatnonzero(g.s)[0]] * (-1.0) ** np.searchsorted(g.lo, a, side="right")
+    density = 10.0 * ROUNDING_FLOOR * np.abs(g.fx).max()
     tiny = 1e-15 * np.abs(w).sum()
-    below, above = _ndtr(np.stack(((x[0] - y) / sigma, (y - x[-1]) / sigma)))
+    below, above = _ndtr(np.stack(((g.x[0] - y) / sigma, (y - g.x[-1]) / sigma)))
     total = float(np.abs(w) @ (below + above))
     for depth in range(41):
         bound = _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign)
         done = (bound <= np.maximum(density * (b - a), tiny)) | (depth == 40)
-        if np.count_nonzero(~done) > 4 * len(x):
+        if np.count_nonzero(~done) > 4 * len(g.x):
             done[:] = True
         total += float(bound[done].sum())
         if done.all():
@@ -1345,10 +1386,11 @@ def size_pg(
     sigma* was summed at certified roots, and `l1ErrorBound`, a bound on
     what the evaluation at sigma* misses (`_l1_error_bound`): a closed form
     for certified roots, rounding included, refined cell by cell on the
-    grid; it should stay within SMEAR_L1_ATOL. For homodyne readout the
-    bound is on the trapezoid-rule density, whose own error falls off spectrally in the grid
-    step; the sigma = 0 value `pSRaw` is a plain Riemann sum of that density
-    and lies outside the bound. A branch density that does not hold its
+    grid; `withinTolerance` says whether it is within SMEAR_L1_ATOL. For
+    homodyne readout the bound is on the trapezoid-rule density, whose own
+    error falls off spectrally in the grid step; the sigma = 0 value
+    `pSRaw` is a plain Riemann sum of that density and lies outside the
+    bound. A branch density that does not hold its
     norm is a ContractViolation (`_quad_difference`). Branches
     indistinguishable already at sigma = 0 leave the threshold unreachable:
     the measure is undefined.
@@ -1401,7 +1443,7 @@ def size_pg(
         "size-pg",
         pref * lo,
         witness={**chan_tag, "pG": p_g, "sigmaStar": lo, "prefactor": pref, "pSRaw": ps0,
-                 "l1ErrorBound": bound, "psEvals": len(cache),
+                 **_judged("l1ErrorBound", bound), "psEvals": len(cache),
                  "rootStepsMax": max(r.steps for _, r, _ in cache.values()),
                  "signChanges": len(_mass_split(masses[1])[2]), "rootsCertified": roots.certified},
     )

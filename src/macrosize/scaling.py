@@ -23,15 +23,14 @@ from .mapping import absorb_pair, approx_absorb
 from .measures import (
     DEFAULT_DELTA,
     DEFAULT_P_G,
-    LAYER_TAIL_TOL,
     MEASURES,
-    SMEAR_L1_ATOL,
     Homodyne,
     MeasureResult,
     PhotonCount,
     check_delta,
     check_p_g,
     normalized_sum,
+    tolerance_miss,
 )
 from .states import branch_pair, build_state, make_spin_coherent
 from .symcore import ContractViolation, PureState, SuperpositionPair
@@ -269,19 +268,15 @@ def cell_flag(
     """Flag of a computed table cell, "" when it has none.
 
     A known discrepancy keeps its annotation; otherwise an undefined fit
-    carries its note. Then a ladder point whose witness reports a missed
-    tolerance (size-pg's `l1ErrorBound` above SMEAR_L1_ATOL, d-bar's
-    `tailBound` above LAYER_TAIL_TOL) flags the cell, and last a class that
-    contradicts the target.
+    carries its note. Then a ladder point whose kernel reports missing its
+    own tolerance (`measures.tolerance_miss`) flags the cell, and last a
+    class that contradicts the target.
     """
     if (row, fam) in DISCREPANCY_CELLS:
         return "paper-discrepancy"
     if not fit.defined:
         return fit.note
-    if any(
-        w.get("l1ErrorBound", 0.0) > SMEAR_L1_ATOL or w.get("tailBound", 0.0) > LAYER_TAIL_TOL
-        for w in witnesses
-    ):
+    if any(tolerance_miss(w) for w in witnesses):
         return "tolerance-miss"
     return "class-mismatch" if classification != target else ""
 

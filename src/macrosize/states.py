@@ -10,6 +10,7 @@ import numbers
 import numpy as np
 
 from .symcore import (
+    NORM_TOL,
     TAIL_TOL,
     ContractViolation,
     DensityOp,
@@ -62,10 +63,10 @@ def _coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
 
 
 def _renormalized(amps: np.ndarray) -> np.ndarray:
-    """Truncated amplitudes over their norm, which must be within 1e-10 of 1."""
+    """Truncated amplitudes over their norm, which must be within NORM_TOL of 1."""
     norm = np.linalg.norm(amps)
-    if abs(1.0 - norm) > 1e-10:
-        raise TruncationError(f"renormalization correction {abs(1 - norm):.2e} exceeds 1e-10")
+    if abs(1.0 - norm) > NORM_TOL:
+        raise TruncationError(f"renormalization correction {abs(1 - norm):.2e} exceeds {NORM_TOL}")
     return amps / norm
 
 

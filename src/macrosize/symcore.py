@@ -190,12 +190,13 @@ class DensityOp(_Populations):
         if not _is_hermitian(m, HERM_TOL):
             raise ContractViolation("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-10:
-            raise ContractViolation(f"trace {tr} deviates from 1 beyond 1e-10")
+        if abs(tr - 1.0) > NORM_TOL:
+            raise ContractViolation(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
         try:  # factors only when every eigenvalue of m is above MIN_EIG_TOL
             np.linalg.cholesky(m - MIN_EIG_TOL * np.eye(d))
         except np.linalg.LinAlgError:
-            raise ContractViolation("density matrix has an eigenvalue below -1e-8") from None
+            tol = np.format_float_scientific(MIN_EIG_TOL, trim="-", exp_digits=1)  # -1e-8
+            raise ContractViolation(f"density matrix has an eigenvalue below {tol}") from None
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityOp":

@@ -7,6 +7,8 @@ and no module imports scipy at all. Nothing in `measures` comes from
 in `measures` only
 `_weighted_columns` and `index_q` read a density matrix: every other kernel
 takes the state as weighted columns.
+Only `measures`, whose kernels hold themselves to their tolerances, names
+a kernel's tolerance, error key or verdict key.
 No module imports another module's private (`_`-prefixed) name: a helper
 that two modules need is public in the module that owns it.
 The absorption phase (-i)^k is read from its cycle of four
@@ -163,6 +165,27 @@ def test_no_module_imports_a_private_name_of_another():
                     if a.name.startswith("_") and not a.name.startswith("__")
                 ]
     assert reach == [], f"private names imported across modules: {reach}"
+
+
+TOLERANCE_WORDS = ("SMEAR_L1_ATOL", "LAYER_TAIL_TOL", "l1ErrorBound", "tailBound", "withinTolerance")
+
+
+def test_only_measures_names_a_kernels_tolerance():
+    # scaling and cli read a kernel's own verdict through measures.tolerance_miss
+    named = []
+    for module, tree in _trees().items():
+        if module == "measures":
+            continue
+        for n in ast.walk(tree):
+            words = (
+                [n.id] if isinstance(n, ast.Name)
+                else [n.attr] if isinstance(n, ast.Attribute)
+                else [a.name for a in n.names] if isinstance(n, (ast.Import, ast.ImportFrom))
+                else [n.value] if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                else []
+            )
+            named += [f"{module}:{n.lineno} {w}" for w in TOLERANCE_WORDS if any(w in t for t in words)]
+    assert named == [], f"a kernel's tolerance named outside measures: {named}"
 
 
 def _is_imaginary_unit(node: ast.AST) -> bool:

@@ -166,14 +166,77 @@ def test_pair_file_flow(tmp_path, capsys):
 
 def test_two_state_files_measure_as_their_pair_file(tmp_path, capsys):
     # the even cat's branches |alpha> and |-alpha>, each in its own file; the
-    # pair negates alpha = 2 + 0j, so its second branch is at -2 - 0j
+    # pair negates alpha = 2 + 0j, so its second branch is at -2 - 0j, where
+    # the natural -2 gives -2 + 0j. m2's gap has a zero component, rounding
+    # noise whose sign follows that zero's: it prints as 0.0 either way
     pair, a, b = tmp_path / "pair.json", tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "state", "--name", "even-cat", "--alpha", "2", "--pair", "--out", str(pair))
     run(capsys, "state", "--name", "coherent", "--alpha", "2", "--out", str(a))
-    run(capsys, "state", "--name", "coherent", "--alpha=-2-0j", "--out", str(b))
     code, out, _ = run(capsys, "measure", "m2", str(pair), "--M", "200")
     assert code == 0
-    assert run(capsys, "measure", "m2", str(a), str(b), "--M", "200") == (0, out, "")
+    assert load(out)["witness"]["meanGap"][0] == 0.0
+    for alpha in ("-2-0j", "-2"):
+        run(capsys, "state", "--name", "coherent", f"--alpha={alpha}", "--out", str(b))
+        assert run(capsys, "measure", "m2", str(a), str(b), "--M", "200") == (0, out, "")
+
+
+@pytest.fixture
+def missed_tolerances(monkeypatch):
+    """size-pg's error bound and d-bar's layer tail stubbed past their
+    tolerances, so each kernel reports a miss."""
+    layer_weights = measures._layer_weights
+
+    def deep_tail(phi0, phi1):
+        return (*layer_weights(phi0, phi1)[:3], 2 * measures.LAYER_TAIL_TOL)
+
+    monkeypatch.setattr(measures, "_l1_error_bound", lambda *args: 1.0)
+    monkeypatch.setattr(measures, "_layer_weights", deep_tail)
+
+
+@pytest.mark.parametrize(
+    "state, measure, flags, message",
+    [
+        (["fock-superposition", "--N", "3"], "size-pg", [],
+         "tolerance failure: size-pg l1ErrorBound 1.000e+00 exceeds 1.000e-08"),
+        (["even-cat", "--alpha", "2"], "d-bar", ["--M", "200"],
+         "tolerance failure: d-bar tailBound 2.000e-12 exceeds 1.000e-12"),
+    ],
+    ids=["size-pg", "d-bar"],
+)
+def test_measure_tolerance_miss_exits_4_beside_its_report(
+    state, measure, flags, message, tmp_path, capsys, missed_tolerances
+):
+    f = tmp_path / "pair.json"
+    run(capsys, "state", "--name", *state, "--pair", "--out", str(f))
+    code, out, err = run(capsys, "measure", measure, str(f), *flags)
+    assert code == 4
+    assert load(out)["witness"]["withinTolerance"] is False
+    assert err.splitlines() == [message]
+
+
+def test_sweep_reports_each_point_verdict_and_exits_4_on_a_miss(capsys, monkeypatch):
+    argv = ["sweep", "fock-superposition", "size-pg", "--ladder", "2,4,8,16"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [p["withinTolerance"] for p in load(out)["points"]] == [True] * 4
+    monkeypatch.setattr(measures, "_l1_error_bound", lambda *args: 1.0)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert [p["withinTolerance"] for p in load(out)["points"]] == [False] * 4
+    assert err.splitlines() == [
+        f"tolerance failure: size-pg at N={n} l1ErrorBound 1.000e+00 exceeds 1.000e-08"
+        for n in (2, 4, 8, 16)
+    ]
+    # a measure held to no tolerance prints no verdict
+    code, out, _ = run(capsys, "sweep", "fock-superposition", "n-eff", "--ladder", "2,4,8,16")
+    assert code == 0 and all("withinTolerance" not in p for p in load(out)["points"])
+
+
+def test_table1_flags_a_miss_and_exits_0(capsys, missed_tolerances):
+    code, out, err = run(capsys, "table1", "--ladder", "2,4,8,16")
+    assert (code, err) == (0, "")
+    flags = {(c["measure"], c["family"]): c["flag"] for c in load(out)["cells"]}
+    assert flags[("size-pg", "fock-superposition")] == "tolerance-miss"
 
 
 @pytest.fixture(scope="module")
@@ -384,7 +447,7 @@ def test_sweep_undefined_at_some_sizes_exits_3(capsys):
     assert doc["fit"]["note"] == "measure undefined at some sizes"
 
 
-def test_sweep_size_pg_unreachable_threshold_exits_3(capsys):
+def test_sweep_size_pg_unreachable_threshold_exits_3(capsys, monkeypatch):
     # at P_g = 0.99 homodyne readout cannot tell the N = 1 cat's branches
     # apart even unsmeared, so that point and the fit are undefined
     argv = ["sweep", "even-cat", "size-pg", "--ladder", "1,2,4,8", "--pg", "0.99"]
@@ -393,6 +456,12 @@ def test_sweep_size_pg_unreachable_threshold_exits_3(capsys):
     doc = load(out)
     assert [p["defined"] for p in doc["points"]] == [False, True, True, True]
     assert doc["fit"]["note"] == "measure undefined at some sizes"
+    # an undefined fit exits 3 ahead of the defined points' tolerance misses
+    monkeypatch.setattr(measures, "_l1_error_bound", lambda *args: 1.0)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert [p.get("withinTolerance") for p in load(out)["points"]] == [None, False, False, False]
+    assert len(err.splitlines()) == 3
 
 
 def test_sweep_constant_family_fits_zero(capsys):

@@ -42,6 +42,9 @@ CASES = {
     "max-variance-mixed": (3, ["measure", "max-variance", "mixed.json", "--M", "200"]),
     "i-wigner-spin-even-cat": (0, ["measure", "i-wigner-spin", "even_cat.json", "--M", "200"]),
     "d-bar-even-cat-pair": (0, ["measure", "d-bar", "even_cat_pair.json", "--M", "200"]),
+    # size-pg's sign grid: the masses change sign six times
+    "size-pg-fock-pair-homodyne": (
+        0, ["measure", "size-pg", "fock_pair.json", "--channel", "homodyne"]),
     "verify-mapping-jmax": (
         0, ["verify-mapping", "--M", "200", "--K", "8", "--jmax", "3", "--lam", "0.7"]),
     # named states, and the branch pair of every pair name

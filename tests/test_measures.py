@@ -57,7 +57,6 @@ from macrosize.measures import (
     DegeneratePairError,
     _NDTR_MINUS_REACH,
     _REACH,
-    _Roots,
     _channel_masses,
     _erfinv,
     _first_hit,
@@ -714,15 +713,32 @@ def test_size_indistinguishable_pair_is_undefined():
     assert r.witness["psEvals"] == 1
 
 
-def _brute_l1(y, w, sigma):
-    """Adaptive quadrature of |f| over sigma-wide pieces out to 12 sigma past
-    the masses, blind to where f changes sign."""
-    def absf(x):
-        return abs(float(_smeared(y, w, sigma, np.array([x]))[0]))
+def _sampled_l1(y, w, sigma):
+    """Adaptive quadrature of f over sigma-wide pieces out to 12 sigma past
+    the masses, each also cut where f changes sign between samples sigma/64
+    apart (located by brentq, or at the sample where f is at rounding
+    level): blind to S-(w) and to the roots _interval_l1 places, and with
+    no kink of |f| inside a piece, where quad can misjudge its own error (by
+    8e-10 on one draw, against a quadrature that did not cut at the roots)."""
+    def f(x):
+        return float(_smeared(y, w, sigma, np.array([x]))[0])
 
-    edges = np.arange(y[0] - 12 * sigma, y[-1] + 13 * sigma, sigma)
+    x = np.linspace(y[0] - 12 * sigma, y[-1] + 12 * sigma, 64 * int((y[-1] - y[0]) / sigma + 24) + 1)
+    s = np.sign(_smeared(y, w, sigma, x))
+
+    def cut(a, b):
+        # compares signs: a product of values can underflow to 0. Where f
+        # evaluated alone keeps its sign, its value at one end is at the
+        # rounding level, and the root lies there
+        fa, fb = f(a), f(b)
+        if np.sign(fa) * np.sign(fb) < 0:
+            return brentq(f, a, b, xtol=1e-15)
+        return a if abs(fa) <= abs(fb) else b
+
+    cuts = [cut(x[i], x[i + 1]) for i in np.flatnonzero(s[1:] != s[:-1])]
+    edges = np.unique(np.concatenate((np.arange(x[0], x[-1], sigma), cuts, [x[-1]])))
     return sum(
-        quad(absf, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        abs(quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0])
         for a, b in zip(edges[:-1], edges[1:])
     )
 
@@ -741,7 +757,7 @@ def test_photon_interval_l1_matches_brute_force_quadrature(family, N):
     y, w = _channel_masses(pair, PhotonCount(), star, {})
     for sigma in (star / 2, star, 2 * star):
         l1, brackets = _interval_l1(y, w, sigma)
-        assert l1 == pytest.approx(_brute_l1(y, w, sigma), abs=1e-8)
+        assert l1 == pytest.approx(_sampled_l1(y, w, sigma), abs=1e-8)
         assert 0.0 <= _l1_error_bound(y, w, sigma, brackets) <= SMEAR_L1_ATOL
 
 
@@ -753,7 +769,7 @@ def test_homodyne_interval_l1_matches_brute_force_quadrature(sigma):
     h = (y[1] - y[0]) / 4
     d = _quad_difference(pair.psi0.amps, pair.psi1.amps, 0.0, h)
     n = len(d) // 2
-    want = _brute_l1(h * np.arange(-n, n + 1), h * d, sigma)
+    want = _sampled_l1(h * np.arange(-n, n + 1), h * d, sigma)
     l1, brackets = _interval_l1(y, w, sigma)
     assert l1 == pytest.approx(want, abs=1e-8)
     assert 0.0 <= _l1_error_bound(y, w, sigma, brackets) <= SMEAR_L1_ATOL
@@ -796,7 +812,7 @@ def test_error_bound_covers_a_root_pair_the_grid_misses():
     w = np.array([1.0, -2.002 * np.exp(-0.5 * 1.6**2), 1.0])
     assert _smeared(y, w, 1.0, y[1:2])[0] < 0.0
     l1, brackets = _interval_l1(y, w, 1.0)
-    missed = _brute_l1(y, w, 1.0) - l1
+    missed = _sampled_l1(y, w, 1.0) - l1
     assert missed > 1e-6
     assert missed <= _l1_error_bound(y, w, 1.0, brackets) <= 1.01 * missed + 1e-12
 
@@ -977,7 +993,9 @@ def _bisected_l1(y, w, sigma):
 def test_root_brackets_are_narrow_and_keep_their_signs(masses, sigma):
     y, w = (np.array(v) for v in zip(*sorted(masses)))
     assume(np.abs(w).sum() > 1e-3)
-    x, fx, s, lo, hi, steps = _root_brackets(y, w, sigma)
+    brackets = _root_brackets(y, w, sigma)
+    g, steps = brackets.grid, brackets.steps
+    x, fx, s, lo, hi = g.x, g.fx, g.s, g.lo, g.hi
     floor = ROUNDING_FLOOR * np.abs(fx).max()
     s_lo = s[np.flatnonzero(s)[0]] * (-1.0) ** np.arange(len(lo))  # signs alternate
     assert np.all(hi - lo <= ROOT_WIDTH * 0.25 * sigma)
@@ -995,8 +1013,7 @@ def test_root_brackets_are_narrow_and_keep_their_signs(masses, sigma):
     # rounding floor: it then lies within both paths' own bounds of the grid's.
     l1, roots = _interval_l1(y, w, sigma)
     if roots.certified:
-        grid = _Roots(lo, steps, grid=(x, fx, s, lo, hi, steps))
-        tol += _l1_error_bound(y, w, sigma, grid) + roots.bound
+        tol += _l1_error_bound(y, w, sigma, brackets) + roots.bound
     assert l1 == pytest.approx(want, rel=0.0, abs=tol)
 
 
@@ -1007,7 +1024,7 @@ def test_one_root_shuts_an_exactly_zero_run_at_once(N):
     y, w = np.array([0.0, 2.0 * N]), np.array([0.5, -0.5])
     l1, roots = _interval_l1(y, w, 1.0)
     assert roots.certified and roots.steps <= 4
-    assert _root_brackets(y, w, 1.0)[-1] >= 31
+    assert _root_brackets(y, w, 1.0).steps >= 31
     assert abs(1.0 - l1) <= roots.bound <= 1e-14
 
 
@@ -1041,7 +1058,7 @@ def test_one_root_certifies_past_small_masses_that_add_sign_changes():
     l1, roots = _interval_l1(y, w, 1.0)
     assert roots.certified
     assert roots.bound >= 2.0 * 1.8e-13
-    missed = _brute_l1(y, w, 1.0) - l1
+    missed = _sampled_l1(y, w, 1.0) - l1
     assert 1e-13 < missed <= roots.bound <= SMEAR_L1_ATOL
 
 
@@ -1057,28 +1074,6 @@ def _one_change_masses(draw):
     w = [e if e else (v if i < split else -v) for i, (v, e) in enumerate(zip(size, small))]
     assume(max(abs(v) for v in w) >= 1e-3)
     return np.array(y), np.array(w)
-
-
-def _sampled_l1(y, w, sigma):
-    """Adaptive quadrature of f over sigma-wide pieces out to 12 sigma past
-    the masses, each also cut where f changes sign between samples sigma/64
-    apart (located by brentq): blind to S-(w) and to the roots _interval_l1
-    places, and with no kink of |f| inside a piece, where quad can misjudge
-    its own error (by 8e-10 on a draw that _brute_l1 met)."""
-    def f(x):
-        return float(_smeared(y, w, sigma, np.array([x]))[0])
-
-    x = np.linspace(y[0] - 12 * sigma, y[-1] + 12 * sigma, 64 * int((y[-1] - y[0]) / sigma + 24) + 1)
-    s = np.sign(_smeared(y, w, sigma, x))
-    cuts = [
-        brentq(f, x[i], x[i + 1], xtol=1e-15) if f(x[i]) * f(x[i + 1]) < 0 else x[i + 1]
-        for i in np.flatnonzero(s[1:] != s[:-1])
-    ]
-    edges = np.unique(np.concatenate((np.arange(x[0], x[-1], sigma), cuts, [x[-1]])))
-    return sum(
-        abs(quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0])
-        for a, b in zip(edges[:-1], edges[1:])
-    )
 
 
 @settings(max_examples=30, deadline=None)

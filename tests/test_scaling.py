@@ -21,6 +21,7 @@ from macrosize import (
     make_fock,
     make_fock_superposition,
     mean_and_covariance,
+    measures,
     normalized_sum,
     scaling,
     sweep,
@@ -31,7 +32,7 @@ from macrosize.measures import (
     MEASURES,
     SMEAR_L1_ATOL,
     MeasureResult,
-    MeasureSpec,
+    _judged,
 )
 from macrosize.scaling import (
     BENCHMARK_TARGETS,
@@ -384,9 +385,12 @@ def test_cell_flag_derives_class_mismatch():
 def test_cell_flag_reports_tolerance_misses():
     fit = ScalingFit(1.01, 0.0, 0.02, 0.0)
     dsp = FamilyId.DISPLACED_SINGLE_PHOTON
-    met = [{"l1ErrorBound": SMEAR_L1_ATOL}, {"tailBound": LAYER_TAIL_TOL}, {"method": "extremal-ladder"}]
+    # each witness as its kernel writes it: the error beside the kernel's verdict
+    met = [_judged("l1ErrorBound", SMEAR_L1_ATOL), _judged("tailBound", LAYER_TAIL_TOL),
+           {"method": "extremal-ladder"}]
     assert cell_flag("size-pg", dsp, "O(N)", "O(N)", fit, met) == ""
-    for missed in ({"l1ErrorBound": 2 * SMEAR_L1_ATOL}, {"tailBound": 2 * LAYER_TAIL_TOL}):
+    for missed in (_judged("l1ErrorBound", 2 * SMEAR_L1_ATOL),
+                   _judged("tailBound", 2 * LAYER_TAIL_TOL)):
         assert cell_flag("d-bar", dsp, "O(N)", "O(N)", fit, [*met, missed]) == "tolerance-miss"
         # ahead of a class mismatch, behind a known discrepancy and an undefined fit's note
         assert cell_flag("d-bar", dsp, "O(1)", "O(N)", fit, [missed]) == "tolerance-miss"
@@ -398,14 +402,10 @@ def test_cell_flag_reports_tolerance_misses():
 
 
 def test_table1_flags_a_stubbed_tolerance_miss():
-    real = scaling.MEASURES["size-pg"]
-
-    def missing(x, **kw):
-        r = real.evaluate(x, **kw)
-        return MeasureResult(r.measure_id, r.value, {**r.witness, "l1ErrorBound": 1.0})
-
+    # size-pg's error bound is stubbed past its tolerance: the kernel's own
+    # verdict is what flags the cells
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(scaling.MEASURES, "size-pg", MeasureSpec(real.pair, real.domain, missing))
+        mp.setattr(measures, "_l1_error_bound", lambda *args: 1.0)
         report = table1(ladder=(2, 4, 8, 16))
     flags = {(c.measure_id, c.family_id): c.flag for c in report.cells}
     assert flags[("size-pg", FamilyId.DISPLACED_SINGLE_PHOTON)] == "tolerance-miss"
