@@ -95,6 +95,13 @@ def absorption_cutoff(M: int, photon_cutoff: int, nbar: float) -> int:
     return min(M, max(photon_cutoff, default_spin_truncation(M, nbar)))
 
 
+def regime_breach(cutoff: int, M: int) -> str:
+    """Why a photon cutoff above M/4 leaves the low-excitation regime; "" inside it."""
+    if 4 * cutoff <= M:
+        return ""
+    return f"photon cutoff {cutoff} above M/4 = {M / 4:.15g} at M={M}; needs M >= {4 * cutoff}"
+
+
 def approx_absorb(
     psi: PureState | DensityOp, M: int, K: int | None = None
 ) -> PureState | DensityOp:
@@ -102,17 +109,13 @@ def approx_absorb(
 
     With p = diag((-i)^k), a pure state's amplitudes map to p psi and a
     single-mode density operator to p rho p*. Valid in the low-excitation
-    regime; warns (RegimeWarning) when the photon cutoff exceeds M/4.
+    regime; warns (RegimeWarning) outside it (`regime_breach`).
     """
     cutoff = mode_basis(psi).cutoff
     if cutoff > M:
         raise ContractViolation(f"cannot absorb up to {cutoff} photons into M={M} spins")
-    if cutoff > M / 4:
-        warnings.warn(
-            f"photon cutoff {cutoff} above M/4 = {M / 4:.0f}; first-order map degrades",
-            RegimeWarning,
-            stacklevel=2,
-        )
+    if breach := regime_breach(cutoff, M):
+        warnings.warn(breach, RegimeWarning, stacklevel=2)
     if K is None:
         K = absorption_cutoff(M, cutoff, psi.mean_excitation)
     if K < cutoff:

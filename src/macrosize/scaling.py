@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .mapping import absorb_pair, approx_absorb
+from .mapping import absorb_pair, approx_absorb, regime_breach
 from .measures import (
     DEFAULT_DELTA,
     DEFAULT_P_G,
@@ -33,7 +33,7 @@ from .measures import (
     tolerance_miss,
 )
 from .states import branch_pair, build_state, make_spin_coherent
-from .symcore import ContractViolation, PureState, SuperpositionPair
+from .symcore import ContractViolation, PureState, SuperpositionPair, TruncationError
 
 
 class FamilyId(str, Enum):
@@ -46,12 +46,6 @@ class FamilyId(str, Enum):
 def default_spin_rule(n: int) -> int:
     """The default spin count M = SPIN_FACTOR * N."""
     return SPIN_FACTOR * n
-
-
-def _check_spin_count(N: int, M: int) -> None:
-    """M >= 4 N spins hold N excitations in the low-excitation regime."""
-    if M < 4 * N:
-        raise ContractViolation(f"spin rule gives M={M}, too small for N={N} excitations")
 
 
 SPIN_FACTOR = 200  # M = 200 N keeps the ensemble deep in the dilute-excitation regime
@@ -89,15 +83,18 @@ class StateFamily:
     spin_factor: int = SPIN_FACTOR
 
     def __post_init__(self):
-        lad = tuple(int(n) for n in self.size_ladder)
-        if len(lad) < 4:
-            raise ContractViolation(f"ladder needs >= 4 points, got {len(lad)}")
-        if lad[0] < 1 or any(b <= a for a, b in zip(lad, lad[1:])):
-            raise ContractViolation("ladder must be strictly increasing positive integers")
-        if any(b < 1.5 * a for a, b in zip(lad, lad[1:])):
-            raise ContractViolation("ladder must be geometric with ratio >= 1.5")
-        _check_spin_count(lad[0], self.spin_factor * lad[0])  # M/N is the same at every N
-        object.__setattr__(self, "size_ladder", lad)
+        if self.spin_factor < 1:
+            raise ContractViolation(f"spin factor must be >= 1, got {self.spin_factor}")
+        object.__setattr__(self, "size_ladder", _checked_ladder("N", self.size_ladder))
+
+
+def _checked_ladder(variable: str, ladder: Iterable[int]) -> tuple[int, ...]:
+    """A size ladder of N or M: >= 4 positive integers, each >= 1.5 times the last."""
+    lad = tuple(int(n) for n in ladder)
+    if len(lad) < 4 or lad[0] < 1 or any(b < 1.5 * a for a, b in zip(lad, lad[1:])):
+        raise ContractViolation(
+            f"{variable} ladder needs >= 4 positive points, each >= 1.5 times the last; got {lad}")
+    return lad
 
 
 @dataclass(frozen=True)
@@ -109,9 +106,10 @@ class FamilyBundle:
     M: int
     photonic: PureState
     photonic_pair: SuperpositionPair | None
-    spin_state: PureState
+    spin_state: PureState | None
     spin_pair: SuperpositionPair | None
     channel: PhotonCount | Homodyne
+    out_of_regime: str = ""  # the photon cutoff's `regime_breach`, which leaves no spin image
 
 
 def family_state(family_id: FamilyId | str, N: int, M: int | None = None) -> FamilyBundle:
@@ -124,20 +122,23 @@ def family_state(family_id: FamilyId | str, N: int, M: int | None = None) -> Fam
     and -D|-> recombine to the displaced single photon). A Fock state's spin
     image is its absorption, a pair family's the normalized sum of its spin
     pair: the branch pair absorbed at one truncation, or the even cat's
-    product pair.
+    product pair. There is none for a state or pair whose photon cutoff
+    leaves the regime of M spins (`mapping.regime_breach`).
     """
     fid = FamilyId(family_id)
     if N < 1:
         raise ContractViolation(f"need N >= 1, got {N}")
     M = default_spin_rule(N) if M is None else int(M)
-    _check_spin_count(N, M)
     alpha = float(np.sqrt(N))
     params = {"N": N} if fid in (FamilyId.FOCK, FamilyId.FOCK_SUPERPOSITION) else {"alpha": alpha}
     ph = build_state(fid.value, **params)
+    pair = None if fid is FamilyId.FOCK else branch_pair(fid.value, **params)
+    channel = Homodyne(0.0) if fid is FamilyId.EVEN_CAT else PhotonCount()
+    if breach := regime_breach(max(ph.basis.cutoff, pair.psi0.basis.cutoff if pair else 0), M):
+        return FamilyBundle(fid, N, M, ph, pair, None, None, channel, breach)
     if fid is FamilyId.FOCK:
-        return FamilyBundle(fid, N, M, ph, None, approx_absorb(ph, M), None, PhotonCount())
+        return FamilyBundle(fid, N, M, ph, None, approx_absorb(ph, M), None, channel)
 
-    pair = branch_pair(fid.value, **params)
     if fid is FamilyId.EVEN_CAT:
         # Spin branches are the product states the absorption produces for
         # coherent input, not the bare amplitude embedding: the flip layering
@@ -145,13 +146,11 @@ def family_state(family_id: FamilyId | str, N: int, M: int | None = None) -> Fam
         # the embedding's O(alpha^4/M) defect inflates the layer ranks and
         # biases d-bar low.
         spin_pair = SuperpositionPair(make_spin_coherent(alpha, M), make_spin_coherent(-alpha, M))
-        channel = Homodyne(0.0)
     else:
         # The displaced photon's I-measure row uses the genuine two-mode
         # state; its pair and spin rows use the single-mode branches
         # D(|0>+|1>)/sqrt2, -D(|0>-|1>)/sqrt2, whose sum is D|1>.
         spin_pair = absorb_pair(pair, M)
-        channel = PhotonCount()
     return FamilyBundle(fid, N, M, ph, pair, normalized_sum(spin_pair), spin_pair, channel)
 
 
@@ -284,12 +283,14 @@ def cell_flag(
 def evaluate_cell(
     measure_id: str, bundle: FamilyBundle, delta: float = DEFAULT_DELTA, p_g: float = DEFAULT_P_G
 ) -> MeasureResult:
-    """One table cell at one ladder point; raises when the family lacks the
-    input the measure needs (no branch pair for single Fock states)."""
+    """One table cell at one ladder point; raises when the family lacks the input
+    the measure needs (a Fock state's branch pair, a spin image out of regime)."""
     spec = MEASURES.get(measure_id)
     if spec is None:
         raise ContractViolation(f"no table row for measure {measure_id!r}")
     spin = spec.domain == "spin"
+    if spin and bundle.out_of_regime:
+        raise ContractViolation(f"{bundle.family_id.value} at N={bundle.N}: {bundle.out_of_regime}")
     if spec.pair:
         x = bundle.spin_pair if spin else bundle.photonic_pair
         if x is None:
@@ -355,10 +356,7 @@ def _ladder_bundles(family: StateFamily) -> Iterable[FamilyBundle]:
 
 def _m_ladder_bundles(fid: FamilyId, N: int, m_ladder: tuple[int, ...]) -> Iterable[FamilyBundle]:
     """The bundles at fixed N along an M ladder; the ladder is checked at once."""
-    lad = tuple(int(m) for m in m_ladder)
-    if len(lad) < 4 or any(b <= a for a, b in zip(lad, lad[1:])):
-        raise ContractViolation("M ladder must be >= 4 strictly increasing values")
-    return (family_state(fid, N, m) for m in lad)
+    return (family_state(fid, N, m) for m in _checked_ladder("M", m_ladder))
 
 
 def _sweep_bundles(
@@ -478,18 +476,19 @@ def table1(
     (its benchmark entry is an M-scaling). Each family's ladder states and
     the M-sweep states are built once and shared by every row. Failures,
     in a build or in a cell, are recorded as error cells of the cells they
-    touch; they never abort the report. Out-of-range delta or p_g raise
-    before any state is built, as a bad ladder or spin factor does.
+    touch; they never abort the report. A bug raises. Out-of-range delta or
+    p_g raise before any state is built, as a bad ladder or spin factor does.
     """
     check_delta(delta)
     check_p_g(p_g)
     family = {fid: StateFamily(fid, tuple(ladder), spin_factor) for fid in FAMILY_ORDER}
     m_sweep_cell = ("m2", FamilyId.FOCK_SUPERPOSITION)
+    recorded = (ContractViolation, TruncationError)  # input errors; any other exception is a bug
 
     def build(make) -> list[FamilyBundle] | Exception:
         try:
             return list(make())
-        except Exception as exc:  # recorded on the cells that need these states
+        except recorded as exc:  # recorded on the cells that need these states
             return exc
 
     bundles = {fam: build(lambda: _ladder_bundles(family[fam])) for fam in FAMILY_ORDER}
@@ -517,7 +516,7 @@ def table1(
                         res.points,
                     )
                 )
-            except Exception as exc:  # recorded, never fatal
+            except recorded as exc:  # recorded, never fatal
                 cells.append(
                     Table1Cell(row, fam, target, "error", np.nan, 0.0,
                                f"{type(exc).__name__}: {exc}", ()))

@@ -235,31 +235,39 @@ def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> PureStat
     return PureState(basis, _renormalized(np.exp(logmag) * phase))
 
 
+def _parsed(convert, value, expected: str):
+    """convert(value); a value it cannot convert is refused by name."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ContractViolation(f"expected {expected}, got {value!r}") from None
+
+
 def _as_complex(value) -> complex:
     """An amplitude given as "1+1j", [re, im] or a number. A number is kept as
     given, so a real alpha stays real: -(a + 0j) has a -0.0 imaginary part,
     which moves the odd Fock amplitudes of |-alpha> at rounding level."""
     if isinstance(value, numbers.Number):
         return value
-    try:
-        return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
-    except (TypeError, ValueError) as exc:
-        raise ContractViolation(f"cannot parse amplitude {value!r}") from exc
+    pair = isinstance(value, (list, tuple))
+    return _parsed(lambda v: complex(*v) if pair else complex(v), value, "an amplitude")
 
 
 def _as_int(value) -> int:
     """An integer given as a string, which goes through int(), or as a number,
-    which must have no fractional part: 2.5 is rejected, not truncated to 2."""
-    n = int(value)
-    if isinstance(value, numbers.Number) and n != value:
+    which must have no fractional part: 2.5 is rejected, not truncated to 2,
+    and so is a float of magnitude >= 2**53, which denotes no one integer."""
+    n = _parsed(int, value, "an integer")
+    wide = isinstance(value, float) and abs(n) >= 2**53
+    if wide or isinstance(value, numbers.Number) and n != value:
         raise ContractViolation(f"expected an integer, got {value!r}")
     return n
 
 
 # Every parameter a named state or pair is built from, with its converter.
 STATE_PARAMS = {
-    "N": _as_int, "alpha": _as_complex, "d": float, "M": _as_int, "k": _as_int, "K": _as_int,
-    "cutoff": _as_int,
+    "N": _as_int, "alpha": _as_complex, "d": lambda value: _parsed(float, value, "a real number"),
+    "M": _as_int, "k": _as_int, "K": _as_int, "cutoff": _as_int,
 }
 
 STATES = {
@@ -346,7 +354,7 @@ def _tag_int(tag: dict, key: str, default: int | None = None) -> int:
     value = tag.get(key, default)
     try:
         return _as_int(value)
-    except (TypeError, ValueError, OverflowError):  # ContractViolation is a ValueError
+    except ContractViolation:
         raise ContractViolation(f"basis tag {key!r} must be an integer, got {value!r}") from None
 
 

@@ -13,7 +13,10 @@ No module imports another module's private (`_`-prefixed) name: a helper
 that two modules need is public in the module that owns it.
 The absorption phase (-i)^k is read from its cycle of four
 (`symcore.absorption_phases`), so no module raises 1j or -1j to a power, and
-every benchmark family is built from the state and pair tables by its name."""
+every benchmark family is built from the state and pair tables by its name.
+The low-excitation regime is decided once, by `mapping.regime_breach`, which
+only `approx_absorb` and `scaling.family_state` ask: `scaling` warns of no
+regime, and holds no multiple or fraction of 4 of its own."""
 
 import ast
 from pathlib import Path
@@ -216,3 +219,22 @@ def test_families_are_named_states_and_pairs():
         assert fid.value in STATES, fid
         has_pair = family_state(fid, 8).photonic_pair is not None
         assert has_pair == (fid.value in PAIRS), fid
+
+
+def test_the_regime_is_decided_by_one_predicate_in_mapping():
+    callers = {
+        q for q, fn in _functions().items()
+        if any(isinstance(n, ast.Call) and _called_name(n) == "regime_breach" for n in ast.walk(fn))
+    }
+    assert callers == {"mapping.approx_absorb", "scaling.family_state"}
+    tree = _trees()["scaling"]
+    imports = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+               for a in n.names}
+    assert "warnings" not in imports and "RegimeWarning" not in imports
+    assert "RegimeWarning" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    fours = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.Div, ast.FloorDiv))
+        and any(isinstance(x, ast.Constant) and x.value == 4 for x in (n.left, n.right))
+    ]
+    assert fours == [], f"scaling scales by 4 at lines {fours}"

@@ -546,8 +546,9 @@ def test_verify_mapping_reports_and_gates(capsys):
         (["verify-mapping", "--M", "200", "--K", "8", "--jmax", "-3"], "--jmax must be at least 1/2"),
         (["verify-mapping", "--M", "0", "--K", "0"], "at least one spin"),
         (["verify-mapping", "--M", "10", "--K", "11"], "label cutoff K=11 outside 0..M=10"),
-        (["--spin-factor", "3", "table1"], "too small"),
-        (["--spin-factor", "3", "sweep", "fock", "n-eff", "--ladder", "2,4,8,16"], "too small"),
+        (["--spin-factor", "0", "table1"], "spin factor must be >= 1, got 0"),
+        (["--spin-factor", "3", "sweep", "fock", "n-eff", "--ladder", "2,4,8,16"],
+         "fock at N=2: photon cutoff 4 above M/4 = 1.5 at M=6; needs M >= 16"),
         (["state", "--name", "displaced-single-photon", "--alpha", "2", "--cutoff", "3",
           "--pair"], "cutoff 3 below required 19.4"),
         (["state", "--name", "spin-coherent", "--alpha", "3", "--M", "100", "--K", "2"],
@@ -564,6 +565,42 @@ def test_check_that_cannot_run_exits_2(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_table1_out_of_regime_refuses_its_spin_cells_quietly(capsys):
+    # M = 7N at N = 2 holds no family's photon cutoff (Fock's N + 2 = 4 needs
+    # 16 spins): each spin cell refuses, and nothing warns on the way
+    code, out, err = run(capsys, "--spin-factor", "7", "table1", "--ladder", "2,4,8,16")
+    assert (code, err) == (0, "")
+    cells = {(c["measure"], c["family"]): c for c in load(out)["cells"]}
+    assert cells[("m2", "fock-superposition")]["class"] == "O(1/M)"  # M = 1600...12800
+    for (measure, family), c in cells.items():
+        if c["class"] == "n.d." or (measure, family) == ("m2", "fock-superposition"):
+            continue
+        if MEASURES[measure].domain == "photonic":
+            assert c["class"] not in ("error", "unclassified"), (measure, family)
+        else:
+            assert c["class"] == "error", (measure, family)
+            assert f"{family} at N=2: photon cutoff " in c["flag"]
+            assert "above M/4 = 3.5 at M=14; needs M >= " in c["flag"]
+
+
+@pytest.mark.parametrize(
+    "params, value",
+    [
+        (["--name", "fock", "--N", "abc"], "'abc'"),
+        (["--name", "fock", "--N", "2.5"], "'2.5'"),
+        (["--name", "fock", "--N", "1e3"], "'1e3'"),
+        (["--name", "ghz", "--M", "2.5"], "'2.5'"),
+        (["--name", "mixed-cat", "--alpha", "1", "--d", "abc"], "'abc'"),
+        (["--name", "coherent", "--alpha", "1", "--cutoff", "20.0"], "'20.0'"),
+    ],
+    ids=["N-word", "N-fraction", "N-exponent", "M-fraction", "d-word", "cutoff-decimal"],
+)
+def test_state_flag_that_is_no_number_exits_2(params, value, capsys):
+    code, out, err = run(capsys, "state", *params)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expected ") and err.endswith(f", got {value}\n")
 
 
 @pytest.mark.parametrize(
@@ -621,6 +658,7 @@ def test_non_finite_phase_exits_2_before_any_kernel_runs(command, g, tmp_path, m
         ("ghz", ["--M", "12"], "M", 12.5),
         ("ghz", ["--M", "12"], "K", "twelve"),
         ("ghz", ["--M", "12"], "K", None),
+        ("fock", ["--N", "3", "--cutoff", "16"], "cutoff", 1e308),  # no one integer
     ],
 )
 def test_basis_tag_takes_integers_only(name, params, key, value, tmp_path, capsys):

@@ -52,6 +52,14 @@ def test_approx_absorb_guards():
         approx_absorb(make_fock(3, cutoff=30), 100)
 
 
+def test_regime_breach_holds_a_cutoff_of_m_over_4():
+    assert mapping.regime_breach(4, 16) == ""
+    assert mapping.regime_breach(4, 15) == "photon cutoff 4 above M/4 = 3.75 at M=15; needs M >= 16"
+    # approx_absorb warns with the same words, M/4 unrounded
+    with pytest.warns(RegimeWarning, match=r"^photon cutoff 4 above M/4 = 3\.5 at M=14; needs M >= 16$"):
+        approx_absorb(make_fock(2), 14)
+
+
 def test_block_hamiltonian_hermitian():
     h = block_hamiltonian(3, 40)
     assert h.shape == (4, 4)

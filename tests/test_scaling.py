@@ -122,27 +122,84 @@ def test_t_quantile_closed_forms():
     )
 
 
+LADDER_RULE = "N ladder needs >= 4 positive points, each >= 1.5 times the last"
+
+
 def test_state_family_ladder_guards():
-    with pytest.raises(ContractViolation, match=">= 4 points"):
-        StateFamily(FamilyId.FOCK, (2, 4, 8))
-    with pytest.raises(ContractViolation, match="strictly increasing"):
-        StateFamily(FamilyId.FOCK, (8, 4, 16, 32))
-    with pytest.raises(ContractViolation, match="ratio >= 1.5"):
-        StateFamily(FamilyId.FOCK, (8, 9, 10, 11))
-    with pytest.raises(ContractViolation, match="too small"):
-        family_state(FamilyId.FOCK, 8, M=16)
+    for ladder in ((2, 4, 8), (8, 4, 16, 32), (8, 9, 10, 11), (0, 2, 4, 8)):
+        with pytest.raises(ContractViolation, match=re.escape(f"{LADDER_RULE}; got {ladder}")):
+            StateFamily(FamilyId.FOCK, ladder)
+    # the Fock cutoff N + 2 = 10 needs 40 spins: the bundle has no spin image
+    b = family_state(FamilyId.FOCK, 8, M=16)
+    assert (b.spin_state, b.spin_pair) == (None, None)
+    assert b.out_of_regime == "photon cutoff 10 above M/4 = 4 at M=16; needs M >= 40"
+    with pytest.raises(ContractViolation, match="fock at N=8: photon cutoff 10 above M/4 = 4 "):
+        evaluate_cell("n-eff", b)
 
 
 def test_spin_factor_floor_raises_before_any_state_is_built(monkeypatch):
     assert family_state(FamilyId.FOCK, 4).M == default_spin_rule(4) == 800
-    assert family_state(FamilyId.FOCK, 4, M=24).M == 24
-    with pytest.raises(ContractViolation, match="too small"):
-        StateFamily(FamilyId.FOCK, (8, 16, 32, 64), spin_factor=3)
+    assert family_state(FamilyId.FOCK, 4, M=24).out_of_regime == ""  # cutoff 6 at M/4 = 6
+    with pytest.raises(ContractViolation, match="spin factor must be >= 1, got 0"):
+        StateFamily(FamilyId.FOCK, (8, 16, 32, 64), spin_factor=0)
     built = []
     monkeypatch.setattr(scaling, "family_state", lambda *a, **k: built.append(a))
-    with pytest.raises(ContractViolation, match="too small"):
-        table1(spin_factor=3)
+    with pytest.raises(ContractViolation, match="spin factor must be >= 1, got -1"):
+        table1(spin_factor=-1)
     assert built == []
+
+
+def _errors(report):
+    return {(c.measure_id, c.family_id): c.flag for c in report.cells if c.classification == "error"}
+
+
+def test_table1_out_of_regime_refuses_the_spin_rows_only():
+    # M = 3N holds no family's photon cutoff at N = 8: every spin row of
+    # every family refuses, naming the rule, and the photonic rows evaluate
+    report = table1(spin_factor=3)
+    spin_cells = {
+        (c.measure_id, c.family_id) for c in report.cells
+        if MEASURES[c.measure_id].domain == "spin" and c.classification != "n.d."
+    }
+    spin_cells.discard(("m2", FamilyId.FOCK_SUPERPOSITION))  # its own M ladder: in regime
+    errors = _errors(report)
+    assert set(errors) == spin_cells and len(spin_cells) == 19
+    for (_, fam), flag in errors.items():
+        assert flag.startswith(f"ContractViolation: {fam.value} at N=8: photon cutoff "), flag
+        assert "above M/4 = 6 at M=24; needs M >= " in flag
+    assert report.cell("size-pg", "displaced-single-photon").classification == "O(sqrt(N))"
+    assert report.cell("i-wigner", "fock").classification == "O(N)"
+
+
+def test_table1_m_ladder_out_of_regime_errors_only_its_cell():
+    # the fock-superposition cutoff 2N + 2 = 18 at N = 8 needs 72 spins, above M = 40
+    errors = _errors(table1(m_ladder=(40, 80, 160, 320)))
+    assert errors == {("m2", FamilyId.FOCK_SUPERPOSITION): (
+        "ContractViolation: fock-superposition at N=8: "
+        "photon cutoff 18 above M/4 = 10 at M=40; needs M >= 72")}
+
+
+@pytest.mark.parametrize("family", FAMILY_ORDER, ids=[f.value for f in FAMILY_ORDER])
+def test_default_spin_counts_sit_deep_in_the_regime(family):
+    # at N = 8 over the default M ladder no spin cell moves with M, except
+    # m2's O(1/M) cell: M = 200 N is far above every family's floor
+    for row in TABLE_ROWS:
+        spec = MEASURES[row]
+        if spec.domain != "spin" or spec.pair and family is FamilyId.FOCK:
+            continue
+        slope = sweep_fixed_excitation(family, row).fit.exponent
+        expected = -1.0 if (row, family) == ("m2", FamilyId.FOCK_SUPERPOSITION) else 0.0
+        assert slope == pytest.approx(expected, abs=0.05), row
+
+
+def test_table1_raises_what_is_not_an_input_error(monkeypatch):
+    # a bug inside a kernel propagates; only input errors become error cells
+    def broken(state):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(measures, "n_eff", broken)
+    with pytest.raises(KeyError, match="bug"):
+        table1(ladder=(2, 4, 8, 16))
 
 
 def test_classification_bands():
@@ -334,7 +391,8 @@ def test_table1_bad_m_ladder_fails_only_the_m_sweep_cell(stub_cells):
     errors = {(c.measure_id, c.family_id) for c in report.cells if c.classification == "error"}
     assert errors == {("m2", FamilyId.FOCK_SUPERPOSITION)}
     assert report.cell("m2", "fock-superposition").flag == (
-        "ContractViolation: M ladder must be >= 4 strictly increasing values")
+        "ContractViolation: M ladder needs >= 4 positive points, each >= 1.5 times the last; "
+        "got (1600, 3200, 6400)")
 
 
 def test_table1_bad_ladder_raises_before_any_build(stub_cells, monkeypatch):
