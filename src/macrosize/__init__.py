@@ -91,7 +91,6 @@ from .symcore import (
     DickeBasis,
     FockBasis,
     PureState,
-    RegimeWarning,
     SuperpositionPair,
     TruncationError,
     check_kind,

@@ -57,7 +57,6 @@ from .symcore import (
     DensityOp,
     DickeBasis,
     SuperpositionPair,
-    TruncationError,
 )
 
 
@@ -349,8 +348,8 @@ def cmd_sweep(args, spin_factor: int) -> int:
 def cmd_verify_mapping(args, spin_factor: int) -> int:
     if args.lam is not None and args.jmax is None:
         raise ContractViolation("--lam sets the disentangling check; it needs --jmax")
-    if args.jmax is not None and args.jmax < 0.5:
-        raise ContractViolation(f"--jmax must be at least 1/2, got {args.jmax}")
+    if args.jmax is not None and not 0.5 <= args.jmax < np.inf:
+        raise ContractViolation(f"--jmax must be at least 1/2 and finite, got {args.jmax}")
     doc: dict = {"header": _header(spin_factor), "M": args.M, "K": args.K, "g": args.g}
     dev = verify_operator_map(args.M, args.K, g=args.g)
     doc["operatorMapDeviation"] = dev
@@ -361,12 +360,11 @@ def cmd_verify_mapping(args, spin_factor: int) -> int:
         doc["residualPhotonPopulation"] = rep.residual_photon_population
     if args.jmax is not None:
         lam = DISENTANGLING_LAMBDA if args.lam is None else args.lam
-        worst = 0.0
-        j = 0.5
-        while j <= args.jmax + 1e-9:
-            worst = max(worst, verify_disentangling_identity(j, lam))
-            j += 0.5
-        doc["disentanglingWorstDeviation"] = worst
+        # from the top j down, so a j whose matrices overflow refuses before any other runs
+        doc["disentanglingWorstDeviation"] = max(
+            verify_disentangling_identity(two_j / 2, lam)
+            for two_j in range(int(2 * args.jmax + 1e-9), 0, -1)
+        )
         doc["disentanglingLambda"] = lam
     sys.stdout.write(_json_text(doc))
     if args.max_deviation is not None and dev > args.max_deviation:
@@ -457,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.spin_factor is not None and not reads_factor:
             raise ContractViolation("--spin-factor is read only by table1 and sweep along --ladder")
         return args.func(args, SPIN_FACTOR if args.spin_factor is None else args.spin_factor)
-    except (ContractViolation, TruncationError, OSError) as exc:
+    except (ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

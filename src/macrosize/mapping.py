@@ -5,7 +5,6 @@ identities that justify it."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,6 @@ from .symcore import (
     DensityOp,
     DickeBasis,
     PureState,
-    RegimeWarning,
     SuperpositionPair,
     absorption_phases,
     default_spin_truncation,
@@ -30,6 +28,7 @@ ABSORPTION_PHASE = np.pi / 2  # interaction phase g = chi sqrt(M) t of a full ab
 # norm), which the normalisation by sqrt(pop) magnifies: below the floor the
 # conditioned state may be rounding noise (|2> at g = 0 gives pop ~ 3e-33).
 VACUUM_POPULATION_FLOOR = 1e-12
+LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))  # 709.78: exp past it overflows a double
 
 
 def _block_offdiag(E: int, M: int) -> np.ndarray:
@@ -109,13 +108,11 @@ def approx_absorb(
 
     With p = diag((-i)^k), a pure state's amplitudes map to p psi and a
     single-mode density operator to p rho p*. Valid in the low-excitation
-    regime; warns (RegimeWarning) outside it (`regime_breach`).
+    regime only, so a photon cutoff outside it is refused (`regime_breach`).
     """
     cutoff = mode_basis(psi).cutoff
-    if cutoff > M:
-        raise ContractViolation(f"cannot absorb up to {cutoff} photons into M={M} spins")
     if breach := regime_breach(cutoff, M):
-        warnings.warn(breach, RegimeWarning, stacklevel=2)
+        raise ContractViolation(breach)
     if K is None:
         K = absorption_cutoff(M, cutoff, psi.mean_excitation)
     if K < cutoff:
@@ -141,8 +138,6 @@ def absorb_pair(pair: SuperpositionPair, M: int) -> SuperpositionPair:
 class MappingReport:
     """Diagnostics of one exact-vs-approx absorption comparison."""
 
-    M: int
-    g: float
     fidelity: float
     residual_photon_population: float
 
@@ -157,13 +152,14 @@ def exact_absorb(
     psi: PureState, M: int, K: int | None = None, g: float = ABSORPTION_PHASE
 ) -> tuple[PureState, MappingReport]:
     """Exact absorption at phase g, conditioned on an empty photon mode, and
-    its comparison with approx_absorb.
+    its comparison with the first-order image (-i)^k c_k |M,k>.
 
     |n = E> x |M, 0> evolves inside the E block and meets the photon vacuum
     only at k = E, so the spin amplitude there is c_E <E| exp(-i H_E t) |0>,
     read from the block's folded SVD (`_block_svd`). The residual is the photon
     population 1 - P(vacuum). The fidelity |<approx| exact(g) |psi x ground>|^2
     does not depend on K: every block E <= cutoff <= K has dimension E + 1.
+    Unlike approx_absorb, it holds at every M >= cutoff, in the regime or not.
     """
     cutoff = mode_basis(psi, PureState).cutoff
     _check_phase(g)
@@ -191,9 +187,9 @@ def exact_absorb(
         )
     spin = PureState(basis, v / np.sqrt(pop))
     residual = 1.0 - pop
-    target = approx_absorb(psi, M, K=K)
-    fidelity = (1.0 - residual) * abs(np.vdot(target.amps, spin.amps)) ** 2
-    return spin, MappingReport(M, g, float(fidelity), residual)
+    target = absorption_phases(cutoff + 1) * psi.amps
+    fidelity = (1.0 - residual) * abs(np.vdot(target, spin.amps[: cutoff + 1])) ** 2
+    return spin, MappingReport(float(fidelity), residual)
 
 
 def mapping_fidelity(psi: PureState, M: int, g: float = ABSORPTION_PHASE) -> MappingReport:
@@ -291,10 +287,24 @@ def verify_disentangling_identity(j: float, lam: float) -> float:
     The LHS comes from the eigendecomposition of the real S+ + S-, the
     diagonal cosh(lam)^{S3} is a power of each entry, and exp(tanh(lam) S+) is
     the series of the nilpotent S+ to its power 2j, exp(tanh(lam) S-) its transpose.
+
+    A (j, lam) whose matrices overflow, so that the deviation reads 0 or NaN,
+    is refused. S+ + S- has the eigenvalues 2m, m = -j..j, so ||LHS||_F^2 =
+    sum_m e^{4 lam m} <= (2j + 1) e^{4 j |lam|}, finite while 4 j |lam| +
+    ln(2j + 1) < ln(max double) = 709.78. No other value then passes
+    e^{2 j |lam|}: at lam >= 0 every factor and term is nonnegative, each
+    series term of exp(tanh(lam) S+) is at most that of exp(lam (S+ + S-)),
+    cosh(lam)^{S3} at most cosh(lam)^{2j}, and each term of the RHS product
+    at most the LHS entry it sums to; at lam < 0 the terms only change sign.
     """
     two_j = round(2 * j)
     if abs(2 * j - two_j) > 1e-12 or two_j < 0:
         raise ContractViolation(f"j must be a half-integer >= 0, got {j}")
+    if not 2 * two_j * abs(lam) + np.log1p(two_j) < LOG_DOUBLE_MAX:
+        raise ContractViolation(
+            f"exp(lam (S+ + S-)) at j={j:g}, lam={lam:g} is past the finite doubles: "
+            f"needs 4 j |lam| + ln(2j + 1) < {LOG_DOUBLE_MAX:.2f}"
+        )
     # S+ on labels m = -j..j ascending: <m+1|S+|m> = sqrt((j - m)(j + m + 1)), the
     # J+ band of 2j spins at k = m + j
     sp = np.diag(raising_coefficients(two_j, two_j), -1)

@@ -10,7 +10,6 @@ amplitudes. Conventions (spectral radius M, Jz = -M + 2k) follow symcore.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,7 +23,6 @@ from .symcore import (
     DickeBasis,
     FockBasis,
     PureState,
-    RegimeWarning,
     SuperpositionPair,
     check_kind,
     collective_apply,
@@ -43,7 +41,7 @@ LAYER_TAIL_TOL = 1e-12
 PRODUCT_REFERENCE_TOL = 1e-10  # d-bar's bound on a product reference's <D>
 WITHIN_TOLERANCE = "withinTolerance"  # witness key: whether a kernel met its own tolerance
 # The error each such kernel reports, by witness key, and the tolerance it is held to
-_TOLERANCES = {"l1ErrorBound": SMEAR_L1_ATOL, "tailBound": LAYER_TAIL_TOL}
+_TOLERANCES = {"l1ErrorBound": SMEAR_L1_ATOL, "tailBound": LAYER_TAIL_TOL, "tailMass": TAIL_TOL}
 ROUNDING_FLOOR = 1e-13  # values and masses below this fraction of the largest carry no sign
 ROOT_WIDTH = 2.0**-24  # root brackets end this narrow, in grid steps sigma/4: L1 errs by its square
 SIGMA_RTOL = 1e-4  # size-pg bisects the critical width to this relative bracket
@@ -673,16 +671,6 @@ def index_q(state: PureState | DensityOp) -> MeasureResult:
     )
 
 
-def _photonic_tail_check(state: PureState | DensityOp):
-    tail = state.tail_mass
-    if tail > 1e-8:
-        warnings.warn(
-            f"population {tail:.2e} on the truncation boundary; enlarge the cutoff",
-            RegimeWarning,
-            stacklevel=3,
-        )
-
-
 def wigner_I_photonic(state: PureState | DensityOp) -> MeasureResult:
     """Phase-space interference measure for one- or two-mode photonic states.
 
@@ -691,11 +679,15 @@ def wigner_I_photonic(state: PureState | DensityOp) -> MeasureResult:
     |<v_i|a|v_j>|^2 + sum_i p_i^2/2, and <n> - |<a>|^2 + 1/2 at rank one. A
     mixture also reports its purity. Two modes (pure states only):
     sum_m (<n_m> - |<a_m>|^2) + 1/2.
+
+    The cutoff may clip the state, so the witness reports `tailMass`, the
+    weight on each mode's top two labels, and `withinTolerance`, whether it is
+    within the TAIL_TOL the truncating factories hold their states to.
     """
     check_kind(state)
     if not isinstance(state.basis, FockBasis):
         raise ContractViolation("wigner_I_photonic needs a Fock-basis state")
-    _photonic_tail_check(state)
+    tail = _judged("tailMass", state.tail_mass)
     c = state.basis.cutoff
     n = np.arange(c + 1, dtype=float)
     if state.basis.modes == 2:
@@ -713,7 +705,7 @@ def wigner_I_photonic(state: PureState | DensityOp) -> MeasureResult:
             else:
                 a = complex(np.sum(np.conj(g[:, :-1]) * np.sqrt(n[None, 1:]) * g[:, 1:]))
             value -= abs(a) ** 2
-        return MeasureResult("i-wigner", float(value), witness={"modes": 2})
+        return MeasureResult("i-wigner", float(value), witness={"modes": 2, **tail})
     v, p = _weighted_columns(state)
     a = np.sum(np.conj(v.T[:, None, :-1]) * np.sqrt(n[1:]) * v.T[None, :, 1:], axis=-1)
     purity = float(np.sum(p * p))
@@ -722,7 +714,7 @@ def wigner_I_photonic(state: PureState | DensityOp) -> MeasureResult:
         - float(np.sum(np.outer(p, p) * np.hypot(a.real, a.imag) ** 2))
         + 0.5 * purity
     )
-    witness = {"modes": 1} if p.size == 1 else {"modes": 1, "purity": purity}
+    witness = {"modes": 1, **tail} if p.size == 1 else {"modes": 1, "purity": purity, **tail}
     return MeasureResult("i-wigner", value, witness=witness)
 
 

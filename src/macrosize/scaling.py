@@ -32,8 +32,8 @@ from .measures import (
     normalized_sum,
     tolerance_miss,
 )
-from .states import branch_pair, build_state, make_spin_coherent
-from .symcore import ContractViolation, PureState, SuperpositionPair, TruncationError
+from .states import STATE_PARAMS, branch_pair, build_state, make_spin_coherent
+from .symcore import ContractViolation, PureState, SuperpositionPair
 
 
 class FamilyId(str, Enum):
@@ -89,8 +89,9 @@ class StateFamily:
 
 
 def _checked_ladder(variable: str, ladder: Iterable[int]) -> tuple[int, ...]:
-    """A size ladder of N or M: >= 4 positive integers, each >= 1.5 times the last."""
-    lad = tuple(int(n) for n in ladder)
+    """A size ladder of N or M: >= 4 positive integers, each >= 1.5 times the last.
+    Each point is converted as the CLI converts that flag: 8.0 is 8, 8.7 is refused."""
+    lad = tuple(map(STATE_PARAMS[variable], ladder))
     if len(lad) < 4 or lad[0] < 1 or any(b < 1.5 * a for a, b in zip(lad, lad[1:])):
         raise ContractViolation(
             f"{variable} ladder needs >= 4 positive points, each >= 1.5 times the last; got {lad}")
@@ -123,12 +124,14 @@ def family_state(family_id: FamilyId | str, N: int, M: int | None = None) -> Fam
     image is its absorption, a pair family's the normalized sum of its spin
     pair: the branch pair absorbed at one truncation, or the even cat's
     product pair. There is none for a state or pair whose photon cutoff
-    leaves the regime of M spins (`mapping.regime_breach`).
+    leaves the regime of M spins (`mapping.regime_breach`). N and M are
+    converted as the CLI converts those flags, so a fractional one is refused.
     """
     fid = FamilyId(family_id)
+    N = STATE_PARAMS["N"](N)
     if N < 1:
         raise ContractViolation(f"need N >= 1, got {N}")
-    M = default_spin_rule(N) if M is None else int(M)
+    M = default_spin_rule(N) if M is None else STATE_PARAMS["M"](M)
     alpha = float(np.sqrt(N))
     params = {"N": N} if fid in (FamilyId.FOCK, FamilyId.FOCK_SUPERPOSITION) else {"alpha": alpha}
     ph = build_state(fid.value, **params)
@@ -483,7 +486,7 @@ def table1(
     check_p_g(p_g)
     family = {fid: StateFamily(fid, tuple(ladder), spin_factor) for fid in FAMILY_ORDER}
     m_sweep_cell = ("m2", FamilyId.FOCK_SUPERPOSITION)
-    recorded = (ContractViolation, TruncationError)  # input errors; any other exception is a bug
+    recorded = ContractViolation  # input errors, TruncationError among them; any other is a bug
 
     def build(make) -> list[FamilyBundle] | Exception:
         try:

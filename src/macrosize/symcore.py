@@ -47,12 +47,8 @@ class ContractViolation(ValueError):
     """Input breaks a documented operation contract (non-Hermitian, bad norm...)."""
 
 
-class TruncationError(ValueError):
+class TruncationError(ContractViolation):
     """A finite cutoff is too small to hold the requested state."""
-
-
-class RegimeWarning(UserWarning):
-    """State or cutoff sits outside the low-excitation regime the absorption map assumes."""
 
 
 def absorption_phases(n: int) -> np.ndarray:

@@ -539,6 +539,18 @@ def test_verify_mapping_reports_and_gates(capsys):
     assert "tolerance failure" in err
 
 
+def test_verify_mapping_walks_j_down_from_jmax(capsys, monkeypatch):
+    # the top j runs first, so one whose matrices overflow refuses before any other j
+    seen = []
+    check = macrosize.mapping.verify_disentangling_identity
+    monkeypatch.setattr(
+        "macrosize.cli.verify_disentangling_identity", lambda j, lam: seen.append(j) or check(j, lam))
+    argv = ["verify-mapping", "--M", "10", "--K", "3", "--lam", "3", "--jmax"]
+    assert run(capsys, *argv, "70")[:2] == (2, "") and seen == [70.0]
+    seen.clear()
+    assert run(capsys, *argv, "2.7")[0] == 0 and seen == [2.5, 2.0, 1.5, 1.0, 0.5]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -555,16 +567,42 @@ def test_verify_mapping_reports_and_gates(capsys):
          "renormalization correction"),
         (["table1", "--ladder", "8,x,32,64"], "ladder must be comma-separated integers"),
         (["state", "--name", "ghz", "--M", "-2"], "need at least one spin, got M=-2"),
+        (["verify-mapping", "--M", "10", "--K", "3", "--jmax", "70", "--lam", "3"],
+         "error: exp(lam (S+ + S-)) at j=70, lam=3 is past the finite doubles"),
+        (["verify-mapping", "--M", "200", "--K", "8", "--jmax", "inf"],
+         "--jmax must be at least 1/2 and finite, got inf"),
     ],
     ids=["jmax-below-half", "jmax-negative", "zero-spins", "cutoff-above-M", "spin-factor-table1",
          "spin-factor-sweep", "pair-cutoff-too-small", "spin-coherent-lossy-K",
-         "ladder-not-integers", "ghz-negative-spins"],
+         "ladder-not-integers", "ghz-negative-spins", "jmax-overflows", "jmax-infinite"],
 )
 def test_check_that_cannot_run_exits_2(argv, message, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_absorbing_out_of_regime_exits_2_and_the_exact_map_holds(tmp_path, monkeypatch, capsys):
+    # a photon cutoff of 16 needs 64 spins for the first-order map: at M = 20
+    # measure --M and absorb refuse as table1 and sweep do; the exact map holds
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "state", "--name", "fock", "--N", "3", "--cutoff", "16", "--out", "f.json")
+    refusal = "error: photon cutoff 16 above M/4 = 5 at M=20; needs M >= 64\n"
+    for argv in (["measure", "n-eff", "f.json", "--M", "20"], ["absorb", "f.json", "--M", "20"]):
+        assert run(capsys, *argv) == (2, "", refusal)
+    code, out, err = run(capsys, "absorb", "f.json", "--M", "20", "--mode", "exact")
+    assert (code, err) == (0, "") and load(out)["mode"] == "exact"
+
+
+def test_i_wigner_weight_on_the_cutoff_exits_4(tmp_path, monkeypatch, capsys):
+    # |3> at cutoff 4 sits on the top two labels: the kernel's verdict, not a warning
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "state", "--name", "fock", "--N", "3", "--cutoff", "4", "--out", "f.json")
+    code, out, err = run(capsys, "measure", "i-wigner", "f.json")
+    assert code == 4
+    assert load(out)["witness"] == {"modes": 1, "tailMass": 1.0, "withinTolerance": False}
+    assert err.splitlines() == ["tolerance failure: i-wigner tailMass 1.000e+00 exceeds 1.000e-10"]
 
 
 def test_table1_out_of_regime_refuses_its_spin_cells_quietly(capsys):

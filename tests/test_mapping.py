@@ -10,7 +10,6 @@ from scipy.stats import binom
 
 from macrosize import (
     ContractViolation,
-    RegimeWarning,
     approx_absorb,
     exact_absorb,
     make_coherent,
@@ -26,8 +25,8 @@ from macrosize import (
     verify_operator_map,
 )
 from macrosize import mapping
-from macrosize.mapping import _block_rotation, _block_svd
-from macrosize.symcore import FockBasis, PureState
+from macrosize.mapping import _block_rotation, _block_svd, absorb_pair
+from macrosize.symcore import FockBasis, PureState, SuperpositionPair
 from references import (
     _all_blocks_operator_map,
     _dense_block_unitary,
@@ -45,19 +44,35 @@ def test_approx_absorb_embeds_with_phases():
     assert np.count_nonzero(phi.amps) == 2
 
 
-def test_approx_absorb_guards():
-    with pytest.raises(ContractViolation):
-        approx_absorb(make_fock(3, cutoff=30), 20)
-    with pytest.warns(RegimeWarning):
-        approx_absorb(make_fock(3, cutoff=30), 100)
+def test_approx_absorb_refuses_outside_the_regime():
+    # a cutoff above M and one above M/4 alone are refused by the one regime check
+    for M in (20, 100):
+        with pytest.raises(ContractViolation, match=f"^photon cutoff 30 above M/4 = .* at M={M}; "):
+            approx_absorb(make_fock(3, cutoff=30), M)
+    pair = SuperpositionPair(make_fock(0, cutoff=30), make_fock(3, cutoff=30))
+    with pytest.raises(ContractViolation, match="^photon cutoff 30 above M/4 = 25 at M=100; "):
+        absorb_pair(pair, 100)
+    assert approx_absorb(make_fock(3, cutoff=30), 120).basis.M == 120  # 4 * 30 <= 120
 
 
 def test_regime_breach_holds_a_cutoff_of_m_over_4():
     assert mapping.regime_breach(4, 16) == ""
     assert mapping.regime_breach(4, 15) == "photon cutoff 4 above M/4 = 3.75 at M=15; needs M >= 16"
-    # approx_absorb warns with the same words, M/4 unrounded
-    with pytest.warns(RegimeWarning, match=r"^photon cutoff 4 above M/4 = 3\.5 at M=14; needs M >= 16$"):
+    # approx_absorb refuses with the same words, M/4 unrounded
+    with pytest.raises(ContractViolation, match=r"^photon cutoff 4 above M/4 = 3\.5 at M=14; needs M >= 16$"):
         approx_absorb(make_fock(2), 14)
+
+
+def test_exact_absorb_holds_outside_the_regime():
+    # the exact map needs only M >= cutoff: at M = 20 a cutoff of 16 absorbs, silently
+    # (warnings are errors under this suite's filter), compared with the image (-i)^k c_k
+    psi = make_fock(3, cutoff=16)
+    phi, rep = exact_absorb(psi, 20)
+    assert abs(phi.amps[3]) == pytest.approx(1.0, abs=1e-12)
+    image = np.zeros(phi.basis.dim, dtype=complex)
+    image[3] = 1j  # (-i)^3
+    assert rep.fidelity == pytest.approx(
+        (1 - rep.residual_photon_population) * abs(np.vdot(image, phi.amps)) ** 2, rel=1e-12)
 
 
 def test_block_hamiltonian_hermitian():
@@ -128,7 +143,8 @@ def test_mapping_fidelity_coherent():
     assert rep.fidelity == pytest.approx(0.999941, abs=2e-5)
     assert rep.fidelity >= 0.99
     assert rep.residual_photon_population < 1e-3
-    assert rep.M == 200 and rep.g == pytest.approx(np.pi / 2)
+    # the report holds only its diagnostics, not the caller's own M and g
+    assert set(vars(rep)) == {"fidelity", "residual_photon_population"}
 
 
 def test_vacuum_projection_recovers_dicke():
@@ -270,7 +286,6 @@ def _vacuum_entry(E, M, g):
     return v[E] / np.sqrt(0.5)
 
 
-@pytest.mark.filterwarnings("ignore::macrosize.RegimeWarning")  # exact_absorb's entry at cutoff E > M/4
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 32).flatmap(lambda E: st.tuples(st.just(E), st.integers(max(E, 1), 10**4))),
@@ -336,6 +351,17 @@ def test_disentangling_identity_exact():
     for j in (0.3, -1.0):
         with pytest.raises(ContractViolation, match="half-integer"):
             verify_disentangling_identity(j, 1.2)
+
+
+def test_disentangling_identity_refuses_a_j_whose_matrices_overflow():
+    # 4 j |lam| + ln(2j + 1) must stay below ln(max double) = 709.78:
+    # 677.6 at (140, 1.2) and 664.7 at (55, 3) evaluate, with no numpy warning
+    assert verify_disentangling_identity(140, 1.2) <= 1e-12
+    assert verify_disentangling_identity(55, -3.0) <= 1e-12
+    # 720 at both: the LHS norm would overflow, and the deviation read 0 or NaN
+    for j, lam in ((150, 1.2), (60, 3.0), (60, -3.0), (0.5, np.inf), (0.5, np.nan)):
+        with pytest.raises(ContractViolation, match="is past the finite doubles"):
+            verify_disentangling_identity(j, lam)
 
 
 def test_absorb_density_keeps_trace():

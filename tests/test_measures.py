@@ -28,6 +28,7 @@ from macrosize import (
     m_squared,
     make_coherent,
     make_dicke,
+    make_displaced_single_photon,
     make_even_cat,
     make_fock,
     make_ghz,
@@ -45,7 +46,7 @@ from macrosize import (
 )
 from macrosize import entanglement, measures
 from macrosize.entanglement import split
-from macrosize.symcore import FockBasis, RegimeWarning, absorption_phases
+from macrosize.symcore import TAIL_TOL, FockBasis, absorption_phases
 from macrosize.mapping import absorb_pair, approx_absorb
 from macrosize.measures import (
     LAYER_TAIL_TOL,
@@ -72,6 +73,7 @@ from macrosize.measures import (
     _sign_grid,
     _smeared,
     _wrong_sign_mass,
+    tolerance_miss,
 )
 from references import _dense_collective_xyz, dense_mean_layer_index, displace
 
@@ -132,9 +134,7 @@ def test_pure_moments_match_density_moments_and_axes():
         for kernel in (n_eff, wigner_I_spin):
             assert kernel(phi).value == pytest.approx(kernel(rho).value, abs=1e-12 * M)
         ph = PureState(FockBasis(K), phi.amps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)  # random amplitudes reach the cutoff
-            i_ph, i_rho = (wigner_I_photonic(x).value for x in (ph, DensityOp.from_pure(ph)))
+        i_ph, i_rho = (wigner_I_photonic(x).value for x in (ph, DensityOp.from_pure(ph)))
         assert i_ph == pytest.approx(i_rho, abs=1e-12 * M)
     # |M,0> points down z: mean (0, 0, -M), transverse variances M, none along z
     mu, cov = mean_and_covariance(make_dicke(20, 0, K=5))
@@ -1181,9 +1181,7 @@ def test_mixed_state_kernels_match_dense_formulas(case):
         - np.trace(rho @ a @ rho @ a.conj().T).real
         + 0.5 * np.trace(rho2).real
     )
-    with warnings.catch_warnings():  # random states load the cutoff's edge labels
-        warnings.simplefilter("ignore", RegimeWarning)
-        got = wigner_I_photonic(DensityOp(FockBasis(dim - 1), rho)).value
+    got = wigner_I_photonic(DensityOp(FockBasis(dim - 1), rho)).value
     assert got == pytest.approx(i_phot, rel=1e-12)
 
 
@@ -1206,8 +1204,6 @@ def test_wigner_I_displacement_invariance():
 
 
 def test_wigner_I_two_mode_pure_only():
-    from macrosize import make_displaced_single_photon
-
     dsp = make_displaced_single_photon(2.0)
     assert wigner_I_photonic(dsp).value == pytest.approx(1.5, rel=1e-9)
     dim = dsp.basis.cutoff + 1
@@ -1219,8 +1215,9 @@ def test_wigner_I_two_mode_pure_only():
         wigner_I_photonic(rho)
 
 
-def test_wigner_I_warns_on_truncation_boundary_weight():
-    # weight on a mode's top two levels means the cutoff may clip the state
+def test_wigner_I_judges_its_truncation_boundary_weight():
+    # weight on a mode's top two levels means the cutoff may clip the state:
+    # the witness reports it beside the verdict against the factories' TAIL_TOL
     c = 8
     one = np.zeros(c + 1)
     one[[0, c - 1]] = np.sqrt([0.9, 0.1])
@@ -1229,16 +1226,18 @@ def test_wigner_I_warns_on_truncation_boundary_weight():
     two[[0, c - 1]] = np.sqrt([0.9, 0.1])  # |0,0> and |0,c-1>: the second mode's edge
     edge_two = PureState(FockBasis(c, modes=2), two)
     for state in (edge_one, DensityOp.from_pure(edge_one), edge_two):
-        with pytest.warns(RegimeWarning, match="truncation boundary"):
-            wigner_I_photonic(state)
+        w = wigner_I_photonic(state).witness
+        assert w["tailMass"] == pytest.approx(0.1, rel=1e-12)
+        assert w["withinTolerance"] is False
+        assert tolerance_miss(w) == "tailMass 1.000e-01 exceeds 1.000e-10"
     inner = np.zeros((c + 1) ** 2)
     inner[1 * (c + 1) + 2] = 1.0  # |1,2>
     inside = make_fock(3, cutoff=c)
     for state in (inside, DensityOp.from_pure(inside), make_mixed_cat(1.5, 0.4),
-                  PureState(FockBasis(c, modes=2), inner)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RegimeWarning)
-            wigner_I_photonic(state)
+                  PureState(FockBasis(c, modes=2), inner), make_displaced_single_photon(2.0)):
+        w = wigner_I_photonic(state).witness
+        assert w["tailMass"] <= TAIL_TOL and w["withinTolerance"] is True
+        assert tolerance_miss(w) is None
 
 
 def test_measure_result_dict_shape():

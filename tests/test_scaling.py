@@ -137,6 +137,22 @@ def test_state_family_ladder_guards():
         evaluate_cell("n-eff", b)
 
 
+def test_sizes_are_integers_as_the_cli_reads_them():
+    # N and M go through the converters of states.STATE_PARAMS: a fraction is
+    # refused, never truncated, and an integral float is its integer
+    for ladder in ((8.7, 16, 32, 64), (8, 16.5, 32, 64)):
+        with pytest.raises(ContractViolation, match=r"^expected an integer, got (8\.7|16\.5)$"):
+            StateFamily(FamilyId.FOCK, ladder)
+    with pytest.raises(ContractViolation, match=r"^expected an integer, got 1600\.9$"):
+        family_state("fock", 8, M=1600.9)
+    for family in ("displaced-single-photon", "even-cat"):
+        with pytest.raises(ContractViolation, match=r"^expected an integer, got 8\.5$"):
+            family_state(family, 8.5)
+    assert StateFamily(FamilyId.FOCK, (8.0, 16, 32, 64)).size_ladder == (8, 16, 32, 64)
+    b = family_state("fock", 8.0, M=1600.0)
+    assert (b.N, b.M) == (8, 1600) and type(b.N) is type(b.M) is int
+
+
 def test_spin_factor_floor_raises_before_any_state_is_built(monkeypatch):
     assert family_state(FamilyId.FOCK, 4).M == default_spin_rule(4) == 800
     assert family_state(FamilyId.FOCK, 4, M=24).out_of_regime == ""  # cutoff 6 at M/4 = 6
