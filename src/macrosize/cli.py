@@ -77,7 +77,8 @@ def _header(spin_factor: int) -> dict:
 
 def _jsonable(obj, exact: bool = False):
     """Round floats to 12 significant digits, or keep them whole if `exact`;
-    map non-finite to null."""
+    map non-finite to null. Documents hold Python scalars (numpy's float64
+    and complex128 are float and complex), so any other type is a bug."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
@@ -92,9 +93,7 @@ def _jsonable(obj, exact: bool = False):
         return [_jsonable(v, exact) for v in obj]
     if isinstance(obj, complex):
         return [_jsonable(obj.real, exact), _jsonable(obj.imag, exact)]
-    if isinstance(obj, np.generic):
-        return _jsonable(obj.item(), exact)
-    return str(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__} {obj!r:.40}")
 
 
 def _json_text(doc: dict, exact: bool = False) -> str:

@@ -17,6 +17,7 @@ from .symcore import (
     SuperpositionPair,
     absorption_phases,
     default_spin_truncation,
+    log_binomials,
     mode_basis,
     raising_coefficients,
     self_adjoint_eig,
@@ -277,6 +278,27 @@ def verify_operator_map(M: int, K: int, g: float = ABSORPTION_PHASE) -> float:
     return worst
 
 
+def _exp_raising(two_j: int, tau: float) -> np.ndarray:
+    """exp(tau S+) on the spin-j representation, labels m = -j..j ascending.
+
+    S+ raises m by one with <m+1|S+|m> = sqrt((j - m)(j + m + 1)), so the
+    series stops at S+^{2j} and its entries close:
+    <m+k|exp(tau S+)|m> = tau^k/k! prod_{i<k} sqrt((j - m - i)(j + m + i + 1))
+    = tau^k sqrt(C(j - m, k) C(j + m + k, k)). They are summed as logs
+    (`log_binomials`), which stay finite wherever the entry does.
+    """
+    ep = np.eye(two_j + 1)
+    if tau == 0.0:
+        return ep
+    ln_c = np.full((two_j + 1, two_j + 1), -np.inf)  # ln C(n, k) at row n, column k <= n
+    for n in range(two_j + 1):
+        ln_c[n, : n + 1] = log_binomials(n, n)
+    b, a = np.tril_indices(two_j + 1)  # row j + m + k, column j + m
+    k = b - a
+    ep[b, a] = np.sign(tau) ** k * np.exp(0.5 * (ln_c[two_j - a, k] + ln_c[b, k]) + k * np.log(abs(tau)))
+    return ep
+
+
 def verify_disentangling_identity(j: float, lam: float) -> float:
     """Relative Frobenius deviation of the su(2) factorization
 
@@ -286,7 +308,7 @@ def verify_disentangling_identity(j: float, lam: float) -> float:
     Returned relative to ||LHS||_F because the matrices grow like e^{2 j lam}.
     The LHS comes from the eigendecomposition of the real S+ + S-, the
     diagonal cosh(lam)^{S3} is a power of each entry, and exp(tanh(lam) S+) is
-    the series of the nilpotent S+ to its power 2j, exp(tanh(lam) S-) its transpose.
+    `_exp_raising`'s closed form, exp(tanh(lam) S-) its transpose.
 
     A (j, lam) whose matrices overflow, so that the deviation reads 0 or NaN,
     is refused. S+ + S- has the eigenvalues 2m, m = -j..j, so ||LHS||_F^2 =
@@ -312,10 +334,6 @@ def verify_disentangling_identity(j: float, lam: float) -> float:
     s3 = np.diag(sp @ sm - sm @ sp)  # diagonal
     w, v = self_adjoint_eig(sp + sm)  # real symmetric
     lhs = (v * np.exp(lam * w)) @ v.T
-    th = np.tanh(lam)
-    term = ep = np.eye(two_j + 1)
-    for k in range(1, two_j + 1):
-        term = term @ (th * sp) / k
-        ep = ep + term  # exp(th S+)
+    ep = _exp_raising(two_j, np.tanh(lam))
     rhs = ep.T @ (np.cosh(lam) ** s3[:, None] * ep)
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))

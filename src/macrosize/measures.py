@@ -228,16 +228,17 @@ def index_p(state: PureState) -> MeasureResult:
 
 
 def relative_fisher(pair: SuperpositionPair) -> MeasureResult:
-    """n_eff of the superposition over the equal-weight branch average."""
+    """n_eff of the superposition over the equal-weight branch average,
+    undefined where neither branch carries Fisher information."""
     spin_basis(pair, SuperpositionPair)
     n0 = n_eff(pair.psi0).value
     n1 = n_eff(pair.psi1).value
     ns = n_eff(normalized_sum(pair)).value
-    return MeasureResult(
-        "rel-fisher",
-        ns / (0.5 * (n0 + n1)),
-        witness={"neffSum": ns, "neff0": n0, "neff1": n1},
-    )
+    witness = {"neffSum": ns, "neff0": n0, "neff1": n1}
+    if n0 + n1 == 0.0:
+        return MeasureResult("rel-fisher", 0.0, witness={**witness, "reason": "branches have n_eff 0"},
+                             defined=False)
+    return MeasureResult("rel-fisher", ns / (0.5 * (n0 + n1)), witness=witness)
 
 
 def m_squared(pair: SuperpositionPair) -> MeasureResult:
@@ -1117,6 +1118,36 @@ def _interval_l1(y: np.ndarray, w: np.ndarray, sigma: float) -> tuple[float, _Ro
     return float(np.abs(np.diff(F)).sum()), found
 
 
+def _l1_slope(y: np.ndarray, w: np.ndarray, sigma: float, roots: np.ndarray) -> float:
+    """dL1/dsigma of the interval form summed between `roots` (`_interval_l1`),
+    for masses fixed as sigma moves: -2 sigma sum_i |f'(r_i)|, one kernel sum.
+
+    With r_0 = -inf and r_{n+1} = +inf, where F is 0 and sum_j w_j at every
+    sigma, L1 = sum_i s_i [F(r_{i+1}) - F(r_i)], s_i the sign of f between
+    r_i and r_{i+1}. The derivative of F(r_i(sigma)) is d_sigma F(r_i) +
+    f(r_i) r_i', and f(r_i) = 0 drops the roots' own motion, so
+    dL1/dsigma = sum_i s_i [d_sigma F(r_{i+1}) - d_sigma F(r_i)] with
+    d_sigma F(x) = -sum_j w_j phi(t_j) t_j/sigma, t_j = (x - y_j)/sigma.
+    That is sigma f'(x), the heat equation d_sigma phi_sigma = sigma
+    phi_sigma''. The signs alternate across each root, so root r_i enters
+    as (s_{i-1} - s_i) sigma f'(r_i) = -2 sigma |f'(r_i)|: L1 never rises.
+
+    At the sign grid's uncertified roots (`_root_brackets`) each r_i is a
+    bracket's low end, where f is within |f'| ROOT_WIDTH sigma/4 of 0, so
+    the motion term dropped is of that order; a pair of roots the grid
+    missed inside one cell is in neither the form nor its slope, which is
+    the slope of the P_S the search computes. For homodyne readout the
+    masses sit on a grid whose step h halves as sigma falls (`_channel_masses`):
+    P_S is smooth in sigma at each step, the slope is that of the step at
+    sigma, and a change of step moves P_S by the trapezoid rule's
+    spectrally small error only.
+    """
+    if len(roots) == 0:
+        return 0.0
+    df = _kernel_sums(lambda t: t * np.exp(-0.5 * t * t), w, sigma, (roots, y), reach=_REACH * sigma)
+    return -2.0 * _INV_SQRT_2PI / sigma * float(np.abs(df).sum())
+
+
 def _wrong_sign_mass(y, w, sigma, a, b, fa, fb, sign) -> np.ndarray:
     """Bound on the mass of f of sign opposite to `sign` over each cell [a, b].
 
@@ -1199,19 +1230,22 @@ def _pmf_masses(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return (n - n[:1]).astype(float), d[n]
 
 
-def _quad_density(amps: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
-    """|sum_n c_n e^{-i n theta} phi_n(x)|^2 by the Hermite-function recurrence."""
-    K = len(amps) - 1
-    cp = amps * np.exp(-1j * theta * np.arange(K + 1))
+def _quad_density(a0: np.ndarray, a1: np.ndarray, theta: float, x: np.ndarray) -> list[np.ndarray]:
+    """|sum_n c_n e^{-i n theta} phi_n(x)|^2 of each branch's amplitudes c,
+    by one Hermite-function recurrence that both branches' sums read."""
+    K = len(a0) - 1
+    phase = np.exp(-1j * theta * np.arange(K + 1))
+    cps = (a0 * phase, a1 * phase)
     f_prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    acc = cp[0] * f_prev
+    accs = [cp[0] * f_prev for cp in cps]
     if K >= 1:
         f_cur = np.sqrt(2.0) * x * f_prev
-        acc = acc + cp[1] * f_cur
-        for m in range(2, K + 1):
-            f_prev, f_cur = f_cur, np.sqrt(2.0 / m) * x * f_cur - np.sqrt((m - 1.0) / m) * f_prev
-            acc = acc + cp[m] * f_cur
-    return np.abs(acc) ** 2
+        for m in range(1, K + 1):
+            if m > 1:
+                f_prev, f_cur = f_cur, np.sqrt(2.0 / m) * x * f_cur - np.sqrt((m - 1.0) / m) * f_prev
+            for acc, cp in zip(accs, cps):
+                acc += cp[m] * f_cur
+    return [np.abs(acc) ** 2 for acc in accs]
 
 
 def _quad_difference(a0: np.ndarray, a1: np.ndarray, theta: float, h: float) -> np.ndarray:
@@ -1235,11 +1269,10 @@ def _quad_difference(a0: np.ndarray, a1: np.ndarray, theta: float, h: float) -> 
     K = len(a0) - 1
     n = int(np.ceil((np.sqrt(2.0 * K + 1.0) + 10.0) / h))
     x = h * np.arange(-n, n + 1)
-    rho = []
+    rho = _quad_density(a0, a1, theta, x)
     for branch, amps in enumerate((a0, a1)):
-        rho.append(_quad_density(amps, theta, x))
         norm = float(np.vdot(amps, amps).real)
-        mass = h * float(rho[-1].sum())
+        mass = h * float(rho[branch].sum())
         if abs(mass - norm) > TAIL_TOL * norm:
             raise ContractViolation(
                 f"homodyne density of branch {branch} holds {mass:.12g} of its norm {norm:.12g}, "
@@ -1275,74 +1308,74 @@ def _channel_masses(
     raise ContractViolation(f"unknown readout channel {channel!r}")
 
 
-def _scout_sigma(
-    ps: Callable[[float], float], goal: float, masses: tuple[np.ndarray, np.ndarray]
-) -> tuple[float, float]:
-    """Largest sigma seen with ps(sigma) >= goal and smallest seen below it.
+def _bisection(passes: Callable[[float], bool]) -> tuple[float, float] | None:
+    """The bracket (lo, hi) size_pg's search for sigma* ends on, asking
+    passes(sigma) at each probe: doubling hi from 1 while it passes, then
+    bisection until hi - lo <= SIGMA_RTOL hi + 1e-12; None once doubling
+    passes 1e9. Its probes are a fixed lattice, and the bracket is the one
+    lattice cell that holds the threshold."""
+    lo, hi = 0.0, 1.0
+    while passes(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e9:
+            return None
+    while hi - lo > SIGMA_RTOL * hi + 1e-12:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
-    ps must be nonincreasing with ps(0) >= goal, so the bracket starts as
-    (0, inf). P_S - 1/2 of smeared readout falls off like a power of sigma,
-    so the probes follow `_first_hit` on n = 1/sigma, along which P_S rises:
-    each aims at the crossing of the secant in (log 1/sigma, log(P_S - 1/2))
-    (`_log_crossing`). Expansion starts at the masses' own scale, the
-    |w|-weighted standard deviation of the sigma = 0 masses (y, w), or at
-    sigma = 1 where that lies outside (1e-12, 1e9], and probes the farther
-    of a doubling (a halving while probes fail) and the crossing extrapolated
-    from the last two probes, going at most 8 times up or 4 times down: the
-    homodyne grid's cost grows as 1/sigma. Refinement probes the crossing
-    interpolated between the bracket's ends, moved by SIGMA_RTOL/4 of itself
-    toward the farther end, so that a close prediction lands past the root
-    and shuts the bracket, and kept strictly inside it; after two steps in a
-    row that each fail to halve the bracket's log-width, it bisects
-    geometrically. The scout stops once the bracket is as narrow as
-    size_pg's bisection ends, or before probing outside (1e-12, 1e9], the
-    widths that search can reach.
+
+def _scout_sigma(
+    ps: Callable[[float], tuple[float, float]], goal: float, masses: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, float]:
+    """Largest sigma seen with P_S >= goal and smallest seen below it, where
+    ps(sigma) = (P_S, dP_S/dsigma) and P_S is nonincreasing, P_S(0) >= goal.
+
+    Newton's method on g(u) = log(P_S - 1/2) - log(goal - 1/2), u = log
+    sigma, with g' = sigma P_S'/(P_S - 1/2) exact (`_l1_slope`): P_S - 1/2
+    falls off like a power of sigma, so g is near linear in u. It starts at
+    the masses' own scale, the |w|-weighted standard deviation of the
+    sigma = 0 masses (y, w), or at sigma = 1 where that lies outside
+    (1e-12, 1e9], and steps at most 8 times up or 4 times down: the
+    homodyne grid's cost grows as 1/sigma. Where P_S <= 1/2, the slope is
+    0, or two moves in a row each failed to halve the one before, it
+    doubles or halves instead, and bisects geometrically once it aims
+    outside a bracket with two ends. Each probe after the first is the
+    nearer still-open end of the `_bisection` cell that holds the aim, so
+    the scout closes on the replay's own lattice points: it stops once
+    both ends of that cell are decided, when the replay has nothing left to
+    compute but sigma* where it was not probed, or before probing outside
+    (1e-12, 1e9], the widths that search can reach.
     """
     y, a = masses[0], np.abs(masses[1])
     mean = a @ y / a.sum()
     spread = float(np.sqrt(a @ (y - mean) ** 2 / a.sum()))
     passed, failed = 0.0, np.inf
-    prev = None
     sigma = spread if 1e-12 < spread <= 1e9 else 1.0
-    p = ps(sigma)
+    slow, last = 0, np.inf  # moves in a row that failed to halve the one before; the last move
     while True:
-        up = p >= goal
-        if up:
-            passed, p_pass = sigma, p
-        else:
-            failed, p_fail = sigma, p
-        if passed > 0.0 and failed < np.inf:
-            break
-        # log of the step: a doubling up to 8 times, or a halving down to a quarter
-        low, high = (np.log(2.0), np.log(8.0)) if up else (np.log(0.25), np.log(0.5))
-        log_step = low if up else high
-        if prev is not None:
-            here = (1.0 / sigma, p)
-            x = _log_crossing(*here, *prev, goal) if up else _log_crossing(*prev, *here, goal)
-            if x is not None:
-                log_step = float(np.clip(-x - np.log(sigma), low, high))
-        prev = (1.0 / sigma, p)
-        sigma *= float(np.exp(log_step))
-        if not 1e-12 < sigma <= 1e9:  # past where size_pg's search ends
-            return passed, failed
-        p = ps(sigma)
-    slow = 0
-    while failed - passed > SIGMA_RTOL * failed:
-        width = np.log(failed / passed)
-        x = None if slow >= 2 else _log_crossing(1.0 / failed, p_fail, 1.0 / passed, p_pass, goal)
-        sigma = float(np.sqrt(passed * failed))
-        if x is not None:
-            aim = float(np.exp(-x))
-            aim *= 1.0 + (0.25 if aim < sigma else -0.25) * SIGMA_RTOL
-            if passed < aim < failed:
-                sigma = aim
-        p = ps(sigma)
+        p, dp = ps(sigma)
         if p >= goal:
-            passed, p_pass = sigma, p
+            passed = sigma
         else:
-            failed, p_fail = sigma, p
-        slow = slow + 1 if x is not None and np.log(failed / passed) > 0.5 * width else 0
-    return passed, failed
+            failed = sigma
+        step = np.log(2.0) if p >= goal else -np.log(2.0)
+        if p > 0.5 and dp < 0.0 and slow < 2:
+            step = np.clip(np.log((p - 0.5) / (goal - 0.5)) * (p - 0.5) / (-sigma * dp),
+                           np.log(0.25), np.log(8.0))
+        aim = sigma * float(np.exp(step))
+        if not passed < aim < failed or slow >= 2 and 0.0 < passed < failed < np.inf:
+            aim = float(np.sqrt(passed * failed))
+        cell = _bisection(lambda s: s <= aim) if 1e-12 < aim <= 1e9 else None
+        ends = [e for e in cell or () if passed < e < failed]
+        if not ends:
+            return passed, failed
+        probe = min(ends, key=lambda e: abs(e - aim))
+        move = abs(np.log(probe / sigma))
+        slow, last, sigma = slow + 1 if move > 0.5 * last else 0, move, probe
 
 
 def size_pg(
@@ -1356,14 +1389,17 @@ def size_pg(
 
     The smeared success probability P_S(sigma) = 1/2 + L1(sigma)/4 is
     nonincreasing, so the critical width sigma* is defined by a monotone
-    search: bracketed by doubling from 1 and located by bisection to
-    SIGMA_RTOL, sigma* being the bracket's low end. The search asks a
-    monotone oracle. `_scout_sigma` first probes P_S along a secant, from
-    the scale of the sigma = 0 masses, and records the largest sigma seen
-    to pass and the smallest seen to fail; the oracle answers any sigma at
-    or outside those from them and evaluates P_S only strictly between, so
-    sigma* is the bisection's own lattice point while most of its probes
-    cost nothing. Each L1(sigma) is one evaluation of the interval form,
+    search (`_bisection`): bracketed by doubling from 1 and located by
+    bisection to SIGMA_RTOL, sigma* being the bracket's low end. The search
+    asks a monotone oracle. `_scout_sigma` first takes Newton steps in
+    log sigma from the scale of the sigma = 0 masses, on the exact slope
+    dL1/dsigma = -2 sigma sum_i |f'(r_i)| at the roots each evaluation
+    already placed (derived at `_l1_slope`), and closes on the search's
+    own lattice points, recording the largest sigma seen to pass and the
+    smallest seen to fail; the oracle answers any sigma at or outside those
+    from them and evaluates P_S only strictly between, so sigma* is the
+    bisection's own lattice point while its probes cost nothing on the
+    table. Each L1(sigma) is one evaluation of the interval form,
     summed from its erf antiderivative between the smeared difference's
     roots (`_interval_l1`). Where the masses above the rounding floor
     change sign at most once, variation diminishing certifies the one root
@@ -1395,15 +1431,16 @@ def size_pg(
         else {"channel": "homodyne", "angle": channel.angle}
     )
     diffs: dict[float, np.ndarray] = {}
-    cache: dict[float, tuple] = {}  # each evaluated width's L1, _Roots and masses
+    cache: dict[float, tuple] = {}  # each evaluated width's L1, dL1/dsigma, _Roots and masses
 
-    def ps(sigma: float) -> float:
+    def ps(sigma: float) -> tuple[float, float]:
         if sigma not in cache:
             masses = _channel_masses(pair, channel, sigma, diffs)
-            cache[sigma] = (*_interval_l1(*masses, sigma), masses)
-        return 0.5 + 0.25 * cache[sigma][0]
+            l1, roots = _interval_l1(*masses, sigma)
+            cache[sigma] = (l1, _l1_slope(*masses, sigma, roots.roots), roots, masses)
+        return 0.5 + 0.25 * cache[sigma][0], 0.25 * cache[sigma][1]
 
-    ps0 = ps(0.0)
+    ps0 = ps(0.0)[0]
     if ps0 < p_g:
         return MeasureResult(
             "size-pg",
@@ -1412,31 +1449,20 @@ def size_pg(
                      "reason": "branches indistinguishable"},
             defined=False,
         )
-    passed, failed = _scout_sigma(ps, p_g, cache[0.0][2])
-
-    def passes(sigma: float) -> bool:
-        return sigma <= passed or sigma < failed and ps(sigma) >= p_g
-
-    lo, hi = 0.0, 1.0
-    while passes(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e9:
-            raise ContractViolation("no finite critical smearing found")
-    while hi - lo > SIGMA_RTOL * hi + 1e-12:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
+    passed, failed = _scout_sigma(ps, p_g, cache[0.0][3])
+    cell = _bisection(lambda sigma: sigma <= passed or sigma < failed and ps(sigma)[0] >= p_g)
+    if cell is None:
+        raise ContractViolation("no finite critical smearing found")
+    lo = cell[0]
     ps(lo)  # evaluated, and counted, also where the scout answered for sigma*
-    _, roots, masses = cache[lo]
+    _, _, roots, masses = cache[lo]
     bound = _l1_error_bound(*masses, lo, roots)
     return MeasureResult(
         "size-pg",
         pref * lo,
         witness={**chan_tag, "pG": p_g, "sigmaStar": lo, "prefactor": pref, "pSRaw": ps0,
                  **_judged("l1ErrorBound", bound), "psEvals": len(cache),
-                 "rootStepsMax": max(r.steps for _, r, _ in cache.values()),
+                 "rootStepsMax": max(c[2].steps for c in cache.values()),
                  "signChanges": len(_mass_split(masses[1])[2]), "rootsCertified": roots.certified},
     )
 

@@ -485,6 +485,7 @@ def table1(
     check_delta(delta)
     check_p_g(p_g)
     family = {fid: StateFamily(fid, tuple(ladder), spin_factor) for fid in FAMILY_ORDER}
+    ladder = family[FAMILY_ORDER[0]].size_ladder  # as checked: 8.0 is 8
     m_sweep_cell = ("m2", FamilyId.FOCK_SUPERPOSITION)
     recorded = ContractViolation  # input errors, TruncationError among them; any other is a bug
 
@@ -523,4 +524,8 @@ def table1(
                 cells.append(
                     Table1Cell(row, fam, target, "error", np.nan, 0.0,
                                f"{type(exc).__name__}: {exc}", ()))
-    return Table1Report(tuple(ladder), tuple(m_ladder), delta, p_g, tuple(cells))
+    try:  # the M ladder as checked, or as given where its cell records the refusal
+        m_ladder = _checked_ladder("M", m_ladder)
+    except ContractViolation:
+        m_ladder = tuple(m_ladder)
+    return Table1Report(ladder, m_ladder, delta, p_g, tuple(cells))

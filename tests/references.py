@@ -182,3 +182,30 @@ def _two_density_op_ps(pair, n):
     if ps > 1.0 + 1e-9:
         raise ContractViolation(f"P_S = {ps} above 1; inputs are not states")
     return float(min(ps, 1.0))
+
+
+def quad_density(amps: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
+    """|sum_n c_n e^{-i n theta} phi_n(x)|^2 of one branch, by its own
+    Hermite-function recurrence."""
+    K = len(amps) - 1
+    cp = amps * np.exp(-1j * theta * np.arange(K + 1))
+    f_prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    acc = cp[0] * f_prev
+    if K >= 1:
+        f_cur = np.sqrt(2.0) * x * f_prev
+        acc = acc + cp[1] * f_cur
+        for m in range(2, K + 1):
+            f_prev, f_cur = f_cur, np.sqrt(2.0 / m) * x * f_cur - np.sqrt((m - 1.0) / m) * f_prev
+            acc = acc + cp[m] * f_cur
+    return np.abs(acc) ** 2
+
+
+def exp_raising_series(two_j: int, tau: float) -> np.ndarray:
+    """exp(tau S+) on the spin-j representation as the series of the
+    nilpotent S+ to its power 2j, labels m = -j..j ascending."""
+    sp = np.diag(raising_coefficients(two_j, two_j), -1)
+    term = ep = np.eye(two_j + 1)
+    for k in range(1, two_j + 1):
+        term = term @ (tau * sp) / k
+        ep = ep + term
+    return ep

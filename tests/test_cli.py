@@ -819,6 +819,68 @@ def test_single_key_mutations_exit_0_or_2(valid_files, source, data):
         assert main(["measure", command, str(f), "--M", "200"]) in (0, 2)
 
 
+@st.composite
+def _documents(draw):
+    """A state, mixed-state or pair file on a small Fock or Dicke basis, from
+    amplitudes normalised or (one time in four) not, and one time in three
+    with one key set to any JSON value or deleted."""
+    if draw(st.booleans()):
+        cutoff, modes = draw(st.integers(1, 4)), 2 if draw(st.integers(0, 3)) == 3 else 1
+        tag, dim = {"kind": "fock", "cutoff": cutoff, "modes": modes}, (cutoff + 1) ** modes
+    else:
+        M = draw(st.integers(1, 12))
+        K = draw(st.integers(0, min(M, 6)))
+        tag, dim = {"kind": "dicke", "M": M, "K": K}, K + 1
+    part = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+
+    def amps():
+        v = np.array(draw(part)) + 1j * np.array(draw(part))
+        v[0] += np.linalg.norm(v) < 0.1
+        return v if draw(st.integers(0, 3)) == 3 else v / np.linalg.norm(v)
+
+    def rows(v):
+        return [[float(a.real), float(a.imag)] for a in v]
+
+    kind = draw(st.sampled_from(["state", "mixed", "pair"]))
+    if kind == "pair":
+        doc = {"pair": [{"basisTag": tag, "amps": rows(amps())} for _ in range(2)]}
+    elif kind == "mixed":
+        v, u = amps(), amps()
+        doc = {"state": {"basisTag": tag, "matrix": [rows(r) for r in 0.5 * (np.outer(v, v.conj())
+                                                                       + np.outer(u, u.conj()))]}}
+    else:
+        doc = {"state": {"basisTag": tag, "amps": rows(amps())}}
+    if draw(st.integers(0, 2)) == 2:
+        keys = draw(st.sampled_from(list(_key_paths(doc))[1:]))  # the whole document: see above
+        doc = _set(doc, keys, draw(_JUNK | st.just(...)))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_documents(), data=st.data())
+def test_any_json_document_exits_0_2_3_or_4(valid_files, doc, data):
+    # any such file, read by measure (a pair measure for a pair file, with
+    # or without absorbing first) or by absorb: the command runs (0), names
+    # the input's fault (2), finds its result undefined (3) or its kernel
+    # out of tolerance (4); nothing else escapes main
+    f = str(valid_files[0] / "drawn.json")
+    Path(f).write_text(json.dumps(doc))
+    pair = isinstance(doc, dict) and "pair" in doc
+    measure = data.draw(st.sampled_from([m for m, spec in MEASURES.items() if spec.pair == pair]))
+    argv = data.draw(st.sampled_from([
+        ["measure", measure, f], ["measure", measure, f, "--M", "24"],
+        ["absorb", f, "--M", "24", "--mode", "approx"], ["absorb", f, "--M", "24", "--mode", "exact"],
+    ]))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("obj", [np.int64(3), np.bool_(True), object()], ids=["int64", "bool_", "object"])
+def test_jsonable_refuses_what_no_document_holds(obj):
+    with pytest.raises(TypeError, match="no JSON form"):
+        _jsonable({"witness": [obj]})
+
+
 @pytest.mark.parametrize(
     "keys, value, message",
     [

@@ -25,7 +25,7 @@ from macrosize import (
     verify_operator_map,
 )
 from macrosize import mapping
-from macrosize.mapping import _block_rotation, _block_svd, absorb_pair
+from macrosize.mapping import _block_rotation, _block_svd, _exp_raising, absorb_pair
 from macrosize.symcore import FockBasis, PureState, SuperpositionPair
 from references import (
     _all_blocks_operator_map,
@@ -33,6 +33,7 @@ from references import (
     _dense_operator_map,
     _operator_map_block_deviations,
     block_hamiltonian,
+    exp_raising_series,
 )
 
 
@@ -351,6 +352,15 @@ def test_disentangling_identity_exact():
     for j in (0.3, -1.0):
         with pytest.raises(ContractViolation, match="half-integer"):
             verify_disentangling_identity(j, 1.2)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.05, 0.6, -0.83, 0.999])
+def test_exp_raising_closed_form_matches_the_series(tau):
+    for two_j in range(0, 21):
+        want = exp_raising_series(two_j, tau)
+        got = _exp_raising(two_j, tau)
+        assert np.array_equal(got == 0.0, want == 0.0), two_j  # upper triangle, and tau^k = 0
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0), two_j
 
 
 def test_disentangling_identity_refuses_a_j_whose_matrices_overflow():

@@ -64,9 +64,11 @@ from macrosize.measures import (
     _interval_l1,
     _kernel_sums,
     _l1_error_bound,
+    _l1_slope,
     _ndtr,
     _nelder_mead,
     _pmf_masses,
+    _quad_density,
     _quad_difference,
     _root_brackets,
     _scout_sigma,
@@ -75,7 +77,7 @@ from macrosize.measures import (
     _wrong_sign_mass,
     tolerance_miss,
 )
-from references import _dense_collective_xyz, dense_mean_layer_index, displace
+from references import _dense_collective_xyz, dense_mean_layer_index, displace, quad_density
 
 
 def test_ghz_closed_forms():
@@ -391,6 +393,15 @@ def test_pair_measures_symmetric_under_branch_swap(pair):
 @pytest.mark.parametrize("family", ["even-cat", "displaced-single-photon", "fock-superposition"])
 def test_family_pair_measures_symmetric_under_branch_swap(family):
     _assert_swap_symmetric(family_state(family, 8, M=1600).spin_pair)
+
+
+def test_relative_fisher_without_branch_information_is_undefined():
+    # at K = 0 the Dicke basis holds one state, on which J+- vanish: both
+    # branches have n_eff 0, and the ratio has no value
+    basis = DickeBasis(1, 0)
+    pair = SuperpositionPair(PureState(basis, np.array([1j])), PureState(basis, np.array([1j])))
+    r = relative_fisher(pair)
+    assert not r.defined and r.value == 0.0 and r.witness["reason"] == "branches have n_eff 0"
 
 
 def test_relative_fisher_examples():
@@ -775,6 +786,60 @@ def test_homodyne_interval_l1_matches_brute_force_quadrature(sigma):
     assert 0.0 <= _l1_error_bound(y, w, sigma, brackets) <= SMEAR_L1_ATOL
 
 
+@pytest.mark.parametrize(
+    "name, params, theta",
+    [("even-cat", {"alpha": 2.0}, 0.0), ("fock-superposition", {"N": 3}, 0.7),
+     ("displaced-single-photon", {"alpha": 1.5}, 2.0)],
+)
+def test_shared_hermite_recurrence_equals_each_branch_alone(name, params, theta):
+    pair = branch_pair(name, **params)
+    x = np.linspace(-12.0, 12.0, 4001)
+    both = _quad_density(pair.psi0.amps, pair.psi1.amps, theta, x)
+    for rho, branch in zip(both, (pair.psi0, pair.psi1)):
+        assert np.array_equal(rho, quad_density(branch.amps, theta, x))
+
+
+def _homodyne_masses(name, params, sigma):
+    return _channel_masses(branch_pair(name, **params), Homodyne(0.0), sigma, {})
+
+
+@pytest.mark.parametrize(
+    "masses, sigma, certified",
+    [
+        pytest.param(lambda s: _channel_masses(branch_pair("fock-superposition", N=10), PhotonCount(), s, {}),
+                     18.0, True, id="photon-fock-superposition"),
+        pytest.param(lambda s: _channel_masses(
+            family_state(FamilyId.DISPLACED_SINGLE_PHOTON, 16).photonic_pair, PhotonCount(), s, {}),
+                     8.0, True, id="photon-displaced-single-photon"),
+        pytest.param(lambda s: _homodyne_masses("even-cat", {"alpha": 2.0}, s), 1.5, True,
+                     id="homodyne-even-cat"),
+        # the golden's six-sign-change pair: the sign grid places the roots
+        pytest.param(lambda s: _homodyne_masses("fock-superposition", {"N": 3}, s), 1.2, False,
+                     id="homodyne-fock-pair"),
+        pytest.param(lambda s: _homodyne_masses("fock-superposition", {"N": 3}, s), 0.6, False,
+                     id="homodyne-fock-pair-narrow"),
+    ],
+)
+def test_l1_slope_matches_a_central_difference(masses, sigma, certified):
+    # the masses stay those of sigma (for homodyne, one grid step) while the
+    # smearing width moves by +-1e-4 of itself
+    y, w = masses(sigma)
+    l1, roots = _interval_l1(y, w, sigma)
+    assert roots.certified == certified and len(roots.roots) >= 1
+    d = 1e-4 * sigma
+    want = (_interval_l1(y, w, sigma + d)[0] - _interval_l1(y, w, sigma - d)[0]) / (2 * d)
+    slope = _l1_slope(y, w, sigma, roots.roots)
+    assert slope < 0.0
+    assert slope == pytest.approx(want, rel=1e-6)
+
+
+def test_l1_slope_is_zero_without_roots():
+    y, w = np.array([0.0, 1.0]), np.array([0.3, 0.2])
+    l1, roots = _interval_l1(y, w, 2.0)
+    assert len(roots.roots) == 0 and l1 == pytest.approx(0.5)
+    assert _l1_slope(y, w, 2.0, roots.roots) == 0.0
+
+
 def test_homodyne_grid_halves_below_the_smearing_width():
     # the base step 1/(8 sqrt(2K + 1)) serves sigma = 1; at sigma = h0 it
     # halves once, to h0/2 <= sigma/2, and the shared dict keeps both grids
@@ -937,15 +1002,19 @@ def test_size_scout_halves_the_evaluations_on_the_table(monkeypatch):
         return _interval_l1(*args)
 
     monkeypatch.setattr(measures, "_interval_l1", counted)
+    total = 0
     for family in (FamilyId.DISPLACED_SINGLE_PHOTON, FamilyId.FOCK_SUPERPOSITION, FamilyId.EVEN_CAT):
         for N in (8, 16, 32, 64):
             bundle = family_state(family, N)
             calls.clear()
             w = size_pg(bundle.photonic_pair, 2 / 3, bundle.channel).witness
             assert w["psEvals"] == len(calls) and w["sigmaStar"] in calls, (family, N)
-            # doubling and bisection made 18-24, a scout from sigma = 1 10-14
-            assert w["psEvals"] <= 11, (family, N)
+            # doubling and bisection made 18-24, a scout from sigma = 1 10-14,
+            # a secant scout from the masses' scale 9-11 (116 in all)
+            assert w["psEvals"] <= 8, (family, N)
             assert 1 <= w["rootStepsMax"] <= 40, (family, N)
+            total += w["psEvals"]
+    assert total <= 90
 
 
 def test_size_scout_starts_at_the_masses_scale():
@@ -954,7 +1023,7 @@ def test_size_scout_starts_at_the_masses_scale():
 
     def ps(sigma):
         probes.append(sigma)
-        return 0.5 + 0.5 / (1.0 + sigma)
+        return 0.5 + 0.5 / (1.0 + sigma), -0.5 / (1.0 + sigma) ** 2
 
     for y, w, first in (
         ([0.0, 4.0], [0.3, -0.3], 2.0),

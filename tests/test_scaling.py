@@ -411,6 +411,14 @@ def test_table1_bad_m_ladder_fails_only_the_m_sweep_cell(stub_cells):
         "got (1600, 3200, 6400)")
 
 
+def test_table1_reports_the_ladders_it_ran(stub_cells):
+    report = table1(ladder=(8.0, 16, 32, 64), m_ladder=(1600.0, 3200, 6400, 12800))
+    assert report.ladder == (8, 16, 32, 64) and report.m_ladder == (1600, 3200, 6400, 12800)
+    assert all(type(n) is int for n in report.ladder + report.m_ladder)
+    # a refused M ladder is echoed as given; only its cell records the refusal
+    assert table1(ladder=(2, 4, 8, 16), m_ladder=(1600, 3200, 6400)).m_ladder == (1600, 3200, 6400)
+
+
 def test_table1_bad_ladder_raises_before_any_build(stub_cells, monkeypatch):
     calls = []
     monkeypatch.setattr(scaling, "family_state", lambda *a, **k: calls.append(a))
