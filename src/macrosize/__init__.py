@@ -33,7 +33,6 @@ from .mapping import (
     verify_operator_map,
 )
 from .measures import (
-    DegeneratePairError,
     Homodyne,
     MeasureResult,
     PhotonCount,
@@ -55,7 +54,6 @@ from .measures import (
 )
 from .scaling import (
     DEFAULT_LADDER,
-    DEFAULT_M_LADDER,
     FamilyBundle,
     FamilyId,
     ScalingFit,

@@ -1,15 +1,15 @@
 """Command-line front end: build states, run measures, run the absorption
 mapping, and produce scaling sweeps and the classification table.
 
-Exit codes: 0 success, 2 input error, 3 measure undefined for the input,
-4 numerical-tolerance failure: a kernel that holds itself to a tolerance
-reports missing it (`measure`, any point of a `sweep`), or the operator map
-deviates past `verify-mapping --max-deviation`. Each such failure writes one
-stderr line beside the unchanged stdout; `table1` flags the cell instead and
-exits 0. Outputs are deterministic: reports carry
-floats to 12 significant digits, state and pair files to every digit (so a
-file reads back as the state that was written), and every document embeds
-{tool, version, configHash, seed}.
+Exit codes: 0 success, 2 input error, 3 measure undefined for the input (the
+document on stdout says `defined: false` and why), 4 numerical-tolerance
+failure: a kernel that holds itself to a tolerance reports missing it
+(`measure`, any point of a `sweep`), or the operator map deviates past
+`verify-mapping --max-deviation`. Each such failure writes one stderr line
+beside the unchanged stdout; `table1` flags the cell instead and exits 0.
+Outputs are deterministic: reports carry floats to 12 significant digits,
+state and pair files to every digit (so a file reads back as the state that
+was written), and every document embeds {tool, version, configHash, seed}.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ from .measures import (
     MEASURES,
     WITHIN_TOLERANCE,
     Homodyne,
+    MeasureResult,
     PhotonCount,
     tolerance_miss,
 )
 from .scaling import (
     DEFAULT_LADDER,
-    DEFAULT_M_LADDER,
     SPIN_FACTOR,
     FamilyId,
     StateFamily,
@@ -215,17 +215,14 @@ def cmd_measure(args, spin_factor: int) -> int:
                 f"--M absorbs photonic input; this input is already on M={given.basis.M} spins"
             )
         given = (absorb_pair if is_pair else approx_absorb)(given, args.M)
-    if spec.pair and not is_pair:
-        print(f"undefined: {mid} needs a branch pair, got a single state", file=sys.stderr)
-        return 3
     angle = 0.0 if args.angle is None else args.angle
     params["channel"] = Homodyne(angle) if args.channel == "homodyne" else PhotonCount()
-    result = spec.evaluate(given, **params)
+    result = (spec.evaluate(given, **params) if is_pair or not spec.pair
+              else MeasureResult.undefined(mid, "needs a branch pair, got a single state"))
     sys.stdout.write(_json_text({"header": _header(spin_factor), **result.to_dict()}))
     if not result.defined:
         return 3
-    missed = tolerance_miss(result.witness)
-    if missed:
+    if missed := tolerance_miss(result.witness):
         print(f"tolerance failure: {mid} {missed}", file=sys.stderr)
         return 4
     return 0
@@ -260,7 +257,7 @@ def cmd_absorb(args, spin_factor: int) -> int:
 
 def cmd_table1(args, spin_factor: int) -> int:
     ladder = _parse_ladder(args.ladder) if args.ladder else DEFAULT_LADDER
-    m_ladder = _parse_ladder(args.m_ladder) if args.m_ladder else DEFAULT_M_LADDER
+    m_ladder = _parse_ladder(args.m_ladder) if args.m_ladder else None
     rep = table1(ladder, spin_factor, delta=args.delta, p_g=args.pg, m_ladder=m_ladder)
     # The JSON report is the json body and what stdout gets beside --out.
     doc = _json_text(_report_doc(rep, spin_factor))
@@ -304,7 +301,7 @@ def cmd_sweep(args, spin_factor: int) -> int:
         raise ContractViolation("--m-ladder needs --fixed-N")
     _, params = _measure_params(args)
     if args.fixed_N is not None:
-        m_ladder = _parse_ladder(args.m_ladder) if args.m_ladder else DEFAULT_M_LADDER
+        m_ladder = _parse_ladder(args.m_ladder) if args.m_ladder else None
         res = sweep_fixed_excitation(fid, args.measure, N=args.fixed_N, m_ladder=m_ladder, **params)
     else:
         ladder = _parse_ladder(args.ladder) if args.ladder else DEFAULT_LADDER

@@ -17,7 +17,6 @@ from .symcore import (
     SuperpositionPair,
     absorption_phases,
     default_spin_truncation,
-    log_binomials,
     mode_basis,
     raising_coefficients,
     self_adjoint_eig,
@@ -284,18 +283,21 @@ def _exp_raising(two_j: int, tau: float) -> np.ndarray:
     S+ raises m by one with <m+1|S+|m> = sqrt((j - m)(j + m + 1)), so the
     series stops at S+^{2j} and its entries close:
     <m+k|exp(tau S+)|m> = tau^k/k! prod_{i<k} sqrt((j - m - i)(j + m + i + 1))
-    = tau^k sqrt(C(j - m, k) C(j + m + k, k)). They are summed as logs
-    (`log_binomials`), which stay finite wherever the entry does.
+    = tau^k sqrt(C(j - m, k) C(j + m + k, k)), summed as logs, which stay
+    finite wherever the entry does: every ln C(n, k), n <= 2j, in one pass of
+    `symcore.log_binomials`' cumulative sums, read at min(k, n - k).
     """
     ep = np.eye(two_j + 1)
     if tau == 0.0:
         return ep
-    ln_c = np.full((two_j + 1, two_j + 1), -np.inf)  # ln C(n, k) at row n, column k <= n
-    for n in range(two_j + 1):
-        ln_c[n, : n + 1] = log_binomials(n, n)
+    n = np.arange(two_j + 1)[:, None]
+    i = np.arange(1, two_j // 2 + 1)
+    half = np.zeros((two_j + 1, two_j // 2 + 1))  # ln C(n, i), exact for i <= n/2
+    half[:, 1:] = np.cumsum(np.log1p(np.maximum(n + 1 - 2 * i, 0) / i), axis=1)
     b, a = np.tril_indices(two_j + 1)  # row j + m + k, column j + m
     k = b - a
-    ep[b, a] = np.sign(tau) ** k * np.exp(0.5 * (ln_c[two_j - a, k] + ln_c[b, k]) + k * np.log(abs(tau)))
+    ln_c = half[two_j - a, np.minimum(k, two_j - b)] + half[b, np.minimum(k, a)]
+    ep[b, a] = np.sign(tau) ** k * np.exp(0.5 * ln_c + k * np.log(abs(tau)))
     return ep
 
 
@@ -330,9 +332,8 @@ def verify_disentangling_identity(j: float, lam: float) -> float:
     # S+ on labels m = -j..j ascending: <m+1|S+|m> = sqrt((j - m)(j + m + 1)), the
     # J+ band of 2j spins at k = m + j
     sp = np.diag(raising_coefficients(two_j, two_j), -1)
-    sm = sp.T
-    s3 = np.diag(sp @ sm - sm @ sp)  # diagonal
-    w, v = self_adjoint_eig(sp + sm)  # real symmetric
+    s3 = 2.0 * np.arange(two_j + 1) - two_j  # [S+, S-] is diagonal, exactly 2m
+    w, v = self_adjoint_eig(sp + sp.T)  # real symmetric, S- = S+^T
     lhs = (v * np.exp(lam * w)) @ v.T
     ep = _exp_raising(two_j, np.tanh(lam))
     rhs = ep.T @ (np.cosh(lam) ** s3[:, None] * ep)

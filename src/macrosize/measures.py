@@ -38,6 +38,7 @@ DEGENERATE_PAIR_TOL = 1e-12
 SMEAR_L1_ATOL = 1e-8
 PS_TIE_TOL = 1e-12
 LAYER_TAIL_TOL = 1e-12
+LAYER_RANK_TOL = 1e-7  # singular values at or below this add no new flip-layer direction
 PRODUCT_REFERENCE_TOL = 1e-10  # d-bar's bound on a product reference's <D>
 WITHIN_TOLERANCE = "withinTolerance"  # witness key: whether a kernel met its own tolerance
 # The error each such kernel reports, by witness key, and the tolerance it is held to
@@ -81,17 +82,13 @@ _ERFC_S = (
     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
 )
 
-class DegeneratePairError(ContractViolation):
-    """Raised when a pair measure's denominator is singular for this input."""
-
-
 @dataclass(frozen=True)
 class MeasureResult:
     """One measure evaluation: id, nonnegative value, witness payload.
 
     `defined` is False when the measure has no value for this input (e.g. the
-    discrimination threshold is unreachable); `value` is then 0 and the
-    witness carries the reason.
+    discrimination threshold is unreachable). Such a result is built by
+    `undefined` alone: `value` is then 0 and the witness carries the reason.
     """
 
     measure_id: str
@@ -106,6 +103,11 @@ class MeasureResult:
             raise ContractViolation(
                 f"{self.measure_id}: value {self.value!r} is not finite and nonnegative"
             )
+
+    @classmethod
+    def undefined(cls, measure_id: str, reason: str, **witness) -> "MeasureResult":
+        """The result of a measure that has no value for this input, and why."""
+        return cls(measure_id, 0.0, witness={**witness, "reason": reason}, defined=False)
 
     def to_dict(self) -> dict:
         return {
@@ -139,7 +141,7 @@ def normalized_sum(pair: SuperpositionPair):
     # so absorbing the sum and summing the absorbed pair agree bit for bit.
     n2 = math.fsum((s.real * s.real + s.imag * s.imag).tolist())
     if n2 < DEGENERATE_PAIR_TOL:
-        raise DegeneratePairError("branches cancel, the superposition is null")
+        raise ContractViolation("branches cancel, the superposition is null")
     return PureState(pair.basis, s / np.sqrt(n2))
 
 
@@ -174,8 +176,8 @@ def max_variance_collective(phi: PureState) -> MeasureResult:
     input has no value here, nor in index-p, this variance over M."""
     spin_basis(phi)
     if isinstance(phi, DensityOp):
-        reason = {"reason": "index-p needs a pure state; index-q reads mixed ones"}
-        return MeasureResult("max-variance", 0.0, witness=reason, defined=False)
+        return MeasureResult.undefined(
+            "max-variance", "index-p needs a pure state; index-q reads mixed ones")
     _, cov = mean_and_covariance(phi)
     w, v = self_adjoint_eig(cov)
     return MeasureResult(
@@ -222,9 +224,9 @@ def index_p(state: PureState) -> MeasureResult:
     """Modified index p: largest collective variance over the spin count M,
     undefined where max_variance_collective is."""
     mv = max_variance_collective(state)
-    return MeasureResult(
-        "index-p", mv.value / state.basis.M, witness=dict(mv.witness), defined=mv.defined
-    )
+    if not mv.defined:
+        return MeasureResult.undefined("index-p", mv.witness["reason"])
+    return MeasureResult("index-p", mv.value / state.basis.M, witness=dict(mv.witness))
 
 
 def relative_fisher(pair: SuperpositionPair) -> MeasureResult:
@@ -236,8 +238,7 @@ def relative_fisher(pair: SuperpositionPair) -> MeasureResult:
     ns = n_eff(normalized_sum(pair)).value
     witness = {"neffSum": ns, "neff0": n0, "neff1": n1}
     if n0 + n1 == 0.0:
-        return MeasureResult("rel-fisher", 0.0, witness={**witness, "reason": "branches have n_eff 0"},
-                             defined=False)
+        return MeasureResult.undefined("rel-fisher", "branches have n_eff 0", **witness)
     return MeasureResult("rel-fisher", ns / (0.5 * (n0 + n1)), witness=witness)
 
 
@@ -245,9 +246,9 @@ def m_squared(pair: SuperpositionPair) -> MeasureResult:
     """Squared mean gap over summed variance, each maximized over directions.
 
     Numerator: max_n (<J_n>_1 - <J_n>_0)^2 = |mu_1 - mu_0|^2. Denominator:
-    largest eigenvalue of Cov_0 + Cov_1. Raises DegeneratePairError when the
-    denominator vanishes (both branches are J_n eigenstates in every
-    direction, which the truncated sector never realizes for M >= 1).
+    largest eigenvalue of Cov_0 + Cov_1. The measure is undefined where the
+    denominator vanishes: both branches have no collective variance in any
+    direction, as on a sector truncated to K = 0, where J+ and J- are cut off.
 
     The witness's `meanGap` prints a component as 0.0 where it lies below
     4 eps m, m = max(|mu_0|, |mu_1|): the means' rounding. A mean component
@@ -266,7 +267,7 @@ def m_squared(pair: SuperpositionPair) -> MeasureResult:
     gap = mu1 - mu0
     den_w, den_v = self_adjoint_eig(c0 + c1)
     if den_w[-1] < DEGENERATE_PAIR_TOL:
-        raise DegeneratePairError("both branches have vanishing collective variance")
+        return MeasureResult.undefined("m2", "both branches have vanishing collective variance")
     noise = 4.0 * np.finfo(float).eps * max(np.linalg.norm(mu0), np.linalg.norm(mu1))
     return MeasureResult(
         "m2",
@@ -409,18 +410,8 @@ def c_delta(pair: SuperpositionPair, delta: float = DEFAULT_DELTA) -> MeasureRes
 
     n_min = _first_hit(ps, M, 1.0 - delta - PS_TIE_TOL)
     if n_min is None:
-        return MeasureResult(
-            "c-delta",
-            0.0,
-            witness={
-                "delta": delta,
-                "pSFull": ps(M),
-                "supportK": top,
-                "psEvals": len(cache),
-                "reason": "threshold unreachable",
-            },
-            defined=False,
-        )
+        return MeasureResult.undefined("c-delta", "threshold unreachable", delta=delta,
+                                       pSFull=ps(M), supportK=top, psEvals=len(cache))
     return MeasureResult(
         "c-delta",
         M / n_min,
@@ -465,11 +456,12 @@ def _layer_weights(phi0: PureState, phi1: PureState) -> tuple[float, int, float,
 
     Layer d is the span of d-fold products of {Jx, Jy, Jz} applied to phi0,
     orthogonalized against layers < d. Built iteratively with repeated
-    Gram-Schmidt and an SVD rank cut; the sector is irreducible, so the
-    layers exhaust it. Layers stop once the weight of phi1 they leave
-    uncovered, times the deepest index dim - 1 it could sit at, is at most
-    LAYER_TAIL_TOL: that product bounds what the omitted layers could add to
-    the mean. Returns (mean, layers built, covered weight, that bound).
+    Gram-Schmidt and an SVD rank cut at LAYER_RANK_TOL; the sector is
+    irreducible, so the layers exhaust it. Layers stop once the weight of
+    phi1 they leave uncovered, times the deepest index dim - 1 it could sit
+    at, is at most LAYER_TAIL_TOL: that product bounds what the omitted
+    layers could add to the mean, also where they run out short of it.
+    Returns (mean, layers built, covered weight, that bound).
     """
     basis = phi0.basis
     dim = basis.dim
@@ -485,15 +477,14 @@ def _layer_weights(phi0: PureState, phi1: PureState) -> tuple[float, int, float,
     while acc.shape[1] < dim and tail_bound() > LAYER_TAIL_TOL:
         cand = np.hstack(collective_apply(basis, cur))
         norms = np.linalg.norm(cand, axis=0)
-        cand = cand[:, norms > 1e-12 * basis.M] / np.maximum(
-            norms[norms > 1e-12 * basis.M], 1e-300
-        )
+        keep = norms > 1e-12 * basis.M
+        cand = cand[:, keep] / norms[keep]
         if cand.shape[1] == 0:
             break
         for _ in range(2):
             cand = cand - acc @ (acc.conj().T @ cand)
         u, s, _ = np.linalg.svd(cand, full_matrices=False)
-        new = u[:, s > 1e-7]
+        new = u[:, s > LAYER_RANK_TOL]
         if new.shape[1] == 0:
             break
         d += 1
@@ -502,10 +493,6 @@ def _layer_weights(phi0: PureState, phi1: PureState) -> tuple[float, int, float,
         covered += w
         acc = np.hstack([acc, new])
         cur = new
-    if covered < 1.0 - 1e-8:
-        raise ContractViolation(
-            f"layering covered only {covered:.12f} of the target state's weight"
-        )
     return mean, d, covered, tail_bound()
 
 
@@ -1442,13 +1429,8 @@ def size_pg(
 
     ps0 = ps(0.0)[0]
     if ps0 < p_g:
-        return MeasureResult(
-            "size-pg",
-            0.0,
-            witness={**chan_tag, "pG": p_g, "pSRaw": ps0, "psEvals": 1,
-                     "reason": "branches indistinguishable"},
-            defined=False,
-        )
+        return MeasureResult.undefined(
+            "size-pg", "branches indistinguishable", **chan_tag, pG=p_g, pSRaw=ps0, psEvals=1)
     passed, failed = _scout_sigma(ps, p_g, cache[0.0][3])
     cell = _bisection(lambda sigma: sigma <= passed or sigma < failed and ps(sigma)[0] >= p_g)
     if cell is None:

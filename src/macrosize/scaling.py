@@ -48,9 +48,21 @@ def default_spin_rule(n: int) -> int:
     return SPIN_FACTOR * n
 
 
+def _checked_n(N: int) -> int:
+    """N converted as the CLI converts that flag, and at least 1."""
+    N = STATE_PARAMS["N"](N)
+    if N < 1:
+        raise ContractViolation(f"need N >= 1, got {N}")
+    return N
+
+
+def _default_m_ladder(N: int) -> tuple[int, ...]:
+    """The M-sweep ladder at fixed N: the default spin rule's M, doubled three times."""
+    return tuple(default_spin_rule(_checked_n(N)) << step for step in range(4))
+
+
 SPIN_FACTOR = 200  # M = 200 N keeps the ensemble deep in the dilute-excitation regime
 DEFAULT_LADDER = (8, 16, 32, 64)
-DEFAULT_M_LADDER = (1600, 3200, 6400, 12800)
 
 # Published benchmark grid: one row per table measure, columns in FAMILY_ORDER.
 _TARGETS = {
@@ -128,9 +140,7 @@ def family_state(family_id: FamilyId | str, N: int, M: int | None = None) -> Fam
     converted as the CLI converts those flags, so a fractional one is refused.
     """
     fid = FamilyId(family_id)
-    N = STATE_PARAMS["N"](N)
-    if N < 1:
-        raise ContractViolation(f"need N >= 1, got {N}")
+    N = _checked_n(N)
     M = default_spin_rule(N) if M is None else STATE_PARAMS["M"](M)
     alpha = float(np.sqrt(N))
     params = {"N": N} if fid in (FamilyId.FOCK, FamilyId.FOCK_SUPERPOSITION) else {"alpha": alpha}
@@ -171,6 +181,11 @@ class ScalingFit:
     def __post_init__(self):
         if self.defined and not (self.ci95 >= 0.0 and np.isfinite(self.exponent)):
             raise ContractViolation("fit needs finite exponent and ci95 >= 0")
+
+    @classmethod
+    def undefined(cls, note: str) -> "ScalingFit":
+        """The fit of a sweep that gives no exponent, and why."""
+        return cls(np.nan, np.nan, 0.0, 0.0, defined=False, note=note)
 
 
 def _t975(dof: int) -> float:
@@ -225,8 +240,7 @@ def fit_exponent(points: list[tuple[float, float]]) -> ScalingFit:
         raise ContractViolation("sizes must be positive")
     pos = [(s, v) for s, v in pts if v > 0]
     if not pos:
-        return ScalingFit(np.nan, np.nan, 0.0, 0.0, defined=False,
-                          note="exponent undefined, values ~ 0")
+        return ScalingFit.undefined("exponent undefined, values ~ 0")
     if len(pos) < 4:
         raise ContractViolation(f"need >= 4 positive values, got {len(pos)}")
     x = np.log([s for s, _ in pos])
@@ -286,8 +300,8 @@ def cell_flag(
 def evaluate_cell(
     measure_id: str, bundle: FamilyBundle, delta: float = DEFAULT_DELTA, p_g: float = DEFAULT_P_G
 ) -> MeasureResult:
-    """One table cell at one ladder point; raises when the family lacks the input
-    the measure needs (a Fock state's branch pair, a spin image out of regime)."""
+    """One table cell at one ladder point: undefined for a pair measure on a family
+    with no branch pair (fock); refused for a spin row with no spin image (out of regime)."""
     spec = MEASURES.get(measure_id)
     if spec is None:
         raise ContractViolation(f"no table row for measure {measure_id!r}")
@@ -297,7 +311,7 @@ def evaluate_cell(
     if spec.pair:
         x = bundle.spin_pair if spin else bundle.photonic_pair
         if x is None:
-            raise ContractViolation(f"{bundle.family_id.value} has no branch pair")
+            return MeasureResult.undefined(measure_id, f"{bundle.family_id.value} has no branch pair")
     else:
         x = bundle.spin_state if spin else bundle.photonic
     return spec.evaluate(x, delta=delta, p_g=p_g, channel=bundle.channel)
@@ -343,12 +357,13 @@ def sweep_fixed_excitation(
     family_id: FamilyId | str,
     measure_id: str,
     N: int = 8,
-    m_ladder: tuple[int, ...] = DEFAULT_M_LADDER,
+    m_ladder: tuple[int, ...] | None = None,
     delta: float = DEFAULT_DELTA,
     p_g: float = DEFAULT_P_G,
 ) -> SweepResult:
-    """Sweep the spin count M at fixed N (the O(1/M) benchmark cell)."""
+    """Sweep the spin count M at fixed N (the O(1/M) cell), by default on `_default_m_ladder(N)`."""
     fid = FamilyId(family_id)
+    m_ladder = _default_m_ladder(N) if m_ladder is None else m_ladder
     return _sweep_bundles(fid, _m_ladder_bundles(fid, N, m_ladder), measure_id, "M", delta, p_g)
 
 
@@ -375,8 +390,7 @@ def _sweep_bundles(
     if all(p.defined for p in points):
         fit = fit_exponent([(p.size, p.value) for p in points])
     else:
-        fit = ScalingFit(np.nan, np.nan, 0.0, 0.0, defined=False,
-                         note="measure undefined at some sizes")
+        fit = ScalingFit.undefined("measure undefined at some sizes")
     return SweepResult(fid, measure_id, sweep_variable, tuple(points), fit)
 
 
@@ -470,13 +484,14 @@ def table1(
     spin_factor: int = SPIN_FACTOR,
     delta: float = DEFAULT_DELTA,
     p_g: float = DEFAULT_P_G,
-    m_ladder: tuple[int, ...] = DEFAULT_M_LADDER,
+    m_ladder: tuple[int, ...] | None = None,
 ) -> Table1Report:
     """The full 8-measure x 4-family classification grid.
 
     Each cell sweeps the N ladder with M = spin_factor * N, except the
     m2 x fock-superposition cell, which sweeps M at fixed N = min(ladder)
-    (its benchmark entry is an M-scaling). Each family's ladder states and
+    (its benchmark entry is an M-scaling), by default along `_default_m_ladder`.
+    Each family's ladder states and
     the M-sweep states are built once and shared by every row. Failures,
     in a build or in a cell, are recorded as error cells of the cells they
     touch; they never abort the report. A bug raises. Out-of-range delta or
@@ -486,6 +501,7 @@ def table1(
     check_p_g(p_g)
     family = {fid: StateFamily(fid, tuple(ladder), spin_factor) for fid in FAMILY_ORDER}
     ladder = family[FAMILY_ORDER[0]].size_ladder  # as checked: 8.0 is 8
+    m_ladder = _default_m_ladder(min(ladder)) if m_ladder is None else m_ladder
     m_sweep_cell = ("m2", FamilyId.FOCK_SUPERPOSITION)
     recorded = ContractViolation  # input errors, TruncationError among them; any other is a bug
 
@@ -502,8 +518,7 @@ def table1(
         for fam in FAMILY_ORDER:
             target = BENCHMARK_TARGETS[(row, fam)]
             if MEASURES[row].pair and fam is FamilyId.FOCK:
-                cells.append(
-                    Table1Cell(row, fam, target, "n.d.", np.nan, 0.0, "", ()))
+                cells.append(Table1Cell(row, fam, target, "n.d.", np.nan, 0.0, "", ()))
                 continue
             m_sweep = (row, fam) == m_sweep_cell
             states = m_bundles if m_sweep else bundles[fam]

@@ -98,14 +98,18 @@ class FockBasis:
 
 
 def _checked_amps(basis: DickeBasis | FockBasis, amps) -> np.ndarray:
-    """Complex amplitude vector of the basis dimension with unit norm."""
+    """Complex amplitude vector of the basis dimension with unit norm. A part
+    of an entry past 1 + NORM_TOL is refused before the norm squares it."""
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape != (basis.dim,):
         raise ContractViolation(
             f"amplitude vector has shape {amps.shape}, basis needs ({basis.dim},)"
         )
+    top = float(np.maximum(np.abs(amps.real), np.abs(amps.imag)).max())
+    if not top <= 1.0 + NORM_TOL:  # NaN fails it too
+        raise ContractViolation(f"amplitude part {top} exceeds a unit vector's 1 + {NORM_TOL}")
     norm = float(np.linalg.norm(amps))
-    if not np.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
+    if abs(norm - 1.0) > NORM_TOL:
         raise ContractViolation(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
     return amps
 
@@ -341,13 +345,15 @@ def _is_hermitian(m: np.ndarray, tol: float) -> bool:
 
     Raises ContractViolation on a non-square matrix and on any non-finite
     entry, which the comparison alone would let through (NaN compares false).
+    Past |m|max = 1 it compares m / |m|max, so no difference can overflow.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractViolation(f"need a square matrix, got shape {m.shape}")
     top = float(np.abs(m).max())  # NaN or inf here iff some entry is
     if not np.isfinite(top):
         raise ContractViolation("matrix has a non-finite entry")
-    return float(np.abs(m - m.conj().T).max()) <= tol * max(1.0, top)
+    m = m / max(1.0, top)  # exact at top <= 1
+    return float(np.abs(m - m.conj().T).max()) <= tol
 
 
 def collective_apply(

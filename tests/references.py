@@ -12,6 +12,7 @@ from macrosize.symcore import (
     DensityOp,
     DickeBasis,
     PureState,
+    log_binomials,
     raising_coefficients,
     self_adjoint_eig,
     trace_norm,
@@ -198,6 +199,21 @@ def quad_density(amps: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
             f_prev, f_cur = f_cur, np.sqrt(2.0 / m) * x * f_cur - np.sqrt((m - 1.0) / m) * f_prev
             acc = acc + cp[m] * f_cur
     return np.abs(acc) ** 2
+
+
+def exp_raising_by_rows(two_j: int, tau: float) -> np.ndarray:
+    """exp(tau S+) in closed form with its ln C(n, k), n = 0..2j, one
+    `log_binomials` row at a time: the per-row loop the closed form replaced."""
+    ep = np.eye(two_j + 1)
+    if tau == 0.0:
+        return ep
+    ln_c = np.full((two_j + 1, two_j + 1), -np.inf)  # ln C(n, k) at row n, column k <= n
+    for n in range(two_j + 1):
+        ln_c[n, : n + 1] = log_binomials(n, n)
+    b, a = np.tril_indices(two_j + 1)
+    k = b - a
+    ep[b, a] = np.sign(tau) ** k * np.exp(0.5 * (ln_c[two_j - a, k] + ln_c[b, k]) + k * np.log(abs(tau)))
+    return ep
 
 
 def exp_raising_series(two_j: int, tau: float) -> np.ndarray:

@@ -18,7 +18,9 @@ The low-excitation regime is decided once, by `mapping.regime_breach`, which
 only `approx_absorb` and `scaling.family_state` ask, and `scaling` holds no
 multiple or fraction of 4 of its own.
 A problem is an input error, an undefined result or a kernel's verdict, so no
-module imports `warnings` or defines a `Warning` subclass."""
+module imports `warnings` or defines a `Warning` subclass. An undefined
+result has one constructor per kind, `MeasureResult.undefined` and
+`ScalingFit.undefined`, the only code that passes `defined` to either class."""
 
 import ast
 from pathlib import Path
@@ -253,3 +255,33 @@ def test_no_module_warns():
                 bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", "") for b in n.bases}
                 warns += [f"{module}:{n.lineno} {n.name}({b})" for b in bases if b.endswith("Warning")]
     assert warns == [], f"modules that warn: {warns}"
+
+
+# positional fields of each result class ahead of `defined`
+_BEFORE_DEFINED = {"MeasureResult": 3, "ScalingFit": 4}
+
+
+def test_no_value_is_said_by_one_constructor_per_result_kind():
+    trees = _trees()
+    constructors = {
+        f"{module}.{cls.name}": fn
+        for module, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "undefined"
+    }
+    assert set(constructors) == {"measures.MeasureResult", "scaling.ScalingFit"}
+    for fn in constructors.values():
+        said = [k.value for n in ast.walk(fn) if isinstance(n, ast.Call)
+                for k in n.keywords if k.arg == "defined"]
+        assert len(said) == 1 and isinstance(said[0], ast.Constant) and said[0].value is False
+    inside = {id(n) for fn in constructors.values() for n in ast.walk(fn)}
+    stray = []
+    for module, tree in trees.items():
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call) or id(n) in inside:
+                continue
+            if any(k.arg == "defined" for k in n.keywords):
+                stray.append(f"{module}:{n.lineno} passes defined=")
+            if len(n.args) > _BEFORE_DEFINED.get(_called_name(n), len(n.args)):
+                stray.append(f"{module}:{n.lineno} passes defined by position")
+    assert stray == [], f"results marked undefined outside their constructors: {stray}"

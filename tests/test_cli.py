@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import macrosize
@@ -147,9 +147,40 @@ def test_measure_wigner_on_fock3(tmp_path, capsys):
 def test_pair_measure_on_single_state_exits_3(tmp_path, capsys):
     f = tmp_path / "fock3.json"
     run(capsys, "state", "--name", "fock", "--N", "3", "--cutoff", "16", "--out", str(f))
-    code, _, err = run(capsys, "measure", "m2", str(f))
-    assert code == 3
-    assert "undefined" in err
+    code, out, err = run(capsys, "measure", "m2", str(f))
+    assert (code, err) == (3, "")
+    doc = load(out)
+    assert (doc["measure"], doc["defined"], doc["value"]) == ("m2", False, 0.0)
+    assert doc["witness"] == {"reason": "needs a branch pair, got a single state"}
+
+
+@pytest.fixture
+def variance_free_pair(tmp_path, capsys):
+    """Two K = 0 Dicke state files: on that one-label sector J+- vanish, so
+    neither branch has collective variance or Fisher information."""
+    files = [tmp_path / "a.json", tmp_path / "b.json"]
+    for f in files:
+        run(capsys, "state", "--name", "dicke", "--M", "5", "--k", "0", "--K", "0", "--out", str(f))
+    return [str(f) for f in files]
+
+
+# what each spin pair measure makes of that pair, beside its reason where it has no value
+_VARIANCE_FREE = {
+    "rel-fisher": "branches have n_eff 0",
+    "m2": "both branches have vanishing collective variance",
+    "c-delta": "threshold unreachable",
+    "d-bar": None,  # a product reference: the closed form, 0 flips
+}
+
+
+def test_every_spin_pair_measure_on_a_variance_free_pair_exits_0_or_3(variance_free_pair, capsys):
+    spin_pair_measures = {m for m, spec in MEASURES.items() if spec.pair and spec.domain == "spin"}
+    assert set(_VARIANCE_FREE) == spin_pair_measures
+    for mid, reason in _VARIANCE_FREE.items():
+        code, out, err = run(capsys, "measure", mid, *variance_free_pair)
+        doc = load(out)
+        assert (code, err, doc["defined"]) == ((3, "", False) if reason else (0, "", True)), mid
+        assert doc["witness"].get("reason") == reason, mid
 
 
 def test_pair_file_flow(tmp_path, capsys):
@@ -230,6 +261,24 @@ def test_sweep_reports_each_point_verdict_and_exits_4_on_a_miss(capsys, monkeypa
     # a measure held to no tolerance prints no verdict
     code, out, _ = run(capsys, "sweep", "fock-superposition", "n-eff", "--ladder", "2,4,8,16")
     assert code == 0 and all("withinTolerance" not in p for p in load(out)["points"])
+
+
+def test_a_layering_cut_short_reports_its_tail_and_exits_4(tmp_path, monkeypatch, capsys):
+    # a rank cut of 0.9 keeps the first flip layer and no later one: the
+    # layering stops short, and its tail bound is what says so
+    f = tmp_path / "pair.json"
+    run(capsys, "state", "--name", "even-cat", "--alpha", "2", "--pair", "--out", str(f))
+    monkeypatch.setattr(measures, "LAYER_RANK_TOL", 0.9)
+    code, out, err = run(capsys, "measure", "d-bar", str(f), "--M", "200")
+    assert code == 4
+    witness = load(out)["witness"]
+    assert (witness["method"], witness["layers"], witness["withinTolerance"]) == ("layering", 1, False)
+    assert witness["tailBound"] > 1.0
+    assert err.startswith("tolerance failure: d-bar tailBound ") and len(err.splitlines()) == 1
+    code, out, err = run(capsys, "table1", "--ladder", "2,4,8,16")
+    assert (code, err) == (0, "")
+    flags = {(c["measure"], c["family"]): c["flag"] for c in load(out)["cells"]}
+    assert flags[("d-bar", "displaced-single-photon")] == "tolerance-miss"
 
 
 def test_table1_flags_a_miss_and_exits_0(capsys, missed_tolerances):
@@ -464,6 +513,16 @@ def test_sweep_size_pg_unreachable_threshold_exits_3(capsys, monkeypatch):
     assert len(err.splitlines()) == 3
 
 
+@pytest.mark.parametrize("mid", [m for m, spec in MEASURES.items() if spec.pair])
+def test_sweep_of_a_pair_measure_on_fock_exits_3(mid, capsys):
+    # a Fock state has no branch pair: each point is undefined, and so is the fit
+    code, out, err = run(capsys, "sweep", "fock", mid, "--ladder", "2,4,8,16")
+    assert (code, err) == (3, "")
+    doc = load(out)
+    assert [p["defined"] for p in doc["points"]] == [False] * 4
+    assert (doc["fit"]["defined"], doc["fit"]["note"]) == (False, "measure undefined at some sizes")
+
+
 def test_sweep_constant_family_fits_zero(capsys):
     code, out, _ = run(capsys, "sweep", "displaced-single-photon", "m2", "--ladder", "4,8,16,32")
     assert code == 0
@@ -478,6 +537,12 @@ def test_sweep_fixed_excitation_runs(capsys):
     assert doc["sweepVariable"] == "M"
     assert [p["size"] for p in doc["points"]] == [100, 200, 400, 800]
     assert doc["fit"]["exponent"] == pytest.approx(-1.0, abs=0.1)
+
+
+def test_sweep_fixed_excitation_defaults_to_the_spin_rule_ladder(capsys):
+    code, out, _ = run(capsys, "sweep", "fock-superposition", "m2", "--fixed-N", "2")
+    assert code == 0
+    assert [p["M"] for p in load(out)["points"]] == [400, 800, 1600, 3200]
 
 
 def test_sweep_m_ladder_without_fixed_n_exits_2(capsys):
@@ -856,23 +921,52 @@ def _documents(draw):
     return doc
 
 
+# Finite entries whose arithmetic overflows: the norm squares 2**512, and a
+# diagonal entry's difference from its conjugate doubles the imaginary 1e308.
+_OVERFLOWING = {
+    "amplitude": {"state": {"basisTag": {"kind": "dicke", "M": 1, "K": 0},
+                            "amps": [[2.0**512, 0.0]]}},
+    "matrix": {"state": {"basisTag": {"kind": "dicke", "M": 2, "K": 1},
+                         "matrix": [[[1e308, 1e308], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}},
+}
+
+
+def _commands(measure: str, f: str) -> list[list[str]]:
+    return [
+        ["measure", measure, f], ["measure", measure, f, "--M", "24"],
+        ["absorb", f, "--M", "24", "--mode", "approx"], ["absorb", f, "--M", "24", "--mode", "exact"],
+    ]
+
+
 @settings(max_examples=200, deadline=None)
-@given(doc=_documents(), data=st.data())
-def test_any_json_document_exits_0_2_3_or_4(valid_files, doc, data):
+@given(doc=_documents(), single=st.sampled_from([m for m, spec in MEASURES.items() if not spec.pair]),
+       paired=st.sampled_from([m for m, spec in MEASURES.items() if spec.pair]),
+       command=st.integers(0, 3))
+@example(doc=_OVERFLOWING["amplitude"], single="max-variance", paired="m2", command=0)
+@example(doc=_OVERFLOWING["matrix"], single="max-variance", paired="m2", command=0)
+def test_any_json_document_exits_0_2_3_or_4(valid_files, doc, single, paired, command):
     # any such file, read by measure (a pair measure for a pair file, with
     # or without absorbing first) or by absorb: the command runs (0), names
     # the input's fault (2), finds its result undefined (3) or its kernel
-    # out of tolerance (4); nothing else escapes main
+    # out of tolerance (4); nothing else escapes main, and nothing warns
     f = str(valid_files[0] / "drawn.json")
     Path(f).write_text(json.dumps(doc))
-    pair = isinstance(doc, dict) and "pair" in doc
-    measure = data.draw(st.sampled_from([m for m, spec in MEASURES.items() if spec.pair == pair]))
-    argv = data.draw(st.sampled_from([
-        ["measure", measure, f], ["measure", measure, f, "--M", "24"],
-        ["absorb", f, "--M", "24", "--mode", "approx"], ["absorb", f, "--M", "24", "--mode", "exact"],
-    ]))
+    measure = paired if isinstance(doc, dict) and "pair" in doc else single
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) in (0, 2, 3, 4)
+        assert main(_commands(measure, f)[command]) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("name", _OVERFLOWING)
+def test_an_overflowing_entry_exits_2_without_a_warning(name, tmp_path):
+    # each guard refuses the entry before any arithmetic on it can overflow
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(_OVERFLOWING[name]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "macrosize.cli", "measure", "max-variance", str(f)],
+        capture_output=True, text=True, env=_package_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 @pytest.mark.parametrize("obj", [np.int64(3), np.bool_(True), object()], ids=["int64", "bool_", "object"])

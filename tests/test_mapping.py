@@ -33,6 +33,7 @@ from references import (
     _dense_operator_map,
     _operator_map_block_deviations,
     block_hamiltonian,
+    exp_raising_by_rows,
     exp_raising_series,
 )
 
@@ -361,6 +362,14 @@ def test_exp_raising_closed_form_matches_the_series(tau):
         got = _exp_raising(two_j, tau)
         assert np.array_equal(got == 0.0, want == 0.0), two_j  # upper triangle, and tau^k = 0
         assert np.allclose(got, want, rtol=1e-13, atol=0.0), two_j
+
+
+@pytest.mark.parametrize("tau", [0.05, -0.83, 0.999, np.tanh(0.01)])
+def test_exp_raising_fills_its_log_binomials_as_the_row_loop_did(tau):
+    # all rows at once, summed in the same order: equal to the last bit, up
+    # to the 2j = 200 of verify-mapping --jmax 100
+    for two_j in (*range(0, 21), 199, 200):
+        assert np.array_equal(_exp_raising(two_j, tau), exp_raising_by_rows(two_j, tau)), two_j
 
 
 def test_disentangling_identity_refuses_a_j_whose_matrices_overflow():

@@ -55,7 +55,6 @@ from macrosize.measures import (
     ROUNDING_FLOOR,
     SIGMA_RTOL,
     SMEAR_L1_ATOL,
-    DegeneratePairError,
     _NDTR_MINUS_REACH,
     _REACH,
     _channel_masses,
@@ -402,6 +401,15 @@ def test_relative_fisher_without_branch_information_is_undefined():
     pair = SuperpositionPair(PureState(basis, np.array([1j])), PureState(basis, np.array([1j])))
     r = relative_fisher(pair)
     assert not r.defined and r.value == 0.0 and r.witness["reason"] == "branches have n_eff 0"
+
+
+def test_m2_without_collective_variance_is_undefined():
+    # the same K = 0 pair: both covariances vanish, so m2's denominator does
+    basis = DickeBasis(5, 0)
+    pair = SuperpositionPair(PureState(basis, np.array([1.0])), PureState(basis, np.array([1.0])))
+    r = m_squared(pair)
+    assert (r.defined, r.value) == (False, 0.0)
+    assert r.witness == {"reason": "both branches have vanishing collective variance"}
 
 
 def test_relative_fisher_examples():
@@ -1187,7 +1195,7 @@ def test_one_root_bound_covers_the_exact_norm_of_two_masses(y0, gap, a, b, sign,
 
 def test_degenerate_superposition_raises():
     d = make_dicke(10, 2)
-    with pytest.raises(DegeneratePairError):
+    with pytest.raises(ContractViolation, match="branches cancel"):
         normalized_sum(SuperpositionPair(d, d.__class__(d.basis, -d.amps)))
 
 

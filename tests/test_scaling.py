@@ -288,8 +288,8 @@ def test_evaluate_cell_dispatch():
     assert evaluate_cell("m2", b).value == pytest.approx(31.84, abs=1e-6)
     with pytest.raises(ContractViolation, match="no table row"):
         evaluate_cell("bogus", b)
-    with pytest.raises(ContractViolation, match="no branch pair"):
-        evaluate_cell("m2", family_state(FamilyId.FOCK, 4))
+    r = evaluate_cell("m2", family_state(FamilyId.FOCK, 4))
+    assert (r.defined, r.value, r.witness) == (False, 0.0, {"reason": "fock has no branch pair"})
 
 
 def test_sweep_fock_neff():
@@ -417,6 +417,24 @@ def test_table1_reports_the_ladders_it_ran(stub_cells):
     assert all(type(n) is int for n in report.ladder + report.m_ladder)
     # a refused M ladder is echoed as given; only its cell records the refusal
     assert table1(ladder=(2, 4, 8, 16), m_ladder=(1600, 3200, 6400)).m_ladder == (1600, 3200, 6400)
+
+
+def test_the_m_ladder_follows_the_spin_rule_at_fixed_n(stub_cells):
+    # the default spin rule's M at N, doubled three times: the table's N0 is
+    # the smallest ladder point, so the default table keeps 1600..12800
+    assert table1().m_ladder == (1600, 3200, 6400, 12800)
+    assert table1(ladder=(2, 4, 8, 16)).m_ladder == tuple(default_spin_rule(2) * f for f in (1, 2, 4, 8))
+    assert table1(ladder=(2, 4, 8, 16), spin_factor=300).m_ladder == (400, 800, 1600, 3200)
+    res = sweep_fixed_excitation("fock-superposition", "n-eff", N=3)
+    assert [(p.size, p.M) for p in res.points] == [(m, m) for m in (600, 1200, 2400, 4800)]
+
+
+def test_m_sweep_past_the_paper_ladder_stays_in_regime():
+    # N0 = 256 on the fixed ladder 1600..12800 fell below the floor 4 * 514;
+    # the spin rule's ladder 51200..409600 holds it, and m2 falls as 1/M
+    res = sweep_fixed_excitation("fock-superposition", "m2", N=256)
+    assert [p.M for p in res.points] == [51200, 102400, 204800, 409600]
+    assert classify(res.fit, m_sweep=True) == "O(1/M)"
 
 
 def test_table1_bad_ladder_raises_before_any_build(stub_cells, monkeypatch):

@@ -246,6 +246,27 @@ def test_non_finite_input_is_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PureState(DickeBasis(1, 0), [2.0**512]), "amplitude part 1.34"),
+        (lambda: PureState(FockBasis(1), [0.6, 0.8 + 1e300j]), "amplitude part 1e"),
+        (lambda: DensityOp(DickeBasis(2, 1), [[1e308 + 1e308j, 0], [0, 0.5]]), "not Hermitian"),
+        (lambda: self_adjoint_eig(np.array([[0.0, 1e308], [-1e308, 0.0]])), "not Hermitian"),
+    ],
+    ids=["amplitude-squared-past-double", "imaginary-part", "density-diagonal", "antisymmetric"],
+)
+def test_huge_finite_input_is_refused_before_it_can_overflow(build, message):
+    # warnings are errors here, so an overflow inside a guard would fail the test
+    with pytest.raises(ContractViolation, match=message):
+        build()
+
+
+def test_hermitian_check_scales_entries_near_the_largest_double():
+    w, _ = self_adjoint_eig(np.array([[1.7e308, 1e300], [1e300, -1.7e308]]))
+    assert w.tolist() == pytest.approx([-1.7e308, 1.7e308], rel=1e-15)
+
+
 def test_density_op_guards():
     b = DickeBasis(4, 2)
     with pytest.raises(ContractViolation):
