@@ -931,13 +931,6 @@ _OVERFLOWING = {
 }
 
 
-def _commands(measure: str, f: str) -> list[list[str]]:
-    return [
-        ["measure", measure, f], ["measure", measure, f, "--M", "24"],
-        ["absorb", f, "--M", "24", "--mode", "approx"], ["absorb", f, "--M", "24", "--mode", "exact"],
-    ]
-
-
 @settings(max_examples=200, deadline=None)
 @given(doc=_documents(), single=st.sampled_from([m for m, spec in MEASURES.items() if not spec.pair]),
        paired=st.sampled_from([m for m, spec in MEASURES.items() if spec.pair]),
@@ -952,8 +945,12 @@ def test_any_json_document_exits_0_2_3_or_4(valid_files, doc, single, paired, co
     f = str(valid_files[0] / "drawn.json")
     Path(f).write_text(json.dumps(doc))
     measure = paired if isinstance(doc, dict) and "pair" in doc else single
+    argv = [
+        ["measure", measure, f], ["measure", measure, f, "--M", "24"],
+        ["absorb", f, "--M", "24", "--mode", "approx"], ["absorb", f, "--M", "24", "--mode", "exact"],
+    ][command]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(_commands(measure, f)[command]) in (0, 2, 3, 4)
+        assert main(argv) in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("name", _OVERFLOWING)
