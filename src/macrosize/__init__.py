@@ -90,7 +90,6 @@ from .symcore import (
     FockBasis,
     PureState,
     SuperpositionPair,
-    TruncationError,
     check_kind,
     collective_apply,
     default_spin_truncation,

@@ -317,7 +317,7 @@ def cmd_sweep(args, spin_factor: int) -> int:
         "sweepVariable": res.sweep_variable,
         "points": [
             {"size": p.size, "M": p.M, "value": p.value, "defined": p.defined,
-             **{k: v for k, v in p.witness.items() if k == WITHIN_TOLERANCE}}
+             **{k: v for k, v in p.witness.items() if k in (WITHIN_TOLERANCE, "reason")}}
             for p in res.points
         ],
         "fit": {

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .symcore import (
+    LOG_DOUBLE_MAX,
     ContractViolation,
     DensityOp,
     DickeBasis,
@@ -17,6 +18,7 @@ from .symcore import (
     SuperpositionPair,
     absorption_phases,
     default_spin_truncation,
+    log_binomial_sums,
     mode_basis,
     raising_coefficients,
     self_adjoint_eig,
@@ -28,7 +30,6 @@ ABSORPTION_PHASE = np.pi / 2  # interaction phase g = chi sqrt(M) t of a full ab
 # norm), which the normalisation by sqrt(pop) magnifies: below the floor the
 # conditioned state may be rounding noise (|2> at g = 0 gives pop ~ 3e-33).
 VACUUM_POPULATION_FLOOR = 1e-12
-LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))  # 709.78: exp past it overflows a double
 
 
 def _block_offdiag(E: int, M: int) -> np.ndarray:
@@ -285,15 +286,12 @@ def _exp_raising(two_j: int, tau: float) -> np.ndarray:
     <m+k|exp(tau S+)|m> = tau^k/k! prod_{i<k} sqrt((j - m - i)(j + m + i + 1))
     = tau^k sqrt(C(j - m, k) C(j + m + k, k)), summed as logs, which stay
     finite wherever the entry does: every ln C(n, k), n <= 2j, in one pass of
-    `symcore.log_binomials`' cumulative sums, read at min(k, n - k).
+    `symcore.log_binomial_sums` over the rows n, read at min(k, n - k).
     """
     ep = np.eye(two_j + 1)
     if tau == 0.0:
         return ep
-    n = np.arange(two_j + 1)[:, None]
-    i = np.arange(1, two_j // 2 + 1)
-    half = np.zeros((two_j + 1, two_j // 2 + 1))  # ln C(n, i), exact for i <= n/2
-    half[:, 1:] = np.cumsum(np.log1p(np.maximum(n + 1 - 2 * i, 0) / i), axis=1)
+    half = log_binomial_sums(np.arange(two_j + 1), two_j // 2)  # ln C(n, i), exact for i <= n/2
     b, a = np.tril_indices(two_j + 1)  # row j + m + k, column j + m
     k = b - a
     ln_c = half[two_j - a, np.minimum(k, two_j - b)] + half[b, np.minimum(k, a)]

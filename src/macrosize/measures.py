@@ -17,6 +17,7 @@ import numpy as np
 
 from .entanglement import helstrom_ps
 from .symcore import (
+    LOG_DOUBLE_MAX,
     TAIL_TOL,
     ContractViolation,
     DensityOp,
@@ -24,9 +25,11 @@ from .symcore import (
     FockBasis,
     PureState,
     SuperpositionPair,
+    absorption_phases,
     check_kind,
     collective_apply,
     mode_basis,
+    polevl,
     self_adjoint_eig,
     spin_basis,
     trace_norm,
@@ -54,7 +57,6 @@ _NDTR_MINUS_REACH = 7.61985302416047e-24  # _ndtr(-_REACH)
 # cephes' ndtr (scipy.special.ndtr's code): erf's T/U rational, erfc's P/Q and
 # R/S, highest degree first; U, Q and S are monic, their leading 1 left out
 _SQRTH = 7.07106781186547524401e-1
-_MAXLOG = 7.09782712893383996843e2
 _ERF_T = (
     9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
     7.00332514112805075473e3, 5.55923013010394962768e4,
@@ -155,17 +157,20 @@ def _weighted_columns(state) -> tuple[np.ndarray, np.ndarray]:
     return state.amps[:, None], np.ones(1)
 
 
-def mean_and_covariance(state: PureState | DensityOp) -> tuple[np.ndarray, np.ndarray]:
-    """Collective means mu_a and covariance Cov_ab = sec_ab - mu_a mu_b.
-
-    For rho = sum_i p_i |v_i><v_i|, mu_a = sum_i p_i <v_i|J_a v_i> and
-    sec_ab = sum_i p_i Re<J_a v_i|J_b v_i> = (1/2)<{J_a, J_b}>, on the band.
-    """
+def _second_moments(state: PureState | DensityOp):
+    """Columns v, weights p, (Jx, Jy, Jz) v on the band and sec_ab = sum_i p_i
+    Re<J_a v_i|J_b v_i> = (1/2)<{J_a, J_b}>, for rho = sum_i p_i |v_i><v_i|."""
     basis = spin_basis(state)
     v, p = _weighted_columns(state)
     jv = np.array(collective_apply(basis, v))
-    mu = np.array([np.vdot(v * p, x).real for x in jv])
     sec = np.array([[np.vdot(xa, xb).real for xb in jv] for xa in jv * p])
+    return v, p, jv, sec
+
+
+def mean_and_covariance(state: PureState | DensityOp) -> tuple[np.ndarray, np.ndarray]:
+    """Collective means mu_a = sum_i p_i <v_i|J_a v_i> and Cov_ab = sec_ab - mu_a mu_b."""
+    v, p, jv, sec = _second_moments(state)
+    mu = np.array([np.vdot(v * p, x).real for x in jv])
     return mu, sec - np.outer(mu, mu)
 
 
@@ -199,10 +204,7 @@ def fisher_matrix(state: PureState | DensityOp) -> np.ndarray:
     over the support, where p_i p_j/(p_i + p_j) <= min(p_i, p_j) needs no cutoff.
     G_a's rounding is made Hermitian, so at rank one G_a = mu_a and F = 4 Cov.
     """
-    basis = spin_basis(state)
-    v, p = _weighted_columns(state)
-    jv = np.array(collective_apply(basis, v))
-    sec = np.array([[np.vdot(xa, xb).real for xb in jv] for xa in jv * p])
+    v, p, jv, sec = _second_moments(state)
     h = 0.5 * (v.conj().T @ jv)
     g = h + h.conj().transpose(0, 2, 1)
     w = np.outer(p, p) / np.add.outer(p, p)
@@ -356,10 +358,10 @@ def _real_gauge(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     A product with 1, i, -1 or -i is exact in floating point, so the test
     needs no tolerance.
     """
-    quarter_turns = np.array((1, 1j, -1, -1j))  # i^m, m = 0..3
+    cycle = absorption_phases(4)  # (-i)^m, m = 0..3
     k = np.arange(a0.size)
     for j in range(4):
-        phase = quarter_turns[j * k % 4]
+        phase = cycle[-j * k % 4]  # i^(jk) = (-i)^(-jk)
         g0, g1 = phase * a0, phase * a1
         if not (g0.imag.any() or g1.imag.any()):
             return g0, g1
@@ -772,26 +774,16 @@ def _gauss(t: np.ndarray) -> np.ndarray:
     return np.exp(t, out=t)
 
 
-def _polevl(v: np.ndarray, coeffs: tuple, monic: bool = False) -> np.ndarray:
-    """Horner's sum of coeffs (highest degree first) at v, in cephes' order;
-    monic: with a leading 1 before coeffs (cephes' p1evl)."""
-    y = v + coeffs[0] if monic else v * coeffs[0] + coeffs[1]
-    for c in coeffs[1 if monic else 2 :]:
-        y *= v
-        y += c
-    return y
-
-
 def _ndtr(t: np.ndarray) -> np.ndarray:
     """Standard normal CDF of an array: cephes' ndtr, which scipy.special.ndtr is.
 
     With x = t/sqrt(2): 1/2 + erf(x)/2 below |x| = 1, erf(x) = x T(x^2)/U(x^2);
     above, erfc(|x|)/2, or 1 - erfc(|x|)/2 for x > 0, with erfc(z) =
     exp(-z^2) P(z)/Q(z) below z = 8, exp(-z^2) R(z)/S(z) from there, and 0
-    once z^2 > MAXLOG. Between |x| = sqrt(1/2) and 1 cephes takes
-    (1 - erf|x|)/2 instead; by Sterbenz's lemma both round to the same
-    double. Only numpy's exp differs from cephes', so results equal scipy's
-    bit for bit or lie a few ulp from them.
+    once z^2 > ln(max double), cephes' MAXLOG. Between |x| = sqrt(1/2) and 1
+    cephes takes (1 - erf|x|)/2 instead; by Sterbenz's lemma both round to
+    the same double. Only numpy's exp differs from cephes', so results equal
+    scipy's bit for bit or lie a few ulp from them.
     """
     x = np.multiply(t, _SQRTH)
     v = x * x
@@ -803,20 +795,20 @@ def _ndtr(t: np.ndarray) -> np.ndarray:
         tail = z >= 8.0
         c = np.exp(-v)
         if tail.any():
-            c *= np.where(tail, _polevl(z, _ERFC_R), _polevl(z, _ERFC_P))
-            c /= np.where(tail, _polevl(z, _ERFC_S, True), _polevl(z, _ERFC_Q, True))
+            c *= np.where(tail, polevl(z, _ERFC_R), polevl(z, _ERFC_P))
+            c /= np.where(tail, polevl(z, _ERFC_S, True), polevl(z, _ERFC_Q, True))
         else:
-            c *= _polevl(z, _ERFC_P)
-            c /= _polevl(z, _ERFC_Q, True)
+            c *= polevl(z, _ERFC_P)
+            c /= polevl(z, _ERFC_Q, True)
         c *= 0.5
-        c[v > _MAXLOG] = 0.0
+        c[v > LOG_DOUBLE_MAX] = 0.0
         np.copysign(c, -x, out=c)
         c += x > 0.0  # 1 - c above the mean, c below
         if not near.any():
             return c
         v = np.minimum(v, 1.0)  # keeps T and U finite where c is taken
-    x *= _polevl(v, _ERF_T)
-    x /= _polevl(v, _ERF_U, True)
+    x *= polevl(v, _ERF_T)
+    x /= polevl(v, _ERF_U, True)
     x *= 0.5
     x += 0.5
     return x if c is None else np.where(near, x, c)

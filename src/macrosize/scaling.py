@@ -283,17 +283,17 @@ def cell_flag(
 ) -> str:
     """Flag of a computed table cell, "" when it has none.
 
-    A known discrepancy keeps its annotation; otherwise an undefined fit
-    carries its note. Then a ladder point whose kernel reports missing its
-    own tolerance (`measures.tolerance_miss`) flags the cell, and last a
-    class that contradicts the target.
+    A known discrepancy keeps its annotation. Next a ladder point whose kernel
+    reports missing its own tolerance (`measures.tolerance_miss`), and so may
+    read 0 and void the fit, flags the cell; then an undefined fit carries its
+    note, and last a class that contradicts the target.
     """
     if (row, fam) in DISCREPANCY_CELLS:
         return "paper-discrepancy"
-    if not fit.defined:
-        return fit.note
     if any(tolerance_miss(w) for w in witnesses):
         return "tolerance-miss"
+    if not fit.defined:
+        return fit.note
     return "class-mismatch" if classification != target else ""
 
 
@@ -488,11 +488,11 @@ def table1(
 ) -> Table1Report:
     """The full 8-measure x 4-family classification grid.
 
-    Each cell sweeps the N ladder with M = spin_factor * N, except the
-    m2 x fock-superposition cell, which sweeps M at fixed N = min(ladder)
-    (its benchmark entry is an M-scaling), by default along `_default_m_ladder`.
-    Each family's ladder states and
-    the M-sweep states are built once and shared by every row. Failures,
+    Special cells come from the published grid: an n.d. target is not
+    computed, and the O(1/M) cell (m2 x fock-superposition) sweeps M at fixed
+    N = min(ladder), by default along `_default_m_ladder`; every other cell
+    sweeps the N ladder at M = spin_factor * N. Each family's ladder states
+    and the M-sweep states are built once and shared by every row. Failures,
     in a build or in a cell, are recorded as error cells of the cells they
     touch; they never abort the report. A bug raises. Out-of-range delta or
     p_g raise before any state is built, as a bad ladder or spin factor does.
@@ -502,8 +502,8 @@ def table1(
     family = {fid: StateFamily(fid, tuple(ladder), spin_factor) for fid in FAMILY_ORDER}
     ladder = family[FAMILY_ORDER[0]].size_ladder  # as checked: 8.0 is 8
     m_ladder = _default_m_ladder(min(ladder)) if m_ladder is None else m_ladder
-    m_sweep_cell = ("m2", FamilyId.FOCK_SUPERPOSITION)
-    recorded = ContractViolation  # input errors, TruncationError among them; any other is a bug
+    (m_sweep_fam,) = {fam for (_, fam), t in BENCHMARK_TARGETS.items() if t == "O(1/M)"}
+    recorded = ContractViolation  # input errors; any other is a bug
 
     def build(make) -> list[FamilyBundle] | Exception:
         try:
@@ -512,15 +512,15 @@ def table1(
             return exc
 
     bundles = {fam: build(lambda: _ladder_bundles(family[fam])) for fam in FAMILY_ORDER}
-    m_bundles = build(lambda: _m_ladder_bundles(m_sweep_cell[1], min(ladder), m_ladder))
+    m_bundles = build(lambda: _m_ladder_bundles(m_sweep_fam, min(ladder), m_ladder))
     cells = []
     for row in TABLE_ROWS:
         for fam in FAMILY_ORDER:
             target = BENCHMARK_TARGETS[(row, fam)]
-            if MEASURES[row].pair and fam is FamilyId.FOCK:
+            if target == "n.d.":
                 cells.append(Table1Cell(row, fam, target, "n.d.", np.nan, 0.0, "", ()))
                 continue
-            m_sweep = (row, fam) == m_sweep_cell
+            m_sweep = target == "O(1/M)"
             states = m_bundles if m_sweep else bundles[fam]
             try:
                 if isinstance(states, Exception):

@@ -18,7 +18,6 @@ from .symcore import (
     FockBasis,
     PureState,
     SuperpositionPair,
-    TruncationError,
     absorption_phases,
     check_kind,
     default_spin_truncation,
@@ -66,14 +65,14 @@ def _renormalized(amps: np.ndarray) -> np.ndarray:
     """Truncated amplitudes over their norm, which must be within NORM_TOL of 1."""
     norm = np.linalg.norm(amps)
     if abs(1.0 - norm) > NORM_TOL:
-        raise TruncationError(f"renormalization correction {abs(1 - norm):.2e} exceeds {NORM_TOL}")
+        raise ContractViolation(f"renormalization correction {abs(1 - norm):.2e} exceeds {NORM_TOL}")
     return amps / norm
 
 
 def _tail_checked(state: PureState) -> PureState:
     """The state, if its top two labels of each mode hold at most TAIL_TOL."""
     if state.tail_mass > TAIL_TOL:
-        raise TruncationError(
+        raise ContractViolation(
             f"tail mass {state.tail_mass:.3e} above declared tolerance {TAIL_TOL:.1e}"
         )
     return state
@@ -86,7 +85,7 @@ def make_fock(N: int, cutoff: int | None = None) -> PureState:
     if cutoff is None:
         cutoff = N + 2
     if cutoff < N:
-        raise TruncationError(f"cutoff {cutoff} cannot hold |{N}>")
+        raise ContractViolation(f"cutoff {cutoff} cannot hold |{N}>")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[N] = 1.0
     return PureState(FockBasis(cutoff), amps)
@@ -98,7 +97,7 @@ def make_coherent(alpha: complex, cutoff: int | None = None) -> PureState:
     if cutoff is None:
         cutoff = _coherent_cutoff(alpha)
     elif cutoff < needed:
-        raise TruncationError(f"cutoff {cutoff} below required {needed:.1f} for |alpha|={abs(alpha):.3g}")
+        raise ContractViolation(f"cutoff {cutoff} below required {needed:.1f} for |alpha|={abs(alpha):.3g}")
     return _tail_checked(PureState(FockBasis(cutoff), _renormalized(_coherent_amps(alpha, cutoff))))
 
 
@@ -144,7 +143,7 @@ def make_fock_superposition(N: int, cutoff: int | None = None) -> PureState:
     if cutoff is None:
         cutoff = 2 * N + 2
     if cutoff < 2 * N:
-        raise TruncationError(f"cutoff {cutoff} cannot hold |{2 * N}>")
+        raise ContractViolation(f"cutoff {cutoff} cannot hold |{2 * N}>")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[0] = amps[2 * N] = 1.0 / np.sqrt(2.0)
     return PureState(FockBasis(cutoff), amps)
@@ -158,7 +157,7 @@ def _displaced_cutoff(alpha: complex, cutoff: int | None = None) -> int:
         return _coherent_cutoff(alpha, pmf_tol=1e-15) + 2
     needed = _coherent_bound(alpha) + 2.0
     if cutoff < needed:
-        raise TruncationError(f"cutoff {cutoff} below required {needed:.1f}")
+        raise ContractViolation(f"cutoff {cutoff} below required {needed:.1f}")
     return cutoff
 
 
@@ -198,7 +197,7 @@ def make_dicke(M: int, k: int, K: int | None = None) -> PureState:
     if K is None:
         K = default_spin_truncation(M, k)
     if K < k:
-        raise TruncationError(f"truncation K={K} cannot hold |M,{k}>")
+        raise ContractViolation(f"truncation K={K} cannot hold |M,{k}>")
     amps = np.zeros(K + 1, dtype=np.complex128)
     amps[k] = 1.0
     return PureState(DickeBasis(M, K), amps)

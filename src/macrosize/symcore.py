@@ -41,14 +41,11 @@ NORM_TOL = 1e-10
 HERM_TOL = 1e-10
 TAIL_TOL = 1e-10  # weight a truncated infinite state may leave on each mode's top two labels
 MIN_EIG_TOL = -1e-8
+LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))  # 709.78: exp past it overflows a double
 
 
 class ContractViolation(ValueError):
-    """Input breaks a documented operation contract (non-Hermitian, bad norm...)."""
-
-
-class TruncationError(ContractViolation):
-    """A finite cutoff is too small to hold the requested state."""
+    """Input breaks a documented operation contract (non-Hermitian, bad norm, short cutoff...)."""
 
 
 def absorption_phases(n: int) -> np.ndarray:
@@ -271,6 +268,17 @@ _LGAM_A = (
     8.33333333333331927722e-2,
 )
 _LS2PI = 0.91893853320467274178
+_LGAM_FAR = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
+
+
+def polevl(v: np.ndarray, coeffs: tuple, monic: bool = False) -> np.ndarray:
+    """Horner's sum of coeffs (highest degree first) at v, in cephes' order;
+    monic: with a leading 1 before coeffs (cephes' p1evl)."""
+    y = v + coeffs[0] if monic else v * coeffs[0] + coeffs[1]
+    for c in coeffs[1 if monic else 2 :]:
+        y *= v
+        y += c
+    return y
 
 
 @lru_cache(maxsize=None)
@@ -284,14 +292,9 @@ def _log_factorial_table(size: int) -> np.ndarray:
     log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
     q = (x - 0.5) * log_x - x + _LS2PI
     p = 1.0 / (x * x)
-    series = np.full_like(x, _LGAM_A[0])
-    for a in _LGAM_A[1:]:  # Horner, one rounding per step as cephes' polevl
-        series = series * p + a
+    series = polevl(p, _LGAM_A)
     far = x >= 1000.0
-    series[far] = (
-        (7.9365079365079365079365e-4 * p[far] - 2.7777777777777777777778e-3) * p[far]
-        + 0.0833333333333333333333
-    )
+    series[far] = polevl(p[far], _LGAM_FAR)
     # cephes returns q alone above x = 1e8, where series / x is below half an ulp of q
     table[small:] = q + series / x
     table.flags.writeable = False
@@ -319,17 +322,26 @@ def log_factorial(n) -> np.ndarray:
     return _log_factorial_table(1 << top.bit_length())[k]
 
 
-def log_binomials(n: int, K: int) -> np.ndarray:
-    """ln C(n, k) for k = 0..K, as cumulative sums of ln((n - k + 1)/k).
+def log_binomial_sums(n, K: int) -> np.ndarray:
+    """ln C(n, i) for i = 0..K, as cumulative sums of ln((n - i + 1)/i), along
+    the last axis; n is an integer, or an array of them with one row each.
 
-    Every term is positive up to k = n/2, and the upper half mirrors the
+    Every term is positive up to i = n/2, and the upper half mirrors the
     lower, so no large log-gamma values cancel: entries stay within a few
-    ulp per term of exact for n up to ~1e5, and ln C(n, n) is exactly 0.
+    ulp per term of exact for n up to ~1e5. Past i = n/2 a row stands still
+    (its terms are clipped to ln 1 = 0), so read ln C(n, k) at i = min(k, n - k).
     """
+    i = np.arange(1, K + 1)
+    terms = np.log1p(np.maximum(np.asarray(n)[..., None] + 1 - 2 * i, 0) / i)
+    return np.concatenate((np.zeros(terms.shape[:-1] + (1,)), np.cumsum(terms, axis=-1)), axis=-1)
+
+
+def log_binomials(n: int, K: int) -> np.ndarray:
+    """ln C(n, k) for k = 0..K, from `log_binomial_sums`' row of n; ln C(n, n)
+    is exactly 0."""
     if not 0 <= K <= n:
         raise ContractViolation(f"log_binomials needs 0 <= K <= n, got n={n}, K={K}")
-    j = np.arange(1, min(K, n // 2) + 1)
-    row = np.concatenate(([0.0], np.cumsum(np.log1p((n + 1 - 2 * j) / j))))
+    row = log_binomial_sums(n, min(K, n // 2))
     k = np.arange(K + 1)
     return row[np.minimum(k, n - k)]
 
@@ -390,8 +402,8 @@ def self_adjoint_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trace_norm(X: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian X computed as sum |eigenvalues|."""
+    """Sum of |eigenvalues|, the singular values, of a Hermitian matrix; rejects any other."""
     X = np.asarray(X)
-    if _is_hermitian(X, 1e-12):
-        return float(np.abs(np.linalg.eigvalsh(X)).sum())
-    return float(np.linalg.svd(X, compute_uv=False).sum())
+    if not _is_hermitian(X, HERM_TOL):
+        raise ContractViolation("matrix is not Hermitian within tolerance")
+    return float(np.abs(np.linalg.eigvalsh(X)).sum())

@@ -67,7 +67,7 @@ def displace(state: PureState, alpha: complex) -> PureState:
     displacement, so callers leave headroom above the state's support.
     Two-mode states get the single-mode unitary applied on the first tensor
     factor. A result with more than states.TAIL_TOL on the top two labels of
-    a mode raises TruncationError, as the truncating factories do.
+    a mode raises ContractViolation, as the truncating factories do.
     """
     a = mode_operator(state.basis.cutoff)
     gen = 1j * (alpha * a.conj().T - np.conj(alpha) * a)  # Hermitian

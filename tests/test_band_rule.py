@@ -20,16 +20,21 @@ multiple or fraction of 4 of its own.
 A problem is an input error, an undefined result or a kernel's verdict, so no
 module imports `warnings` or defines a `Warning` subclass. An undefined
 result has one constructor per kind, `MeasureResult.undefined` and
-`ScalingFit.undefined`, the only code that passes `defined` to either class."""
+`ScalingFit.undefined`, the only code that passes `defined` to either class.
+`symcore` holds one of each shared primitive: the Horner step `polevl`, the
+cumulative sum of ln C(n, k) terms, the quarter-turn constants and
+ln(max double); `trace_norm` takes Hermitian input alone."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from macrosize.mapping import approx_absorb
 from macrosize.scaling import FamilyId, family_state
 from macrosize.states import PAIRS, STATES, make_fock
+from macrosize.symcore import HERM_TOL, ContractViolation, trace_norm
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macrosize"
 DENSE_J_HOME = {"measures.index_q"}
@@ -285,3 +290,59 @@ def test_no_value_is_said_by_one_constructor_per_result_kind():
             if len(n.args) > _BEFORE_DEFINED.get(_called_name(n), len(n.args)):
                 stray.append(f"{module}:{n.lineno} passes defined by position")
     assert stray == [], f"results marked undefined outside their constructors: {stray}"
+
+
+def _outside_symcore(found) -> list[str]:
+    """"module:line" of each node found(node) holds for, in every module but symcore."""
+    return [
+        f"{module}:{n.lineno}"
+        for module, tree in _trees().items() if module != "symcore"
+        for n in ast.walk(tree) if found(n)
+    ]
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    return any(isinstance(n, ast.Call) and _called_name(n) == name for n in ast.walk(node))
+
+
+def test_only_symcore_sums_log_binomial_terms():
+    # ln C(n, k) as a running sum of ln((n - i + 1)/i): symcore.log_binomial_sums
+    sums = _outside_symcore(
+        lambda n: isinstance(n, ast.Call) and _called_name(n) == "cumsum" and _calls(n, "log1p"))
+    assert sums == [], f"cumulative sums of log1p terms at {sums}"
+
+
+def _is_quarter_turn(node: ast.AST) -> bool:
+    return _is_imaginary_unit(node) and abs(ast.literal_eval(node)) == 1
+
+
+def test_only_symcore_writes_the_quarter_turns():
+    # i^m and (-i)^m are read from symcore.absorption_phases
+    cycles = _outside_symcore(
+        lambda n: isinstance(n, (ast.Tuple, ast.List)) and any(map(_is_quarter_turn, n.elts)))
+    assert cycles == [], f"quarter-turn literals at {cycles}"
+
+
+def test_only_symcore_names_the_largest_double():
+    # exp overflows past symcore.LOG_DOUBLE_MAX, written once
+    named = _outside_symcore(
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "max"
+        and isinstance(n.value, ast.Call) and _called_name(n.value) == "finfo")
+    assert named == [], f"finfo(...).max named at {named}"
+
+
+def test_both_cephes_ports_take_the_one_horner_step():
+    functions = _functions()
+    assert [q for q in functions if q.endswith("polevl")] == ["symcore.polevl"]
+    for q in ("symcore._log_factorial_table", "measures._ndtr"):
+        assert _calls(functions[q], "polevl"), q
+
+
+def test_trace_norm_takes_hermitian_input_alone():
+    # one Hermitian rule: no singular-value fallback, and the eigensolver's HERM_TOL
+    fn = _functions()["symcore.trace_norm"]
+    assert "svd" not in _names(fn) and "HERM_TOL" in _names(fn)
+    skew = np.eye(3, k=1) - np.eye(3, k=-1)
+    assert trace_norm(np.eye(3) + 0.25 * HERM_TOL * skew) == pytest.approx(3.0, rel=1e-15)
+    with pytest.raises(ContractViolation, match="not Hermitian within tolerance"):
+        trace_norm(np.eye(3) + 2.0 * HERM_TOL * skew)

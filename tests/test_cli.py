@@ -492,6 +492,8 @@ def test_sweep_undefined_at_some_sizes_exits_3(capsys):
     assert code == 3
     doc = load(out)
     assert [p["defined"] for p in doc["points"]] == [False, False, True, True]
+    # each undefined point says why; a defined one carries no reason
+    assert [p.get("reason") for p in doc["points"]] == ["threshold unreachable"] * 2 + [None] * 2
     assert doc["fit"]["defined"] is False and doc["fit"]["exponent"] is None
     assert doc["fit"]["note"] == "measure undefined at some sizes"
 
@@ -520,6 +522,7 @@ def test_sweep_of_a_pair_measure_on_fock_exits_3(mid, capsys):
     assert (code, err) == (3, "")
     doc = load(out)
     assert [p["defined"] for p in doc["points"]] == [False] * 4
+    assert [p["reason"] for p in doc["points"]] == ["fock has no branch pair"] * 4
     assert (doc["fit"]["defined"], doc["fit"]["note"]) == (False, "measure undefined at some sizes")
 
 

@@ -1,5 +1,7 @@
 """Size ladders, exponent fits, and the classification grid."""
 
+import ast
+import inspect
 import math
 import re
 from collections import Counter
@@ -492,12 +494,14 @@ def test_cell_flag_reports_tolerance_misses():
     for missed in (_judged("l1ErrorBound", 2 * SMEAR_L1_ATOL),
                    _judged("tailBound", 2 * LAYER_TAIL_TOL)):
         assert cell_flag("d-bar", dsp, "O(N)", "O(N)", fit, [*met, missed]) == "tolerance-miss"
-        # ahead of a class mismatch, behind a known discrepancy and an undefined fit's note
+        # ahead of an undefined fit's note and a class mismatch, behind a known discrepancy
         assert cell_flag("d-bar", dsp, "O(1)", "O(N)", fit, [missed]) == "tolerance-miss"
         assert cell_flag("size-pg", FamilyId.EVEN_CAT, "O(N)", "O(N)", fit, [missed]) == (
             "paper-discrepancy")
         undefined = ScalingFit(np.nan, np.nan, 0.0, 0.0, defined=False, note="values ~ 0")
         assert cell_flag("d-bar", dsp, "O(N)", "undefined-for-input", undefined, [missed]) == (
+            "tolerance-miss")
+        assert cell_flag("d-bar", dsp, "O(N)", "undefined-for-input", undefined, met) == (
             "values ~ 0")
 
 
@@ -511,6 +515,30 @@ def test_table1_flags_a_stubbed_tolerance_miss():
     assert flags[("size-pg", FamilyId.DISPLACED_SINGLE_PHOTON)] == "tolerance-miss"
     assert flags[("size-pg", FamilyId.FOCK_SUPERPOSITION)] == "tolerance-miss"
     assert flags[("size-pg", FamilyId.EVEN_CAT)] == "paper-discrepancy"
+
+
+def test_table1_flags_a_kernel_miss_ahead_of_the_fit_it_voids():
+    # with no rank cut passed, every d-bar layering builds no layer: the kernel
+    # misses its tail tolerance and reads 0 at each point, so the fit is undefined
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "LAYER_RANK_TOL", np.inf)
+        report = table1(ladder=(2, 4, 8, 16))
+    cell = report.cell("d-bar", FamilyId.DISPLACED_SINGLE_PHOTON)
+    assert [p.witness["withinTolerance"] for p in cell.points] == [False] * 4
+    assert cell.classification == "undefined-for-input"
+    assert cell.flag == "tolerance-miss"
+
+
+def test_table1_reads_its_special_cells_from_the_grid():
+    fn = next(n for n in ast.parse(inspect.getsource(scaling)).body
+              if isinstance(n, ast.FunctionDef) and n.name == "table1")
+    named = [
+        f"line {n.lineno}: {n.attr if isinstance(n, ast.Attribute) else n.value!r}"
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Attribute) and n.attr in FamilyId.__members__
+        or isinstance(n, ast.Constant) and n.value in MEASURES
+    ]
+    assert named == [], f"table1 restates the grid: {named}"
 
 
 def test_table1_text_columns_split_back_into_cells():

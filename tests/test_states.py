@@ -12,7 +12,6 @@ from scipy.special import gammaln
 from macrosize import (
     ContractViolation,
     DensityOp,
-    TruncationError,
     branch_pair,
     build_state,
     make_coherent,
@@ -138,7 +137,7 @@ def test_spin_coherent_rejects_cutoff_above_m():
 
 def test_spin_coherent_rejects_a_lossy_truncation():
     # K = 2 keeps 0.48 % of the weight of alpha = 3 in M = 100 spins: norm 0.069
-    with pytest.raises(TruncationError, match="renormalization correction 9.31e-01 exceeds 1e-10"):
+    with pytest.raises(ContractViolation, match="renormalization correction 9.31e-01 exceeds 1e-10"):
         make_spin_coherent(3.0, 100, K=2)
     assert make_spin_coherent(3.0, 100).basis.K == 61  # the default truncation holds it
 
@@ -149,7 +148,7 @@ def test_displaced_pair_rejects_the_cutoff_its_state_rejects():
         lambda: make_displaced_single_photon(2.0, cutoff=3),
         lambda: branch_pair("displaced-single-photon", alpha=2.0, cutoff=3),
     ):
-        with pytest.raises(TruncationError) as exc:
+        with pytest.raises(ContractViolation, match="cutoff 3 below required 19.4") as exc:
             build()
         messages.append(str(exc.value))
     assert messages == ["cutoff 3 below required 19.4"] * 2
@@ -191,7 +190,7 @@ def test_displace_vacuum_gives_coherent():
 
 def test_displace_norm_and_headroom_guard():
     cat = make_even_cat(2.0)
-    with pytest.raises(TruncationError):
+    with pytest.raises(ContractViolation, match="tail mass .* above declared tolerance 1.0e-10"):
         displace(cat, 0.7)  # no room for the shifted tail
     roomy = make_even_cat(2.0, cutoff=cat.basis.cutoff + 25)
     out = displace(roomy, 0.7)

@@ -36,7 +36,6 @@ from macrosize.symcore import (
     FockBasis,
     PureState,
     SuperpositionPair,
-    TruncationError,
     check_kind,
     collective_apply,
     default_spin_truncation,
@@ -211,7 +210,7 @@ def test_photonic_tail_guard():
     assert PureState(FockBasis(5), amps).tail_mass == 1.0
     # a factory that truncates an infinite state refuses a cutoff that loads
     # the top two levels: its truncation is not believable
-    with pytest.raises(TruncationError, match="tail mass"):
+    with pytest.raises(ContractViolation, match="tail mass"):
         make_even_cat(2.0, cutoff=6)
 
 
@@ -413,9 +412,15 @@ def test_self_adjoint_eig_contract():
 
 
 def test_trace_norm_matches_singular_values():
+    # a Hermitian matrix's singular values are its |eigenvalues|; any other
+    # matrix is refused at the eigensolver's HERM_TOL
     rng = np.random.default_rng(5)
     x = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    assert trace_norm(x) == pytest.approx(np.linalg.svd(x, compute_uv=False).sum(), rel=1e-12)
+    for h in (x + x.conj().T, (x + x.T).real, x @ x.conj().T):
+        assert trace_norm(h) == pytest.approx(np.linalg.svd(h, compute_uv=False).sum(), rel=1e-12)
+    for bad in (x, np.array([[0.0, 1.0], [0.0, 0.0]])):
+        with pytest.raises(ContractViolation, match="not Hermitian within tolerance"):
+            trace_norm(bad)
 
 
 def test_rotate_state_unitary_and_axis_action():
