@@ -1,12 +1,13 @@
 """Command-line front end: build states, run measures, run the absorption
 mapping, and produce scaling sweeps and the classification table.
 
-Exit codes: 0 success, 2 input error, 3 measure undefined for the input (the
-document on stdout says `defined: false` and why), 4 numerical-tolerance
-failure: a kernel that holds itself to a tolerance reports missing it
-(`measure`, any point of a `sweep`), or the operator map deviates past
-`verify-mapping --max-deviation`. Each such failure writes one stderr line
-beside the unchanged stdout; `table1` flags the cell instead and exits 0.
+Every command but `table1` ends by one rule, `_finish`: it prints the
+command's JSON document and one stderr line per tolerance miss, then exits 3
+if the result is undefined (the document says `defined: false` and why),
+else 4 if a kernel that holds itself to a tolerance reports missing it
+(`measure`, any point of a `sweep`) or the operator map deviates past
+`verify-mapping --max-deviation`, else 0. An input error exits 2; `table1`
+flags a missed cell instead and exits 0.
 Outputs are deterministic: reports carry floats to 12 significant digits,
 state and pair files to every digit (so a file reads back as the state that
 was written), and every document embeds {tool, version, configHash, seed}.
@@ -19,6 +20,7 @@ import hashlib
 import inspect
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -107,6 +109,23 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+def _saved(summary: dict, doc: dict, out: str | None) -> dict:
+    """The summary; with `out`, the document is written there at every digit and the summary names it."""
+    if not out:
+        return summary
+    _write(out, _json_text(doc, exact=True))
+    return {**summary, "out": out}
+
+
+def _finish(doc: dict, misses: list[str], defined: bool = True) -> int:
+    """Print the document and one stderr line per tolerance miss; exit 3 for an
+    undefined result, else 4 on a miss, else 0."""
+    sys.stdout.write(_json_text(doc))
+    for line in misses:
+        print(f"tolerance failure: {line}", file=sys.stderr)
+    return 3 if not defined else 4 if misses else 0
+
+
 def _header_comment(spin_factor: int) -> str:
     h = _header(spin_factor)
     return f"# tool={h['tool']} version={h['version']} configHash={h['configHash']} seed={h['seed']}\n"
@@ -177,11 +196,7 @@ def cmd_state(args, spin_factor: int) -> int:
         state = build_state(args.name, **params)
         doc = {"header": _header(spin_factor), "state": state_to_dict(state)}
         summary = {"header": _header(spin_factor), **_state_summary(state)}
-    if args.out:
-        _write(args.out, _json_text(doc, exact=True))
-        summary["out"] = args.out
-    sys.stdout.write(_json_text(summary))
-    return 0
+    return _finish(_saved(summary, doc, args.out), [])
 
 
 def _measure_params(args):
@@ -219,13 +234,9 @@ def cmd_measure(args, spin_factor: int) -> int:
     params["channel"] = Homodyne(angle) if args.channel == "homodyne" else PhotonCount()
     result = (spec.evaluate(given, **params) if is_pair or not spec.pair
               else MeasureResult.undefined(mid, "needs a branch pair, got a single state"))
-    sys.stdout.write(_json_text({"header": _header(spin_factor), **result.to_dict()}))
-    if not result.defined:
-        return 3
-    if missed := tolerance_miss(result.witness):
-        print(f"tolerance failure: {mid} {missed}", file=sys.stderr)
-        return 4
-    return 0
+    missed = tolerance_miss(result.witness)
+    return _finish({"header": _header(spin_factor), **result.to_dict()},
+                   [f"{mid} {missed}"] if missed else [], result.defined)
 
 
 def cmd_absorb(args, spin_factor: int) -> int:
@@ -248,11 +259,7 @@ def cmd_absorb(args, spin_factor: int) -> int:
         }
     doc = {"header": _header(spin_factor), "state": state_to_dict(spin), "absorb": info}
     summary = {"header": _header(spin_factor), **info, **_state_summary(spin)}
-    if args.out:
-        _write(args.out, _json_text(doc, exact=True))
-        summary["out"] = args.out
-    sys.stdout.write(_json_text(summary))
-    return 0
+    return _finish(_saved(summary, doc, args.out), [])
 
 
 def cmd_table1(args, spin_factor: int) -> int:
@@ -309,7 +316,6 @@ def cmd_sweep(args, spin_factor: int) -> int:
         res = sweep(family, args.measure, **params)
     if args.out:
         _write(args.out, _header_comment(spin_factor) + res.points_csv())
-    fit = res.fit
     doc = {
         "header": _header(spin_factor),
         "family": fid.value,
@@ -320,25 +326,15 @@ def cmd_sweep(args, spin_factor: int) -> int:
              **{k: v for k, v in p.witness.items() if k in (WITHIN_TOLERANCE, "reason")}}
             for p in res.points
         ],
-        "fit": {
-            "exponent": fit.exponent,
-            "intercept": fit.intercept,
-            "ci95": fit.ci95,
-            "residual": fit.residual,
-            "defined": fit.defined,
-            "note": fit.note,
-        },
+        "fit": asdict(res.fit),
         **({"out": args.out} if args.out else {}),
     }
-    sys.stdout.write(_json_text(doc))
     misses = [
         f"{args.measure} at {res.sweep_variable}={p.size} {miss}"
         for p in res.points
         if (miss := tolerance_miss(p.witness))
     ]
-    for line in misses:
-        print(f"tolerance failure: {line}", file=sys.stderr)
-    return 3 if not fit.defined else 4 if misses else 0
+    return _finish(doc, misses, res.fit.defined)
 
 
 def cmd_verify_mapping(args, spin_factor: int) -> int:
@@ -346,6 +342,8 @@ def cmd_verify_mapping(args, spin_factor: int) -> int:
         raise ContractViolation("--lam sets the disentangling check; it needs --jmax")
     if args.jmax is not None and not 0.5 <= args.jmax < np.inf:
         raise ContractViolation(f"--jmax must be at least 1/2 and finite, got {args.jmax}")
+    if args.max_deviation is not None and not args.max_deviation >= 0:  # NaN fails it too
+        raise ContractViolation(f"--max-deviation must be at least 0, got {args.max_deviation}")
     doc: dict = {"header": _header(spin_factor), "M": args.M, "K": args.K, "g": args.g}
     dev = verify_operator_map(args.M, args.K, g=args.g)
     doc["operatorMapDeviation"] = dev
@@ -362,15 +360,10 @@ def cmd_verify_mapping(args, spin_factor: int) -> int:
             for two_j in range(int(2 * args.jmax + 1e-9), 0, -1)
         )
         doc["disentanglingLambda"] = lam
-    sys.stdout.write(_json_text(doc))
+    misses = []
     if args.max_deviation is not None and dev > args.max_deviation:
-        print(
-            f"tolerance failure: operator-map deviation {dev:.3e} exceeds "
-            f"{args.max_deviation:.3e}",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
+        misses.append(f"operator-map deviation {dev:.3e} exceeds {args.max_deviation:.3e}")
+    return _finish(doc, misses)
 
 
 def build_parser() -> argparse.ArgumentParser:

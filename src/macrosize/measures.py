@@ -739,6 +739,10 @@ class Homodyne:
 
     angle: float = 0.0
 
+    def __post_init__(self):
+        if not np.isfinite(self.angle):  # a NaN angle makes every density NaN
+            raise ContractViolation(f"homodyne angle must be finite, got {self.angle}")
+
 
 def check_p_g(p_g: float) -> None:
     """size-pg's success probability must lie in (1/2, 1)."""
@@ -1252,7 +1256,7 @@ def _quad_difference(a0: np.ndarray, a1: np.ndarray, theta: float, h: float) -> 
     for branch, amps in enumerate((a0, a1)):
         norm = float(np.vdot(amps, amps).real)
         mass = h * float(rho[branch].sum())
-        if abs(mass - norm) > TAIL_TOL * norm:
+        if not abs(mass - norm) <= TAIL_TOL * norm:  # NaN fails it too
             raise ContractViolation(
                 f"homodyne density of branch {branch} holds {mass:.12g} of its norm {norm:.12g}, "
                 f"{abs(mass - norm):.2e} off, past TAIL_TOL: the Hermite recurrence lost mass"

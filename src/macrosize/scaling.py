@@ -350,7 +350,9 @@ def sweep(
     p_g: float = DEFAULT_P_G,
 ) -> SweepResult:
     """Evaluate one measure along the family's N ladder and fit the exponent."""
-    return _sweep_bundles(family.family_id, _ladder_bundles(family), measure_id, "N", delta, p_g)
+    fid, factor = family.family_id, family.spin_factor
+    bundles = (family_state(fid, n, factor * n) for n in family.size_ladder)
+    return _sweep_bundles(fid, bundles, measure_id, "N", delta, p_g)
 
 
 def sweep_fixed_excitation(
@@ -363,18 +365,8 @@ def sweep_fixed_excitation(
 ) -> SweepResult:
     """Sweep the spin count M at fixed N (the O(1/M) cell), by default on `_default_m_ladder(N)`."""
     fid = FamilyId(family_id)
-    m_ladder = _default_m_ladder(N) if m_ladder is None else m_ladder
-    return _sweep_bundles(fid, _m_ladder_bundles(fid, N, m_ladder), measure_id, "M", delta, p_g)
-
-
-def _ladder_bundles(family: StateFamily) -> Iterable[FamilyBundle]:
-    """The family's bundles along its N ladder, built as they are consumed."""
-    return (family_state(family.family_id, n, family.spin_factor * n) for n in family.size_ladder)
-
-
-def _m_ladder_bundles(fid: FamilyId, N: int, m_ladder: tuple[int, ...]) -> Iterable[FamilyBundle]:
-    """The bundles at fixed N along an M ladder; the ladder is checked at once."""
-    return (family_state(fid, N, m) for m in _checked_ladder("M", m_ladder))
+    m_ladder = _checked_ladder("M", _default_m_ladder(N) if m_ladder is None else m_ladder)
+    return _sweep_bundles(fid, (family_state(fid, N, m) for m in m_ladder), measure_id, "M", delta, p_g)
 
 
 def _sweep_bundles(
@@ -499,20 +491,20 @@ def table1(
     """
     check_delta(delta)
     check_p_g(p_g)
-    family = {fid: StateFamily(fid, tuple(ladder), spin_factor) for fid in FAMILY_ORDER}
-    ladder = family[FAMILY_ORDER[0]].size_ladder  # as checked: 8.0 is 8
+    ladder = StateFamily(FAMILY_ORDER[0], tuple(ladder), spin_factor).size_ladder  # 8.0 is 8
     m_ladder = _default_m_ladder(min(ladder)) if m_ladder is None else m_ladder
     (m_sweep_fam,) = {fam for (_, fam), t in BENCHMARK_TARGETS.items() if t == "O(1/M)"}
-    recorded = ContractViolation  # input errors; any other is a bug
 
-    def build(make) -> list[FamilyBundle] | Exception:
+    def build(make) -> list[FamilyBundle] | ContractViolation:
         try:
             return list(make())
-        except recorded as exc:  # recorded on the cells that need these states
+        except ContractViolation as exc:  # recorded on the cells that need these states
             return exc
 
-    bundles = {fam: build(lambda: _ladder_bundles(family[fam])) for fam in FAMILY_ORDER}
-    m_bundles = build(lambda: _m_ladder_bundles(m_sweep_fam, min(ladder), m_ladder))
+    bundles = {fam: build(lambda: (family_state(fam, n, spin_factor * n) for n in ladder))
+               for fam in FAMILY_ORDER}
+    m_bundles = build(lambda: (family_state(m_sweep_fam, min(ladder), m)
+                               for m in _checked_ladder("M", m_ladder)))
     cells = []
     for row in TABLE_ROWS:
         for fam in FAMILY_ORDER:
@@ -535,7 +527,7 @@ def table1(
                         res.points,
                     )
                 )
-            except recorded as exc:  # recorded, never fatal
+            except ContractViolation as exc:  # recorded, never fatal
                 cells.append(
                     Table1Cell(row, fam, target, "error", np.nan, 0.0,
                                f"{type(exc).__name__}: {exc}", ()))

@@ -26,9 +26,18 @@ from .symcore import (
 )
 
 
+def _alpha_squared(alpha: complex) -> float:
+    """|alpha|^2, which every state of an amplitude alpha is sized from: alpha's
+    parts and |alpha|^2 must be finite (1e200 squares to inf)."""
+    z = complex(alpha)
+    if not np.isfinite(z.real * z.real + z.imag * z.imag):  # NaN fails it too
+        raise ContractViolation(f"alpha needs finite parts and a finite |alpha|^2, got {alpha!r}")
+    return abs(alpha) ** 2
+
+
 def _coherent_bound(alpha: complex) -> float:
     """Least cutoff that holds a coherent |alpha>: |alpha|^2 + 6 sqrt(|alpha|^2 + 1)."""
-    lam = abs(alpha) ** 2
+    lam = _alpha_squared(alpha)
     return lam + 6.0 * np.sqrt(lam + 1.0)
 
 
@@ -39,7 +48,7 @@ def _coherent_cutoff(alpha: complex, pmf_tol: float = 1e-11) -> int:
     keeping boundary mass under the 1e-10 tolerance. Displaced few-photon
     states need a smaller pmf_tol (their number tails carry an extra
     ~(n-lam)^2/lam enhancement)."""
-    lam = abs(alpha) ** 2
+    lam = _alpha_squared(alpha)
     least = int(np.ceil(_coherent_bound(alpha)))
     if lam == 0:
         return least
@@ -56,7 +65,7 @@ def _coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
         amps = np.zeros(cutoff + 1, dtype=np.complex128)
         amps[0] = 1.0
         return amps
-    mag = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - 0.5 * log_factorial(n))
+    mag = np.exp(-_alpha_squared(alpha) / 2.0 + n * np.log(abs(alpha)) - 0.5 * log_factorial(n))
     phase = np.exp(1j * n * np.angle(alpha))
     return mag * phase
 
@@ -219,11 +228,12 @@ def make_spin_coherent(alpha: complex, M: int, K: int | None = None) -> PureStat
     with q = 1 - |alpha|^2/M, truncated at K and renormalized (`_renormalized`,
     as for make_coherent), so a K that drops more than 1e-10 of the norm raises.
     """
-    p = abs(alpha) ** 2 / M
+    lam = _alpha_squared(alpha)
+    p = lam / M
     if p >= 1.0:
-        raise ContractViolation(f"need |alpha|^2 < M, got |alpha|^2={abs(alpha) ** 2}, M={M}")
+        raise ContractViolation(f"need |alpha|^2 < M, got |alpha|^2={lam}, M={M}")
     if K is None:
-        K = default_spin_truncation(M, abs(alpha) ** 2)
+        K = default_spin_truncation(M, lam)
     if alpha == 0:
         return make_dicke(M, 0, K)
     basis = DickeBasis(M, K)  # checks 0 <= K <= M before the log-binomials

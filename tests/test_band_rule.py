@@ -23,7 +23,9 @@ result has one constructor per kind, `MeasureResult.undefined` and
 `ScalingFit.undefined`, the only code that passes `defined` to either class.
 `symcore` holds one of each shared primitive: the Horner step `polevl`, the
 cumulative sum of ln C(n, k) terms, the quarter-turn constants and
-ln(max double); `trace_norm` takes Hermitian input alone."""
+ln(max double); `trace_norm` takes Hermitian input alone. The command line
+has one exit rule, `cli._finish`: no other code in `cli` writes a tolerance
+failure or returns exit code 3 or 4."""
 
 import ast
 from pathlib import Path
@@ -346,3 +348,19 @@ def test_trace_norm_takes_hermitian_input_alone():
     assert trace_norm(np.eye(3) + 0.25 * HERM_TOL * skew) == pytest.approx(3.0, rel=1e-15)
     with pytest.raises(ContractViolation, match="not Hermitian within tolerance"):
         trace_norm(np.eye(3) + 2.0 * HERM_TOL * skew)
+
+
+def test_only_cli_finish_names_a_tolerance_failure():
+    text = (PACKAGE / "cli.py").read_text()
+    assert text.count("tolerance failure") == 1
+    assert "tolerance failure" in ast.get_source_segment(text, _functions()["cli._finish"])
+
+
+def test_only_cli_finish_returns_exit_code_3_or_4():
+    returns = [
+        f"cli.{fn.name}:{n.lineno}"
+        for fn in ast.walk(_trees()["cli"]) if isinstance(fn, ast.FunctionDef) and fn.name != "_finish"
+        for n in ast.walk(fn) if isinstance(n, ast.Return) and n.value is not None
+        and any(isinstance(c, ast.Constant) and c.value in (3, 4) for c in ast.walk(n.value))
+    ]
+    assert returns == [], f"exit codes 3 or 4 returned outside cli._finish: {returns}"

@@ -7,6 +7,7 @@ import io
 import inspect
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -639,16 +640,57 @@ def test_verify_mapping_walks_j_down_from_jmax(capsys, monkeypatch):
          "error: exp(lam (S+ + S-)) at j=70, lam=3 is past the finite doubles"),
         (["verify-mapping", "--M", "200", "--K", "8", "--jmax", "inf"],
          "--jmax must be at least 1/2 and finite, got inf"),
+        # dev > nan is False, so a NaN bound gated nothing; every deviation exceeds -1
+        (["verify-mapping", "--M", "50", "--K", "4", "--max-deviation", "nan"],
+         "--max-deviation must be at least 0, got nan"),
+        (["verify-mapping", "--M", "50", "--K", "4", "--max-deviation", "-1"],
+         "--max-deviation must be at least 0, got -1.0"),
+        (["verify-mapping", "--M", "200", "--K", "8", "--alpha", "nan"],
+         "alpha needs finite parts and a finite |alpha|^2, got (nan+0j)"),
     ],
     ids=["jmax-below-half", "jmax-negative", "zero-spins", "cutoff-above-M", "spin-factor-table1",
          "spin-factor-sweep", "pair-cutoff-too-small", "spin-coherent-lossy-K",
-         "ladder-not-integers", "ghz-negative-spins", "jmax-overflows", "jmax-infinite"],
+         "ladder-not-integers", "ghz-negative-spins", "jmax-overflows", "jmax-infinite",
+         "max-deviation-nan", "max-deviation-negative", "alpha-nan"],
 )
 def test_check_that_cannot_run_exits_2(argv, message, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert message in err
+
+
+_ALPHA_NAMES = [(table, name) for table, names in (("state", STATES), ("pair", PAIRS))
+                for name, build in names.items() if "alpha" in inspect.signature(build).parameters]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e200"])
+@pytest.mark.parametrize("table, name", _ALPHA_NAMES, ids=[f"{t}-{n}" for t, n in _ALPHA_NAMES])
+def test_alpha_not_finite_or_squaring_past_the_doubles_exits_2(table, name, value, capsys):
+    # |1e200|^2 overflows: each was a ValueError or OverflowError traceback
+    takes = inspect.signature((STATES if table == "state" else PAIRS)[name]).parameters
+    flags = [tok for key, p in takes.items() if p.default is p.empty and key != "alpha"
+             for tok in (f"--{key}", _STATE_FLAG_VALUES[key])]
+    argv = ["state", "--name", name, *(["--pair"] if table == "pair" else []), "--alpha", value]
+    code, out, err = run(capsys, *argv, *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: alpha needs finite parts") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_size_pg_homodyne_angle_not_finite_exits_2(angle, tmp_path):
+    # a NaN angle drove size-pg's sigma, and the homodyne grid step, to zero
+    # until memory ran out: the child runs capped at 3 GB of address space
+    f = tmp_path / "fock_pair.json"
+    assert main(["state", "--name", "fock-superposition", "--N", "3", "--pair", "--out", str(f)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "macrosize.cli", "measure", "size-pg", str(f),
+         "--channel", "homodyne", f"--angle={angle}"],
+        capture_output=True, text=True, env=_package_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: homodyne angle must be finite, got {float(angle)}\n"
 
 
 def test_absorbing_out_of_regime_exits_2_and_the_exact_map_holds(tmp_path, monkeypatch, capsys):

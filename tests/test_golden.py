@@ -1,13 +1,17 @@
 """Golden stdout: each acceptance command runs in process through `cli.main`,
 and its exit code and stdout bytes must equal the recorded ones, with no
 tolerance. An intended change to an output is an edit to its file under
-`tests/golden/` (or to its exit code below)."""
+`tests/golden/` (or to its exit code below). README.md names every key that
+a JSON golden prints."""
 
+import json
+import re
 from pathlib import Path
 
 from macrosize.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = GOLDEN.parent.parent / "README.md"
 RECORDED_ON = "numpy 2.4.6 on OpenBLAS, 2 cores"
 
 # Input files, written by `state --out` into the working directory.
@@ -82,3 +86,21 @@ def test_commands_print_their_golden_stdout(tmp_path, monkeypatch, capsys):
         f"outputs moved (goldens recorded with {RECORDED_ON}; another BLAS build "
         "can move a last printed digit):\n" + "\n".join(moved)
     )
+
+
+def _keys(obj) -> set[str]:
+    """Every key of a JSON document, at any depth."""
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_keys, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_keys, obj))
+    return set()
+
+
+def test_readme_names_every_key_a_golden_prints():
+    texts = [path.read_text() for path in sorted(GOLDEN.glob("*.out"))]
+    docs = [json.loads(t) for t in texts if not t.startswith("#")]  # not the csv and text tables
+    assert docs
+    readme = README.read_text()
+    unnamed = sorted(k for k in _keys(docs) if not re.search(rf"\b{re.escape(k)}\b", readme))
+    assert unnamed == [], f"keys a golden prints that README.md never names: {unnamed}"

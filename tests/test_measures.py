@@ -708,6 +708,21 @@ def test_size_homodyne_refuses_a_density_that_lost_mass():
         size_pg(pair, 2 / 3, Homodyne(0.0))
 
 
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_homodyne_refuses_an_angle_that_is_not_finite(angle):
+    # a NaN angle made every density NaN, which no check refused, and size-pg
+    # halved sigma, and with it the grid step, until memory ran out
+    with pytest.raises(ContractViolation, match="homodyne angle must be finite"):
+        Homodyne(angle)
+
+
+def test_size_homodyne_refuses_a_nan_density():
+    # the mass check is NaN-safe: a NaN density holds no branch's norm
+    pair = branch_pair("fock-superposition", N=3)
+    with pytest.raises(ContractViolation, match="branch 0 holds nan"):
+        _quad_difference(pair.psi0.amps, pair.psi1.amps, np.nan, 0.1)
+
+
 def test_size_certifies_every_root_on_the_table(monkeypatch):
     # every P_S evaluation of the table's size-pg cells sums its norm at a
     # certified root: the sign grid never runs
